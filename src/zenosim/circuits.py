@@ -34,11 +34,20 @@ from .state import (
     photon,
 )
 
-VALID_OPS = frozenset({
-    "prepare", "photon_h", "photon_x", "photon_z",
-    "particle_h", "particle_x", "particle_z",
-    "qicz", "qicz_multi", "measure", "cx", "cz", "cphase", "xor",
-})
+# op -> arguments every instruction of that op must carry
+REQUIRED_ARGS = {
+    "prepare": ("target",),
+    "photon_h": ("target",), "photon_x": ("target",), "photon_z": ("target",),
+    "particle_h": ("target",), "particle_x": ("target",),
+    "particle_z": ("target",),
+    "qicz": ("photon", "particle"),
+    "qicz_multi": ("photon", "particles"),
+    "measure": ("target", "basis", "bit"),
+    "cx": ("bit", "target"), "cz": ("bit", "target"),
+    "cphase": ("key", "target", "coeff"),
+    "xor": ("a", "b", "out"),
+}
+VALID_OPS = frozenset(REQUIRED_ARGS)
 
 MEASUREMENT_BASES = frozenset({
     PHOTON_COMPUTATIONAL, PARTICLE_PM, "particle_computational", QUDIT_POSITION,
@@ -51,8 +60,11 @@ class Instruction:
     args: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.op not in VALID_OPS:
+        if not isinstance(self.op, str) or self.op not in VALID_OPS:
             raise ValueError(f"unknown op {self.op!r}")
+        missing = [k for k in REQUIRED_ARGS[self.op] if k not in self.args]
+        if missing:
+            raise ValueError(f"{self.op} needs argument {missing[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +98,8 @@ def _instr_subsystems(instr: Instruction) -> list[str]:
 
 def validate_program(program: CircuitProgram) -> None:
     """Static checks: declared names only, prepare-before-use, no use after
-    measurement, classical values written before read."""
+    measurement, classical values written before read, and cx/cz only on
+    bits that can hold nothing but 0 and 1."""
     declared = {s.name for s in program.subsystems}
     if len(declared) != len(program.subsystems):
         raise ValueError("duplicate subsystem name")
@@ -95,7 +108,7 @@ def validate_program(program: CircuitProgram) -> None:
         raise ValueError("duplicate bit name")
     live: set[str] = set()
     gone: set[str] = set()
-    written: set[str] = set()
+    arity: dict[str, int] = {}  # bit -> number of values it can hold
     for pos, instr in enumerate(program.instructions):
         where = f"instructions[{pos}]"
         for name in _instr_subsystems(instr):
@@ -112,12 +125,13 @@ def validate_program(program: CircuitProgram) -> None:
             for b in (instr.args["a"], instr.args["b"]):
                 if b not in bits:
                     raise ValueError(f"{where}: undeclared bit {b!r}")
-                if b not in written:
+                if b not in arity:
                     raise ValueError(f"{where}: bit {b!r} read before write")
             out = instr.args["out"]
             if out not in bits:
                 raise ValueError(f"{where}: undeclared bit {out!r}")
-            written.add(out)
+            widest = max(arity[instr.args["a"]], arity[instr.args["b"]]) - 1
+            arity[out] = 1 << widest.bit_length()
         else:
             for name in _instr_subsystems(instr):
                 if name in gone:
@@ -131,21 +145,30 @@ def validate_program(program: CircuitProgram) -> None:
                 bit = instr.args["bit"]
                 if bit not in bits:
                     raise ValueError(f"{where}: undeclared bit {bit!r}")
-                written.add(bit)
                 t = instr.args["target"]
+                spec = program.spec(t)
+                # a failure outcome ends the run, so a position basis records
+                # one of the particle's positions and every other basis 0 or 1
+                binary = (basis in (PHOTON_COMPUTATIONAL, PARTICLE_PM)
+                          or spec.kind != "particle")
+                arity[bit] = 2 if binary else spec.positions()
                 live.discard(t)
                 gone.add(t)
             elif instr.op in ("cx", "cz"):
                 b = instr.args["bit"]
                 if b not in bits:
                     raise ValueError(f"{where}: undeclared bit {b!r}")
-                if b not in written:
+                if b not in arity:
                     raise ValueError(f"{where}: bit {b!r} read before write")
+                if arity[b] > 2:
+                    raise ValueError(
+                        f"{where}: {instr.op} needs a 0/1 control, but bit {b!r} "
+                        f"can hold 0..{arity[b] - 1}; use cphase for integer outcomes")
             elif instr.op == "cphase":
                 k = instr.args["key"]
                 if k not in bits:
                     raise ValueError(f"{where}: undeclared outcome {k!r}")
-                if k not in written:
+                if k not in arity:
                     raise ValueError(f"{where}: outcome {k!r} read before write")
 
 

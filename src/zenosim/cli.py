@@ -70,13 +70,22 @@ def _plain(value):
     return value
 
 
+def _doc_list(doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise CircuitFileError(f"{key} must be a list")
+    return value
+
+
 def program_from_doc(doc) -> CircuitProgram:
     if not isinstance(doc, dict):
         raise CircuitFileError("top level must be an object")
     if doc.get("version") != "1":
         raise CircuitFileError(f"unsupported version {doc.get('version')!r}")
     subsystems = []
-    for i, entry in enumerate(doc.get("subsystems", [])):
+    for i, entry in enumerate(_doc_list(doc, "subsystems")):
+        if not isinstance(entry, dict):
+            raise CircuitFileError(f"subsystems[{i}]: must be an object")
         kind = entry.get("kind")
         name = entry.get("name")
         if not isinstance(name, str) or not name:
@@ -88,15 +97,17 @@ def program_from_doc(doc) -> CircuitProgram:
         else:
             raise CircuitFileError(f"subsystems[{i}]: unknown kind {kind!r}")
     bits = doc.get("bits", [])
+    if not isinstance(bits, list) or not all(isinstance(b, str) for b in bits):
+        raise CircuitFileError("bits must be a list of strings")
     instructions = []
-    for i, entry in enumerate(doc.get("instructions", [])):
+    for i, entry in enumerate(_doc_list(doc, "instructions")):
         if not isinstance(entry, dict) or "op" not in entry:
             raise CircuitFileError(f"instructions[{i}]: missing op")
-        op = entry["op"]
-        if op not in circuits.VALID_OPS:
-            raise CircuitFileError(f"instructions[{i}]: unknown op {op!r}")
         args = {k: v for k, v in entry.items() if k != "op"}
-        instructions.append(Instruction(op, args))
+        try:
+            instructions.append(Instruction(entry["op"], args))
+        except ValueError as exc:
+            raise CircuitFileError(f"instructions[{i}]: {exc}") from exc
     try:
         return CircuitProgram(tuple(subsystems), tuple(bits),
                               tuple(instructions))
@@ -134,7 +145,7 @@ def _emit_json(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (np.floating, float)):
-        return format(float(value), ".12g")
+        return _float(value)
     if isinstance(value, (np.integer, int)):
         return str(int(value))
     if value is None:
@@ -142,9 +153,14 @@ def _emit_json(value) -> str:
     return json.dumps(value)
 
 
+def _float(x) -> str:
+    # adding +0.0 turns a negative zero into 0, so "-0" is never printed
+    return format(float(x) + 0.0, ".12g")
+
+
 def _num(x) -> str:
     if isinstance(x, (np.floating, float)):
-        return format(float(x), ".12g")
+        return _float(x)
     return str(x)
 
 

@@ -24,6 +24,7 @@ from zenosim.interrogation import QiParams
 from zenosim.state import (
     PARTICLE_PM,
     PHOTON_COMPUTATIONAL,
+    QUDIT_POSITION,
     fidelity,
     new_state,
     norm_sq,
@@ -112,6 +113,43 @@ def test_xor_needs_written_inputs():
         CircuitProgram((), ("a", "b", "c"), (
             _ins("xor", a="a", b="b", out="c"),
         ))
+
+
+def test_instruction_needs_its_arguments():
+    with pytest.raises(ValueError, match="photon_h needs argument 'target'"):
+        Instruction("photon_h", {})
+    with pytest.raises(ValueError, match="needs argument 'out'"):
+        Instruction("xor", {"a": "x", "b": "y"})
+
+
+def _qudit_then(*tail):
+    """A 3-position particle measured in the position basis into bit m."""
+    return CircuitProgram((particle("q", positions=3), particle("r", positions=2),
+                           photon("p")), ("m", "n", "z"), (
+        _ins("prepare", target="q", uniform=True),
+        _ins("measure", target="q", basis=QUDIT_POSITION, bit="m"),
+        _ins("prepare", target="r", pm="+"),
+        _ins("measure", target="r", basis=QUDIT_POSITION, bit="n"),
+        _ins("prepare", target="p", level=1),
+        *tail,
+    ))
+
+
+@pytest.mark.parametrize("op", ["cx", "cz"])
+def test_binary_control_on_multi_valued_bit_rejected(op):
+    # the engine fires on any nonzero value, the oracle on value & 1
+    with pytest.raises(ValueError, match="needs a 0/1 control.*0..2"):
+        _qudit_then(_ins(op, bit="m", target="p"))
+    with pytest.raises(ValueError, match="needs a 0/1 control.*0..3"):
+        _qudit_then(_ins("xor", a="m", b="n", out="z"),
+                    _ins(op, bit="z", target="p"))
+
+
+def test_binary_and_integer_controls_accepted():
+    _qudit_then(_ins("cx", bit="n", target="p"),
+                _ins("xor", a="n", b="n", out="z"),
+                _ins("cz", bit="z", target="p"),
+                _ins("cphase", key="m", target="p", coeff=0.5))
 
 
 def test_configurable_gate_rejects_double_wiring():

@@ -4,9 +4,17 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from zenosim.cli import load_program, program_from_doc, program_to_doc, serialize_program
+from zenosim.cli import (
+    _csv_line,
+    _emit_json,
+    load_program,
+    program_from_doc,
+    program_to_doc,
+    serialize_program,
+)
 from zenosim.circuits import bell_generator, cnot_circuit
 
 CLI = [sys.executable, "-m", "zenosim.cli"]
@@ -142,6 +150,49 @@ def test_unknown_op_reports_index():
     proc = run_cli("simulate", path)
     assert proc.returncode == 1
     assert "instructions[0]: unknown op" in proc.stderr
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"}],
+      "bits": [], "instructions": [{"op": "photon_h"}]},
+     "instructions[0]: photon_h needs argument 'target'"),
+    ({"version": "1", "subsystems": [], "bits": 5, "instructions": []},
+     "bits must be a list of strings"),
+    ({"version": "1", "instructions": [{"op": ["photon_h"]}]},
+     "instructions[0]: unknown op ['photon_h']"),
+])
+def test_malformed_file_is_one_error_line(tmp_path, doc, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("simulate", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"zenosim: error: {message}\n"
+
+
+def test_cx_on_qudit_outcome_rejected_before_oracle_check(tmp_path):
+    path = tmp_path / "qudit_cx.json"
+    path.write_text(json.dumps({
+        "version": "1",
+        "subsystems": [{"name": "q", "kind": "particle", "dim": 3},
+                       {"name": "p", "kind": "photon"}],
+        "bits": ["m"],
+        "instructions": [
+            {"op": "prepare", "target": "q", "uniform": True},
+            {"op": "measure", "target": "q", "basis": "qudit_position", "bit": "m"},
+            {"op": "prepare", "target": "p", "level": 0},
+            {"op": "cx", "bit": "m", "target": "p"},
+        ]}))
+    proc = run_cli("oracle-check", str(path), "--ideal")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("zenosim: error: instructions[3]: cx needs a 0/1 control")
+
+
+def test_emitters_never_print_negative_zero():
+    assert _emit_json({"a": -0.0, "b": [np.float64(-0.0), 0.0, -1.5]}) == \
+        '{"a":0,"b":[0,0,-1.5]}'
+    assert _csv_line([-0.0, np.float64(-0.0), 2, "x"]) == "0,0,2,x"
 
 
 def test_missing_file_reported():

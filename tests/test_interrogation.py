@@ -1,13 +1,19 @@
 """Cycle-level interrogation behavior: survival laws, the sign shift,
-loss accounting, absorber algebra, and the extracted effective map."""
+loss accounting, absorber algebra, the extracted effective map, and a
+differential check of the closed-form cycle engine against a literal
+per-cycle loop."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from zenosim.interrogation import (
+    EXPLICIT,
     KEEP,
     PI_OVER_2N,
     PI_OVER_N,
+    ROUTE_TO_SINK,
     QiParams,
     absorber_matrix,
     effective_map,
@@ -29,6 +35,7 @@ from zenosim.state import (
     norm_sq,
     particle,
     photon,
+    prune_failures,
 )
 
 
@@ -48,7 +55,7 @@ def test_blocked_survival_is_cos_power(rule, n):
     assert level_weight(out, "p", PH_ONE_H) == pytest.approx(norm_sq(out))
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 25, 50])
+@pytest.mark.parametrize("n", [1, 2, 7, 25, 50, 10**4, 10**5, 10**6, 10**7])
 def test_open_run_is_exact_sign_flip(n):
     params = QiParams(cycles=n)
     amp_in = 0.8 + 0.6j
@@ -209,3 +216,94 @@ def test_effective_map_blocked_column_matches_direct_run():
     run = qi_run(_pair(PH_ONE_H, BLOCKED), "p", ["b"], [BLOCKED], params)
     col = m[:, PH_ONE_H * 3 + BLOCKED]
     assert np.abs(col - run.amps.reshape(-1)).max() < 1e-14
+
+
+@pytest.mark.parametrize("rule", [PI_OVER_N, PI_OVER_2N])
+@pytest.mark.parametrize("lam", [0.0, 1e-6])
+@pytest.mark.parametrize("n", [10**2, 10**4, 10**6])
+def test_blocked_survival_closed_form_at_large_n(rule, lam, n):
+    params = QiParams(cycles=n, theta_rule=rule, cycle_loss=lam)
+    out = qi_run(_pair(PH_ONE_H, BLOCKED), "p", ["b"], [BLOCKED], params)
+    theta = np.pi / n if rule == PI_OVER_N else np.pi / (2 * n)
+    # cos^(2N) via log1p, so the reference itself keeps 1e-16 accuracy
+    expected = np.exp(2 * n * np.log1p(-2 * np.sin(theta / 2) ** 2)
+                      + n * np.log1p(-lam))
+    assert abs(norm_sq(out) - expected) <= 1e-12
+
+
+# --- differential check of the cycle engine against a literal loop ---------
+
+_CONFIGS = [
+    ([2], [(0,)]),
+    ([4], [(0, 2)]),
+    ([3, 2], [(1, 2), (0,)]),
+    ([2, 4, 3], [(0,), (1, 3), (0, 2)]),
+]
+
+
+def _random_state(positions, rng):
+    """Photon on levels 0, |1H>, |1V> and particles on their positions;
+    sink and exploded levels start empty."""
+    layout = [photon("p")] + [particle(f"b{i}", positions=d)
+                              for i, d in enumerate(positions)]
+    shape = tuple(s.dim for s in layout)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    amps[PH_SINK] = 0.0
+    for axis, d in enumerate(positions, start=1):
+        amps[(slice(None),) * axis + (d,)] = 0.0
+    return StateVector(tuple(layout), amps / np.linalg.norm(amps))
+
+
+def _reference_cycles(state, positions, blocking, params):
+    """Per-cycle loop in complex128: rotate, let each particle absorb at each
+    of its blocking positions (the absorbed amplitude replaces whatever sits
+    in the sink x exploded slot), then lose."""
+    amps = state.amps.copy()
+    theta = float(theta_value(params))
+    c, s = np.cos(theta), np.sin(theta)
+    eps, lam = params.absorb_prob, params.cycle_loss
+
+    def at(level, axis, pos):
+        return (level,) + (slice(None),) * axis + (pos,)
+
+    for _ in range(params.cycles):
+        h, v = amps[PH_ONE_H].copy(), amps[PH_ONE_V].copy()
+        amps[PH_ONE_H] = c * h - s * v
+        amps[PH_ONE_V] = s * h + c * v
+        if eps > 0.0:
+            for axis, (d, blk) in enumerate(zip(positions, blocking)):
+                for b in blk:
+                    amps[at(PH_SINK, axis, d)] = np.sqrt(eps) * amps[at(PH_ONE_V, axis, b)]
+                    amps[at(PH_ONE_V, axis, b)] *= np.sqrt(1.0 - eps)
+        amps[PH_ONE_H:PH_SINK] *= np.sqrt(1.0 - lam)
+    return amps
+
+
+def _reference_finish(amps, layout, policy):
+    amps = amps.copy()
+    if policy == ROUTE_TO_SINK:
+        amps[PH_SINK] += amps[PH_ONE_V]
+        amps[PH_ONE_V] = 0.0
+    return prune_failures(StateVector(layout, amps))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 1000])
+@pytest.mark.parametrize("config", range(len(_CONFIGS)))
+def test_engine_matches_literal_cycle_loop(config, n):
+    positions, blocking = _CONFIGS[config]
+    rng = np.random.default_rng(1000 * config + n)
+    state = _random_state(positions, rng)
+    names = [f"b{i}" for i in range(len(positions))]
+    for eps in (0.0, 0.3, 0.9, 1.0):
+        for lam in (0.0, 1e-6):
+            for rule in (PI_OVER_N, PI_OVER_2N, EXPLICIT):
+                theta = rng.uniform(0.05, 1.5) if rule == EXPLICIT else None
+                params = QiParams(cycles=n, theta_rule=rule, theta=theta,
+                                  absorb_prob=eps, cycle_loss=lam)
+                ref = _reference_cycles(state, positions, blocking, params)
+                for policy in (ROUTE_TO_SINK, KEEP):
+                    got = qi_run(state, "p", names, list(blocking),
+                                 replace(params, residual_v_policy=policy))
+                    want = _reference_finish(ref, state.layout, policy)
+                    assert np.abs(got.amps - want.amps).max() <= 1e-12, \
+                        (eps, lam, rule, policy)
