@@ -17,18 +17,13 @@ from .circuits import (
     MEMORY,
     CircuitProgram,
 )
-from .gates import (
-    INSTRUCTION_SUCCESS_FIELD,
-    ImperfectionProfile,
-    instruction_success,
-)
+from .gates import ImperfectionProfile
 from .interrogation import KEEP, PI_OVER_2N, PI_OVER_N, QiParams, qi_run, qicz
 from .state import (
     BLOCKED,
     OPEN,
     PH_ONE_H,
     PH_ONE_V,
-    PHOTON_COMPUTATIONAL,
     fidelity,
     level_weight,
     new_state,
@@ -147,15 +142,9 @@ class YieldEstimate:
 
 def _draw_probabilities(program: CircuitProgram,
                         profile: ImperfectionProfile) -> np.ndarray:
-    probs = []
-    for instr in program.instructions:
-        draws = (instr.op in INSTRUCTION_SUCCESS_FIELD
-                 or (instr.op == "measure"
-                     and instr.args.get("basis") == PHOTON_COMPUTATIONAL))
-        if draws:
-            probs.append(instruction_success(profile, instr.op,
-                                             instr.args.get("basis")))
-    return np.asarray(probs, dtype=np.float64)
+    return np.asarray([getattr(profile, instr.charge)
+                       for instr in program.instructions if instr.charge],
+                      dtype=np.float64)
 
 
 def monte_carlo_yield(program: CircuitProgram, profile: ImperfectionProfile,

@@ -3,6 +3,13 @@ execution engine, and builders for the composite constructions: Bell pair
 generator, multi-particle Toffoli, configurable interrogation wiring,
 W-state generator, teleportation memory, and the CNOT families.
 
+Every fact about an op lives in one row of `OPS`: its argument schema, the
+subsystems and bits its arguments name, its census class, the imperfection
+field it is charged, and its engine action.  The validator, the census, the
+profile draws and the interpreter all read that table.  One instruction
+walk runs programs; a measurement policy decides whether a measurement
+follows one sampled outcome (`run`) or every outcome (`run_all_branches`).
+
 Subsystems enter the live state at their prepare instruction and leave it
 when measured (measurement outcomes collapse to a product factor), so the
 concurrent dimension stays small even for programs that touch many
@@ -12,16 +19,18 @@ subsystems over their lifetime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import gates
 from .interrogation import QiParams, qicz, qicz_multi
 from .state import (
+    PARTICLE_COMPUTATIONAL,
     PARTICLE_PM,
     PHOTON_COMPUTATIONAL,
     PHOTON_FAIL,
-    PM_EXPLODED,
     QUDIT_POSITION,
     ClassicalRegister,
     StateVector,
@@ -34,160 +43,115 @@ from .state import (
     photon,
 )
 
-# op -> arguments every instruction of that op must carry
-REQUIRED_ARGS = {
-    "prepare": ("target",),
-    "photon_h": ("target",), "photon_x": ("target",), "photon_z": ("target",),
-    "particle_h": ("target",), "particle_x": ("target",),
-    "particle_z": ("target",),
-    "qicz": ("photon", "particle"),
-    "qicz_multi": ("photon", "particles"),
-    "measure": ("target", "basis", "bit"),
-    "cx": ("bit", "target"), "cz": ("bit", "target"),
-    "cphase": ("key", "target", "coeff"),
-    "xor": ("a", "b", "out"),
+
+# ---------------------------------------------------------------------------
+# argument types
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return (isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool))
+
+
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
+def _is_list(v, item) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(item, v))
+
+
+@dataclass(frozen=True)
+class ArgType:
+    """What an instruction argument must hold, and the role of the names it
+    holds: "subsystem" (in use), "prepare" (enters the state), "measure"
+    (leaves it), "basis", "read" (a bit), "control" (a bit that may hold
+    only 0 and 1) or "write" (a bit)."""
+
+    describe: str
+    check: Callable[[object], bool]
+    role: str | None = None
+
+
+SUBSYSTEM = ArgType("a subsystem name", _is_str, "subsystem")
+SUBSYSTEMS = ArgType("a list of subsystem names",
+                     lambda v: _is_list(v, _is_str), "subsystem")
+PREPARED = ArgType("a subsystem name", _is_str, "prepare")
+MEASURED = ArgType("a subsystem name", _is_str, "measure")
+BASIS = ArgType("a basis name", _is_str, "basis")
+READ = ArgType("a bit name", _is_str, "read")
+CONTROL = ArgType("a bit name", _is_str, "control")
+WRITE = ArgType("a bit name", _is_str, "write")
+TEXT = ArgType("a string", _is_str)
+INTEGER = ArgType("an integer", _is_int)
+NUMBER = ArgType("a number", _is_real)
+# serialized programs carry a flag as 0 or 1
+FLAG = ArgType("true, false, 0 or 1",
+               lambda v: isinstance(v, (int, np.integer)) and v in (0, 1))
+AMPLITUDES = ArgType(
+    "a list of [re, im] pairs",
+    lambda v: _is_list(v, lambda p: _is_list(p, _is_real) and len(p) == 2))
+BLOCKING = ArgType(
+    "a list of blocking positions or position lists",
+    lambda v: v is None or _is_list(v, lambda b: _is_int(b) or _is_list(b, _is_int)))
+
+# measurement basis -> census class of one measurement in it
+MEASUREMENT_BASES = {
+    PHOTON_COMPUTATIONAL: "detectors",
+    PARTICLE_PM: "particle_measurements",
+    PARTICLE_COMPUTATIONAL: "particle_measurements",
+    QUDIT_POSITION: "particle_measurements",
 }
-VALID_OPS = frozenset(REQUIRED_ARGS)
-
-MEASUREMENT_BASES = frozenset({
-    PHOTON_COMPUTATIONAL, PARTICLE_PM, "particle_computational", QUDIT_POSITION,
-})
 
 
-@dataclass(frozen=True)
-class Instruction:
-    op: str
-    args: dict = field(default_factory=dict)
+# ---------------------------------------------------------------------------
+# the op table
 
-    def __post_init__(self):
-        if not isinstance(self.op, str) or self.op not in VALID_OPS:
-            raise ValueError(f"unknown op {self.op!r}")
-        missing = [k for k in REQUIRED_ARGS[self.op] if k not in self.args]
-        if missing:
-            raise ValueError(f"{self.op} needs argument {missing[0]!r}")
-
-
-@dataclass(frozen=True)
-class CircuitProgram:
-    subsystems: tuple[SubsystemSpec, ...]
-    bits: tuple[str, ...]
-    instructions: tuple[Instruction, ...]
-
-    def __post_init__(self):
-        validate_program(self)
-
-    def spec(self, name: str) -> SubsystemSpec:
-        for s in self.subsystems:
-            if s.name == name:
-                return s
-        raise KeyError(f"undeclared subsystem {name!r}")
-
-
-def _instr_subsystems(instr: Instruction) -> list[str]:
-    a = instr.args
-    if instr.op in ("prepare", "photon_h", "photon_x", "photon_z",
-                    "particle_h", "particle_x", "particle_z", "measure",
-                    "cx", "cz", "cphase"):
-        return [a["target"]]
-    if instr.op == "qicz":
-        return [a["photon"], a["particle"]]
-    if instr.op == "qicz_multi":
-        return [a["photon"], *a["particles"]]
-    return []
-
-
-def validate_program(program: CircuitProgram) -> None:
-    """Static checks: declared names only, prepare-before-use, no use after
-    measurement, classical values written before read, and cx/cz only on
-    bits that can hold nothing but 0 and 1."""
-    declared = {s.name for s in program.subsystems}
-    if len(declared) != len(program.subsystems):
-        raise ValueError("duplicate subsystem name")
-    bits = set(program.bits)
-    if len(bits) != len(program.bits):
-        raise ValueError("duplicate bit name")
-    live: set[str] = set()
-    gone: set[str] = set()
-    arity: dict[str, int] = {}  # bit -> number of values it can hold
-    for pos, instr in enumerate(program.instructions):
-        where = f"instructions[{pos}]"
-        for name in _instr_subsystems(instr):
-            if name not in declared:
-                raise ValueError(f"{where}: undeclared subsystem {name!r}")
-        if instr.op == "prepare":
-            t = instr.args["target"]
-            if t in live:
-                raise ValueError(f"{where}: {t!r} prepared twice")
-            if t in gone:
-                raise ValueError(f"{where}: {t!r} reused after measurement")
-            live.add(t)
-        elif instr.op == "xor":
-            for b in (instr.args["a"], instr.args["b"]):
-                if b not in bits:
-                    raise ValueError(f"{where}: undeclared bit {b!r}")
-                if b not in arity:
-                    raise ValueError(f"{where}: bit {b!r} read before write")
-            out = instr.args["out"]
-            if out not in bits:
-                raise ValueError(f"{where}: undeclared bit {out!r}")
-            widest = max(arity[instr.args["a"]], arity[instr.args["b"]]) - 1
-            arity[out] = 1 << widest.bit_length()
-        else:
-            for name in _instr_subsystems(instr):
-                if name in gone:
-                    raise ValueError(f"{where}: {name!r} used after measurement")
-                if name not in live:
-                    raise ValueError(f"{where}: {name!r} used before prepare")
-            if instr.op == "measure":
-                basis = instr.args["basis"]
-                if basis not in MEASUREMENT_BASES:
-                    raise ValueError(f"{where}: unknown basis {basis!r}")
-                bit = instr.args["bit"]
-                if bit not in bits:
-                    raise ValueError(f"{where}: undeclared bit {bit!r}")
-                t = instr.args["target"]
-                spec = program.spec(t)
-                # a failure outcome ends the run, so a position basis records
-                # one of the particle's positions and every other basis 0 or 1
-                binary = (basis in (PHOTON_COMPUTATIONAL, PARTICLE_PM)
-                          or spec.kind != "particle")
-                arity[bit] = 2 if binary else spec.positions()
-                live.discard(t)
-                gone.add(t)
-            elif instr.op in ("cx", "cz"):
-                b = instr.args["bit"]
-                if b not in bits:
-                    raise ValueError(f"{where}: undeclared bit {b!r}")
-                if b not in arity:
-                    raise ValueError(f"{where}: bit {b!r} read before write")
-                if arity[b] > 2:
-                    raise ValueError(
-                        f"{where}: {instr.op} needs a 0/1 control, but bit {b!r} "
-                        f"can hold 0..{arity[b] - 1}; use cphase for integer outcomes")
-            elif instr.op == "cphase":
-                k = instr.args["key"]
-                if k not in bits:
-                    raise ValueError(f"{where}: undeclared outcome {k!r}")
-                if k not in arity:
-                    raise ValueError(f"{where}: outcome {k!r} read before write")
+class _Context(NamedTuple):
+    program: CircuitProgram
+    params: QiParams
+    register: ClassicalRegister
 
 
 @dataclass
-class RunResult:
-    final_state: StateVector
-    classical: dict[str, int]
-    success_probability: float
-    failed: bool
-    branch_weight: float = 1.0  # product of measurement branch weights
+class OpSpec:
+    """One op.  `args` and `optional` map argument names to their types.
+    `action(state, args, context)` returns the next state; a measurement
+    has none, because the walk's policy measures.  `census` and `charge`
+    (the ImperfectionProfile field whose Bernoulli draw the op consumes)
+    are a dict per basis for a measurement.  `values(args, program, arity)`
+    is how many values a bit the op writes can hold."""
+
+    args: dict
+    action: Callable | None
+    optional: dict = field(default_factory=dict)
+    census: str | dict | None = None
+    charge: str | dict | None = None
+    values: Callable | None = None
+
+    def __post_init__(self):
+        self.schema = {**self.args, **self.optional}
+        # subsystems are checked before bits, each group in argument order
+        self.roles = tuple(sorted(
+            ((name, kind.role) for name, kind in self.args.items() if kind.role),
+            key=lambda item: item[1] in ("basis", "read", "control", "write")))
 
 
-def _empty_state() -> StateVector:
-    return StateVector((), np.ones((), dtype=np.complex128))
+def _gate(name: str):
+    # look the gate up at call time, so a rebound gates.<name> takes effect
+    return lambda state, a, ctx: getattr(gates, name)(state, a["target"])
 
 
-def _prepare_target(state: StateVector, program: CircuitProgram,
-                    args: dict) -> StateVector:
-    spec = program.spec(args["target"])
+def _controlled(op: str):
+    return lambda state, a, ctx: gates.classically_controlled(
+        state, ctx.register, a["bit"], op, a["target"])
+
+
+def _prepare(state: StateVector, args: dict, ctx: _Context) -> StateVector:
+    spec = ctx.program.spec(args["target"])
     if "pm" in args:
         state = add_subsystem(state, spec, 0)
         return gates.prepare_particle_pm(state, spec.name, args["pm"])
@@ -208,47 +172,223 @@ def _prepare_target(state: StateVector, program: CircuitProgram,
     return add_subsystem(state, spec, int(args.get("level", 0)))
 
 
-def _apply_gate(state: StateVector, register: ClassicalRegister,
-                instr: Instruction, params: QiParams) -> StateVector:
-    op, a = instr.op, instr.args
-    if op == "photon_h":
-        return gates.photon_h(state, a["target"])
-    if op == "photon_x":
-        return gates.photon_x(state, a["target"])
-    if op == "photon_z":
-        return gates.photon_z(state, a["target"])
-    if op == "particle_h":
-        return gates.particle_h(state, a["target"])
-    if op == "particle_x":
-        return gates.particle_x(state, a["target"])
-    if op == "particle_z":
-        return gates.particle_z(state, a["target"])
-    if op == "qicz":
-        return qicz(state, a["photon"], a["particle"], params)
-    if op == "qicz_multi":
-        return qicz_multi(state, a["photon"], a["particles"], params,
-                          blocking=a.get("blocking"))
-    if op in ("cx", "cz"):
-        return gates.classically_controlled(state, register, a["bit"], op,
-                                            a["target"])
-    if op == "cphase":
-        return gates.classically_controlled_phase(state, register, a["key"],
-                                                  a["target"], a["coeff"])
-    raise ValueError(f"not a gate op: {op!r}")
+def _xor(state: StateVector, a: dict, ctx: _Context) -> StateVector:
+    ctx.register.set(a["out"], ctx.register.get(a["a"]) ^ ctx.register.get(a["b"]))
+    return state
 
 
-def _failed_result(state, register, weight) -> RunResult:
-    return RunResult(final_state=state, classical=register.as_dict(),
-                     success_probability=0.0, failed=True,
-                     branch_weight=weight)
+def _measured_values(a: dict, program: CircuitProgram, arity: dict) -> int:
+    # a failure outcome ends the run, so a position basis records one of the
+    # particle's positions and every other basis 0 or 1
+    spec = program.spec(a["target"])
+    if a["basis"] in (PHOTON_COMPUTATIONAL, PARTICLE_PM) or spec.kind != "particle":
+        return 2
+    return spec.positions()
 
 
-def _is_failure_outcome(basis: str, outcome: int, positions: int) -> bool:
-    if basis == PHOTON_COMPUTATIONAL:
-        return outcome == PHOTON_FAIL
-    if basis == PARTICLE_PM:
-        return outcome == PM_EXPLODED
-    return outcome == positions  # exploded level in position bases
+def _xor_values(a: dict, program: CircuitProgram, arity: dict) -> int:
+    widest = max(arity[a["a"]], arity[a["b"]]) - 1
+    return 1 << widest.bit_length()
+
+
+_TARGET = {"target": SUBSYSTEM}
+
+OPS = {
+    "prepare": OpSpec({"target": PREPARED}, _prepare, optional={
+        "level": INTEGER, "pm": TEXT, "uniform": FLAG, "state": AMPLITUDES}),
+    "photon_h": OpSpec(_TARGET, _gate("photon_h"), census="h_optical", charge="p"),
+    "photon_x": OpSpec(_TARGET, _gate("photon_x")),
+    "photon_z": OpSpec(_TARGET, _gate("photon_z")),
+    "particle_h": OpSpec(_TARGET, _gate("particle_h"), census="h_particle",
+                         charge="s"),
+    "particle_x": OpSpec(_TARGET, _gate("particle_x")),
+    "particle_z": OpSpec(_TARGET, _gate("particle_z")),
+    "qicz": OpSpec(
+        {"photon": SUBSYSTEM, "particle": SUBSYSTEM},
+        lambda state, a, ctx: qicz(state, a["photon"], a["particle"], ctx.params),
+        census="qicz", charge="q"),
+    "qicz_multi": OpSpec(
+        {"photon": SUBSYSTEM, "particles": SUBSYSTEMS},
+        lambda state, a, ctx: qicz_multi(state, a["photon"], a["particles"],
+                                         ctx.params, blocking=a.get("blocking")),
+        optional={"blocking": BLOCKING}, census="qicz", charge="q"),
+    "measure": OpSpec({"target": MEASURED, "basis": BASIS, "bit": WRITE}, None,
+                      census=MEASUREMENT_BASES,
+                      charge={PHOTON_COMPUTATIONAL: "eta"},
+                      values=_measured_values),
+    "cx": OpSpec({"bit": CONTROL, "target": SUBSYSTEM}, _controlled("cx"),
+                 census="cc", charge="r"),
+    "cz": OpSpec({"bit": CONTROL, "target": SUBSYSTEM}, _controlled("cz"),
+                 census="cc", charge="r"),
+    "cphase": OpSpec(
+        {"key": READ, "target": SUBSYSTEM, "coeff": NUMBER},
+        lambda state, a, ctx: gates.classically_controlled_phase(
+            state, ctx.register, a["key"], a["target"], a["coeff"]),
+        census="cc", charge="r"),
+    "xor": OpSpec({"a": READ, "b": READ, "out": WRITE}, _xor, values=_xor_values),
+}
+
+CENSUS_CLASSES = tuple(dict.fromkeys(
+    c for spec in OPS.values()
+    for c in (spec.census.values() if isinstance(spec.census, dict)
+              else [spec.census])
+    if c))
+
+
+@dataclass(frozen=True)
+class Instruction:
+    op: str
+    args: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        spec = OPS.get(self.op) if isinstance(self.op, str) else None
+        if spec is None:
+            raise ValueError(f"unknown op {self.op!r}")
+        for name, kind in spec.schema.items():
+            if name not in self.args:
+                if name in spec.args:
+                    raise ValueError(f"{self.op} needs argument {name!r}")
+            elif not kind.check(self.args[name]):
+                raise ValueError(f"{self.op} argument {name!r} must be "
+                                 f"{kind.describe}, got {self.args[name]!r}")
+
+    def _per_basis(self, value):
+        return value.get(self.args["basis"]) if isinstance(value, dict) else value
+
+    @cached_property
+    def census(self) -> str | None:
+        """Component class the gate census counts this instruction in."""
+        return self._per_basis(OPS[self.op].census)
+
+    @cached_property
+    def charge(self) -> str | None:
+        """ImperfectionProfile field whose Bernoulli draw this instruction
+        consumes, or None for a perfect instruction."""
+        return self._per_basis(OPS[self.op].charge)
+
+
+@dataclass(frozen=True)
+class CircuitProgram:
+    subsystems: tuple[SubsystemSpec, ...]
+    bits: tuple[str, ...]
+    instructions: tuple[Instruction, ...]
+
+    def __post_init__(self):
+        validate_program(self)
+
+    def spec(self, name: str) -> SubsystemSpec:
+        for s in self.subsystems:
+            if s.name == name:
+                return s
+        raise KeyError(f"undeclared subsystem {name!r}")
+
+
+def validate_program(program: CircuitProgram) -> None:
+    """Static checks: declared names only, prepare-before-use, no use after
+    measurement, classical values written before read, and cx/cz only on
+    bits that can hold nothing but 0 and 1."""
+    declared = {s.name for s in program.subsystems}
+    if len(declared) != len(program.subsystems):
+        raise ValueError("duplicate subsystem name")
+    bits = set(program.bits)
+    if len(bits) != len(program.bits):
+        raise ValueError("duplicate bit name")
+    live: set[str] = set()
+    gone: set[str] = set()
+    arity: dict[str, int] = {}  # bit -> number of values it can hold
+    for pos, instr in enumerate(program.instructions):
+        where = f"instructions[{pos}]"
+        for arg, role in OPS[instr.op].roles:
+            value = instr.args[arg]
+            for name in [value] if isinstance(value, str) else value:
+                if role == "basis":
+                    if name not in MEASUREMENT_BASES:
+                        raise ValueError(f"{where}: unknown basis {name!r}")
+                elif role in ("read", "control", "write"):
+                    if name not in bits:
+                        raise ValueError(f"{where}: undeclared bit {name!r}")
+                    if role == "write":
+                        arity[name] = OPS[instr.op].values(instr.args, program, arity)
+                    elif name not in arity:
+                        raise ValueError(f"{where}: bit {name!r} read before write")
+                    elif role == "control" and arity[name] > 2:
+                        raise ValueError(
+                            f"{where}: {instr.op} needs a 0/1 control, but bit "
+                            f"{name!r} can hold 0..{arity[name] - 1}; use cphase "
+                            "for integer outcomes")
+                elif name not in declared:
+                    raise ValueError(f"{where}: undeclared subsystem {name!r}")
+                elif role == "prepare":
+                    if name in live:
+                        raise ValueError(f"{where}: {name!r} prepared twice")
+                    if name in gone:
+                        raise ValueError(f"{where}: {name!r} reused after measurement")
+                    live.add(name)
+                elif name in gone:
+                    raise ValueError(f"{where}: {name!r} used after measurement")
+                elif name not in live:
+                    raise ValueError(f"{where}: {name!r} used before prepare")
+                elif role == "measure":
+                    live.remove(name)
+                    gone.add(name)
+
+
+@dataclass
+class RunResult:
+    final_state: StateVector
+    classical: dict[str, int]
+    success_probability: float
+    failed: bool
+    branch_weight: float = 1.0  # product of measurement branch weights
+
+
+def _walk(program: CircuitProgram, params: QiParams | None, outcomes,
+          profile: gates.ImperfectionProfile | None = None,
+          rng: np.random.Generator | None = None) -> list[RunResult]:
+    """The one instruction walk.  `outcomes(state, target, basis)` is the
+    measurement policy: the [(outcome, post_state, weight)] branches to
+    follow.  With a profile, each charged instruction draws one uniform from
+    `rng` before it acts, and a failed draw zeroes the state and heralds
+    the branch failed."""
+    params = params or QiParams()
+    results: list[RunResult] = []
+
+    def finish(state, register, weight, failed):
+        results.append(RunResult(
+            final_state=state, classical=register.as_dict(),
+            success_probability=0.0 if failed else weight * norm_sq(state),
+            failed=failed, branch_weight=weight))
+
+    def step(state, register, weight, pos):
+        ctx = _Context(program, params, register)
+        for i in range(pos, len(program.instructions)):
+            instr = program.instructions[i]
+            charge = instr.charge if profile is not None else None
+            if charge and rng.random() >= getattr(profile, charge):
+                zero = StateVector(state.layout, np.zeros_like(state.amps))
+                return finish(zero, register, weight, True)
+            action = OPS[instr.op].action
+            if action is not None:
+                state = action(state, instr.args, ctx)
+                continue
+            target = instr.args["target"]
+            spec = state.spec(target)
+            failure = PHOTON_FAIL if spec.kind == "photon" else spec.exploded_level()
+            for outcome, post, prob in outcomes(state, target, instr.args["basis"]):
+                sub = ClassicalRegister()
+                for k, v in register.as_dict().items():
+                    sub.set(k, v)
+                sub.set(instr.args["bit"], outcome)
+                if outcome == failure:
+                    finish(post, sub, weight * prob, True)
+                else:
+                    step(post, sub, weight * prob, i + 1)
+            return
+        finish(state, register, weight, False)
+
+    step(StateVector((), np.ones((), dtype=np.complex128)), ClassicalRegister(),
+         1.0, 0)
+    return results
 
 
 def run(program: CircuitProgram, params: QiParams | None = None,
@@ -257,40 +397,10 @@ def run(program: CircuitProgram, params: QiParams | None = None,
     """Single sampled trajectory.  Measurement outcomes are drawn with Born
     probabilities; with a profile, each imperfectible instruction draws one
     Bernoulli trial and a failed draw heralds the run failed."""
-    params = params or QiParams()
     rng = rng or np.random.default_rng(0)
-    state = _empty_state()
-    register = ClassicalRegister()
-    weight = 1.0
-    for instr in program.instructions:
-        if profile is not None:
-            prob = gates.instruction_success(
-                profile, instr.op, instr.args.get("basis"))
-            needs_draw = (instr.op in gates.INSTRUCTION_SUCCESS_FIELD
-                          or (instr.op == "measure"
-                              and instr.args.get("basis") == PHOTON_COMPUTATIONAL))
-            if needs_draw and rng.random() >= prob:
-                zero = StateVector(state.layout, np.zeros_like(state.amps))
-                return _failed_result(zero, register, weight)
-        if instr.op == "prepare":
-            state = _prepare_target(state, program, instr.args)
-        elif instr.op == "xor":
-            register.set(instr.args["out"],
-                         register.get(instr.args["a"]) ^ register.get(instr.args["b"]))
-        elif instr.op == "measure":
-            target, basis = instr.args["target"], instr.args["basis"]
-            spec = state.spec(target)
-            outcome, state, prob = measure(state, target, basis, rng)
-            weight *= prob
-            register.set(instr.args["bit"], outcome)
-            positions = spec.positions() if spec.kind == "particle" else 0
-            if _is_failure_outcome(basis, outcome, positions):
-                return _failed_result(state, register, weight)
-        else:
-            state = _apply_gate(state, register, instr, params)
-    return RunResult(final_state=state, classical=register.as_dict(),
-                     success_probability=weight * norm_sq(state),
-                     failed=False, branch_weight=weight)
+    return _walk(program, params,
+                 lambda state, target, basis: [measure(state, target, basis, rng)],
+                 profile, rng)[0]
 
 
 def run_all_branches(program: CircuitProgram,
@@ -298,60 +408,15 @@ def run_all_branches(program: CircuitProgram,
     """Exhaustive enumeration of every measurement branch (ideal components
     only).  Branches appear in depth-first outcome order; weights plus the
     pruned deficit account for all probability."""
-    params = params or QiParams()
-    results: list[RunResult] = []
-
-    def walk(state: StateVector, register: ClassicalRegister,
-             weight: float, pos: int) -> None:
-        for i in range(pos, len(program.instructions)):
-            instr = program.instructions[i]
-            if instr.op == "prepare":
-                state = _prepare_target(state, program, instr.args)
-            elif instr.op == "xor":
-                register.set(instr.args["out"],
-                             register.get(instr.args["a"]) ^ register.get(instr.args["b"]))
-            elif instr.op == "measure":
-                target, basis = instr.args["target"], instr.args["basis"]
-                spec = state.spec(target)
-                positions = spec.positions() if spec.kind == "particle" else 0
-                for outcome, post, prob in branch_all(state, target, basis):
-                    sub = ClassicalRegister()
-                    for k, v in register.as_dict().items():
-                        sub.set(k, v)
-                    sub.set(instr.args["bit"], outcome)
-                    if _is_failure_outcome(basis, outcome, positions):
-                        results.append(_failed_result(post, sub, weight * prob))
-                    else:
-                        walk(post, sub, weight * prob, i + 1)
-                return
-            else:
-                state = _apply_gate(state, register, instr, params)
-        results.append(RunResult(final_state=state, classical=register.as_dict(),
-                                 success_probability=weight * norm_sq(state),
-                                 failed=False, branch_weight=weight))
-
-    walk(_empty_state(), ClassicalRegister(), 1.0, 0)
-    return results
+    return _walk(program, params, branch_all)
 
 
 def gate_census(program: CircuitProgram) -> dict[str, int]:
     """Instruction counts per component class."""
-    census = {"h_optical": 0, "qicz": 0, "cc": 0, "h_particle": 0,
-              "detectors": 0, "particle_measurements": 0}
+    census = dict.fromkeys(CENSUS_CLASSES, 0)
     for instr in program.instructions:
-        if instr.op == "photon_h":
-            census["h_optical"] += 1
-        elif instr.op in ("qicz", "qicz_multi"):
-            census["qicz"] += 1
-        elif instr.op in ("cx", "cz", "cphase"):
-            census["cc"] += 1
-        elif instr.op == "particle_h":
-            census["h_particle"] += 1
-        elif instr.op == "measure":
-            if instr.args["basis"] == PHOTON_COMPUTATIONAL:
-                census["detectors"] += 1
-            else:
-                census["particle_measurements"] += 1
+        if instr.census:
+            census[instr.census] += 1
     return census
 
 

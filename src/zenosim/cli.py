@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -93,7 +92,11 @@ def program_from_doc(doc) -> CircuitProgram:
         if kind == "photon":
             subsystems.append(photon(name))
         elif kind == "particle":
-            subsystems.append(particle(name, positions=int(entry.get("dim", 2))))
+            dim = entry.get("dim", 2)
+            if not circuits.INTEGER.check(dim):
+                raise CircuitFileError(f"subsystems[{i}]: dim must be "
+                                       f"{circuits.INTEGER.describe}, got {dim!r}")
+            subsystems.append(particle(name, positions=dim))
         else:
             raise CircuitFileError(f"subsystems[{i}]: unknown kind {kind!r}")
     bits = doc.get("bits", [])
@@ -409,24 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_thread_cap() -> None:
-    cap = os.environ.get("ZENO_SIM_THREADS")
-    if cap is None:
-        return
-    try:
-        value = int(cap)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(
-            f"ZENO_SIM_THREADS must be a positive integer, got {cap!r}")
-    # execution is single-threaded, which respects any positive cap
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        _check_thread_cap()
         args = parser.parse_args(argv)
         return args.handler(args)
     except (CircuitFileError, ValueError) as exc:

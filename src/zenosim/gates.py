@@ -1,5 +1,5 @@
 """Ideal single-subsystem gates, preparation helpers, classically controlled
-corrections, and the component-imperfection wrapper.
+corrections, and the component-imperfection profile.
 
 Photon gates act on the {|0>, |1H>} logical block and leave |1V> and the
 sink alone.  Particle gates act on the position block and leave the
@@ -188,38 +188,3 @@ class ImperfectionProfile:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{field} must lie in [0, 1]")
 
-
-# instruction class -> profile field; anything absent is perfect
-INSTRUCTION_SUCCESS_FIELD = {
-    "photon_h": "p",
-    "qicz": "q",
-    "qicz_multi": "q",
-    "cx": "r",
-    "cz": "r",
-    "cphase": "r",
-    "particle_h": "s",
-}
-
-
-def instruction_success(profile: ImperfectionProfile, op: str,
-                        basis: str | None = None) -> float:
-    """Success probability charged to one instruction.  Photon detection
-    is charged once per photon measurement; everything else per gate."""
-    if op == "measure":
-        return profile.eta if basis == "photon_computational" else 1.0
-    field = INSTRUCTION_SUCCESS_FIELD.get(op)
-    return getattr(profile, field) if field else 1.0
-
-
-def wrap_imperfect(apply_fn, success_prob: float, rng: np.random.Generator,
-                   state: StateVector):
-    """Bernoulli component model: with the given probability the ideal
-    action runs; otherwise the run is heralded failed and the state's
-    amplitude is dropped into the norm deficit (a failed component loses
-    the photon, so no coherent amplitude survives).
-
-    Returns (state, failed).
-    """
-    if rng.random() < success_prob:
-        return apply_fn(state), False
-    return StateVector(state.layout, np.zeros_like(state.amps)), True

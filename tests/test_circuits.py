@@ -299,13 +299,22 @@ def test_finite_cycles_success_bound():
     assert success >= 1.0 - n_qicz * 1.05 * np.pi ** 2 / 100
 
 
-def test_run_matches_an_enumerated_branch():
-    program = bell_generator()
-    branches = run_all_branches(program, IDEAL)
-    sampled = run(program, IDEAL, rng=np.random.default_rng(11))
-    match = [b for b in branches if b.classical == sampled.classical]
+@pytest.mark.parametrize("params", [
+    IDEAL, QiParams(cycles=5, absorb_prob=0.9, cycle_loss=1e-3)],
+    ids=["ideal", "finite"])
+@pytest.mark.parametrize("seed", [0, 11, 2024])
+@pytest.mark.parametrize("name", sorted(demo_programs()))
+def test_run_matches_an_enumerated_branch(name, seed, params):
+    program = demo_programs()[name]
+    branches = run_all_branches(program, params)
+    sampled = run(program, params, rng=np.random.default_rng(seed))
+    match = [b for b in branches
+             if (b.classical, b.failed) == (sampled.classical, sampled.failed)]
     assert len(match) == 1
-    assert fidelity(sampled.final_state, match[0].final_state) == pytest.approx(1.0, abs=1e-12)
+    assert sampled.branch_weight == pytest.approx(match[0].branch_weight, abs=1e-12)
+    assert sampled.final_state.layout == match[0].final_state.layout
+    assert np.allclose(sampled.final_state.amps, match[0].final_state.amps,
+                       rtol=0, atol=1e-12)
 
 
 def test_run_is_deterministic_for_fixed_seed():

@@ -160,6 +160,48 @@ def test_unknown_op_reports_index():
      "bits must be a list of strings"),
     ({"version": "1", "instructions": [{"op": ["photon_h"]}]},
      "instructions[0]: unknown op ['photon_h']"),
+    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"}],
+      "instructions": [{"op": "prepare", "target": "p"},
+                       {"op": "photon_h", "target": ["p"]}]},
+     "instructions[1]: photon_h argument 'target' must be a subsystem name, got ['p']"),
+    ({"version": "1", "subsystems": [{"name": "b", "kind": "particle", "dim": [2]}]},
+     "subsystems[0]: dim must be an integer, got [2]"),
+    ({"version": "1", "subsystems": [{"name": "b", "kind": "particle", "dim": 2.7}]},
+     "subsystems[0]: dim must be an integer, got 2.7"),
+    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"}],
+      "instructions": [{"op": "prepare", "target": "p", "state": 5}]},
+     "instructions[0]: prepare argument 'state' must be a list of [re, im] pairs, got 5"),
+    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"}],
+      "instructions": [{"op": "prepare", "target": "p", "level": [1]}]},
+     "instructions[0]: prepare argument 'level' must be an integer, got [1]"),
+    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"}], "bits": ["m"],
+      "instructions": [{"op": "prepare", "target": "p"},
+                       {"op": "measure", "target": "p", "basis": ["x"], "bit": "m"}]},
+     "instructions[1]: measure argument 'basis' must be a basis name, got ['x']"),
+    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"},
+                                     {"name": "b", "kind": "particle"}],
+      "instructions": [{"op": "prepare", "target": "p"},
+                       {"op": "prepare", "target": "b"},
+                       {"op": "qicz_multi", "photon": "p", "particles": ["b"],
+                        "blocking": 5}]},
+     "instructions[2]: qicz_multi argument 'blocking' must be a list of blocking "
+     "positions or position lists, got 5"),
+    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"},
+                                     {"name": "b", "kind": "particle"}],
+      "instructions": [{"op": "prepare", "target": "p"},
+                       {"op": "prepare", "target": "b"},
+                       {"op": "qicz_multi", "photon": "p", "particles": "b"}]},
+     "instructions[2]: qicz_multi argument 'particles' must be a list of subsystem "
+     "names, got 'b'"),
+    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"},
+                                     {"name": "q", "kind": "particle", "dim": 3}],
+      "bits": ["k"],
+      "instructions": [{"op": "prepare", "target": "q", "uniform": True},
+                       {"op": "measure", "target": "q", "basis": "qudit_position",
+                        "bit": "k"},
+                       {"op": "prepare", "target": "p"},
+                       {"op": "cphase", "key": "k", "target": "p", "coeff": "x"}]},
+     "instructions[3]: cphase argument 'coeff' must be a number, got 'x'"),
 ])
 def test_malformed_file_is_one_error_line(tmp_path, doc, message):
     path = tmp_path / "malformed.json"
@@ -298,13 +340,3 @@ def test_repeated_invocations_byte_identical():
     assert a.stdout == b.stdout
     assert a.returncode == b.returncode == 0
 
-
-def test_thread_cap_env():
-    import os
-    env = dict(os.environ, ZENO_SIM_THREADS="abc")
-    proc = run_cli("census", "--family", "memory", env=env)
-    assert proc.returncode == 1
-    assert "ZENO_SIM_THREADS" in proc.stderr
-    env = dict(os.environ, ZENO_SIM_THREADS="4")
-    proc = run_cli("census", "--family", "memory", env=env)
-    assert proc.returncode == 0

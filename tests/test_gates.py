@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
+from zenosim.circuits import OPS, Instruction
 from zenosim.gates import (
-    INSTRUCTION_SUCCESS_FIELD,
     ImperfectionProfile,
     classically_controlled,
     classically_controlled_phase,
-    instruction_success,
     particle_h,
     particle_x,
     particle_z,
@@ -17,7 +16,6 @@ from zenosim.gates import (
     photon_z,
     prepare_particle_pm,
     prepare_particle_uniform,
-    wrap_imperfect,
 )
 from zenosim.state import (
     BLOCKED,
@@ -203,24 +201,20 @@ def test_profile_validation():
 
 def test_instruction_success_mapping():
     prof = ImperfectionProfile(p=0.9, q=0.8, r=0.7, s=0.6, eta=0.5)
-    assert instruction_success(prof, "photon_h") == 0.9
-    assert instruction_success(prof, "qicz") == 0.8
-    assert instruction_success(prof, "qicz_multi") == 0.8
-    for op in ("cx", "cz", "cphase"):
-        assert instruction_success(prof, op) == 0.7
-    assert instruction_success(prof, "particle_h") == 0.6
-    assert instruction_success(prof, "measure", "photon_computational") == 0.5
-    assert instruction_success(prof, "measure", "particle_pm") == 1.0
-    assert instruction_success(prof, "prepare_pm") == 1.0
-    assert set(INSTRUCTION_SUCCESS_FIELD.values()) == {"p", "q", "r", "s"}
 
+    def success(op, **args):
+        charge = Instruction(op, args).charge
+        return getattr(prof, charge) if charge else 1.0
 
-def test_wrap_imperfect_success_and_failure():
-    state = new_state([photon("p")], [PH_ZERO])
-    rng = np.random.default_rng(7)
-    out, failed = wrap_imperfect(lambda s: photon_h(s, "p"), 1.0, rng, state)
-    assert not failed
-    assert norm_sq(out) == pytest.approx(1.0)
-    out, failed = wrap_imperfect(lambda s: photon_h(s, "p"), 0.0, rng, state)
-    assert failed
-    assert norm_sq(out) == 0.0
+    assert success("photon_h", target="p") == 0.9
+    assert success("qicz", photon="p", particle="b") == 0.8
+    assert success("qicz_multi", photon="p", particles=["b"]) == 0.8
+    for op in ("cx", "cz"):
+        assert success(op, bit="m", target="p") == 0.7
+    assert success("cphase", key="m", target="p", coeff=0.5) == 0.7
+    assert success("particle_h", target="b") == 0.6
+    assert success("measure", target="p", basis="photon_computational", bit="m") == 0.5
+    assert success("measure", target="b", basis="particle_pm", bit="m") == 1.0
+    assert success("prepare", target="b", pm="+") == 1.0
+    assert {spec.charge for spec in OPS.values() if isinstance(spec.charge, str)} \
+        == {"p", "q", "r", "s"}
