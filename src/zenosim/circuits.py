@@ -7,8 +7,11 @@ Every fact about an op lives in one row of `OPS`: its argument schema, the
 subsystems and bits its arguments name, its census class, the imperfection
 field it is charged, and its engine action.  The validator, the census, the
 profile draws and the interpreter all read that table.  One instruction
-walk runs programs; a measurement policy decides whether a measurement
-follows one sampled outcome (`run`) or every outcome (`run_all_branches`).
+loop runs a program a segment at a time, from the start or one measurement
+outcome up to the next measurement; `run_all_branches` builds every
+segment of a fresh tree, and `run` keeps the tree on the program and walks
+one sampled path through it, so repeated runs only draw.  A program may
+make the engine hold at most `MAX_AMPLITUDES` amplitudes in one state.
 
 Subsystems enter the live state at their prepare instruction and leave it
 when measured (measurement outcomes collapse to a product factor), so the
@@ -18,8 +21,9 @@ subsystems over their lifetime.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -37,11 +41,16 @@ from .state import (
     SubsystemSpec,
     add_subsystem,
     branch_all,
-    measure,
     norm_sq,
     particle,
     photon,
+    sample_branch,
 )
+
+# The most amplitudes one live state may hold (16 MiB), and the most levels
+# of one subsystem, so that a local gate's dense matrix is no larger.
+MAX_AMPLITUDES = 2 ** 20
+MAX_SUBSYSTEM_DIM = 2 ** 10
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +61,9 @@ def _is_int(v) -> bool:
 
 
 def _is_real(v) -> bool:
+    # finite, and an integer small enough to become a float
     return (isinstance(v, (int, float, np.integer, np.floating))
-            and not isinstance(v, bool))
+            and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
 
 
 def _is_str(v) -> bool:
@@ -88,7 +98,7 @@ WRITE = ArgType("a bit name", _is_str, "write")
 TEXT = ArgType("a string", _is_str)
 INTEGER = ArgType("an integer", _is_int)
 NUMBER = ArgType("a number", _is_real)
-# serialized programs carry a flag as 0 or 1
+# files written before flags were serialized as booleans carry 0 or 1
 FLAG = ArgType("true, false, 0 or 1",
                lambda v: isinstance(v, (int, np.integer)) and v in (0, 1))
 AMPLITUDES = ArgType(
@@ -272,9 +282,16 @@ class CircuitProgram:
     subsystems: tuple[SubsystemSpec, ...]
     bits: tuple[str, ...]
     instructions: tuple[Instruction, ...]
+    # the outcome tree `run` keeps for its last params
+    _outcome_tree: _OutcomeTree | None = field(default=None, init=False, repr=False,
+                                               compare=False)
 
     def __post_init__(self):
         validate_program(self)
+
+    def __getstate__(self):
+        # the tree caches this process's runs; a copy or a pickle starts without
+        return {**self.__dict__, "_outcome_tree": None}
 
     def spec(self, name: str) -> SubsystemSpec:
         for s in self.subsystems:
@@ -285,16 +302,21 @@ class CircuitProgram:
 
 def validate_program(program: CircuitProgram) -> None:
     """Static checks: declared names only, prepare-before-use, no use after
-    measurement, classical values written before read, and cx/cz only on
-    bits that can hold nothing but 0 and 1."""
-    declared = {s.name for s in program.subsystems}
-    if len(declared) != len(program.subsystems):
+    measurement, classical values written before read, cx/cz only on bits
+    that can hold nothing but 0 and 1, and states within `MAX_AMPLITUDES`."""
+    dims = {s.name: s.dim for s in program.subsystems}
+    if len(dims) != len(program.subsystems):
         raise ValueError("duplicate subsystem name")
+    for i, s in enumerate(program.subsystems):
+        if s.dim > MAX_SUBSYSTEM_DIM:
+            raise ValueError(f"subsystems[{i}]: {s.name!r} would have {s.dim} levels; "
+                             f"the engine allows at most {MAX_SUBSYSTEM_DIM}")
     bits = set(program.bits)
     if len(bits) != len(program.bits):
         raise ValueError("duplicate bit name")
     live: set[str] = set()
     gone: set[str] = set()
+    amplitudes = 1  # held by the live state
     arity: dict[str, int] = {}  # bit -> number of values it can hold
     for pos, instr in enumerate(program.instructions):
         where = f"instructions[{pos}]"
@@ -316,7 +338,7 @@ def validate_program(program: CircuitProgram) -> None:
                             f"{where}: {instr.op} needs a 0/1 control, but bit "
                             f"{name!r} can hold 0..{arity[name] - 1}; use cphase "
                             "for integer outcomes")
-                elif name not in declared:
+                elif name not in dims:
                     raise ValueError(f"{where}: undeclared subsystem {name!r}")
                 elif role == "prepare":
                     if name in live:
@@ -324,6 +346,12 @@ def validate_program(program: CircuitProgram) -> None:
                     if name in gone:
                         raise ValueError(f"{where}: {name!r} reused after measurement")
                     live.add(name)
+                    amplitudes *= dims[name]
+                    if amplitudes > MAX_AMPLITUDES:
+                        raise ValueError(
+                            f"{where}: preparing {name!r} makes a state of "
+                            f"{amplitudes} amplitudes; the engine allows at most "
+                            f"{MAX_AMPLITUDES}")
                 elif name in gone:
                     raise ValueError(f"{where}: {name!r} used after measurement")
                 elif name not in live:
@@ -331,6 +359,7 @@ def validate_program(program: CircuitProgram) -> None:
                 elif role == "measure":
                     live.remove(name)
                     gone.add(name)
+                    amplitudes //= dims[name]
 
 
 @dataclass
@@ -342,73 +371,177 @@ class RunResult:
     branch_weight: float = 1.0  # product of measurement branch weights
 
 
-def _walk(program: CircuitProgram, params: QiParams | None, outcomes,
-          profile: gates.ImperfectionProfile | None = None,
-          rng: np.random.Generator | None = None) -> list[RunResult]:
-    """The one instruction walk.  `outcomes(state, target, basis)` is the
-    measurement policy: the [(outcome, post_state, weight)] branches to
-    follow.  With a profile, each charged instruction draws one uniform from
-    `rng` before it acts, and a failed draw zeroes the state and heralds
-    the branch failed."""
-    params = params or QiParams()
-    results: list[RunResult] = []
+# What a kept outcome tree may cost, roughly: the bytes of the amplitudes
+# its segments hold plus `_ENTRY_BYTES` per segment and per charged entry.
+# Runs past it walk fresh segments and keep none, so memory stays bounded
+# however many distinct outcome paths a program has.
+_TREE_BYTES = 32 * 2 ** 20
+_ENTRY_BYTES = 512
 
-    def finish(state, register, weight, failed):
-        results.append(RunResult(
-            final_state=state, classical=register.as_dict(),
-            success_probability=0.0 if failed else weight * norm_sq(state),
-            failed=failed, branch_weight=weight))
 
-    def step(state, register, weight, pos):
-        ctx = _Context(program, params, register)
+@dataclass(eq=False)
+class _Segment:
+    """One deterministic stretch of a walk: from the program start or one
+    measurement outcome up to the next measurement, the end, or an error.
+
+    `classical` holds the classical record there, and `state` the final
+    state if the walk ends there.  `charged` lists the charged instructions
+    passed, in order, as (profile field, layout a failed draw zeroes,
+    classical record at that point).  A measurement leaves its index
+    (`measured`) and its `branch_all` list; `children` maps each outcome
+    taken so far to the segment that follows it.  An exception an action
+    raised is kept in `error` and raised when a walk reaches it."""
+
+    weight: float  # product of the branch weights that lead here
+    state: StateVector | None = None
+    classical: dict = field(default_factory=dict)
+    charged: list = field(default_factory=list)
+    failed: bool = False  # ends in a failure outcome
+    error: tuple | None = None  # (exception, traceback)
+    measured: int | None = None
+    branches: list = field(default_factory=list)
+    children: dict = field(default_factory=dict)
+
+    def result(self, copy: bool) -> RunResult:
+        """The result of a walk that ends here, with a copy of the state if
+        asked; raises the error an action raised here."""
+        if self.error is not None:
+            exc, tb = self.error
+            raise exc.with_traceback(tb)
+        return RunResult(
+            final_state=self.state.copy() if copy else self.state,
+            classical=dict(self.classical),
+            success_probability=0.0 if self.failed else self.weight * norm_sq(self.state),
+            failed=self.failed, branch_weight=self.weight)
+
+    def nbytes(self) -> int:
+        """What keeping this segment costs, as `_TREE_BYTES` counts it."""
+        held = sum(post.amps.nbytes for _, post, _ in self.branches)
+        if self.state is not None:
+            held += self.state.amps.nbytes
+        return held + _ENTRY_BYTES * (1 + len(self.charged))
+
+
+@dataclass(eq=False)
+class _OutcomeTree:
+    """The segments `run` has kept for one `params`, and their cost."""
+
+    params: QiParams
+    root: _Segment
+    nbytes: int
+
+
+def _segment(program: CircuitProgram, params: QiParams, register: ClassicalRegister,
+             weight: float, state: StateVector, pos: int) -> _Segment:
+    """The one instruction loop: run the actions from instruction `pos` up
+    to the next measurement or the end."""
+    seg = _Segment(weight)
+    ctx = _Context(program, params, register)
+    try:
         for i in range(pos, len(program.instructions)):
             instr = program.instructions[i]
-            charge = instr.charge if profile is not None else None
-            if charge and rng.random() >= getattr(profile, charge):
-                zero = StateVector(state.layout, np.zeros_like(state.amps))
-                return finish(zero, register, weight, True)
+            if instr.charge:
+                seg.charged.append((instr.charge, state.layout, register.as_dict()))
             action = OPS[instr.op].action
-            if action is not None:
-                state = action(state, instr.args, ctx)
-                continue
-            target = instr.args["target"]
-            spec = state.spec(target)
-            failure = PHOTON_FAIL if spec.kind == "photon" else spec.exploded_level()
-            for outcome, post, prob in outcomes(state, target, instr.args["basis"]):
-                sub = ClassicalRegister()
-                for k, v in register.as_dict().items():
-                    sub.set(k, v)
-                sub.set(instr.args["bit"], outcome)
-                if outcome == failure:
-                    finish(post, sub, weight * prob, True)
-                else:
-                    step(post, sub, weight * prob, i + 1)
-            return
-        finish(state, register, weight, False)
+            if action is None:
+                seg.branches = branch_all(state, instr.args["target"], instr.args["basis"])
+                seg.measured = i
+                break
+            state = action(state, instr.args, ctx)
+        else:
+            seg.state = state
+    except Exception as exc:
+        # a program the validator accepts can still fail here (an unnormalized
+        # prepared vector, say); a run raises it only once its draws get here
+        seg.error = (exc, exc.__traceback__)
+    seg.classical = register.as_dict()
+    return seg
 
-    step(StateVector((), np.ones((), dtype=np.complex128)), ClassicalRegister(),
-         1.0, 0)
-    return results
+
+def _root(program: CircuitProgram, params: QiParams) -> _Segment:
+    return _segment(program, params, ClassicalRegister(), 1.0,
+                    StateVector((), np.ones((), dtype=np.complex128)), 0)
+
+
+def _child(program: CircuitProgram, params: QiParams, seg: _Segment,
+           index: int) -> _Segment:
+    """The segment after outcome `index` of the measurement ending `seg`; a
+    failure outcome ends the walk."""
+    outcome, post, prob = seg.branches[index]
+    instr = program.instructions[seg.measured]
+    register = ClassicalRegister()
+    for k, v in seg.classical.items():
+        register.set(k, v)
+    register.set(instr.args["bit"], outcome)
+    spec = program.spec(instr.args["target"])
+    failure = PHOTON_FAIL if spec.kind == "photon" else spec.exploded_level()
+    if outcome == failure:
+        return _Segment(seg.weight * prob, post, register.as_dict(), failed=True)
+    return _segment(program, params, register, seg.weight * prob, post,
+                    seg.measured + 1)
 
 
 def run(program: CircuitProgram, params: QiParams | None = None,
         rng: np.random.Generator | None = None,
         profile: gates.ImperfectionProfile | None = None) -> RunResult:
     """Single sampled trajectory.  Measurement outcomes are drawn with Born
-    probabilities; with a profile, each imperfectible instruction draws one
-    Bernoulli trial and a failed draw heralds the run failed."""
+    probabilities; with a profile, each charged instruction draws one
+    uniform from `rng` before it acts, and a failed draw zeroes the state
+    and heralds the run failed.
+
+    The segments between measurements are deterministic, so the program
+    keeps the tree of those it has run for the last `params`, up to
+    `_TREE_BYTES`, and a later run along a kept path only draws.  Two runs
+    at once may both build a segment; either copy gives the same results."""
+    params = params or QiParams()
     rng = rng or np.random.default_rng(0)
-    return _walk(program, params,
-                 lambda state, target, basis: [measure(state, target, basis, rng)],
-                 profile, rng)[0]
+    tree = program._outcome_tree
+    if tree is None or tree.params != params:
+        root = _root(program, params)
+        tree = _OutcomeTree(params, root, root.nbytes())
+        object.__setattr__(program, "_outcome_tree", tree)
+    seg, kept = tree.root, True
+    while True:
+        if profile is not None:
+            for charge, layout, classical in seg.charged:
+                if rng.random() >= getattr(profile, charge):
+                    zero = np.zeros(tuple(s.dim for s in layout), dtype=np.complex128)
+                    return RunResult(StateVector(layout, zero), dict(classical), 0.0,
+                                     True, seg.weight)
+        if seg.measured is None:
+            return seg.result(copy=True)
+        target = program.instructions[seg.measured].args["target"]
+        index = sample_branch(seg.branches, target, rng)
+        outcome = seg.branches[index][0]
+        child = seg.children.get(outcome)
+        if child is None:
+            child = _child(program, params, seg, index)
+            cost = child.nbytes()
+            kept = kept and tree.nbytes + cost <= _TREE_BYTES
+            if kept:
+                tree.nbytes += cost
+                seg.children[outcome] = child
+        seg = child
 
 
 def run_all_branches(program: CircuitProgram,
                      params: QiParams | None = None) -> list[RunResult]:
     """Exhaustive enumeration of every measurement branch (ideal components
     only).  Branches appear in depth-first outcome order; weights plus the
-    pruned deficit account for all probability."""
-    return _walk(program, params, branch_all)
+    pruned deficit account for all probability.  Each call walks a fresh
+    tree and keeps none of it."""
+    params = params or QiParams()
+    results: list[RunResult] = []
+
+    def leaves(seg: _Segment) -> None:
+        if seg.measured is None:
+            results.append(seg.result(copy=False))
+            return
+        for index in range(len(seg.branches)):
+            leaves(_child(program, params, seg, index))
+
+    leaves(_root(program, params))
+    return results
 
 
 def gate_census(program: CircuitProgram) -> dict[str, int]:
@@ -686,23 +819,24 @@ def cnot_circuit(family: str, control=(1, 0), target=(1, 0),
     )
 
 
+_UNIFORM = np.array([1, 1]) / np.sqrt(2)
+
+# demo name -> builder of one shipped, self-contained example program
+DEMOS: dict[str, Callable[[], CircuitProgram]] = {
+    "bell": bell_generator,
+    "qicz": lambda: configurable_gate(
+        photons=[("p", (0, 1))],
+        particles=[("b", 2, (1, 0, 0))],
+        interferometers=[("p", [("b", [0])])],
+    ),
+    "toffoli": lambda: toffoli(control1=(0, 1, 0), control2=(0, 1, 0), target=(1, 0)),
+    **{f"wstate-{m}": partial(w_state_generator, m) for m in (2, 3, 4)},
+    "memory": lambda: memory_roundtrip(psi=_UNIFORM, sign="+"),
+    **{f"cnot-{family}": partial(cnot_circuit, family, control=_UNIFORM, target=(1, 0))
+       for family in CNOT_FAMILIES},
+}
+
+
 def demo_programs() -> dict[str, CircuitProgram]:
-    """The shipped, self-contained example programs."""
-    uniform = np.array([1, 1]) / np.sqrt(2)
-    demos = {
-        "bell": bell_generator(),
-        "qicz": configurable_gate(
-            photons=[("p", (0, 1))],
-            particles=[("b", 2, (1, 0, 0))],
-            interferometers=[("p", [("b", [0])])],
-        ),
-        "toffoli": toffoli(control1=(0, 1, 0), control2=(0, 1, 0), target=(1, 0)),
-        "wstate-2": w_state_generator(2),
-        "wstate-3": w_state_generator(3),
-        "wstate-4": w_state_generator(4),
-        "memory": memory_roundtrip(psi=uniform, sign="+"),
-    }
-    for family in CNOT_FAMILIES:
-        demos[f"cnot-{family}"] = cnot_circuit(family, control=uniform,
-                                               target=(1, 0))
-    return demos
+    """The shipped, self-contained example programs, built afresh."""
+    return {name: build() for name, build in DEMOS.items()}

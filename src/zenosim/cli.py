@@ -62,6 +62,8 @@ def program_to_doc(program: CircuitProgram) -> dict:
 def _plain(value):
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
+    if isinstance(value, bool):
+        return value
     if isinstance(value, (np.floating, float)):
         return float(value)
     if isinstance(value, (np.integer, int)):
@@ -239,11 +241,11 @@ def _cmd_simulate(args) -> int:
     if (args.file is None) == (args.demo is None):
         raise ValueError("pass exactly one of a circuit file or --demo")
     if args.demo is not None:
-        demos = circuits.demo_programs()
-        if args.demo not in demos:
-            raise ValueError(
-                f"unknown demo {args.demo!r}; available: {', '.join(sorted(demos))}")
-        program, source = demos[args.demo], args.demo
+        build = circuits.DEMOS.get(args.demo)
+        if build is None:
+            raise ValueError(f"unknown demo {args.demo!r}; "
+                             f"available: {', '.join(sorted(circuits.DEMOS))}")
+        program, source = build(), args.demo
     else:
         program, source = load_program(args.file), args.file
     params = _params_from(args)

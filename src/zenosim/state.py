@@ -252,16 +252,22 @@ def measure(state: StateVector, target: str, basis: str, rng: np.random.Generato
     only; the returned probability is the raw branch weight.
     """
     branches = branch_all(state, target, basis)
+    return branches[sample_branch(branches, target, rng)]
+
+
+def sample_branch(branches: list, target: str, rng: np.random.Generator) -> int:
+    """Index of one `branch_all` entry drawn with Born probabilities, from
+    one uniform of `rng`; the last branch takes any rounding remainder."""
     total = sum(w for _, _, w in branches)
     if total < BRANCH_CUTOFF:
         raise ValueError(f"impossible measurement: no weight on {target!r}")
     u = rng.random() * total
     acc = 0.0
-    for outcome, post, w in branches[:-1]:
+    for index, (_, _, w) in enumerate(branches[:-1]):
         acc += w
         if u < acc:
-            return outcome, post, w
-    return branches[-1]
+            return index
+    return len(branches) - 1
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -1,10 +1,15 @@
 """Program validation, execution, and the shipped circuit builders."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+from zenosim import circuits, gates
 from zenosim.circuits import (
     CNOT_FAMILIES,
+    DEMOS,
     CircuitProgram,
     Instruction,
     bell_generator,
@@ -351,3 +356,192 @@ def test_demo_registry():
     assert set(demos) == expected
     for program in demos.values():
         assert isinstance(program, CircuitProgram)
+
+
+def test_demo_registry_builds_each_demo_alone():
+    demos = demo_programs()
+    assert list(demos) == list(DEMOS)
+    for name, build in DEMOS.items():
+        assert build() == demos[name]
+        assert build() is not build()
+
+
+# --- the outcome tree run keeps on a program ---------------------------------
+
+FINITE = QiParams(cycles=7, absorb_prob=0.9, cycle_loss=1e-3)
+LOSSY = ImperfectionProfile(p=0.9, q=0.85, r=0.9, s=0.8, eta=0.9)
+
+
+def _record(result):
+    return (result.failed, sorted(result.classical.items()), result.success_probability,
+            result.branch_weight, result.final_state.layout,
+            result.final_state.amps.tobytes())
+
+
+def _runs(build, schedule, seed, profile, fresh):
+    """Records of `run` over a schedule of params, all on one program object
+    or each on a newly built one, and the generator state afterwards."""
+    rng = np.random.default_rng(seed)
+    program = build()
+    records = [_record(run(build() if fresh else program, params, rng, profile))
+               for params in schedule]
+    return records, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("profile", [None, LOSSY], ids=["plain", "profile"])
+@pytest.mark.parametrize("params", [IDEAL, FINITE], ids=["ideal", "finite"])
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_memoized_runs_equal_fresh_runs(name, params, profile):
+    build = DEMOS[name]
+    kept = _runs(build, [params] * 30, 17, profile, fresh=False)
+    assert kept == _runs(build, [params] * 30, 17, profile, fresh=True)
+    if profile is not None:
+        # every demo has a charged instruction, so seed 17 reaches failures
+        assert any(failed for failed, *_ in kept[0])
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_params_switch_replaces_the_tree(name):
+    schedule = [IDEAL] * 4 + [FINITE] * 4 + [IDEAL] * 4 + [FINITE, IDEAL] * 2
+    for profile in (None, LOSSY):
+        assert (_runs(DEMOS[name], schedule, 5, profile, fresh=False)
+                == _runs(DEMOS[name], schedule, 5, profile, fresh=True))
+
+
+@pytest.mark.parametrize("params", [IDEAL, FINITE], ids=["ideal", "finite"])
+def test_mutating_a_result_leaves_later_runs_alone(params):
+    for name, build in DEMOS.items():
+        program = build()
+        first = run(program, params, np.random.default_rng(1))
+        expected = _record(first)
+        first.final_state.amps[...] = 0.5
+        first.classical["spoiled"] = 1
+        assert _record(run(program, params, np.random.default_rng(1))) == expected, name
+
+
+def test_failed_draw_records_the_bits_written_before_it():
+    program = CircuitProgram((photon("p"), photon("q")), ("m", "z"), (
+        _ins("prepare", target="p", level=1),
+        _ins("measure", target="p", basis=PHOTON_COMPUTATIONAL, bit="m"),
+        _ins("prepare", target="q", level=0),
+        _ins("photon_h", target="q"),
+        _ins("xor", a="m", b="m", out="z"),
+    ))
+    for _ in range(2):  # the second run walks the kept tree
+        result = run(program, IDEAL, np.random.default_rng(0),
+                     profile=ImperfectionProfile(p=0.0))
+        assert result.failed
+        assert result.classical == {"m": 1}
+        assert result.final_state.layout == (photon("q"),)
+
+
+def test_run_time_error_is_raised_where_the_walk_reaches_it():
+    # the validator accepts an unnormalized vector; preparing it raises
+    program = CircuitProgram((photon("p"), photon("q")), (), (
+        _ins("prepare", target="p", level=0),
+        _ins("photon_h", target="p"),
+        _ins("prepare", target="q", state=[[1, 0], [1, 0]]),
+    ))
+    for _ in range(2):  # the second run walks the kept tree
+        with pytest.raises(ValueError, match="must be normalized"):
+            run(program, IDEAL)
+        # a failed draw before the preparation ends the run first
+        assert run(program, IDEAL, profile=ImperfectionProfile(p=0.0)).failed
+    with pytest.raises(ValueError, match="must be normalized"):
+        run_all_branches(program, IDEAL)
+
+
+def test_run_all_branches_keeps_no_tree():
+    program = bell_generator()
+    run_all_branches(program, IDEAL)
+    assert program._outcome_tree is None
+    run(program, IDEAL)
+    tree = program._outcome_tree
+    run_all_branches(program, FINITE)
+    assert program._outcome_tree is tree
+
+
+def test_run_time_error_of_any_type_is_raised_where_the_walk_reaches_it(monkeypatch):
+    def broken(state, name):
+        raise RuntimeError("broken gate")
+
+    monkeypatch.setattr(gates, "photon_x", broken)
+    program = CircuitProgram((photon("p"),), (), (
+        _ins("prepare", target="p", level=0),
+        _ins("photon_h", target="p"),
+        _ins("photon_x", target="p"),
+    ))
+    for _ in range(2):  # the second run walks the kept tree
+        # a failed draw before the broken gate ends the run first
+        assert run(program, IDEAL, profile=ImperfectionProfile(p=0.0)).failed
+        with pytest.raises(RuntimeError, match="broken gate"):
+            run(program, IDEAL)
+
+
+def _coin_flips(n):
+    """n photons, each measured out of (|0> + |1H>)/sqrt 2: 2^n outcome paths."""
+    instructions = []
+    for i in range(n):
+        instructions += [
+            _ins("prepare", target=f"p{i}", level=0),
+            _ins("photon_h", target=f"p{i}"),
+            _ins("measure", target=f"p{i}", basis=PHOTON_COMPUTATIONAL, bit=f"m{i}"),
+        ]
+    return CircuitProgram(tuple(photon(f"p{i}") for i in range(n)),
+                          tuple(f"m{i}" for i in range(n)), tuple(instructions))
+
+
+def _kept_segments(seg):
+    return [seg] + [s for child in seg.children.values() for s in _kept_segments(child)]
+
+
+@pytest.mark.parametrize("profile", [None, LOSSY], ids=["plain", "profile"])
+def test_outcome_tree_stays_within_its_budget(monkeypatch, profile):
+    budget = 40_000
+    monkeypatch.setattr(circuits, "_TREE_BYTES", budget)
+    build = lambda: _coin_flips(10)  # noqa: E731
+    kept = _runs(build, [IDEAL] * 400, 3, profile, fresh=False)
+    assert kept == _runs(build, [IDEAL] * 400, 3, profile, fresh=True)
+    assert len({tuple(classical) for _, classical, *_ in kept[0]}) > 100
+    # the same runs, then as many again along paths mostly past the budget
+    program, rng = build(), np.random.default_rng(3)
+    for _ in range(800):
+        run(program, IDEAL, rng, profile)
+    tree = program._outcome_tree
+    segments = _kept_segments(tree.root)
+    assert tree.nbytes == sum(seg.nbytes() for seg in segments)
+    assert budget - 2 * circuits._ENTRY_BYTES < tree.nbytes <= budget
+    assert len(segments) <= budget // circuits._ENTRY_BYTES
+    # only leaves keep a state; a measurement keeps its branch list
+    assert all((seg.state is None) == (seg.measured is not None) for seg in segments)
+
+
+def test_copies_and_pickles_leave_the_tree_behind():
+    program = CircuitProgram((photon("p"), photon("q")), (), (
+        _ins("prepare", target="p", level=0),
+        _ins("prepare", target="q", state=[[1, 0], [1, 0]]),
+    ))
+    with pytest.raises(ValueError, match="must be normalized"):
+        run(program, IDEAL)
+    bell = bell_generator()
+    expected = _record(run(bell, IDEAL, np.random.default_rng(4)))
+    for kept in (program, bell):
+        assert kept._outcome_tree is not None
+        for other in (copy.copy(kept), copy.deepcopy(kept),
+                      pickle.loads(pickle.dumps(kept))):
+            assert other == kept
+            assert other._outcome_tree is None
+    assert _record(run(copy.deepcopy(bell), IDEAL, np.random.default_rng(4))) == expected
+
+
+def test_engine_bounds_the_state_a_program_may_allocate():
+    with pytest.raises(ValueError, match="subsystems\\[1\\]: 'b' would have 2000 levels"):
+        CircuitProgram((photon("p"), particle("b", positions=1999)), (), ())
+    big = [particle(f"b{i}", positions=200) for i in range(3)]
+    prepares = tuple(_ins("prepare", target=s.name) for s in big)
+    with pytest.raises(ValueError, match="instructions\\[2\\]: preparing 'b2' makes a "
+                                         "state of 8120601 amplitudes"):
+        CircuitProgram(tuple(big), ("m",), prepares)
+    # measuring a subsystem releases its share of the live state
+    CircuitProgram(tuple(big), ("m",), prepares[:2] + (
+        _ins("measure", target="b0", basis=QUDIT_POSITION, bit="m"),) + prepares[2:])

@@ -15,7 +15,7 @@ from zenosim.cli import (
     program_to_doc,
     serialize_program,
 )
-from zenosim.circuits import bell_generator, cnot_circuit
+from zenosim.circuits import DEMOS, bell_generator, cnot_circuit, w_state_generator
 
 CLI = [sys.executable, "-m", "zenosim.cli"]
 
@@ -202,6 +202,23 @@ def test_unknown_op_reports_index():
                        {"op": "prepare", "target": "p"},
                        {"op": "cphase", "key": "k", "target": "p", "coeff": "x"}]},
      "instructions[3]: cphase argument 'coeff' must be a number, got 'x'"),
+    # sizes and numbers the engine cannot hold end before anything is allocated
+    ({"version": "1", "subsystems": [{"name": "b", "kind": "particle", "dim": 10 ** 9}],
+      "instructions": [{"op": "prepare", "target": "b"}]},
+     "subsystems[0]: 'b' would have 1000000001 levels; the engine allows at most 1024"),
+    ({"version": "1",
+      "subsystems": [{"name": f"b{i}", "kind": "particle", "dim": 200} for i in range(3)],
+      "instructions": [{"op": "prepare", "target": f"b{i}"} for i in range(3)]},
+     "instructions[2]: preparing 'b2' makes a state of 8120601 amplitudes; the engine "
+     "allows at most 1048576"),
+    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"}],
+      "instructions": [{"op": "prepare", "target": "p", "state": [[10 ** 400, 0]]}]},
+     f"instructions[0]: prepare argument 'state' must be a list of [re, im] pairs, "
+     f"got [[{10 ** 400}, 0]]"),
+    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"}],
+      "instructions": [{"op": "prepare", "target": "p"},
+                       {"op": "cphase", "key": "k", "target": "p", "coeff": 10 ** 400}]},
+     f"instructions[1]: cphase argument 'coeff' must be a number, got {10 ** 400}"),
 ])
 def test_malformed_file_is_one_error_line(tmp_path, doc, message):
     path = tmp_path / "malformed.json"
@@ -340,3 +357,20 @@ def test_repeated_invocations_byte_identical():
     assert a.stdout == b.stdout
     assert a.returncode == b.returncode == 0
 
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_serialized_demo_reads_back_equal(name):
+    program = DEMOS[name]()
+    text = serialize_program(program)
+    again = program_from_doc(json.loads(text))
+    assert again == program
+    assert serialize_program(again) == text
+
+
+def test_flags_serialize_as_booleans():
+    doc = json.loads(serialize_program(w_state_generator(3)))
+    assert doc["instructions"][0] == {"op": "prepare", "target": "q", "uniform": True}
+    # files that carry a flag as 0 or 1 still load
+    doc["instructions"][0]["uniform"] = 1
+    assert program_from_doc(doc) == w_state_generator(3)
