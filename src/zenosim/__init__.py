@@ -30,7 +30,7 @@ from .circuits import (
     w_state_generator,
 )
 from .gates import ImperfectionProfile
-from .interrogation import QiParams, effective_map, qi_cycle, qi_run, qicz, qicz_multi
+from .interrogation import QiParams, effective_map, qi_run, qicz, qicz_multi
 from .oracle import brute_force_run, compare
 from .state import ClassicalRegister, StateVector, SubsystemSpec, particle, photon
 
@@ -63,7 +63,6 @@ __all__ = [
     "monte_carlo_yield",
     "particle",
     "photon",
-    "qi_cycle",
     "qi_run",
     "qicz",
     "qicz_multi",

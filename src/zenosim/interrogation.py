@@ -11,18 +11,19 @@ Every cycle applies the same real 2x2 step to the (|1H>, |1V>) pair at a
 given configuration of the other subsystems, T_k = keep_loss *
 diag(1, keep_eps^k) * R(theta), where k counts the listed particles sitting
 on a blocking position.  A finite run of N cycles is therefore one gathered
-power T_k^(N-1) per configuration, by repeated squaring (the open
-configuration k = 0 uses the exact angle (N-1)*theta), followed by one
-literal cycle: O(log N) per call instead of O(N).  That arithmetic runs in
-extended precision so that the composed sign flip is exact at the 1e-15
-level even for 10^7 cycles; amplitudes are stored back as complex128.
+power T_k^N per configuration, by repeated squaring (the open configuration
+k = 0 uses the exact angle N*theta): O(log N) per call instead of O(N).
+That arithmetic runs in extended precision so that the composed sign flip
+is exact at the 1e-15 level even for 10^7 cycles; amplitudes are stored
+back as complex128.
 
-Absorption transfers amplitude from |1V> at a blocked position jointly to
-photon-sink x particle-exploded.  Each absorption step also clears that
-sink slot first, so weight parked there by an earlier cycle moves to the
-norm deficit; this keeps every step a contraction.  Per-cycle loss and the
-end-of-run residual |1V> routing likewise end up in the norm deficit once
-the run finishes (qi_run prunes sink levels before returning).
+Absorption (photon-sink x particle-exploded) and per-cycle loss are failure
+events, so the amplitude they take from the pair is not stored anywhere: it
+is the norm the pair loses, and it ends up in the norm deficit.  After the
+cycles, qi_run drops the residual |1V> (under the route-to-sink policy) and
+any amplitude on the interrogated photon's sink level and on the listed
+particles' exploded levels.  The whole run is one linear map on the photon
+and the listed particles, with the identity on every other subsystem.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .state import (
     BLOCKED,
     StateVector,
     new_state,
-    prune_failures,
 )
 
 PI_OVER_N = "pi_over_n"
@@ -94,26 +94,6 @@ def theta_value(params: QiParams) -> np.longdouble:
     return np.longdouble(params.theta)
 
 
-def absorber_matrix(positions: int, eps: float, blocking_position: int) -> np.ndarray:
-    """Single-position absorber on the photon x particle block.
-
-    Column |1V, blocked> splits into sqrt(1-eps) surviving plus sqrt(eps)
-    on sink x exploded; the sink x exploded column itself is cleared (its
-    prior content is accounted as norm deficit).  eps = 0 is the identity.
-    """
-    dim = 4 * (positions + 1)
-    m = np.eye(dim, dtype=np.complex128)
-    if eps == 0.0:
-        return m
-    exploded = positions
-    col = PH_ONE_V * (positions + 1) + blocking_position
-    sink_x = PH_SINK * (positions + 1) + exploded
-    m[col, col] = np.sqrt(1.0 - eps)
-    m[sink_x, col] = np.sqrt(eps)
-    m[sink_x, sink_x] = 0.0
-    return m
-
-
 def _normalize_blocking(spec, blocking) -> tuple[int, ...]:
     if isinstance(blocking, (int, np.integer)):
         blocking = (int(blocking),)
@@ -128,12 +108,6 @@ def _normalize_blocking(spec, blocking) -> tuple[int, ...]:
                 f"(positions 0..{positions - 1}; the exploded level cannot block)"
             )
     return out
-
-
-def _rest_index(ndim_rest: int, axis: int, level: int) -> tuple:
-    idx = [slice(None)] * ndim_rest
-    idx[axis] = level
-    return tuple(idx)
 
 
 def _blocked_counts(shape, plan, eps) -> np.ndarray:
@@ -181,38 +155,16 @@ def _cycle_powers(kmax, theta, eps, lam, m) -> np.ndarray:
 
 
 def _run_cycles(work, plan, theta, eps, lam, n):
-    """Run n cycles in place on the photon-fronted view `work`.
-
-    The first n - 1 cycles are one gathered transfer-matrix power per rest
-    index (O(log n)); the last cycle runs literally, so it writes the sink
-    slots exactly as a single qi_cycle does.
-    """
-    c = np.cos(theta)
-    s = np.sin(theta)
+    """Run n cycles in place on the photon-fronted view `work`: one gathered
+    transfer-matrix power T_k^n per rest index (O(log n)).  Only the
+    (|1H>, |1V>) pair changes; what absorption and loss take from it is
+    dropped."""
     h = work[PH_ONE_H].astype(np.clongdouble)
     v = work[PH_ONE_V].astype(np.clongdouble)
-    if n > 1:
-        counts = _blocked_counts(h.shape, plan, eps)
-        p = _cycle_powers(int(counts.max(initial=0)), theta, eps, lam, n - 1)[counts]
-        h, v = (p[..., 0, 0] * h + p[..., 0, 1] * v,
-                p[..., 1, 0] * h + p[..., 1, 1] * v)
-    sink = work[PH_SINK]
-    root_eps = complex(np.sqrt(np.longdouble(eps)))
-    keep_eps = np.clongdouble(np.sqrt(np.longdouble(1) - np.longdouble(eps)))
-    keep_loss = np.clongdouble(np.sqrt(np.longdouble(1) - np.longdouble(lam)))
-    h, v = c * h - s * v, s * h + c * v
-    if eps > 0.0:
-        for rest_axis, blocking, exploded in plan:
-            idx_x = _rest_index(v.ndim, rest_axis, exploded)
-            for b in blocking:
-                idx_b = _rest_index(v.ndim, rest_axis, b)
-                sink[idx_x] = np.asarray(root_eps * v[idx_b], dtype=np.complex128)
-                v[idx_b] *= keep_eps
-    if lam > 0.0:
-        h *= keep_loss
-        v *= keep_loss
-    work[PH_ONE_H] = h.astype(np.complex128)
-    work[PH_ONE_V] = v.astype(np.complex128)
+    counts = _blocked_counts(h.shape, plan, eps)
+    p = _cycle_powers(int(counts.max(initial=0)), theta, eps, lam, n)[counts]
+    work[PH_ONE_H] = (p[..., 0, 0] * h + p[..., 0, 1] * v).astype(np.complex128)
+    work[PH_ONE_V] = (p[..., 1, 0] * h + p[..., 1, 1] * v).astype(np.complex128)
 
 
 def _prepare(state: StateVector, photon: str, particles: list[str], blocking):
@@ -238,19 +190,6 @@ def _prepare(state: StateVector, photon: str, particles: list[str], blocking):
     return p_axis, plan
 
 
-def qi_cycle(state: StateVector, photon: str, particles: list[str],
-             blocking, params: QiParams) -> StateVector:
-    """One rotation-absorb-loss cycle; sink amplitude is left inspectable."""
-    if params.cycles is None:
-        raise ValueError("qi_cycle needs a finite cycle count")
-    p_axis, plan = _prepare(state, photon, particles, blocking)
-    amps = state.amps.copy()
-    work = np.moveaxis(amps, p_axis, 0)
-    _run_cycles(work, plan, theta_value(params), params.absorb_prob,
-                params.cycle_loss, 1)
-    return StateVector(state.layout, amps)
-
-
 def _apply_ideal_phase(work, plan, layout_rest_dims):
     """Exact limit of the pi/N wiring: sign flip where the photon is |1H>
     and every particle sits outside its blocking set."""
@@ -269,8 +208,10 @@ def _apply_ideal_phase(work, plan, layout_rest_dims):
 
 def qi_run(state: StateVector, photon: str, particles: list[str],
            blocking, params: QiParams) -> StateVector:
-    """Full interrogation: N cycles (or the exact limit), residual-|1V>
-    policy, then pruning of sink and exploded levels into the norm deficit."""
+    """Full interrogation: N cycles (or the exact limit), the residual-|1V>
+    policy, then pruning of the photon's sink level and the listed
+    particles' exploded levels into the norm deficit.  Every other
+    subsystem is left as it is."""
     p_axis, plan = _prepare(state, photon, particles, blocking)
     amps = state.amps.copy()
     work = np.moveaxis(amps, p_axis, 0)
@@ -281,15 +222,11 @@ def qi_run(state: StateVector, photon: str, particles: list[str],
         _run_cycles(work, plan, theta_value(params), params.absorb_prob,
                     params.cycle_loss, params.cycles)
     if params.residual_v_policy == ROUTE_TO_SINK:
-        # slice views stay writable even when work is one-dimensional
-        sink = work[PH_SINK:PH_SINK + 1]
-        v = work[PH_ONE_V:PH_ONE_V + 1]
-        overlap = np.minimum(np.abs(sink), np.abs(v)).max() if sink.size else 0.0
-        if overlap > 1e-12:
-            raise ValueError("sink and residual |1V> supports overlap")
-        sink += v
-        v[...] = 0.0
-    return prune_failures(StateVector(state.layout, amps))
+        work[PH_ONE_V] = 0.0
+    work[PH_SINK] = 0.0
+    for rest_axis, _, exploded in plan:
+        work[(slice(None),) * (rest_axis + 1) + (exploded,)] = 0.0
+    return StateVector(state.layout, amps)
 
 
 def qicz(state: StateVector, photon: str, particle: str,
@@ -316,9 +253,8 @@ def effective_map(params: QiParams, n_particles: int,
     """The linear map of qicz/qicz_multi, extracted column-by-column.
 
     Index convention: photon slowest, then particles in list order.
-    Extraction costs one qi_run per column, each a transfer-matrix power
-    plus one literal cycle (O(log N)), and results are memoized on
-    (params, positions, blocking).
+    Extraction costs one qi_run per column, each one transfer-matrix power
+    (O(log N)), and results are memoized on (params, positions, blocking).
     """
     if n_particles < 0:
         raise ValueError("particle count must be nonnegative")

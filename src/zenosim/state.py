@@ -68,9 +68,6 @@ class ClassicalRegister:
     def as_dict(self) -> dict[str, int]:
         return dict(self._values)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._values
-
 
 @dataclass(frozen=True)
 class SubsystemSpec:
@@ -245,16 +242,6 @@ def branch_all(state: StateVector, target: str, basis: str):
     return out
 
 
-def measure(state: StateVector, target: str, basis: str, rng: np.random.Generator):
-    """Sample one measurement outcome with Born probabilities.
-
-    The (possibly sub-normalized) weights are renormalized for sampling
-    only; the returned probability is the raw branch weight.
-    """
-    branches = branch_all(state, target, basis)
-    return branches[sample_branch(branches, target, rng)]
-
-
 def sample_branch(branches: list, target: str, rng: np.random.Generator) -> int:
     """Index of one `branch_all` entry drawn with Born probabilities, from
     one uniform of `rng`; the last branch takes any rounding remainder."""
@@ -278,17 +265,6 @@ def fidelity(a: StateVector, b: StateVector) -> float:
         if abs(norm_sq(s) - 1.0) > 1e-9:
             raise ValueError(f"{nm} state is not renormalized")
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
-
-
-def prune_failures(state: StateVector) -> StateVector:
-    """Drop amplitude on sink and exploded levels; its weight moves to the
-    norm deficit."""
-    amps = state.amps.copy()
-    for i, spec in enumerate(state.layout):
-        idx = [slice(None)] * amps.ndim
-        idx[i] = PH_SINK if spec.kind == "photon" else spec.exploded_level()
-        amps[tuple(idx)] = 0.0
-    return StateVector(state.layout, amps)
 
 
 def add_subsystem(state: StateVector, spec: SubsystemSpec, init) -> StateVector:

@@ -248,6 +248,50 @@ def test_cx_on_qudit_outcome_rejected_before_oracle_check(tmp_path):
     assert proc.stderr.startswith("zenosim: error: instructions[3]: cx needs a 0/1 control")
 
 
+_HALF = [0.7071067811865476, 0.0]
+_FAILURE_LEVEL_DOCS = {
+    # residual |1V> on the photon, the particle half on its exploded level
+    "overlap": {
+        "version": "1",
+        "subsystems": [{"name": "p", "kind": "photon"},
+                       {"name": "b", "kind": "particle"}],
+        "bits": [],
+        "instructions": [
+            {"op": "prepare", "target": "p", "state": [[0, 0], [0, 0], [1, 0]]},
+            {"op": "prepare", "target": "b", "state": [_HALF, [0, 0], _HALF]},
+            {"op": "qicz", "photon": "p", "particle": "b"},
+        ]},
+    # bystanders with weight on an exploded level and on a sink level
+    "bystanders": {
+        "version": "1",
+        "subsystems": [{"name": "p", "kind": "photon"},
+                       {"name": "b", "kind": "particle"},
+                       {"name": "c", "kind": "particle"},
+                       {"name": "q", "kind": "photon"}],
+        "bits": [],
+        "instructions": [
+            {"op": "prepare", "target": "p", "level": 1},
+            {"op": "prepare", "target": "b", "level": 1},
+            {"op": "prepare", "target": "c", "state": [_HALF, [0, 0], _HALF]},
+            {"op": "prepare", "target": "q",
+             "state": [_HALF, [0, 0], [0, 0], _HALF]},
+            {"op": "qicz", "photon": "p", "particle": "b"},
+        ]},
+}
+
+
+@pytest.mark.parametrize("flags", [["--ideal"], ["--cycles", "3", "--absorb", "0.9"]])
+@pytest.mark.parametrize("name", sorted(_FAILURE_LEVEL_DOCS))
+def test_oracle_check_passes_with_failure_level_weight(tmp_path, name, flags):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_FAILURE_LEVEL_DOCS[name]))
+    proc = run_cli("oracle-check", str(path), *flags)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert float(lines[0].removeprefix("deviation=")) <= 1e-10
+    assert lines[1].startswith("PASS max_deviation<=")
+
+
 def test_emitters_never_print_negative_zero():
     assert _emit_json({"a": -0.0, "b": [np.float64(-0.0), 0.0, -1.5]}) == \
         '{"a":0,"b":[0,0,-1.5]}'

@@ -1,7 +1,7 @@
 """Cycle-level interrogation behavior: survival laws, the sign shift,
-loss accounting, absorber algebra, the extracted effective map, and a
-differential check of the closed-form cycle engine against a literal
-per-cycle loop."""
+loss accounting, the run as one linear map local to its photon and
+particles, the extracted effective map, and a differential check of the
+closed-form cycle engine against a literal per-cycle loop."""
 
 from dataclasses import replace
 
@@ -15,9 +15,7 @@ from zenosim.interrogation import (
     PI_OVER_N,
     ROUTE_TO_SINK,
     QiParams,
-    absorber_matrix,
     effective_map,
-    qi_cycle,
     qi_run,
     qicz,
     qicz_multi,
@@ -35,7 +33,6 @@ from zenosim.state import (
     norm_sq,
     particle,
     photon,
-    prune_failures,
 )
 
 
@@ -120,21 +117,6 @@ def test_zeno_convergence_bound():
         assert norm_sq(out) >= 1.0 - 1.05 * np.pi ** 2 / n
 
 
-def test_absorber_matrix_shape_and_contraction():
-    m = absorber_matrix(2, 0.7, BLOCKED)
-    assert m.shape == (12, 12)
-    smax = np.linalg.svd(m, compute_uv=False).max()
-    assert smax <= 1.0 + 1e-12
-    assert np.allclose(absorber_matrix(2, 0.0, BLOCKED), np.eye(12))
-
-
-def test_absorber_erases_previous_sink_weight():
-    m = absorber_matrix(2, 0.5, BLOCKED)
-    sink_idx = PH_SINK * 3 + 2  # photon sink x particle exploded
-    col = m[:, sink_idx]
-    assert np.abs(col).max() == 0.0
-
-
 def test_partial_absorber_splits_vertical_weight():
     eps = 0.3
     params = QiParams(cycles=1, theta_rule="explicit", theta=np.pi / 2,
@@ -145,24 +127,35 @@ def test_partial_absorber_splits_vertical_weight():
     assert norm_sq(out) == pytest.approx(1 - eps)
 
 
-def test_residual_routing_overlap_rejected():
+@pytest.mark.parametrize("policy", [ROUTE_TO_SINK, KEEP])
+@pytest.mark.parametrize("params", [QiParams(cycles=None),
+                                    QiParams(cycles=3, absorb_prob=0.9)])
+def test_residual_routing_is_linear_on_failure_levels(params, policy):
+    """Residual |1V> next to sink weight, and a particle half exploded: the
+    run is the extracted map applied to the whole vector."""
+    params = replace(params, residual_v_policy=policy)
     state = _pair(0, BLOCKED)
     amps = np.zeros_like(state.amps)
     amps[PH_ONE_V, BLOCKED] = np.sqrt(0.5)
     amps[PH_SINK, BLOCKED] = np.sqrt(0.5)
-    with pytest.raises(ValueError):
-        qi_run(StateVector(state.layout, amps), "p", ["b"], [BLOCKED],
-               QiParams(cycles=None))
+    for vec in (amps, np.outer(np.eye(4)[PH_ONE_V], [1, 0, 1]) / np.sqrt(2)):
+        out = qi_run(StateVector(state.layout, vec), "p", ["b"], [BLOCKED], params)
+        want = effective_map(params, 1) @ vec.reshape(-1)
+        assert np.abs(out.amps.reshape(-1) - want).max() <= 1e-15
 
 
-def test_qi_cycle_keeps_sink_inspectable():
-    out = qi_cycle(_pair(PH_ONE_H, BLOCKED), "p", ["b"], [BLOCKED],
-                   QiParams(cycles=2, theta_rule="explicit", theta=np.pi / 4))
-    sink = level_weight(out, "p", PH_SINK)
-    assert sink == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        qi_cycle(_pair(PH_ONE_H, BLOCKED), "p", ["b"], [BLOCKED],
-                 QiParams(cycles=None))
+@pytest.mark.parametrize("params", [QiParams(cycles=None),
+                                    QiParams(cycles=3, absorb_prob=0.9)])
+def test_run_leaves_other_subsystems_alone(params):
+    """Failure levels of a bystander particle and photon survive the run."""
+    half = np.sqrt(0.5)
+    layout = (photon("p"), particle("b"), particle("c"), photon("q"))
+    amps = np.einsum("i,j,k,l->ijkl", np.eye(4)[PH_ONE_H], np.eye(3)[OPEN],
+                     [half, 0, half], [half, 0, 0, half])
+    out = qi_run(StateVector(layout, amps), "p", ["b"], [BLOCKED], params)
+    assert np.abs(out.amps + amps).max() <= 1e-15
+    assert level_weight(out, "c", 2) == pytest.approx(0.5)
+    assert level_weight(out, "q", PH_SINK) == pytest.approx(0.5)
 
 
 def test_ideal_limit_matches_many_cycles():
@@ -279,12 +272,14 @@ def _reference_cycles(state, positions, blocking, params):
     return amps
 
 
-def _reference_finish(amps, layout, policy):
+def _reference_finish(amps, layout, positions, policy):
     amps = amps.copy()
     if policy == ROUTE_TO_SINK:
-        amps[PH_SINK] += amps[PH_ONE_V]
         amps[PH_ONE_V] = 0.0
-    return prune_failures(StateVector(layout, amps))
+    amps[PH_SINK] = 0.0
+    for axis, d in enumerate(positions, start=1):
+        amps[(slice(None),) * axis + (d,)] = 0.0
+    return StateVector(layout, amps)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 1000])
@@ -304,6 +299,6 @@ def test_engine_matches_literal_cycle_loop(config, n):
                 for policy in (ROUTE_TO_SINK, KEEP):
                     got = qi_run(state, "p", names, list(blocking),
                                  replace(params, residual_v_policy=policy))
-                    want = _reference_finish(ref, state.layout, policy)
+                    want = _reference_finish(ref, state.layout, positions, policy)
                     assert np.abs(got.amps - want.amps).max() <= 1e-12, \
                         (eps, lam, rule, policy)

@@ -40,19 +40,19 @@ _unit = st.floats(-1.0, 1.0, allow_nan=False)
 
 
 @st.composite
-def _amplitudes(draw, size: int):
-    """A normalized vector of `size` amplitudes as [re, im] pairs."""
+def _amplitudes(draw, size: int, logical: int):
+    """A normalized vector of `size` amplitudes as [re, im] pairs, with
+    weight on its first `logical` entries."""
     vec = np.array([complex(draw(_unit), draw(_unit)) for _ in range(size)])
-    norm = np.linalg.norm(vec)
-    if norm < 0.1:
-        vec, norm = np.eye(size)[draw(st.integers(0, size - 1))], 1.0
-    return [[float(v.real), float(v.imag)] for v in vec / norm]
+    if np.linalg.norm(vec[:logical]) < 0.1:
+        vec[:logical] = np.eye(logical)[draw(st.integers(0, logical - 1))]
+    return [[float(v.real), float(v.imag)] for v in vec / np.linalg.norm(vec)]
 
 
 @st.composite
 def valid_programs(draw):
-    """Photons and 2-4-position particles, prepared in basis, superposed,
-    +/- or uniform states; every gate; qicz and qicz_multi with blocking
+    """Photons and 2-4-position particles, prepared in basis, superposed
+    (possibly with weight on failure levels), +/- or uniform states; every gate; qicz and qicz_multi with blocking
     sets; measurements in every basis, each into a fresh bit; cx/cz on 0/1
     bits, cphase on any bit, and xor into a fresh bit."""
     specs = [photon(f"p{i}") for i in range(draw(st.integers(1, 3)))]
@@ -113,7 +113,10 @@ def valid_programs(draw):
             if form == "level":
                 args["level"] = draw(st.integers(0, size - 1))
             elif form == "state":
-                args["state"] = draw(_amplitudes(size))
+                # a full-length vector also weights the failure levels:
+                # photon |1V> and sink, or the particle's exploded level
+                full = draw(st.booleans())
+                args["state"] = draw(_amplitudes(spec.dim if full else size, size))
             elif form == "uniform":
                 args["uniform"] = True
             else:

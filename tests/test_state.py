@@ -18,14 +18,13 @@ from zenosim.state import (
     branch_all,
     fidelity,
     level_weight,
-    measure,
     new_state,
     norm_deficit,
     norm_sq,
     particle,
     photon,
-    prune_failures,
     reorder,
+    sample_branch,
 )
 
 BASES = [PHOTON_COMPUTATIONAL, PARTICLE_PM, QUDIT_POSITION]
@@ -128,8 +127,9 @@ def test_measure_reproducible_and_consistent(seed):
     state = _random_state(rng, layout)
     target = layout[0]
     basis = PHOTON_COMPUTATIONAL if target.kind == "photon" else QUDIT_POSITION
-    out1 = measure(state, target.name, basis, np.random.default_rng(seed))
-    out2 = measure(state, target.name, basis, np.random.default_rng(seed))
+    branches = branch_all(state, target.name, basis)
+    out1 = branches[sample_branch(branches, target.name, np.random.default_rng(seed))]
+    out2 = branches[sample_branch(branches, target.name, np.random.default_rng(seed))]
     assert out1[0] == out2[0]
     assert out1[2] == out2[2]
     enumerated = {o: w for o, _, w in branch_all(state, target.name, basis)}
@@ -171,15 +171,13 @@ def test_reorder_roundtrip(seed):
     assert np.abs(back.amps - state.amps).max() < 1e-14
 
 
-def test_prune_failures_idempotent_and_monotone():
+def test_norm_deficit_is_missing_weight():
     rng = np.random.default_rng(5)
     layout = [photon("p"), particle("b", positions=3)]
-    state = _random_state(rng, layout)
-    once = prune_failures(state)
-    twice = prune_failures(once)
-    assert norm_sq(once) <= norm_sq(state) + ATOL
-    assert np.abs(twice.amps - once.amps).max() == 0.0
-    assert abs(norm_deficit(once) - (1.0 - norm_sq(once))) < 1e-12
+    assert norm_deficit(_random_state(rng, layout)) == pytest.approx(0.0, abs=ATOL)
+    shrunk = _random_state(rng, layout, norm=0.6)
+    assert norm_deficit(shrunk) == pytest.approx(0.64)
+    assert abs(norm_deficit(shrunk) - (1.0 - norm_sq(shrunk))) < 1e-12
 
 
 def test_add_subsystem_and_level_weight():
@@ -209,7 +207,6 @@ def test_classical_register():
     reg = ClassicalRegister()
     reg.set("m", 1)
     assert reg.get("m") == 1
-    assert "m" in reg
     assert reg.as_dict() == {"m": 1}
     with pytest.raises(KeyError):
         reg.get("missing")
