@@ -140,6 +140,11 @@ class YieldEstimate:
     master_seed: int
 
 
+# trials drawn per block in monte_carlo_yield; the estimate does not depend
+# on it, only the memory one block of uniforms takes
+MC_CHUNK = 1 << 16
+
+
 def _draw_probabilities(program: CircuitProgram,
                         profile: ImperfectionProfile) -> np.ndarray:
     return np.asarray([getattr(profile, instr.charge)
@@ -148,8 +153,7 @@ def _draw_probabilities(program: CircuitProgram,
 
 
 def monte_carlo_yield(program: CircuitProgram, profile: ImperfectionProfile,
-                      trials: int, master_seed: int,
-                      chunk: int = 1 << 16) -> YieldEstimate:
+                      trials: int, master_seed: int) -> YieldEstimate:
     """Sampled fraction of trials in which every imperfectible instruction
     succeeds.  Trial t consumes the t-th block of draws from one
     counter-based stream keyed by the master seed, one uniform per
@@ -164,7 +168,7 @@ def monte_carlo_yield(program: CircuitProgram, profile: ImperfectionProfile,
     successes = 0
     done = 0
     while done < trials:
-        m = min(chunk, trials - done)
+        m = min(MC_CHUNK, trials - done)
         u = rng.random((m, probs.size))
         successes += int(np.all(u < probs, axis=1).sum())
         done += m

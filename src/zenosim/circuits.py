@@ -163,23 +163,26 @@ def _controlled(op: str):
 def _prepare(state: StateVector, args: dict, ctx: _Context) -> StateVector:
     spec = ctx.program.spec(args["target"])
     if "pm" in args:
-        state = add_subsystem(state, spec, 0)
-        return gates.prepare_particle_pm(state, spec.name, args["pm"])
-    if args.get("uniform"):
-        state = add_subsystem(state, spec, 0)
-        return gates.prepare_particle_uniform(state, spec.name)
-    if "state" in args:
-        vec = np.zeros(spec.dim, dtype=np.complex128)
+        vec = gates.prepare_particle_pm(spec, args["pm"])
+    elif args.get("uniform"):
+        vec = gates.prepare_particle_uniform(spec)
+    elif "state" in args:
         given = np.asarray(
             [complex(re, im) for re, im in args["state"]], dtype=np.complex128)
         if given.size > spec.dim:
             raise ValueError(f"initial vector too long for {spec.name!r}")
+        vec = np.zeros(spec.dim, dtype=np.complex128)
         if spec.kind == "photon" and given.size == 2:
             vec[0], vec[1] = given  # logical |0>, |1H>
         else:
             vec[: given.size] = given
-        return add_subsystem(state, spec, vec)
-    return add_subsystem(state, spec, int(args.get("level", 0)))
+    else:
+        level = int(args.get("level", 0))
+        if not 0 <= level < spec.dim:
+            raise ValueError(f"level {level} out of range for {spec.name!r}")
+        vec = np.zeros(spec.dim, dtype=np.complex128)
+        vec[level] = 1.0
+    return add_subsystem(state, spec, vec)
 
 
 def _xor(state: StateVector, a: dict, ctx: _Context) -> StateVector:
@@ -714,16 +717,15 @@ def cnot_output_names(family: str) -> tuple[str, str]:
     }[family]
 
 
-def cnot_circuit(family: str, control=(1, 0), target=(1, 0),
-                 merged: bool = True) -> CircuitProgram:
+def cnot_circuit(family: str, control=(1, 0), target=(1, 0)) -> CircuitProgram:
     """A CNOT(control -> target) realization from the given family; every
     measurement branch equals the ideal CNOT output after corrections.
 
     The memory family teleports both photons through particle memories with
-    a CZ coupling between the write stages; `merged=False` keeps its two
-    control-line Z corrections separate instead of combining their bits
-    with a classical XOR.  The half-memory families teleport one photon;
-    the direct families measure only the shared particle.
+    a CZ coupling between the write stages, and merges its two control-line
+    Z corrections into one by a classical XOR of their bits.  The
+    half-memory families teleport one photon; the direct families measure
+    only the shared particle.
     """
     pin = [
         _ins("prepare", target="c", state=_vec_arg(control)),
@@ -742,21 +744,13 @@ def cnot_circuit(family: str, control=(1, 0), target=(1, 0),
             _ins("qicz", photon="cp", particle="mc"),
             _ins("measure", target="mc", basis=PARTICLE_PM, bit="c_c"),
             _ins("cx", bit="c_c", target="cp"),
+            _ins("xor", a="a_c", b="a_t", out="zc"),
+            _ins("cz", bit="zc", target="cp"),
         ]
-        if merged:
-            instructions += [
-                _ins("xor", a="a_c", b="a_t", out="zc"),
-                _ins("cz", bit="zc", target="cp"),
-            ]
-        else:
-            instructions += [
-                _ins("cz", bit="a_c", target="cp"),
-                _ins("cz", bit="a_t", target="cp"),
-            ]
         return CircuitProgram(
             subsystems=(photon("c"), photon("t"), photon("tp"), photon("cp"),
                         particle("mt"), particle("mc")),
-            bits=("a_t", "a_c", "c_t", "c_c") + (("zc",) if merged else ()),
+            bits=("a_t", "a_c", "c_t", "c_c", "zc"),
             instructions=tuple(instructions),
         )
     if family == HALF_MEMORY_KEEP_CONTROL:

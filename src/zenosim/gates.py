@@ -1,6 +1,10 @@
-"""Ideal single-subsystem gates, preparation helpers, classically controlled
-corrections, and the component-imperfection profile.
+"""Ideal single-subsystem gates, the level vectors of the pm and uniform
+particle preparations, classically controlled corrections, and the
+component-imperfection profile.
 
+A preparation helper only builds the fresh particle's vector; the
+interpreter appends it to the state in one step with
+`state.add_subsystem`, whatever the state holds (even no weight at all).
 Photon gates act on the {|0>, |1H>} logical block and leave |1V> and the
 sink alone.  Particle gates act on the position block and leave the
 exploded level alone; for a particle with more than two positions,
@@ -20,6 +24,7 @@ from .state import (
     PH_ZERO,
     ClassicalRegister,
     StateVector,
+    SubsystemSpec,
     apply_local,
 )
 
@@ -50,98 +55,69 @@ def _fourier(positions: int) -> np.ndarray:
 
 def photon_h(state: StateVector, name: str) -> StateVector:
     """Hadamard on the photon's logical block."""
-    _expect_kind(state, name, "photon")
+    _expect_kind(state.spec(name), "photon")
     return apply_local(state, [name], _photon_block(_H2))
 
 
 def photon_x(state: StateVector, name: str) -> StateVector:
-    _expect_kind(state, name, "photon")
+    _expect_kind(state.spec(name), "photon")
     return apply_local(state, [name], _photon_block(_X2))
 
 
 def photon_z(state: StateVector, name: str) -> StateVector:
-    _expect_kind(state, name, "photon")
+    _expect_kind(state.spec(name), "photon")
     return apply_local(state, [name], _photon_block(_Z2))
 
 
 def particle_h(state: StateVector, name: str) -> StateVector:
     """Hadamard on a 2-position particle; the position-space Fourier
     transform when there are more positions."""
-    spec = _expect_kind(state, name, "particle")
+    spec = _expect_kind(state.spec(name), "particle")
     d = spec.positions()
     block = _H2 if d == 2 else _fourier(d)
     return apply_local(state, [name], _particle_block(d, block))
 
 
 def particle_x(state: StateVector, name: str) -> StateVector:
-    spec = _expect_kind(state, name, "particle")
+    spec = _expect_kind(state.spec(name), "particle")
     if spec.positions() != 2:
         raise ValueError("particle_x is defined for 2-position particles")
     return apply_local(state, [name], _particle_block(2, _X2))
 
 
 def particle_z(state: StateVector, name: str) -> StateVector:
-    spec = _expect_kind(state, name, "particle")
+    spec = _expect_kind(state.spec(name), "particle")
     if spec.positions() != 2:
         raise ValueError("particle_z is defined for 2-position particles")
     return apply_local(state, [name], _particle_block(2, _Z2))
 
 
-def _expect_kind(state: StateVector, name: str, kind: str):
-    spec = state.spec(name)
+def _expect_kind(spec: SubsystemSpec, kind: str) -> SubsystemSpec:
     if spec.kind != kind:
-        raise ValueError(f"{name!r} is not a {kind}")
+        raise ValueError(f"{spec.name!r} is not a {kind}")
     return spec
 
 
-def _single_position_support(state: StateVector, name: str) -> tuple[int, int]:
-    """Axis and the unique position level carrying amplitude; an error if the
-    particle is entangled or superposed (preparation is an input-stage op)."""
-    axis = state.axis(name)
-    spec = state.layout[axis]
-    occupied = []
-    for lv in range(spec.dim):
-        sl = np.take(state.amps, lv, axis=axis)
-        if float(np.vdot(sl, sl).real) > 1e-24:
-            occupied.append(lv)
-    if len(occupied) != 1 or occupied[0] >= spec.positions():
-        raise ValueError(f"particle {name!r} is not in a single position state")
-    return axis, occupied[0]
-
-
-def _respread(state: StateVector, name: str, weights: np.ndarray) -> StateVector:
-    axis, src = _single_position_support(state, name)
-    content = np.take(state.amps, src, axis=axis)
-    amps = np.zeros_like(state.amps)
-    idx = [slice(None)] * amps.ndim
-    for lv, w in enumerate(weights):
-        if w == 0.0:
-            continue
-        idx[axis] = lv
-        amps[tuple(idx)] = w * content
-    return StateVector(state.layout, amps)
-
-
-def prepare_particle_pm(state: StateVector, name: str, sign: str) -> StateVector:
-    """Set an unentangled particle to (|blocked> +/- |open>)/sqrt(2)."""
-    spec = _expect_kind(state, name, "particle")
+def prepare_particle_pm(spec: SubsystemSpec, sign: str) -> np.ndarray:
+    """Level vector of (|blocked> +/- |open>)/sqrt(2) for a fresh particle."""
+    _expect_kind(spec, "particle")
     if spec.positions() != 2:
         raise ValueError("pm preparation needs a 2-position particle")
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    weights = np.zeros(spec.dim)
-    weights[BLOCKED] = _SQRT_HALF
-    weights[OPEN] = _SQRT_HALF if sign == "+" else -_SQRT_HALF
-    return _respread(state, name, weights)
+    vec = np.zeros(spec.dim)
+    vec[BLOCKED] = _SQRT_HALF
+    vec[OPEN] = _SQRT_HALF if sign == "+" else -_SQRT_HALF
+    return vec
 
 
-def prepare_particle_uniform(state: StateVector, name: str) -> StateVector:
-    """Set an unentangled particle to the uniform position superposition."""
-    spec = _expect_kind(state, name, "particle")
-    d = spec.positions()
-    weights = np.zeros(spec.dim)
-    weights[:d] = 1.0 / np.sqrt(d)
-    return _respread(state, name, weights)
+def prepare_particle_uniform(spec: SubsystemSpec) -> np.ndarray:
+    """Level vector of the uniform position superposition for a fresh
+    particle."""
+    d = _expect_kind(spec, "particle").positions()
+    vec = np.zeros(spec.dim)
+    vec[:d] = 1.0 / np.sqrt(d)
+    return vec
 
 
 def classically_controlled(state: StateVector, register: ClassicalRegister,
@@ -163,7 +139,7 @@ def classically_controlled_phase(state: StateVector, register: ClassicalRegister
     """Phase exp(i * coeff * outcome) on the photon's |1H> level, controlled
     by a recorded integer outcome."""
     value = register.get(key)
-    _expect_kind(state, target, "photon")
+    _expect_kind(state.spec(target), "photon")
     m = np.eye(4, dtype=np.complex128)
     m[PH_ONE_H, PH_ONE_H] = np.exp(1j * coeff * value)
     return apply_local(state, [target], m)

@@ -15,7 +15,9 @@ power T_k^N per configuration, by repeated squaring (the open configuration
 k = 0 uses the exact angle N*theta): O(log N) per call instead of O(N).
 That arithmetic runs in extended precision so that the composed sign flip
 is exact at the 1e-15 level even for 10^7 cycles; amplitudes are stored
-back as complex128.
+back as complex128.  The exact N -> infinity limit of the pi/N wiring runs
+through the same gather with its own stack: diag(-1, 1), the sign flip on
+|1H>, for k = 0, and the identity for every k >= 1.
 
 Absorption (photon-sink x particle-exploded) and per-cycle loss are failure
 events, so the amplitude they take from the pair is not stored anywhere: it
@@ -44,8 +46,7 @@ from .state import (
 
 PI_OVER_N = "pi_over_n"
 PI_OVER_2N = "pi_over_2n"
-EXPLICIT = "explicit"
-THETA_RULES = (PI_OVER_N, PI_OVER_2N, EXPLICIT)
+THETA_RULES = (PI_OVER_N, PI_OVER_2N)
 
 ROUTE_TO_SINK = "route_to_sink"
 KEEP = "keep"
@@ -63,7 +64,6 @@ class QiParams:
 
     cycles: int | None = 10000
     theta_rule: str = PI_OVER_N
-    theta: float | None = None
     absorb_prob: float = 1.0
     cycle_loss: float = 0.0
     residual_v_policy: str = ROUTE_TO_SINK
@@ -75,8 +75,6 @@ class QiParams:
             raise ValueError(f"unknown theta rule {self.theta_rule!r}")
         if self.cycles is None and self.theta_rule != PI_OVER_N:
             raise ValueError("the exact limit is defined for the pi/N rule only")
-        if self.theta_rule == EXPLICIT and self.theta is None:
-            raise ValueError("explicit theta rule needs a theta value")
         if not 0.0 <= self.absorb_prob <= 1.0:
             raise ValueError("absorb_prob must lie in [0, 1]")
         if not 0.0 <= self.cycle_loss < 1.0:
@@ -89,9 +87,7 @@ def theta_value(params: QiParams) -> np.longdouble:
     """Rotation angle per cycle, in extended precision."""
     if params.theta_rule == PI_OVER_2N:
         return _PI / (2 * params.cycles)
-    if params.theta_rule == PI_OVER_N:
-        return _PI / params.cycles
-    return np.longdouble(params.theta)
+    return _PI / params.cycles
 
 
 def _normalize_blocking(spec, blocking) -> tuple[int, ...]:
@@ -110,12 +106,9 @@ def _normalize_blocking(spec, blocking) -> tuple[int, ...]:
     return out
 
 
-def _blocked_counts(shape, plan, eps) -> np.ndarray:
-    """Per rest index, how many listed particles sit on a blocking position
-    (all zero when the absorber never interacts)."""
+def _blocked_counts(shape, plan) -> np.ndarray:
+    """Per rest index, how many listed particles sit on a blocking position."""
     counts = np.zeros(shape, dtype=np.intp)
-    if eps == 0.0:
-        return counts
     for rest_axis, blocking, _ in plan:
         on = np.zeros(shape[rest_axis], dtype=np.intp)
         on[list(blocking)] = 1
@@ -130,7 +123,8 @@ def _cycle_powers(kmax, theta, eps, lam, m) -> np.ndarray:
     (|1H>, |1V>) pair with k absorbing encounters.  Blocked configurations
     use repeated squaring; the open one (k = 0) is taken from the exact
     angle m*theta instead, since squaring R doubles its angle error at every
-    step and the pi/N sign flip must stay exact.
+    step and the pi/N sign flip must stay exact.  An absorber that never
+    interacts (eps = 0) makes every T_k the open one.
     """
     one = np.longdouble(1)
     c, s = np.cos(theta), np.sin(theta)
@@ -151,18 +145,36 @@ def _cycle_powers(kmax, theta, eps, lam, m) -> np.ndarray:
     phi = m * theta
     power[0] = keep_loss ** m * np.array([[np.cos(phi), -np.sin(phi)],
                                           [np.sin(phi), np.cos(phi)]])
+    if eps == 0.0:
+        power[1:] = power[0]
     return power
 
 
-def _run_cycles(work, plan, theta, eps, lam, n):
-    """Run n cycles in place on the photon-fronted view `work`: one gathered
-    transfer-matrix power T_k^n per rest index (O(log n)).  Only the
-    (|1H>, |1V>) pair changes; what absorption and loss take from it is
-    dropped."""
+def _limit_powers(kmax) -> np.ndarray:
+    """The exact N -> infinity limit of T_k^N under the pi/N rule, for
+    k = 0..kmax: diag(-1, 1) when no listed particle blocks (the open
+    interferometer's sign flip on |1H>) and the identity otherwise (the
+    photon frozen on |1H>)."""
+    power = np.broadcast_to(np.eye(2, dtype=np.longdouble), (kmax + 1, 2, 2)).copy()
+    power[0, 0, 0] = -1
+    return power
+
+
+def _run_cycles(work, plan, params: QiParams):
+    """Run the interrogation in place on the photon-fronted view `work`: one
+    gathered 2x2 per rest index, picked by its blocked count k from the
+    stack of T_k^N (O(log N)), or of the exact limit's when cycles is None.
+    Only the (|1H>, |1V>) pair changes; what absorption and loss take from
+    it is dropped."""
     h = work[PH_ONE_H].astype(np.clongdouble)
     v = work[PH_ONE_V].astype(np.clongdouble)
-    counts = _blocked_counts(h.shape, plan, eps)
-    p = _cycle_powers(int(counts.max(initial=0)), theta, eps, lam, n)[counts]
+    counts = _blocked_counts(h.shape, plan)
+    kmax = int(counts.max(initial=0))
+    if params.cycles is None:
+        p = _limit_powers(kmax)[counts]
+    else:
+        p = _cycle_powers(kmax, theta_value(params), params.absorb_prob,
+                          params.cycle_loss, params.cycles)[counts]
     work[PH_ONE_H] = (p[..., 0, 0] * h + p[..., 0, 1] * v).astype(np.complex128)
     work[PH_ONE_V] = (p[..., 1, 0] * h + p[..., 1, 1] * v).astype(np.complex128)
 
@@ -190,37 +202,16 @@ def _prepare(state: StateVector, photon: str, particles: list[str], blocking):
     return p_axis, plan
 
 
-def _apply_ideal_phase(work, plan, layout_rest_dims):
-    """Exact limit of the pi/N wiring: sign flip where the photon is |1H>
-    and every particle sits outside its blocking set."""
-    grids = [np.arange(d) for d in layout_rest_dims]
-    for rest_axis, blocking, exploded in plan:
-        d = layout_rest_dims[rest_axis]
-        allowed = [k for k in range(d) if k not in blocking and k != exploded]
-        grids[rest_axis] = np.array(allowed, dtype=int)
-    if any(g.size == 0 for g in grids):
-        return
-    if not grids:
-        work[PH_ONE_H] *= -1.0
-        return
-    work[PH_ONE_H][np.ix_(*grids)] *= -1.0
-
-
 def qi_run(state: StateVector, photon: str, particles: list[str],
            blocking, params: QiParams) -> StateVector:
-    """Full interrogation: N cycles (or the exact limit), the residual-|1V>
-    policy, then pruning of the photon's sink level and the listed
-    particles' exploded levels into the norm deficit.  Every other
-    subsystem is left as it is."""
+    """Full interrogation: one 2x2 on (|1H>, |1V>) per blocked count, for N
+    cycles or the exact limit, then the residual-|1V> policy and pruning of
+    the photon's sink level and the listed particles' exploded levels into
+    the norm deficit.  Every other subsystem is left as it is."""
     p_axis, plan = _prepare(state, photon, particles, blocking)
     amps = state.amps.copy()
     work = np.moveaxis(amps, p_axis, 0)
-    if params.cycles is None:
-        rest_dims = tuple(d for i, d in enumerate(state.amps.shape) if i != p_axis)
-        _apply_ideal_phase(work, plan, rest_dims)
-    else:
-        _run_cycles(work, plan, theta_value(params), params.absorb_prob,
-                    params.cycle_loss, params.cycles)
+    _run_cycles(work, plan, params)
     if params.residual_v_policy == ROUTE_TO_SINK:
         work[PH_ONE_V] = 0.0
     work[PH_SINK] = 0.0

@@ -209,11 +209,11 @@ def _normalized_blocking(blocking, n_particles):
 
 
 def _interrogation_op(state: _OracleState, photon_name: str,
-                      particle_names: list[str], blocking, params: QiParams,
-                      ideal_limit: bool) -> np.ndarray:
+                      particle_names: list[str], blocking,
+                      params: QiParams) -> np.ndarray:
     p_dims = [state.dims[n] for n in particle_names]
     blocks = _normalized_blocking(blocking, len(particle_names))
-    if ideal_limit:
+    if params.cycles is None:
         return _ideal_interrogation_diag(
             p_dims, blocks, keep_residual_v=params.residual_v_policy == "keep")
     return effective_map(params, len(particle_names),
@@ -252,12 +252,10 @@ def _is_failure(basis: str, outcome: int, dim: int) -> bool:
     return outcome == dim - 1  # exploded level for every particle basis
 
 
-def brute_force_run(program: CircuitProgram, params: QiParams | None = None,
-                    ideal_limit: bool | None = None) -> BranchTree:
+def brute_force_run(program: CircuitProgram,
+                    params: QiParams | None = None) -> BranchTree:
     """Exhaustive branch enumeration with the full-matrix runner."""
     params = params or QiParams()
-    if ideal_limit is None:
-        ideal_limit = params.cycles is None
     tree = BranchTree()
 
     def leaf(state: _OracleState, assignments: dict, failed: bool) -> None:
@@ -297,7 +295,7 @@ def brute_force_run(program: CircuitProgram, params: QiParams | None = None,
                 else:
                     names, blocking = list(a["particles"]), a.get("blocking")
                 m = _interrogation_op(state, a["photon"], names, blocking,
-                                      params, ideal_limit)
+                                      params)
                 state.apply([a["photon"], *names], m)
             elif op == "cx":
                 if assignments[a["bit"]] & 1:

@@ -267,22 +267,15 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
-def add_subsystem(state: StateVector, spec: SubsystemSpec, init) -> StateVector:
-    """Append a fresh subsystem, either at a basis level (int) or in an
-    explicit normalized amplitude vector."""
+def add_subsystem(state: StateVector, spec: SubsystemSpec, vec) -> StateVector:
+    """Append a fresh subsystem in the given normalized amplitude vector."""
     if any(s.name == spec.name for s in state.layout):
         raise ValueError(f"subsystem {spec.name!r} already present")
-    if isinstance(init, (int, np.integer)):
-        if not 0 <= init < spec.dim:
-            raise ValueError(f"level {init} out of range for {spec.name!r}")
-        e = np.zeros(spec.dim, dtype=np.complex128)
-        e[int(init)] = 1.0
-    else:
-        e = np.asarray(init, dtype=np.complex128)
-        if e.shape != (spec.dim,):
-            raise ValueError(f"initial vector must have length {spec.dim}")
-        if abs(float(np.vdot(e, e).real) - 1.0) > ATOL:
-            raise ValueError("initial vector must be normalized")
+    e = np.asarray(vec, dtype=np.complex128)
+    if e.shape != (spec.dim,):
+        raise ValueError(f"initial vector must have length {spec.dim}")
+    if abs(float(np.vdot(e, e).real) - 1.0) > ATOL:
+        raise ValueError("initial vector must be normalized")
     amps = np.multiply.outer(state.amps, e)
     return StateVector(state.layout + (spec,), amps)
 

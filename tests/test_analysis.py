@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from zenosim import analysis
 from zenosim.analysis import (
     SweepRow,
     _draw_probabilities,
@@ -124,11 +125,13 @@ def test_monte_carlo_is_deterministic():
     assert a.stderr == b.stderr
 
 
-def test_monte_carlo_chunk_invariant():
+def test_monte_carlo_chunk_invariant(monkeypatch):
     prof = ImperfectionProfile(p=0.95, q=0.9, r=0.85, s=0.8, eta=0.75)
     program = cnot_circuit("direct-cx")
-    a = monte_carlo_yield(program, prof, trials=10_000, master_seed=9, chunk=128)
-    b = monte_carlo_yield(program, prof, trials=10_000, master_seed=9, chunk=10_000)
+    monkeypatch.setattr(analysis, "MC_CHUNK", 128)
+    a = monte_carlo_yield(program, prof, trials=10_000, master_seed=9)
+    monkeypatch.setattr(analysis, "MC_CHUNK", 10_000)
+    b = monte_carlo_yield(program, prof, trials=10_000, master_seed=9)
     assert a.estimate == b.estimate
 
 

@@ -269,16 +269,6 @@ def test_cnot_families_on_basis_inputs(family, c, t):
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def test_memory_cnot_unmerged_matches_merged():
-    program = cnot_circuit("memory", control=(0, 1), target=(1, 0), merged=False)
-    results = run_all_branches(program, IDEAL)
-    cn, tn = cnot_output_names("memory")
-    target = new_state([photon(cn), photon(tn)], [1, 1])
-    for r in results:
-        out = reorder(r.final_state, [cn, tn])
-        assert fidelity(out, target) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_gate_census_counts():
     census = gate_census(bell_generator())
     assert census == {"h_optical": 2, "qicz": 2, "cc": 0, "h_particle": 0,

@@ -219,6 +219,13 @@ def test_unknown_op_reports_index():
       "instructions": [{"op": "prepare", "target": "p"},
                        {"op": "cphase", "key": "k", "target": "p", "coeff": 10 ** 400}]},
      f"instructions[1]: cphase argument 'coeff' must be a number, got {10 ** 400}"),
+    # a level outside 0..dim-1 is an engine error, never an index from the end
+    ({"version": "1", "subsystems": [{"name": "b", "kind": "particle"}],
+      "instructions": [{"op": "prepare", "target": "b", "level": -1}]},
+     "level -1 out of range for 'b'"),
+    ({"version": "1", "subsystems": [{"name": "b", "kind": "particle"}],
+      "instructions": [{"op": "prepare", "target": "b", "level": 3}]},
+     "level 3 out of range for 'b'"),
 ])
 def test_malformed_file_is_one_error_line(tmp_path, doc, message):
     path = tmp_path / "malformed.json"
@@ -290,6 +297,54 @@ def test_oracle_check_passes_with_failure_level_weight(tmp_path, name, flags):
     lines = proc.stdout.strip().splitlines()
     assert float(lines[0].removeprefix("deviation=")) <= 1e-10
     assert lines[1].startswith("PASS max_deviation<=")
+
+
+def _zero_weight_doc(photon_level, measure):
+    """`p` interrogates a blocked `b`, then a pm particle `c` is prepared into
+    whatever weight is left (none, or at most ~1e-39 at one pi/2 cycle)."""
+    instructions = [
+        {"op": "prepare", "target": "p", "level": photon_level},
+        {"op": "prepare", "target": "b", "level": 0},
+        {"op": "qicz", "photon": "p", "particle": "b"},
+        {"op": "prepare", "target": "c", "pm": "+"},
+    ]
+    if measure:
+        instructions.append({"op": "measure", "target": "c",
+                             "basis": "particle_pm", "bit": "m"})
+    return {"version": "1",
+            "subsystems": [{"name": "p", "kind": "photon"},
+                           {"name": "b", "kind": "particle"},
+                           {"name": "c", "kind": "particle"}],
+            "bits": ["m"] if measure else [],
+            "instructions": instructions}
+
+
+def test_prepare_into_vanishing_weight_runs(tmp_path):
+    # one quarter turn moves |1H> to |1V>, where the blocked absorber takes it
+    path = tmp_path / "vanishing.json"
+    path.write_text(json.dumps(_zero_weight_doc(1, measure=False)))
+    flags = ["--cycles", "1", "--theta", "pi-over-2n"]
+    proc = run_cli("simulate", str(path), *flags)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["success_probability"] < 1e-30
+    proc = run_cli("oracle-check", str(path), *flags)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].startswith("PASS")
+
+
+@pytest.mark.parametrize("flags", [["--ideal"], ["--cycles", "3"]])
+def test_prepare_into_zero_weight_has_no_branches(tmp_path, flags):
+    # the photon starts on its sink, which the interrogation prunes
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(_zero_weight_doc(3, measure=True)))
+    proc = run_cli("simulate", str(path), *flags)
+    assert proc.returncode == 2, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["branches"] == []
+    assert out["success_probability"] == 0
+    proc = run_cli("oracle-check", str(path), *flags)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].startswith("PASS")
 
 
 def test_emitters_never_print_negative_zero():

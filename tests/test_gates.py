@@ -25,7 +25,6 @@ from zenosim.state import (
     PH_SINK,
     PH_ZERO,
     ClassicalRegister,
-    apply_local,
     new_state,
     norm_sq,
     particle,
@@ -102,40 +101,26 @@ def test_gate_kind_mismatch_rejected():
 
 
 def test_prepare_pm_signs():
-    state = new_state([particle("a")], [BLOCKED])
-    plus = prepare_particle_pm(state, "a", "+")
-    minus = prepare_particle_pm(state, "a", "-")
-    assert plus.amps[OPEN] == pytest.approx(1 / np.sqrt(2))
-    assert minus.amps[OPEN] == pytest.approx(-1 / np.sqrt(2))
-    with pytest.raises(ValueError):
-        prepare_particle_pm(state, "a", "x")
+    plus = prepare_particle_pm(particle("a"), "+")
+    minus = prepare_particle_pm(particle("a"), "-")
+    assert plus[BLOCKED] == minus[BLOCKED] == pytest.approx(1 / np.sqrt(2))
+    assert plus[OPEN] == pytest.approx(1 / np.sqrt(2))
+    assert minus[OPEN] == pytest.approx(-1 / np.sqrt(2))
+    assert plus[2] == minus[2] == 0.0
+    with pytest.raises(ValueError, match="sign"):
+        prepare_particle_pm(particle("a"), "x")
+    with pytest.raises(ValueError, match="2-position"):
+        prepare_particle_pm(particle("a", positions=3), "+")
+    with pytest.raises(ValueError, match="'p' is not a particle"):
+        prepare_particle_pm(photon("p"), "+")
 
 
 def test_prepare_uniform_three_positions():
-    state = new_state([particle("a", positions=3)], [2])
-    out = prepare_particle_uniform(state, "a")
-    assert np.allclose(out.amps[:3], np.full(3, 1 / np.sqrt(3)), atol=1e-14)
-    assert out.amps[3] == pytest.approx(0.0)
-
-
-def test_prepare_rejects_superposed_particle():
-    state = new_state([particle("a")], [BLOCKED])
-    spread = particle_h(state, "a")
-    with pytest.raises(ValueError):
-        prepare_particle_pm(spread, "a", "+")
-
-
-def test_prepare_rejects_entangled_particle():
-    state = new_state([photon("p"), particle("a")], [PH_ZERO, BLOCKED])
-    state = photon_h(state, "p")
-    # correlate the particle position with the photon logical level
-    m = np.eye(12, dtype=np.complex128)
-    h1 = np.ravel_multi_index((PH_ONE_H, BLOCKED), (4, 3))
-    h2 = np.ravel_multi_index((PH_ONE_H, OPEN), (4, 3))
-    m[[h1, h2]] = m[[h2, h1]]
-    entangled = apply_local(state, ["p", "a"], m)
-    with pytest.raises(ValueError):
-        prepare_particle_uniform(entangled, "a")
+    out = prepare_particle_uniform(particle("a", positions=3))
+    assert np.allclose(out[:3], np.full(3, 1 / np.sqrt(3)), atol=1e-14)
+    assert out[3] == 0.0
+    with pytest.raises(ValueError, match="'p' is not a particle"):
+        prepare_particle_uniform(photon("p"))
 
 
 def test_classically_controlled_noop_on_zero():

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from zenosim.interrogation import (
-    EXPLICIT,
     KEEP,
     PI_OVER_2N,
     PI_OVER_N,
@@ -69,8 +68,9 @@ def test_theta_rules_and_explicit():
     assert float(theta_value(QiParams(cycles=10))) == pytest.approx(np.pi / 10)
     assert float(theta_value(QiParams(cycles=10, theta_rule=PI_OVER_2N))) == \
         pytest.approx(np.pi / 20)
-    params = QiParams(cycles=3, theta_rule="explicit", theta=0.3)
-    assert float(theta_value(params)) == pytest.approx(0.3)
+    # a free per-cycle angle is not a rule; pi/N and pi/2N are the only two
+    with pytest.raises(ValueError, match="unknown theta rule 'explicit'"):
+        QiParams(cycles=3, theta_rule="explicit")
 
 
 def test_params_validation():
@@ -82,8 +82,6 @@ def test_params_validation():
         QiParams(absorb_prob=1.5)
     with pytest.raises(ValueError):
         QiParams(cycle_loss=1.0)
-    with pytest.raises(ValueError):
-        QiParams(theta_rule="explicit")
     with pytest.raises(ValueError):
         QiParams(residual_v_policy="discard")
 
@@ -119,8 +117,8 @@ def test_zeno_convergence_bound():
 
 def test_partial_absorber_splits_vertical_weight():
     eps = 0.3
-    params = QiParams(cycles=1, theta_rule="explicit", theta=np.pi / 2,
-                      absorb_prob=eps, residual_v_policy=KEEP)
+    params = QiParams(cycles=1, theta_rule=PI_OVER_2N, absorb_prob=eps,
+                      residual_v_policy=KEEP)
     out = qi_run(_pair(PH_ONE_H, BLOCKED), "p", ["b"], [BLOCKED], params)
     # quarter turn puts everything vertical; absorber takes eps of it
     assert level_weight(out, "p", PH_ONE_V) == pytest.approx(1 - eps)
@@ -291,10 +289,9 @@ def test_engine_matches_literal_cycle_loop(config, n):
     names = [f"b{i}" for i in range(len(positions))]
     for eps in (0.0, 0.3, 0.9, 1.0):
         for lam in (0.0, 1e-6):
-            for rule in (PI_OVER_N, PI_OVER_2N, EXPLICIT):
-                theta = rng.uniform(0.05, 1.5) if rule == EXPLICIT else None
-                params = QiParams(cycles=n, theta_rule=rule, theta=theta,
-                                  absorb_prob=eps, cycle_loss=lam)
+            for rule in (PI_OVER_N, PI_OVER_2N):
+                params = QiParams(cycles=n, theta_rule=rule, absorb_prob=eps,
+                                  cycle_loss=lam)
                 ref = _reference_cycles(state, positions, blocking, params)
                 for policy in (ROUTE_TO_SINK, KEEP):
                     got = qi_run(state, "p", names, list(blocking),

@@ -182,13 +182,17 @@ def test_norm_deficit_is_missing_weight():
 
 def test_add_subsystem_and_level_weight():
     state = new_state([photon("p")], [0])
-    state = add_subsystem(state, particle("b"), 1)
+    state = add_subsystem(state, particle("b"), np.array([0.0, 1.0, 0.0]))
     assert level_weight(state, "b", 1) == pytest.approx(1.0)
     vec = np.array([0.6, 0.8, 0.0], dtype=np.complex128)
     state = add_subsystem(state, particle("q"), vec)
     assert level_weight(state, "q", 0) == pytest.approx(0.36)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="normalized"):
         add_subsystem(state, particle("r"), np.array([1.0, 1.0, 0.0]))
+    with pytest.raises(ValueError, match="length 3"):
+        add_subsystem(state, particle("r"), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="already present"):
+        add_subsystem(state, particle("q"), vec)
 
 
 def test_fidelity_contract():
