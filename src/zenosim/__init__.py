@@ -32,14 +32,13 @@ from .circuits import (
 from .gates import ImperfectionProfile
 from .interrogation import QiParams, effective_map, qi_run, qicz, qicz_multi
 from .oracle import brute_force_run, compare
-from .state import ClassicalRegister, StateVector, SubsystemSpec, particle, photon
+from .state import StateVector, SubsystemSpec, particle, photon
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CNOT_FAMILIES",
     "CircuitProgram",
-    "ClassicalRegister",
     "ImperfectionProfile",
     "Instruction",
     "QiParams",

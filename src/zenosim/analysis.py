@@ -68,16 +68,15 @@ def fidelity_sweep(n_values, absorb: float = 1.0,
                    loss: float = 0.0) -> list[SweepRow]:
     """Overlap of the finite-cycle interrogation CZ with its exact limit on
     the uniform two-qubit input, per cycle count."""
-    sqh = 1.0 / np.sqrt(2.0)
+    state = _blocked_pair([0, BLOCKED])
+    amps = np.zeros_like(state.amps)
+    amps[0, BLOCKED] = amps[0, OPEN] = 0.5
+    amps[PH_ONE_H, BLOCKED] = amps[PH_ONE_H, OPEN] = 0.5
+    state = StateVector(state.layout, amps)
+    ideal = qicz(state, "p", "b", QiParams(cycles=None))
+    ideal = StateVector(ideal.layout, ideal.amps / np.sqrt(norm_sq(ideal)))
     rows = []
     for n in n_values:
-        state = _blocked_pair([0, BLOCKED])
-        amps = np.zeros_like(state.amps)
-        amps[0, BLOCKED] = amps[0, OPEN] = 0.5
-        amps[PH_ONE_H, BLOCKED] = amps[PH_ONE_H, OPEN] = 0.5
-        state = StateVector(state.layout, amps)
-        ideal = qicz(state, "p", "b", QiParams(cycles=None))
-        ideal = StateVector(ideal.layout, ideal.amps / np.sqrt(norm_sq(ideal)))
         params = QiParams(cycles=int(n), absorb_prob=absorb, cycle_loss=loss)
         out = qicz(state, "p", "b", params)
         out = StateVector(out.layout, out.amps / np.sqrt(norm_sq(out)))

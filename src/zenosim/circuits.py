@@ -4,9 +4,12 @@ generator, multi-particle Toffoli, configurable interrogation wiring,
 W-state generator, teleportation memory, and the CNOT families.
 
 Every fact about an op lives in one row of `OPS`: its argument schema, the
-subsystems and bits its arguments name, its census class, the imperfection
-field it is charged, and its engine action.  The validator, the census, the
-profile draws and the interpreter all read that table.  One instruction
+subsystems and bits its arguments name, its census class (which alone
+fixes the imperfection field it is charged, through `gates.CHARGED`), and
+its engine action.  The validator, the census, the profile draws and the
+interpreter all read that table.  The classical record of a walk is a plain
+dict of bit name to value; the validator alone enforces that a bit is
+written before it is read.  One instruction
 loop runs a program a segment at a time, from the start or one measurement
 outcome up to the next measurement; `run_all_branches` builds every
 segment of a fresh tree, and `run` keeps the tree on the program and walks
@@ -36,10 +39,10 @@ from .state import (
     PHOTON_COMPUTATIONAL,
     PHOTON_FAIL,
     QUDIT_POSITION,
-    ClassicalRegister,
     StateVector,
     SubsystemSpec,
     add_subsystem,
+    basis_outcomes,
     branch_all,
     norm_sq,
     particle,
@@ -123,23 +126,21 @@ MEASUREMENT_BASES = {
 class _Context(NamedTuple):
     program: CircuitProgram
     params: QiParams
-    register: ClassicalRegister
+    classical: dict  # bit name -> recorded value
 
 
 @dataclass
 class OpSpec:
     """One op.  `args` and `optional` map argument names to their types.
     `action(state, args, context)` returns the next state; a measurement
-    has none, because the walk's policy measures.  `census` and `charge`
-    (the ImperfectionProfile field whose Bernoulli draw the op consumes)
-    are a dict per basis for a measurement.  `values(args, program, arity)`
-    is how many values a bit the op writes can hold."""
+    has none, because the walk's policy measures.  `census` is a dict per
+    basis for a measurement.  `values(args, program, arity)` is how many
+    values a bit the op writes can hold."""
 
     args: dict
     action: Callable | None
     optional: dict = field(default_factory=dict)
     census: str | dict | None = None
-    charge: str | dict | None = None
     values: Callable | None = None
 
     def __post_init__(self):
@@ -157,7 +158,7 @@ def _gate(name: str):
 
 def _controlled(op: str):
     return lambda state, a, ctx: gates.classically_controlled(
-        state, ctx.register, a["bit"], op, a["target"])
+        state, ctx.classical[a["bit"]], op, a["target"])
 
 
 def _prepare(state: StateVector, args: dict, ctx: _Context) -> StateVector:
@@ -186,17 +187,13 @@ def _prepare(state: StateVector, args: dict, ctx: _Context) -> StateVector:
 
 
 def _xor(state: StateVector, a: dict, ctx: _Context) -> StateVector:
-    ctx.register.set(a["out"], ctx.register.get(a["a"]) ^ ctx.register.get(a["b"]))
+    ctx.classical[a["out"]] = ctx.classical[a["a"]] ^ ctx.classical[a["b"]]
     return state
 
 
 def _measured_values(a: dict, program: CircuitProgram, arity: dict) -> int:
-    # a failure outcome ends the run, so a position basis records one of the
-    # particle's positions and every other basis 0 or 1
-    spec = program.spec(a["target"])
-    if a["basis"] in (PHOTON_COMPUTATIONAL, PARTICLE_PM) or spec.kind != "particle":
-        return 2
-    return spec.positions()
+    # the last outcome is the failure one, which ends the run unrecorded
+    return len(basis_outcomes(program.spec(a["target"]), a["basis"])) - 1
 
 
 def _xor_values(a: dict, program: CircuitProgram, arity: dict) -> int:
@@ -209,35 +206,32 @@ _TARGET = {"target": SUBSYSTEM}
 OPS = {
     "prepare": OpSpec({"target": PREPARED}, _prepare, optional={
         "level": INTEGER, "pm": TEXT, "uniform": FLAG, "state": AMPLITUDES}),
-    "photon_h": OpSpec(_TARGET, _gate("photon_h"), census="h_optical", charge="p"),
+    "photon_h": OpSpec(_TARGET, _gate("photon_h"), census="h_optical"),
     "photon_x": OpSpec(_TARGET, _gate("photon_x")),
     "photon_z": OpSpec(_TARGET, _gate("photon_z")),
-    "particle_h": OpSpec(_TARGET, _gate("particle_h"), census="h_particle",
-                         charge="s"),
+    "particle_h": OpSpec(_TARGET, _gate("particle_h"), census="h_particle"),
     "particle_x": OpSpec(_TARGET, _gate("particle_x")),
     "particle_z": OpSpec(_TARGET, _gate("particle_z")),
     "qicz": OpSpec(
         {"photon": SUBSYSTEM, "particle": SUBSYSTEM},
         lambda state, a, ctx: qicz(state, a["photon"], a["particle"], ctx.params),
-        census="qicz", charge="q"),
+        census="qicz"),
     "qicz_multi": OpSpec(
         {"photon": SUBSYSTEM, "particles": SUBSYSTEMS},
         lambda state, a, ctx: qicz_multi(state, a["photon"], a["particles"],
                                          ctx.params, blocking=a.get("blocking")),
-        optional={"blocking": BLOCKING}, census="qicz", charge="q"),
+        optional={"blocking": BLOCKING}, census="qicz"),
     "measure": OpSpec({"target": MEASURED, "basis": BASIS, "bit": WRITE}, None,
-                      census=MEASUREMENT_BASES,
-                      charge={PHOTON_COMPUTATIONAL: "eta"},
-                      values=_measured_values),
+                      census=MEASUREMENT_BASES, values=_measured_values),
     "cx": OpSpec({"bit": CONTROL, "target": SUBSYSTEM}, _controlled("cx"),
-                 census="cc", charge="r"),
+                 census="cc"),
     "cz": OpSpec({"bit": CONTROL, "target": SUBSYSTEM}, _controlled("cz"),
-                 census="cc", charge="r"),
+                 census="cc"),
     "cphase": OpSpec(
         {"key": READ, "target": SUBSYSTEM, "coeff": NUMBER},
         lambda state, a, ctx: gates.classically_controlled_phase(
-            state, ctx.register, a["key"], a["target"], a["coeff"]),
-        census="cc", charge="r"),
+            state, ctx.classical[a["key"]], a["target"], a["coeff"]),
+        census="cc"),
     "xor": OpSpec({"a": READ, "b": READ, "out": WRITE}, _xor, values=_xor_values),
 }
 
@@ -265,19 +259,17 @@ class Instruction:
                 raise ValueError(f"{self.op} argument {name!r} must be "
                                  f"{kind.describe}, got {self.args[name]!r}")
 
-    def _per_basis(self, value):
-        return value.get(self.args["basis"]) if isinstance(value, dict) else value
-
     @cached_property
     def census(self) -> str | None:
         """Component class the gate census counts this instruction in."""
-        return self._per_basis(OPS[self.op].census)
+        census = OPS[self.op].census
+        return census.get(self.args["basis"]) if isinstance(census, dict) else census
 
     @cached_property
     def charge(self) -> str | None:
         """ImperfectionProfile field whose Bernoulli draw this instruction
         consumes, or None for a perfect instruction."""
-        return self._per_basis(OPS[self.op].charge)
+        return gates.CHARGED.get(self.census)
 
 
 @dataclass(frozen=True)
@@ -305,8 +297,9 @@ class CircuitProgram:
 
 def validate_program(program: CircuitProgram) -> None:
     """Static checks: declared names only, prepare-before-use, no use after
-    measurement, classical values written before read, cx/cz only on bits
-    that can hold nothing but 0 and 1, and states within `MAX_AMPLITUDES`."""
+    measurement, classical values written before read, measurement bases
+    that fit their subsystem, cx/cz only on bits that can hold nothing but
+    0 and 1, and states within `MAX_AMPLITUDES`."""
     dims = {s.name: s.dim for s in program.subsystems}
     if len(dims) != len(program.subsystems):
         raise ValueError("duplicate subsystem name")
@@ -333,7 +326,10 @@ def validate_program(program: CircuitProgram) -> None:
                     if name not in bits:
                         raise ValueError(f"{where}: undeclared bit {name!r}")
                     if role == "write":
-                        arity[name] = OPS[instr.op].values(instr.args, program, arity)
+                        try:
+                            arity[name] = OPS[instr.op].values(instr.args, program, arity)
+                        except ValueError as exc:  # a basis that does not fit
+                            raise ValueError(f"{where}: {exc}") from None
                     elif name not in arity:
                         raise ValueError(f"{where}: bit {name!r} read before write")
                     elif role == "control" and arity[name] > 2:
@@ -392,14 +388,16 @@ class _Segment:
     passed, in order, as (profile field, layout a failed draw zeroes,
     classical record at that point).  A measurement leaves its index
     (`measured`) and its `branch_all` list; `children` maps each outcome
-    taken so far to the segment that follows it.  An exception an action
-    raised is kept in `error` and raised when a walk reaches it."""
+    taken so far to the segment that follows it.  A measurement that finds
+    no weight has no branches: a sampled walk ends there failed, with
+    `state` zeroed.  An exception an action raised is kept in `error` and
+    raised when a walk reaches it."""
 
     weight: float  # product of the branch weights that lead here
     state: StateVector | None = None
     classical: dict = field(default_factory=dict)
     charged: list = field(default_factory=list)
-    failed: bool = False  # ends in a failure outcome
+    failed: bool = False  # the walk ends here failed
     error: tuple | None = None  # (exception, traceback)
     measured: int | None = None
     branches: list = field(default_factory=list)
@@ -434,21 +432,27 @@ class _OutcomeTree:
     nbytes: int
 
 
-def _segment(program: CircuitProgram, params: QiParams, register: ClassicalRegister,
+def _zeroed(layout: tuple) -> StateVector:
+    return StateVector(layout, np.zeros(tuple(s.dim for s in layout), dtype=np.complex128))
+
+
+def _segment(program: CircuitProgram, params: QiParams, classical: dict,
              weight: float, state: StateVector, pos: int) -> _Segment:
     """The one instruction loop: run the actions from instruction `pos` up
-    to the next measurement or the end."""
-    seg = _Segment(weight)
-    ctx = _Context(program, params, register)
+    to the next measurement or the end, writing into `classical`."""
+    seg = _Segment(weight, classical=classical)
+    ctx = _Context(program, params, classical)
     try:
         for i in range(pos, len(program.instructions)):
             instr = program.instructions[i]
             if instr.charge:
-                seg.charged.append((instr.charge, state.layout, register.as_dict()))
+                seg.charged.append((instr.charge, state.layout, dict(classical)))
             action = OPS[instr.op].action
             if action is None:
                 seg.branches = branch_all(state, instr.args["target"], instr.args["basis"])
                 seg.measured = i
+                if not seg.branches:
+                    seg.state, seg.failed = _zeroed(state.layout), True
                 break
             state = action(state, instr.args, ctx)
         else:
@@ -457,12 +461,11 @@ def _segment(program: CircuitProgram, params: QiParams, register: ClassicalRegis
         # a program the validator accepts can still fail here (an unnormalized
         # prepared vector, say); a run raises it only once its draws get here
         seg.error = (exc, exc.__traceback__)
-    seg.classical = register.as_dict()
     return seg
 
 
 def _root(program: CircuitProgram, params: QiParams) -> _Segment:
-    return _segment(program, params, ClassicalRegister(), 1.0,
+    return _segment(program, params, {}, 1.0,
                     StateVector((), np.ones((), dtype=np.complex128)), 0)
 
 
@@ -472,15 +475,12 @@ def _child(program: CircuitProgram, params: QiParams, seg: _Segment,
     failure outcome ends the walk."""
     outcome, post, prob = seg.branches[index]
     instr = program.instructions[seg.measured]
-    register = ClassicalRegister()
-    for k, v in seg.classical.items():
-        register.set(k, v)
-    register.set(instr.args["bit"], outcome)
+    classical = {**seg.classical, instr.args["bit"]: outcome}
     spec = program.spec(instr.args["target"])
     failure = PHOTON_FAIL if spec.kind == "photon" else spec.exploded_level()
     if outcome == failure:
-        return _Segment(seg.weight * prob, post, register.as_dict(), failed=True)
-    return _segment(program, params, register, seg.weight * prob, post,
+        return _Segment(seg.weight * prob, post, classical, failed=True)
+    return _segment(program, params, classical, seg.weight * prob, post,
                     seg.measured + 1)
 
 
@@ -490,7 +490,8 @@ def run(program: CircuitProgram, params: QiParams | None = None,
     """Single sampled trajectory.  Measurement outcomes are drawn with Born
     probabilities; with a profile, each charged instruction draws one
     uniform from `rng` before it acts, and a failed draw zeroes the state
-    and heralds the run failed.
+    and heralds the run failed.  A measurement that finds no weight left
+    ends the run the same way, with nothing drawn for it.
 
     The segments between measurements are deterministic, so the program
     keeps the tree of those it has run for the last `params`, up to
@@ -508,13 +509,11 @@ def run(program: CircuitProgram, params: QiParams | None = None,
         if profile is not None:
             for charge, layout, classical in seg.charged:
                 if rng.random() >= getattr(profile, charge):
-                    zero = np.zeros(tuple(s.dim for s in layout), dtype=np.complex128)
-                    return RunResult(StateVector(layout, zero), dict(classical), 0.0,
-                                     True, seg.weight)
-        if seg.measured is None:
+                    return RunResult(_zeroed(layout), dict(classical), 0.0, True,
+                                     seg.weight)
+        if seg.measured is None or seg.failed:
             return seg.result(copy=True)
-        target = program.instructions[seg.measured].args["target"]
-        index = sample_branch(seg.branches, target, rng)
+        index = sample_branch(seg.branches, rng)
         outcome = seg.branches[index][0]
         child = seg.children.get(outcome)
         if child is None:

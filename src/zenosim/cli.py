@@ -221,8 +221,8 @@ def _params_from(args) -> QiParams:
                     absorb_prob=args.absorb, cycle_loss=args.loss)
 
 
-def _add_param_flags(sub, default_cycles=10000):
-    sub.add_argument("--cycles", type=int, default=default_cycles,
+def _add_param_flags(sub):
+    sub.add_argument("--cycles", type=int, default=10000,
                      help="interrogation cycles per gate")
     sub.add_argument("--ideal", action="store_true",
                      help="use the exact many-cycle limit instead")
@@ -232,6 +232,16 @@ def _add_param_flags(sub, default_cycles=10000):
                      help="absorber interaction probability")
     sub.add_argument("--loss", type=float, default=0.0,
                      help="per-cycle photon loss")
+
+
+def _verdict(worst: float) -> int:
+    """Print PASS or FAIL for the largest oracle deviation and return the
+    exit code."""
+    if worst <= ORACLE_TOLERANCE:
+        print(f"PASS max_deviation<={_num(ORACLE_TOLERANCE)}")
+        return 0
+    print(f"FAIL max_deviation={_num(worst)}")
+    return 2
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +303,7 @@ def _cmd_cnot(args) -> int:
         dev = oracle.compare(program, params)
         worst = max(worst, dev)
         print(f"input {label}: deviation={_num(dev)}")
-    if worst <= ORACLE_TOLERANCE:
-        print(f"PASS max_deviation<={_num(ORACLE_TOLERANCE)}")
-        return 0
-    print(f"FAIL max_deviation={_num(worst)}")
-    return 2
+    return _verdict(worst)
 
 
 def _cmd_census(args) -> int:
@@ -353,11 +359,7 @@ def _cmd_oracle_check(args) -> int:
     params = _params_from(args)
     dev = oracle.compare(program, params)
     print(f"deviation={_num(dev)}")
-    if dev <= ORACLE_TOLERANCE:
-        print(f"PASS max_deviation<={_num(ORACLE_TOLERANCE)}")
-        return 0
-    print(f"FAIL max_deviation={_num(dev)}")
-    return 2
+    return _verdict(dev)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,6 +1,6 @@
 """Ideal single-subsystem gates, the level vectors of the pm and uniform
 particle preparations, classically controlled corrections, and the
-component-imperfection profile.
+component-imperfection profile with the census classes it charges.
 
 A preparation helper only builds the fresh particle's vector; the
 interpreter appends it to the state in one step with
@@ -8,7 +8,13 @@ interpreter appends it to the state in one step with
 Photon gates act on the {|0>, |1H>} logical block and leave |1V> and the
 sink alone.  Particle gates act on the position block and leave the
 exploded level alone; for a particle with more than two positions,
-particle_h is the discrete Fourier transform over the positions.
+particle_h is the discrete Fourier transform over the positions.  A
+classically controlled correction takes the recorded value itself; the
+interpreter reads it from its classical record, a plain dict of bit name to
+value, whose read-before-write rule the program validator enforces.
+
+An instruction's census class alone fixes the profile field it is charged,
+through `CHARGED`.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from .state import (
     OPEN,
     PH_ONE_H,
     PH_ZERO,
-    ClassicalRegister,
     StateVector,
     SubsystemSpec,
     apply_local,
@@ -120,10 +125,9 @@ def prepare_particle_uniform(spec: SubsystemSpec) -> np.ndarray:
     return vec
 
 
-def classically_controlled(state: StateVector, register: ClassicalRegister,
-                           bit: str, gate: str, target: str) -> StateVector:
-    """Apply cX or cZ on the target iff the named bit is 1."""
-    value = register.get(bit)
+def classically_controlled(state: StateVector, value: int, gate: str,
+                           target: str) -> StateVector:
+    """Apply cX or cZ on the target iff the recorded bit value is 1."""
     if gate not in ("cx", "cz"):
         raise ValueError(f"unknown controlled gate {gate!r}")
     if value == 0:
@@ -134,11 +138,10 @@ def classically_controlled(state: StateVector, register: ClassicalRegister,
     return photon_z(state, target) if kind == "photon" else particle_z(state, target)
 
 
-def classically_controlled_phase(state: StateVector, register: ClassicalRegister,
-                                 key: str, target: str, coeff: float) -> StateVector:
-    """Phase exp(i * coeff * outcome) on the photon's |1H> level, controlled
-    by a recorded integer outcome."""
-    value = register.get(key)
+def classically_controlled_phase(state: StateVector, value: int, target: str,
+                                 coeff: float) -> StateVector:
+    """Phase exp(i * coeff * value) on the photon's |1H> level, for a
+    recorded integer outcome `value`."""
     _expect_kind(state.spec(target), "photon")
     m = np.eye(4, dtype=np.complex128)
     m[PH_ONE_H, PH_ONE_H] = np.exp(1j * coeff * value)
@@ -149,8 +152,9 @@ def classically_controlled_phase(state: StateVector, register: ClassicalRegister
 class ImperfectionProfile:
     """Per-component success probabilities: p for optical H, q for the
     interrogation CZ, r for classically controlled corrections, s for the
-    particle H, eta for photon detection.  Particle preparation and
-    particle measurement are taken as perfect."""
+    particle H, eta for photon detection (`CHARGED` maps each census class
+    to its field).  Particle preparation and particle measurement are taken
+    as perfect."""
 
     p: float = 1.0
     q: float = 1.0
@@ -164,3 +168,8 @@ class ImperfectionProfile:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{field} must lie in [0, 1]")
 
+
+# census class -> the ImperfectionProfile field an instruction of that class
+# is charged; classes not listed (particle measurements) are perfect
+CHARGED = {"h_optical": "p", "qicz": "q", "cc": "r", "h_particle": "s",
+           "detectors": "eta"}

@@ -47,28 +47,6 @@ PM_EXPLODED = 2
 PHOTON_FAIL = 2
 
 
-class ClassicalRegister:
-    """Named measurement outcomes: bits (0/1) and qudit results (integers).
-
-    Reading a name that was never written is an error; this catches
-    corrections wired to a measurement that never ran.
-    """
-
-    def __init__(self):
-        self._values: dict[str, int] = {}
-
-    def set(self, name: str, value: int) -> None:
-        self._values[name] = int(value)
-
-    def get(self, name: str) -> int:
-        if name not in self._values:
-            raise KeyError(f"classical value {name!r} was never written")
-        return self._values[name]
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self._values)
-
-
 @dataclass(frozen=True)
 class SubsystemSpec:
     name: str
@@ -183,9 +161,11 @@ def apply_local(state: StateVector, targets: list[str], op: np.ndarray) -> State
     return StateVector(state.layout, out)
 
 
-def _basis_vectors(spec: SubsystemSpec, basis: str) -> list[tuple[int, np.ndarray | None]]:
+def basis_outcomes(spec: SubsystemSpec, basis: str) -> list[tuple[int, np.ndarray | None]]:
     """Outcome list as (outcome, factor vector); None marks the pooled photon
-    failure outcome whose projection has rank 2."""
+    failure outcome whose projection has rank 2.  The last outcome is always
+    the failure one (pooled photon failure or exploded particle).  Raises
+    ValueError when the basis does not fit the subsystem."""
     d = spec.dim
     if basis == PHOTON_COMPUTATIONAL:
         if spec.kind != "photon":
@@ -234,7 +214,7 @@ def branch_all(state: StateVector, target: str, basis: str):
     axis = state.axis(target)
     spec = state.layout[axis]
     out = []
-    for outcome, factor in _basis_vectors(spec, basis):
+    for outcome, factor in basis_outcomes(spec, basis):
         layout, amp = _project_branch(state, axis, factor)
         w = float(np.vdot(amp, amp).real)
         if w > BRANCH_CUTOFF:
@@ -242,13 +222,11 @@ def branch_all(state: StateVector, target: str, basis: str):
     return out
 
 
-def sample_branch(branches: list, target: str, rng: np.random.Generator) -> int:
-    """Index of one `branch_all` entry drawn with Born probabilities, from
-    one uniform of `rng`; the last branch takes any rounding remainder."""
-    total = sum(w for _, _, w in branches)
-    if total < BRANCH_CUTOFF:
-        raise ValueError(f"impossible measurement: no weight on {target!r}")
-    u = rng.random() * total
+def sample_branch(branches: list, rng: np.random.Generator) -> int:
+    """Index of one entry of a non-empty `branch_all` list drawn with Born
+    probabilities, from one uniform of `rng`; the last branch takes any
+    rounding remainder."""
+    u = rng.random() * sum(w for _, _, w in branches)
     acc = 0.0
     for index, (_, _, w) in enumerate(branches[:-1]):
         acc += w

@@ -27,6 +27,7 @@ from zenosim.circuits import (
 from zenosim.gates import ImperfectionProfile
 from zenosim.interrogation import QiParams
 from zenosim.state import (
+    PARTICLE_COMPUTATIONAL,
     PARTICLE_PM,
     PHOTON_COMPUTATIONAL,
     QUDIT_POSITION,
@@ -94,6 +95,22 @@ def test_unknown_basis():
         CircuitProgram((photon("p"),), ("b",), (
             _ins("prepare", target="p", level=0),
             _ins("measure", target="p", basis="diagonal", bit="b"),
+        ))
+
+
+@pytest.mark.parametrize("spec,basis,message", [
+    (photon("x"), PARTICLE_PM, "basis 'particle_pm' needs a particle, got 'x'"),
+    (photon("x"), PARTICLE_COMPUTATIONAL, "needs a particle"),
+    (photon("x"), QUDIT_POSITION, "needs a particle"),
+    (particle("x", positions=3), PARTICLE_PM,
+     "particle_pm basis needs a 2-position particle"),
+    (particle("x"), PHOTON_COMPUTATIONAL, "x is not a photon"),
+])
+def test_basis_that_does_not_fit_is_rejected_at_construction(spec, basis, message):
+    with pytest.raises(ValueError, match=rf"^instructions\[1\]: .*{message}"):
+        CircuitProgram((spec,), ("b",), (
+            _ins("prepare", target="x", level=0),
+            _ins("measure", target="x", basis=basis, bit="b"),
         ))
 
 

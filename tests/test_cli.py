@@ -342,6 +342,15 @@ def test_prepare_into_zero_weight_has_no_branches(tmp_path, flags):
     out = json.loads(proc.stdout)
     assert out["branches"] == []
     assert out["success_probability"] == 0
+    # a sampled run ends at the measurement as a failed profile draw would
+    proc = run_cli("simulate", str(path), *flags, "--branches", "sample")
+    assert proc.returncode == 2, proc.stderr
+    (branch,) = json.loads(proc.stdout)["branches"]
+    assert branch["failed"] is True
+    assert branch["success_probability"] == 0
+    assert branch["classical"] == {}
+    assert branch["state"]["subsystems"] == ["p", "b", "c"]
+    assert not any(x for pair in branch["state"]["amplitudes"] for x in pair)
     proc = run_cli("oracle-check", str(path), *flags)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[1].startswith("PASS")

@@ -1,10 +1,13 @@
 """Single-subsystem gates, preparation, classical corrections, imperfections."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from zenosim.circuits import OPS, Instruction
+from zenosim.circuits import CENSUS_CLASSES, Instruction
 from zenosim.gates import (
+    CHARGED,
     ImperfectionProfile,
     classically_controlled,
     classically_controlled_phase,
@@ -24,7 +27,6 @@ from zenosim.state import (
     PH_ONE_V,
     PH_SINK,
     PH_ZERO,
-    ClassicalRegister,
     new_state,
     norm_sq,
     particle,
@@ -124,55 +126,37 @@ def test_prepare_uniform_three_positions():
 
 
 def test_classically_controlled_noop_on_zero():
-    reg = ClassicalRegister()
-    reg.set("b", 0)
     state = new_state([photon("p")], [PH_ONE_H])
-    out = classically_controlled(state, reg, "b", "cx", "p")
+    out = classically_controlled(state, 0, "cx", "p")
     assert np.allclose(out.amps, state.amps)
 
 
 def test_classically_controlled_applies_on_one():
-    reg = ClassicalRegister()
-    reg.set("b", 1)
     state = new_state([photon("p")], [PH_ONE_H])
-    out = classically_controlled(state, reg, "b", "cx", "p")
+    out = classically_controlled(state, 1, "cx", "p")
     assert out.amps[PH_ZERO] == pytest.approx(1.0)
-    out = classically_controlled(state, reg, "b", "cz", "p")
+    out = classically_controlled(state, 1, "cz", "p")
     assert out.amps[PH_ONE_H] == pytest.approx(-1.0)
 
 
 def test_classically_controlled_particle_target():
-    reg = ClassicalRegister()
-    reg.set("b", 1)
     state = new_state([particle("a")], [BLOCKED])
-    out = classically_controlled(state, reg, "b", "cx", "a")
+    out = classically_controlled(state, 1, "cx", "a")
     assert out.amps[OPEN] == pytest.approx(1.0)
 
 
 def test_classically_controlled_unknown_gate():
-    reg = ClassicalRegister()
-    reg.set("b", 1)
     state = new_state([photon("p")], [PH_ZERO])
     with pytest.raises(ValueError):
-        classically_controlled(state, reg, "b", "ct", "p")
-
-
-def test_classically_controlled_missing_bit():
-    reg = ClassicalRegister()
-    state = new_state([photon("p")], [PH_ZERO])
-    with pytest.raises(KeyError):
-        classically_controlled(state, reg, "b", "cx", "p")
+        classically_controlled(state, 1, "ct", "p")
 
 
 def test_cphase_rotates_h_level_by_recorded_outcome():
-    reg = ClassicalRegister()
-    reg.set("k", 2)
     coeff = -2 * np.pi / 3
     state = new_state([photon("p")], [PH_ONE_H])
-    out = classically_controlled_phase(state, reg, "k", "p", coeff)
+    out = classically_controlled_phase(state, 2, "p", coeff)
     assert out.amps[PH_ONE_H] == pytest.approx(np.exp(1j * coeff * 2))
-    reg.set("k", 0)
-    out = classically_controlled_phase(state, reg, "k", "p", coeff)
+    out = classically_controlled_phase(state, 0, "p", coeff)
     assert out.amps[PH_ONE_H] == pytest.approx(1.0)
 
 
@@ -201,5 +185,6 @@ def test_instruction_success_mapping():
     assert success("measure", target="p", basis="photon_computational", bit="m") == 0.5
     assert success("measure", target="b", basis="particle_pm", bit="m") == 1.0
     assert success("prepare", target="b", pm="+") == 1.0
-    assert {spec.charge for spec in OPS.values() if isinstance(spec.charge, str)} \
-        == {"p", "q", "r", "s"}
+    # every profile field is charged by exactly one census class
+    assert set(CHARGED) <= set(CENSUS_CLASSES)
+    assert sorted(CHARGED.values()) == sorted(f.name for f in fields(ImperfectionProfile))

@@ -11,7 +11,6 @@ from zenosim.state import (
     PH_ONE_H,
     PHOTON_COMPUTATIONAL,
     QUDIT_POSITION,
-    ClassicalRegister,
     StateVector,
     add_subsystem,
     apply_local,
@@ -128,8 +127,8 @@ def test_measure_reproducible_and_consistent(seed):
     target = layout[0]
     basis = PHOTON_COMPUTATIONAL if target.kind == "photon" else QUDIT_POSITION
     branches = branch_all(state, target.name, basis)
-    out1 = branches[sample_branch(branches, target.name, np.random.default_rng(seed))]
-    out2 = branches[sample_branch(branches, target.name, np.random.default_rng(seed))]
+    out1 = branches[sample_branch(branches, np.random.default_rng(seed))]
+    out2 = branches[sample_branch(branches, np.random.default_rng(seed))]
     assert out1[0] == out2[0]
     assert out1[2] == out2[2]
     enumerated = {o: w for o, _, w in branch_all(state, target.name, basis)}
@@ -205,15 +204,6 @@ def test_fidelity_contract():
         fidelity(a, sub)
     with pytest.raises(ValueError):
         fidelity(a, new_state([photon("x")], [0]))
-
-
-def test_classical_register():
-    reg = ClassicalRegister()
-    reg.set("m", 1)
-    assert reg.get("m") == 1
-    assert reg.as_dict() == {"m": 1}
-    with pytest.raises(KeyError):
-        reg.get("missing")
 
 
 def test_norm_overflow_rejected():
