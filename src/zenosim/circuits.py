@@ -4,10 +4,10 @@ generator, multi-particle Toffoli, configurable interrogation wiring,
 W-state generator, teleportation memory, and the CNOT families.
 
 Every fact about an op lives in one row of `OPS`: its argument schema, the
-subsystems and bits its arguments name, its census class (which alone
-fixes the imperfection field it is charged, through `gates.CHARGED`), and
-its engine action.  The validator, the census, the profile draws and the
-interpreter all read that table.  The classical record of a walk is a plain
+subsystems (and the kind each must be) and bits its arguments name, its
+census class (which alone fixes the imperfection field it is charged,
+through `gates.CHARGED`), and its engine action.  The validator, the
+census, the profile draws and the interpreter all read that table.  The classical record of a walk is a plain
 dict of bit name to value; the validator alone enforces that a bit is
 written before it is read.  One instruction
 loop runs a program a segment at a time, from the start or one measurement
@@ -82,16 +82,39 @@ class ArgType:
     """What an instruction argument must hold, and the role of the names it
     holds: "subsystem" (in use), "prepare" (enters the state), "measure"
     (leaves it), "basis", "read" (a bit), "control" (a bit that may hold
-    only 0 and 1) or "write" (a bit)."""
+    only 0 and 1) or "write" (a bit).  A subsystem in use must pass
+    `fits`, which `needs` describes."""
 
     describe: str
     check: Callable[[object], bool]
     role: str | None = None
+    needs: str = ""
+    fits: Callable[[SubsystemSpec], bool] | None = None
 
 
-SUBSYSTEM = ArgType("a subsystem name", _is_str, "subsystem")
-SUBSYSTEMS = ArgType("a list of subsystem names",
-                     lambda v: _is_list(v, _is_str), "subsystem")
+def _in_use(needs: str, fits: Callable[[SubsystemSpec], bool]) -> ArgType:
+    return ArgType("a subsystem name", _is_str, "subsystem", needs, fits)
+
+
+def _is_photon(spec: SubsystemSpec) -> bool:
+    return spec.kind == "photon"
+
+
+def _is_particle(spec: SubsystemSpec) -> bool:
+    return spec.kind == "particle"
+
+
+def _is_qubit_particle(spec: SubsystemSpec) -> bool:
+    return _is_particle(spec) and spec.positions() == 2
+
+
+PHOTON = _in_use("a photon", _is_photon)
+PARTICLE = _in_use("a particle", _is_particle)
+PARTICLES = ArgType("a list of subsystem names", lambda v: _is_list(v, _is_str),
+                    "subsystem", "a particle", _is_particle)
+QUBIT_PARTICLE = _in_use("a 2-position particle", _is_qubit_particle)
+PHOTON_OR_QUBIT = _in_use("a photon or a 2-position particle",
+                          lambda spec: _is_photon(spec) or _is_qubit_particle(spec))
 PREPARED = ArgType("a subsystem name", _is_str, "prepare")
 MEASURED = ArgType("a subsystem name", _is_str, "measure")
 BASIS = ArgType("a basis name", _is_str, "basis")
@@ -147,8 +170,8 @@ class OpSpec:
         self.schema = {**self.args, **self.optional}
         # subsystems are checked before bits, each group in argument order
         self.roles = tuple(sorted(
-            ((name, kind.role) for name, kind in self.args.items() if kind.role),
-            key=lambda item: item[1] in ("basis", "read", "control", "write")))
+            ((name, kind) for name, kind in self.args.items() if kind.role),
+            key=lambda item: item[1].role in ("basis", "read", "control", "write")))
 
 
 def _gate(name: str):
@@ -201,34 +224,33 @@ def _xor_values(a: dict, program: CircuitProgram, arity: dict) -> int:
     return 1 << widest.bit_length()
 
 
-_TARGET = {"target": SUBSYSTEM}
-
 OPS = {
     "prepare": OpSpec({"target": PREPARED}, _prepare, optional={
         "level": INTEGER, "pm": TEXT, "uniform": FLAG, "state": AMPLITUDES}),
-    "photon_h": OpSpec(_TARGET, _gate("photon_h"), census="h_optical"),
-    "photon_x": OpSpec(_TARGET, _gate("photon_x")),
-    "photon_z": OpSpec(_TARGET, _gate("photon_z")),
-    "particle_h": OpSpec(_TARGET, _gate("particle_h"), census="h_particle"),
-    "particle_x": OpSpec(_TARGET, _gate("particle_x")),
-    "particle_z": OpSpec(_TARGET, _gate("particle_z")),
+    "photon_h": OpSpec({"target": PHOTON}, _gate("photon_h"), census="h_optical"),
+    "photon_x": OpSpec({"target": PHOTON}, _gate("photon_x")),
+    "photon_z": OpSpec({"target": PHOTON}, _gate("photon_z")),
+    "particle_h": OpSpec({"target": PARTICLE}, _gate("particle_h"),
+                         census="h_particle"),
+    "particle_x": OpSpec({"target": QUBIT_PARTICLE}, _gate("particle_x")),
+    "particle_z": OpSpec({"target": QUBIT_PARTICLE}, _gate("particle_z")),
     "qicz": OpSpec(
-        {"photon": SUBSYSTEM, "particle": SUBSYSTEM},
+        {"photon": PHOTON, "particle": QUBIT_PARTICLE},
         lambda state, a, ctx: qicz(state, a["photon"], a["particle"], ctx.params),
         census="qicz"),
     "qicz_multi": OpSpec(
-        {"photon": SUBSYSTEM, "particles": SUBSYSTEMS},
+        {"photon": PHOTON, "particles": PARTICLES},
         lambda state, a, ctx: qicz_multi(state, a["photon"], a["particles"],
                                          ctx.params, blocking=a.get("blocking")),
         optional={"blocking": BLOCKING}, census="qicz"),
     "measure": OpSpec({"target": MEASURED, "basis": BASIS, "bit": WRITE}, None,
                       census=MEASUREMENT_BASES, values=_measured_values),
-    "cx": OpSpec({"bit": CONTROL, "target": SUBSYSTEM}, _controlled("cx"),
+    "cx": OpSpec({"bit": CONTROL, "target": PHOTON_OR_QUBIT}, _controlled("cx"),
                  census="cc"),
-    "cz": OpSpec({"bit": CONTROL, "target": SUBSYSTEM}, _controlled("cz"),
+    "cz": OpSpec({"bit": CONTROL, "target": PHOTON_OR_QUBIT}, _controlled("cz"),
                  census="cc"),
     "cphase": OpSpec(
-        {"key": READ, "target": SUBSYSTEM, "coeff": NUMBER},
+        {"key": READ, "target": PHOTON, "coeff": NUMBER},
         lambda state, a, ctx: gates.classically_controlled_phase(
             state, ctx.classical[a["key"]], a["target"], a["coeff"]),
         census="cc"),
@@ -297,11 +319,11 @@ class CircuitProgram:
 
 def validate_program(program: CircuitProgram) -> None:
     """Static checks: declared names only, prepare-before-use, no use after
-    measurement, classical values written before read, measurement bases
-    that fit their subsystem, cx/cz only on bits that can hold nothing but
-    0 and 1, and states within `MAX_AMPLITUDES`."""
-    dims = {s.name: s.dim for s in program.subsystems}
-    if len(dims) != len(program.subsystems):
+    measurement, classical values written before read, gate subsystems and
+    measurement bases that fit their subsystem, cx/cz only on bits that can
+    hold nothing but 0 and 1, and states within `MAX_AMPLITUDES`."""
+    specs = {s.name: s for s in program.subsystems}
+    if len(specs) != len(program.subsystems):
         raise ValueError("duplicate subsystem name")
     for i, s in enumerate(program.subsystems):
         if s.dim > MAX_SUBSYSTEM_DIM:
@@ -316,8 +338,9 @@ def validate_program(program: CircuitProgram) -> None:
     arity: dict[str, int] = {}  # bit -> number of values it can hold
     for pos, instr in enumerate(program.instructions):
         where = f"instructions[{pos}]"
-        for arg, role in OPS[instr.op].roles:
-            value = instr.args[arg]
+        row = OPS[instr.op]
+        for arg, kind in row.roles:
+            role, value = kind.role, instr.args[arg]
             for name in [value] if isinstance(value, str) else value:
                 if role == "basis":
                     if name not in MEASUREMENT_BASES:
@@ -327,7 +350,7 @@ def validate_program(program: CircuitProgram) -> None:
                         raise ValueError(f"{where}: undeclared bit {name!r}")
                     if role == "write":
                         try:
-                            arity[name] = OPS[instr.op].values(instr.args, program, arity)
+                            arity[name] = row.values(instr.args, program, arity)
                         except ValueError as exc:  # a basis that does not fit
                             raise ValueError(f"{where}: {exc}") from None
                     elif name not in arity:
@@ -337,7 +360,7 @@ def validate_program(program: CircuitProgram) -> None:
                             f"{where}: {instr.op} needs a 0/1 control, but bit "
                             f"{name!r} can hold 0..{arity[name] - 1}; use cphase "
                             "for integer outcomes")
-                elif name not in dims:
+                elif name not in specs:
                     raise ValueError(f"{where}: undeclared subsystem {name!r}")
                 elif role == "prepare":
                     if name in live:
@@ -345,7 +368,7 @@ def validate_program(program: CircuitProgram) -> None:
                     if name in gone:
                         raise ValueError(f"{where}: {name!r} reused after measurement")
                     live.add(name)
-                    amplitudes *= dims[name]
+                    amplitudes *= specs[name].dim
                     if amplitudes > MAX_AMPLITUDES:
                         raise ValueError(
                             f"{where}: preparing {name!r} makes a state of "
@@ -358,7 +381,13 @@ def validate_program(program: CircuitProgram) -> None:
                 elif role == "measure":
                     live.remove(name)
                     gone.add(name)
-                    amplitudes //= dims[name]
+                    amplitudes //= specs[name].dim
+                elif kind.fits and not kind.fits(specs[name]):
+                    spec = specs[name]
+                    what = ("a photon" if _is_photon(spec)
+                            else f"a {spec.positions()}-position particle")
+                    raise ValueError(f"{where}: {instr.op} argument {arg!r} needs "
+                                     f"{kind.needs}, but {name!r} is {what}")
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Brute-force cross-check of circuit execution.
 
 This module re-runs a program with its own machinery: every gate is built
-as an explicit full-space matrix (operator kron identity, reindexed into
-the live subsystem order) and applied by plain matrix-vector product, and
-measurements contract with explicit projector rows.  The interrogation
+as an explicit full-space matrix, operator kron identity, and applied by
+one plain matrix-vector product to the vector permuted so that the gate's
+subsystems come first (then permuted back to the live subsystem order),
+and measurements contract with explicit projector rows.  The interrogation
 step uses either its exact diagonal limit or the linear map extracted
 column-by-column from the cycle engine, so agreement between the two
 runners checks everything downstream of that map.
@@ -145,16 +146,29 @@ class _OracleState:
         self.dims[name] = dim
 
     def apply(self, front: list[str], op: np.ndarray) -> None:
+        """One dense full-space product: kron(op, I_rest) acts on the vector
+        reordered to the front subsystems (in the given order) followed by
+        the rest, and the result is put back in the live order."""
+        front_dim = prod(self.dims[n] for n in front)
+        if op.shape != (front_dim, front_dim):
+            raise ValueError(f"operator of shape {op.shape} does not act on "
+                             f"{front!r} ({front_dim} levels)")
         rest = [n for n in self.names if n not in front]
-        rest_dim = prod(self.dims[n] for n in rest) if rest else 1
-        full = np.kron(op, np.eye(rest_dim, dtype=np.complex128))
-        shape = self.shape()
-        digits = np.unravel_index(np.arange(self.vec.size), shape)
+        rest_dim = prod(self.dims[n] for n in rest)
+        # kron(op, I_rest), written block by block onto the diagonal
+        full = np.zeros((front_dim, rest_dim, front_dim, rest_dim),
+                        dtype=np.complex128)
+        idx = np.arange(rest_dim)
+        full[:, idx, :, idx] = op
+        full = full.reshape(front_dim * rest_dim, front_dim * rest_dim)
+        digits = np.unravel_index(np.arange(self.vec.size), self.shape())
         by_name = dict(zip(self.names, digits))
         order = front + rest
         pi = np.ravel_multi_index([by_name[n] for n in order],
                                   tuple(self.dims[n] for n in order))
-        self.vec = full[np.ix_(pi, pi)] @ self.vec
+        y = np.empty_like(self.vec)
+        y[pi] = self.vec
+        self.vec = (full @ y)[pi]
 
     def contract(self, name: str, bra: np.ndarray) -> None:
         k = self.names.index(name)

@@ -114,6 +114,60 @@ def test_basis_that_does_not_fit_is_rejected_at_construction(spec, basis, messag
         ))
 
 
+# a subsystem of each kind, every one prepared, and a 0/1 bit "m" written,
+# so the instruction at index 6 fails on its subsystem's kind alone
+_KIND_SETUP = (
+    _ins("prepare", target="s", level=1),
+    _ins("measure", target="s", basis=PHOTON_COMPUTATIONAL, bit="m"),
+    _ins("prepare", target="p", level=0),
+    _ins("prepare", target="r", level=0),
+    _ins("prepare", target="b", level=0),
+    _ins("prepare", target="q", level=0),
+)
+_KIND_SUBSYSTEMS = (photon("s"), photon("p"), photon("r"), particle("b"),
+                    particle("q", positions=3))
+
+
+@pytest.mark.parametrize("op,args,bad,needs,what", [
+    ("photon_h", {"target": "b"}, "target", "a photon", "a 2-position particle"),
+    ("photon_x", {"target": "q"}, "target", "a photon", "a 3-position particle"),
+    ("photon_z", {"target": "b"}, "target", "a photon", "a 2-position particle"),
+    ("particle_h", {"target": "p"}, "target", "a particle", "a photon"),
+    ("particle_x", {"target": "q"}, "target", "a 2-position particle",
+     "a 3-position particle"),
+    ("particle_z", {"target": "p"}, "target", "a 2-position particle", "a photon"),
+    ("cx", {"bit": "m", "target": "q"}, "target",
+     "a photon or a 2-position particle", "a 3-position particle"),
+    ("cz", {"bit": "m", "target": "q"}, "target",
+     "a photon or a 2-position particle", "a 3-position particle"),
+    ("cphase", {"key": "m", "target": "b", "coeff": 1.0}, "target", "a photon",
+     "a 2-position particle"),
+    ("qicz", {"photon": "b", "particle": "b"}, "photon", "a photon",
+     "a 2-position particle"),
+    ("qicz", {"photon": "p", "particle": "q"}, "particle", "a 2-position particle",
+     "a 3-position particle"),
+    ("qicz_multi", {"photon": "p", "particles": ["b", "r"]}, "particles",
+     "a particle", "a photon"),
+])
+def test_gate_subsystem_that_does_not_fit_is_rejected_at_construction(
+        op, args, bad, needs, what):
+    name = args[bad][-1] if bad == "particles" else args[bad]
+    message = (rf"^instructions\[6\]: {op} argument '{bad}' needs {needs}, "
+               rf"but '{name}' is {what}$")
+    with pytest.raises(ValueError, match=message):
+        CircuitProgram(_KIND_SUBSYSTEMS, ("m",), _KIND_SETUP + (_ins(op, **args),))
+
+
+@pytest.mark.parametrize("op,args", [
+    ("cx", {"bit": "m", "target": "p"}), ("cx", {"bit": "m", "target": "b"}),
+    ("cz", {"bit": "m", "target": "p"}), ("cz", {"bit": "m", "target": "b"}),
+    ("particle_h", {"target": "q"}),
+    ("qicz_multi", {"photon": "p", "particles": ["b", "q"]}),
+])
+def test_gate_subsystem_that_fits_is_accepted(op, args):
+    CircuitProgram(_KIND_SUBSYSTEMS, ("m",), _KIND_SETUP + (_ins(op, **args),))
+
+
 def test_measure_into_undeclared_bit():
     with pytest.raises(ValueError, match="undeclared bit"):
         CircuitProgram((photon("p"),), (), (

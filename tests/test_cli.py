@@ -255,6 +255,45 @@ def test_cx_on_qudit_outcome_rejected_before_oracle_check(tmp_path):
     assert proc.stderr.startswith("zenosim: error: instructions[3]: cx needs a 0/1 control")
 
 
+# a gate on a subsystem of the wrong kind, once where no branch reaches it
+_WRONG_KIND_DOCS = {
+    "unreachable": ({
+        "version": "1",
+        "subsystems": [{"name": "p", "kind": "photon"},
+                       {"name": "b", "kind": "particle", "dim": 3}],
+        "bits": ["m"],
+        "instructions": [
+            {"op": "prepare", "target": "p", "level": 2},
+            {"op": "measure", "target": "p", "basis": "photon_computational",
+             "bit": "m"},
+            {"op": "prepare", "target": "b"},
+            {"op": "particle_x", "target": "b"},
+        ]},
+        "instructions[3]: particle_x argument 'target' needs a 2-position "
+        "particle, but 'b' is a 3-position particle"),
+    "photon-gate": ({
+        "version": "1",
+        "subsystems": [{"name": "b", "kind": "particle"}],
+        "bits": [],
+        "instructions": [{"op": "prepare", "target": "b"},
+                         {"op": "photon_h", "target": "b"}]},
+        "instructions[1]: photon_h argument 'target' needs a photon, but 'b' "
+        "is a 2-position particle"),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle-check"])
+@pytest.mark.parametrize("name", sorted(_WRONG_KIND_DOCS))
+def test_gate_on_wrong_kind_is_one_error_line(tmp_path, name, command):
+    doc, message = _WRONG_KIND_DOCS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(command, str(path), "--ideal")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"zenosim: error: {message}\n"
+
+
 _HALF = [0.7071067811865476, 0.0]
 _FAILURE_LEVEL_DOCS = {
     # residual |1V> on the photon, the particle half on its exploded level

@@ -1,8 +1,14 @@
 """Cross-checks between the engine and the flat-vector reference runner."""
 
+import ast
+import itertools
+from math import prod
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from zenosim import oracle
 from zenosim.circuits import (
     Instruction,
     CircuitProgram,
@@ -18,6 +24,7 @@ from zenosim.oracle import (
     brute_force_run,
     compare,
     w_vector,
+    _OracleState,
 )
 from zenosim.state import photon, particle
 
@@ -130,3 +137,73 @@ def test_brute_force_failure_leaf():
     assert len(failed) == 1
     assert failed[0].assignments["m"] == 2
     assert compare(program, IDEAL) < 1e-12
+
+
+@pytest.mark.parametrize("front", [["c", "a"], ["b"], ["a", "b", "c"]])
+def test_apply_matches_literal_reference(front):
+    rng = np.random.default_rng(2024)
+    dims = {"a": 4, "b": 3, "c": 4}
+    state = _OracleState()
+    for name, d in dims.items():
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        state.add(name, "particle", d, v / np.linalg.norm(v))
+    before = state.vec.copy()
+    front_dim = prod(dims[n] for n in front)
+    z = rng.normal(size=(front_dim, front_dim)) + 1j * rng.normal(size=(front_dim, front_dim))
+    op = np.linalg.qr(z)[0]
+    state.apply(front, op)
+
+    # P^T (op kron I) P, entry by entry: live digit tuples i and j couple
+    # through op[front digits of i, front digits of j] when their other
+    # digits agree
+    names = list(dims)
+    rest = [n for n in names if n not in front]
+
+    def index(digits, group):
+        k = 0
+        for n in group:
+            k = k * dims[n] + digits[names.index(n)]
+        return k
+
+    tuples = list(itertools.product(*(range(dims[n]) for n in names)))
+    reference = np.zeros((len(tuples), len(tuples)), dtype=np.complex128)
+    for i, ti in enumerate(tuples):
+        for j, tj in enumerate(tuples):
+            if index(ti, rest) == index(tj, rest):
+                reference[i, j] = op[index(ti, front), index(tj, front)]
+    assert np.abs(state.vec - reference @ before).max() <= 1e-15
+
+
+def test_apply_rejects_an_operator_of_the_wrong_size():
+    state = _OracleState()
+    state.add("a", "particle", 4, np.eye(4)[0])
+    state.add("b", "particle", 3, np.eye(3)[0])
+    with pytest.raises(ValueError, match=r"\['a', 'b'\]"):
+        state.apply(["a", "b"], np.eye(4, dtype=np.complex128))
+
+
+def test_oracle_imports_only_its_pinned_engine_names():
+    # the oracle is useful only while it shares no machinery with the
+    # engine; these are the engine names it may read (no gates, no analysis)
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("zenosim"):
+                continue
+            module = (node.module or "").removeprefix("zenosim").lstrip(".")
+            for alias in node.names:
+                if module:
+                    imported.setdefault(module, set()).add(alias.name)
+                else:  # from . import module
+                    imported.setdefault(alias.name, set()).add("*")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("zenosim"):
+                    module = alias.name.removeprefix("zenosim").lstrip(".")
+                    imported.setdefault(module or "zenosim", set()).add("*")
+    assert imported == {
+        "circuits": {"CircuitProgram", "run_all_branches"},
+        "interrogation": {"QiParams", "effective_map"},
+        "state": {"PARTICLE_PM", "PHOTON_COMPUTATIONAL"},
+    }
