@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import gates
-from .interrogation import QiParams, qicz, qicz_multi
+from .interrogation import QiParams, _normalize_blocking, qicz, qicz_multi
 from .state import (
     PARTICLE_COMPUTATIONAL,
     PARTICLE_PM,
@@ -165,6 +165,7 @@ class OpSpec:
     optional: dict = field(default_factory=dict)
     census: str | dict | None = None
     values: Callable | None = None
+    check_args: Callable | None = None
 
     def __post_init__(self):
         self.schema = {**self.args, **self.optional}
@@ -219,6 +220,20 @@ def _measured_values(a: dict, program: CircuitProgram, arity: dict) -> int:
     return len(basis_outcomes(program.spec(a["target"]), a["basis"])) - 1
 
 
+def _blocking_fits(a: dict, program: CircuitProgram) -> None:
+    # the checks interrogation.qicz_multi makes, so a bad list fails at load
+    particles, blocking = a["particles"], a.get("blocking")
+    for i, name in enumerate(particles):
+        if name in particles[:i]:
+            raise ValueError(f"particle {name!r} listed twice")
+    if blocking is None:
+        return
+    if len(blocking) != len(particles):
+        raise ValueError("one blocking entry per particle required")
+    for name, blk in zip(particles, blocking):
+        _normalize_blocking(program.spec(name), blk)
+
+
 def _xor_values(a: dict, program: CircuitProgram, arity: dict) -> int:
     widest = max(arity[a["a"]], arity[a["b"]]) - 1
     return 1 << widest.bit_length()
@@ -242,7 +257,7 @@ OPS = {
         {"photon": PHOTON, "particles": PARTICLES},
         lambda state, a, ctx: qicz_multi(state, a["photon"], a["particles"],
                                          ctx.params, blocking=a.get("blocking")),
-        optional={"blocking": BLOCKING}, census="qicz"),
+        optional={"blocking": BLOCKING}, census="qicz", check_args=_blocking_fits),
     "measure": OpSpec({"target": MEASURED, "basis": BASIS, "bit": WRITE}, None,
                       census=MEASUREMENT_BASES, values=_measured_values),
     "cx": OpSpec({"bit": CONTROL, "target": PHOTON_OR_QUBIT}, _controlled("cx"),
@@ -321,7 +336,8 @@ def validate_program(program: CircuitProgram) -> None:
     """Static checks: declared names only, prepare-before-use, no use after
     measurement, classical values written before read, gate subsystems and
     measurement bases that fit their subsystem, cx/cz only on bits that can
-    hold nothing but 0 and 1, and states within `MAX_AMPLITUDES`."""
+    hold nothing but 0 and 1, qicz_multi particle and blocking lists that
+    fit together, and states within `MAX_AMPLITUDES`."""
     specs = {s.name: s for s in program.subsystems}
     if len(specs) != len(program.subsystems):
         raise ValueError("duplicate subsystem name")
@@ -388,6 +404,11 @@ def validate_program(program: CircuitProgram) -> None:
                             else f"a {spec.positions()}-position particle")
                     raise ValueError(f"{where}: {instr.op} argument {arg!r} needs "
                                      f"{kind.needs}, but {name!r} is {what}")
+        if row.check_args:
+            try:
+                row.check_args(instr.args, program)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
 
 
 @dataclass

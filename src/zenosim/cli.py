@@ -5,11 +5,16 @@ Programs travel as JSON circuit files (version "1"); results are JSON or
 CSV on stdout with all floats at 12 significant digits.  Identical
 invocations produce byte-identical output.  Exit codes: 0 success, 2 a
 heralded failure or failed verification, 1 usage or parse errors.
+
+`main` may be called many times in one process: every call parses with
+the same argparse tree, built on the first call, and prints exactly what
+a fresh `zenosim` process prints for the same arguments.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -141,6 +146,13 @@ def serialize_program(program: CircuitProgram) -> str:
 # result emitters
 
 def _emit_json(value) -> str:
+    if isinstance(value, np.ndarray):
+        # a float array: one formatting pass, then bracket each inner axis
+        parts = list(map(_float, value.ravel().tolist()))
+        for size in reversed(value.shape[1:]):
+            parts = ["[" + ",".join(parts[i:i + size]) + "]"
+                     for i in range(0, len(parts), size)]
+        return "[" + ",".join(parts) + "]"
     if isinstance(value, dict):
         inner = ",".join(f"{json.dumps(str(k))}:{_emit_json(v)}"
                          for k, v in sorted(value.items()))
@@ -183,8 +195,8 @@ def _result_payload(result: circuits.RunResult) -> dict:
         "state": {
             "subsystems": [s.name for s in state.layout],
             "dims": [s.dim for s in state.layout],
-            "amplitudes": [[float(a.real), float(a.imag)]
-                           for a in state.amps.reshape(-1)],
+            # (n, 2) float64 view of the complex amplitudes: [re, im] rows
+            "amplitudes": state.amps.reshape(-1, 1).view(np.float64),
         },
     }
 
@@ -362,7 +374,10 @@ def _cmd_oracle_check(args) -> int:
     return _verdict(dev)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parsing leaves it as it
+    was, so every `main` call shares it."""
     parser = _Parser(prog="zenosim",
                      description="Interrogation-circuit simulator")
     sub = parser.add_subparsers(dest="command", required=True,

@@ -168,6 +168,41 @@ def test_gate_subsystem_that_fits_is_accepted(op, args):
     CircuitProgram(_KIND_SUBSYSTEMS, ("m",), _KIND_SETUP + (_ins(op, **args),))
 
 
+@pytest.mark.parametrize("args,message", [
+    ({"particles": ["b", "b"]}, "particle 'b' listed twice"),
+    ({"particles": ["b", "q", "b"], "blocking": [0, 1, 0]},
+     "particle 'b' listed twice"),
+    ({"particles": ["b", "q"], "blocking": [0]},
+     "one blocking entry per particle required"),
+    ({"particles": ["b"], "blocking": [0, 1]},
+     "one blocking entry per particle required"),
+    ({"particles": ["b"], "blocking": [5]},
+     r"blocking position 5 invalid for 'b' \(positions 0..1;"),
+    ({"particles": ["b", "q"], "blocking": [0, [1, 3]]},
+     r"blocking position 3 invalid for 'q' \(positions 0..2;"),
+    ({"particles": ["q"], "blocking": [-1]}, "blocking position -1 invalid for 'q'"),
+    ({"particles": ["b"], "blocking": [[0, 0]]},
+     "duplicate blocking position for 'b'"),
+])
+def test_qicz_multi_lists_that_do_not_fit_are_rejected_at_construction(
+        args, message):
+    instr = _ins("qicz_multi", photon="p", **args)
+    with pytest.raises(ValueError, match=rf"^instructions\[6\]: {message}"):
+        CircuitProgram(_KIND_SUBSYSTEMS, ("m",), _KIND_SETUP + (instr,))
+
+
+@pytest.mark.parametrize("args", [
+    {"particles": ["b", "q"], "blocking": [1, [0, 2]]},
+    {"particles": ["q", "b"], "blocking": [[], 0]},
+    {"particles": ["q"], "blocking": None},
+])
+def test_qicz_multi_lists_that_fit_are_accepted(args):
+    instr = _ins("qicz_multi", photon="p", **args)
+    program = CircuitProgram(_KIND_SUBSYSTEMS, ("m",), _KIND_SETUP + (instr,))
+    # what the validator accepts, the engine runs
+    assert run_all_branches(program, IDEAL)
+
+
 def test_measure_into_undeclared_bit():
     with pytest.raises(ValueError, match="undeclared bit"):
         CircuitProgram((photon("p"),), (), (

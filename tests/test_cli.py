@@ -1,16 +1,25 @@
-"""End-to-end command-line checks; everything runs in a subprocess."""
+"""End-to-end command-line checks.  Most run `zenosim` in a subprocess;
+the stdout pins and the parser-reuse check call `main` in this process."""
 
+import contextlib
+import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zenosim
 from zenosim.cli import (
     _csv_line,
     _emit_json,
+    build_parser,
     load_program,
+    main,
     program_from_doc,
     program_to_doc,
     serialize_program,
@@ -18,11 +27,25 @@ from zenosim.cli import (
 from zenosim.circuits import DEMOS, bell_generator, cnot_circuit, w_state_generator
 
 CLI = [sys.executable, "-m", "zenosim.cli"]
+# the child imports the zenosim this process imports, installed or not
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(zenosim.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
-def run_cli(*argv, env=None):
+def run_cli(*argv):
     return subprocess.run(CLI + list(argv), capture_output=True, text=True,
-                          env=env, timeout=300)
+                          env=_ENV, timeout=300)
+
+
+def run_main(*argv):
+    """`main` in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse ends a usage error this way
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_census_strings():
@@ -294,6 +317,43 @@ def test_gate_on_wrong_kind_is_one_error_line(tmp_path, name, command):
     assert proc.stderr == f"zenosim: error: {message}\n"
 
 
+# qicz_multi lists that do not fit, after a measurement that always fails
+_QICZ_MULTI_PREFIX = {
+    "version": "1",
+    "subsystems": [{"name": "s", "kind": "photon"}, {"name": "p", "kind": "photon"},
+                   {"name": "b", "kind": "particle"}],
+    "bits": ["m"],
+    "instructions": [
+        {"op": "prepare", "target": "s", "level": 2},
+        {"op": "measure", "target": "s", "basis": "photon_computational", "bit": "m"},
+        {"op": "prepare", "target": "p", "level": 1},
+        {"op": "prepare", "target": "b"},
+    ]}
+_QICZ_MULTI_LISTS = {
+    "listed-twice": ({"particles": ["b", "b"]},
+                     "instructions[4]: particle 'b' listed twice"),
+    "blocking-length": ({"particles": ["b"], "blocking": [0, 1]},
+                        "instructions[4]: one blocking entry per particle required"),
+    "blocking-position": ({"particles": ["b"], "blocking": [5]},
+                          "instructions[4]: blocking position 5 invalid for 'b' "
+                          "(positions 0..1; the exploded level cannot block)"),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle-check"])
+@pytest.mark.parametrize("name", sorted(_QICZ_MULTI_LISTS))
+def test_qicz_multi_lists_that_do_not_fit_are_one_error_line(tmp_path, name, command):
+    args, message = _QICZ_MULTI_LISTS[name]
+    doc = json.loads(json.dumps(_QICZ_MULTI_PREFIX))
+    doc["instructions"].append({"op": "qicz_multi", "photon": "p", **args})
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(command, str(path), "--ideal")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"zenosim: error: {message}\n"
+
+
 _HALF = [0.7071067811865476, 0.0]
 _FAILURE_LEVEL_DOCS = {
     # residual |1V> on the photon, the particle half on its exploded level
@@ -401,6 +461,28 @@ def test_emitters_never_print_negative_zero():
     assert _csv_line([-0.0, np.float64(-0.0), 2, "x"]) == "0,0,2,x"
 
 
+@pytest.mark.parametrize("values", [
+    [0.25, -0.0, 1e-300, -3.5e17, 1 / 3],
+    [[0.5, -0.0], [0.0, 0.1], [-1e-13, 2.0]],
+    [[0.7071067811865476, -0.0]],
+    [[-0.0, -0.0], [-0.0, 0.0]],
+    [],
+])
+def test_emit_json_array_matches_list(values):
+    arr = np.array(values, dtype=np.float64)
+    assert _emit_json(arr) == _emit_json(arr.tolist())
+
+
+def test_emit_json_array_never_prints_negative_zero():
+    assert _emit_json(np.array([[-0.0, -0.0], [-0.0, 0.5]])) == "[[0,0],[0,0.5]]"
+
+
+def test_emit_json_complex_view_matches_pairs():
+    amps = np.array([[0.5 - 0.0j, -0.0 + 1j], [1 / 3 + 0j, -0.0 - 0.0j]])
+    pairs = [[a.real, a.imag] for a in amps.reshape(-1)]
+    assert _emit_json(amps.reshape(-1, 1).view(np.float64)) == _emit_json(pairs)
+
+
 def test_missing_file_reported():
     proc = run_cli("simulate", "/tmp/zenosim_no_such_file.json")
     assert proc.returncode == 1
@@ -504,6 +586,71 @@ def test_repeated_invocations_byte_identical():
     assert a.stdout == b.stdout
     assert a.returncode == b.returncode == 0
 
+
+
+def test_main_calls_in_one_process_match_fresh_processes():
+    calls = [
+        ["simulate", "--demo", "bell", "--ideal"],
+        ["simulate", "--demo", "bell"],
+        ["simulate", "--demo", "bell", "--branches", "sample", "--seed", "3"],
+        ["simulate", "--demo", "bell", "--out", "xml"],
+        ["census", "--family", "memory"],
+    ]
+    codes = []
+    for argv in calls:
+        code, out, err = run_main(*argv)
+        fresh = run_cli(*argv)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 1, 0]
+    assert build_parser() is build_parser()
+
+
+# sha256 of `simulate --demo <name> --ideal` stdout, as JSON and as CSV
+_STDOUT_SHA256 = {
+    "bell": ("94a300e5025cc16d16e475d04cbdb6914f2a23281e6626540c8d41d47c3d6f5b",
+             "b12a201c4758657b0bd22868697e3615d49de22e76c0b1dd3116026a0b9346a4"),
+    "cnot-direct-cx": (
+        "ddcf22e20e2f8218f39ee67ea609e9843e39dc4237e07e270238a218d45da658",
+        "e5849e018e96970fb6e4735165d18f62bb257b482542a58d085fef2b1f872927"),
+    "cnot-direct-cz": (
+        "e40c2eb11951701481e548093425fca7fbffa74ff78e3431d221725f17a32534",
+        "e5849e018e96970fb6e4735165d18f62bb257b482542a58d085fef2b1f872927"),
+    "cnot-half-memory-keep-control": (
+        "6b0865b0104a32a7164152b342f88d7c1a38229842b49bd8609753d1e805ef88",
+        "9bcfb15827dc8cc90efa98e3db9eef6d94d1f68e285300ecc6675bc23db8d461"),
+    "cnot-half-memory-keep-target": (
+        "e75fdcdd6198e1aab562d5a6eaab198edc3f1a9e131efd6e67147ee3777083ae",
+        "9bcfb15827dc8cc90efa98e3db9eef6d94d1f68e285300ecc6675bc23db8d461"),
+    "cnot-memory": (
+        "0325b4bca382ac5ad3d03cad578c40d2c3ac3dfdb13616bbce87a297791e6f3f",
+        "f124694e225ea3d8e27e5210e4495aa10868ebc2cc71fbc39c9c20992a5ab570"),
+    "memory": ("5d5724b7b5dbfebf3ba098ff807bc20797a9acf724e1a8140e9079f4eb3e3c0e",
+               "a67bb237cff1f0cda2b423929c85f4a169146ad80357d23c4dc08efd487ed82c"),
+    "qicz": ("3b90955311f45566b23ce1e7ce10854b91daa8e6b2ae256e41c0425c9c040a4b",
+             "8d6fc590a6e635020f98217d194d54581efafbf5556f8474dc51834baa47df43"),
+    "toffoli": ("c838ceb8a1230b4aeba49c97a451339be90aca0742f6f518b6ba3d1d8f9c6f61",
+                "8d6fc590a6e635020f98217d194d54581efafbf5556f8474dc51834baa47df43"),
+    "wstate-2": ("ae111ab101dd0bc20a36013466693a49fb83f60a219783ca712102eb92e184b7",
+                 "a6983140ccafd161085081017e1636cae384f1f05f177f5d93b01b28f2aec4e5"),
+    "wstate-3": ("da7323466448167220fb326cd150e0d8fd598f0152d819aaf213f07822a4ac63",
+                 "03f09435fabd2ebacd5e4205ea3bd934f3913979f9d2a79659c89ebe05226cdc"),
+    "wstate-4": ("166d87d172ad641c4609dd22b6ccc8b31e143c06ceddfb9399c4a65f2eb07eb4",
+                 "e366fe6782eb5f1fda0c3a42e99bff64ba5b6ea25081c0dc69d20d62ea765614"),
+}
+
+
+def test_stdout_pins_cover_every_demo():
+    assert sorted(_STDOUT_SHA256) == sorted(DEMOS)
+
+
+@pytest.mark.parametrize("out", ["json", "csv"])
+@pytest.mark.parametrize("name", sorted(_STDOUT_SHA256))
+def test_simulate_ideal_stdout_is_pinned(name, out):
+    code, stdout, _ = run_main("simulate", "--demo", name, "--ideal", "--out", out)
+    assert code == 0
+    digest = hashlib.sha256(stdout.encode()).hexdigest()
+    assert digest == _STDOUT_SHA256[name][out == "csv"]
 
 
 @pytest.mark.parametrize("name", sorted(DEMOS))
