@@ -30,7 +30,7 @@ and the listed particles, with the identity on every other subsystem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -41,7 +41,6 @@ from .state import (
     PH_SINK,
     BLOCKED,
     StateVector,
-    new_state,
 )
 
 PI_OVER_N = "pi_over_n"
@@ -107,12 +106,14 @@ def _normalize_blocking(spec, blocking) -> tuple[int, ...]:
 
 
 def _blocked_counts(shape, plan) -> np.ndarray:
-    """Per rest index, how many listed particles sit on a blocking position."""
-    counts = np.zeros(shape, dtype=np.intp)
+    """Per rest index, how many listed particles sit on a blocking position.
+    Every axis that no listed particle owns has size 1, so the counts (and
+    the powers gathered by them) broadcast against the rest shape."""
+    counts = np.zeros([1] * len(shape), dtype=np.intp)
     for rest_axis, blocking, _ in plan:
         on = np.zeros(shape[rest_axis], dtype=np.intp)
         on[list(blocking)] = 1
-        counts += on.reshape([-1 if i == rest_axis else 1 for i in range(len(shape))])
+        counts = counts + on.reshape([-1 if i == rest_axis else 1 for i in range(len(shape))])
     return counts
 
 
@@ -162,8 +163,9 @@ def _limit_powers(kmax) -> np.ndarray:
 
 def _run_cycles(work, plan, params: QiParams):
     """Run the interrogation in place on the photon-fronted view `work`: one
-    gathered 2x2 per rest index, picked by its blocked count k from the
-    stack of T_k^N (O(log N)), or of the exact limit's when cycles is None.
+    gathered 2x2 per configuration of the listed particles, picked by its
+    blocked count k from the stack of T_k^N (O(log N)), or of the exact
+    limit's when cycles is None, and broadcast over every other subsystem.
     Only the (|1H>, |1V>) pair changes; what absorption and loss take from
     it is dropped."""
     h = work[PH_ONE_H].astype(np.clongdouble)
@@ -241,11 +243,13 @@ def qicz_multi(state: StateVector, photon: str, particles: list[str],
 def effective_map(params: QiParams, n_particles: int,
                   particle_positions: list[int] | None = None,
                   blocking=None) -> np.ndarray:
-    """The linear map of qicz/qicz_multi, extracted column-by-column.
+    """The linear map of qicz/qicz_multi on the photon and its particles.
 
-    Index convention: photon slowest, then particles in list order.
-    Extraction costs one qi_run per column, each one transfer-matrix power
-    (O(log N)), and results are memoized on (params, positions, blocking).
+    Index convention: photon slowest, then particles in list order.  The
+    map comes from one qi_run on a Choi state (every basis input at once,
+    each entangled with a copy of itself), so one transfer-matrix power
+    (O(log N)) per blocked count serves all columns; results are memoized
+    on (params, positions, blocking).
     """
     if n_particles < 0:
         raise ValueError("particle count must be nonnegative")
@@ -255,7 +259,8 @@ def effective_map(params: QiParams, n_particles: int,
         key_blocking = ((BLOCKED,),) * n_particles
     else:
         key_blocking = tuple(
-            (b,) if isinstance(b, int) else tuple(sorted(b)) for b in blocking)
+            (int(b),) if isinstance(b, (int, np.integer)) else tuple(sorted(b))
+            for b in blocking)
     return _effective_map_cached(params, tuple(particle_positions),
                                  key_blocking).copy()
 
@@ -263,18 +268,27 @@ def effective_map(params: QiParams, n_particles: int,
 @lru_cache(maxsize=64)
 def _effective_map_cached(params: QiParams, particle_positions: tuple,
                           blocking: tuple) -> np.ndarray:
+    """Choi-Jamiolkowski extraction (Choi, Linear Algebra Appl. 10, 285
+    (1975)): qi_run acts on the photon and particles of sum_c |c>|c>, and
+    leaves the copies alone as bystanders, so the output's amplitude at
+    (r, c) is the map's entry M[r, c].
+
+    The input is scaled by 2^-j, with 4^j >= total so that its norm^2
+    total / 4^j is at most 1, and the output by 2^j.  The run is
+    elementwise per column, and a power of two scales exactly, so every
+    entry has the bits of a one-column run on the basis input (only an
+    entry below 2^j times the smallest normal double, ~1e-306, could lose
+    low bits to subnormal rounding)."""
     from .state import particle, photon as photon_spec
 
     layout = [photon_spec("ph")] + [
         particle(f"b{i}", positions=d) for i, d in enumerate(particle_positions)
     ]
+    copies = [replace(s, name=s.name + "_copy") for s in layout]
     names = [s.name for s in layout[1:]]
     dims = [s.dim for s in layout]
     total = int(np.prod(dims))
-    out = np.zeros((total, total), dtype=np.complex128)
-    for col in range(total):
-        levels = list(np.unravel_index(col, dims))
-        st = new_state(layout, levels)
-        res = qi_run(st, "ph", names, list(blocking), params)
-        out[:, col] = res.amps.reshape(-1)
-    return out
+    j = ((total - 1).bit_length() + 1) // 2
+    choi = StateVector(tuple(layout + copies), np.eye(total) * 2.0 ** -j)
+    res = qi_run(choi, "ph", names, list(blocking), params)
+    return res.amps.reshape(total, total) * 2.0 ** j

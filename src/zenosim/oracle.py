@@ -5,9 +5,10 @@ as an explicit full-space matrix, operator kron identity, and applied by
 one plain matrix-vector product to the vector permuted so that the gate's
 subsystems come first (then permuted back to the live subsystem order),
 and measurements contract with explicit projector rows.  The interrogation
-step uses either its exact diagonal limit or the linear map extracted
-column-by-column from the cycle engine, so agreement between the two
-runners checks everything downstream of that map.
+step uses either its exact diagonal limit or the linear map that the cycle
+engine gives in one run on a Choi state (every basis column at once), so
+agreement between the two runners checks everything downstream of that
+map.
 
 Also home to the textbook reference objects (CZ/CNOT/CCNOT matrices, Bell
 and W vectors) the tests compare against.

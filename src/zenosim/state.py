@@ -256,12 +256,3 @@ def add_subsystem(state: StateVector, spec: SubsystemSpec, vec) -> StateVector:
         raise ValueError("initial vector must be normalized")
     amps = np.multiply.outer(state.amps, e)
     return StateVector(state.layout + (spec,), amps)
-
-
-def reorder(state: StateVector, names: list[str]) -> StateVector:
-    """Permute the layout to the given subsystem order."""
-    if sorted(names) != sorted(s.name for s in state.layout):
-        raise ValueError("names do not match layout")
-    perm = [state.axis(n) for n in names]
-    layout = tuple(state.layout[p] for p in perm)
-    return StateVector(layout, np.transpose(state.amps, perm))

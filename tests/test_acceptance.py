@@ -45,8 +45,9 @@ from zenosim.state import (
     norm_sq,
     particle,
     photon,
-    reorder,
 )
+
+from helpers import reorder
 
 IDEAL = QiParams(cycles=None)
 N_DEFAULT = 10_000

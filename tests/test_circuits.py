@@ -36,8 +36,9 @@ from zenosim.state import (
     norm_sq,
     particle,
     photon,
-    reorder,
 )
+
+from helpers import reorder
 
 IDEAL = QiParams(cycles=None)
 

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from zenosim import interrogation
 from zenosim.interrogation import (
     KEEP,
     PI_OVER_2N,
@@ -207,6 +208,83 @@ def test_effective_map_blocked_column_matches_direct_run():
     run = qi_run(_pair(PH_ONE_H, BLOCKED), "p", ["b"], [BLOCKED], params)
     col = m[:, PH_ONE_H * 3 + BLOCKED]
     assert np.abs(col - run.amps.reshape(-1)).max() < 1e-14
+
+
+# --- the map against one qi_run per basis column ---------------------------
+
+_MAP_LAYOUTS = [
+    ([], []),
+    ([2], [(0,)]),
+    ([4], [(0, 2)]),
+    ([3, 2], [(1, 2), (0,)]),
+    ([2, 2, 2], [(0,), (0,), (0,)]),
+    ([2, 4, 3], [(0,), (1, 3), (0, 2)]),
+]
+_MAP_DEPTHS = [1, 2, 3, 17, 333, 10**4, 10**7, None]
+_MAP_SETTINGS = [(1.0, 0.0), (0.9, 1e-3), (0.0, 1e-6)]  # (absorb, loss)
+
+
+def _map_grid():
+    """Every depth under both theta rules (the limit has only pi/N), each
+    paired with one (absorb, loss, residual policy) setting in turn, so
+    every setting meets both policies on every layout: 15 maps per layout."""
+    cells = [(n, rule) for n in _MAP_DEPTHS for rule in (PI_OVER_N, PI_OVER_2N)
+             if n is not None or rule == PI_OVER_N]
+    for i, (n, rule) in enumerate(cells):
+        eps, lam = _MAP_SETTINGS[i % 3]
+        policy = (ROUTE_TO_SINK, KEEP)[i // 3 % 2]
+        yield QiParams(cycles=n, theta_rule=rule, absorb_prob=eps,
+                       cycle_loss=lam, residual_v_policy=policy)
+
+
+def _map_by_columns(params, positions, blocking):
+    """The map as one qi_run per basis input, column by column."""
+    layout = [photon("ph")] + [particle(f"b{i}", positions=d)
+                               for i, d in enumerate(positions)]
+    names = [s.name for s in layout[1:]]
+    dims = [s.dim for s in layout]
+    total = int(np.prod(dims))
+    out = np.zeros((total, total), dtype=np.complex128)
+    for col in range(total):
+        basis = new_state(layout, list(np.unravel_index(col, dims)))
+        out[:, col] = qi_run(basis, "ph", names, list(blocking), params).amps.reshape(-1)
+    return out
+
+
+@pytest.mark.parametrize("layout", range(len(_MAP_LAYOUTS)))
+def test_effective_map_is_bit_identical_to_column_runs(layout):
+    positions, blocking = _MAP_LAYOUTS[layout]
+    for params in _map_grid():
+        got = effective_map(params, len(positions), positions, blocking)
+        want = _map_by_columns(params, positions, blocking)
+        assert got.tobytes() == want.tobytes(), params
+
+
+def test_cold_map_is_one_engine_run(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].amps.size)
+        return qi_run(*args, **kwargs)
+
+    monkeypatch.setattr(interrogation, "qi_run", counting)
+    interrogation._effective_map_cached.cache_clear()
+    params = QiParams(cycles=41, absorb_prob=0.7)
+    effective_map(params, 2, [3, 2], [[0, 2], 1])
+    assert calls == [(4 * 4 * 3) ** 2]  # the Choi state: every column at once
+    effective_map(params, 2, [3, 2], [[0, 2], 1])
+    assert len(calls) == 1
+
+
+def test_effective_map_accepts_numpy_integer_blocking():
+    params = QiParams(cycles=5)
+    want = effective_map(params, 1, blocking=[0])
+    misses = interrogation._effective_map_cached.cache_info().misses
+    got = effective_map(params, 1, blocking=[np.int64(0)])
+    assert got.tobytes() == want.tobytes()
+    assert interrogation._effective_map_cached.cache_info().misses == misses
+    two = effective_map(params, 2, blocking=[np.int32(1), [np.int64(0)]])
+    assert two.tobytes() == effective_map(params, 2, blocking=[1, [0]]).tobytes()
 
 
 @pytest.mark.parametrize("rule", [PI_OVER_N, PI_OVER_2N])

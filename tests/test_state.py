@@ -22,9 +22,10 @@ from zenosim.state import (
     norm_sq,
     particle,
     photon,
-    reorder,
     sample_branch,
 )
+
+from helpers import reorder
 
 BASES = [PHOTON_COMPUTATIONAL, PARTICLE_PM, QUDIT_POSITION]
 
