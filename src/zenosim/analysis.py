@@ -139,9 +139,15 @@ class YieldEstimate:
     master_seed: int
 
 
-# trials drawn per block in monte_carlo_yield; the estimate does not depend
-# on it, only the memory one block of uniforms takes
-MC_CHUNK = 1 << 16
+# trials drawn per block in monte_carlo_yield.  It bounds the memory of one
+# call: a block's uniforms and padded success rows take under 0.6 MB at 15
+# draws a trial, so a block stays in cache.  The estimate does not depend
+# on it, since the blocks only cut one stream into pieces
+MC_CHUNK = 1 << 12
+
+# one uint64 word of eight True bytes: a trial's padded success row is all
+# such words exactly when every one of its draws succeeds
+_ALL_TRUE = np.uint64(0x0101010101010101)
 
 
 def _draw_probabilities(program: CircuitProgram,
@@ -160,17 +166,30 @@ def monte_carlo_yield(program: CircuitProgram, profile: ImperfectionProfile,
     reproducible bit for bit for a given seed and trial count."""
     if trials < 1:
         raise ValueError("need a positive trial count")
+    if not 0 <= master_seed < 1 << 128:
+        raise ValueError(f"seed must be in [0, 2**128), got {master_seed}")
     probs = _draw_probabilities(program, profile)
-    if probs.size == 0:
+    k = probs.size
+    if k == 0:
         return YieldEstimate(1.0, 0.0, trials, master_seed)
     rng = np.random.Generator(np.random.Philox(key=master_seed))
+    rows = min(MC_CHUNK, trials)
+    u = np.empty((rows, k))
+    # success flags, each row padded with True to whole words
+    ok = np.ones((rows, -(-k // 8) * 8), dtype=bool)
+    words = ok.view(np.uint64)
+    acc = np.empty(rows, dtype=np.uint64)
     successes = 0
-    done = 0
-    while done < trials:
-        m = min(MC_CHUNK, trials - done)
-        u = rng.random((m, probs.size))
-        successes += int(np.all(u < probs, axis=1).sum())
-        done += m
+    for done in range(0, trials, rows):
+        m = min(rows, trials - done)
+        rng.random(out=u[:m])
+        np.less(u[:m], probs, out=ok[:m, :k])
+        # flags are 0 or 1 bytes, so the AND of a row's words is all True
+        # only when each word is
+        row = words[:m, 0]
+        for j in range(1, words.shape[1]):
+            row = np.bitwise_and(row, words[:m, j], out=acc[:m])
+        successes += int(np.count_nonzero(row == _ALL_TRUE))
     estimate = successes / trials
     stderr = float(np.sqrt(estimate * (1.0 - estimate) / trials))
     return YieldEstimate(estimate, stderr, trials, master_seed)

@@ -219,7 +219,8 @@ def _normalized_blocking(blocking, n_particles):
         return [frozenset({0})] * n_particles
     out = []
     for b in blocking:
-        out.append(frozenset({b}) if isinstance(b, int) else frozenset(b))
+        out.append(frozenset({int(b)}) if isinstance(b, (int, np.integer))
+                   else frozenset(b))
     return out
 
 

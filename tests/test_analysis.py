@@ -1,5 +1,7 @@
 """Sweeps, discrimination, yield formulas, and the Monte Carlo estimator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,16 @@ from zenosim.analysis import (
     yield_formula,
     zeno_sweep,
 )
-from zenosim.circuits import CNOT_FAMILIES, cnot_circuit, gate_census
+from zenosim.circuits import (
+    CNOT_FAMILIES,
+    CircuitProgram,
+    Instruction,
+    cnot_circuit,
+    gate_census,
+)
 from zenosim.gates import ImperfectionProfile
 from zenosim.interrogation import PI_OVER_2N, PI_OVER_N
+from zenosim.state import particle, photon
 
 
 def test_zeno_sweep_matches_closed_form():
@@ -127,12 +136,55 @@ def test_monte_carlo_is_deterministic():
 
 def test_monte_carlo_chunk_invariant(monkeypatch):
     prof = ImperfectionProfile(p=0.95, q=0.9, r=0.85, s=0.8, eta=0.75)
-    program = cnot_circuit("direct-cx")
-    monkeypatch.setattr(analysis, "MC_CHUNK", 128)
-    a = monte_carlo_yield(program, prof, trials=10_000, master_seed=9)
-    monkeypatch.setattr(analysis, "MC_CHUNK", 10_000)
-    b = monte_carlo_yield(program, prof, trials=10_000, master_seed=9)
-    assert a.estimate == b.estimate
+    for family in ("direct-cx", "memory"):  # 6 and 15 draws a trial
+        program = cnot_circuit(family)
+        estimates = set()
+        for chunk in (1, 7, 128, 10_000):
+            monkeypatch.setattr(analysis, "MC_CHUNK", chunk)
+            estimates.add(monte_carlo_yield(program, prof, trials=10_000,
+                                            master_seed=9).estimate)
+        assert len(estimates) == 1, family
+
+
+def _charged_chain(k):
+    """k charged ops cycling through three profile fields."""
+    ops = [Instruction("photon_h", {"target": "t"}),
+           Instruction("qicz", {"photon": "t", "particle": "b"}),
+           Instruction("particle_h", {"target": "b"})]
+    return CircuitProgram(
+        subsystems=(photon("t"), particle("b")),
+        bits=(),
+        instructions=(Instruction("prepare", {"target": "t", "level": 0}),
+                      Instruction("prepare", {"target": "b", "level": 0}),
+                      *(ops[i % 3] for i in range(k))))
+
+
+@pytest.mark.parametrize("k", [1, 8, 9, 15, 17])
+@pytest.mark.parametrize("trials", [
+    1, analysis.MC_CHUNK - 1, analysis.MC_CHUNK, analysis.MC_CHUNK + 1,
+    3 * analysis.MC_CHUNK + 7])
+def test_monte_carlo_matches_literal_reference(k, trials):
+    prof = ImperfectionProfile(p=0.97, q=0.9, s=0.95)
+    program = _charged_chain(k)
+    probs = _draw_probabilities(program, prof)
+    assert probs.size == k
+    seed = 1000 * k + trials
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    want = (rng.random((trials, k)) < probs).all(axis=1).sum()
+    got = monte_carlo_yield(program, prof, trials=trials, master_seed=seed)
+    assert got.estimate == want / trials
+
+
+def test_monte_carlo_memory_does_not_grow_with_trials():
+    prof = ImperfectionProfile(p=0.95, q=0.9, r=0.85, s=0.8, eta=0.75)
+    program = cnot_circuit("memory")
+    tracemalloc.start()
+    try:
+        monte_carlo_yield(program, prof, trials=10 ** 6, master_seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 ** 2
 
 
 def test_monte_carlo_agrees_with_formula():
@@ -156,3 +208,13 @@ def test_monte_carlo_rejects_bad_trials():
     with pytest.raises(ValueError):
         monte_carlo_yield(cnot_circuit("memory"), ImperfectionProfile(),
                           trials=0, master_seed=1)
+
+
+def test_monte_carlo_seed_range():
+    program, prof = cnot_circuit("memory"), ImperfectionProfile(p=0.9)
+    for seed in (0, 2 ** 128 - 1):
+        assert monte_carlo_yield(program, prof, trials=10,
+                                 master_seed=seed).master_seed == seed
+    for seed in (-1, 2 ** 128):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\)"):
+            monte_carlo_yield(program, prof, trials=1, master_seed=seed)

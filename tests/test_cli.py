@@ -24,7 +24,13 @@ from zenosim.cli import (
     program_to_doc,
     serialize_program,
 )
-from zenosim.circuits import DEMOS, bell_generator, cnot_circuit, w_state_generator
+from zenosim.circuits import (
+    CNOT_FAMILIES,
+    DEMOS,
+    bell_generator,
+    cnot_circuit,
+    w_state_generator,
+)
 
 CLI = [sys.executable, "-m", "zenosim.cli"]
 # the child imports the zenosim this process imports, installed or not
@@ -578,6 +584,36 @@ def test_montecarlo_csv():
     estimate = float(fields[8])
     formula = float(fields[10])
     assert abs(estimate - formula) < 0.02
+
+
+def test_montecarlo_seed_out_of_range_is_one_error_line():
+    proc = run_cli("montecarlo", "--family", "memory",
+                   "--profile", "0.9,0.9,0.9,0.9,0.9", "--seed", "-1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "zenosim: error: seed must be in [0, 2**128), got -1\n"
+
+
+# sha256 of `montecarlo --family <name>` stdout at one profile, trial count
+# and seed; the estimate is a fixed function of the seeded stream
+_MONTECARLO_SHA256 = {
+    "memory": "a82732902002c0ad9058b6dbb09eb47642b3bdcac4794a0ce2eabb2281aa3926",
+    "half-memory-keep-control":
+        "e023ff554006a3703e7cdd94e67b6045dff129d2b507615306c8b5ea08358999",
+    "half-memory-keep-target":
+        "c646a5e0bfeddb7d7b09500092d708e4f7171935ff30270f38d4f17c1554cc8e",
+    "direct-cx": "06cea1dad24cde1b61fab9bdd161a478aac78cfa6773a41c785afc7ad9af8b95",
+    "direct-cz": "84cfffda0c11207bbb908039f6b498cebbd953178ab3273e516750e98341c7dd",
+}
+
+
+@pytest.mark.parametrize("family", CNOT_FAMILIES)
+def test_montecarlo_stdout_is_pinned(family):
+    code, stdout, _ = run_main("montecarlo", "--family", family,
+                               "--profile", "0.97,0.93,0.9,0.88,0.92",
+                               "--trials", "100000", "--seed", "2026")
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == _MONTECARLO_SHA256[family]
 
 
 def test_repeated_invocations_byte_identical():

@@ -207,3 +207,29 @@ def test_oracle_imports_only_its_pinned_engine_names():
         "interrogation": {"QiParams", "effective_map"},
         "state": {"PARTICLE_PM", "PHOTON_COMPUTATIONAL"},
     }
+
+
+def _multi_blocking_program(blocking):
+    h = 2 ** -0.5
+    return CircuitProgram(
+        subsystems=(particle("a"), particle("b"), photon("t")),
+        bits=(),
+        instructions=(
+            Instruction("prepare", {"target": "a", "state": [[h, 0], [h, 0], [0, 0]]}),
+            Instruction("prepare", {"target": "b", "state": [[0.6, 0], [0, 0.8], [0, 0]]}),
+            Instruction("prepare", {"target": "t", "level": 0}),
+            Instruction("photon_h", {"target": "t"}),
+            Instruction("qicz_multi", {"photon": "t", "particles": ["a", "b"],
+                                       "blocking": blocking}),
+            Instruction("photon_h", {"target": "t"}),
+        ),
+    )
+
+
+@pytest.mark.parametrize("params", [IDEAL, QiParams(cycles=7)],
+                         ids=["ideal", "n7"])
+def test_compare_takes_numpy_integer_blocking_entries(params):
+    plain = compare(_multi_blocking_program([1, 0]), params)
+    numpy_ints = compare(_multi_blocking_program([np.int64(1), 0]), params)
+    assert numpy_ints == plain
+    assert plain <= 1e-10
