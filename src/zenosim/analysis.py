@@ -14,6 +14,7 @@ from .circuits import (
     DIRECT_CZ,
     HALF_MEMORY_KEEP_CONTROL,
     HALF_MEMORY_KEEP_TARGET,
+    INTEGER,
     MEMORY,
     CircuitProgram,
 )
@@ -166,6 +167,9 @@ def monte_carlo_yield(program: CircuitProgram, profile: ImperfectionProfile,
     reproducible bit for bit for a given seed and trial count."""
     if trials < 1:
         raise ValueError("need a positive trial count")
+    if not INTEGER.check(master_seed):
+        raise ValueError(f"seed must be {INTEGER.describe}, got {master_seed!r}")
+    master_seed = int(master_seed)
     if not 0 <= master_seed < 1 << 128:
         raise ValueError(f"seed must be in [0, 2**128), got {master_seed}")
     probs = _draw_probabilities(program, profile)

@@ -6,10 +6,11 @@ W-state generator, teleportation memory, and the CNOT families.
 Every fact about an op lives in one row of `OPS`: its argument schema, the
 subsystems (and the kind each must be) and bits its arguments name, its
 census class (which alone fixes the imperfection field it is charged,
-through `gates.CHARGED`), and its engine action.  The validator, the
-census, the profile draws and the interpreter all read that table.  The classical record of a walk is a plain
-dict of bit name to value; the validator alone enforces that a bit is
-written before it is read.  One instruction
+through `gates.CHARGED`), its engine action, and its argument rule (the
+engine's own wiring, prepared-vector and phase checks, run at load).  The
+validator, the census, the profile draws and the interpreter all read that
+table.  A walk's classical record is a plain dict of bit name to value;
+the validator alone enforces that a bit is written before it is read.  One instruction
 loop runs a program a segment at a time, from the start or one measurement
 outcome up to the next measurement; `run_all_branches` builds every
 segment of a fresh tree, and `run` keeps the tree on the program and walks
@@ -26,24 +27,24 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import gates
-from .interrogation import QiParams, _normalize_blocking, qicz, qicz_multi
+from .interrogation import QiParams, qicz, qicz_multi, wiring
 from .state import (
     PARTICLE_COMPUTATIONAL,
     PARTICLE_PM,
     PHOTON_COMPUTATIONAL,
-    PHOTON_FAIL,
     QUDIT_POSITION,
     StateVector,
     SubsystemSpec,
     add_subsystem,
     basis_outcomes,
     branch_all,
+    initial_vector,
     norm_sq,
     particle,
     photon,
@@ -157,8 +158,9 @@ class OpSpec:
     """One op.  `args` and `optional` map argument names to their types.
     `action(state, args, context)` returns the next state; a measurement
     has none, because the walk's policy measures.  `census` is a dict per
-    basis for a measurement.  `values(args, program, arity)` is how many
-    values a bit the op writes can hold."""
+    basis for a measurement.  From `arity`, the value count of each bit
+    written so far, `values(args, program, arity)` counts a written bit's
+    values and `check_args(args, program, arity)` rejects what the action would."""
 
     args: dict
     action: Callable | None
@@ -185,29 +187,34 @@ def _controlled(op: str):
         state, ctx.classical[a["bit"]], op, a["target"])
 
 
-def _prepare(state: StateVector, args: dict, ctx: _Context) -> StateVector:
-    spec = ctx.program.spec(args["target"])
+def _prepared(program: CircuitProgram, args: dict) -> tuple[SubsystemSpec, np.ndarray]:
+    # the subsystem a prepare instruction adds, and the vector its form gives
+    spec = program.spec(args["target"])
     if "pm" in args:
-        vec = gates.prepare_particle_pm(spec, args["pm"])
-    elif args.get("uniform"):
-        vec = gates.prepare_particle_uniform(spec)
-    elif "state" in args:
+        return spec, gates.prepare_particle_pm(spec, args["pm"])
+    if args.get("uniform"):
+        return spec, gates.prepare_particle_uniform(spec)
+    vec = np.zeros(spec.dim, dtype=np.complex128)
+    if "state" in args:
         given = np.asarray(
             [complex(re, im) for re, im in args["state"]], dtype=np.complex128)
         if given.size > spec.dim:
             raise ValueError(f"initial vector too long for {spec.name!r}")
-        vec = np.zeros(spec.dim, dtype=np.complex128)
-        if spec.kind == "photon" and given.size == 2:
-            vec[0], vec[1] = given  # logical |0>, |1H>
-        else:
-            vec[: given.size] = given
+        vec[: given.size] = given  # a photon's pair is logical |0>, |1H>
     else:
         level = int(args.get("level", 0))
         if not 0 <= level < spec.dim:
             raise ValueError(f"level {level} out of range for {spec.name!r}")
-        vec = np.zeros(spec.dim, dtype=np.complex128)
         vec[level] = 1.0
-    return add_subsystem(state, spec, vec)
+    return spec, vec
+
+
+def _prepare(state: StateVector, args: dict, ctx: _Context) -> StateVector:
+    return add_subsystem(state, *_prepared(ctx.program, args))
+
+
+def _prepare_fits(a: dict, program: CircuitProgram, arity: dict) -> None:
+    initial_vector(*_prepared(program, a))
 
 
 def _xor(state: StateVector, a: dict, ctx: _Context) -> StateVector:
@@ -220,18 +227,15 @@ def _measured_values(a: dict, program: CircuitProgram, arity: dict) -> int:
     return len(basis_outcomes(program.spec(a["target"]), a["basis"])) - 1
 
 
-def _blocking_fits(a: dict, program: CircuitProgram) -> None:
-    # the checks interrogation.qicz_multi makes, so a bad list fails at load
-    particles, blocking = a["particles"], a.get("blocking")
-    for i, name in enumerate(particles):
-        if name in particles[:i]:
-            raise ValueError(f"particle {name!r} listed twice")
-    if blocking is None:
-        return
-    if len(blocking) != len(particles):
-        raise ValueError("one blocking entry per particle required")
-    for name, blk in zip(particles, blocking):
-        _normalize_blocking(program.spec(name), blk)
+def _wiring_fits(a: dict, program: CircuitProgram, arity: dict) -> None:
+    wiring([program.spec(name) for name in a["particles"]], a.get("blocking"))
+
+
+def _phase_fits(a: dict, program: CircuitProgram, arity: dict) -> None:
+    largest = arity[a["key"]] - 1  # values run 0..arity-1
+    if not np.isfinite(float(a["coeff"]) * largest):
+        raise ValueError(f"cphase coeff {a['coeff']!r} times {largest}, the largest "
+                         f"value of bit {a['key']!r}, is not finite")
 
 
 def _xor_values(a: dict, program: CircuitProgram, arity: dict) -> int:
@@ -241,7 +245,8 @@ def _xor_values(a: dict, program: CircuitProgram, arity: dict) -> int:
 
 OPS = {
     "prepare": OpSpec({"target": PREPARED}, _prepare, optional={
-        "level": INTEGER, "pm": TEXT, "uniform": FLAG, "state": AMPLITUDES}),
+        "level": INTEGER, "pm": TEXT, "uniform": FLAG, "state": AMPLITUDES},
+        check_args=_prepare_fits),
     "photon_h": OpSpec({"target": PHOTON}, _gate("photon_h"), census="h_optical"),
     "photon_x": OpSpec({"target": PHOTON}, _gate("photon_x")),
     "photon_z": OpSpec({"target": PHOTON}, _gate("photon_z")),
@@ -257,7 +262,7 @@ OPS = {
         {"photon": PHOTON, "particles": PARTICLES},
         lambda state, a, ctx: qicz_multi(state, a["photon"], a["particles"],
                                          ctx.params, blocking=a.get("blocking")),
-        optional={"blocking": BLOCKING}, census="qicz", check_args=_blocking_fits),
+        optional={"blocking": BLOCKING}, census="qicz", check_args=_wiring_fits),
     "measure": OpSpec({"target": MEASURED, "basis": BASIS, "bit": WRITE}, None,
                       census=MEASUREMENT_BASES, values=_measured_values),
     "cx": OpSpec({"bit": CONTROL, "target": PHOTON_OR_QUBIT}, _controlled("cx"),
@@ -268,7 +273,7 @@ OPS = {
         {"key": READ, "target": PHOTON, "coeff": NUMBER},
         lambda state, a, ctx: gates.classically_controlled_phase(
             state, ctx.classical[a["key"]], a["target"], a["coeff"]),
-        census="cc"),
+        census="cc", check_args=_phase_fits),
     "xor": OpSpec({"a": READ, "b": READ, "out": WRITE}, _xor, values=_xor_values),
 }
 
@@ -336,8 +341,8 @@ def validate_program(program: CircuitProgram) -> None:
     """Static checks: declared names only, prepare-before-use, no use after
     measurement, classical values written before read, gate subsystems and
     measurement bases that fit their subsystem, cx/cz only on bits that can
-    hold nothing but 0 and 1, qicz_multi particle and blocking lists that
-    fit together, and states within `MAX_AMPLITUDES`."""
+    hold nothing but 0 and 1, each row's `check_args` (qicz_multi wiring,
+    prepared vectors, finite cphase phases) and states within `MAX_AMPLITUDES`."""
     specs = {s.name: s for s in program.subsystems}
     if len(specs) != len(program.subsystems):
         raise ValueError("duplicate subsystem name")
@@ -406,7 +411,7 @@ def validate_program(program: CircuitProgram) -> None:
                                      f"{kind.needs}, but {name!r} is {what}")
         if row.check_args:
             try:
-                row.check_args(instr.args, program)
+                row.check_args(instr.args, program, arity)
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
 
@@ -508,8 +513,9 @@ def _segment(program: CircuitProgram, params: QiParams, classical: dict,
         else:
             seg.state = state
     except Exception as exc:
-        # a program the validator accepts can still fail here (an unnormalized
-        # prepared vector, say); a run raises it only once its draws get here
+        # the validator runs each op's argument rule, so only an action that
+        # breaks on its own (a rebound gate, say) fails here; a run raises
+        # the error only once its draws get here
         seg.error = (exc, exc.__traceback__)
     return seg
 
@@ -517,6 +523,13 @@ def _segment(program: CircuitProgram, params: QiParams, classical: dict,
 def _root(program: CircuitProgram, params: QiParams) -> _Segment:
     return _segment(program, params, {}, 1.0,
                     StateVector((), np.ones((), dtype=np.complex128)), 0)
+
+
+@lru_cache(maxsize=256)
+def _failure_outcome(spec: SubsystemSpec, basis: str) -> int:
+    # the last of a basis's outcomes is its failure one; kept per (spec,
+    # basis), since a walk asks at every outcome it takes
+    return basis_outcomes(spec, basis)[-1][0]
 
 
 def _child(program: CircuitProgram, params: QiParams, seg: _Segment,
@@ -527,8 +540,7 @@ def _child(program: CircuitProgram, params: QiParams, seg: _Segment,
     instr = program.instructions[seg.measured]
     classical = {**seg.classical, instr.args["bit"]: outcome}
     spec = program.spec(instr.args["target"])
-    failure = PHOTON_FAIL if spec.kind == "photon" else spec.exploded_level()
-    if outcome == failure:
+    if outcome == _failure_outcome(spec, instr.args["basis"]):
         return _Segment(seg.weight * prob, post, classical, failed=True)
     return _segment(program, params, classical, seg.weight * prob, post,
                     seg.measured + 1)
@@ -671,12 +683,10 @@ def configurable_gate(photons, particles, interferometers) -> CircuitProgram:
     instructions += [
         _ins("prepare", target=n, state=_vec_arg(v)) for n, _, v in particles
     ]
-    for ph_name, wiring in interferometers:
-        names = [w[0] for w in wiring]
-        if len(set(names)) != len(names):
-            raise ValueError(f"particle wired twice into one interferometer on {ph_name!r}")
+    for ph_name, wired in interferometers:
+        names = [w[0] for w in wired]
         blocking = [sorted(w[1]) if not isinstance(w[1], int) else [w[1]]
-                    for w in wiring]
+                    for w in wired]
         instructions.append(_ins("qicz_multi", photon=ph_name, particles=names,
                                  blocking=blocking))
     return CircuitProgram(tuple(subsystems), (), tuple(instructions))

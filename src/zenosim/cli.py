@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, circuits, oracle
 from .circuits import CircuitProgram, Instruction
-from .gates import ImperfectionProfile
+from .gates import CHARGED, ImperfectionProfile
 from .interrogation import PI_OVER_2N, PI_OVER_N, QiParams
 from .state import particle, photon
 
@@ -321,8 +321,7 @@ def _cmd_cnot(args) -> int:
 def _cmd_census(args) -> int:
     family = _resolve_family(args.family)
     census = circuits.gate_census(circuits.cnot_circuit(family))
-    print(",".join(f"{key}={census[key]}" for key in
-                   ("h_optical", "qicz", "cc", "h_particle", "detectors")))
+    print(",".join(f"{key}={census[key]}" for key in CHARGED))
     return 0
 
 

@@ -41,6 +41,8 @@ from .state import (
     PH_SINK,
     BLOCKED,
     StateVector,
+    particle as particle_spec,
+    photon as photon_spec,
 )
 
 PI_OVER_N = "pi_over_n"
@@ -89,20 +91,33 @@ def theta_value(params: QiParams) -> np.longdouble:
     return _PI / params.cycles
 
 
-def _normalize_blocking(spec, blocking) -> tuple[int, ...]:
-    if isinstance(blocking, (int, np.integer)):
-        blocking = (int(blocking),)
-    positions = spec.positions()
-    out = tuple(sorted(int(b) for b in blocking))
-    if len(set(out)) != len(out):
-        raise ValueError(f"duplicate blocking position for {spec.name!r}")
-    for b in out:
-        if not 0 <= b < positions:
-            raise ValueError(
-                f"blocking position {b} invalid for {spec.name!r} "
-                f"(positions 0..{positions - 1}; the exploded level cannot block)"
-            )
-    return out
+def wiring(specs, blocking=None) -> tuple[tuple[int, ...], ...]:
+    """The one wiring rule of an interrogation: each spec a particle listed
+    once, with one blocking entry (default `BLOCKED`), a position or a list
+    of distinct positions short of the exploded level.  Returns them sorted."""
+    if blocking is None:
+        blocking = [BLOCKED] * len(specs)
+    if len(blocking) != len(specs):
+        raise ValueError("one blocking entry per particle required")
+    out = []
+    for i, (spec, blk) in enumerate(zip(specs, blocking)):
+        if spec.kind != "particle":
+            raise ValueError(f"{spec.name!r} is not a particle")
+        if spec in specs[:i]:
+            raise ValueError(f"particle {spec.name!r} listed twice")
+        if isinstance(blk, (int, np.integer)):
+            blk = (blk,)
+        blk = tuple(sorted(int(b) for b in blk))
+        if len(set(blk)) != len(blk):
+            raise ValueError(f"duplicate blocking position for {spec.name!r}")
+        positions = spec.positions()
+        for b in blk:
+            if not 0 <= b < positions:
+                raise ValueError(
+                    f"blocking position {b} invalid for {spec.name!r} "
+                    f"(positions 0..{positions - 1}; the exploded level cannot block)")
+        out.append(blk)
+    return tuple(out)
 
 
 def _blocked_counts(shape, plan) -> np.ndarray:
@@ -185,22 +200,10 @@ def _prepare(state: StateVector, photon: str, particles: list[str], blocking):
     p_axis = state.axis(photon)
     if state.layout[p_axis].kind != "photon":
         raise ValueError(f"{photon!r} is not a photon")
-    if blocking is None:
-        blocking = [BLOCKED] * len(particles)
-    if len(blocking) != len(particles):
-        raise ValueError("one blocking entry per particle required")
-    plan = []
-    seen = set()
-    for name, blk in zip(particles, blocking):
-        axis = state.axis(name)
-        spec = state.layout[axis]
-        if spec.kind != "particle":
-            raise ValueError(f"{name!r} is not a particle")
-        if axis in seen:
-            raise ValueError(f"particle {name!r} listed twice")
-        seen.add(axis)
-        rest_axis = axis - 1 if axis > p_axis else axis
-        plan.append((rest_axis, _normalize_blocking(spec, blk), spec.exploded_level()))
+    axes = [state.axis(name) for name in particles]
+    blocks = wiring([state.layout[axis] for axis in axes], blocking)
+    plan = [(axis - 1 if axis > p_axis else axis, blk, state.layout[axis].exploded_level())
+            for axis, blk in zip(axes, blocks)]
     return p_axis, plan
 
 
@@ -255,14 +258,9 @@ def effective_map(params: QiParams, n_particles: int,
         raise ValueError("particle count must be nonnegative")
     if particle_positions is None:
         particle_positions = [2] * n_particles
-    if blocking is None:
-        key_blocking = ((BLOCKED,),) * n_particles
-    else:
-        key_blocking = tuple(
-            (int(b),) if isinstance(b, (int, np.integer)) else tuple(sorted(b))
-            for b in blocking)
+    specs = [particle_spec(f"b{i}", positions=d) for i, d in enumerate(particle_positions)]
     return _effective_map_cached(params, tuple(particle_positions),
-                                 key_blocking).copy()
+                                 wiring(specs, blocking)).copy()
 
 
 @lru_cache(maxsize=64)
@@ -279,10 +277,8 @@ def _effective_map_cached(params: QiParams, particle_positions: tuple,
     entry has the bits of a one-column run on the basis input (only an
     entry below 2^j times the smallest normal double, ~1e-306, could lose
     low bits to subnormal rounding)."""
-    from .state import particle, photon as photon_spec
-
     layout = [photon_spec("ph")] + [
-        particle(f"b{i}", positions=d) for i, d in enumerate(particle_positions)
+        particle_spec(f"b{i}", positions=d) for i, d in enumerate(particle_positions)
     ]
     copies = [replace(s, name=s.name + "_copy") for s in layout]
     names = [s.name for s in layout[1:]]

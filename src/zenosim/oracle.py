@@ -205,10 +205,7 @@ def _init_vector(kind: str, dim: int, args: dict) -> np.ndarray:
     if "state" in args:
         given = np.asarray([complex(re, im) for re, im in args["state"]],
                            dtype=np.complex128)
-        if kind == "photon" and given.size == 2:
-            v[:2] = given
-        else:
-            v[: given.size] = given
+        v[: given.size] = given
         return v
     v[int(args.get("level", 0))] = 1.0
     return v

@@ -245,14 +245,19 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
-def add_subsystem(state: StateVector, spec: SubsystemSpec, vec) -> StateVector:
-    """Append a fresh subsystem in the given normalized amplitude vector."""
-    if any(s.name == spec.name for s in state.layout):
-        raise ValueError(f"subsystem {spec.name!r} already present")
+def initial_vector(spec: SubsystemSpec, vec) -> np.ndarray:
+    """`vec` as complex128, checked to have one entry per level and unit norm."""
     e = np.asarray(vec, dtype=np.complex128)
     if e.shape != (spec.dim,):
         raise ValueError(f"initial vector must have length {spec.dim}")
     if abs(float(np.vdot(e, e).real) - 1.0) > ATOL:
         raise ValueError("initial vector must be normalized")
-    amps = np.multiply.outer(state.amps, e)
+    return e
+
+
+def add_subsystem(state: StateVector, spec: SubsystemSpec, vec) -> StateVector:
+    """Append a fresh subsystem in the given normalized amplitude vector."""
+    if any(s.name == spec.name for s in state.layout):
+        raise ValueError(f"subsystem {spec.name!r} already present")
+    amps = np.multiply.outer(state.amps, initial_vector(spec, vec))
     return StateVector(state.layout + (spec,), amps)

@@ -218,3 +218,19 @@ def test_monte_carlo_seed_range():
     for seed in (-1, 2 ** 128):
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\)"):
             monte_carlo_yield(program, prof, trials=1, master_seed=seed)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", None])
+def test_monte_carlo_rejects_a_seed_that_is_not_an_integer(seed):
+    program, prof = cnot_circuit("memory"), ImperfectionProfile(p=0.9)
+    with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+        monte_carlo_yield(program, prof, trials=10, master_seed=seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint64(2 ** 64 - 1), np.int8(0)])
+def test_monte_carlo_numpy_integer_seed_matches_int(seed):
+    program, prof = cnot_circuit("memory"), ImperfectionProfile(p=0.9, q=0.8)
+    got = monte_carlo_yield(program, prof, trials=5000, master_seed=seed)
+    want = monte_carlo_yield(program, prof, trials=5000, master_seed=int(seed))
+    assert got == want
+    assert type(got.master_seed) is int

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from zenosim.circuits import (
     w_state_generator,
 )
 from zenosim.gates import ImperfectionProfile
-from zenosim.interrogation import QiParams
+from zenosim.interrogation import QiParams, effective_map, qicz_multi
 from zenosim.state import (
+    PH_ONE_H,
     PARTICLE_COMPUTATIONAL,
     PARTICLE_PM,
     PHOTON_COMPUTATIONAL,
@@ -190,6 +192,19 @@ def test_qicz_multi_lists_that_do_not_fit_are_rejected_at_construction(
     instr = _ins("qicz_multi", photon="p", **args)
     with pytest.raises(ValueError, match=rf"^instructions\[6\]: {message}"):
         CircuitProgram(_KIND_SUBSYSTEMS, ("m",), _KIND_SETUP + (instr,))
+    # the engine raises the same error, from the same rule
+    names, blocking = args["particles"], args.get("blocking")
+    state = new_state([photon("p"), particle("b"), particle("q", positions=3)],
+                      [PH_ONE_H, 0, 0])
+    with pytest.raises(ValueError, match=rf"^{message}"):
+        qicz_multi(state, "p", names, IDEAL, blocking=blocking)
+    # effective_map names its particles b0, b1, ... in list order, so it
+    # cannot list one twice
+    if len(set(names)) == len(names):
+        renamed = re.sub(r"'(\w)'", lambda m: f"'b{names.index(m[1])}'", message)
+        positions = [state.spec(name).positions() for name in names]
+        with pytest.raises(ValueError, match=rf"^{renamed}"):
+            effective_map(QiParams(cycles=5), len(names), positions, blocking)
 
 
 @pytest.mark.parametrize("args", [
@@ -202,6 +217,58 @@ def test_qicz_multi_lists_that_fit_are_accepted(args):
     program = CircuitProgram(_KIND_SUBSYSTEMS, ("m",), _KIND_SETUP + (instr,))
     # what the validator accepts, the engine runs
     assert run_all_branches(program, IDEAL)
+
+
+# the photon "s" is measured where only the failure outcome has weight, so
+# no walk reaches what follows; the validator checks it all the same
+_FAILED_FIRST = (
+    _ins("prepare", target="s", level=2),
+    _ins("measure", target="s", basis=PHOTON_COMPUTATIONAL, bit="m"),
+)
+
+
+@pytest.mark.parametrize("target,args,message", [
+    ("b", {"pm": "x"}, "sign must be '+' or '-'"),
+    ("p", {"pm": "+"}, "'p' is not a particle"),
+    ("q", {"pm": "-"}, "pm preparation needs a 2-position particle"),
+    ("p", {"uniform": True}, "'p' is not a particle"),
+    ("p", {"level": 7}, "level 7 out of range for 'p'"),
+    ("b", {"level": -1}, "level -1 out of range for 'b'"),
+    ("p", {"state": [[0.5, 0]] * 5}, "initial vector too long for 'p'"),
+    ("p", {"state": [[1, 0], [1, 0]]}, "initial vector must be normalized"),
+    ("b", {"state": []}, "initial vector must be normalized"),
+])
+def test_prepare_that_does_not_fit_is_rejected_at_construction(target, args, message):
+    instr = _ins("prepare", target=target, **args)
+    with pytest.raises(ValueError, match=rf"^instructions\[2\]: {re.escape(message)}$"):
+        CircuitProgram(_KIND_SUBSYSTEMS, ("m",), _FAILED_FIRST + (instr,))
+
+
+def _keyed_phase(coeff, basis=QUDIT_POSITION):
+    # bit k reads 0, 1 or 2 in the qudit basis, 0 or 1 in the pm basis
+    measured = "q" if basis == QUDIT_POSITION else "b"
+    return CircuitProgram(
+        (particle("q", positions=3), particle("b"), photon("p")), ("k",), (
+            _ins("prepare", target="q", uniform=True),
+            _ins("prepare", target="b", pm="+"),
+            _ins("measure", target=measured, basis=basis, bit="k"),
+            _ins("prepare", target="p", level=1),
+            _ins("cphase", key="k", target="p", coeff=coeff),
+        ))
+
+
+@pytest.mark.parametrize("coeff", [1e308, -1e308, 10 ** 308, 1.7e308],
+                         ids=["1e308", "-1e308", "int", "1.7e308"])
+def test_cphase_whose_phase_overflows_is_rejected_at_construction(coeff):
+    message = (rf"^instructions\[4\]: cphase coeff {re.escape(repr(coeff))} times 2, "
+               r"the largest value of bit 'k', is not finite$")
+    with pytest.raises(ValueError, match=message):
+        _keyed_phase(coeff)
+    # the same coefficient stays finite on a bit that reads at most 1, and
+    # half of it on the qudit bit
+    for program in (_keyed_phase(coeff, PARTICLE_PM), _keyed_phase(coeff / 2)):
+        for res in run_all_branches(program, IDEAL):
+            assert np.isfinite(res.final_state.amps).all()
 
 
 def test_measure_into_undeclared_bit():
@@ -265,7 +332,7 @@ def test_binary_and_integer_controls_accepted():
 
 
 def test_configurable_gate_rejects_double_wiring():
-    with pytest.raises(ValueError, match="wired twice"):
+    with pytest.raises(ValueError, match=r"^instructions\[2\]: particle 'b' listed twice$"):
         configurable_gate(
             photons=[("p", (0, 1))],
             particles=[("b", 2, (1, 0, 0))],
@@ -532,19 +599,28 @@ def test_failed_draw_records_the_bits_written_before_it():
         assert result.final_state.layout == (photon("q"),)
 
 
-def test_run_time_error_is_raised_where_the_walk_reaches_it():
-    # the validator accepts an unnormalized vector; preparing it raises
+def _break_photon_x(monkeypatch, error):
+    def broken(state, name):
+        raise error("broken gate")
+
+    monkeypatch.setattr(gates, "photon_x", broken)
+
+
+def test_run_time_error_is_raised_where_the_walk_reaches_it(monkeypatch):
+    # the validator accepts the program; the rebound gate raises when it acts
+    _break_photon_x(monkeypatch, ValueError)
     program = CircuitProgram((photon("p"), photon("q")), (), (
         _ins("prepare", target="p", level=0),
         _ins("photon_h", target="p"),
-        _ins("prepare", target="q", state=[[1, 0], [1, 0]]),
+        _ins("prepare", target="q", level=0),
+        _ins("photon_x", target="q"),
     ))
     for _ in range(2):  # the second run walks the kept tree
-        with pytest.raises(ValueError, match="must be normalized"):
+        with pytest.raises(ValueError, match="broken gate"):
             run(program, IDEAL)
-        # a failed draw before the preparation ends the run first
+        # a failed draw before the broken gate ends the run first
         assert run(program, IDEAL, profile=ImperfectionProfile(p=0.0)).failed
-    with pytest.raises(ValueError, match="must be normalized"):
+    with pytest.raises(ValueError, match="broken gate"):
         run_all_branches(program, IDEAL)
 
 
@@ -559,10 +635,7 @@ def test_run_all_branches_keeps_no_tree():
 
 
 def test_run_time_error_of_any_type_is_raised_where_the_walk_reaches_it(monkeypatch):
-    def broken(state, name):
-        raise RuntimeError("broken gate")
-
-    monkeypatch.setattr(gates, "photon_x", broken)
+    _break_photon_x(monkeypatch, RuntimeError)
     program = CircuitProgram((photon("p"),), (), (
         _ins("prepare", target="p", level=0),
         _ins("photon_h", target="p"),
@@ -613,12 +686,14 @@ def test_outcome_tree_stays_within_its_budget(monkeypatch, profile):
     assert all((seg.state is None) == (seg.measured is not None) for seg in segments)
 
 
-def test_copies_and_pickles_leave_the_tree_behind():
+def test_copies_and_pickles_leave_the_tree_behind(monkeypatch):
+    _break_photon_x(monkeypatch, ValueError)
     program = CircuitProgram((photon("p"), photon("q")), (), (
         _ins("prepare", target="p", level=0),
-        _ins("prepare", target="q", state=[[1, 0], [1, 0]]),
+        _ins("prepare", target="q", level=0),
+        _ins("photon_x", target="q"),
     ))
-    with pytest.raises(ValueError, match="must be normalized"):
+    with pytest.raises(ValueError, match="broken gate"):
         run(program, IDEAL)
     bell = bell_generator()
     expected = _record(run(bell, IDEAL, np.random.default_rng(4)))

@@ -251,10 +251,10 @@ def test_unknown_op_reports_index():
     # a level outside 0..dim-1 is an engine error, never an index from the end
     ({"version": "1", "subsystems": [{"name": "b", "kind": "particle"}],
       "instructions": [{"op": "prepare", "target": "b", "level": -1}]},
-     "level -1 out of range for 'b'"),
+     "instructions[0]: level -1 out of range for 'b'"),
     ({"version": "1", "subsystems": [{"name": "b", "kind": "particle"}],
       "instructions": [{"op": "prepare", "target": "b", "level": 3}]},
-     "level 3 out of range for 'b'"),
+     "instructions[0]: level 3 out of range for 'b'"),
 ])
 def test_malformed_file_is_one_error_line(tmp_path, doc, message):
     path = tmp_path / "malformed.json"
@@ -352,6 +352,59 @@ def test_qicz_multi_lists_that_do_not_fit_are_one_error_line(tmp_path, name, com
     args, message = _QICZ_MULTI_LISTS[name]
     doc = json.loads(json.dumps(_QICZ_MULTI_PREFIX))
     doc["instructions"].append({"op": "qicz_multi", "photon": "p", **args})
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(command, str(path), "--ideal")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"zenosim: error: {message}\n"
+
+
+def _arguments_doc(*instructions, failed_first=True):
+    """A program that ends in `instructions`; with `failed_first`, after a
+    photon measurement that only the failure outcome survives, so that no
+    walk reaches them."""
+    head = [{"op": "prepare", "target": "s", "level": 2},
+            {"op": "measure", "target": "s", "basis": "photon_computational",
+             "bit": "m"}] if failed_first else []
+    return {"version": "1",
+            "subsystems": [{"name": "s", "kind": "photon"},
+                           {"name": "p", "kind": "photon"},
+                           {"name": "b", "kind": "particle"},
+                           {"name": "q", "kind": "particle", "dim": 3}],
+            "bits": ["m", "k"], "instructions": head + list(instructions)}
+
+
+# a cphase on a bit that can read 2, where 2 * coeff overflows
+_KEYED_PHASE = [{"op": "prepare", "target": "q", "uniform": True},
+                {"op": "measure", "target": "q", "basis": "qudit_position", "bit": "k"},
+                {"op": "prepare", "target": "p", "level": 1},
+                {"op": "cphase", "key": "k", "target": "p", "coeff": 1e308}]
+_PHASE_MESSAGE = "cphase coeff 1e+308 times 2, the largest value of bit 'k', is not finite"
+_ARGUMENT_DOCS = {
+    "pm-sign": (_arguments_doc({"op": "prepare", "target": "b", "pm": "x"}),
+                "instructions[2]: sign must be '+' or '-'"),
+    "uniform-photon": (_arguments_doc({"op": "prepare", "target": "p", "uniform": True}),
+                       "instructions[2]: 'p' is not a particle"),
+    "level": (_arguments_doc({"op": "prepare", "target": "p", "level": 7}),
+              "instructions[2]: level 7 out of range for 'p'"),
+    "state-length": (_arguments_doc({"op": "prepare", "target": "p",
+                                     "state": [[0.5, 0]] * 5}),
+                     "instructions[2]: initial vector too long for 'p'"),
+    "state-norm": (_arguments_doc({"op": "prepare", "target": "p",
+                                   "state": [[1, 0], [1, 0]]}),
+                   "instructions[2]: initial vector must be normalized"),
+    "phase-unreached": (_arguments_doc(*_KEYED_PHASE),
+                        f"instructions[5]: {_PHASE_MESSAGE}"),
+    "phase-reached": (_arguments_doc(*_KEYED_PHASE, failed_first=False),
+                      f"instructions[3]: {_PHASE_MESSAGE}"),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle-check"])
+@pytest.mark.parametrize("name", sorted(_ARGUMENT_DOCS))
+def test_arguments_the_engine_would_reject_are_one_error_line(tmp_path, name, command):
+    doc, message = _ARGUMENT_DOCS[name]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc))
     proc = run_cli(command, str(path), "--ideal")
