@@ -685,7 +685,7 @@ def configurable_gate(photons, particles, interferometers) -> CircuitProgram:
     ]
     for ph_name, wired in interferometers:
         names = [w[0] for w in wired]
-        blocking = [sorted(w[1]) if not isinstance(w[1], int) else [w[1]]
+        blocking = [[int(w[1])] if isinstance(w[1], (int, np.integer)) else sorted(w[1])
                     for w in wired]
         instructions.append(_ins("qicz_multi", photon=ph_name, particles=names,
                                  blocking=blocking))

@@ -39,12 +39,14 @@ _SQRT_HALF = 1.0 / np.sqrt(2.0)
 def _photon_block(block: np.ndarray) -> np.ndarray:
     m = np.eye(4, dtype=np.complex128)
     m[np.ix_((PH_ZERO, PH_ONE_H), (PH_ZERO, PH_ONE_H))] = block
+    m.flags.writeable = False
     return m
 
 
 def _particle_block(positions: int, block: np.ndarray) -> np.ndarray:
     m = np.eye(positions + 1, dtype=np.complex128)
     m[:positions, :positions] = block
+    m.flags.writeable = False
     return m
 
 
@@ -58,20 +60,26 @@ def _fourier(positions: int) -> np.ndarray:
     return np.exp(2j * np.pi * j * k / positions) / np.sqrt(positions)
 
 
+# the fixed operators, built once at import; every call of a gate hands the
+# same read-only matrix to apply_local
+_PHOTON_H, _PHOTON_X, _PHOTON_Z = (_photon_block(b) for b in (_H2, _X2, _Z2))
+_PARTICLE_H, _PARTICLE_X, _PARTICLE_Z = (_particle_block(2, b) for b in (_H2, _X2, _Z2))
+
+
 def photon_h(state: StateVector, name: str) -> StateVector:
     """Hadamard on the photon's logical block."""
     _expect_kind(state.spec(name), "photon")
-    return apply_local(state, [name], _photon_block(_H2))
+    return apply_local(state, [name], _PHOTON_H)
 
 
 def photon_x(state: StateVector, name: str) -> StateVector:
     _expect_kind(state.spec(name), "photon")
-    return apply_local(state, [name], _photon_block(_X2))
+    return apply_local(state, [name], _PHOTON_X)
 
 
 def photon_z(state: StateVector, name: str) -> StateVector:
     _expect_kind(state.spec(name), "photon")
-    return apply_local(state, [name], _photon_block(_Z2))
+    return apply_local(state, [name], _PHOTON_Z)
 
 
 def particle_h(state: StateVector, name: str) -> StateVector:
@@ -79,22 +87,22 @@ def particle_h(state: StateVector, name: str) -> StateVector:
     transform when there are more positions."""
     spec = _expect_kind(state.spec(name), "particle")
     d = spec.positions()
-    block = _H2 if d == 2 else _fourier(d)
-    return apply_local(state, [name], _particle_block(d, block))
+    op = _PARTICLE_H if d == 2 else _particle_block(d, _fourier(d))
+    return apply_local(state, [name], op)
 
 
 def particle_x(state: StateVector, name: str) -> StateVector:
     spec = _expect_kind(state.spec(name), "particle")
     if spec.positions() != 2:
         raise ValueError("particle_x is defined for 2-position particles")
-    return apply_local(state, [name], _particle_block(2, _X2))
+    return apply_local(state, [name], _PARTICLE_X)
 
 
 def particle_z(state: StateVector, name: str) -> StateVector:
     spec = _expect_kind(state.spec(name), "particle")
     if spec.positions() != 2:
         raise ValueError("particle_z is defined for 2-position particles")
-    return apply_local(state, [name], _particle_block(2, _Z2))
+    return apply_local(state, [name], _PARTICLE_Z)
 
 
 def _expect_kind(spec: SubsystemSpec, kind: str) -> SubsystemSpec:

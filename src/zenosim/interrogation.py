@@ -150,7 +150,10 @@ def _cycle_powers(kmax, theta, eps, lam, m) -> np.ndarray:
     step[:, 0, 0], step[:, 0, 1] = c, -s
     step[:, 1, 0], step[:, 1, 1] = s * keep_eps, c * keep_eps
     step *= keep_loss
-    power = np.broadcast_to(np.eye(2, dtype=np.longdouble), step.shape).copy()
+    # the squaring starts from an explicit identity: taking the first factor
+    # as is would flip the signs of zero entries at m = 1 with eps = 1
+    power = np.zeros(step.shape, dtype=np.longdouble)
+    power[:, 0, 0] = power[:, 1, 1] = 1
     e = m
     while e:
         if e & 1:
@@ -171,7 +174,8 @@ def _limit_powers(kmax) -> np.ndarray:
     k = 0..kmax: diag(-1, 1) when no listed particle blocks (the open
     interferometer's sign flip on |1H>) and the identity otherwise (the
     photon frozen on |1H>)."""
-    power = np.broadcast_to(np.eye(2, dtype=np.longdouble), (kmax + 1, 2, 2)).copy()
+    power = np.zeros((kmax + 1, 2, 2), dtype=np.longdouble)
+    power[:, 0, 0] = power[:, 1, 1] = 1
     power[0, 0, 0] = -1
     return power
 
@@ -215,7 +219,7 @@ def qi_run(state: StateVector, photon: str, particles: list[str],
     the norm deficit.  Every other subsystem is left as it is."""
     p_axis, plan = _prepare(state, photon, particles, blocking)
     amps = state.amps.copy()
-    work = np.moveaxis(amps, p_axis, 0)
+    work = amps.transpose([p_axis] + [a for a in range(amps.ndim) if a != p_axis])
     _run_cycles(work, plan, params)
     if params.residual_v_policy == ROUTE_TO_SINK:
         work[PH_ONE_V] = 0.0
@@ -254,10 +258,10 @@ def effective_map(params: QiParams, n_particles: int,
     (O(log N)) per blocked count serves all columns; results are memoized
     on (params, positions, blocking).
     """
-    if n_particles < 0:
-        raise ValueError("particle count must be nonnegative")
     if particle_positions is None:
         particle_positions = [2] * n_particles
+    if n_particles < 0 or len(particle_positions) != n_particles:
+        raise ValueError("need a nonnegative particle count and one position count per particle")
     specs = [particle_spec(f"b{i}", positions=d) for i, d in enumerate(particle_positions)]
     return _effective_map_cached(params, tuple(particle_positions),
                                  wiring(specs, blocking)).copy()

@@ -14,6 +14,7 @@ are pre-renormalization branch weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,10 +84,12 @@ class StateVector:
     def __post_init__(self):
         dims = tuple(s.dim for s in self.layout)
         self.amps = np.ascontiguousarray(self.amps, dtype=np.complex128).reshape(dims)
-        if not np.isfinite(self.amps).all():
-            raise ValueError("non-finite amplitude")
         n = norm_sq(self)
-        if n > 1 + ATOL:
+        # a non-finite amplitude makes the norm inf or nan, so the scan runs
+        # only when the norm check fails
+        if not n <= 1 + ATOL:
+            if not np.isfinite(self.amps).all():
+                raise ValueError("non-finite amplitude")
             raise ValueError(f"norm^2 {n} exceeds 1")
 
     def axis(self, name: str) -> int:
@@ -131,13 +134,6 @@ def new_state(layout: list[SubsystemSpec], levels: list[int]) -> StateVector:
     return StateVector(tuple(layout), amps)
 
 
-def _targets_front(amps: np.ndarray, axes: list[int]) -> tuple[np.ndarray, tuple]:
-    moved = np.moveaxis(amps, axes, range(len(axes)))
-    shape = moved.shape
-    block = int(np.prod(shape[: len(axes)], dtype=np.int64))
-    return moved.reshape(block, -1), shape
-
-
 def apply_local(state: StateVector, targets: list[str], op: np.ndarray) -> StateVector:
     """Apply a dense operator on the target slots, identity elsewhere.
 
@@ -148,17 +144,17 @@ def apply_local(state: StateVector, targets: list[str], op: np.ndarray) -> State
     axes = [state.axis(t) for t in targets]
     if len(set(axes)) != len(axes):
         raise ValueError("duplicate target")
-    block = int(np.prod([state.layout[a].dim for a in axes], dtype=np.int64))
+    block = math.prod(state.layout[a].dim for a in axes)
     op = np.asarray(op, dtype=np.complex128)
     if op.shape != (block, block):
         raise ValueError(f"operator shape {op.shape} does not match target dimension {block}")
     smax = float(np.linalg.svd(op, compute_uv=False)[0])
     if smax > 1 + ATOL:
         raise ValueError(f"operator is not a contraction (sigma_max = {smax})")
-    mat, shape = _targets_front(state.amps, axes)
-    out = (op @ mat).reshape(shape)
-    out = np.moveaxis(out, range(len(axes)), axes)
-    return StateVector(state.layout, out)
+    perm = axes + [a for a in range(len(state.layout)) if a not in axes]
+    front = state.amps.transpose(perm)
+    out = (op @ front.reshape(block, -1)).reshape(front.shape)
+    return StateVector(state.layout, out.transpose(sorted(range(len(perm)), key=perm.__getitem__)))
 
 
 def basis_outcomes(spec: SubsystemSpec, basis: str) -> list[tuple[int, np.ndarray | None]]:
@@ -167,14 +163,13 @@ def basis_outcomes(spec: SubsystemSpec, basis: str) -> list[tuple[int, np.ndarra
     the failure one (pooled photon failure or exploded particle).  Raises
     ValueError when the basis does not fit the subsystem."""
     d = spec.dim
+    e = np.eye(d, dtype=np.complex128)
     if basis == PHOTON_COMPUTATIONAL:
         if spec.kind != "photon":
             raise ValueError(f"{spec.name} is not a photon")
-        e = np.eye(d, dtype=np.complex128)
         return [(0, e[PH_ZERO]), (1, e[PH_ONE_H]), (PHOTON_FAIL, None)]
     if spec.kind != "particle":
         raise ValueError(f"basis {basis!r} needs a particle, got {spec.name!r}")
-    e = np.eye(d, dtype=np.complex128)
     if basis == PARTICLE_PM:
         if spec.positions() != 2:
             raise ValueError("particle_pm basis needs a 2-position particle")
@@ -192,15 +187,14 @@ def _project_branch(state: StateVector, axis: int, factor: np.ndarray | None):
     Rank-1 outcomes factor the subsystem out of the layout; the pooled
     failure outcome keeps it (its projector has rank 2)."""
     if factor is not None:
-        amp = np.tensordot(factor.conj(), state.amps, axes=(0, axis))
-        layout = tuple(s for i, s in enumerate(state.layout) if i != axis)
-        return layout, amp
+        # the (1, d) by (d, rest) operands np.tensordot would hand to np.dot
+        rest = [i for i in range(state.amps.ndim) if i != axis]
+        front = state.amps.transpose([axis] + rest)
+        amp = np.dot(factor.conj().reshape(1, -1), front.reshape(factor.size, -1))
+        return tuple(state.layout[i] for i in rest), amp.reshape(front.shape[1:])
     keep = np.zeros(state.layout[axis].dim)
-    keep[PH_ONE_V] = 1.0
-    keep[PH_SINK] = 1.0
-    shape = [1] * state.amps.ndim
-    shape[axis] = state.layout[axis].dim
-    amp = state.amps * keep.reshape(shape)
+    keep[[PH_ONE_V, PH_SINK]] = 1.0
+    amp = state.amps * keep.reshape([-1 if i == axis else 1 for i in range(state.amps.ndim)])
     return state.layout, amp
 
 

@@ -340,6 +340,15 @@ def test_configurable_gate_rejects_double_wiring():
         )
 
 
+
+def test_configurable_gate_accepts_numpy_integer_blocking():
+    wiring = dict(photons=[("p", (0, 1))], particles=[("b", 2, (1, 0, 0)), ("c", 2, (0, 1, 0))])
+    got = configurable_gate(**wiring, interferometers=[
+        ("p", [("b", np.int64(0)), ("c", [np.int32(1), np.int64(0)])])])
+    want = configurable_gate(**wiring, interferometers=[("p", [("b", 0), ("c", [1, 0])])])
+    assert got == want
+    assert type(got.instructions[-1].args["blocking"][0][0]) is int
+
 def test_w_generator_needs_two_photons():
     with pytest.raises(ValueError):
         w_state_generator(1)

@@ -4,6 +4,7 @@ particles, the extracted effective map, and a differential check of the
 closed-form cycle engine against a literal per-cycle loop."""
 
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -276,6 +277,13 @@ def test_cold_map_is_one_engine_run(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("n, positions", [(3, [2]), (0, [2, 2]), (-1, None)])
+def test_effective_map_rejects_position_count_mismatch(n, positions):
+    with pytest.raises(ValueError, match="^need a nonnegative particle count and one "
+                                         "position count per particle$"):
+        effective_map(QiParams(cycles=5), n, positions)
+
+
 def test_effective_map_accepts_numpy_integer_blocking():
     params = QiParams(cycles=5)
     want = effective_map(params, 1, blocking=[0])
@@ -377,3 +385,102 @@ def test_engine_matches_literal_cycle_loop(config, n):
                     want = _reference_finish(ref, state.layout, positions, policy)
                     assert np.abs(got.amps - want.amps).max() <= 1e-12, \
                         (eps, lam, rule, policy)
+
+
+# --- the engine's axis moves and power stacks against numpy's helpers ------
+
+def _acceptance_grid():
+    """Every depth x theta rule x absorb x loss x residual policy, plus the
+    exact limit."""
+    yield QiParams(cycles=None)
+    for n, rule, eps, lam, policy in product(
+            (1, 2, 3, 17, 333, 10**4, 10**7), (PI_OVER_N, PI_OVER_2N),
+            (0.0, 0.5, 0.9, 1.0), (0.0, 1e-3), (ROUTE_TO_SINK, KEEP)):
+        yield QiParams(cycles=n, theta_rule=rule, absorb_prob=eps, cycle_loss=lam,
+                       residual_v_policy=policy)
+
+
+def _cycle_powers_reference(kmax, theta, eps, lam, m):
+    """T_k^m stacked, squared from a `broadcast_to(eye)` identity start."""
+    one = np.longdouble(1)
+    c, s = np.cos(theta), np.sin(theta)
+    keep_eps = np.sqrt(one - np.longdouble(eps)) ** np.arange(kmax + 1)
+    keep_loss = np.sqrt(one - np.longdouble(lam))
+    step = np.empty((kmax + 1, 2, 2), dtype=np.longdouble)
+    step[:, 0, 0], step[:, 0, 1] = c, -s
+    step[:, 1, 0], step[:, 1, 1] = s * keep_eps, c * keep_eps
+    step *= keep_loss
+    power = np.broadcast_to(np.eye(2, dtype=np.longdouble), step.shape).copy()
+    e = m
+    while e:
+        if e & 1:
+            power = power @ step
+        e >>= 1
+        if e:
+            step = step @ step
+    phi = m * theta
+    power[0] = keep_loss ** m * np.array([[np.cos(phi), -np.sin(phi)],
+                                          [np.sin(phi), np.cos(phi)]])
+    if eps == 0.0:
+        power[1:] = power[0]
+    return power
+
+
+def _limit_powers_reference(kmax):
+    power = np.broadcast_to(np.eye(2, dtype=np.longdouble), (kmax + 1, 2, 2)).copy()
+    power[0, 0, 0] = -1
+    return power
+
+
+def _same_longdouble(got, want):
+    # a longdouble's padding bytes are uninitialized, so equal values can
+    # differ in tobytes(): compare values and the signs of zeros instead
+    return (got.dtype == want.dtype and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@pytest.mark.parametrize("kmax", [0, 1, 3])
+def test_power_stacks_match_broadcast_eye_start(kmax):
+    for params in _acceptance_grid():
+        if params.cycles is None:
+            got, want = interrogation._limit_powers(kmax), _limit_powers_reference(kmax)
+        else:
+            args = (kmax, theta_value(params), params.absorb_prob, params.cycle_loss,
+                    params.cycles)
+            got = interrogation._cycle_powers(*args)
+            want = _cycle_powers_reference(*args)
+        assert _same_longdouble(got, want), params
+
+
+def _qi_run_reference(state, photon_name, particles, blocking, params):
+    """qi_run with `np.moveaxis` to the photon and the reference power stacks."""
+    p_axis, plan = interrogation._prepare(state, photon_name, particles, blocking)
+    amps = state.amps.copy()
+    work = np.moveaxis(amps, p_axis, 0)
+    interrogation._run_cycles(work, plan, params)
+    if params.residual_v_policy == ROUTE_TO_SINK:
+        work[PH_ONE_V] = 0.0
+    work[PH_SINK] = 0.0
+    for rest_axis, _, exploded in plan:
+        work[(slice(None),) * (rest_axis + 1) + (exploded,)] = 0.0
+    return amps
+
+
+def test_qi_run_is_bit_identical_to_moveaxis_reference(monkeypatch):
+    rng = np.random.default_rng(14)
+    layout = (particle("x", 3), photon("p"), particle("b"), particle("c", 3))
+    dims = [s.dim for s in layout]
+    amps = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    state = StateVector(layout, amps / np.linalg.norm(amps))
+    wirings = [(["c", "b"], [[0, 2], 1]), (["x"], None), ([], None)]
+    grid = list(_acceptance_grid())
+    with monkeypatch.context() as patched:
+        patched.setattr(interrogation, "_cycle_powers", _cycle_powers_reference)
+        patched.setattr(interrogation, "_limit_powers", _limit_powers_reference)
+        want = [_qi_run_reference(state, "p", names, blocking, params)
+                for names, blocking in wirings for params in grid]
+    got = [qi_run(state, "p", names, blocking, params).amps
+           for names, blocking in wirings for params in grid]
+    assert len(got) == 3 * 225
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g.tobytes() == w.tobytes(), (wirings[i // 225], grid[i % 225])

@@ -7,13 +7,18 @@ from hypothesis import given, settings, strategies as st
 from zenosim.state import (
     ATOL,
     BLOCKED,
+    BRANCH_CUTOFF,
+    PARTICLE_COMPUTATIONAL,
     PARTICLE_PM,
+    PH_ONE_V,
+    PH_SINK,
     PH_ONE_H,
     PHOTON_COMPUTATIONAL,
     QUDIT_POSITION,
     StateVector,
     add_subsystem,
     apply_local,
+    basis_outcomes,
     branch_all,
     fidelity,
     level_weight,
@@ -208,7 +213,101 @@ def test_fidelity_contract():
 
 
 def test_norm_overflow_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^norm\^2 2\.0 exceeds 1$"):
         StateVector((photon("p"),), np.array([1.0, 1.0, 0, 0], dtype=np.complex128))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^non-finite amplitude$"):
         StateVector((photon("p"),), np.array([np.nan, 0, 0, 0], dtype=np.complex128))
+
+
+# --- the state's error contract ---------------------------------------------
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, np.nan),
+                                 complex(0.1, -np.inf), complex(np.nan, 0.0)])
+def test_non_finite_amplitude_is_named(bad):
+    amps = np.array([0.5, bad, 0, 0, 0, 0], dtype=np.complex128)
+    with pytest.raises(ValueError, match="^non-finite amplitude$"):
+        StateVector((particle("b", positions=5),), amps)
+
+
+def test_finite_amplitude_with_overflowing_norm_is_named():
+    # every amplitude is finite, only the norm overflows
+    with pytest.raises(ValueError, match=r"^norm\^2 inf exceeds 1$"):
+        StateVector((photon("p"),), np.array([1e200, 0, 0, 0], dtype=np.complex128))
+
+
+def test_apply_local_errors_keep_their_messages():
+    state = new_state([photon("p"), particle("b")], [0, BLOCKED])
+    with pytest.raises(ValueError, match=r"^operator is not a contraction \(sigma_max = 1\.5\)$"):
+        apply_local(state, ["p"], 1.5 * np.eye(4))
+    with pytest.raises(ValueError, match="^duplicate target$"):
+        apply_local(state, ["b", "b"], np.eye(9))
+    with pytest.raises(ValueError, match=r"^operator shape \(4, 4\) does not match "
+                                         r"target dimension 12$"):
+        apply_local(state, ["p", "b"], np.eye(4))
+
+
+# --- local steps against numpy's axis helpers ---------------------------------
+
+_WIDE = [particle("x", positions=3), photon("p"), particle("b"), photon("q"),
+         particle("c", positions=4)]
+
+
+def _apply_local_reference(state, targets, op):
+    """apply_local as `np.moveaxis` of the targets to the front, one 2-D
+    product and `np.moveaxis` back."""
+    axes = [state.axis(t) for t in targets]
+    moved = np.moveaxis(state.amps, axes, range(len(axes)))
+    block = int(np.prod(moved.shape[:len(axes)]))
+    out = (np.asarray(op, dtype=np.complex128) @ moved.reshape(block, -1)).reshape(moved.shape)
+    return np.ascontiguousarray(np.moveaxis(out, range(len(axes)), axes))
+
+
+@pytest.mark.parametrize("targets", [["p"], ["x"], ["c"], ["p", "c"], ["c", "p"],
+                                     ["b", "x"], ["q", "x", "c"], ["c", "b", "p"]])
+def test_apply_local_is_bit_identical_to_moveaxis(targets):
+    rng = np.random.default_rng(len(targets) * 100 + sum(map(ord, "".join(targets))))
+    state = _random_state(rng, _WIDE)
+    d = int(np.prod([state.spec(t).dim for t in targets]))
+    for scale in (1.0, 0.6):
+        op = scale * _haar_unitary(rng, d)
+        got = apply_local(state, targets, op)
+        assert got.amps.tobytes() == _apply_local_reference(state, targets, op).tobytes()
+
+
+def _branch_all_reference(state, target, basis):
+    """branch_all with rank-1 outcomes projected by `np.tensordot`."""
+    axis = state.axis(target)
+    out = []
+    for outcome, factor in basis_outcomes(state.layout[axis], basis):
+        if factor is not None:
+            amp = np.tensordot(factor.conj(), state.amps, axes=(0, axis))
+        else:
+            keep = np.zeros(state.layout[axis].dim)
+            keep[[PH_ONE_V, PH_SINK]] = 1.0
+            shape = [1] * state.amps.ndim
+            shape[axis] = state.layout[axis].dim
+            amp = state.amps * keep.reshape(shape)
+        w = float(np.vdot(amp, amp).real)
+        if w > BRANCH_CUTOFF:
+            out.append((outcome, amp / np.sqrt(w), w))
+    return out
+
+
+@pytest.mark.parametrize("target, basis", [
+    ("p", PHOTON_COMPUTATIONAL), ("q", PHOTON_COMPUTATIONAL), ("b", PARTICLE_PM),
+    ("b", PARTICLE_COMPUTATIONAL), ("x", PARTICLE_COMPUTATIONAL),
+    ("x", QUDIT_POSITION), ("c", QUDIT_POSITION)])
+def test_branch_all_is_bit_identical_to_tensordot(target, basis):
+    rng = np.random.default_rng(sum(map(ord, target + basis)))
+    spec = next(s for s in _WIDE if s.name == target)
+    rotated = _WIDE[3:] + _WIDE[:3]  # moves every target, and puts b last
+    levels = [1 if s.kind == "photon" else 0 for s in _WIDE]
+    states = [_random_state(rng, _WIDE, norm=0.7), _random_state(rng, rotated),
+              _random_state(rng, [spec]),  # the measured subsystem alone
+              new_state(_WIDE, levels)]  # outcomes below the cutoff drop
+    for state in states:
+        got = branch_all(state, target, basis)
+        want = _branch_all_reference(state, target, basis)
+        assert [(o, w) for o, _, w in got] == [(o, w) for o, _, w in want]
+        for (_, post, _), (_, amp, _) in zip(got, want):
+            assert post.amps.tobytes() == amp.tobytes()
