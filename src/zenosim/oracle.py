@@ -1,14 +1,14 @@
 """Brute-force cross-check of circuit execution.
 
-This module re-runs a program with its own machinery: every gate is built
-as an explicit full-space matrix, operator kron identity, and applied by
-one plain matrix-vector product to the vector permuted so that the gate's
-subsystems come first (then permuted back to the live subsystem order),
-and measurements contract with explicit projector rows.  The interrogation
-step uses either its exact diagonal limit or the linear map that the cycle
-engine gives in one run on a Choi state (every basis column at once), so
-agreement between the two runners checks everything downstream of that
-map.
+This module re-runs a program with its own machinery: the vector is
+permuted by index arithmetic so that a gate's subsystems come first, the
+oracle's own gate matrix multiplies that vector reshaped to (front, rest),
+which holds the only nonzero blocks of operator kron identity, the result
+is permuted back to the live subsystem order, and measurements contract
+with explicit projector rows.  The interrogation step uses either its
+exact diagonal limit or the linear map that the cycle engine gives in one
+run on a Choi state (every basis column at once), so agreement between
+the two runners checks everything downstream of that map.
 
 Also home to the textbook reference objects (CZ/CNOT/CCNOT matrices, Bell
 and W vectors) the tests compare against.
@@ -82,13 +82,20 @@ _Z2 = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 def _photon_op(block2: np.ndarray) -> np.ndarray:
     m = np.eye(4, dtype=np.complex128)
     m[:2, :2] = block2
+    m.flags.writeable = False
     return m
 
 
 def _particle_op(positions: int, block: np.ndarray) -> np.ndarray:
     m = np.eye(positions + 1, dtype=np.complex128)
     m[:positions, :positions] = block
+    m.flags.writeable = False
     return m
+
+
+# the oracle's own fixed operators, built once at import and read-only
+_PHOTON_H, _PHOTON_X, _PHOTON_Z = (_photon_op(b) for b in (_H2, _X2, _Z2))
+_PARTICLE_H, _PARTICLE_X, _PARTICLE_Z = (_particle_op(2, b) for b in (_H2, _X2, _Z2))
 
 
 def _dft(d: int) -> np.ndarray:
@@ -147,21 +154,15 @@ class _OracleState:
         self.dims[name] = dim
 
     def apply(self, front: list[str], op: np.ndarray) -> None:
-        """One dense full-space product: kron(op, I_rest) acts on the vector
-        reordered to the front subsystems (in the given order) followed by
-        the rest, and the result is put back in the live order."""
+        """kron(op, I_rest) on the vector reordered to the front subsystems
+        (in the given order) followed by the rest, computed as `op` times
+        the (front, rest) reshape; the result is put back in the live
+        order."""
         front_dim = prod(self.dims[n] for n in front)
         if op.shape != (front_dim, front_dim):
             raise ValueError(f"operator of shape {op.shape} does not act on "
                              f"{front!r} ({front_dim} levels)")
         rest = [n for n in self.names if n not in front]
-        rest_dim = prod(self.dims[n] for n in rest)
-        # kron(op, I_rest), written block by block onto the diagonal
-        full = np.zeros((front_dim, rest_dim, front_dim, rest_dim),
-                        dtype=np.complex128)
-        idx = np.arange(rest_dim)
-        full[:, idx, :, idx] = op
-        full = full.reshape(front_dim * rest_dim, front_dim * rest_dim)
         digits = np.unravel_index(np.arange(self.vec.size), self.shape())
         by_name = dict(zip(self.names, digits))
         order = front + rest
@@ -169,7 +170,7 @@ class _OracleState:
                                   tuple(self.dims[n] for n in order))
         y = np.empty_like(self.vec)
         y[pi] = self.vec
-        self.vec = (full @ y)[pi]
+        self.vec = (op @ y.reshape(front_dim, -1)).reshape(-1)[pi]
 
     def contract(self, name: str, bra: np.ndarray) -> None:
         k = self.names.index(name)
@@ -237,19 +238,21 @@ def _interrogation_op(state: _OracleState, photon_name: str,
 _MEASURE_FAIL = object()
 
 
+# the photon and particle_pm bras, one row each, built once at import
+_PHOTON_BRAS = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.complex128)
+_PM_BRAS = np.array([[_SQH, _SQH, 0], [_SQH, -_SQH, 0], [0, 0, 1]],
+                    dtype=np.complex128)
+_PHOTON_BRAS.flags.writeable = _PM_BRAS.flags.writeable = False
+
+
 def _measurement_outcomes(basis: str, dim: int):
     """(outcome, bra or _MEASURE_FAIL marker) in canonical order."""
     if basis == PHOTON_COMPUTATIONAL:
-        e0 = np.array([1, 0, 0, 0], dtype=np.complex128)
-        e1 = np.array([0, 1, 0, 0], dtype=np.complex128)
-        return [(0, e0), (1, e1), (2, _MEASURE_FAIL)]
+        return [(0, _PHOTON_BRAS[0]), (1, _PHOTON_BRAS[1]), (2, _MEASURE_FAIL)]
     if basis == PARTICLE_PM:
         if dim != 3:
             raise ValueError("pm basis needs a 2-position particle")
-        plus = np.array([_SQH, _SQH, 0], dtype=np.complex128)
-        minus = np.array([_SQH, -_SQH, 0], dtype=np.complex128)
-        expl = np.array([0, 0, 1], dtype=np.complex128)
-        return [(0, plus), (1, minus), (2, expl)]
+        return list(enumerate(_PM_BRAS))
     # position bases: one outcome per level, exploded last
     outcomes = []
     for lv in range(dim):
@@ -289,19 +292,19 @@ def brute_force_run(program: CircuitProgram,
                 state.add(spec.name, spec.kind, spec.dim,
                           _init_vector(spec.kind, spec.dim, a))
             elif op == "photon_h":
-                state.apply([a["target"]], _photon_op(_H2))
+                state.apply([a["target"]], _PHOTON_H)
             elif op == "photon_x":
-                state.apply([a["target"]], _photon_op(_X2))
+                state.apply([a["target"]], _PHOTON_X)
             elif op == "photon_z":
-                state.apply([a["target"]], _photon_op(_Z2))
+                state.apply([a["target"]], _PHOTON_Z)
             elif op == "particle_h":
                 d = state.dims[a["target"]] - 1
-                block = _H2 if d == 2 else _dft(d)
-                state.apply([a["target"]], _particle_op(d, block))
+                state.apply([a["target"]],
+                            _PARTICLE_H if d == 2 else _particle_op(d, _dft(d)))
             elif op == "particle_x":
-                state.apply([a["target"]], _particle_op(2, _X2))
+                state.apply([a["target"]], _PARTICLE_X)
             elif op == "particle_z":
-                state.apply([a["target"]], _particle_op(2, _Z2))
+                state.apply([a["target"]], _PARTICLE_Z)
             elif op in ("qicz", "qicz_multi"):
                 if op == "qicz":
                     names, blocking = [a["particle"]], None
@@ -313,12 +316,12 @@ def brute_force_run(program: CircuitProgram,
             elif op == "cx":
                 if assignments[a["bit"]] & 1:
                     kind = state.kinds[a["target"]]
-                    flip = _photon_op(_X2) if kind == "photon" else _particle_op(2, _X2)
+                    flip = _PHOTON_X if kind == "photon" else _PARTICLE_X
                     state.apply([a["target"]], flip)
             elif op == "cz":
                 if assignments[a["bit"]] & 1:
                     kind = state.kinds[a["target"]]
-                    flip = _photon_op(_Z2) if kind == "photon" else _particle_op(2, _Z2)
+                    flip = _PHOTON_Z if kind == "photon" else _PARTICLE_Z
                     state.apply([a["target"]], flip)
             elif op == "cphase":
                 phase = np.eye(4, dtype=np.complex128)

@@ -157,27 +157,32 @@ def apply_local(state: StateVector, targets: list[str], op: np.ndarray) -> State
     return StateVector(state.layout, out.transpose(sorted(range(len(perm)), key=perm.__getitem__)))
 
 
+# the photon unit vectors and the 2-position particle_pm factors (plus,
+# minus, exploded), built once at import and read-only
+_PHOTON_UNITS = np.eye(PHOTON_DIM, dtype=np.complex128)
+_E3 = np.eye(3, dtype=np.complex128)
+_PM_FACTORS = np.stack([(_E3[BLOCKED] + _E3[OPEN]) / np.sqrt(2),
+                        (_E3[BLOCKED] - _E3[OPEN]) / np.sqrt(2), _E3[2]])
+_PHOTON_UNITS.flags.writeable = _PM_FACTORS.flags.writeable = False
+
+
 def basis_outcomes(spec: SubsystemSpec, basis: str) -> list[tuple[int, np.ndarray | None]]:
     """Outcome list as (outcome, factor vector); None marks the pooled photon
     failure outcome whose projection has rank 2.  The last outcome is always
     the failure one (pooled photon failure or exploded particle).  Raises
     ValueError when the basis does not fit the subsystem."""
-    d = spec.dim
-    e = np.eye(d, dtype=np.complex128)
     if basis == PHOTON_COMPUTATIONAL:
         if spec.kind != "photon":
             raise ValueError(f"{spec.name} is not a photon")
-        return [(0, e[PH_ZERO]), (1, e[PH_ONE_H]), (PHOTON_FAIL, None)]
+        return [(0, _PHOTON_UNITS[PH_ZERO]), (1, _PHOTON_UNITS[PH_ONE_H]), (PHOTON_FAIL, None)]
     if spec.kind != "particle":
         raise ValueError(f"basis {basis!r} needs a particle, got {spec.name!r}")
     if basis == PARTICLE_PM:
         if spec.positions() != 2:
             raise ValueError("particle_pm basis needs a 2-position particle")
-        plus = (e[BLOCKED] + e[OPEN]) / np.sqrt(2)
-        minus = (e[BLOCKED] - e[OPEN]) / np.sqrt(2)
-        return [(PM_PLUS, plus), (PM_MINUS, minus), (PM_EXPLODED, e[2])]
+        return list(zip((PM_PLUS, PM_MINUS, PM_EXPLODED), _PM_FACTORS))
     if basis in (PARTICLE_COMPUTATIONAL, QUDIT_POSITION):
-        return [(k, e[k]) for k in range(d)]
+        return list(enumerate(np.eye(spec.dim, dtype=np.complex128)))
     raise ValueError(f"unknown basis {basis!r}")
 
 

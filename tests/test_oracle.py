@@ -1,14 +1,16 @@
 """Cross-checks between the engine and the flat-vector reference runner."""
 
 import ast
+import inspect
 import itertools
+import tracemalloc
 from math import prod
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zenosim import oracle
+from zenosim import gates, oracle, state as engine_state
 from zenosim.circuits import (
     Instruction,
     CircuitProgram,
@@ -20,6 +22,7 @@ from zenosim.oracle import (
     CCNOT_MATRIX,
     CNOT_MATRIX,
     CZ_MATRIX,
+    DIMENSION_CAP,
     bell_vector,
     brute_force_run,
     compare,
@@ -139,19 +142,48 @@ def test_brute_force_failure_leaf():
     assert compare(program, IDEAL) < 1e-12
 
 
-@pytest.mark.parametrize("front", [["c", "a"], ["b"], ["a", "b", "c"]])
-def test_apply_matches_literal_reference(front):
-    rng = np.random.default_rng(2024)
-    dims = {"a": 4, "b": 3, "c": 4}
+_SMALL = {"a": 4, "b": 3, "c": 4}
+# four photons and a 4-position particle: 4^4 * 5 == DIMENSION_CAP levels
+_AT_CAP = {"p": 4, "q": 4, "r": 4, "s": 4, "b": 5}
+
+
+def _random_oracle_state(rng, dims):
     state = _OracleState()
     for name, d in dims.items():
         v = rng.normal(size=d) + 1j * rng.normal(size=d)
         state.add(name, "particle", d, v / np.linalg.norm(v))
+    return state
+
+
+def _kron_reference(before, dims, front, op):
+    """P^T (op kron I_rest) P before, with the front axes moved by
+    `np.moveaxis` and kron(op, I_rest) written out as a dense matrix."""
+    names = list(dims)
+    moved = [names.index(n) for n in front]
+    y = np.moveaxis(before.reshape(tuple(dims.values())), moved,
+                    range(len(front)))
+    rest_dim = before.size // op.shape[0]
+    z = (np.kron(op, np.eye(rest_dim)) @ y.reshape(-1)).reshape(y.shape)
+    return np.moveaxis(z, range(len(front)), moved).reshape(-1)
+
+
+@pytest.mark.parametrize("dims, front", [
+    pytest.param(_SMALL, ["c", "a"], id="front0"),
+    pytest.param(_SMALL, ["b"], id="front1"),
+    pytest.param(_SMALL, ["a", "b", "c"], id="front2"),
+    pytest.param(_AT_CAP, ["r", "p"], id="at-cap"),
+])
+def test_apply_matches_literal_reference(dims, front):
+    rng = np.random.default_rng(2024)
+    state = _random_oracle_state(rng, dims)
     before = state.vec.copy()
     front_dim = prod(dims[n] for n in front)
     z = rng.normal(size=(front_dim, front_dim)) + 1j * rng.normal(size=(front_dim, front_dim))
     op = np.linalg.qr(z)[0]
     state.apply(front, op)
+    if before.size == DIMENSION_CAP:
+        assert np.abs(state.vec - _kron_reference(before, dims, front, op)).max() <= 1e-15
+        return
 
     # P^T (op kron I) P, entry by entry: live digit tuples i and j couple
     # through op[front digits of i, front digits of j] when their other
@@ -172,6 +204,53 @@ def test_apply_matches_literal_reference(front):
             if index(ti, rest) == index(tj, rest):
                 reference[i, j] = op[index(ti, front), index(tj, front)]
     assert np.abs(state.vec - reference @ before).max() <= 1e-15
+
+
+def test_apply_at_the_cap_allocates_no_full_space_matrix():
+    # a dense kron(op, I_rest) at 1280 levels would be 1280^2 complex128
+    # entries, about 26 MB
+    state = _random_oracle_state(np.random.default_rng(7), _AT_CAP)
+    assert state.vec.size == DIMENSION_CAP
+    tracemalloc.start()
+    try:
+        state.apply(["r"], gates._PHOTON_H)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 ** 2
+
+
+def _mutated_apply_local(snippet, replacement):
+    """`state.apply_local` with one source snippet replaced, compiled in the
+    state module's globals."""
+    source = inspect.getsource(engine_state.apply_local)
+    assert source.count(snippet) == 1
+    namespace: dict = {}
+    exec(compile(source.replace(snippet, replacement), "<mutant>", "exec"),
+         vars(engine_state), namespace)
+    return namespace["apply_local"]
+
+
+# Mistakes in the engine's gate step that the oracle must see: undoing the
+# axis move with the forward permutation (wrong only where a gate reaches
+# past the first two axes, as in the Toffoli demo), and applying the adjoint
+# (wrong only for the 3-position Fourier transform of the W-state demos at
+# finite depth).  A plain `op.T` is not among them: every operator the
+# engine hands to apply_local (H, X, Z, the position Fourier transform, the
+# diagonal phase) is symmetric, so it changes no program.
+@pytest.mark.parametrize("snippet, replacement, demo", [
+    pytest.param("out.transpose(sorted(range(len(perm)), key=perm.__getitem__))",
+                 "out.transpose(perm)", "toffoli", id="forward-permutation"),
+    pytest.param("(op @ front", "(op.conj().T @ front", "wstate-3", id="adjoint"),
+])
+def test_oracle_catches_engine_layout_mutants(monkeypatch, snippet, replacement, demo):
+    program = demo_programs()[demo]
+    params = QiParams(cycles=7)
+    assert compare(program, params) <= 1e-10
+    mutant = _mutated_apply_local(snippet, replacement)
+    for module in (engine_state, gates):  # gates holds its own binding
+        monkeypatch.setattr(module, "apply_local", mutant)
+    assert compare(program, params) > 1e-10
 
 
 def test_apply_rejects_an_operator_of_the_wrong_size():
