@@ -56,7 +56,7 @@ _Z2 = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
 def _fourier(positions: int) -> np.ndarray:
-    j, k = np.meshgrid(np.arange(positions), np.arange(positions), indexing="ij")
+    j, k = np.arange(positions)[:, None], np.arange(positions)[None, :]
     return np.exp(2j * np.pi * j * k / positions) / np.sqrt(positions)
 
 

@@ -12,12 +12,15 @@ given configuration of the other subsystems, T_k = keep_loss *
 diag(1, keep_eps^k) * R(theta), where k counts the listed particles sitting
 on a blocking position.  A finite run of N cycles is therefore one gathered
 power T_k^N per configuration, by repeated squaring (the open configuration
-k = 0 uses the exact angle N*theta): O(log N) per call instead of O(N).
-That arithmetic runs in extended precision so that the composed sign flip
-is exact at the 1e-15 level even for 10^7 cycles; amplitudes are stored
-back as complex128.  The exact N -> infinity limit of the pi/N wiring runs
-through the same gather with its own stack: diag(-1, 1), the sign flip on
-|1H>, for k = 0, and the identity for every k >= 1.
+k = 0 uses the exact angle N*theta): O(log N) instead of O(N).  Each
+QiParams object squares its stack at most once per largest count kmax and
+keeps it read-only, so every later run under the same params is a gather
+alone; the memo dies with the params object.  That arithmetic runs in
+extended precision so that the composed sign flip is exact at the 1e-15
+level even for 10^7 cycles; amplitudes are stored back as complex128.
+The exact N -> infinity limit of the pi/N wiring runs through the same
+gather with its own stack: diag(-1, 1), the sign flip on |1H>, for k = 0,
+and the identity for every k >= 1.
 
 Absorption (photon-sink x particle-exploded) and per-cycle loss are failure
 events, so the amplitude they take from the pair is not stored anywhere: it
@@ -31,7 +34,7 @@ and the listed particles, with the identity on every other subsystem.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -82,6 +85,19 @@ class QiParams:
             raise ValueError("cycle_loss must lie in [0, 1)")
         if self.residual_v_policy not in (ROUTE_TO_SINK, KEEP):
             raise ValueError(f"unknown residual policy {self.residual_v_policy!r}")
+
+    @cached_property
+    def _stacks(self) -> dict[int, np.ndarray]:
+        """The read-only T_k^N stacks for k = 0..kmax computed so far under
+        these params, keyed by kmax (filled by `_power_stack`)."""
+        return {}
+
+    def __getstate__(self):
+        # the stacks are derived from the fields: copies and pickles start
+        # without them and square their own
+        state = dict(self.__dict__)
+        state.pop("_stacks", None)
+        return state
 
 
 def theta_value(params: QiParams) -> np.longdouble:
@@ -180,22 +196,35 @@ def _limit_powers(kmax) -> np.ndarray:
     return power
 
 
+def _power_stack(params: QiParams, kmax: int) -> np.ndarray:
+    """The read-only stack of T_k^N for k = 0..kmax under `params` (the exact
+    limit's when cycles is None), computed on the first request for this
+    params object and kmax and kept on the object after that.  Each k's
+    slice has the same bits whatever kmax asked for it."""
+    stack = params._stacks.get(kmax)
+    if stack is None:
+        if params.cycles is None:
+            stack = _limit_powers(kmax)
+        else:
+            stack = _cycle_powers(kmax, theta_value(params), params.absorb_prob,
+                                  params.cycle_loss, params.cycles)
+        stack.flags.writeable = False
+        params._stacks[kmax] = stack
+    return stack
+
+
 def _run_cycles(work, plan, params: QiParams):
     """Run the interrogation in place on the photon-fronted view `work`: one
     gathered 2x2 per configuration of the listed particles, picked by its
-    blocked count k from the stack of T_k^N (O(log N)), or of the exact
-    limit's when cycles is None, and broadcast over every other subsystem.
-    Only the (|1H>, |1V>) pair changes; what absorption and loss take from
-    it is dropped."""
+    blocked count k from the params' memoized stack of T_k^N (squared once
+    per params object and kmax, O(log N)), or of the exact limit's when
+    cycles is None, and broadcast over every other subsystem.  Only the
+    (|1H>, |1V>) pair changes; what absorption and loss take from it is
+    dropped."""
     h = work[PH_ONE_H].astype(np.clongdouble)
     v = work[PH_ONE_V].astype(np.clongdouble)
     counts = _blocked_counts(h.shape, plan)
-    kmax = int(counts.max(initial=0))
-    if params.cycles is None:
-        p = _limit_powers(kmax)[counts]
-    else:
-        p = _cycle_powers(kmax, theta_value(params), params.absorb_prob,
-                          params.cycle_loss, params.cycles)[counts]
+    p = _power_stack(params, int(counts.max(initial=0)))[counts]
     work[PH_ONE_H] = (p[..., 0, 0] * h + p[..., 0, 1] * v).astype(np.complex128)
     work[PH_ONE_V] = (p[..., 1, 0] * h + p[..., 1, 1] * v).astype(np.complex128)
 

@@ -148,7 +148,7 @@ class _OracleState:
         if self.vec.size * dim > DIMENSION_CAP:
             raise ValueError(
                 f"preparing {name!r} would exceed the {DIMENSION_CAP}-dimensional cap")
-        self.vec = np.kron(self.vec, init.astype(np.complex128))
+        self.vec = np.multiply.outer(self.vec, init.astype(np.complex128)).reshape(-1)
         self.names.append(name)
         self.kinds[name] = kind
         self.dims[name] = dim

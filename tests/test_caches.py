@@ -1,13 +1,19 @@
-"""Every process-wide `functools` memo in zenosim is on a reviewed list.
+"""Every process-wide `functools` memo in zenosim is on a reviewed list, and
+so is every per-object one.
 
 A memo that outlives one call warms every later call in the process, so in
 the benchmark, which runs many passes in one process, it would turn work a
 fresh CLI process pays for into a lookup.  Each entry below says why that
-does not happen; a new cache fails this test until it gets an entry.
+does not happen; a new cache fails this test until it gets an entry.  A
+`cached_property` dies with its object, so it warms only the calls that
+share that object; each one says which objects those are.
 """
 
 import ast
+import importlib
 import pkgutil
+import types
+from functools import cached_property
 from pathlib import Path
 
 import zenosim
@@ -23,6 +29,18 @@ ALLOWED = {
         "basis rule, at most 256 entries; a hit saves one basis_outcomes call",
     "cli.build_parser":
         "the argparse tree, which depends on no argument; built once per process",
+}
+
+PER_OBJECT = {
+    "circuits.Instruction.census":
+        "the census class of one instruction, read by every walk of its "
+        "program; the program is built per CLI call or per benchmark op",
+    "circuits.Instruction.charge":
+        "the profile field one instruction is charged, read with its census",
+    "interrogation.QiParams._stacks":
+        "the T_k^N stacks of one params object; the CLI builds its params per "
+        "call, and the benchmark's workloads hold theirs across passes, so "
+        "traced passes after the first reuse the stacks the first squared",
 }
 
 
@@ -62,6 +80,40 @@ def test_functools_caches_are_allowlisted():
         found += _caches(info.name, (root / f"{info.name}.py").read_text())
     assert sorted(found) == sorted(ALLOWED)
     assert all(reason for reason in ALLOWED.values())
+
+
+def _per_object_memos(module: types.ModuleType) -> list[str]:
+    """`module.Class.attribute` for each `cached_property` of a class that
+    the module defines, however it was imported."""
+    name = module.__name__.rpartition(".")[2]
+    return [f"{name}.{cls.__qualname__}.{attr}"
+            for cls in vars(module).values()
+            if isinstance(cls, type) and cls.__module__ == module.__name__
+            for attr, value in vars(cls).items() if isinstance(value, cached_property)]
+
+
+def test_per_object_memos_are_allowlisted():
+    found = []
+    for info in pkgutil.iter_modules(zenosim.__path__):
+        found += _per_object_memos(importlib.import_module(f"zenosim.{info.name}"))
+    assert sorted(found) == sorted(PER_OBJECT)
+    assert all(reason for reason in PER_OBJECT.values())
+
+
+def test_per_object_scan_sees_every_form():
+    module = types.ModuleType("pkg.m")
+    exec(
+        "import functools\n"
+        "from functools import cached_property as memo\n"
+        "from zenosim.circuits import Instruction\n"
+        "class K:\n"
+        "    @functools.cached_property\n"
+        "    def a(self): pass\n"
+        "    @memo\n"
+        "    def b(self): pass\n"
+        "    def c(self): pass\n",
+        vars(module))
+    assert _per_object_memos(module) == ["m.K.a", "m.K.b"]
 
 
 def test_scan_sees_every_cache_form():

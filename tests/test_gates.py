@@ -8,6 +8,7 @@ import pytest
 from zenosim.circuits import CENSUS_CLASSES, Instruction
 from zenosim.gates import (
     CHARGED,
+    _fourier,
     ImperfectionProfile,
     classically_controlled,
     classically_controlled_phase,
@@ -77,6 +78,13 @@ def test_particle_h_is_fourier_for_three_positions():
     w = np.exp(2j * np.pi / 3)
     expected = np.array([1, w, w ** 2, 0], dtype=np.complex128) / np.sqrt(3)
     assert np.allclose(out.amps, expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_fourier_has_the_bytes_of_the_meshgrid_formula(d):
+    j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    want = np.exp(2j * np.pi * j * k / d) / np.sqrt(d)
+    assert _fourier(d).tobytes() == want.tobytes()
 
 
 def test_particle_gates_leave_exploded_level_alone():

@@ -3,6 +3,8 @@ loss accounting, the run as one linear map local to its photon and
 particles, the extracted effective map, and a differential check of the
 closed-form cycle engine against a literal per-cycle loop."""
 
+import copy
+import pickle
 from dataclasses import replace
 from itertools import product
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from zenosim import interrogation
+from zenosim.circuits import MEMORY, cnot_circuit, run_all_branches
 from zenosim.interrogation import (
     KEEP,
     PI_OVER_2N,
@@ -473,14 +476,95 @@ def test_qi_run_is_bit_identical_to_moveaxis_reference(monkeypatch):
     amps = rng.normal(size=dims) + 1j * rng.normal(size=dims)
     state = StateVector(layout, amps / np.linalg.norm(amps))
     wirings = [(["c", "b"], [[0, 2], 1]), (["x"], None), ([], None)]
-    grid = list(_acceptance_grid())
+    # each side gets its own params objects, so the checked side cannot be
+    # served the stacks the patched reference side memoized
     with monkeypatch.context() as patched:
         patched.setattr(interrogation, "_cycle_powers", _cycle_powers_reference)
         patched.setattr(interrogation, "_limit_powers", _limit_powers_reference)
+        grid = list(_acceptance_grid())
         want = [_qi_run_reference(state, "p", names, blocking, params)
                 for names, blocking in wirings for params in grid]
+    grid = list(_acceptance_grid())
     got = [qi_run(state, "p", names, blocking, params).amps
            for names, blocking in wirings for params in grid]
     assert len(got) == 3 * 225
     for i, (g, w) in enumerate(zip(got, want)):
         assert g.tobytes() == w.tobytes(), (wirings[i // 225], grid[i % 225])
+
+
+# --- the T_k^N stacks memoized on each params object ------------------------
+
+def test_cycle_powers_run_once_per_params_and_kmax(monkeypatch):
+    squared, runs = [], []
+    cycle_powers, run_cycles = interrogation._cycle_powers, interrogation._run_cycles
+
+    def counted_powers(kmax, *args):
+        squared.append(kmax)
+        return cycle_powers(kmax, *args)
+
+    def counted_runs(work, plan, params):
+        runs.append(params)
+        return run_cycles(work, plan, params)
+
+    monkeypatch.setattr(interrogation, "_cycle_powers", counted_powers)
+    monkeypatch.setattr(interrogation, "_run_cycles", counted_runs)
+    params = QiParams(cycles=10**4, absorb_prob=0.9, cycle_loss=1e-3)
+    branches = run_all_branches(cnot_circuit(MEMORY, control=(0.6, 0.8)), params)
+    assert branches and all(p is params for p in runs)
+    assert sorted(squared) == sorted(set(squared)) == sorted(params._stacks)
+    assert len(runs) > len(squared)
+
+
+def _stack_grid():
+    yield QiParams(cycles=None)
+    for n, eps, lam in product((1, 3, 333, 10**4, 10**7), (0.0, 0.5, 1.0), (0.0, 1e-3)):
+        yield QiParams(cycles=n, absorb_prob=eps, cycle_loss=lam)
+
+
+def test_stack_grown_from_a_smaller_kmax_matches_a_fresh_params():
+    for params in _stack_grid():
+        small = interrogation._power_stack(params, 1)
+        grown = interrogation._power_stack(params, 3)
+        fresh = interrogation._power_stack(replace(params), 3)
+        assert _same_longdouble(grown, fresh), params
+        assert _same_longdouble(small, grown[:2]), params
+        assert interrogation._power_stack(params, 1) is small
+
+
+def test_memoized_stacks_are_read_only():
+    for params in (QiParams(cycles=None), QiParams(cycles=17, absorb_prob=0.5)):
+        stack = interrogation._power_stack(params, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 0] = 0
+
+
+def test_memo_leaves_params_value_semantics_alone():
+    warm = QiParams(cycles=333, absorb_prob=0.9)
+    qi_run(_pair(PH_ONE_H, BLOCKED), "p", ["b"], [BLOCKED], warm)
+    cold = QiParams(cycles=333, absorb_prob=0.9)
+    assert warm._stacks and warm == cold and hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold) == (
+        "QiParams(cycles=333, theta_rule='pi_over_n', absorb_prob=0.9, "
+        "cycle_loss=0.0, residual_v_policy='route_to_sink')")
+    assert replace(warm) == warm and replace(warm, cycles=7) == QiParams(cycles=7, absorb_prob=0.9)
+    interrogation._effective_map_cached.cache_clear()
+    effective_map(warm, 1)
+    effective_map(cold, 1)
+    info = interrogation._effective_map_cached.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_copies_and_pickles_of_a_warm_params_give_the_same_bits():
+    rng = np.random.default_rng(5)
+    layout = (photon("p"), particle("b"), particle("c", 3))
+    dims = [s.dim for s in layout]
+    amps = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    state = StateVector(layout, amps / np.linalg.norm(amps))
+    for params in _stack_grid():
+        want = qi_run(state, "p", ["b", "c"], [BLOCKED, [0, 1]], params).amps.tobytes()
+        for clone in (copy.copy(params), copy.deepcopy(params),
+                      pickle.loads(pickle.dumps(params))):
+            assert clone == params
+            got = qi_run(state, "p", ["b", "c"], [BLOCKED, [0, 1]], clone).amps.tobytes()
+            assert got == want, params
+            assert not interrogation._power_stack(clone, 2).flags.writeable

@@ -312,3 +312,19 @@ def test_compare_takes_numpy_integer_blocking_entries(params):
     numpy_ints = compare(_multi_blocking_program([np.int64(1), 0]), params)
     assert numpy_ints == plain
     assert plain <= 1e-10
+
+
+@pytest.mark.parametrize("sizes", [(48, 3), (256, 5), (7, 1), (1, 4)])
+def test_add_has_the_bits_of_np_kron(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    a, b = (rng.normal(size=n) + 1j * rng.normal(size=n) for n in sizes)
+    # signed zeros in both parts, so a product sign that differs shows up
+    zeros = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    a[::4] = np.resize(zeros, a[::4].size)
+    b[-1] = complex(-0.0, -0.0)
+    state = _OracleState()
+    state.vec = a.copy()
+    state.add("x", "particle", b.size, b)
+    want = np.kron(a, b)
+    assert state.vec.shape == want.shape
+    assert state.vec.tobytes() == want.tobytes()
