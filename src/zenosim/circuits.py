@@ -55,6 +55,9 @@ from .state import (
 # of one subsystem, so that a local gate's dense matrix is no larger.
 MAX_AMPLITUDES = 2 ** 20
 MAX_SUBSYSTEM_DIM = 2 ** 10
+# characters a bit name may not hold: the CSV `classical` cell joins bits
+# as name=value pairs with ";", one row per line
+BIT_NAME_BANS = frozenset(',;="\n\r')
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +345,8 @@ def validate_program(program: CircuitProgram) -> None:
     measurement, classical values written before read, gate subsystems and
     measurement bases that fit their subsystem, cx/cz only on bits that can
     hold nothing but 0 and 1, each row's `check_args` (qicz_multi wiring,
-    prepared vectors, finite cphase phases) and states within `MAX_AMPLITUDES`."""
+    prepared vectors, finite cphase phases), states within `MAX_AMPLITUDES`
+    and bit names free of `BIT_NAME_BANS`."""
     specs = {s.name: s for s in program.subsystems}
     if len(specs) != len(program.subsystems):
         raise ValueError("duplicate subsystem name")
@@ -353,6 +357,9 @@ def validate_program(program: CircuitProgram) -> None:
     bits = set(program.bits)
     if len(bits) != len(program.bits):
         raise ValueError("duplicate bit name")
+    for i, bit in enumerate(program.bits):
+        if not BIT_NAME_BANS.isdisjoint(bit):
+            raise ValueError(f"bits[{i}]: {bit!r} may not hold , ; = \" or a line break")
     live: set[str] = set()
     gone: set[str] = set()
     amplitudes = 1  # held by the live state

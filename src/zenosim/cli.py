@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: simulate, cnot, census, sweep, montecarlo, oracle-check.
-Programs travel as JSON circuit files (version "1"); results are JSON or
-CSV on stdout with all floats at 12 significant digits.  Identical
-invocations produce byte-identical output.  Exit codes: 0 success, 2 a
-heralded failure or failed verification, 1 usage or parse errors.
+Programs travel as JSON circuit files (version "1"; `cnot` prints them at
+full precision); other results are JSON or CSV on stdout, every float at 12
+significant digits, never "-0".  Identical invocations print identical bytes.
+Exit codes: 0 success, 2 heralded failure or failed verification, 1 bad input.
 
 `main` may be called many times in one process: every call parses with
 the same argparse tree, built on the first call, and prints exactly what
@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .interrogation import PI_OVER_2N, PI_OVER_N, QiParams
 from .state import particle, photon
 
 ORACLE_TOLERANCE = 1e-10
+_CELL = "%.12g"  # every printed float: 12 significant digits
 
 _THETA_FLAG = {"pi-over-n": PI_OVER_N, "pi-over-2n": PI_OVER_2N}
 
@@ -147,32 +149,32 @@ def serialize_program(program: CircuitProgram) -> str:
 
 def _emit_json(value) -> str:
     if isinstance(value, np.ndarray):
-        # a float array: one formatting pass, then bracket each inner axis
-        parts = list(map(_float, value.ravel().tolist()))
-        for size in reversed(value.shape[1:]):
-            parts = ["[" + ",".join(parts[i:i + size]) + "]"
-                     for i in range(0, len(parts), size)]
-        return "[" + ",".join(parts) + "]"
+        # a float array: one template of _CELL slots for its shape, brackets
+        # and commas in place, filled by one `%`; + 0.0 clears negative zeros
+        # as in _float, and a 0-d array prints as a 1-element list
+        template = _CELL
+        for size in reversed(value.shape or (1,)):
+            template = "[" + ",".join([template] * size) + "]"
+        return template % tuple((value.ravel() + 0.0).tolist())
     if isinstance(value, dict):
-        inner = ",".join(f"{json.dumps(str(k))}:{_emit_json(v)}"
-                         for k, v in sorted(value.items()))
-        return "{" + inner + "}"
+        return "{" + ",".join([_quote(str(k)) + ":" + _emit_json(v)
+                               for k, v in sorted(value.items())]) + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_emit_json(v) for v in value) + "]"
-    if isinstance(value, bool):
+        return "[" + ",".join([_emit_json(v) for v in value]) + "]"
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (np.floating, float)):
         return _float(value)
     if isinstance(value, (np.integer, int)):
         return str(int(value))
-    if value is None:
-        return "null"
-    return json.dumps(value)
+    return json.dumps(value)  # None, or a TypeError for what JSON cannot hold
 
 
 def _float(x) -> str:
     # adding +0.0 turns a negative zero into 0, so "-0" is never printed
-    return format(float(x) + 0.0, ".12g")
+    return _CELL % (float(x) + 0.0)
 
 
 def _num(x) -> str:

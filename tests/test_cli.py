@@ -2,6 +2,7 @@
 the stdout pins and the parser-reuse check call `main` in this process."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -126,6 +127,36 @@ def test_simulate_csv_output():
     assert lines[0] == "branch,failed,branch_weight,success_probability,classical"
     assert len(lines) == 3
     assert lines[1].startswith("0,0,0.5,")
+
+
+def _bell_with_bit(tmp_path, bit):
+    doc = program_to_doc(bell_generator())
+    doc["bits"] = [bit]
+    for entry in doc["instructions"]:
+        if entry.get("bit") == "m":
+            entry["bit"] = bit
+    path = tmp_path / "bell.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("bit", ["m,x;y=1", "a,b", "a;b", "a=b", 'a"b', "a\nb", "a\rb"])
+def test_bit_name_that_would_split_a_csv_row_is_one_error_line(tmp_path, bit):
+    code, stdout, stderr = run_main("simulate", str(_bell_with_bit(tmp_path, bit)),
+                                    "--ideal", "--out", "csv")
+    assert (code, stdout) == (1, "")
+    assert stderr == (f"zenosim: error: bits[0]: {bit!r} may not hold , ; = \" "
+                      "or a line break\n")
+
+
+@pytest.mark.parametrize("bit", ["m x", "m-é", "m'"])
+def test_csv_row_keeps_five_fields_for_any_allowed_bit_name(tmp_path, bit):
+    code, stdout, _ = run_main("simulate", str(_bell_with_bit(tmp_path, bit)),
+                               "--ideal", "--out", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(stdout)))
+    assert len(rows) == 3 and all(len(row) == 5 for row in rows)
+    assert rows[1][4] in (f"{bit}=0", f"{bit}=1")
 
 
 def test_simulate_heralded_failure_exits_two():
