@@ -10,12 +10,17 @@ through `gates.CHARGED`), its engine action, and its argument rule (the
 engine's own wiring, prepared-vector and phase checks, run at load).  The
 validator, the census, the profile draws and the interpreter all read that
 table.  A walk's classical record is a plain dict of bit name to value;
-the validator alone enforces that a bit is written before it is read.  One instruction
-loop runs a program a segment at a time, from the start or one measurement
-outcome up to the next measurement; `run_all_branches` builds every
-segment of a fresh tree, and `run` keeps the tree on the program and walks
-one sampled path through it, so repeated runs only draw.  A program may
-make the engine hold at most `MAX_AMPLITUDES` amplitudes in one state.
+the validator alone enforces that a bit is written before it is read.  One
+instruction loop runs a program a segment at a time, from the start or one
+measurement up to the next measurement, on a batch of branches, each with
+its own classical record: one branch is a plain state, and several are
+stacked along the state's leading branch axis (see `state`).
+`run_all_branches` walks a fresh tree one measurement level at a time:
+every kept non-failure outcome of every branch joins the next level's
+batch, so each instruction runs once per level, not once per branch.
+`run` keeps a tree of one-branch segments on the program and walks one
+sampled path through it, so repeated runs only draw.  A program may make
+the engine hold at most `MAX_AMPLITUDES` amplitudes in one state.
 
 Subsystems enter the live state at their prepare instruction and leave it
 when measured (measurement outcomes collapse to a product factor), so the
@@ -25,6 +30,7 @@ subsystems over their lifetime.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
@@ -49,6 +55,7 @@ from .state import (
     particle,
     photon,
     sample_branch,
+    stack_branches,
 )
 
 # The most amplitudes one live state may hold (16 MiB), and the most levels
@@ -153,13 +160,14 @@ MEASUREMENT_BASES = {
 class _Context(NamedTuple):
     program: CircuitProgram
     params: QiParams
-    classical: dict  # bit name -> recorded value
+    classical: list  # per branch of the batch: bit name -> recorded value
 
 
 @dataclass
 class OpSpec:
     """One op.  `args` and `optional` map argument names to their types.
-    `action(state, args, context)` returns the next state; a measurement
+    `action(state, args, context)` returns the next state of a batch of
+    branches, whose classical records the context lists; a measurement
     has none, because the walk's policy measures.  `census` is a dict per
     basis for a measurement.  From `arity`, the value count of each bit
     written so far, `values(args, program, arity)` counts a written bit's
@@ -185,9 +193,15 @@ def _gate(name: str):
     return lambda state, a, ctx: getattr(gates, name)(state, a["target"])
 
 
+def _recorded(state: StateVector, ctx: _Context, bit: str):
+    # the bit's value, as a list of one per branch on a batched state
+    values = [classical[bit] for classical in ctx.classical]
+    return values if state.batch is not None else values[0]
+
+
 def _controlled(op: str):
     return lambda state, a, ctx: gates.classically_controlled(
-        state, ctx.classical[a["bit"]], op, a["target"])
+        state, _recorded(state, ctx, a["bit"]), op, a["target"])
 
 
 def _prepared(program: CircuitProgram, args: dict) -> tuple[SubsystemSpec, np.ndarray]:
@@ -221,7 +235,9 @@ def _prepare_fits(a: dict, program: CircuitProgram, arity: dict) -> None:
 
 
 def _xor(state: StateVector, a: dict, ctx: _Context) -> StateVector:
-    ctx.classical[a["out"]] = ctx.classical[a["a"]] ^ ctx.classical[a["b"]]
+    # each record is replaced, not changed, so earlier snapshots stay as taken
+    for i, c in enumerate(ctx.classical):
+        ctx.classical[i] = {**c, a["out"]: c[a["a"]] ^ c[a["b"]]}
     return state
 
 
@@ -275,7 +291,7 @@ OPS = {
     "cphase": OpSpec(
         {"key": READ, "target": PHOTON, "coeff": NUMBER},
         lambda state, a, ctx: gates.classically_controlled_phase(
-            state, ctx.classical[a["key"]], a["target"], a["coeff"]),
+            state, _recorded(state, ctx, a["key"]), a["target"], a["coeff"]),
         census="cc", check_args=_phase_fits),
     "xor": OpSpec({"a": READ, "b": READ, "out": WRITE}, _xor, values=_xor_values),
 }
@@ -442,22 +458,25 @@ _ENTRY_BYTES = 512
 
 @dataclass(eq=False)
 class _Segment:
-    """One deterministic stretch of a walk: from the program start or one
-    measurement outcome up to the next measurement, the end, or an error.
+    """One deterministic stretch of a walk for a batch of branches: from the
+    program start or one measurement up to the next measurement, the end,
+    or an error.
 
-    `classical` holds the classical record there, and `state` the final
-    state if the walk ends there.  `charged` lists the charged instructions
-    passed, in order, as (profile field, layout a failed draw zeroes,
-    classical record at that point).  A measurement leaves its index
-    (`measured`) and its `branch_all` list; `children` maps each outcome
-    taken so far to the segment that follows it.  A measurement that finds
-    no weight has no branches: a sampled walk ends there failed, with
-    `state` zeroed.  An exception an action raised is kept in `error` and
-    raised when a walk reaches it."""
+    `weight` and `classical` list per branch the product of the branch
+    weights that lead here and the classical record there, and `state` holds
+    the final state (batched if there are several branches) if the walk
+    ends here.  `charged` lists the charged instructions passed, in order,
+    as (profile field, layout a failed draw zeroes, classical records at
+    that point).  A measurement leaves its index (`measured`) and per branch
+    its `branch_all` list; in a sampled walk, whose segments hold one branch,
+    `children` maps each outcome taken so far to the segment that follows
+    it.  A measurement that finds no weight in any branch has no branches:
+    a sampled walk ends there failed, with `state` zeroed.  An exception an
+    action raised is kept in `error` and raised when a walk reaches it."""
 
-    weight: float  # product of the branch weights that lead here
+    weight: list
     state: StateVector | None = None
-    classical: dict = field(default_factory=dict)
+    classical: list = field(default_factory=list)
     charged: list = field(default_factory=list)
     failed: bool = False  # the walk ends here failed
     error: tuple | None = None  # (exception, traceback)
@@ -465,21 +484,23 @@ class _Segment:
     branches: list = field(default_factory=list)
     children: dict = field(default_factory=dict)
 
-    def result(self, copy: bool) -> RunResult:
-        """The result of a walk that ends here, with a copy of the state if
-        asked; raises the error an action raised here."""
+    def result(self, b: int, copy: bool) -> RunResult:
+        """The result of branch `b`'s walk, which ends here, with a copy of
+        its state if asked; raises the error an action raised here."""
         if self.error is not None:
             exc, tb = self.error
             raise exc.with_traceback(tb)
+        state = self.state if self.state.batch is None else self.state.branch(b)
+        weight = self.weight[b]
         return RunResult(
-            final_state=self.state.copy() if copy else self.state,
-            classical=dict(self.classical),
-            success_probability=0.0 if self.failed else self.weight * norm_sq(self.state),
-            failed=self.failed, branch_weight=self.weight)
+            final_state=state.copy() if copy else state,
+            classical=dict(self.classical[b]),
+            success_probability=0.0 if self.failed else weight * norm_sq(state),
+            failed=self.failed, branch_weight=weight)
 
     def nbytes(self) -> int:
         """What keeping this segment costs, as `_TREE_BYTES` counts it."""
-        held = sum(post.amps.nbytes for _, post, _ in self.branches)
+        held = sum(post.amps.nbytes for kept in self.branches for _, post, _ in kept)
         if self.state is not None:
             held += self.state.amps.nbytes
         return held + _ENTRY_BYTES * (1 + len(self.charged))
@@ -494,27 +515,30 @@ class _OutcomeTree:
     nbytes: int
 
 
-def _zeroed(layout: tuple) -> StateVector:
-    return StateVector(layout, np.zeros(tuple(s.dim for s in layout), dtype=np.complex128))
+def _zeroed(layout: tuple, batch: int | None = None) -> StateVector:
+    size = (batch or 1) * math.prod(s.dim for s in layout)
+    return StateVector(layout, np.zeros(size, dtype=np.complex128), batch)
 
 
-def _segment(program: CircuitProgram, params: QiParams, classical: dict,
-             weight: float, state: StateVector, pos: int) -> _Segment:
+def _segment(program: CircuitProgram, params: QiParams, classical: list,
+             weight: list, state: StateVector, pos: int) -> _Segment:
     """The one instruction loop: run the actions from instruction `pos` up
-    to the next measurement or the end, writing into `classical`."""
+    to the next measurement or the end on `state`, one branch or a batch,
+    writing into the per-branch records `classical`."""
     seg = _Segment(weight, classical=classical)
     ctx = _Context(program, params, classical)
     try:
         for i in range(pos, len(program.instructions)):
             instr = program.instructions[i]
             if instr.charge:
-                seg.charged.append((instr.charge, state.layout, dict(classical)))
+                seg.charged.append((instr.charge, state.layout, list(classical)))
             action = OPS[instr.op].action
             if action is None:
-                seg.branches = branch_all(state, instr.args["target"], instr.args["basis"])
+                found = branch_all(state, instr.args["target"], instr.args["basis"])
+                seg.branches = found if state.batch is not None else [found]
                 seg.measured = i
-                if not seg.branches:
-                    seg.state, seg.failed = _zeroed(state.layout), True
+                if not any(seg.branches):
+                    seg.state, seg.failed = _zeroed(state.layout, state.batch), True
                 break
             state = action(state, instr.args, ctx)
         else:
@@ -528,7 +552,7 @@ def _segment(program: CircuitProgram, params: QiParams, classical: dict,
 
 
 def _root(program: CircuitProgram, params: QiParams) -> _Segment:
-    return _segment(program, params, {}, 1.0,
+    return _segment(program, params, [{}], [1.0],
                     StateVector((), np.ones((), dtype=np.complex128)), 0)
 
 
@@ -539,18 +563,22 @@ def _failure_outcome(spec: SubsystemSpec, basis: str) -> int:
     return basis_outcomes(spec, basis)[-1][0]
 
 
+def _measurement(program: CircuitProgram, seg: _Segment) -> tuple[str, int]:
+    # the bit the measurement ending `seg` writes, and its failure outcome
+    args = program.instructions[seg.measured].args
+    return args["bit"], _failure_outcome(program.spec(args["target"]), args["basis"])
+
+
 def _child(program: CircuitProgram, params: QiParams, seg: _Segment,
            index: int) -> _Segment:
-    """The segment after outcome `index` of the measurement ending `seg`; a
-    failure outcome ends the walk."""
-    outcome, post, prob = seg.branches[index]
-    instr = program.instructions[seg.measured]
-    classical = {**seg.classical, instr.args["bit"]: outcome}
-    spec = program.spec(instr.args["target"])
-    if outcome == _failure_outcome(spec, instr.args["basis"]):
-        return _Segment(seg.weight * prob, post, classical, failed=True)
-    return _segment(program, params, classical, seg.weight * prob, post,
-                    seg.measured + 1)
+    """The segment after outcome `index` of the measurement ending the
+    one-branch segment `seg`; a failure outcome ends the walk."""
+    outcome, post, prob = seg.branches[0][index]
+    bit, failure = _measurement(program, seg)
+    classical, weight = [{**seg.classical[0], bit: outcome}], [seg.weight[0] * prob]
+    if outcome == failure:
+        return _Segment(weight, post, classical, failed=True)
+    return _segment(program, params, classical, weight, post, seg.measured + 1)
 
 
 def run(program: CircuitProgram, params: QiParams | None = None,
@@ -578,12 +606,13 @@ def run(program: CircuitProgram, params: QiParams | None = None,
         if profile is not None:
             for charge, layout, classical in seg.charged:
                 if rng.random() >= getattr(profile, charge):
-                    return RunResult(_zeroed(layout), dict(classical), 0.0, True,
-                                     seg.weight)
+                    return RunResult(_zeroed(layout), dict(classical[0]), 0.0, True,
+                                     seg.weight[0])
         if seg.measured is None or seg.failed:
-            return seg.result(copy=True)
-        index = sample_branch(seg.branches, rng)
-        outcome = seg.branches[index][0]
+            return seg.result(0, copy=True)
+        branches = seg.branches[0]
+        index = sample_branch(branches, rng)
+        outcome = branches[index][0]
         child = seg.children.get(outcome)
         if child is None:
             child = _child(program, params, seg, index)
@@ -599,20 +628,38 @@ def run_all_branches(program: CircuitProgram,
                      params: QiParams | None = None) -> list[RunResult]:
     """Exhaustive enumeration of every measurement branch (ideal components
     only).  Branches appear in depth-first outcome order; weights plus the
-    pruned deficit account for all probability.  Each call walks a fresh
-    tree and keeps none of it."""
+    pruned deficit account for all probability.
+
+    The walk goes one measurement level at a time: the kept non-failure
+    outcomes of every branch at one measurement are stacked into one batch,
+    and the instructions up to the next measurement run once on it.  Leaves
+    are sorted by their path of kept-outcome indices, which is depth-first
+    order.  Each call walks a fresh tree and keeps none of it."""
     params = params or QiParams()
-    results: list[RunResult] = []
-
-    def leaves(seg: _Segment) -> None:
-        if seg.measured is None:
-            results.append(seg.result(copy=False))
-            return
-        for index in range(len(seg.branches)):
-            leaves(_child(program, params, seg, index))
-
-    leaves(_root(program, params))
-    return results
+    seg, paths = _root(program, params), [()]
+    leaves = []  # (kept-outcome indices from the root, result)
+    while seg.measured is not None:
+        bit, failure = _measurement(program, seg)
+        posts, classical, weight, next_paths = [], [], [], []
+        for path, kept, record, w in zip(paths, seg.branches, seg.classical, seg.weight):
+            for index, (outcome, post, prob) in enumerate(kept):
+                child = {**record, bit: outcome}
+                if outcome == failure:
+                    leaves.append((path + (index,), RunResult(post, child, 0.0, True, w * prob)))
+                else:
+                    posts.append(post)
+                    classical.append(child)
+                    weight.append(w * prob)
+                    next_paths.append(path + (index,))
+        if not posts:
+            break
+        state = posts[0] if len(posts) == 1 else stack_branches(posts)
+        seg = _segment(program, params, classical, weight, state, seg.measured + 1)
+        paths = next_paths
+    else:
+        leaves += [(path, seg.result(b, copy=False)) for b, path in enumerate(paths)]
+    leaves.sort(key=lambda leaf: leaf[0])
+    return [result for _, result in leaves]
 
 
 def gate_census(program: CircuitProgram) -> dict[str, int]:

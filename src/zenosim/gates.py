@@ -11,7 +11,9 @@ exploded level alone; for a particle with more than two positions,
 particle_h is the discrete Fourier transform over the positions.  A
 classically controlled correction takes the recorded value itself; the
 interpreter reads it from its classical record, a plain dict of bit name to
-value, whose read-before-write rule the program validator enforces.
+value, whose read-before-write rule the program validator enforces.  On a
+batched state (see `state`), every gate acts on each branch, and a
+correction takes one recorded value per branch.
 
 An instruction's census class alone fixes the profile field it is charged,
 through `CHARGED`.
@@ -133,27 +135,45 @@ def prepare_particle_uniform(spec: SubsystemSpec) -> np.ndarray:
     return vec
 
 
-def classically_controlled(state: StateVector, value: int, gate: str,
+def classically_controlled(state: StateVector, value, gate: str,
                            target: str) -> StateVector:
-    """Apply cX or cZ on the target iff the recorded bit value is 1."""
+    """Apply cX or cZ on the target iff the recorded bit value is 1; on a
+    batched state, `value` holds one value per branch, and the branches
+    whose value is 0 keep their amplitudes."""
     if gate not in ("cx", "cz"):
         raise ValueError(f"unknown controlled gate {gate!r}")
-    if value == 0:
+    on = [v != 0 for v in ([value] if state.batch is None else value)]
+    if not any(on):
         return state
     kind = state.spec(target).kind
     if gate == "cx":
-        return photon_x(state, target) if kind == "photon" else particle_x(state, target)
-    return photon_z(state, target) if kind == "photon" else particle_z(state, target)
+        flipped = photon_x(state, target) if kind == "photon" else particle_x(state, target)
+    else:
+        flipped = photon_z(state, target) if kind == "photon" else particle_z(state, target)
+    if all(on):
+        return flipped
+    # the gate ran on the whole stack: each branch whose value is 0 takes
+    # back its own amplitudes
+    mask = np.array(on).reshape((-1,) + (1,) * len(state.layout))
+    return StateVector(state.layout, np.where(mask, flipped.amps, state.amps), state.batch)
 
 
-def classically_controlled_phase(state: StateVector, value: int, target: str,
-                                 coeff: float) -> StateVector:
-    """Phase exp(i * coeff * value) on the photon's |1H> level, for a
-    recorded integer outcome `value`."""
-    _expect_kind(state.spec(target), "photon")
+def _phase(coeff: float, value: int) -> np.ndarray:
     m = np.eye(4, dtype=np.complex128)
     m[PH_ONE_H, PH_ONE_H] = np.exp(1j * coeff * value)
-    return apply_local(state, [target], m)
+    return m
+
+
+def classically_controlled_phase(state: StateVector, value, target: str,
+                                 coeff: float) -> StateVector:
+    """Phase exp(i * coeff * value) on the photon's |1H> level, for a
+    recorded integer outcome `value`; on a batched state, `value` holds one
+    outcome per branch, and each branch gets its own phase from one stack
+    of operators."""
+    _expect_kind(state.spec(target), "photon")
+    if state.batch is None:
+        return apply_local(state, [target], _phase(coeff, value))
+    return apply_local(state, [target], np.array([_phase(coeff, v) for v in value]))
 
 
 @dataclass(frozen=True)

@@ -230,14 +230,17 @@ def _run_cycles(work, plan, params: QiParams):
 
 
 def _prepare(state: StateVector, photon: str, particles: list[str], blocking):
+    # the photon's axis in the amplitudes, and per listed particle its axis
+    # among the others (a batched state's branch axis leads both)
     p_axis = state.axis(photon)
     if state.layout[p_axis].kind != "photon":
         raise ValueError(f"{photon!r} is not a photon")
     axes = [state.axis(name) for name in particles]
     blocks = wiring([state.layout[axis] for axis in axes], blocking)
-    plan = [(axis - 1 if axis > p_axis else axis, blk, state.layout[axis].exploded_level())
-            for axis, blk in zip(axes, blocks)]
-    return p_axis, plan
+    lead = 0 if state.batch is None else 1
+    plan = [(lead + (axis - 1 if axis > p_axis else axis), blk,
+             state.layout[axis].exploded_level()) for axis, blk in zip(axes, blocks)]
+    return lead + p_axis, plan
 
 
 def qi_run(state: StateVector, photon: str, particles: list[str],
@@ -245,7 +248,8 @@ def qi_run(state: StateVector, photon: str, particles: list[str],
     """Full interrogation: one 2x2 on (|1H>, |1V>) per blocked count, for N
     cycles or the exact limit, then the residual-|1V> policy and pruning of
     the photon's sink level and the listed particles' exploded levels into
-    the norm deficit.  Every other subsystem is left as it is."""
+    the norm deficit.  Every other subsystem is left as it is, and a batched
+    state's branches are run together, elementwise."""
     p_axis, plan = _prepare(state, photon, particles, blocking)
     amps = state.amps.copy()
     work = amps.transpose([p_axis] + [a for a in range(amps.ndim) if a != p_axis])
@@ -255,7 +259,7 @@ def qi_run(state: StateVector, photon: str, particles: list[str],
     work[PH_SINK] = 0.0
     for rest_axis, _, exploded in plan:
         work[(slice(None),) * (rest_axis + 1) + (exploded,)] = 0.0
-    return StateVector(state.layout, amps)
+    return StateVector(state.layout, amps, state.batch)
 
 
 def qicz(state: StateVector, photon: str, particle: str,

@@ -157,20 +157,18 @@ class _OracleState:
         """kron(op, I_rest) on the vector reordered to the front subsystems
         (in the given order) followed by the rest, computed as `op` times
         the (front, rest) reshape; the result is put back in the live
-        order."""
+        order.  One index does both moves: entry j of the reordered vector
+        is entry index[j] of the live one."""
         front_dim = prod(self.dims[n] for n in front)
         if op.shape != (front_dim, front_dim):
             raise ValueError(f"operator of shape {op.shape} does not act on "
                              f"{front!r} ({front_dim} levels)")
-        rest = [n for n in self.names if n not in front]
-        digits = np.unravel_index(np.arange(self.vec.size), self.shape())
-        by_name = dict(zip(self.names, digits))
-        order = front + rest
-        pi = np.ravel_multi_index([by_name[n] for n in order],
-                                  tuple(self.dims[n] for n in order))
-        y = np.empty_like(self.vec)
-        y[pi] = self.vec
-        self.vec = (op @ y.reshape(front_dim, -1)).reshape(-1)[pi]
+        axes = [self.names.index(n) for n in front]
+        axes += [k for k in range(len(self.names)) if k not in axes]
+        index = np.arange(self.vec.size).reshape(self.shape()).transpose(axes).reshape(-1)
+        out = np.empty_like(self.vec)
+        out[index] = (op @ self.vec[index].reshape(front_dim, -1)).reshape(-1)
+        self.vec = out
 
     def contract(self, name: str, bra: np.ndarray) -> None:
         k = self.names.index(name)

@@ -10,6 +10,13 @@ pruned from the vector.
 Amplitudes are stored dense, C-ordered, with the first subsystem in the
 layout varying slowest.  All success probabilities reported by measurement
 are pre-renormalization branch weights.
+
+A state may carry a leading branch axis: `batch` states over one layout,
+stacked, so that one call acts on all of them.  Every operation here acts
+on such a stack branch by branch and gives each branch the bits it would
+get alone: a product is one stacked `np.matmul` over the branch axis, never
+one wider 2-D product (whose kernel edges round differently), and a weight
+is one `np.vdot` per branch.
 """
 
 from __future__ import annotations
@@ -79,12 +86,19 @@ def particle(name: str, positions: int = 2) -> SubsystemSpec:
 @dataclass
 class StateVector:
     layout: tuple[SubsystemSpec, ...]
-    amps: np.ndarray  # shape = tuple of subsystem dims
+    amps: np.ndarray  # shape = ((batch,) if batched) + tuple of subsystem dims
+    batch: int | None = None  # branches along a leading axis; None: no such axis
 
     def __post_init__(self):
         dims = tuple(s.dim for s in self.layout)
+        if self.batch is not None:
+            dims = (self.batch,) + dims
         self.amps = np.ascontiguousarray(self.amps, dtype=np.complex128).reshape(dims)
-        n = norm_sq(self)
+        if self.batch is None:
+            n = norm_sq(self)
+        else:  # the largest branch norm
+            flat = self.amps.reshape(self.batch, -1)
+            n = float(np.maximum.reduce(np.vecdot(flat, flat).real, initial=0.0))
         # a non-finite amplitude makes the norm inf or nan, so the scan runs
         # only when the norm check fails
         if not n <= 1 + ATOL:
@@ -102,7 +116,28 @@ class StateVector:
         return self.layout[self.axis(name)]
 
     def copy(self) -> "StateVector":
-        return StateVector(self.layout, self.amps.copy())
+        return StateVector(self.layout, self.amps.copy(), self.batch)
+
+    def branch(self, b: int) -> "StateVector":
+        """Branch `b` of a batched state, as a state of its own (a view)."""
+        return _checked(self.layout, self.amps[b])
+
+
+def _checked(layout: tuple, amps, batch: int | None = None) -> StateVector:
+    # a state over contiguous amplitudes, shaped for the layout and batch,
+    # whose branches pass the norm check already (branches of checked
+    # states, renormalized measurement branches), made without checking
+    # them again; np.asarray turns the scalar that numpy gives for one
+    # amplitude of an empty layout back into a 0-d array
+    state = object.__new__(StateVector)
+    state.layout, state.amps, state.batch = layout, np.asarray(amps), batch
+    return state
+
+
+def stack_branches(states: list[StateVector]) -> StateVector:
+    """Plain states over one layout, each checked when it was made, stacked
+    along a new branch axis."""
+    return _checked(states[0].layout, np.array([s.amps for s in states]), len(states))
 
 
 def norm_sq(state: StateVector) -> float:
@@ -134,10 +169,25 @@ def new_state(layout: list[SubsystemSpec], levels: list[int]) -> StateVector:
     return StateVector(tuple(layout), amps)
 
 
+def _lead(state: StateVector) -> tuple:
+    # the shape of the axes before the subsystem axes: (batch,) or ()
+    return () if state.batch is None else (state.batch,)
+
+
+def _to_front(state: StateVector, axes: list[int]) -> tuple[np.ndarray, list[int]]:
+    # the amplitudes with the subsystems at `axes` moved to the front, after
+    # the branch axis if any, and the permutation that moved them
+    perm = axes + [a for a in range(len(state.layout)) if a not in axes]
+    if state.batch is not None:
+        perm = [0] + [a + 1 for a in perm]
+    return state.amps.transpose(perm), perm
+
+
 def apply_local(state: StateVector, targets: list[str], op: np.ndarray) -> StateVector:
     """Apply a dense operator on the target slots, identity elsewhere.
 
-    The operator indexes the targets big-endian in list order.  It must be a
+    The operator indexes the targets big-endian in list order; on a batched
+    state it may also be a stack of one operator per branch.  It must be a
     contraction (largest singular value <= 1 + 1e-12); the norm may shrink
     but never grow beyond tolerance.
     """
@@ -146,15 +196,16 @@ def apply_local(state: StateVector, targets: list[str], op: np.ndarray) -> State
         raise ValueError("duplicate target")
     block = math.prod(state.layout[a].dim for a in axes)
     op = np.asarray(op, dtype=np.complex128)
-    if op.shape != (block, block):
+    if op.shape not in ((block, block), (state.batch, block, block)):
         raise ValueError(f"operator shape {op.shape} does not match target dimension {block}")
-    smax = float(np.linalg.svd(op, compute_uv=False)[0])
+    sigma = np.linalg.svd(op, compute_uv=False)  # descending, per operator
+    smax = float(sigma[0] if op.ndim == 2 else sigma[:, 0].max())
     if smax > 1 + ATOL:
         raise ValueError(f"operator is not a contraction (sigma_max = {smax})")
-    perm = axes + [a for a in range(len(state.layout)) if a not in axes]
-    front = state.amps.transpose(perm)
-    out = (op @ front.reshape(block, -1)).reshape(front.shape)
-    return StateVector(state.layout, out.transpose(sorted(range(len(perm)), key=perm.__getitem__)))
+    front, perm = _to_front(state, axes)
+    out = (op @ front.reshape(_lead(state) + (block, -1))).reshape(front.shape)
+    return StateVector(state.layout, out.transpose(sorted(range(len(perm)), key=perm.__getitem__)),
+                       state.batch)
 
 
 # the photon unit vectors and the 2-position particle_pm factors (plus,
@@ -186,21 +237,10 @@ def basis_outcomes(spec: SubsystemSpec, basis: str) -> list[tuple[int, np.ndarra
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def _project_branch(state: StateVector, axis: int, factor: np.ndarray | None):
-    """Branch amplitude block for one outcome.
-
-    Rank-1 outcomes factor the subsystem out of the layout; the pooled
-    failure outcome keeps it (its projector has rank 2)."""
-    if factor is not None:
-        # the (1, d) by (d, rest) operands np.tensordot would hand to np.dot
-        rest = [i for i in range(state.amps.ndim) if i != axis]
-        front = state.amps.transpose([axis] + rest)
-        amp = np.dot(factor.conj().reshape(1, -1), front.reshape(factor.size, -1))
-        return tuple(state.layout[i] for i in rest), amp.reshape(front.shape[1:])
-    keep = np.zeros(state.layout[axis].dim)
-    keep[[PH_ONE_V, PH_SINK]] = 1.0
-    amp = state.amps * keep.reshape([-1 if i == axis else 1 for i in range(state.amps.ndim)])
-    return state.layout, amp
+# the pooled photon failure outcome keeps |1V> and the sink
+_POOLED_FAILURE = np.zeros(PHOTON_DIM)
+_POOLED_FAILURE[[PH_ONE_V, PH_SINK]] = 1.0
+_POOLED_FAILURE.flags.writeable = False
 
 
 def branch_all(state: StateVector, target: str, basis: str):
@@ -208,17 +248,33 @@ def branch_all(state: StateVector, target: str, basis: str):
 
     Returns [(outcome, post_state, probability)] where probability is the
     pre-renormalization branch weight; post states are renormalized and, for
-    rank-1 outcomes, no longer contain the measured subsystem.
+    rank-1 outcomes, no longer contain the measured subsystem.  A batched
+    state gives one such list per branch, each the list that branch gives
+    alone: one projection per outcome serves every branch, and each weight
+    is one `np.vdot`.
     """
     axis = state.axis(target)
     spec = state.layout[axis]
-    out = []
+    lead = _lead(state)
+    front, _ = _to_front(state, [axis])
+    # per branch, the (d, rest) operand np.tensordot would hand to np.dot
+    columns = front.reshape(lead + (spec.dim, -1))
+    factored = state.layout[:axis] + state.layout[axis + 1:]
+    factored_shape = lead + front.shape[len(lead) + 1:]
+    out = [[] for _ in range(state.batch or 1)]
     for outcome, factor in basis_outcomes(spec, basis):
-        layout, amp = _project_branch(state, axis, factor)
-        w = float(np.vdot(amp, amp).real)
-        if w > BRANCH_CUTOFF:
-            out.append((outcome, StateVector(layout, amp / np.sqrt(w)), w))
-    return out
+        if factor is not None:  # rank 1: the subsystem factors out
+            layout = factored
+            amp = (factor.conj().reshape(1, -1) @ columns).reshape(factored_shape)
+        else:  # the pooled failure keeps it, since its projector has rank 2
+            layout = state.layout
+            amp = state.amps * _POOLED_FAILURE.reshape(
+                (-1,) + (1,) * (len(state.layout) - 1 - axis))
+        for kept, row in zip(out, amp if lead else [amp]):
+            w = float(np.vdot(row, row).real)
+            if w > BRANCH_CUTOFF:
+                kept.append((outcome, _checked(layout, row / np.sqrt(w)), w))
+    return out if lead else out[0]
 
 
 def sample_branch(branches: list, rng: np.random.Generator) -> int:
@@ -259,4 +315,4 @@ def add_subsystem(state: StateVector, spec: SubsystemSpec, vec) -> StateVector:
     if any(s.name == spec.name for s in state.layout):
         raise ValueError(f"subsystem {spec.name!r} already present")
     amps = np.multiply.outer(state.amps, initial_vector(spec, vec))
-    return StateVector(state.layout + (spec,), amps)
+    return StateVector(state.layout + (spec,), amps, state.batch)

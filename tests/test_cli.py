@@ -99,12 +99,15 @@ def test_simulate_qicz_demo_survival():
     assert f"{doc['success_probability']:.11f}" == "0.90600334297"
 
 
-def test_simulate_empty_program():
-    path = "/tmp/zenosim_empty.json"
-    with open(path, "w") as fh:
-        json.dump({"version": "1", "subsystems": [], "bits": [],
-                   "instructions": []}, fh)
-    proc = run_cli("simulate", path, "--ideal")
+def _empty_program(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"version": "1", "subsystems": [], "bits": [],
+                                "instructions": []}))
+    return str(path)
+
+
+def test_simulate_empty_program(tmp_path):
+    proc = run_cli("simulate", _empty_program(tmp_path), "--ideal")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["success_probability"] == pytest.approx(1.0)
@@ -159,8 +162,8 @@ def test_csv_row_keeps_five_fields_for_any_allowed_bit_name(tmp_path, bit):
     assert rows[1][4] in (f"{bit}=0", f"{bit}=1")
 
 
-def test_simulate_heralded_failure_exits_two():
-    path = "/tmp/zenosim_fail.json"
+def test_simulate_heralded_failure_exits_two(tmp_path):
+    path = tmp_path / "fail.json"
     doc = {
         "version": "1",
         "subsystems": [{"name": "p", "kind": "photon"}],
@@ -179,8 +182,8 @@ def test_simulate_heralded_failure_exits_two():
     assert all(b["failed"] for b in out["branches"])
 
 
-def test_simulate_requires_one_source():
-    both = run_cli("simulate", "/tmp/zenosim_empty.json", "--demo", "bell")
+def test_simulate_requires_one_source(tmp_path):
+    both = run_cli("simulate", _empty_program(tmp_path), "--demo", "bell")
     neither = run_cli("simulate")
     for proc in (both, neither):
         assert proc.returncode == 1
@@ -193,8 +196,8 @@ def test_simulate_unknown_demo():
     assert "unknown demo" in proc.stderr
 
 
-def test_parse_error_reports_position():
-    path = "/tmp/zenosim_broken.json"
+def test_parse_error_reports_position(tmp_path):
+    path = tmp_path / "broken.json"
     with open(path, "w") as fh:
         fh.write('{"version": "1",\n  "subsystems": [}\n')
     proc = run_cli("simulate", path)
@@ -202,8 +205,8 @@ def test_parse_error_reports_position():
     assert "parse error at line 2 column" in proc.stderr
 
 
-def test_unknown_op_reports_index():
-    path = "/tmp/zenosim_badop.json"
+def test_unknown_op_reports_index(tmp_path):
+    path = tmp_path / "badop.json"
     with open(path, "w") as fh:
         json.dump({"version": "1", "subsystems": [], "bits": [],
                    "instructions": [{"op": "warp"}]}, fh)
@@ -573,8 +576,8 @@ def test_emit_json_complex_view_matches_pairs():
     assert _emit_json(amps.reshape(-1, 1).view(np.float64)) == _emit_json(pairs)
 
 
-def test_missing_file_reported():
-    proc = run_cli("simulate", "/tmp/zenosim_no_such_file.json")
+def test_missing_file_reported(tmp_path):
+    proc = run_cli("simulate", str(tmp_path / "no_such_file.json"))
     assert proc.returncode == 1
     assert "cannot read" in proc.stderr
 
@@ -588,10 +591,10 @@ def test_unknown_family_and_bad_profile():
     assert "five comma-separated" in proc.stderr
 
 
-def test_cnot_emit_simulate_and_oracle_check():
+def test_cnot_emit_simulate_and_oracle_check(tmp_path):
     emit = run_cli("cnot", "--family", "direct-cx")
     assert emit.returncode == 0
-    path = "/tmp/zenosim_cnot.json"
+    path = tmp_path / "cnot.json"
     with open(path, "w") as fh:
         fh.write(emit.stdout)
     sim = run_cli("simulate", path, "--ideal")

@@ -206,6 +206,39 @@ def test_apply_matches_literal_reference(dims, front):
     assert np.abs(state.vec - reference @ before).max() <= 1e-15
 
 
+def _scatter_apply_reference(state, front, op):
+    """`_OracleState.apply` as it was: every live index unravelled to its
+    digits and ravelled again in (front, rest) order, the vector scattered
+    through that index and the product gathered back through it."""
+    rest = [n for n in state.names if n not in front]
+    digits = np.unravel_index(np.arange(state.vec.size), state.shape())
+    by_name = dict(zip(state.names, digits))
+    order = front + rest
+    pi = np.ravel_multi_index([by_name[n] for n in order],
+                              tuple(state.dims[n] for n in order))
+    y = np.empty_like(state.vec)
+    y[pi] = state.vec
+    front_dim = prod(state.dims[n] for n in front)
+    return (op @ y.reshape(front_dim, -1)).reshape(-1)[pi]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_apply_is_byte_equal_to_the_scatter_formula(seed):
+    rng = np.random.default_rng(seed)
+    names = ["a", "b", "c", "d", "e"][: int(rng.integers(1, 6))]
+    state = _random_oracle_state(rng, {n: int(rng.integers(1, 5)) for n in names})
+    # signed zeros in the vector and the operator, so a product taken in
+    # another order or on other entries shows in the bytes
+    state.vec[rng.random(state.vec.size) < 0.2] = complex(-0.0, 0.0)
+    front = [str(n) for n in rng.permutation(names)[: int(rng.integers(1, len(names) + 1))]]
+    front_dim = prod(state.dims[n] for n in front)
+    op = rng.normal(size=(front_dim, front_dim)) + 1j * rng.normal(size=(front_dim, front_dim))
+    op[rng.random(op.shape) < 0.3] = complex(0.0, -0.0)
+    want = _scatter_apply_reference(state, front, op)
+    state.apply(front, op)
+    assert state.vec.tobytes() == want.tobytes()
+
+
 def test_apply_at_the_cap_allocates_no_full_space_matrix():
     # a dense kron(op, I_rest) at 1280 levels would be 1280^2 complex128
     # entries, about 26 MB
@@ -235,13 +268,16 @@ def _mutated_apply_local(snippet, replacement):
 # axis move with the forward permutation (wrong only where a gate reaches
 # past the first two axes, as in the Toffoli demo), and applying the adjoint
 # (wrong only for the 3-position Fourier transform of the W-state demos at
-# finite depth).  A plain `op.T` is not among them: every operator the
+# finite depth).  A plain transpose is not among them: every operator the
 # engine hands to apply_local (H, X, Z, the position Fourier transform, the
-# diagonal phase) is symmetric, so it changes no program.
+# diagonal phase) is symmetric, so it changes no program.  The adjoint is
+# taken with `.mT`, each matrix's own transpose, since the W-state phases
+# reach apply_local as a stack of one operator per branch, whose `.T` would
+# also reverse the branch axis.
 @pytest.mark.parametrize("snippet, replacement, demo", [
     pytest.param("out.transpose(sorted(range(len(perm)), key=perm.__getitem__))",
                  "out.transpose(perm)", "toffoli", id="forward-permutation"),
-    pytest.param("(op @ front", "(op.conj().T @ front", "wstate-3", id="adjoint"),
+    pytest.param("(op @ front", "(op.conj().mT @ front", "wstate-3", id="adjoint"),
 ])
 def test_oracle_catches_engine_layout_mutants(monkeypatch, snippet, replacement, demo):
     program = demo_programs()[demo]
