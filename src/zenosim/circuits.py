@@ -15,9 +15,10 @@ instruction loop runs a program a segment at a time, from the start or one
 measurement up to the next measurement, on a batch of branches, each with
 its own classical record: one branch is a plain state, and several are
 stacked along the state's leading branch axis (see `state`).
-`run_all_branches` walks a fresh tree one measurement level at a time:
-every kept non-failure outcome of every branch joins the next level's
-batch, so each instruction runs once per level, not once per branch.
+`run_all_branches` walks a fresh tree in batches: the kept non-failure
+outcomes of every branch of a batch form the next batches, as large as
+`MAX_AMPLITUDES` lets their stacked states be, so each instruction runs
+once per batch, not once per branch.
 `run` keeps a tree of one-branch segments on the program and walks one
 sampled path through it, so repeated runs only draw.  A program may make
 the engine hold at most `MAX_AMPLITUDES` amplitudes in one state.
@@ -355,6 +356,27 @@ class CircuitProgram:
                 return s
         raise KeyError(f"undeclared subsystem {name!r}")
 
+    @cached_property
+    def _stretches(self) -> tuple[tuple[int, int], ...]:
+        """Per instruction, and for the end, the stretch from there up to the
+        next measurement or the end: the most amplitudes one branch's state
+        holds in it, and the instructions it runs before that measurement.
+        A failure outcome that keeps its subsystem ends the walk, so only
+        non-failure outcomes set what a branch holds."""
+        held, before = 1, []  # before[i]: amplitudes instruction i acts on
+        for instr in self.instructions:
+            before.append(held)
+            if instr.op == "prepare":
+                held *= self.spec(instr.args["target"]).dim
+            elif instr.op == "measure":
+                held //= self.spec(instr.args["target"]).dim
+        stretches = [(held, 0)]
+        for instr, size in zip(reversed(self.instructions), reversed(before)):
+            peak, steps = stretches[-1]
+            stretches.append((size, 0) if instr.op == "measure"
+                             else (max(size, peak), steps + 1))
+        return tuple(reversed(stretches))
+
 
 def validate_program(program: CircuitProgram) -> None:
     """Static checks: declared names only, prepare-before-use, no use after
@@ -630,34 +652,54 @@ def run_all_branches(program: CircuitProgram,
     only).  Branches appear in depth-first outcome order; weights plus the
     pruned deficit account for all probability.
 
-    The walk goes one measurement level at a time: the kept non-failure
-    outcomes of every branch at one measurement are stacked into one batch,
-    and the instructions up to the next measurement run once on it.  Leaves
-    are sorted by their path of kept-outcome indices, which is depth-first
+    The walk stacks sibling branches: the kept non-failure outcomes of every
+    branch of a batch at one measurement form the next batches, and the
+    instructions up to the next measurement run once per batch.  A batch
+    holds as many branches as keep its stacked state within
+    `MAX_AMPLITUDES` amplitudes up to that measurement (at least one), or
+    one branch when fewer than two instructions come before that
+    measurement, and batches are walked depth first, so the walk holds a
+    few batches per measurement level, not a whole level.  Leaves are
+    sorted by their path of kept-outcome indices, which is depth-first
     order.  Each call walks a fresh tree and keeps none of it."""
     params = params or QiParams()
-    seg, paths = _root(program, params), [()]
     leaves = []  # (kept-outcome indices from the root, result)
-    while seg.measured is not None:
-        bit, failure = _measurement(program, seg)
-        posts, classical, weight, next_paths = [], [], [], []
-        for path, kept, record, w in zip(paths, seg.branches, seg.classical, seg.weight):
-            for index, (outcome, post, prob) in enumerate(kept):
-                child = {**record, bit: outcome}
-                if outcome == failure:
-                    leaves.append((path + (index,), RunResult(post, child, 0.0, True, w * prob)))
-                else:
-                    posts.append(post)
-                    classical.append(child)
-                    weight.append(w * prob)
-                    next_paths.append(path + (index,))
-        if not posts:
+    # batches still to run, the next one last: (paths, classical records,
+    # weights, plain states, first instruction)
+    todo = []
+    seg, paths = _root(program, params), [()]
+    while True:
+        if seg.measured is None:
+            leaves += [(path, seg.result(b, copy=False)) for b, path in enumerate(paths)]
+        else:
+            bit, failure = _measurement(program, seg)
+            kept_paths, records, weights, posts = [], [], [], []
+            for path, kept, record, w in zip(paths, seg.branches, seg.classical, seg.weight):
+                for index, (outcome, post, prob) in enumerate(kept):
+                    child = {**record, bit: outcome}
+                    if outcome == failure:
+                        leaves.append((path + (index,),
+                                       RunResult(post, child, 0.0, True, w * prob)))
+                    else:
+                        kept_paths.append(path + (index,))
+                        records.append(child)
+                        weights.append(w * prob)
+                        posts.append(post)
+            pos = seg.measured + 1
+            peak, steps = program._stretches[pos]
+            # a stack costs a state to build and, at the end, one state per
+            # branch to split it into leaves, which a stretch of fewer than
+            # two instructions does not earn back
+            per_batch = max(1, MAX_AMPLITUDES // peak) if steps >= 2 else 1
+            for lo in reversed(range(0, len(posts), per_batch)):
+                hi = lo + per_batch
+                todo.append((kept_paths[lo:hi], records[lo:hi], weights[lo:hi],
+                             posts[lo:hi], pos))
+        if not todo:
             break
+        paths, classical, weight, posts, pos = todo.pop()
         state = posts[0] if len(posts) == 1 else stack_branches(posts)
-        seg = _segment(program, params, classical, weight, state, seg.measured + 1)
-        paths = next_paths
-    else:
-        leaves += [(path, seg.result(b, copy=False)) for b, path in enumerate(paths)]
+        seg = _segment(program, params, classical, weight, state, pos)
     leaves.sort(key=lambda leaf: leaf[0])
     return [result for _, result in leaves]
 

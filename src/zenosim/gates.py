@@ -142,20 +142,26 @@ def classically_controlled(state: StateVector, value, gate: str,
     whose value is 0 keep their amplitudes."""
     if gate not in ("cx", "cz"):
         raise ValueError(f"unknown controlled gate {gate!r}")
-    on = [v != 0 for v in ([value] if state.batch is None else value)]
-    if not any(on):
+    values = [value] if state.batch is None else value
+    on = [b for b, v in enumerate(values) if v != 0]
+    if not on:
         return state
+    if len(on) == len(values):
+        return _controlled_gate(state, gate, target)
+    # the gate acts on the branches whose value is 1 alone: one plain
+    # branch, or a stack of them, written into a copy of the amplitudes
+    sub = state.branch(on[0]) if len(on) == 1 else StateVector(
+        state.layout, state.amps[on], len(on))
+    amps = state.amps.copy()
+    amps[on] = _controlled_gate(sub, gate, target).amps
+    return StateVector(state.layout, amps, state.batch)
+
+
+def _controlled_gate(state: StateVector, gate: str, target: str) -> StateVector:
     kind = state.spec(target).kind
     if gate == "cx":
-        flipped = photon_x(state, target) if kind == "photon" else particle_x(state, target)
-    else:
-        flipped = photon_z(state, target) if kind == "photon" else particle_z(state, target)
-    if all(on):
-        return flipped
-    # the gate ran on the whole stack: each branch whose value is 0 takes
-    # back its own amplitudes
-    mask = np.array(on).reshape((-1,) + (1,) * len(state.layout))
-    return StateVector(state.layout, np.where(mask, flipped.amps, state.amps), state.batch)
+        return photon_x(state, target) if kind == "photon" else particle_x(state, target)
+    return photon_z(state, target) if kind == "photon" else particle_z(state, target)
 
 
 def _phase(coeff: float, value: int) -> np.ndarray:

@@ -120,24 +120,12 @@ class StateVector:
 
     def branch(self, b: int) -> "StateVector":
         """Branch `b` of a batched state, as a state of its own (a view)."""
-        return _checked(self.layout, self.amps[b])
-
-
-def _checked(layout: tuple, amps, batch: int | None = None) -> StateVector:
-    # a state over contiguous amplitudes, shaped for the layout and batch,
-    # whose branches pass the norm check already (branches of checked
-    # states, renormalized measurement branches), made without checking
-    # them again; np.asarray turns the scalar that numpy gives for one
-    # amplitude of an empty layout back into a 0-d array
-    state = object.__new__(StateVector)
-    state.layout, state.amps, state.batch = layout, np.asarray(amps), batch
-    return state
+        return StateVector(self.layout, self.amps[b])
 
 
 def stack_branches(states: list[StateVector]) -> StateVector:
-    """Plain states over one layout, each checked when it was made, stacked
-    along a new branch axis."""
-    return _checked(states[0].layout, np.array([s.amps for s in states]), len(states))
+    """Plain states over one layout, stacked along a new branch axis."""
+    return StateVector(states[0].layout, np.array([s.amps for s in states]), len(states))
 
 
 def norm_sq(state: StateVector) -> float:
@@ -273,7 +261,7 @@ def branch_all(state: StateVector, target: str, basis: str):
         for kept, row in zip(out, amp if lead else [amp]):
             w = float(np.vdot(row, row).real)
             if w > BRANCH_CUTOFF:
-                kept.append((outcome, _checked(layout, row / np.sqrt(w)), w))
+                kept.append((outcome, StateVector(layout, row / np.sqrt(w)), w))
     return out if lead else out[0]
 
 

@@ -37,6 +37,11 @@ PER_OBJECT = {
         "program; the program is built per CLI call or per benchmark op",
     "circuits.Instruction.charge":
         "the profile field one instruction is charged, read with its census",
+    "circuits.CircuitProgram._stretches":
+        "the most amplitudes one branch holds between measurements, and the "
+        "instructions run there: a pure function of one program's "
+        "instructions, read by every run_all_branches of that program to "
+        "size its batches",
     "interrogation.QiParams._stacks":
         "the T_k^N stacks of one params object; the CLI builds its params per "
         "call, and the benchmark's workloads hold theirs across passes, so "

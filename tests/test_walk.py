@@ -1,4 +1,4 @@
-"""The level walk of `run_all_branches` against the recursive walk it
+"""The batched walk of `run_all_branches` against the recursive walk it
 replaced, and the module attributes the bench tracer rebinds.
 
 `reference_run_all_branches` is the walk as it was before sibling branches
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from zenosim import gates, interrogation, state as engine_state
+from zenosim import circuits, gates, interrogation, state as engine_state
 from zenosim.circuits import (
     DEMOS,
     CircuitProgram,
@@ -35,6 +35,7 @@ from zenosim.state import (
     BRANCH_CUTOFF,
     PARTICLE_PM,
     PHOTON_COMPUTATIONAL,
+    QUDIT_POSITION,
     StateVector,
     add_subsystem,
     branch_all,
@@ -274,6 +275,56 @@ def test_failure_outcome_and_an_emptied_branch_mid_program():
     assert keys[2] == {"a": 2}  # the exploded particle, after both a = 0 and a = 1
     assert all(k["c"] == 1 for k in keys[:2])
     assert len(_assert_same_walk(program, PARAMS["n3"])) == 5
+
+
+def test_batches_stay_within_the_amplitude_cap(monkeypatch):
+    # a 16-level register stays live while five photons are prepared, H'd
+    # and measured in turn, and is measured at the end: up to 16 branches of
+    # 64 amplitudes reach a photon_h, which a cap of 256 splits into batches
+    # of 4
+    monkeypatch.setattr(circuits, "MAX_AMPLITUDES", 256)
+    seen = []  # (batch, amplitudes) of each state photon_h receives
+    photon_h = gates.photon_h
+
+    def observed(state, name):
+        seen.append((state.batch or 1, state.amps.size))
+        return photon_h(state, name)
+
+    monkeypatch.setattr(gates, "photon_h", observed)
+    instructions = [_ins("prepare", target="r", uniform=True)]
+    for i in range(5):
+        instructions += [_ins("prepare", target=f"p{i}", level=0),
+                         _ins("photon_h", target=f"p{i}"),
+                         _ins("measure", target=f"p{i}", basis=PHOTON_COMPUTATIONAL,
+                              bit=f"b{i}")]
+    instructions.append(_ins("measure", target="r", basis=QUDIT_POSITION, bit="r"))
+    program = CircuitProgram(
+        (particle("r", positions=15),) + tuple(photon(f"p{i}") for i in range(5)),
+        tuple(f"b{i}" for i in range(5)) + ("r",), tuple(instructions))
+    got = _assert_same_walk(program, PARAMS["exact"])
+    assert len(got) == 2 ** 5 * 15
+    assert max(size for _, size in seen) == 256
+    assert max(batch for batch, _ in seen) == 4
+
+
+@pytest.mark.parametrize("gate", ["cx", "cz"])
+@pytest.mark.parametrize("values", [[1, 0, 1], [0, 1, 0], [1, 1, 1], [0, 0, 0]])
+def test_corrections_act_on_each_branch_as_alone(gate, values):
+    rng = np.random.default_rng(7)
+    layout = (photon("p"), particle("m"))
+    alone = []
+    for _ in values:
+        amps = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        alone.append(StateVector(layout, amps / np.linalg.norm(amps)))
+    stacked = engine_state.stack_branches(alone)
+    before = stacked.amps.tobytes()
+    for target in ("p", "m"):
+        got = gates.classically_controlled(stacked, values, gate, target)
+        assert got.batch == len(values)
+        for b, (value, branch) in enumerate(zip(values, alone)):
+            want = gates.classically_controlled(branch, value, gate, target).amps
+            assert got.branch(b).amps.tobytes() == want.tobytes()
+    assert stacked.amps.tobytes() == before
 
 
 # ---------------------------------------------------------------------------
