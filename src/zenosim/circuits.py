@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -206,7 +206,13 @@ def _controlled(op: str):
 
 
 def _prepared(program: CircuitProgram, args: dict) -> tuple[SubsystemSpec, np.ndarray]:
-    # the subsystem a prepare instruction adds, and the vector its form gives
+    # the subsystem a prepare instruction adds, and the vector its one form
+    # gives; the validator and the engine both read the forms here alone
+    forms = [form for form in ("level", "pm", "state") if form in args]
+    forms += ["uniform"] * bool(args.get("uniform"))
+    if len(forms) > 1:
+        raise ValueError("prepare takes one of level, pm, state or a true "
+                         f"uniform, got {' and '.join(forms)}")
     spec = program.spec(args["target"])
     if "pm" in args:
         return spec, gates.prepare_particle_pm(spec, args["pm"])
@@ -313,6 +319,9 @@ class Instruction:
         spec = OPS.get(self.op) if isinstance(self.op, str) else None
         if spec is None:
             raise ValueError(f"unknown op {self.op!r}")
+        for name in self.args:
+            if name not in spec.schema:
+                raise ValueError(f"{self.op} takes no argument {name!r}")
         for name, kind in spec.schema.items():
             if name not in self.args:
                 if name in spec.args:
@@ -355,27 +364,6 @@ class CircuitProgram:
             if s.name == name:
                 return s
         raise KeyError(f"undeclared subsystem {name!r}")
-
-    @cached_property
-    def _stretches(self) -> tuple[tuple[int, int], ...]:
-        """Per instruction, and for the end, the stretch from there up to the
-        next measurement or the end: the most amplitudes one branch's state
-        holds in it, and the instructions it runs before that measurement.
-        A failure outcome that keeps its subsystem ends the walk, so only
-        non-failure outcomes set what a branch holds."""
-        held, before = 1, []  # before[i]: amplitudes instruction i acts on
-        for instr in self.instructions:
-            before.append(held)
-            if instr.op == "prepare":
-                held *= self.spec(instr.args["target"]).dim
-            elif instr.op == "measure":
-                held //= self.spec(instr.args["target"]).dim
-        stretches = [(held, 0)]
-        for instr, size in zip(reversed(self.instructions), reversed(before)):
-            peak, steps = stretches[-1]
-            stretches.append((size, 0) if instr.op == "measure"
-                             else (max(size, peak), steps + 1))
-        return tuple(reversed(stretches))
 
 
 def validate_program(program: CircuitProgram) -> None:
@@ -578,17 +566,12 @@ def _root(program: CircuitProgram, params: QiParams) -> _Segment:
                     StateVector((), np.ones((), dtype=np.complex128)), 0)
 
 
-@lru_cache(maxsize=256)
-def _failure_outcome(spec: SubsystemSpec, basis: str) -> int:
-    # the last of a basis's outcomes is its failure one; kept per (spec,
-    # basis), since a walk asks at every outcome it takes
-    return basis_outcomes(spec, basis)[-1][0]
-
-
 def _measurement(program: CircuitProgram, seg: _Segment) -> tuple[str, int]:
-    # the bit the measurement ending `seg` writes, and its failure outcome
+    # the bit the measurement ending `seg` writes, and its failure outcome:
+    # outcomes are labelled 0..n-1 with the failure one last, so its label is
+    # the count of values the bit can hold
     args = program.instructions[seg.measured].args
-    return args["bit"], _failure_outcome(program.spec(args["target"]), args["basis"])
+    return args["bit"], _measured_values(args, program, {})
 
 
 def _child(program: CircuitProgram, params: QiParams, seg: _Segment,
@@ -686,7 +669,15 @@ def run_all_branches(program: CircuitProgram,
                         weights.append(w * prob)
                         posts.append(post)
             pos = seg.measured + 1
-            peak, steps = program._stretches[pos]
+            # one branch's largest state up to the next measurement, where
+            # only a prepare grows it, and the instructions it runs there
+            peak, steps = posts[0].amps.size if posts else 1, 0
+            for instr in program.instructions[pos:]:
+                if instr.op == "measure":
+                    break
+                if instr.op == "prepare":
+                    peak *= program.spec(instr.args["target"]).dim
+                steps += 1
             # a stack costs a state to build and, at the end, one state per
             # branch to split it into leaves, which a stretch of fewer than
             # two instructions does not earn back

@@ -42,10 +42,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-class CircuitFileError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # circuit file round-trip
 
@@ -81,50 +77,49 @@ def _plain(value):
 def _doc_list(doc: dict, key: str) -> list:
     value = doc.get(key, [])
     if not isinstance(value, list):
-        raise CircuitFileError(f"{key} must be a list")
+        raise ValueError(f"{key} must be a list")
     return value
 
 
 def program_from_doc(doc) -> CircuitProgram:
     if not isinstance(doc, dict):
-        raise CircuitFileError("top level must be an object")
+        raise ValueError("top level must be an object")
     if doc.get("version") != "1":
-        raise CircuitFileError(f"unsupported version {doc.get('version')!r}")
+        raise ValueError(f"unsupported version {doc.get('version')!r}")
     subsystems = []
     for i, entry in enumerate(_doc_list(doc, "subsystems")):
         if not isinstance(entry, dict):
-            raise CircuitFileError(f"subsystems[{i}]: must be an object")
+            raise ValueError(f"subsystems[{i}]: must be an object")
         kind = entry.get("kind")
         name = entry.get("name")
         if not isinstance(name, str) or not name:
-            raise CircuitFileError(f"subsystems[{i}]: missing name")
+            raise ValueError(f"subsystems[{i}]: missing name")
         if kind == "photon":
             subsystems.append(photon(name))
         elif kind == "particle":
             dim = entry.get("dim", 2)
             if not circuits.INTEGER.check(dim):
-                raise CircuitFileError(f"subsystems[{i}]: dim must be "
-                                       f"{circuits.INTEGER.describe}, got {dim!r}")
-            subsystems.append(particle(name, positions=dim))
+                raise ValueError(f"subsystems[{i}]: dim must be "
+                                 f"{circuits.INTEGER.describe}, got {dim!r}")
+            try:
+                subsystems.append(particle(name, positions=dim))
+            except ValueError as exc:
+                raise ValueError(f"subsystems[{i}]: {exc}") from None
         else:
-            raise CircuitFileError(f"subsystems[{i}]: unknown kind {kind!r}")
+            raise ValueError(f"subsystems[{i}]: unknown kind {kind!r}")
     bits = doc.get("bits", [])
     if not isinstance(bits, list) or not all(isinstance(b, str) for b in bits):
-        raise CircuitFileError("bits must be a list of strings")
+        raise ValueError("bits must be a list of strings")
     instructions = []
     for i, entry in enumerate(_doc_list(doc, "instructions")):
         if not isinstance(entry, dict) or "op" not in entry:
-            raise CircuitFileError(f"instructions[{i}]: missing op")
+            raise ValueError(f"instructions[{i}]: missing op")
         args = {k: v for k, v in entry.items() if k != "op"}
         try:
             instructions.append(Instruction(entry["op"], args))
         except ValueError as exc:
-            raise CircuitFileError(f"instructions[{i}]: {exc}") from exc
-    try:
-        return CircuitProgram(tuple(subsystems), tuple(bits),
-                              tuple(instructions))
-    except ValueError as exc:
-        raise CircuitFileError(str(exc)) from exc
+            raise ValueError(f"instructions[{i}]: {exc}") from exc
+    return CircuitProgram(tuple(subsystems), tuple(bits), tuple(instructions))
 
 
 def load_program(path: str) -> CircuitProgram:
@@ -132,10 +127,12 @@ def load_program(path: str) -> CircuitProgram:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise CircuitFileError(f"cannot read {path}: {exc.strerror}") from exc
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
-        raise CircuitFileError(
+        raise ValueError(
             f"parse error at line {exc.lineno} column {exc.colno}") from exc
+    except RecursionError:
+        raise ValueError("parse error: arrays or objects nested too deeply") from None
     return program_from_doc(doc)
 
 
@@ -437,7 +434,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except (CircuitFileError, ValueError) as exc:
+    except ValueError as exc:
         print(f"zenosim: error: {exc}", file=sys.stderr)
         return 1
 

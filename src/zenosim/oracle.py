@@ -9,9 +9,6 @@ with explicit projector rows.  The interrogation step uses either its
 exact diagonal limit or the linear map that the cycle engine gives in one
 run on a Choi state (every basis column at once), so agreement between
 the two runners checks everything downstream of that map.
-
-Also home to the textbook reference objects (CZ/CNOT/CCNOT matrices, Bell
-and W vectors) the tests compare against.
 """
 
 from __future__ import annotations
@@ -27,37 +24,6 @@ from .state import PARTICLE_PM, PHOTON_COMPUTATIONAL
 
 DIMENSION_CAP = 1280
 _CUTOFF = 1e-15
-
-CZ_MATRIX = np.diag([1.0, 1.0, 1.0, -1.0]).astype(np.complex128)
-
-CNOT_MATRIX = np.array([
-    [1, 0, 0, 0],
-    [0, 1, 0, 0],
-    [0, 0, 0, 1],
-    [0, 0, 1, 0],
-], dtype=np.complex128)
-
-CCNOT_MATRIX = np.eye(8, dtype=np.complex128)
-CCNOT_MATRIX[6:8, 6:8] = np.array([[0, 1], [1, 0]])
-
-_BELL = {
-    "phi+": np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2),
-    "phi-": np.array([1, 0, 0, -1], dtype=np.complex128) / np.sqrt(2),
-    "psi+": np.array([0, 1, 1, 0], dtype=np.complex128) / np.sqrt(2),
-    "psi-": np.array([0, 1, -1, 0], dtype=np.complex128) / np.sqrt(2),
-}
-
-
-def bell_vector(kind: str) -> np.ndarray:
-    return _BELL[kind].copy()
-
-
-def w_vector(m: int) -> np.ndarray:
-    """Single-excitation superposition over m qubits, length 2**m."""
-    v = np.zeros(2 ** m, dtype=np.complex128)
-    for i in range(m):
-        v[1 << (m - 1 - i)] = 1.0
-    return v / np.sqrt(m)
 
 
 @dataclass
@@ -268,7 +234,8 @@ def _is_failure(basis: str, outcome: int, dim: int) -> bool:
 
 def brute_force_run(program: CircuitProgram,
                     params: QiParams | None = None) -> BranchTree:
-    """Exhaustive branch enumeration with the full-matrix runner."""
+    """Exhaustive branch enumeration with the full-matrix runner, depth
+    first from an explicit stack, so any number of measurements walks."""
     params = params or QiParams()
     tree = BranchTree()
 
@@ -277,11 +244,16 @@ def brute_force_run(program: CircuitProgram,
             assignments=dict(assignments), layout=tuple(state.names),
             vector=state.vec.reshape(state.shape()), failed=failed))
 
-    def walk(state: _OracleState, assignments: dict, pos: int,
-             wprod: float) -> None:
-        # wprod is the squared norm right after the last measurement, i.e.
-        # the product of kept branch weights, so the per-branch cutoff below
-        # matches the engine's rule on its renormalized states.
+    # (state, assignments, next instruction or None for a failure leaf,
+    # squared norm right after the last measurement), the next one last.
+    # That norm is the product of kept branch weights, so the per-branch
+    # cutoff below matches the engine's rule on its renormalized states.
+    todo = [(_OracleState(), {}, 0, 1.0)]
+    while todo:
+        state, assignments, pos, wprod = todo.pop()
+        if pos is None:
+            leaf(state, assignments, failed=True)
+            continue
         for i in range(pos, len(program.instructions)):
             instr = program.instructions[i]
             op, a = instr.op, instr.args
@@ -330,6 +302,7 @@ def brute_force_run(program: CircuitProgram,
             elif op == "measure":
                 target, basis = a["target"], a["basis"]
                 dim = state.dims[target]
+                children = []
                 for outcome, bra in _measurement_outcomes(basis, dim):
                     post = state.copy()
                     if bra is _MEASURE_FAIL:
@@ -341,14 +314,12 @@ def brute_force_run(program: CircuitProgram,
                         continue
                     sub = dict(assignments)
                     sub[a["bit"]] = outcome
-                    if _is_failure(basis, outcome, dim):
-                        leaf(post, sub, failed=True)
-                    else:
-                        walk(post, sub, i + 1, post_sq)
-                return
-        leaf(state, assignments, failed=False)
-
-    walk(_OracleState(), {}, 0, 1.0)
+                    failed = _is_failure(basis, outcome, dim)
+                    children.append((post, sub, None if failed else i + 1, post_sq))
+                todo += reversed(children)  # depth first, in outcome order
+                break
+        else:
+            leaf(state, assignments, failed=False)
     return tree
 
 

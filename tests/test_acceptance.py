@@ -34,7 +34,7 @@ from zenosim.interrogation import (
     effective_map,
     qi_run,
 )
-from zenosim.oracle import bell_vector, compare, w_vector
+from zenosim.oracle import compare
 from zenosim.state import (
     BLOCKED,
     OPEN,
@@ -47,7 +47,7 @@ from zenosim.state import (
     photon,
 )
 
-from helpers import reorder
+from helpers import bell_vector, reorder, w_vector
 
 IDEAL = QiParams(cycles=None)
 N_DEFAULT = 10_000

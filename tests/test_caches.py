@@ -6,7 +6,9 @@ the benchmark, which runs many passes in one process, it would turn work a
 fresh CLI process pays for into a lookup.  Each entry below says why that
 does not happen; a new cache fails this test until it gets an entry.  A
 `cached_property` dies with its object, so it warms only the calls that
-share that object; each one says which objects those are.
+share that object; each one says which objects those are.  The walks keep
+no memo of their own: `run_all_branches` sizes each batch and reads each
+failure outcome where it makes them.
 """
 
 import ast
@@ -24,9 +26,6 @@ ALLOWED = {
     "interrogation._effective_map_cached":
         "the oracle's map memo; bench/workloads.clear_caches empties it before "
         "every pass and the benchmark checks its miss count",
-    "circuits._failure_outcome":
-        "the failure outcome label of a (spec, basis) pair: a constant of the "
-        "basis rule, at most 256 entries; a hit saves one basis_outcomes call",
     "cli.build_parser":
         "the argparse tree, which depends on no argument; built once per process",
 }
@@ -37,11 +36,6 @@ PER_OBJECT = {
         "program; the program is built per CLI call or per benchmark op",
     "circuits.Instruction.charge":
         "the profile field one instruction is charged, read with its census",
-    "circuits.CircuitProgram._stretches":
-        "the most amplitudes one branch holds between measurements, and the "
-        "instructions run there: a pure function of one program's "
-        "instructions, read by every run_all_branches of that program to "
-        "size its batches",
     "interrogation.QiParams._stacks":
         "the T_k^N stacks of one params object; the CLI builds its params per "
         "call, and the benchmark's workloads hold theirs across passes, so "

@@ -237,6 +237,10 @@ _FAILED_FIRST = (
     ("p", {"state": [[0.5, 0]] * 5}, "initial vector too long for 'p'"),
     ("p", {"state": [[1, 0], [1, 0]]}, "initial vector must be normalized"),
     ("b", {"state": []}, "initial vector must be normalized"),
+    ("b", {"pm": "+", "level": 1},
+     "prepare takes one of level, pm, state or a true uniform, got level and pm"),
+    ("q", {"uniform": True, "level": 0},
+     "prepare takes one of level, pm, state or a true uniform, got level and uniform"),
 ])
 def test_prepare_that_does_not_fit_is_rejected_at_construction(target, args, message):
     instr = _ins("prepare", target=target, **args)
@@ -299,6 +303,16 @@ def test_instruction_needs_its_arguments():
         Instruction("photon_h", {})
     with pytest.raises(ValueError, match="needs argument 'out'"):
         Instruction("xor", {"a": "x", "b": "y"})
+
+
+def test_instruction_takes_only_the_names_its_row_lists():
+    with pytest.raises(ValueError, match=r"^prepare takes no argument 'levle'$"):
+        Instruction("prepare", {"target": "p", "levle": 1})
+    with pytest.raises(ValueError, match=r"^qicz takes no argument 'blocking'$"):
+        Instruction("qicz", {"photon": "p", "particle": "b", "blocking": [0]})
+    # an optional name the row lists, and a false uniform, which selects no form
+    CircuitProgram((particle("b"),), (), (
+        _ins("prepare", target="b", level=1, uniform=False),))
 
 
 def _qudit_then(*tail):
@@ -641,6 +655,17 @@ def test_run_all_branches_keeps_no_tree():
     tree = program._outcome_tree
     run_all_branches(program, FINITE)
     assert program._outcome_tree is tree
+
+
+def test_run_all_branches_adds_nothing_to_the_program():
+    # batch sizes and failure outcomes are worked out where the walk makes
+    # them, so no walk leaves a memo on the program it walked
+    for program in demo_programs().values():
+        before = dict(vars(program))
+        for params in (IDEAL, FINITE):
+            run_all_branches(program, params)
+        assert vars(program).keys() == before.keys()
+        assert all(vars(program)[name] is value for name, value in before.items())
 
 
 def test_run_time_error_of_any_type_is_raised_where_the_walk_reaches_it(monkeypatch):

@@ -428,6 +428,17 @@ _ARGUMENT_DOCS = {
     "state-norm": (_arguments_doc({"op": "prepare", "target": "p",
                                    "state": [[1, 0], [1, 0]]}),
                    "instructions[2]: initial vector must be normalized"),
+    # a name no op reads, and a second form that prepare would drop
+    "misspelt": (_arguments_doc({"op": "prepare", "target": "p", "levle": 1}),
+                 "instructions[2]: prepare takes no argument 'levle'"),
+    "pm-and-level": (_arguments_doc({"op": "prepare", "target": "b", "pm": "+",
+                                     "level": 1}),
+                     "instructions[2]: prepare takes one of level, pm, state or a "
+                     "true uniform, got level and pm"),
+    "uniform-and-state": (_arguments_doc({"op": "prepare", "target": "q",
+                                          "uniform": True, "state": [[1, 0]]}),
+                          "instructions[2]: prepare takes one of level, pm, state or "
+                          "a true uniform, got state and uniform"),
     "phase-unreached": (_arguments_doc(*_KEYED_PHASE),
                         f"instructions[5]: {_PHASE_MESSAGE}"),
     "phase-reached": (_arguments_doc(*_KEYED_PHASE, failed_first=False),
@@ -445,6 +456,45 @@ def test_arguments_the_engine_would_reject_are_one_error_line(tmp_path, name, co
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"zenosim: error: {message}\n"
+
+
+_UNLOADABLE = {
+    # json.load recurses once per nesting level
+    "nested": ("[" * 100_000, "parse error: arrays or objects nested too deeply"),
+    "dim-1": (json.dumps({"version": "1", "subsystems": [
+        {"name": "b", "kind": "particle", "dim": 1}]}),
+              "subsystems[0]: particle needs at least 2 positions"),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle-check"])
+@pytest.mark.parametrize("name", sorted(_UNLOADABLE))
+def test_unloadable_file_is_one_prefixed_error_line(tmp_path, name, command):
+    text, message = _UNLOADABLE[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(text)
+    proc = run_cli(command, str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"zenosim: error: {message}\n"
+
+
+def test_oracle_check_walks_more_measurements_than_the_recursion_limit(tmp_path):
+    photons = 1200
+    assert photons > sys.getrecursionlimit()
+    names = [f"p{i}" for i in range(photons)]
+    doc = {"version": "1", "subsystems": [{"name": n, "kind": "photon"} for n in names],
+           "bits": [f"m{i}" for i in range(photons)],
+           "instructions": [ins for i, n in enumerate(names) for ins in (
+               {"op": "prepare", "target": n, "level": 0},
+               {"op": "measure", "target": n, "basis": "photon_computational",
+                "bit": f"m{i}"})]}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("oracle-check", str(path), "--ideal")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("PASS")
+    assert proc.stderr == ""
 
 
 _HALF = [0.7071067811865476, 0.0]

@@ -19,17 +19,14 @@ from zenosim.circuits import (
 )
 from zenosim.interrogation import QiParams
 from zenosim.oracle import (
-    CCNOT_MATRIX,
-    CNOT_MATRIX,
-    CZ_MATRIX,
     DIMENSION_CAP,
-    bell_vector,
     brute_force_run,
     compare,
-    w_vector,
     _OracleState,
 )
 from zenosim.state import photon, particle
+
+from helpers import CCNOT_MATRIX, CNOT_MATRIX, CZ_MATRIX, bell_vector, w_vector
 
 IDEAL = QiParams(cycles=None)
 

@@ -165,6 +165,26 @@ def test_pooled_photon_failure_keeps_subsystem():
     assert level_weight(post, "p", 2) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("basis", [PHOTON_COMPUTATIONAL, PARTICLE_PM,
+                                   PARTICLE_COMPUTATIONAL, QUDIT_POSITION])
+def test_outcomes_are_labelled_in_order_with_the_failure_outcome_last(basis):
+    # the walk reads a measurement's failure label as its bit's value count
+    fitting = []
+    for spec in (photon("p"), particle("b"), particle("q", positions=3),
+                 particle("r", positions=5)):
+        try:
+            outcomes = basis_outcomes(spec, basis)
+        except ValueError:  # the basis does not fit this subsystem
+            continue
+        fitting.append(spec)
+        assert [label for label, _ in outcomes] == list(range(len(outcomes)))
+        failure_levels = [PH_ONE_V, PH_SINK] if spec.kind == "photon" else [spec.dim - 1]
+        failed = [factor is None or bool(np.any(factor[failure_levels]))
+                  for _, factor in outcomes]
+        assert failed == [False] * (len(outcomes) - 1) + [True]
+    assert fitting
+
+
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_reorder_roundtrip(seed):

@@ -25,7 +25,6 @@ from zenosim.circuits import (
     CircuitProgram,
     Instruction,
     RunResult,
-    _failure_outcome,
     _prepared,
     run,
     run_all_branches,
@@ -38,6 +37,7 @@ from zenosim.state import (
     QUDIT_POSITION,
     StateVector,
     add_subsystem,
+    basis_outcomes,
     branch_all,
     norm_sq,
     particle,
@@ -137,7 +137,7 @@ def _child(program, params, seg, index):
     instr = program.instructions[seg.measured]
     classical = {**seg.classical, instr.args["bit"]: outcome}
     spec = program.spec(instr.args["target"])
-    if outcome == _failure_outcome(spec, instr.args["basis"]):
+    if outcome == basis_outcomes(spec, instr.args["basis"])[-1][0]:
         return _Segment(seg.weight * prob, post, classical, failed=True)
     return _segment(program, params, classical, seg.weight * prob, post,
                     seg.measured + 1)
