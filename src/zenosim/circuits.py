@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -314,6 +314,11 @@ CENSUS_CLASSES = tuple(dict.fromkeys(
 class Instruction:
     op: str
     args: dict = field(default_factory=dict)
+    # the component class the gate census counts this instruction in, and the
+    # ImperfectionProfile field whose Bernoulli draw it consumes (None for a
+    # perfect instruction); both set once the arguments check out
+    census: str | None = field(init=False, repr=False, compare=False)
+    charge: str | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         spec = OPS.get(self.op) if isinstance(self.op, str) else None
@@ -329,18 +334,11 @@ class Instruction:
             elif not kind.check(self.args[name]):
                 raise ValueError(f"{self.op} argument {name!r} must be "
                                  f"{kind.describe}, got {self.args[name]!r}")
-
-    @cached_property
-    def census(self) -> str | None:
-        """Component class the gate census counts this instruction in."""
-        census = OPS[self.op].census
-        return census.get(self.args["basis"]) if isinstance(census, dict) else census
-
-    @cached_property
-    def charge(self) -> str | None:
-        """ImperfectionProfile field whose Bernoulli draw this instruction
-        consumes, or None for a perfect instruction."""
-        return gates.CHARGED.get(self.census)
+        census = spec.census
+        if isinstance(census, dict):
+            census = census.get(self.args["basis"])
+        object.__setattr__(self, "census", census)
+        object.__setattr__(self, "charge", gates.CHARGED.get(census))
 
 
 @dataclass(frozen=True)

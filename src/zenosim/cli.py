@@ -81,11 +81,23 @@ def _doc_list(doc: dict, key: str) -> list:
     return value
 
 
+# the fields a circuit file may hold, at its top level and per subsystem kind
+_TOP_LEVEL_FIELDS = ("version", "subsystems", "bits", "instructions")
+_SUBSYSTEM_FIELDS = {"photon": ("name", "kind"), "particle": ("name", "kind", "dim")}
+
+
+def _no_other_fields(entry: dict, fields, what: str) -> None:
+    for key in entry:
+        if key not in fields:
+            raise ValueError(f"{what} takes no field {key!r}")
+
+
 def program_from_doc(doc) -> CircuitProgram:
     if not isinstance(doc, dict):
         raise ValueError("top level must be an object")
     if doc.get("version") != "1":
         raise ValueError(f"unsupported version {doc.get('version')!r}")
+    _no_other_fields(doc, _TOP_LEVEL_FIELDS, "top level")
     subsystems = []
     for i, entry in enumerate(_doc_list(doc, "subsystems")):
         if not isinstance(entry, dict):
@@ -94,9 +106,12 @@ def program_from_doc(doc) -> CircuitProgram:
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise ValueError(f"subsystems[{i}]: missing name")
+        if kind not in ("photon", "particle"):
+            raise ValueError(f"subsystems[{i}]: unknown kind {kind!r}")
+        _no_other_fields(entry, _SUBSYSTEM_FIELDS[kind], f"subsystems[{i}]: {kind}")
         if kind == "photon":
             subsystems.append(photon(name))
-        elif kind == "particle":
+        else:
             dim = entry.get("dim", 2)
             if not circuits.INTEGER.check(dim):
                 raise ValueError(f"subsystems[{i}]: dim must be "
@@ -105,8 +120,6 @@ def program_from_doc(doc) -> CircuitProgram:
                 subsystems.append(particle(name, positions=dim))
             except ValueError as exc:
                 raise ValueError(f"subsystems[{i}]: {exc}") from None
-        else:
-            raise ValueError(f"subsystems[{i}]: unknown kind {kind!r}")
     bits = doc.get("bits", [])
     if not isinstance(bits, list) or not all(isinstance(b, str) for b in bits):
         raise ValueError("bits must be a list of strings")

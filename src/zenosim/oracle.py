@@ -9,12 +9,26 @@ with explicit projector rows.  The interrogation step uses either its
 exact diagonal limit or the linear map that the cycle engine gives in one
 run on a Choi state (every basis column at once), so agreement between
 the two runners checks everything downstream of that map.
+
+One `brute_force_run` call keeps a plan table that dies with the call,
+keyed by instruction index and live layout, so a plan never serves a
+layout it was not built for.  A plan holds what its instruction needs
+whatever the branch: a gate's gather index and operator (the
+interrogation map fetched once), a prepare's level vector after its cap
+check, a measurement's axis split, outcome bras and the layout it leaves.
+A branch's layout at an instruction is the same on every path that
+reaches it, since a prepare appends, a kept outcome contracts its target
+and a failure outcome ends the branch, so each plan is built once per
+walk.  A branch is then a layout and a vector, and its work is
+arithmetic: a gather, product and scatter per gate, an outer product per
+prepare, and an einsum and a vdot per measurement outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,70 +104,49 @@ def _ideal_interrogation_diag(p_dims: list[int], blocking,
     return np.diag(diag)
 
 
-class _OracleState:
-    """Flat unnormalized vector plus (name, kind, dim) bookkeeping."""
+class _Gate(NamedTuple):
+    index: np.ndarray  # entry j of the front-first vector is entry index[j] of the live one
+    op: np.ndarray | None  # None for cphase, whose phase is the branch's recorded value
 
-    def __init__(self):
-        self.names: list[str] = []
-        self.kinds: dict[str, str] = {}
-        self.dims: dict[str, int] = {}
-        self.vec = np.ones(1, dtype=np.complex128)
 
-    def copy(self) -> "_OracleState":
-        other = _OracleState.__new__(_OracleState)
-        other.names = list(self.names)
-        other.kinds = dict(self.kinds)
-        other.dims = dict(self.dims)
-        other.vec = self.vec.copy()
-        return other
+class _Prepare(NamedTuple):
+    init: np.ndarray
+    layout: tuple[str, ...]
 
-    def shape(self) -> tuple[int, ...]:
-        return tuple(self.dims[n] for n in self.names)
 
-    def add(self, name: str, kind: str, dim: int, init: np.ndarray) -> None:
-        if self.vec.size * dim > DIMENSION_CAP:
-            raise ValueError(
-                f"preparing {name!r} would exceed the {DIMENSION_CAP}-dimensional cap")
-        self.vec = np.multiply.outer(self.vec, init.astype(np.complex128)).reshape(-1)
-        self.names.append(name)
-        self.kinds[name] = kind
-        self.dims[name] = dim
+class _Measure(NamedTuple):
+    split: tuple[int, int, int]  # (pre, d, post) around the target axis
+    outcomes: list  # (outcome, conjugated bra or None, failed), in outcome order
+    layout: tuple[str, ...]  # left once a bra contracts the target
 
-    def apply(self, front: list[str], op: np.ndarray) -> None:
-        """kron(op, I_rest) on the vector reordered to the front subsystems
-        (in the given order) followed by the rest, computed as `op` times
-        the (front, rest) reshape; the result is put back in the live
-        order.  One index does both moves: entry j of the reordered vector
-        is entry index[j] of the live one."""
-        front_dim = prod(self.dims[n] for n in front)
-        if op.shape != (front_dim, front_dim):
-            raise ValueError(f"operator of shape {op.shape} does not act on "
-                             f"{front!r} ({front_dim} levels)")
-        axes = [self.names.index(n) for n in front]
-        axes += [k for k in range(len(self.names)) if k not in axes]
-        index = np.arange(self.vec.size).reshape(self.shape()).transpose(axes).reshape(-1)
-        out = np.empty_like(self.vec)
-        out[index] = (op @ self.vec[index].reshape(front_dim, -1)).reshape(-1)
-        self.vec = out
 
-    def contract(self, name: str, bra: np.ndarray) -> None:
-        k = self.names.index(name)
-        dims = [self.dims[n] for n in self.names]
-        pre = prod(dims[:k]) if k else 1
-        post = prod(dims[k + 1:]) if k + 1 < len(dims) else 1
-        v3 = self.vec.reshape(pre, dims[k], post)
-        self.vec = np.einsum("pdq,d->pq", v3, bra.conj()).reshape(-1)
-        self.names.pop(k)
-        del self.kinds[name], self.dims[name]
+def _gate(layout: tuple[str, ...], dims: dict[str, int], front: list[str],
+          op: np.ndarray) -> _Gate:
+    """kron(op, I_rest) on the vector reordered to the front subsystems (in
+    the given order) followed by the rest, as `op` times the (front, rest)
+    reshape; `_apply` puts the result back in the live order.  One index
+    does both moves: `np.arange(size)` in the live shape, transposed to the
+    front-first order."""
+    front_dim = prod(dims[n] for n in front)
+    if op.shape != (front_dim, front_dim):
+        raise ValueError(f"operator of shape {op.shape} does not act on "
+                         f"{front!r} ({front_dim} levels)")
+    axes = [layout.index(n) for n in front]
+    axes += [k for k in range(len(layout)) if k not in axes]
+    shape = [dims[n] for n in layout]
+    return _Gate(np.arange(prod(shape)).reshape(shape).transpose(axes).reshape(-1), op)
 
-    def zero_levels(self, name: str, levels: list[int]) -> None:
-        k = self.names.index(name)
-        dims = [self.dims[n] for n in self.names]
-        pre = prod(dims[:k]) if k else 1
-        post = prod(dims[k + 1:]) if k + 1 < len(dims) else 1
-        v3 = self.vec.reshape(pre, dims[k], post).copy()
-        v3[:, levels, :] = 0.0
-        self.vec = v3.reshape(-1)
+
+def _apply(vec: np.ndarray, index: np.ndarray, op: np.ndarray) -> np.ndarray:
+    out = np.empty_like(vec)
+    out[index] = (op @ vec[index].reshape(op.shape[0], -1)).reshape(-1)
+    return out
+
+
+def _extend(vec: np.ndarray, init: np.ndarray) -> np.ndarray:
+    """The product vector of `vec` and a newly prepared subsystem's `init`,
+    with the bits of `np.kron`."""
+    return np.multiply.outer(vec, init).reshape(-1)
 
 
 def _init_vector(kind: str, dim: int, args: dict) -> np.ndarray:
@@ -186,20 +179,14 @@ def _normalized_blocking(blocking, n_particles):
     return out
 
 
-def _interrogation_op(state: _OracleState, photon_name: str,
-                      particle_names: list[str], blocking,
-                      params: QiParams) -> np.ndarray:
-    p_dims = [state.dims[n] for n in particle_names]
-    blocks = _normalized_blocking(blocking, len(particle_names))
+def _interrogation_op(p_dims: list[int], blocking, params: QiParams) -> np.ndarray:
+    blocks = _normalized_blocking(blocking, len(p_dims))
     if params.cycles is None:
         return _ideal_interrogation_diag(
             p_dims, blocks, keep_residual_v=params.residual_v_policy == "keep")
-    return effective_map(params, len(particle_names),
+    return effective_map(params, len(p_dims),
                          particle_positions=[d - 1 for d in p_dims],
                          blocking=blocking)
-
-
-_MEASURE_FAIL = object()
 
 
 # the photon and particle_pm bras, one row each, built once at import
@@ -209,27 +196,63 @@ _PM_BRAS = np.array([[_SQH, _SQH, 0], [_SQH, -_SQH, 0], [0, 0, 1]],
 _PHOTON_BRAS.flags.writeable = _PM_BRAS.flags.writeable = False
 
 
-def _measurement_outcomes(basis: str, dim: int):
-    """(outcome, bra or _MEASURE_FAIL marker) in canonical order."""
+def _measure(layout: tuple[str, ...], dims: dict[str, int], target: str,
+             basis: str) -> _Measure:
+    """One bra per outcome in canonical order, the failure outcome last: the
+    photon's pooled failure (None: its logical levels are zeroed and it stays
+    live) or a particle's exploded level."""
+    k = layout.index(target)
+    shape = [dims[n] for n in layout]
+    d = shape[k]
     if basis == PHOTON_COMPUTATIONAL:
-        return [(0, _PHOTON_BRAS[0]), (1, _PHOTON_BRAS[1]), (2, _MEASURE_FAIL)]
-    if basis == PARTICLE_PM:
-        if dim != 3:
+        bras = [_PHOTON_BRAS[0], _PHOTON_BRAS[1], None]
+    elif basis == PARTICLE_PM:
+        if d != 3:
             raise ValueError("pm basis needs a 2-position particle")
-        return list(enumerate(_PM_BRAS))
-    # position bases: one outcome per level, exploded last
-    outcomes = []
-    for lv in range(dim):
-        bra = np.zeros(dim, dtype=np.complex128)
-        bra[lv] = 1.0
-        outcomes.append((lv, bra))
-    return outcomes
+        bras = list(_PM_BRAS)
+    else:  # position bases: one outcome per level, exploded last
+        bras = list(np.eye(d, dtype=np.complex128))
+    outcomes = [(outcome, None if bra is None else bra.conj(), outcome == len(bras) - 1)
+                for outcome, bra in enumerate(bras)]
+    return _Measure((prod(shape[:k]), d, prod(shape[k + 1:])), outcomes,
+                    layout[:k] + layout[k + 1:])
 
 
-def _is_failure(basis: str, outcome: int, dim: int) -> bool:
-    if basis == PHOTON_COMPUTATIONAL:
-        return outcome == 2
-    return outcome == dim - 1  # exploded level for every particle basis
+# the fixed gates by op; a cx or cz flips its target with the target kind's
+# own x or z
+_FIXED = {"photon_h": _PHOTON_H, "photon_x": _PHOTON_X, "photon_z": _PHOTON_Z,
+          "particle_x": _PARTICLE_X, "particle_z": _PARTICLE_Z}
+
+
+def _plan(instr, layout: tuple[str, ...], specs: dict, params: QiParams):
+    """What `instr` needs on the live `layout` that no branch changes."""
+    op, a = instr.op, instr.args
+    dims = {n: specs[n].dim for n in layout}
+    if op == "prepare":
+        spec = specs[a["target"]]
+        if prod(dims.values()) * spec.dim > DIMENSION_CAP:
+            raise ValueError(
+                f"preparing {spec.name!r} would exceed the {DIMENSION_CAP}-dimensional cap")
+        return _Prepare(_init_vector(spec.kind, spec.dim, a), layout + (spec.name,))
+    if op == "measure":
+        return _measure(layout, dims, a["target"], a["basis"])
+    if op in ("qicz", "qicz_multi"):
+        if op == "qicz":
+            names, blocking = [a["particle"]], None
+        else:
+            names, blocking = list(a["particles"]), a.get("blocking")
+        m = _interrogation_op([dims[n] for n in names], blocking, params)
+        return _gate(layout, dims, [a["photon"], *names], m)
+    target = a["target"]
+    if op == "particle_h":
+        d = dims[target] - 1
+        return _gate(layout, dims, [target],
+                     _PARTICLE_H if d == 2 else _particle_op(d, _dft(d)))
+    if op == "cphase":  # the phase has the shape of photon_z
+        return _gate(layout, dims, [target], _PHOTON_Z)._replace(op=None)
+    if op in ("cx", "cz"):
+        op = f"{specs[target].kind}_{op[1]}"
+    return _gate(layout, dims, [target], _FIXED[op])
 
 
 def brute_force_run(program: CircuitProgram,
@@ -237,89 +260,63 @@ def brute_force_run(program: CircuitProgram,
     """Exhaustive branch enumeration with the full-matrix runner, depth
     first from an explicit stack, so any number of measurements walks."""
     params = params or QiParams()
+    specs = {s.name: s for s in program.subsystems}
+    plans: dict = {}  # (instruction index, live layout) -> its plan
     tree = BranchTree()
 
-    def leaf(state: _OracleState, assignments: dict, failed: bool) -> None:
+    def leaf(layout, vec, assignments: dict, failed: bool) -> None:
         tree.leaves.append(OracleLeaf(
-            assignments=dict(assignments), layout=tuple(state.names),
-            vector=state.vec.reshape(state.shape()), failed=failed))
+            assignments=dict(assignments), layout=layout,
+            vector=vec.reshape([specs[n].dim for n in layout]), failed=failed))
 
-    # (state, assignments, next instruction or None for a failure leaf,
-    # squared norm right after the last measurement), the next one last.
-    # That norm is the product of kept branch weights, so the per-branch
-    # cutoff below matches the engine's rule on its renormalized states.
-    todo = [(_OracleState(), {}, 0, 1.0)]
+    # (layout, vector, assignments, next instruction or None for a failure
+    # leaf, squared norm right after the last measurement), the next one
+    # last.  That norm is the product of kept branch weights, so the
+    # per-branch cutoff below matches the engine's rule on its renormalized
+    # states.
+    todo = [((), np.ones(1, dtype=np.complex128), {}, 0, 1.0)]
     while todo:
-        state, assignments, pos, wprod = todo.pop()
+        layout, vec, assignments, pos, wprod = todo.pop()
         if pos is None:
-            leaf(state, assignments, failed=True)
+            leaf(layout, vec, assignments, failed=True)
             continue
         for i in range(pos, len(program.instructions)):
             instr = program.instructions[i]
             op, a = instr.op, instr.args
+            if op == "xor":
+                assignments[a["out"]] = assignments[a["a"]] ^ assignments[a["b"]]
+                continue
+            plan = plans.get((i, layout))
+            if plan is None:
+                plan = plans[i, layout] = _plan(instr, layout, specs, params)
             if op == "prepare":
-                spec = program.spec(a["target"])
-                state.add(spec.name, spec.kind, spec.dim,
-                          _init_vector(spec.kind, spec.dim, a))
-            elif op == "photon_h":
-                state.apply([a["target"]], _PHOTON_H)
-            elif op == "photon_x":
-                state.apply([a["target"]], _PHOTON_X)
-            elif op == "photon_z":
-                state.apply([a["target"]], _PHOTON_Z)
-            elif op == "particle_h":
-                d = state.dims[a["target"]] - 1
-                state.apply([a["target"]],
-                            _PARTICLE_H if d == 2 else _particle_op(d, _dft(d)))
-            elif op == "particle_x":
-                state.apply([a["target"]], _PARTICLE_X)
-            elif op == "particle_z":
-                state.apply([a["target"]], _PARTICLE_Z)
-            elif op in ("qicz", "qicz_multi"):
-                if op == "qicz":
-                    names, blocking = [a["particle"]], None
-                else:
-                    names, blocking = list(a["particles"]), a.get("blocking")
-                m = _interrogation_op(state, a["photon"], names, blocking,
-                                      params)
-                state.apply([a["photon"], *names], m)
-            elif op == "cx":
-                if assignments[a["bit"]] & 1:
-                    kind = state.kinds[a["target"]]
-                    flip = _PHOTON_X if kind == "photon" else _PARTICLE_X
-                    state.apply([a["target"]], flip)
-            elif op == "cz":
-                if assignments[a["bit"]] & 1:
-                    kind = state.kinds[a["target"]]
-                    flip = _PHOTON_Z if kind == "photon" else _PARTICLE_Z
-                    state.apply([a["target"]], flip)
+                vec, layout = _extend(vec, plan.init), plan.layout
+            elif op == "measure":
+                v3 = vec.reshape(plan.split)
+                children = []
+                for outcome, bra, failed in plan.outcomes:
+                    if bra is None:
+                        post = v3.copy()
+                        post[:, :2, :] = 0.0
+                        post, post_layout = post.reshape(-1), layout
+                    else:
+                        post = np.einsum("pdq,d->pq", v3, bra).reshape(-1)
+                        post_layout = plan.layout
+                    post_sq = float(np.vdot(post, post).real)
+                    if post_sq / wprod < _CUTOFF:
+                        continue
+                    children.append((post_layout, post, {**assignments, a["bit"]: outcome},
+                                     None if failed else i + 1, post_sq))
+                todo += reversed(children)  # depth first, in outcome order
+                break
             elif op == "cphase":
                 phase = np.eye(4, dtype=np.complex128)
                 phase[1, 1] = np.exp(1j * a["coeff"] * assignments[a["key"]])
-                state.apply([a["target"]], phase)
-            elif op == "xor":
-                assignments[a["out"]] = assignments[a["a"]] ^ assignments[a["b"]]
-            elif op == "measure":
-                target, basis = a["target"], a["basis"]
-                dim = state.dims[target]
-                children = []
-                for outcome, bra in _measurement_outcomes(basis, dim):
-                    post = state.copy()
-                    if bra is _MEASURE_FAIL:
-                        post.zero_levels(target, [0, 1])
-                    else:
-                        post.contract(target, bra)
-                    post_sq = float(np.vdot(post.vec, post.vec).real)
-                    if post_sq / wprod < _CUTOFF:
-                        continue
-                    sub = dict(assignments)
-                    sub[a["bit"]] = outcome
-                    failed = _is_failure(basis, outcome, dim)
-                    children.append((post, sub, None if failed else i + 1, post_sq))
-                todo += reversed(children)  # depth first, in outcome order
-                break
+                vec = _apply(vec, plan.index, phase)
+            elif op not in ("cx", "cz") or assignments[a["bit"]] & 1:
+                vec = _apply(vec, plan.index, plan.op)
         else:
-            leaf(state, assignments, failed=False)
+            leaf(layout, vec, assignments, failed=False)
     return tree
 
 

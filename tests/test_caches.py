@@ -8,7 +8,8 @@ does not happen; a new cache fails this test until it gets an entry.  A
 `cached_property` dies with its object, so it warms only the calls that
 share that object; each one says which objects those are.  The walks keep
 no memo of their own: `run_all_branches` sizes each batch and reads each
-failure outcome where it makes them.
+failure outcome where it makes them, and `oracle.brute_force_run`'s plan
+table is a local that dies with the call.
 """
 
 import ast
@@ -31,11 +32,6 @@ ALLOWED = {
 }
 
 PER_OBJECT = {
-    "circuits.Instruction.census":
-        "the census class of one instruction, read by every walk of its "
-        "program; the program is built per CLI call or per benchmark op",
-    "circuits.Instruction.charge":
-        "the profile field one instruction is charged, read with its census",
     "interrogation.QiParams._stacks":
         "the T_k^N stacks of one params object; the CLI builds its params per "
         "call, and the benchmark's workloads hold theirs across passes, so "

@@ -464,6 +464,19 @@ _UNLOADABLE = {
     "dim-1": (json.dumps({"version": "1", "subsystems": [
         {"name": "b", "kind": "particle", "dim": 1}]}),
               "subsystems[0]: particle needs at least 2 positions"),
+    # names no loader reads: a misspelt list would load as an empty program
+    "misspelt-list": (json.dumps({"version": "1", "subsystems": [
+        {"name": "p", "kind": "photon"}], "instrucions": []}),
+                      "top level takes no field 'instrucions'"),
+    "photon-dim": (json.dumps({"version": "1", "subsystems": [
+        {"name": "p", "kind": "photon", "dimm": 3}]}),
+                   "subsystems[0]: photon takes no field 'dimm'"),
+    "photon-with-dim": (json.dumps({"version": "1", "subsystems": [
+        {"name": "p", "kind": "photon"}, {"name": "q", "kind": "photon", "dim": 3}]}),
+                        "subsystems[1]: photon takes no field 'dim'"),
+    "particle-misspelt": (json.dumps({"version": "1", "subsystems": [
+        {"name": "b", "kind": "particle", "dims": 3}]}),
+                          "subsystems[0]: particle takes no field 'dims'"),
 }
 
 

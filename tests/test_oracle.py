@@ -4,6 +4,7 @@ import ast
 import inspect
 import itertools
 import tracemalloc
+from functools import partial
 from math import prod
 from pathlib import Path
 
@@ -11,22 +12,37 @@ import numpy as np
 import pytest
 
 from zenosim import gates, oracle, state as engine_state
+from hypothesis import given, settings
+
 from zenosim.circuits import (
+    CNOT_FAMILIES,
+    DEMOS,
     Instruction,
     CircuitProgram,
     bell_generator,
+    cnot_circuit,
     demo_programs,
 )
-from zenosim.interrogation import QiParams
+from zenosim.interrogation import KEEP, ROUTE_TO_SINK, QiParams
 from zenosim.oracle import (
     DIMENSION_CAP,
     brute_force_run,
     compare,
-    _OracleState,
+    _apply,
+    _extend,
+    _gate,
 )
 from zenosim.state import photon, particle
 
-from helpers import CCNOT_MATRIX, CNOT_MATRIX, CZ_MATRIX, bell_vector, w_vector
+from helpers import (
+    CCNOT_MATRIX,
+    CNOT_MATRIX,
+    CZ_MATRIX,
+    bell_vector,
+    reference_brute_force_run,
+    w_vector,
+)
+from test_properties import valid_programs
 
 IDEAL = QiParams(cycles=None)
 
@@ -144,12 +160,18 @@ _SMALL = {"a": 4, "b": 3, "c": 4}
 _AT_CAP = {"p": 4, "q": 4, "r": 4, "s": 4, "b": 5}
 
 
-def _random_oracle_state(rng, dims):
-    state = _OracleState()
-    for name, d in dims.items():
+def _random_vector(rng, dims):
+    """A product of random unit vectors, one per subsystem in `dims` order,
+    grown the way the oracle grows a branch at each prepare."""
+    vec = np.ones(1, dtype=np.complex128)
+    for d in dims.values():
         v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        state.add(name, "particle", d, v / np.linalg.norm(v))
-    return state
+        vec = _extend(vec, v / np.linalg.norm(v))
+    return vec
+
+
+def _gate_applied(vec, dims, front, op):
+    return _apply(vec, _gate(tuple(dims), dims, front, op).index, op)
 
 
 def _kron_reference(before, dims, front, op):
@@ -172,14 +194,13 @@ def _kron_reference(before, dims, front, op):
 ])
 def test_apply_matches_literal_reference(dims, front):
     rng = np.random.default_rng(2024)
-    state = _random_oracle_state(rng, dims)
-    before = state.vec.copy()
+    before = _random_vector(rng, dims)
     front_dim = prod(dims[n] for n in front)
     z = rng.normal(size=(front_dim, front_dim)) + 1j * rng.normal(size=(front_dim, front_dim))
     op = np.linalg.qr(z)[0]
-    state.apply(front, op)
+    after = _gate_applied(before, dims, front, op)
     if before.size == DIMENSION_CAP:
-        assert np.abs(state.vec - _kron_reference(before, dims, front, op)).max() <= 1e-15
+        assert np.abs(after - _kron_reference(before, dims, front, op)).max() <= 1e-15
         return
 
     # P^T (op kron I) P, entry by entry: live digit tuples i and j couple
@@ -200,22 +221,23 @@ def test_apply_matches_literal_reference(dims, front):
         for j, tj in enumerate(tuples):
             if index(ti, rest) == index(tj, rest):
                 reference[i, j] = op[index(ti, front), index(tj, front)]
-    assert np.abs(state.vec - reference @ before).max() <= 1e-15
+    assert np.abs(after - reference @ before).max() <= 1e-15
 
 
-def _scatter_apply_reference(state, front, op):
-    """`_OracleState.apply` as it was: every live index unravelled to its
-    digits and ravelled again in (front, rest) order, the vector scattered
-    through that index and the product gathered back through it."""
-    rest = [n for n in state.names if n not in front]
-    digits = np.unravel_index(np.arange(state.vec.size), state.shape())
-    by_name = dict(zip(state.names, digits))
+def _scatter_apply_reference(vec, dims, front, op):
+    """The oracle's gate step as it once was: every live index unravelled to
+    its digits and ravelled again in (front, rest) order, the vector
+    scattered through that index and the product gathered back through it."""
+    names = list(dims)
+    rest = [n for n in names if n not in front]
+    digits = np.unravel_index(np.arange(vec.size), tuple(dims.values()))
+    by_name = dict(zip(names, digits))
     order = front + rest
     pi = np.ravel_multi_index([by_name[n] for n in order],
-                              tuple(state.dims[n] for n in order))
-    y = np.empty_like(state.vec)
-    y[pi] = state.vec
-    front_dim = prod(state.dims[n] for n in front)
+                              tuple(dims[n] for n in order))
+    y = np.empty_like(vec)
+    y[pi] = vec
+    front_dim = prod(dims[n] for n in front)
     return (op @ y.reshape(front_dim, -1)).reshape(-1)[pi]
 
 
@@ -223,27 +245,27 @@ def _scatter_apply_reference(state, front, op):
 def test_apply_is_byte_equal_to_the_scatter_formula(seed):
     rng = np.random.default_rng(seed)
     names = ["a", "b", "c", "d", "e"][: int(rng.integers(1, 6))]
-    state = _random_oracle_state(rng, {n: int(rng.integers(1, 5)) for n in names})
+    dims = {n: int(rng.integers(1, 5)) for n in names}
+    vec = _random_vector(rng, dims)
     # signed zeros in the vector and the operator, so a product taken in
     # another order or on other entries shows in the bytes
-    state.vec[rng.random(state.vec.size) < 0.2] = complex(-0.0, 0.0)
+    vec[rng.random(vec.size) < 0.2] = complex(-0.0, 0.0)
     front = [str(n) for n in rng.permutation(names)[: int(rng.integers(1, len(names) + 1))]]
-    front_dim = prod(state.dims[n] for n in front)
+    front_dim = prod(dims[n] for n in front)
     op = rng.normal(size=(front_dim, front_dim)) + 1j * rng.normal(size=(front_dim, front_dim))
     op[rng.random(op.shape) < 0.3] = complex(0.0, -0.0)
-    want = _scatter_apply_reference(state, front, op)
-    state.apply(front, op)
-    assert state.vec.tobytes() == want.tobytes()
+    want = _scatter_apply_reference(vec, dims, front, op)
+    assert _gate_applied(vec, dims, front, op).tobytes() == want.tobytes()
 
 
 def test_apply_at_the_cap_allocates_no_full_space_matrix():
     # a dense kron(op, I_rest) at 1280 levels would be 1280^2 complex128
-    # entries, about 26 MB
-    state = _random_oracle_state(np.random.default_rng(7), _AT_CAP)
-    assert state.vec.size == DIMENSION_CAP
+    # entries, about 26 MB; the peak covers building the gate's plan too
+    vec = _random_vector(np.random.default_rng(7), _AT_CAP)
+    assert vec.size == DIMENSION_CAP
     tracemalloc.start()
     try:
-        state.apply(["r"], gates._PHOTON_H)
+        _gate_applied(vec, _AT_CAP, ["r"], gates._PHOTON_H)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -287,11 +309,8 @@ def test_oracle_catches_engine_layout_mutants(monkeypatch, snippet, replacement,
 
 
 def test_apply_rejects_an_operator_of_the_wrong_size():
-    state = _OracleState()
-    state.add("a", "particle", 4, np.eye(4)[0])
-    state.add("b", "particle", 3, np.eye(3)[0])
     with pytest.raises(ValueError, match=r"\['a', 'b'\]"):
-        state.apply(["a", "b"], np.eye(4, dtype=np.complex128))
+        _gate(("a", "b"), {"a": 4, "b": 3}, ["a", "b"], np.eye(4, dtype=np.complex128))
 
 
 def test_oracle_imports_only_its_pinned_engine_names():
@@ -355,9 +374,66 @@ def test_add_has_the_bits_of_np_kron(sizes):
     zeros = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
     a[::4] = np.resize(zeros, a[::4].size)
     b[-1] = complex(-0.0, -0.0)
-    state = _OracleState()
-    state.vec = a.copy()
-    state.add("x", "particle", b.size, b)
+    got = _extend(a, b)
     want = np.kron(a, b)
-    assert state.vec.shape == want.shape
-    assert state.vec.tobytes() == want.tobytes()
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the walk that prices each instruction once against the per-branch walk
+
+
+def _leaf_records(tree):
+    return [(leaf.vector.tobytes(), leaf.vector.shape, leaf.layout,
+             list(leaf.assignments.items()), leaf.failed) for leaf in tree.leaves]
+
+
+def _assert_same_leaves(program, params):
+    got = _leaf_records(brute_force_run(program, params))
+    assert got == _leaf_records(reference_brute_force_run(program, params))
+    return got
+
+
+_PROGRAMS = {**DEMOS, **{f"family-{f}": partial(cnot_circuit, f) for f in CNOT_FAMILIES}}
+_DEPTHS = {
+    "ideal": {"cycles": None},
+    "n3": {"cycles": 3},
+    "n333-lossy": {"cycles": 333, "absorb_prob": 0.9, "cycle_loss": 1e-3},
+    "n10000": {"cycles": 10_000},
+}
+
+
+@pytest.mark.parametrize("policy", [ROUTE_TO_SINK, KEEP])
+@pytest.mark.parametrize("depth", list(_DEPTHS))
+@pytest.mark.parametrize("name", sorted(_PROGRAMS))
+def test_leaves_are_byte_equal_to_the_per_branch_walk(name, depth, policy):
+    params = QiParams(**_DEPTHS[depth], residual_v_policy=policy)
+    assert _assert_same_leaves(_PROGRAMS[name](), params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(program=valid_programs())
+def test_generated_leaves_are_byte_equal_to_the_per_branch_walk(program):
+    for params in (IDEAL, QiParams(cycles=3, absorb_prob=0.8, cycle_loss=1e-3)):
+        _assert_same_leaves(program, params)
+
+
+def test_each_interrogation_fetches_its_map_once_per_walk(monkeypatch):
+    # the memory CNOT reaches its five interrogations on 1, 2, 2, 4 and 8
+    # branches; the per-branch walk fetched the map on every one of them
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return effective_map(*args, **kwargs)
+
+    effective_map = oracle.effective_map
+    monkeypatch.setattr(oracle, "effective_map", counted)
+    program = DEMOS["cnot-memory"]()
+    interrogations = sum(i.op in ("qicz", "qicz_multi") for i in program.instructions)
+    params = QiParams(cycles=7)
+    leaves = len(brute_force_run(program, params).leaves)
+    assert leaves > 1 and len(calls) == interrogations
+    brute_force_run(program, params)  # the plans die with the call
+    assert len(calls) == 2 * interrogations
