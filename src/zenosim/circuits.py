@@ -477,10 +477,11 @@ class _Segment:
     as (profile field, layout a failed draw zeroes, classical records at
     that point).  A measurement leaves its index (`measured`) and per branch
     its `branch_all` list; in a sampled walk, whose segments hold one branch,
-    `children` maps each outcome taken so far to the segment that follows
-    it.  A measurement that finds no weight in any branch has no branches:
-    a sampled walk ends there failed, with `state` zeroed.  An exception an
-    action raised is kept in `error` and raised when a walk reaches it."""
+    `children` maps the index of each outcome taken so far to the segment
+    that follows it.  A measurement that finds no weight in any branch has
+    no branches: a sampled walk ends there failed, with `state` zeroed.  An
+    exception an action raised is kept in `error` and raised when a walk
+    reaches it."""
 
     weight: list
     state: StateVector | None = None
@@ -523,9 +524,9 @@ class _OutcomeTree:
     nbytes: int
 
 
-def _zeroed(layout: tuple, batch: int | None = None) -> StateVector:
-    size = (batch or 1) * math.prod(s.dim for s in layout)
-    return StateVector(layout, np.zeros(size, dtype=np.complex128), batch)
+def _zeroed(layout: tuple) -> StateVector:
+    return StateVector(layout, np.zeros(math.prod(s.dim for s in layout),
+                                        dtype=np.complex128))
 
 
 def _segment(program: CircuitProgram, params: QiParams, classical: list,
@@ -545,8 +546,8 @@ def _segment(program: CircuitProgram, params: QiParams, classical: list,
                 found = branch_all(state, instr.args["target"], instr.args["basis"])
                 seg.branches = found if state.batch is not None else [found]
                 seg.measured = i
-                if not any(seg.branches):
-                    seg.state, seg.failed = _zeroed(state.layout, state.batch), True
+                if not any(seg.branches):  # only a one-branch run reads the state
+                    seg.state, seg.failed = _zeroed(state.layout), True
                 break
             state = action(state, instr.args, ctx)
         else:
@@ -564,24 +565,18 @@ def _root(program: CircuitProgram, params: QiParams) -> _Segment:
                     StateVector((), np.ones((), dtype=np.complex128)), 0)
 
 
-def _measurement(program: CircuitProgram, seg: _Segment) -> tuple[str, int]:
-    # the bit the measurement ending `seg` writes, and its failure outcome:
-    # outcomes are labelled 0..n-1 with the failure one last, so its label is
-    # the count of values the bit can hold
+def _outcomes(program: CircuitProgram, seg: _Segment) -> list[list[tuple]]:
+    """Per branch of `seg`, one entry per outcome of the measurement ending
+    it: the record with the bit written, the branch weight times the
+    outcome's probability, the post-measurement state, and whether it is
+    the failure outcome, which ends the walk.  Outcomes are labelled 0..n-1
+    with the failure one last, so its label is the count of values the bit
+    can hold."""
     args = program.instructions[seg.measured].args
-    return args["bit"], _measured_values(args, program, {})
-
-
-def _child(program: CircuitProgram, params: QiParams, seg: _Segment,
-           index: int) -> _Segment:
-    """The segment after outcome `index` of the measurement ending the
-    one-branch segment `seg`; a failure outcome ends the walk."""
-    outcome, post, prob = seg.branches[0][index]
-    bit, failure = _measurement(program, seg)
-    classical, weight = [{**seg.classical[0], bit: outcome}], [seg.weight[0] * prob]
-    if outcome == failure:
-        return _Segment(weight, post, classical, failed=True)
-    return _segment(program, params, classical, weight, post, seg.measured + 1)
+    bit, failure = args["bit"], _measured_values(args, program, {})
+    return [[({**record, bit: outcome}, weight * prob, post, outcome == failure)
+             for outcome, post, prob in found]
+            for found, record, weight in zip(seg.branches, seg.classical, seg.weight)]
 
 
 def run(program: CircuitProgram, params: QiParams | None = None,
@@ -613,17 +608,17 @@ def run(program: CircuitProgram, params: QiParams | None = None,
                                      seg.weight[0])
         if seg.measured is None or seg.failed:
             return seg.result(0, copy=True)
-        branches = seg.branches[0]
-        index = sample_branch(branches, rng)
-        outcome = branches[index][0]
-        child = seg.children.get(outcome)
+        index = sample_branch(seg.branches[0], rng)
+        child = seg.children.get(index)
         if child is None:
-            child = _child(program, params, seg, index)
+            record, weight, post, failed = _outcomes(program, seg)[0][index]
+            child = (_Segment([weight], post, [record], failed=True) if failed else
+                     _segment(program, params, [record], [weight], post, seg.measured + 1))
             cost = child.nbytes()
             kept = kept and tree.nbytes + cost <= _TREE_BYTES
             if kept:
                 tree.nbytes += cost
-                seg.children[outcome] = child
+                seg.children[index] = child
         seg = child
 
 
@@ -645,31 +640,25 @@ def run_all_branches(program: CircuitProgram,
     order.  Each call walks a fresh tree and keeps none of it."""
     params = params or QiParams()
     leaves = []  # (kept-outcome indices from the root, result)
-    # batches still to run, the next one last: (paths, classical records,
-    # weights, plain states, first instruction)
+    # batches still to run, the next one last: (their (path, record, weight,
+    # plain state) entries, first instruction)
     todo = []
     seg, paths = _root(program, params), [()]
     while True:
         if seg.measured is None:
             leaves += [(path, seg.result(b, copy=False)) for b, path in enumerate(paths)]
         else:
-            bit, failure = _measurement(program, seg)
-            kept_paths, records, weights, posts = [], [], [], []
-            for path, kept, record, w in zip(paths, seg.branches, seg.classical, seg.weight):
-                for index, (outcome, post, prob) in enumerate(kept):
-                    child = {**record, bit: outcome}
-                    if outcome == failure:
-                        leaves.append((path + (index,),
-                                       RunResult(post, child, 0.0, True, w * prob)))
+            kept = []  # (path, record, weight, state) per kept non-failure outcome
+            for path, entries in zip(paths, _outcomes(program, seg)):
+                for index, (record, w, post, failed) in enumerate(entries):
+                    if failed:
+                        leaves.append((path + (index,), RunResult(post, record, 0.0, True, w)))
                     else:
-                        kept_paths.append(path + (index,))
-                        records.append(child)
-                        weights.append(w * prob)
-                        posts.append(post)
+                        kept.append((path + (index,), record, w, post))
             pos = seg.measured + 1
             # one branch's largest state up to the next measurement, where
             # only a prepare grows it, and the instructions it runs there
-            peak, steps = posts[0].amps.size if posts else 1, 0
+            peak, steps = kept[0][3].amps.size if kept else 1, 0
             for instr in program.instructions[pos:]:
                 if instr.op == "measure":
                     break
@@ -680,13 +669,12 @@ def run_all_branches(program: CircuitProgram,
             # branch to split it into leaves, which a stretch of fewer than
             # two instructions does not earn back
             per_batch = max(1, MAX_AMPLITUDES // peak) if steps >= 2 else 1
-            for lo in reversed(range(0, len(posts), per_batch)):
-                hi = lo + per_batch
-                todo.append((kept_paths[lo:hi], records[lo:hi], weights[lo:hi],
-                             posts[lo:hi], pos))
+            todo += [(kept[lo:lo + per_batch], pos)
+                     for lo in reversed(range(0, len(kept), per_batch))]
         if not todo:
             break
-        paths, classical, weight, posts, pos = todo.pop()
+        batch, pos = todo.pop()
+        paths, classical, weight, posts = map(list, zip(*batch))
         state = posts[0] if len(posts) == 1 else stack_branches(posts)
         seg = _segment(program, params, classical, weight, state, pos)
     leaves.sort(key=lambda leaf: leaf[0])
@@ -861,6 +849,14 @@ def cnot_output_names(family: str) -> tuple[str, str]:
     }[family]
 
 
+def _cz_to_cnot(photon_name: str, particle_name: str):
+    """The interrogation CZ made a CNOT onto the photon: Hadamards on the
+    photon before and after."""
+    return [_ins("photon_h", target=photon_name),
+            _ins("qicz", photon=photon_name, particle=particle_name),
+            _ins("photon_h", target=photon_name)]
+
+
 def cnot_circuit(family: str, control=(1, 0), target=(1, 0)) -> CircuitProgram:
     """A CNOT(control -> target) realization from the given family; every
     measurement branch equals the ideal CNOT output after corrections.
@@ -871,12 +867,10 @@ def cnot_circuit(family: str, control=(1, 0), target=(1, 0)) -> CircuitProgram:
     half-memory families teleport one photon; the direct families measure
     only the shared particle.
     """
-    pin = [
-        _ins("prepare", target="c", state=_vec_arg(control)),
-        _ins("prepare", target="t", state=_vec_arg(target)),
-    ]
     if family == MEMORY:
-        instructions = pin + [
+        photons, particles = ("c", "t", "tp", "cp"), ("mt", "mc")
+        bits = ("a_t", "a_c", "c_t", "c_c", "zc")
+        body = [
             _ins("prepare", target="mt", pm="+"),
             *memory_write("t", "mt", "a_t"),
             _ins("qicz", photon="c", particle="mt"),
@@ -891,69 +885,52 @@ def cnot_circuit(family: str, control=(1, 0), target=(1, 0)) -> CircuitProgram:
             _ins("xor", a="a_c", b="a_t", out="zc"),
             _ins("cz", bit="zc", target="cp"),
         ]
-        return CircuitProgram(
-            subsystems=(photon("c"), photon("t"), photon("tp"), photon("cp"),
-                        particle("mt"), particle("mc")),
-            bits=("a_t", "a_c", "c_t", "c_c", "zc"),
-            instructions=tuple(instructions),
-        )
-    if family == HALF_MEMORY_KEEP_CONTROL:
-        instructions = pin + [
+    elif family == HALF_MEMORY_KEEP_CONTROL:
+        photons, particles, bits = ("c", "t", "tp"), ("m",), ("a", "cm")
+        body = [
             _ins("prepare", target="m", pm="+"),
             _ins("qicz", photon="c", particle="m"),
             *memory_write("t", "m", "a"),
             *memory_read("m", "tp", "cm", "a"),
             _ins("cz", bit="a", target="c"),
         ]
-        return CircuitProgram(
-            subsystems=(photon("c"), photon("t"), photon("tp"), particle("m")),
-            bits=("a", "cm"),
-            instructions=tuple(instructions),
-        )
-    if family == HALF_MEMORY_KEEP_TARGET:
-        instructions = pin + [
+    elif family == HALF_MEMORY_KEEP_TARGET:
+        photons, particles, bits = ("c", "t", "cp"), ("m",), ("a", "cm")
+        body = [
             _ins("prepare", target="m", pm="+"),
             *memory_write("c", "m", "a"),
             _ins("particle_h", target="m"),
-            _ins("photon_h", target="t"),
-            _ins("qicz", photon="t", particle="m"),
-            _ins("photon_h", target="t"),
+            *_cz_to_cnot("t", "m"),
             _ins("particle_h", target="m"),
             *memory_read("m", "cp", "cm", "a"),
         ]
-        return CircuitProgram(
-            subsystems=(photon("c"), photon("t"), photon("cp"), particle("m")),
-            bits=("a", "cm"),
-            instructions=tuple(instructions),
-        )
-    if family == DIRECT_CX:
-        instructions = pin + [
+    elif family == DIRECT_CX:
+        photons, particles, bits = ("c", "t"), ("m",), ("d",)
+        body = [
             _ins("prepare", target="m", pm="+"),
-            _ins("photon_h", target="t"),
-            _ins("qicz", photon="t", particle="m"),
-            _ins("photon_h", target="t"),
+            *_cz_to_cnot("t", "m"),
             _ins("particle_h", target="m"),
             _ins("qicz", photon="c", particle="m"),
             _ins("measure", target="m", basis=PARTICLE_PM, bit="d"),
             _ins("cx", bit="d", target="t"),
         ]
     elif family == DIRECT_CZ:
-        instructions = pin + [
+        photons, particles, bits = ("c", "t"), ("m",), ("d",)
+        body = [
             _ins("prepare", target="m", pm="+"),
             _ins("qicz", photon="c", particle="m"),
             _ins("particle_h", target="m"),
-            _ins("photon_h", target="t"),
-            _ins("qicz", photon="t", particle="m"),
-            _ins("photon_h", target="t"),
+            *_cz_to_cnot("t", "m"),
             _ins("measure", target="m", basis=PARTICLE_PM, bit="d"),
             _ins("cz", bit="d", target="c"),
         ]
     else:
         raise ValueError(f"unknown family {family!r}")
     return CircuitProgram(
-        subsystems=(photon("c"), photon("t"), particle("m")),
-        bits=("d",),
-        instructions=tuple(instructions),
+        subsystems=(*map(photon, photons), *map(particle, particles)),
+        bits=bits,
+        instructions=(_ins("prepare", target="c", state=_vec_arg(control)),
+                      _ins("prepare", target="t", state=_vec_arg(target)), *body),
     )
 
 

@@ -16,8 +16,11 @@ k = 0 uses the exact angle N*theta): O(log N) instead of O(N).  Each
 QiParams object squares its stack at most once per largest count kmax and
 keeps it read-only, so every later run under the same params is a gather
 alone; the memo dies with the params object.  That arithmetic runs in
-extended precision so that the composed sign flip is exact at the 1e-15
-level even for 10^7 cycles; amplitudes are stored back as complex128.
+extended precision; amplitudes are stored back as complex128.  Against a
+50-digit reference (x86-64 long double), the largest entry error of a
+stack is 5e-20 for the open sign flip without loss at any depth, 2.1e-15
+for the open stack with loss 1e-6 at 10^6 cycles, and for blocked stacks
+8e-19, 3.4e-16, 2.9e-14 and 4.0e-13 at 17, 10^4, 10^6 and 10^7 cycles.
 The exact N -> infinity limit of the pi/N wiring runs through the same
 gather with its own stack: diag(-1, 1), the sign flip on |1H>, for k = 0,
 and the identity for every k >= 1.

@@ -1,5 +1,6 @@
 """Test-side helpers that the library itself has no use for."""
 
+from decimal import Decimal, localcontext
 from math import prod
 
 import numpy as np
@@ -50,6 +51,81 @@ def w_vector(m: int) -> np.ndarray:
     for i in range(m):
         v[1 << (m - 1 - i)] = 1.0
     return v / np.sqrt(m)
+
+
+# ---------------------------------------------------------------------------
+# a 50-digit reference for the transfer powers T_k^N, in stdlib `decimal`
+# alone: its own pi, its own sine and cosine, its own repeated squaring, all
+# carried at 60 digits so that 24 squarings at N = 10^7 keep 50.  It shares
+# nothing with `interrogation`, so the engine's long-double stacks are
+# checked against arithmetic that cannot make their rounding errors.
+
+REFERENCE_DIGITS = 60
+_PI_60 = Decimal("3.141592653589793238462643383279502884197169399375105820974944")
+
+
+def _cos_sin(theta: Decimal) -> tuple[Decimal, Decimal]:
+    """cos and sin of `theta`: Taylor series once theta is halved below
+    1e-3, then the double-angle formulas back up."""
+    halvings = 0
+    while theta >= Decimal("1e-3"):
+        theta /= 2
+        halvings += 1
+    tiny = Decimal(10) ** -(REFERENCE_DIGITS + 5)
+    c = s = Decimal(0)
+    term, n = Decimal(1), 0  # theta^n / n!
+    while term > tiny:
+        if n % 2 == 0:
+            c += term if n % 4 == 0 else -term
+        else:
+            s += term if n % 4 == 1 else -term
+        n += 1
+        term = term * theta / n
+    for _ in range(halvings):
+        c, s = c * c - s * s, 2 * s * c
+    return c, s
+
+
+def _matmul(a, b):
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)]
+            for i in range(2)]
+
+
+def reference_powers(cycles: int, half_angle: bool, eps: float, lam: float,
+                     kmax: int) -> list:
+    """T_k^N for k = 0..kmax as 2x2 lists of `Decimal`, N = `cycles`, with
+    T_k = keep_loss * diag(1, keep_eps^k) * R(theta), theta = pi/N (or
+    pi/2N when `half_angle`), keep_eps^2 = 1 - eps and keep_loss^2 = 1 - lam,
+    all at `REFERENCE_DIGITS` digits."""
+    with localcontext() as ctx:
+        ctx.prec = REFERENCE_DIGITS
+        c, s = _cos_sin(_PI_60 / (2 * cycles if half_angle else cycles))
+        keep_eps = (1 - Decimal(eps)).sqrt()
+        keep_loss = (1 - Decimal(lam)).sqrt()
+        out, row = [], Decimal(1)  # row = keep_eps^k
+        for _ in range(kmax + 1):
+            step = [[keep_loss * c, -keep_loss * s],
+                    [keep_loss * row * s, keep_loss * row * c]]
+            power = [[Decimal(1), Decimal(0)], [Decimal(0), Decimal(1)]]
+            e = cycles
+            while e:
+                if e & 1:
+                    power = _matmul(power, step)
+                e >>= 1
+                if e:
+                    step = _matmul(step, step)
+            out.append(power)
+            row *= keep_eps
+        return out
+
+
+def exact_decimal(x) -> Decimal:
+    """A binary float (long double included) as the `Decimal` of its exact
+    value, to `REFERENCE_DIGITS` digits."""
+    num, den = x.as_integer_ratio()
+    with localcontext() as ctx:
+        ctx.prec = REFERENCE_DIGITS
+        return Decimal(num) / Decimal(den)
 
 
 # ---------------------------------------------------------------------------

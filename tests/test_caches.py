@@ -6,7 +6,9 @@ the benchmark, which runs many passes in one process, it would turn work a
 fresh CLI process pays for into a lookup.  Each entry below says why that
 does not happen; a new cache fails this test until it gets an entry.  A
 `cached_property` dies with its object, so it warms only the calls that
-share that object; each one says which objects those are.  The walks keep
+share that object; each one says which objects those are.  So does each
+attribute a function sets on a frozen object through `object.__setattr__`
+outside `__post_init__`, where it can only be a memo.  The walks keep
 no memo of their own: `run_all_branches` sizes each batch and reads each
 failure outcome where it makes them, and `oracle.brute_force_run`'s plan
 table is a local that dies with the call.
@@ -36,6 +38,10 @@ PER_OBJECT = {
         "the T_k^N stacks of one params object; the CLI builds its params per "
         "call, and the benchmark's workloads hold theirs across passes, so "
         "traced passes after the first reuse the stacks the first squared",
+    "circuits.run._outcome_tree":
+        "the outcome tree `run` keeps on its program for the last params; it "
+        "is budgeted by `_TREE_BYTES`, dropped by copies and pickles, and "
+        "never read by `run_all_branches`",
 }
 
 
@@ -87,10 +93,39 @@ def _per_object_memos(module: types.ModuleType) -> list[str]:
             for attr, value in vars(cls).items() if isinstance(value, cached_property)]
 
 
+def _set_attributes(module: str, source: str) -> list[str]:
+    """`module.function.attribute` for each `object.__setattr__` call
+    outside a `__post_init__`, with `function` the dotted path of the
+    definitions around the call, and `module:line` for a call whose
+    attribute is not a literal name."""
+    found = []
+
+    def visit(node, where: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, where + [child.name])
+                continue
+            func = child.func if isinstance(child, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and func.attr == "__setattr__"
+                    and isinstance(func.value, ast.Name) and func.value.id == "object"
+                    and where[-1:] != ["__post_init__"]):
+                attr = child.args[1] if len(child.args) == 3 else None
+                if isinstance(attr, ast.Constant) and isinstance(attr.value, str):
+                    found.append(".".join([module, *where, attr.value]))
+                else:
+                    found.append(f"{module}:{child.lineno}")
+            visit(child, where)
+
+    visit(ast.parse(source), [])
+    return found
+
+
 def test_per_object_memos_are_allowlisted():
+    root = Path(zenosim.__file__).parent
     found = []
     for info in pkgutil.iter_modules(zenosim.__path__):
         found += _per_object_memos(importlib.import_module(f"zenosim.{info.name}"))
+        found += _set_attributes(info.name, (root / f"{info.name}.py").read_text())
     assert sorted(found) == sorted(PER_OBJECT)
     assert all(reason for reason in PER_OBJECT.values())
 
@@ -109,6 +144,25 @@ def test_per_object_scan_sees_every_form():
         "    def c(self): pass\n",
         vars(module))
     assert _per_object_memos(module) == ["m.K.a", "m.K.b"]
+
+
+def test_set_attribute_scan_sees_every_form():
+    source = (
+        "class K:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'a', 1)\n"
+        "    def warm(self):\n"
+        "        object.__setattr__(self, 'b', 2)\n"
+        "        def inner():\n"
+        "            object.__setattr__(self, 'c', 3)\n"
+        "def run(program, name):\n"
+        "    object.__setattr__(program, '_tree', {})\n"
+        "    object.__setattr__(program, name, None)\n"
+        "    setattr(program, 'd', 4)\n"
+        "object.__setattr__(K(), 'e', 5)\n"
+    )
+    assert _set_attributes("m", source) == [
+        "m.K.warm.b", "m.K.warm.inner.c", "m.run._tree", "m:10", "m.e"]
 
 
 def test_scan_sees_every_cache_form():

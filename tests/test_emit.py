@@ -1,5 +1,6 @@
-"""The JSON emitter against the per-value emitter it replaced, and pins of
-`simulate` stdout at finite depth.
+"""The JSON emitter against the per-value emitter it replaced, pins of
+`simulate` stdout at finite depth, and pins of the circuit files `cnot`
+prints.
 
 `reference_emit_json` is the emitter as it was before arrays were filled
 through one `%` template per shape: every float formatted one at a time
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from zenosim.circuits import DEMOS, run_all_branches
+from zenosim.circuits import CNOT_FAMILIES, DEMOS, run_all_branches
 from zenosim.cli import _emit_json, _params_from, _result_payload, build_parser, main
 
 
@@ -289,3 +290,28 @@ def test_simulate_finite_stdout_is_pinned(name, flags):
         assert code == 0
         digests.append(hashlib.sha256(stdout.encode()).hexdigest())
     assert tuple(digests) == _FINITE_SHA256[name, flags]
+
+
+# sha256 of `cnot --family <family>` stdout, the circuit file each CNOT
+# builder emits, recorded before the families shared one CZ->CNOT step
+_CNOT_SHA256 = {
+    "memory": "60b0c1e789193fa2f1627f1975a8efe82321ee27dfcf5b0c527e0c3cf13e3cae",
+    "half-memory-keep-control":
+        "1a43157f79eb2e4ec94639c3c5a3e98d737e24b8b5736b4c7d2709bb66fdd0a6",
+    "half-memory-keep-target":
+        "7cefa23a1e52a19fafca769ef17086261f63057eb07da37222810aac63014894",
+    "direct-cx": "56aed1d42c2cd04e543c312abeae649efc524dc99c9a615c1aed17a877b693bd",
+    "direct-cz": "d0be64cf2b5e01c8eb2ed81b5cafafa65555509790fcc2ad4f45b1abbb60cd52",
+    "half-memory": "1a43157f79eb2e4ec94639c3c5a3e98d737e24b8b5736b4c7d2709bb66fdd0a6",
+}
+
+
+def test_cnot_pins_cover_every_family():
+    assert sorted(_CNOT_SHA256) == sorted([*CNOT_FAMILIES, "half-memory"])
+
+
+@pytest.mark.parametrize("family", sorted(_CNOT_SHA256))
+def test_cnot_stdout_is_pinned(family):
+    code, stdout = _stdout(["cnot", "--family", family])
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == _CNOT_SHA256[family]
