@@ -65,23 +65,25 @@ def zeno_sweep(n_values, theta_rule: str = PI_OVER_N, absorb: float = 1.0,
     return rows
 
 
-def fidelity_sweep(n_values, absorb: float = 1.0,
+def fidelity_sweep(n_values, theta_rule: str = PI_OVER_N, absorb: float = 1.0,
                    loss: float = 0.0) -> list[SweepRow]:
     """Overlap of the finite-cycle interrogation CZ with its exact limit on
-    the uniform two-qubit input, per cycle count."""
+    the uniform two-qubit input, per cycle count.  `QiParams` defines that
+    limit for the pi/N rule only and raises for any other."""
     state = _blocked_pair([0, BLOCKED])
     amps = np.zeros_like(state.amps)
     amps[0, BLOCKED] = amps[0, OPEN] = 0.5
     amps[PH_ONE_H, BLOCKED] = amps[PH_ONE_H, OPEN] = 0.5
     state = StateVector(state.layout, amps)
-    ideal = qicz(state, "p", "b", QiParams(cycles=None))
+    ideal = qicz(state, "p", "b", QiParams(cycles=None, theta_rule=theta_rule))
     ideal = StateVector(ideal.layout, ideal.amps / np.sqrt(norm_sq(ideal)))
     rows = []
     for n in n_values:
-        params = QiParams(cycles=int(n), absorb_prob=absorb, cycle_loss=loss)
+        params = QiParams(cycles=int(n), theta_rule=theta_rule,
+                          absorb_prob=absorb, cycle_loss=loss)
         out = qicz(state, "p", "b", params)
         out = StateVector(out.layout, out.amps / np.sqrt(norm_sq(out)))
-        rows.append(SweepRow(int(n), PI_OVER_N, absorb, loss,
+        rows.append(SweepRow(int(n), theta_rule, absorb, loss,
                              fidelity=fidelity(ideal, out)))
     return rows
 

@@ -51,6 +51,7 @@ from .state import (
     add_subsystem,
     basis_outcomes,
     branch_all,
+    draw_table,
     initial_vector,
     norm_sq,
     particle,
@@ -481,7 +482,9 @@ class _Segment:
     that follows it.  A measurement that finds no weight in any branch has
     no branches: a sampled walk ends there failed, with `state` zeroed.  An
     exception an action raised is kept in `error` and raised when a walk
-    reaches it."""
+    reaches it.  A sampled walk also stores here what each of its runs reads
+    (`_sampled`): the measurement's draw table in `table`, or the success
+    probability of a walk that ends here in `success`."""
 
     weight: list
     state: StateVector | None = None
@@ -492,20 +495,25 @@ class _Segment:
     measured: int | None = None
     branches: list = field(default_factory=list)
     children: dict = field(default_factory=dict)
+    table: tuple | None = None
+    success: float | None = None
 
-    def result(self, b: int, copy: bool) -> RunResult:
-        """The result of branch `b`'s walk, which ends here, with a copy of
-        its state if asked; raises the error an action raised here."""
+    def result(self, b: int, success: float | None = None) -> RunResult:
+        """The result of branch `b`'s walk, which ends here; raises the error
+        an action raised here.  Given the `success` probability a sampled
+        walk stored, the result holds a copy of the state, which the tree
+        keeps; otherwise it holds the state itself, and its success
+        probability is worked out."""
         if self.error is not None:
             exc, tb = self.error
             raise exc.with_traceback(tb)
         state = self.state if self.state.batch is None else self.state.branch(b)
         weight = self.weight[b]
-        return RunResult(
-            final_state=state.copy() if copy else state,
-            classical=dict(self.classical[b]),
-            success_probability=0.0 if self.failed else weight * norm_sq(state),
-            failed=self.failed, branch_weight=weight)
+        if success is None:
+            success = 0.0 if self.failed else weight * norm_sq(state)
+        else:
+            state = state.copy()
+        return RunResult(state, dict(self.classical[b]), success, self.failed, weight)
 
     def nbytes(self) -> int:
         """What keeping this segment costs, as `_TREE_BYTES` counts it."""
@@ -565,6 +573,18 @@ def _root(program: CircuitProgram, params: QiParams) -> _Segment:
                     StateVector((), np.ones((), dtype=np.complex128)), 0)
 
 
+def _sampled(seg: _Segment) -> _Segment:
+    """`seg`, a one-branch segment of a sampled walk, with what every run
+    that reaches it reads stored: the draw table of the measurement ending
+    it, or the success probability of a walk ending there."""
+    if seg.error is None:
+        if seg.measured is None or seg.failed:
+            seg.success = 0.0 if seg.failed else seg.weight[0] * norm_sq(seg.state)
+        else:
+            seg.table = draw_table(seg.branches[0])
+    return seg
+
+
 def _outcomes(program: CircuitProgram, seg: _Segment) -> list[list[tuple]]:
     """Per branch of `seg`, one entry per outcome of the measurement ending
     it: the record with the bit written, the branch weight times the
@@ -590,13 +610,17 @@ def run(program: CircuitProgram, params: QiParams | None = None,
 
     The segments between measurements are deterministic, so the program
     keeps the tree of those it has run for the last `params`, up to
-    `_TREE_BYTES`, and a later run along a kept path only draws.  Two runs
-    at once may both build a segment; either copy gives the same results."""
+    `_TREE_BYTES`.  Each kept measurement holds its draw table and each kept
+    end its success probability, so a later run along a kept path is its
+    draws (one uniform per charged instruction and per measurement, and one
+    `bisect` in the table) plus one copy of the final state and record.
+    Two runs at once may both build a segment; either copy gives the same
+    results."""
     params = params or QiParams()
     rng = rng or np.random.default_rng(0)
     tree = program._outcome_tree
-    if tree is None or tree.params != params:
-        root = _root(program, params)
+    if tree is None or (tree.params is not params and tree.params != params):
+        root = _sampled(_root(program, params))
         tree = _OutcomeTree(params, root, root.nbytes())
         object.__setattr__(program, "_outcome_tree", tree)
     seg, kept = tree.root, True
@@ -606,14 +630,15 @@ def run(program: CircuitProgram, params: QiParams | None = None,
                 if rng.random() >= getattr(profile, charge):
                     return RunResult(_zeroed(layout), dict(classical[0]), 0.0, True,
                                      seg.weight[0])
-        if seg.measured is None or seg.failed:
-            return seg.result(0, copy=True)
-        index = sample_branch(seg.branches[0], rng)
+        if seg.table is None:  # the walk ends here
+            return seg.result(0, seg.success)
+        index = sample_branch(seg.table, rng)
         child = seg.children.get(index)
         if child is None:
             record, weight, post, failed = _outcomes(program, seg)[0][index]
-            child = (_Segment([weight], post, [record], failed=True) if failed else
-                     _segment(program, params, [record], [weight], post, seg.measured + 1))
+            child = _sampled(
+                _Segment([weight], post, [record], failed=True) if failed else
+                _segment(program, params, [record], [weight], post, seg.measured + 1))
             cost = child.nbytes()
             kept = kept and tree.nbytes + cost <= _TREE_BYTES
             if kept:
@@ -646,7 +671,7 @@ def run_all_branches(program: CircuitProgram,
     seg, paths = _root(program, params), [()]
     while True:
         if seg.measured is None:
-            leaves += [(path, seg.result(b, copy=False)) for b, path in enumerate(paths)]
+            leaves += [(path, seg.result(b)) for b, path in enumerate(paths)]
         else:
             kept = []  # (path, record, weight, state) per kept non-failure outcome
             for path, entries in zip(paths, _outcomes(program, seg)):

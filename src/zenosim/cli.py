@@ -349,6 +349,7 @@ def _cmd_sweep(args) -> int:
         return 0
     if args.what == "fidelity":
         rows = analysis.fidelity_sweep(_parse_cycles_list(args.cycles),
+                                       theta_rule=_THETA_FLAG[args.theta],
                                        absorb=args.absorb, loss=args.loss)
         print("n_cycles,absorb,loss,fidelity")
         for row in rows:

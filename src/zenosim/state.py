@@ -22,7 +22,9 @@ is one `np.vdot` per branch.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -265,17 +267,21 @@ def branch_all(state: StateVector, target: str, basis: str):
     return out if lead else out[0]
 
 
-def sample_branch(branches: list, rng: np.random.Generator) -> int:
-    """Index of one entry of a non-empty `branch_all` list drawn with Born
-    probabilities, from one uniform of `rng`; the last branch takes any
-    rounding remainder."""
-    u = rng.random() * sum(w for _, _, w in branches)
-    acc = 0.0
-    for index, (_, _, w) in enumerate(branches[:-1]):
-        acc += w
-        if u < acc:
-            return index
-    return len(branches) - 1
+def draw_table(branches: list) -> tuple[float, list[float]]:
+    """The Born-rule draw table of a non-empty `branch_all` list: the total
+    weight, and the running sums of the weights of every entry but the
+    last, added in outcome order."""
+    weights = [w for _, _, w in branches]
+    return sum(weights), list(accumulate(weights[:-1]))
+
+
+def sample_branch(table: tuple[float, list[float]], rng: np.random.Generator) -> int:
+    """Index of one entry of the `branch_all` list `table` was built from,
+    drawn with Born probabilities from one uniform of `rng`: the first entry
+    whose running sum exceeds the uniform times the total.  The last entry
+    takes any rounding remainder."""
+    total, sums = table
+    return bisect_right(sums, rng.random() * total)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

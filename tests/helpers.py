@@ -419,3 +419,16 @@ def reference_brute_force_run(program, params=None) -> BranchTree:
         else:
             leaf(state, assignments, failed=False)
     return tree
+
+
+def reference_sample_branch(branches: list, rng) -> int:
+    """The Born-rule draw as a summing loop over a `branch_all` list: one
+    uniform times the total weight, then the first entry whose running sum
+    exceeds it, the last entry taking any rounding remainder."""
+    u = rng.random() * sum(w for _, _, w in branches)
+    acc = 0.0
+    for index, (_, _, w) in enumerate(branches[:-1]):
+        acc += w
+        if u < acc:
+            return index
+    return len(branches) - 1

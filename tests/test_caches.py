@@ -39,9 +39,11 @@ PER_OBJECT = {
         "call, and the benchmark's workloads hold theirs across passes, so "
         "traced passes after the first reuse the stacks the first squared",
     "circuits.run._outcome_tree":
-        "the outcome tree `run` keeps on its program for the last params; it "
-        "is budgeted by `_TREE_BYTES`, dropped by copies and pickles, and "
-        "never read by `run_all_branches`",
+        "the outcome tree `run` keeps on its program for the last params: its "
+        "segments, each kept measurement's draw table and each kept end's "
+        "success probability, all of which die with the tree; it is budgeted "
+        "by `_TREE_BYTES`, dropped by copies and pickles, and never built or "
+        "read by `run_all_branches`",
 }
 
 

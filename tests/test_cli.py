@@ -711,6 +711,18 @@ def test_sweep_fidelity_csv():
     assert len(lines) == 3
 
 
+def test_sweep_fidelity_reads_the_theta_rule():
+    # the pi/N rows, printed the same whether the rule is named or not
+    rows = "n_cycles,absorb,loss,fidelity\n5,1,0,0.897365702906\n10,1,0,0.965316162654\n"
+    assert run_main("sweep", "--what", "fidelity", "--cycles", "5,10") == (0, rows, "")
+    assert run_main("sweep", "--what", "fidelity", "--cycles", "5,10",
+                    "--theta", "pi-over-n") == (0, rows, "")
+    # the exact limit the fidelity is taken against has no pi/2N form
+    assert run_main("sweep", "--what", "fidelity", "--cycles", "5,10",
+                    "--theta", "pi-over-2n") == (
+        1, "", "zenosim: error: the exact limit is defined for the pi/N rule only\n")
+
+
 def test_sweep_yield_csv():
     proc = run_cli("sweep", "--what", "yield", "--profile", "0.9,0.9,0.9,0.9,0.9")
     assert proc.returncode == 0

@@ -1,5 +1,7 @@
 """Property tests for the state container and measurement primitives."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from zenosim.state import (
     apply_local,
     basis_outcomes,
     branch_all,
+    draw_table,
     fidelity,
     level_weight,
     new_state,
@@ -30,7 +33,7 @@ from zenosim.state import (
     sample_branch,
 )
 
-from helpers import reorder
+from helpers import reference_sample_branch, reorder
 
 BASES = [PHOTON_COMPUTATIONAL, PARTICLE_PM, QUDIT_POSITION]
 
@@ -133,13 +136,75 @@ def test_measure_reproducible_and_consistent(seed):
     target = layout[0]
     basis = PHOTON_COMPUTATIONAL if target.kind == "photon" else QUDIT_POSITION
     branches = branch_all(state, target.name, basis)
-    out1 = branches[sample_branch(branches, np.random.default_rng(seed))]
-    out2 = branches[sample_branch(branches, np.random.default_rng(seed))]
+    out1 = branches[sample_branch(draw_table(branches), np.random.default_rng(seed))]
+    out2 = branches[sample_branch(draw_table(branches), np.random.default_rng(seed))]
     assert out1[0] == out2[0]
     assert out1[2] == out2[2]
     enumerated = {o: w for o, _, w in branch_all(state, target.name, basis)}
     assert out1[0] in enumerated
     assert abs(enumerated[out1[0]] - out1[2]) < 1e-12
+
+
+class _Uniforms:
+    """A generator stand-in whose `random()` returns chosen values in turn."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.drawn = 0
+
+    def random(self):
+        self.drawn += 1
+        return self.values[self.drawn - 1]
+
+
+def _uniforms_at(total: float, sums: list[float]) -> list[float]:
+    """Uniforms that put the scaled draw exactly on each running sum, where
+    one exists, and one float step either side of it, plus 0 and the
+    largest uniform, which puts it past the last running sum."""
+    values = {0.0, math.nextafter(1.0, 0.0)}
+    for s in sums:
+        v = s / total
+        for _ in range(4):  # a float close to s / total that lands on s
+            if v * total == s:
+                break
+            v = math.nextafter(v, math.inf if v * total < s else 0.0)
+        values |= {math.nextafter(v, 0.0), v, math.nextafter(v, 1.0)}
+    return sorted(v for v in values if 0.0 <= v < 1.0)
+
+
+def _draw_both(weights: list[float], values: list[float]) -> list[int]:
+    """Indices the table draw picks for `values`, each checked against the
+    summing loop given the same uniform, and to take exactly one uniform."""
+    branches = [(i, None, w) for i, w in enumerate(weights)]
+    table = draw_table(branches)
+    picked = []
+    for v in values:
+        stub, ref = _Uniforms([v]), _Uniforms([v])
+        index = sample_branch(table, stub)
+        assert index == reference_sample_branch(branches, ref), (weights, v)
+        assert stub.drawn == ref.drawn == 1
+        picked.append(index)
+    return picked
+
+
+@given(weights=st.lists(st.floats(1e-15, 1.0), min_size=2, max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_table_draw_matches_the_summing_loop(weights):
+    total, sums = draw_table([(i, None, w) for i, w in enumerate(weights)])
+    values = _uniforms_at(total, sums)
+    for v, index in zip(values, _draw_both(weights, values)):
+        if v * total >= sums[-1]:  # the last outcome takes the remainder
+            assert index == len(weights) - 1
+
+
+def test_table_draw_on_a_running_sum_takes_the_next_outcome():
+    # quarters add exactly, so each running sum is hit exactly
+    weights = [0.25, 0.25, 0.125, 0.375]
+    assert draw_table([(i, None, w) for i, w in enumerate(weights)]) == (1.0, [0.25, 0.5, 0.625])
+    values = [0.0, math.nextafter(0.25, 0.0), 0.25, 0.5, 0.625, math.nextafter(1.0, 0.0)]
+    assert _draw_both(weights, values) == [0, 0, 1, 2, 3, 3]
+    # a total below 1 scales the uniform: 0.75 * 0.5 lands on the first sum
+    assert _draw_both([0.375, 0.125], [math.nextafter(0.75, 0.0), 0.75]) == [0, 1]
 
 
 def test_rank_one_measurement_removes_subsystem():
