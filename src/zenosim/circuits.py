@@ -42,6 +42,7 @@ import numpy as np
 from . import gates
 from .interrogation import QiParams, qicz, qicz_multi, wiring
 from .state import (
+    ATOL,
     PARTICLE_COMPUTATIONAL,
     PARTICLE_PM,
     PHOTON_COMPUTATIONAL,
@@ -63,7 +64,7 @@ from .state import (
 # The most amplitudes one live state may hold (16 MiB), and the most levels
 # of one subsystem, so that a local gate's dense matrix is no larger.
 MAX_AMPLITUDES = 2 ** 20
-MAX_SUBSYSTEM_DIM = 2 ** 10
+MAX_SUBSYSTEM_DIM = math.isqrt(MAX_AMPLITUDES)
 # characters a bit name may not hold: the CSV `classical` cell joins bits
 # as name=value pairs with ";", one row per line
 BIT_NAME_BANS = frozenset(',;="\n\r')
@@ -173,7 +174,8 @@ class OpSpec:
     has none, because the walk's policy measures.  `census` is a dict per
     basis for a measurement.  From `arity`, the value count of each bit
     written so far, `values(args, program, arity)` counts a written bit's
-    values and `check_args(args, program, arity)` rejects what the action would."""
+    values and `check_args(args, program, arity)` rejects what the action
+    would (a prepare's returns its vector's norm^2)."""
 
     args: dict
     action: Callable | None
@@ -238,8 +240,9 @@ def _prepare(state: StateVector, args: dict, ctx: _Context) -> StateVector:
     return add_subsystem(state, *_prepared(ctx.program, args))
 
 
-def _prepare_fits(a: dict, program: CircuitProgram, arity: dict) -> None:
-    initial_vector(*_prepared(program, a))
+def _prepare_fits(a: dict, program: CircuitProgram, arity: dict) -> float:
+    vec = initial_vector(*_prepared(program, a))
+    return float(np.vdot(vec, vec).real)
 
 
 def _xor(state: StateVector, a: dict, ctx: _Context) -> StateVector:
@@ -371,7 +374,8 @@ def validate_program(program: CircuitProgram) -> None:
     measurement bases that fit their subsystem, cx/cz only on bits that can
     hold nothing but 0 and 1, each row's `check_args` (qicz_multi wiring,
     prepared vectors, finite cphase phases), states within `MAX_AMPLITUDES`
-    and bit names free of `BIT_NAME_BANS`."""
+    whose prepared vectors keep their norm^2 within 1 + `ATOL`, and bit
+    names free of `BIT_NAME_BANS`."""
     specs = {s.name: s for s in program.subsystems}
     if len(specs) != len(program.subsystems):
         raise ValueError("duplicate subsystem name")
@@ -388,6 +392,9 @@ def validate_program(program: CircuitProgram) -> None:
     live: set[str] = set()
     gone: set[str] = set()
     amplitudes = 1  # held by the live state
+    # the live state's norm^2 as its prepared vectors scale it; a kept
+    # measurement branch is renormalized, so each measurement restarts it
+    scale = 1.0
     arity: dict[str, int] = {}  # bit -> number of values it can hold
     for pos, instr in enumerate(program.instructions):
         where = f"instructions[{pos}]"
@@ -435,6 +442,7 @@ def validate_program(program: CircuitProgram) -> None:
                     live.remove(name)
                     gone.add(name)
                     amplitudes //= specs[name].dim
+                    scale = 1.0
                 elif kind.fits and not kind.fits(specs[name]):
                     spec = specs[name]
                     what = ("a photon" if _is_photon(spec)
@@ -443,9 +451,12 @@ def validate_program(program: CircuitProgram) -> None:
                                      f"{kind.needs}, but {name!r} is {what}")
         if row.check_args:
             try:
-                row.check_args(instr.args, program, arity)
+                scale *= row.check_args(instr.args, program, arity) or 1.0
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
+            if scale > 1 + ATOL:  # only a prepare scales it
+                raise ValueError(f"{where}: preparing {instr.args['target']!r} makes a "
+                                 f"state of norm^2 {scale!r}, above 1 + {ATOL:g}")
 
 
 @dataclass
@@ -472,54 +483,39 @@ class _Segment:
     or an error.
 
     `weight` and `classical` list per branch the product of the branch
-    weights that lead here and the classical record there, and `state` holds
-    the final state (batched if there are several branches) if the walk
-    ends here.  `charged` lists the charged instructions passed, in order,
-    as (profile field, layout a failed draw zeroes, classical records at
-    that point).  A measurement leaves its index (`measured`) and per branch
-    its `branch_all` list; in a sampled walk, whose segments hold one branch,
+    weights that lead here and the classical record there.  A walk that
+    ends here has its results in `leaves`: one per branch at the end of the
+    program, each state a view of a stacked state, or the one failed result
+    of a failure outcome or a measurement that finds no weight.  `charged`
+    lists the charged instructions passed, in order, as (profile field,
+    layout a failed draw zeroes, classical records at that point).  A
+    measurement leaves its index (`measured`) and per branch its
+    `branch_all` list; in a sampled walk, whose segments hold one branch,
     `children` maps the index of each outcome taken so far to the segment
-    that follows it.  A measurement that finds no weight in any branch has
-    no branches: a sampled walk ends there failed, with `state` zeroed.  An
-    exception an action raised is kept in `error` and raised when a walk
-    reaches it.  A sampled walk also stores here what each of its runs reads
-    (`_sampled`): the measurement's draw table in `table`, or the success
-    probability of a walk that ends here in `success`."""
+    that follows it, and `table` holds the measurement's draw table
+    (`_sampled`).  An exception an action raised is kept in `error` and
+    raised when a walk reaches it."""
 
     weight: list
-    state: StateVector | None = None
     classical: list = field(default_factory=list)
     charged: list = field(default_factory=list)
-    failed: bool = False  # the walk ends here failed
+    leaves: list = field(default_factory=list)  # RunResult per branch
     error: tuple | None = None  # (exception, traceback)
     measured: int | None = None
     branches: list = field(default_factory=list)
     children: dict = field(default_factory=dict)
     table: tuple | None = None
-    success: float | None = None
 
-    def result(self, b: int, success: float | None = None) -> RunResult:
-        """The result of branch `b`'s walk, which ends here; raises the error
-        an action raised here.  Given the `success` probability a sampled
-        walk stored, the result holds a copy of the state, which the tree
-        keeps; otherwise it holds the state itself, and its success
-        probability is worked out."""
-        if self.error is not None:
-            exc, tb = self.error
-            raise exc.with_traceback(tb)
-        state = self.state if self.state.batch is None else self.state.branch(b)
-        weight = self.weight[b]
-        if success is None:
-            success = 0.0 if self.failed else weight * norm_sq(state)
-        else:
-            state = state.copy()
-        return RunResult(state, dict(self.classical[b]), success, self.failed, weight)
+    def reached(self) -> list[RunResult]:
+        """`leaves`; raises the error an action raised here."""
+        if self.error:
+            raise self.error[0].with_traceback(self.error[1])
+        return self.leaves
 
     def nbytes(self) -> int:
         """What keeping this segment costs, as `_TREE_BYTES` counts it."""
         held = sum(post.amps.nbytes for kept in self.branches for _, post, _ in kept)
-        if self.state is not None:
-            held += self.state.amps.nbytes
+        held += sum(leaf.final_state.amps.nbytes for leaf in self.leaves)
         return held + _ENTRY_BYTES * (1 + len(self.charged))
 
 
@@ -537,11 +533,17 @@ def _zeroed(layout: tuple) -> StateVector:
                                         dtype=np.complex128))
 
 
+def _failed(state: StateVector, record: dict, weight: float) -> RunResult:
+    """A heralded failure: nothing of it counts as success."""
+    return RunResult(state, dict(record), 0.0, True, weight)
+
+
 def _segment(program: CircuitProgram, params: QiParams, classical: list,
              weight: list, state: StateVector, pos: int) -> _Segment:
     """The one instruction loop: run the actions from instruction `pos` up
     to the next measurement or the end on `state`, one branch or a batch,
-    writing into the per-branch records `classical`."""
+    writing into the per-branch records `classical`.  A branch that ends
+    the program succeeds with its weight times its final norm^2."""
     seg = _Segment(weight, classical=classical)
     ctx = _Context(program, params, classical)
     try:
@@ -554,12 +556,14 @@ def _segment(program: CircuitProgram, params: QiParams, classical: list,
                 found = branch_all(state, instr.args["target"], instr.args["basis"])
                 seg.branches = found if state.batch is not None else [found]
                 seg.measured = i
-                if not any(seg.branches):  # only a one-branch run reads the state
-                    seg.state, seg.failed = _zeroed(state.layout), True
+                if not any(seg.branches):  # only a one-branch run reads this end
+                    seg.leaves = [_failed(_zeroed(state.layout), classical[0], weight[0])]
                 break
             state = action(state, instr.args, ctx)
         else:
-            seg.state = state
+            views = map(state.branch, range(state.batch)) if state.batch else [state]
+            seg.leaves = [RunResult(view, dict(record), w * norm_sq(view), False, w)
+                          for view, record, w in zip(views, classical, weight)]
     except Exception as exc:
         # the validator runs each op's argument rule, so only an action that
         # breaks on its own (a rebound gate, say) fails here; a run raises
@@ -574,14 +578,11 @@ def _root(program: CircuitProgram, params: QiParams) -> _Segment:
 
 
 def _sampled(seg: _Segment) -> _Segment:
-    """`seg`, a one-branch segment of a sampled walk, with what every run
-    that reaches it reads stored: the draw table of the measurement ending
-    it, or the success probability of a walk ending there."""
-    if seg.error is None:
-        if seg.measured is None or seg.failed:
-            seg.success = 0.0 if seg.failed else seg.weight[0] * norm_sq(seg.state)
-        else:
-            seg.table = draw_table(seg.branches[0])
+    """`seg`, a one-branch segment of a sampled walk, with the draw table
+    of the measurement ending it stored, if that measurement found
+    weight."""
+    if any(seg.branches):
+        seg.table = draw_table(seg.branches[0])
     return seg
 
 
@@ -611,9 +612,9 @@ def run(program: CircuitProgram, params: QiParams | None = None,
     The segments between measurements are deterministic, so the program
     keeps the tree of those it has run for the last `params`, up to
     `_TREE_BYTES`.  Each kept measurement holds its draw table and each kept
-    end its success probability, so a later run along a kept path is its
-    draws (one uniform per charged instruction and per measurement, and one
-    `bisect` in the table) plus one copy of the final state and record.
+    end its result, so a later run along a kept path is its draws (one
+    uniform per charged instruction and per measurement, and one `bisect`
+    in the table) plus one copy of the end's state and record.
     Two runs at once may both build a segment; either copy gives the same
     results."""
     params = params or QiParams()
@@ -628,16 +629,17 @@ def run(program: CircuitProgram, params: QiParams | None = None,
         if profile is not None:
             for charge, layout, classical in seg.charged:
                 if rng.random() >= getattr(profile, charge):
-                    return RunResult(_zeroed(layout), dict(classical[0]), 0.0, True,
-                                     seg.weight[0])
-        if seg.table is None:  # the walk ends here
-            return seg.result(0, seg.success)
+                    return _failed(_zeroed(layout), classical[0], seg.weight[0])
+        if seg.table is None:  # the walk ends here; the tree keeps its leaf
+            leaf = seg.reached()[0]
+            return RunResult(leaf.final_state.copy(), dict(leaf.classical),
+                             leaf.success_probability, leaf.failed, leaf.branch_weight)
         index = sample_branch(seg.table, rng)
         child = seg.children.get(index)
         if child is None:
             record, weight, post, failed = _outcomes(program, seg)[0][index]
             child = _sampled(
-                _Segment([weight], post, [record], failed=True) if failed else
+                _Segment([weight], leaves=[_failed(post, record, weight)]) if failed else
                 _segment(program, params, [record], [weight], post, seg.measured + 1))
             cost = child.nbytes()
             kept = kept and tree.nbytes + cost <= _TREE_BYTES
@@ -660,9 +662,10 @@ def run_all_branches(program: CircuitProgram,
     `MAX_AMPLITUDES` amplitudes up to that measurement (at least one), or
     one branch when fewer than two instructions come before that
     measurement, and batches are walked depth first, so the walk holds a
-    few batches per measurement level, not a whole level.  Leaves are
-    sorted by their path of kept-outcome indices, which is depth-first
-    order.  Each call walks a fresh tree and keeps none of it."""
+    few batches per measurement level, not a whole level.  A branch that
+    ends the program keeps its segment's leaf, a view of a stacked state.
+    Leaves are sorted by their path of kept-outcome indices, which is
+    depth-first order.  Each call walks a fresh tree and keeps none of it."""
     params = params or QiParams()
     leaves = []  # (kept-outcome indices from the root, result)
     # batches still to run, the next one last: (their (path, record, weight,
@@ -671,13 +674,13 @@ def run_all_branches(program: CircuitProgram,
     seg, paths = _root(program, params), [()]
     while True:
         if seg.measured is None:
-            leaves += [(path, seg.result(b)) for b, path in enumerate(paths)]
+            leaves += zip(paths, seg.reached())
         else:
             kept = []  # (path, record, weight, state) per kept non-failure outcome
             for path, entries in zip(paths, _outcomes(program, seg)):
                 for index, (record, w, post, failed) in enumerate(entries):
                     if failed:
-                        leaves.append((path + (index,), RunResult(post, record, 0.0, True, w)))
+                        leaves.append((path + (index,), _failed(post, record, w)))
                     else:
                         kept.append((path + (index,), record, w, post))
             pos = seg.measured + 1

@@ -28,8 +28,7 @@ import numpy as np
 from .state import (
     BLOCKED,
     OPEN,
-    PH_ONE_H,
-    PH_ZERO,
+    PHOTON_DIM,
     StateVector,
     SubsystemSpec,
     apply_local,
@@ -38,16 +37,11 @@ from .state import (
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
-def _photon_block(block: np.ndarray) -> np.ndarray:
-    m = np.eye(4, dtype=np.complex128)
-    m[np.ix_((PH_ZERO, PH_ONE_H), (PH_ZERO, PH_ONE_H))] = block
-    m.flags.writeable = False
-    return m
-
-
-def _particle_block(positions: int, block: np.ndarray) -> np.ndarray:
-    m = np.eye(positions + 1, dtype=np.complex128)
-    m[:positions, :positions] = block
+def _block(dim: int, block) -> np.ndarray:
+    # `block` on the first levels (a photon's logical block, a particle's
+    # positions), the identity on the rest, read-only
+    m = np.eye(dim, dtype=np.complex128)
+    m[:len(block), :len(block)] = block
     m.flags.writeable = False
     return m
 
@@ -62,10 +56,10 @@ def _fourier(positions: int) -> np.ndarray:
     return np.exp(2j * np.pi * j * k / positions) / np.sqrt(positions)
 
 
-# the fixed operators, built once at import; every call of a gate hands the
-# same read-only matrix to apply_local
-_PHOTON_H, _PHOTON_X, _PHOTON_Z = (_photon_block(b) for b in (_H2, _X2, _Z2))
-_PARTICLE_H, _PARTICLE_X, _PARTICLE_Z = (_particle_block(2, b) for b in (_H2, _X2, _Z2))
+# the fixed operators, built once at import (a 2-position particle has 3
+# levels); every call of a gate hands the same read-only matrix to apply_local
+_PHOTON_H, _PHOTON_X, _PHOTON_Z = (_block(PHOTON_DIM, b) for b in (_H2, _X2, _Z2))
+_PARTICLE_H, _PARTICLE_X, _PARTICLE_Z = (_block(3, b) for b in (_H2, _X2, _Z2))
 
 
 def photon_h(state: StateVector, name: str) -> StateVector:
@@ -89,7 +83,7 @@ def particle_h(state: StateVector, name: str) -> StateVector:
     transform when there are more positions."""
     spec = _expect_kind(state.spec(name), "particle")
     d = spec.positions()
-    op = _PARTICLE_H if d == 2 else _particle_block(d, _fourier(d))
+    op = _PARTICLE_H if d == 2 else _block(spec.dim, _fourier(d))
     return apply_local(state, [name], op)
 
 
@@ -165,9 +159,7 @@ def _controlled_gate(state: StateVector, gate: str, target: str) -> StateVector:
 
 
 def _phase(coeff: float, value: int) -> np.ndarray:
-    m = np.eye(4, dtype=np.complex128)
-    m[PH_ONE_H, PH_ONE_H] = np.exp(1j * coeff * value)
-    return m
+    return _block(PHOTON_DIM, [[1, 0], [0, np.exp(1j * coeff * value)]])
 
 
 def classically_controlled_phase(state: StateVector, value, target: str,

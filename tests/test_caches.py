@@ -41,7 +41,7 @@ PER_OBJECT = {
     "circuits.run._outcome_tree":
         "the outcome tree `run` keeps on its program for the last params: its "
         "segments, each kept measurement's draw table and each kept end's "
-        "success probability, all of which die with the tree; it is budgeted "
+        "result, all of which die with the tree; it is budgeted "
         "by `_TREE_BYTES`, dropped by copies and pickles, and never built or "
         "read by `run_all_branches`",
 }

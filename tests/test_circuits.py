@@ -748,7 +748,7 @@ def test_outcome_tree_stays_within_its_budget(monkeypatch, profile):
     assert budget - 2 * circuits._ENTRY_BYTES < tree.nbytes <= budget
     assert len(segments) <= budget // circuits._ENTRY_BYTES
     # only leaves keep a state; a measurement keeps its branch list
-    assert all((seg.state is None) == (seg.measured is not None) for seg in segments)
+    assert all((not seg.leaves) == (seg.measured is not None) for seg in segments)
 
 
 def test_copies_and_pickles_leave_the_tree_behind(monkeypatch):
@@ -782,3 +782,34 @@ def test_engine_bounds_the_state_a_program_may_allocate():
     # measuring a subsystem releases its share of the live state
     CircuitProgram(tuple(big), ("m",), prepares[:2] + (
         _ins("measure", target="b0", basis=QUDIT_POSITION, bit="m"),) + prepares[2:])
+
+
+# norm^2 1 + 0.9e-12: one such vector is within the prepare tolerance, and
+# two multiply past the 1 + 1e-12 a state may hold
+_SLACK = [[1.0000000000004499, 0.0]]
+
+
+def test_prepared_norms_are_multiplied_up_to_the_state_tolerance():
+    specs = (photon("p"), photon("q"))
+    CircuitProgram(specs[:1], (), (_ins("prepare", target="p", state=_SLACK),))
+    with pytest.raises(ValueError, match=r"^instructions\[1\]: preparing 'q' makes a "
+                                         r"state of norm\^2 1\.00000000000179"):
+        CircuitProgram(specs, (), (_ins("prepare", target="p", state=_SLACK),
+                                   _ins("prepare", target="q", state=_SLACK)))
+    # a kept measurement branch is renormalized, so the product starts again
+    program = CircuitProgram(specs, ("a",), (
+        _ins("prepare", target="p", state=_SLACK),
+        _ins("measure", target="p", basis=PHOTON_COMPUTATIONAL, bit="a"),
+        _ins("prepare", target="q", state=_SLACK)))
+    for params in (IDEAL, QiParams(cycles=3)):
+        assert [r.classical for r in run_all_branches(program, params)] == [{"a": 0}]
+        assert run(program, params).classical == {"a": 0}
+
+
+def test_every_demo_and_cnot_input_loads():
+    demo_programs()
+    uniform = np.array([1, 1]) / np.sqrt(2)
+    for family in CNOT_FAMILIES:
+        for control in ((1, 0), (0, 1), uniform):
+            for target in ((1, 0), (0, 1), uniform):
+                cnot_circuit(family, control=control, target=target)

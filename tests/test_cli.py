@@ -299,6 +299,25 @@ def test_malformed_file_is_one_error_line(tmp_path, doc, message):
     assert proc.stderr == f"zenosim: error: {message}\n"
 
 
+def test_prepared_norms_past_the_state_tolerance_end_at_load(tmp_path):
+    # each vector is within 1e-12 of unit norm^2, but together they make a
+    # state of norm^2 1 + 1.8e-12, which the engine would reject mid-run
+    slack = [[1.0000000000004499, 0.0]]
+    path = tmp_path / "slack.json"
+    path.write_text(json.dumps({
+        "version": "1",
+        "subsystems": [{"name": "p", "kind": "photon"}, {"name": "q", "kind": "photon"}],
+        "instructions": [{"op": "prepare", "target": "p", "state": slack},
+                         {"op": "prepare", "target": "q", "state": slack}]}))
+    for argv in (["simulate", "--ideal"], ["simulate", "--branches", "sample"],
+                 ["oracle-check", "--cycles", "3"]):
+        code, out, err = run_main(argv[0], str(path), *argv[1:])
+        assert (code, out) == (1, "")
+        assert err.startswith("zenosim: error: instructions[1]: preparing 'q' makes a "
+                              "state of norm^2 1.00000000000179")
+        assert err.count("\n") == 1
+
+
 def test_cx_on_qudit_outcome_rejected_before_oracle_check(tmp_path):
     path = tmp_path / "qudit_cx.json"
     path.write_text(json.dumps({

@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from zenosim import gates
 from zenosim.circuits import CENSUS_CLASSES, Instruction
 from zenosim.gates import (
     CHARGED,
@@ -85,6 +86,38 @@ def test_fourier_has_the_bytes_of_the_meshgrid_formula(d):
     j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     want = np.exp(2j * np.pi * j * k / d) / np.sqrt(d)
     assert _fourier(d).tobytes() == want.tobytes()
+
+
+def _literal(dim, levels, block):
+    # the identity with `block` written on `levels`, as the gates were built
+    m = np.eye(dim, dtype=np.complex128)
+    m[np.ix_(levels, levels)] = block
+    return m
+
+
+_LOGICAL, _POSITIONS = (PH_ZERO, PH_ONE_H), (BLOCKED, OPEN)
+_H2 = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
+_X2 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+_Z2 = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+_OPERATORS = {
+    "photon_h": (gates._PHOTON_H, _literal(4, _LOGICAL, _H2)),
+    "photon_x": (gates._PHOTON_X, _literal(4, _LOGICAL, _X2)),
+    "photon_z": (gates._PHOTON_Z, _literal(4, _LOGICAL, _Z2)),
+    "particle_h": (gates._PARTICLE_H, _literal(3, _POSITIONS, _H2)),
+    "particle_x": (gates._PARTICLE_X, _literal(3, _POSITIONS, _X2)),
+    "particle_z": (gates._PARTICLE_Z, _literal(3, _POSITIONS, _Z2)),
+    **{f"phase-{coeff:.3g}-{value}": (
+        gates._phase(coeff, value),
+        _literal(4, [PH_ONE_H], [[np.exp(1j * coeff * value)]]))
+       for coeff, value in [(0.7, 0), (0.7, 3), (-2.0 * np.pi / 3, 2), (np.pi, 1)]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OPERATORS))
+def test_operators_have_the_bytes_of_their_literal_form(name):
+    got, want = _OPERATORS[name]
+    assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
 
 
 def test_particle_gates_leave_exploded_level_alone():

@@ -254,7 +254,7 @@ _circuit_docs = st.fixed_dictionaries({
 @st.composite
 def _mutated_demo_docs(draw):
     """A shipped demo's circuit file with up to three values replaced by
-    arbitrary JSON or deleted."""
+    arbitrary JSON or deleted, or fields added next to them."""
     doc = cli.program_to_doc(DEMOS[draw(st.sampled_from(sorted(DEMOS)))]())
     for _ in range(draw(st.integers(1, 3))):
         node = doc
@@ -265,7 +265,10 @@ def _mutated_demo_docs(draw):
             if isinstance(child, (dict, list)) and child and draw(st.booleans()):
                 node = child
             elif isinstance(node, dict) and draw(st.booleans()):
-                del node[key]
+                if draw(st.booleans()):
+                    del node[key]
+                else:
+                    node[draw(st.sampled_from(["dim", "extra"] + _ARG_NAMES))] = draw(_json)
                 break
             else:
                 node[key] = draw(_json)
@@ -277,7 +280,17 @@ def _cli(argv) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _key_paths(node, prefix=()) -> set:
+    """Every path of keys and list indices into a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    paths = {prefix}
+    for key, child in items:
+        paths |= _key_paths(child, prefix + (key,))
+    return paths
 
 
 @settings(max_examples=150, deadline=None)
@@ -289,8 +302,21 @@ def test_cli_survives_any_document(doc, flags):
         path = os.path.join(tmp, "circuit.json")
         with open(path, "w") as fh:
             json.dump(doc, fh)
+        try:
+            program = cli.load_program(path)
+        except ValueError:
+            program = None
+        else:
+            # a file that loads was read whole: writing it back keeps every
+            # key path it had
+            assert _key_paths(doc) <= _key_paths(cli.program_to_doc(program))
         for argv in (["simulate", path], ["simulate", path, "--branches", "sample"],
                      ["oracle-check", path]):
-            code, err = _cli(argv + flags)
+            code, out, err = _cli(argv + flags)
             assert code in (0, 1, 2)
             assert "Traceback" not in err
+            if code == 1:
+                assert out == ""
+                assert err.startswith("zenosim: error:") and err.count("\n") == 1
+                # a file that loads never fails to run
+                assert program is None or argv[0] != "simulate", err

@@ -95,8 +95,9 @@ def test_programs_cover_uneven_and_failure_leaves():
     assert any(leaf.failed for leaf in run_all_branches(_uneven_failure(), IDEAL))
 
 
-@pytest.mark.parametrize("name", sorted(PROGRAMS))
-def test_sampled_leaves_follow_branch_weights(name):
+def assert_sampled_leaves_follow_branch_weights(name: str) -> None:
+    """`RUNS` seeded runs of `PROGRAMS[name]`, counted per leaf against the
+    binomial bound; also a killer in `tests/test_mutants.py`."""
     program = PROGRAMS[name]()
     rng = np.random.default_rng(sum(map(ord, name)))
     counts = Counter()
@@ -104,6 +105,11 @@ def test_sampled_leaves_follow_branch_weights(name):
         result = run(program, IDEAL, rng)
         counts[_key(result.classical, result.failed)] += 1
     _assert_born(counts, program, RUNS)
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_sampled_leaves_follow_branch_weights(name):
+    assert_sampled_leaves_follow_branch_weights(name)
 
 
 def test_cli_samples_follow_branch_weights(tmp_path):
