@@ -479,8 +479,7 @@ _ENTRY_BYTES = 512
 @dataclass(eq=False)
 class _Segment:
     """One deterministic stretch of a walk for a batch of branches: from the
-    program start or one measurement up to the next measurement, the end,
-    or an error.
+    program start or one measurement up to the next measurement or the end.
 
     `weight` and `classical` list per branch the product of the branch
     weights that lead here and the classical record there.  A walk that
@@ -493,24 +492,16 @@ class _Segment:
     `branch_all` list; in a sampled walk, whose segments hold one branch,
     `children` maps the index of each outcome taken so far to the segment
     that follows it, and `table` holds the measurement's draw table
-    (`_sampled`).  An exception an action raised is kept in `error` and
-    raised when a walk reaches it."""
+    (`_sampled`)."""
 
     weight: list
     classical: list = field(default_factory=list)
     charged: list = field(default_factory=list)
     leaves: list = field(default_factory=list)  # RunResult per branch
-    error: tuple | None = None  # (exception, traceback)
     measured: int | None = None
     branches: list = field(default_factory=list)
     children: dict = field(default_factory=dict)
     table: tuple | None = None
-
-    def reached(self) -> list[RunResult]:
-        """`leaves`; raises the error an action raised here."""
-        if self.error:
-            raise self.error[0].with_traceback(self.error[1])
-        return self.leaves
 
     def nbytes(self) -> int:
         """What keeping this segment costs, as `_TREE_BYTES` counts it."""
@@ -543,32 +534,28 @@ def _segment(program: CircuitProgram, params: QiParams, classical: list,
     """The one instruction loop: run the actions from instruction `pos` up
     to the next measurement or the end on `state`, one branch or a batch,
     writing into the per-branch records `classical`.  A branch that ends
-    the program succeeds with its weight times its final norm^2."""
+    the program succeeds with its weight times its final norm^2.  An
+    action's exception propagates and, as with `functools.cache`, nothing
+    keeps it, so every walk that reaches this stretch raises it."""
     seg = _Segment(weight, classical=classical)
     ctx = _Context(program, params, classical)
-    try:
-        for i in range(pos, len(program.instructions)):
-            instr = program.instructions[i]
-            if instr.charge:
-                seg.charged.append((instr.charge, state.layout, list(classical)))
-            action = OPS[instr.op].action
-            if action is None:
-                found = branch_all(state, instr.args["target"], instr.args["basis"])
-                seg.branches = found if state.batch is not None else [found]
-                seg.measured = i
-                if not any(seg.branches):  # only a one-branch run reads this end
-                    seg.leaves = [_failed(_zeroed(state.layout), classical[0], weight[0])]
-                break
-            state = action(state, instr.args, ctx)
-        else:
-            views = map(state.branch, range(state.batch)) if state.batch else [state]
-            seg.leaves = [RunResult(view, dict(record), w * norm_sq(view), False, w)
-                          for view, record, w in zip(views, classical, weight)]
-    except Exception as exc:
-        # the validator runs each op's argument rule, so only an action that
-        # breaks on its own (a rebound gate, say) fails here; a run raises
-        # the error only once its draws get here
-        seg.error = (exc, exc.__traceback__)
+    for i in range(pos, len(program.instructions)):
+        instr = program.instructions[i]
+        if instr.charge:
+            seg.charged.append((instr.charge, state.layout, list(classical)))
+        action = OPS[instr.op].action
+        if action is None:
+            found = branch_all(state, instr.args["target"], instr.args["basis"])
+            seg.branches = found if state.batch is not None else [found]
+            seg.measured = i
+            if not any(seg.branches):  # only a one-branch run reads this end
+                seg.leaves = [_failed(_zeroed(state.layout), classical[0], weight[0])]
+            break
+        state = action(state, instr.args, ctx)
+    else:
+        views = map(state.branch, range(state.batch)) if state.batch else [state]
+        seg.leaves = [RunResult(view, dict(record), w * norm_sq(view), False, w)
+                      for view, record, w in zip(views, classical, weight)]
     return seg
 
 
@@ -615,8 +602,9 @@ def run(program: CircuitProgram, params: QiParams | None = None,
     end its result, so a later run along a kept path is its draws (one
     uniform per charged instruction and per measurement, and one `bisect`
     in the table) plus one copy of the end's state and record.
-    Two runs at once may both build a segment; either copy gives the same
-    results."""
+    A run whose path reaches a stretch where an action raises raises it,
+    whatever its draws.  Two runs at once may both build a segment; either
+    copy gives the same results."""
     params = params or QiParams()
     rng = rng or np.random.default_rng(0)
     tree = program._outcome_tree
@@ -631,7 +619,7 @@ def run(program: CircuitProgram, params: QiParams | None = None,
                 if rng.random() >= getattr(profile, charge):
                     return _failed(_zeroed(layout), classical[0], seg.weight[0])
         if seg.table is None:  # the walk ends here; the tree keeps its leaf
-            leaf = seg.reached()[0]
+            leaf = seg.leaves[0]
             return RunResult(leaf.final_state.copy(), dict(leaf.classical),
                              leaf.success_probability, leaf.failed, leaf.branch_weight)
         index = sample_branch(seg.table, rng)
@@ -674,7 +662,7 @@ def run_all_branches(program: CircuitProgram,
     seg, paths = _root(program, params), [()]
     while True:
         if seg.measured is None:
-            leaves += zip(paths, seg.reached())
+            leaves += zip(paths, seg.leaves)
         else:
             kept = []  # (path, record, weight, state) per kept non-failure outcome
             for path, entries in zip(paths, _outcomes(program, seg)):

@@ -322,32 +322,27 @@ def brute_force_run(program: CircuitProgram,
 
 def compare(program: CircuitProgram, params: QiParams | None = None) -> float:
     """Largest elementwise deviation between the engine's branches and the
-    brute-force branches, after aligning classical records and a global
-    phase per branch.  Raises if the branch structures differ."""
+    brute-force branches, up to a global phase per branch.  Both runners
+    list their branches in depth-first outcome order, so they pair by
+    position; raises, naming the branch index, if a pair differs in
+    classical record, failure flag or layout, or one runner has more
+    branches."""
     params = params or QiParams()
     sim = run_all_branches(program, params)
-    tree = brute_force_run(program, params)
-    remaining: dict = {}
-    for leaf in tree.leaves:
-        key = (tuple(sorted(leaf.assignments.items())), leaf.failed)
-        if key in remaining:
-            raise ValueError(f"ambiguous branch key {key!r}")
-        remaining[key] = leaf
+    leaves = brute_force_run(program, params).leaves
     worst = 0.0
-    for res in sim:
-        key = (tuple(sorted(res.classical.items())), res.failed)
-        leaf = remaining.pop(key, None)
-        if leaf is None:
-            raise ValueError(f"branch {key!r} missing from brute-force run")
-        names = tuple(s.name for s in res.final_state.layout)
-        if names != leaf.layout:
-            raise ValueError(
-                f"branch {key!r}: layout {names!r} != {leaf.layout!r}")
+    for i, (res, leaf) in enumerate(zip(sim, leaves)):
+        got = (res.classical, res.failed, tuple(s.name for s in res.final_state.layout))
+        want = (leaf.assignments, leaf.failed, leaf.layout)
+        if got != want:
+            raise ValueError(f"branch {i}: engine (record, failed, layout) {got!r} "
+                             f"!= brute force {want!r}")
         a = res.final_state.amps * np.sqrt(res.branch_weight)
         b = leaf.vector
         ip = complex(np.vdot(b.reshape(-1), a.reshape(-1)))
         phase = ip / abs(ip) if abs(ip) > 1e-30 else 1.0
         worst = max(worst, float(np.abs(a - phase * b).max()) if a.size else 0.0)
-    if remaining:
-        raise ValueError(f"brute-force branches left unmatched: {sorted(remaining)}")
+    if len(sim) != len(leaves):
+        raise ValueError(f"branch {min(len(sim), len(leaves))}: the engine has "
+                         f"{len(sim)} branches, the brute-force run {len(leaves)}")
     return worst

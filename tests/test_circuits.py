@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from zenosim import circuits, gates
+from zenosim import circuits, gates, oracle
 from zenosim.circuits import (
     CNOT_FAMILIES,
     DEMOS,
@@ -27,7 +27,7 @@ from zenosim.circuits import (
     w_state_generator,
 )
 from zenosim.gates import ImperfectionProfile
-from zenosim.interrogation import QiParams, effective_map, qicz_multi
+from zenosim.interrogation import PI_OVER_2N, QiParams, effective_map, qicz_multi
 from zenosim.state import (
     PH_ONE_H,
     PARTICLE_COMPUTATIONAL,
@@ -669,13 +669,16 @@ def test_run_time_error_is_raised_where_the_walk_reaches_it(monkeypatch):
         _ins("prepare", target="q", level=0),
         _ins("photon_x", target="q"),
     ))
-    for _ in range(2):  # the second run walks the kept tree
+    for _ in range(2):  # nothing is kept, so the second run walks afresh
         with pytest.raises(ValueError, match="broken gate"):
             run(program, IDEAL)
-        # a failed draw before the broken gate ends the run first
-        assert run(program, IDEAL, profile=ImperfectionProfile(p=0.0)).failed
+        # a failed draw in the broken stretch does not end the run first
+        with pytest.raises(ValueError, match="broken gate"):
+            run(program, IDEAL, profile=ImperfectionProfile(p=0.0))
+        assert program._outcome_tree is None
     with pytest.raises(ValueError, match="broken gate"):
         run_all_branches(program, IDEAL)
+    assert program._outcome_tree is None
 
 
 def test_run_all_branches_keeps_no_tree():
@@ -706,11 +709,36 @@ def test_run_time_error_of_any_type_is_raised_where_the_walk_reaches_it(monkeypa
         _ins("photon_h", target="p"),
         _ins("photon_x", target="p"),
     ))
-    for _ in range(2):  # the second run walks the kept tree
-        # a failed draw before the broken gate ends the run first
-        assert run(program, IDEAL, profile=ImperfectionProfile(p=0.0)).failed
-        with pytest.raises(RuntimeError, match="broken gate"):
-            run(program, IDEAL)
+    for _ in range(2):
+        for profile in (ImperfectionProfile(p=0.0), None):
+            with pytest.raises(RuntimeError, match="broken gate"):
+                run(program, IDEAL, profile=profile)
+        assert program._outcome_tree is None
+    with pytest.raises(RuntimeError, match="broken gate"):
+        run_all_branches(program, IDEAL)
+    assert program._outcome_tree is None
+
+
+def test_a_broken_stretch_after_a_measurement_is_never_kept(monkeypatch):
+    # the root stretch runs and is kept; each outcome of the measurement
+    # leads to the rebound gate, so every run raises there and the tree
+    # keeps no child
+    _break_photon_x(monkeypatch, ValueError)
+    program = CircuitProgram((photon("p"), photon("q")), ("m",), (
+        _ins("prepare", target="p", level=0),
+        _ins("photon_h", target="p"),
+        _ins("measure", target="p", basis=PHOTON_COMPUTATIONAL, bit="m"),
+        _ins("prepare", target="q", level=0),
+        _ins("photon_x", target="q"),
+    ))
+    rng = np.random.default_rng(2)
+    for profile in (None, LOSSY, None, LOSSY):
+        with pytest.raises(ValueError, match="broken gate"):
+            run(program, IDEAL, rng, profile)
+        tree = program._outcome_tree
+        assert tree.root.children == {} and tree.nbytes == tree.root.nbytes()
+    with pytest.raises(ValueError, match="broken gate"):
+        run_all_branches(program, IDEAL)
 
 
 def _coin_flips(n):
@@ -751,24 +779,43 @@ def test_outcome_tree_stays_within_its_budget(monkeypatch, profile):
     assert all((not seg.leaves) == (seg.measured is not None) for seg in segments)
 
 
-def test_copies_and_pickles_leave_the_tree_behind(monkeypatch):
-    _break_photon_x(monkeypatch, ValueError)
-    program = CircuitProgram((photon("p"), photon("q")), (), (
-        _ins("prepare", target="p", level=0),
-        _ins("prepare", target="q", level=0),
-        _ins("photon_x", target="q"),
-    ))
-    with pytest.raises(ValueError, match="broken gate"):
-        run(program, IDEAL)
+def test_copies_and_pickles_leave_the_tree_behind():
     bell = bell_generator()
     expected = _record(run(bell, IDEAL, np.random.default_rng(4)))
-    for kept in (program, bell):
-        assert kept._outcome_tree is not None
-        for other in (copy.copy(kept), copy.deepcopy(kept),
-                      pickle.loads(pickle.dumps(kept))):
-            assert other == kept
-            assert other._outcome_tree is None
+    assert bell._outcome_tree is not None
+    for other in (copy.copy(bell), copy.deepcopy(bell), pickle.loads(pickle.dumps(bell))):
+        assert other == bell
+        assert other._outcome_tree is None
     assert _record(run(copy.deepcopy(bell), IDEAL, np.random.default_rng(4))) == expected
+
+
+def test_a_measurement_that_finds_no_weight_ends_the_run_failed():
+    # a photon on |1H> meets a particle on its blocking position: one cycle
+    # of the pi/2N rule turns it wholly to |1V>, which the absorber takes, so
+    # the measurement after the interrogation finds no weight at all
+    program = CircuitProgram((photon("p"), particle("b")), ("m",), (
+        _ins("prepare", target="p", level=1),
+        _ins("prepare", target="b", level=0),
+        _ins("qicz", photon="p", particle="b"),
+        _ins("measure", target="p", basis=PHOTON_COMPUTATIONAL, bit="m"),
+    ))
+    absorbed = QiParams(cycles=1, theta_rule=PI_OVER_2N, absorb_prob=1.0)
+    for profile, draws in ((None, 0), (ImperfectionProfile(), 2)):
+        for _ in range(2):  # a fresh tree, then the kept one
+            rng, expected = np.random.default_rng(5), np.random.default_rng(5)
+            result = run(program, absorbed, rng, profile)
+            assert result.failed and result.success_probability == 0.0
+            assert result.branch_weight == 1.0 and result.classical == {}
+            assert result.final_state.layout == (photon("p"), particle("b"))
+            assert not result.final_state.amps.any()
+            # one uniform per charged instruction (the qicz and the photon
+            # detection) and none for the outcome
+            for _ in range(draws):
+                expected.random()
+            assert rng.bit_generator.state == expected.bit_generator.state
+    assert run_all_branches(program, absorbed) == []
+    assert oracle.brute_force_run(program, absorbed).leaves == []
+    assert oracle.compare(program, absorbed) == 0.0
 
 
 def test_engine_bounds_the_state_a_program_may_allocate():

@@ -630,6 +630,60 @@ def test_prepare_into_zero_weight_has_no_branches(tmp_path, flags):
     assert proc.stdout.splitlines()[1].startswith("PASS")
 
 
+def test_measurement_that_finds_no_weight_in_process(tmp_path):
+    # in this process, so a line trace sees the sampled run's failed end:
+    # one pi/2N cycle turns p's |1H> wholly to |1V>, which the blocked b
+    # absorbs, and the measurement of p finds nothing
+    path = tmp_path / "absorbed.json"
+    path.write_text(json.dumps({
+        "version": "1",
+        "subsystems": [{"name": "p", "kind": "photon"}, {"name": "b", "kind": "particle"}],
+        "bits": ["m"],
+        "instructions": [
+            {"op": "prepare", "target": "p", "level": 1},
+            {"op": "prepare", "target": "b", "level": 0},
+            {"op": "qicz", "photon": "p", "particle": "b"},
+            {"op": "measure", "target": "p", "basis": "photon_computational", "bit": "m"},
+        ]}))
+    flags = [str(path), "--cycles", "1", "--theta", "pi-over-2n", "--absorb", "1"]
+    code, out, err = run_main("simulate", *flags)
+    assert (code, err) == (2, "")
+    assert '"branches":[]' in out
+    code, out, err = run_main("simulate", *flags, "--branches", "sample")
+    assert (code, err) == (2, "")
+    (branch,) = json.loads(out)["branches"]
+    assert branch["failed"] is True and branch["classical"] == {}
+    assert not any(x for pair in branch["state"]["amplitudes"] for x in pair)
+    code, out, err = run_main("oracle-check", *flags)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith("PASS")
+
+
+@pytest.mark.parametrize("flags", [["--ideal"], ["--cycles", "333", "--absorb", "0.9"]])
+def test_oracle_check_passes_a_bit_written_twice(tmp_path, flags):
+    # two coin flips into one bit: four branches, two records
+    doc = {"version": "1",
+           "subsystems": [{"name": "p", "kind": "photon"}, {"name": "q", "kind": "photon"}],
+           "bits": ["m"],
+           "instructions": [
+               {"op": "prepare", "target": "p", "level": 0},
+               {"op": "photon_h", "target": "p"},
+               {"op": "prepare", "target": "q", "level": 0},
+               {"op": "photon_h", "target": "q"},
+               {"op": "measure", "target": "p", "basis": "photon_computational", "bit": "m"},
+               {"op": "measure", "target": "q", "basis": "photon_computational", "bit": "m"},
+           ]}
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_main("simulate", str(path), *flags, "--out", "csv")
+    assert (code, err) == (0, "")
+    assert [row.split(",")[4] for row in out.splitlines()[1:]] == ["m=0", "m=1"] * 2
+    code, out, err = run_main("oracle-check", str(path), *flags)
+    assert (code, err) == (0, "")
+    assert float(out.splitlines()[0].removeprefix("deviation=")) <= 1e-10
+    assert out.splitlines()[1].startswith("PASS")
+
+
 def test_emitters_never_print_negative_zero():
     assert _emit_json({"a": -0.0, "b": [np.float64(-0.0), 0.0, -1.5]}) == \
         '{"a":0,"b":[0,0,-1.5]}'

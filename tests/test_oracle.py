@@ -116,9 +116,10 @@ def test_compare_with_losses_and_weak_absorber():
     assert deviation < 1e-10
 
 
-def test_ambiguous_branch_key_rejected():
-    # both measurements write the same bit, so distinct outcome paths
-    # collapse onto identical assignment records
+def test_a_bit_written_twice_pairs_by_position():
+    # both measurements write the same bit, so distinct outcome paths end in
+    # identical classical records; the runners pair their branches by
+    # position, not by record
     program = CircuitProgram(
         subsystems=(particle("a"), particle("b")),
         bits=("m",),
@@ -133,7 +134,25 @@ def test_ambiguous_branch_key_rejected():
                                     "basis": "particle_computational", "bit": "m"}),
         ),
     )
-    with pytest.raises(ValueError):
+    for params in (IDEAL, QiParams(cycles=333, absorb_prob=0.9)):
+        assert [leaf.assignments for leaf in brute_force_run(program, params).leaves] == [
+            {"m": 0}, {"m": 1}, {"m": 0}, {"m": 1}]
+        assert compare(program, params) <= 1e-10
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda leaves: leaves[::-1], r"^branch 0: engine \(record, failed, layout\)"),
+    (lambda leaves: leaves[:-1], r"^branch 3: the engine has 3 branches, the brute-force run 4$"),
+    (lambda leaves: leaves + leaves[:1], r"^branch 4: the engine has 5 branches"),
+], ids=["order", "fewer", "more"])
+def test_compare_names_the_branch_that_does_not_pair(monkeypatch, edit, message):
+    # the coin flips of the teleportation memory end in four leaves with
+    # distinct records
+    walk = oracle.run_all_branches
+    monkeypatch.setattr(oracle, "run_all_branches", lambda *args: edit(walk(*args)))
+    program = DEMOS["memory"]()
+    assert len(brute_force_run(program, IDEAL).leaves) == 4
+    with pytest.raises(ValueError, match=message):
         compare(program, IDEAL)
 
 
