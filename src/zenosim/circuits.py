@@ -46,6 +46,7 @@ from .state import (
     PARTICLE_COMPUTATIONAL,
     PARTICLE_PM,
     PHOTON_COMPUTATIONAL,
+    PHOTON_DIM,
     QUDIT_POSITION,
     StateVector,
     SubsystemSpec,
@@ -375,7 +376,19 @@ def validate_program(program: CircuitProgram) -> None:
     hold nothing but 0 and 1, each row's `check_args` (qicz_multi wiring,
     prepared vectors, finite cphase phases), states within `MAX_AMPLITUDES`
     whose prepared vectors keep their norm^2 within 1 + `ATOL`, and bit
-    names free of `BIT_NAME_BANS`."""
+    names free of `BIT_NAME_BANS`.  Before any name is hashed, each
+    subsystem must be what `photon` or `particle` builds, under a non-empty
+    string name, and each bit name a string."""
+    for i, s in enumerate(program.subsystems):
+        if not isinstance(s.name, str) or not s.name:
+            raise ValueError(f"subsystems[{i}]: name must be a non-empty string, got {s.name!r}")
+        if s.kind not in ("photon", "particle"):
+            raise ValueError(f"subsystems[{i}]: unknown kind {s.kind!r}")
+        if not _is_int(s.dim) or (s.dim != PHOTON_DIM if _is_photon(s) else s.dim < 3):
+            need = (PHOTON_DIM if _is_photon(s)
+                    else "3 or more (2 positions and the exploded level)")
+            raise ValueError(f"subsystems[{i}]: {s.kind} {s.name!r} has a level count of "
+                             f"{s.dim!r}; a {s.kind} has {need}")
     specs = {s.name: s for s in program.subsystems}
     if len(specs) != len(program.subsystems):
         raise ValueError("duplicate subsystem name")
@@ -383,6 +396,9 @@ def validate_program(program: CircuitProgram) -> None:
         if s.dim > MAX_SUBSYSTEM_DIM:
             raise ValueError(f"subsystems[{i}]: {s.name!r} would have {s.dim} levels; "
                              f"the engine allows at most {MAX_SUBSYSTEM_DIM}")
+    for i, bit in enumerate(program.bits):
+        if not isinstance(bit, str):
+            raise ValueError(f"bits[{i}]: a bit name must be a string, got {bit!r}")
     bits = set(program.bits)
     if len(bits) != len(program.bits):
         raise ValueError("duplicate bit name")

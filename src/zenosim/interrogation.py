@@ -36,7 +36,7 @@ and the listed particles, with the identity on every other subsystem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -289,10 +289,9 @@ def effective_map(params: QiParams, n_particles: int,
     """The linear map of qicz/qicz_multi on the photon and its particles.
 
     Index convention: photon slowest, then particles in list order.  The
-    map comes from one qi_run on a Choi state (every basis input at once,
-    each entangled with a copy of itself), so one transfer-matrix power
-    (O(log N)) per blocked count serves all columns; results are memoized
-    on (params, positions, blocking).
+    map comes from one batched qi_run on every basis input at once, so one
+    transfer-matrix power (O(log N)) per blocked count serves all columns;
+    results are memoized on (params, positions, blocking).
     """
     if particle_positions is None:
         particle_positions = [2] * n_particles
@@ -306,25 +305,12 @@ def effective_map(params: QiParams, n_particles: int,
 @lru_cache(maxsize=64)
 def _effective_map_cached(params: QiParams, particle_positions: tuple,
                           blocking: tuple) -> np.ndarray:
-    """Choi-Jamiolkowski extraction (Choi, Linear Algebra Appl. 10, 285
-    (1975)): qi_run acts on the photon and particles of sum_c |c>|c>, and
-    leaves the copies alone as bystanders, so the output's amplitude at
-    (r, c) is the map's entry M[r, c].
-
-    The input is scaled by 2^-j, with 4^j >= total so that its norm^2
-    total / 4^j is at most 1, and the output by 2^j.  The run is
-    elementwise per column, and a power of two scales exactly, so every
-    entry has the bits of a one-column run on the basis input (only an
-    entry below 2^j times the smallest normal double, ~1e-306, could lose
-    low bits to subnormal rounding)."""
-    layout = [photon_spec("ph")] + [
-        particle_spec(f"b{i}", positions=d) for i, d in enumerate(particle_positions)
-    ]
-    copies = [replace(s, name=s.name + "_copy") for s in layout]
-    names = [s.name for s in layout[1:]]
-    dims = [s.dim for s in layout]
-    total = int(np.prod(dims))
-    j = ((total - 1).bit_length() + 1) // 2
-    choi = StateVector(tuple(layout + copies), np.eye(total) * 2.0 ** -j)
-    res = qi_run(choi, "ph", names, list(blocking), params)
-    return res.amps.reshape(total, total) * 2.0 ** j
+    """One batched qi_run on the basis inputs: branch c of the batch is
+    basis input c, and the run acts on each branch alone, so the result's
+    branch c is column c of the map, with the bits of a one-column run."""
+    layout = (photon_spec("ph"),) + tuple(
+        particle_spec(f"b{i}", positions=d) for i, d in enumerate(particle_positions))
+    total = int(np.prod([s.dim for s in layout]))
+    res = qi_run(StateVector(layout, np.eye(total), total), "ph",
+                 [s.name for s in layout[1:]], list(blocking), params)
+    return np.ascontiguousarray(res.amps.reshape(total, total).T)

@@ -7,8 +7,8 @@ which holds the only nonzero blocks of operator kron identity, the result
 is permuted back to the live subsystem order, and measurements contract
 with explicit projector rows.  The interrogation step uses either its
 exact diagonal limit or the linear map that the cycle engine gives in one
-run on a Choi state (every basis column at once), so agreement between
-the two runners checks everything downstream of that map.
+batched run (every basis column at once), so agreement between the two
+runners checks everything downstream of that map.
 
 One `brute_force_run` call keeps a plan table that dies with the call,
 keyed by instruction index and live layout, so a plan never serves a

@@ -34,6 +34,7 @@ from zenosim.state import (
     PARTICLE_PM,
     PHOTON_COMPUTATIONAL,
     QUDIT_POSITION,
+    SubsystemSpec,
     fidelity,
     new_state,
     norm_sq,
@@ -65,6 +66,36 @@ def test_duplicate_subsystem_name():
 def test_duplicate_bit_name():
     with pytest.raises(ValueError, match="duplicate bit"):
         CircuitProgram((photon("p"),), ("b", "b"), ())
+
+
+@pytest.mark.parametrize("spec, ops, message", [
+    (SubsystemSpec("w", "widget", 2), ["prepare"], "unknown kind 'widget'"),
+    (SubsystemSpec("b", "particle", 1), ["prepare", "particle_h"],
+     "particle 'b' has a level count of 1; a particle has 3 or more "
+     "(2 positions and the exploded level)"),
+    (SubsystemSpec("p", "photon", 3), ["prepare"],
+     "photon 'p' has a level count of 3; a photon has 4"),
+    (SubsystemSpec("p", "photon", 4.0), ["prepare"],
+     "photon 'p' has a level count of 4.0; a photon has 4"),
+], ids=["widget", "zero-position-particle", "three-level-photon", "float-level-count"])
+def test_subsystem_that_no_constructor_builds_is_rejected(spec, ops, message):
+    instructions = tuple(_ins(op, target=spec.name) for op in ops)
+    with pytest.raises(ValueError, match=f"^{re.escape('subsystems[0]: ' + message)}$"):
+        CircuitProgram((spec,), (), instructions)
+
+
+@pytest.mark.parametrize("name", [["p"], "", 3])
+def test_subsystem_name_that_is_not_a_nonempty_string_is_rejected(name):
+    with pytest.raises(ValueError, match=re.escape(
+            f"subsystems[1]: name must be a non-empty string, got {name!r}")):
+        CircuitProgram((photon("q"), SubsystemSpec(name, "photon", 4)), (), ())
+
+
+@pytest.mark.parametrize("bit", [3, None, ["m"]])
+def test_bit_name_that_is_not_a_string_is_rejected(bit):
+    with pytest.raises(ValueError, match=re.escape(
+            f"bits[1]: a bit name must be a string, got {bit!r}")):
+        CircuitProgram((photon("p"),), ("m", bit), ())
 
 
 def test_undeclared_subsystem():

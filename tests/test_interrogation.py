@@ -275,7 +275,7 @@ def test_cold_map_is_one_engine_run(monkeypatch):
     interrogation._effective_map_cached.cache_clear()
     params = QiParams(cycles=41, absorb_prob=0.7)
     effective_map(params, 2, [3, 2], [[0, 2], 1])
-    assert calls == [(4 * 4 * 3) ** 2]  # the Choi state: every column at once
+    assert calls == [(4 * 4 * 3) ** 2]  # one batched run: every column at once
     effective_map(params, 2, [3, 2], [[0, 2], 1])
     assert len(calls) == 1
 

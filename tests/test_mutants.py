@@ -22,10 +22,12 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from zenosim import circuits, cli, oracle, state
+from zenosim import circuits, cli, interrogation, oracle, state
 from zenosim.circuits import DEMOS
-from zenosim.interrogation import KEEP, QiParams
+from zenosim.interrogation import KEEP, QiParams, effective_map
 
+from test_interrogation import _MAP_LAYOUTS, _map_by_columns, _map_grid
+from test_reference_powers import assert_power_stacks_match_the_50_digit_reference
 from test_sampling import assert_sampled_leaves_follow_branch_weights
 from test_walk import _assert_same_walk
 
@@ -37,6 +39,19 @@ FAILURE_LEAVES = QiParams(cycles=333, absorb_prob=0.9, residual_v_policy=KEEP)
 
 def _born_frequencies() -> None:
     assert_sampled_leaves_follow_branch_weights("uneven-cascade")
+
+
+def _stacks_match_the_50_digit_reference() -> None:
+    # the oracle reads the engine's own map at finite depth, so cycle
+    # mutants are checked against the 50-digit reference instead
+    assert_power_stacks_match_the_50_digit_reference(10**4)
+
+
+def _map_is_its_column_runs() -> None:
+    positions, blocking = _MAP_LAYOUTS[3]
+    for params in _map_grid():
+        got = effective_map(params, len(positions), positions, blocking)
+        assert got.tobytes() == _map_by_columns(params, positions, blocking).tobytes()
 
 
 def _walk_with_failure_leaves() -> None:
@@ -107,6 +122,18 @@ MUTANTS = {
         circuits, "Instruction.__post_init__",
         'raise ValueError(f"{self.op} takes no argument {name!r}")', "pass",
         _unknown_argument_is_rejected),
+    "blocked-stacks-scaled": Mutant(
+        interrogation, "_cycle_powers", "return power", "power[1:] *= 0.99; return power",
+        _stacks_match_the_50_digit_reference),
+    "multiply-blocked-stacks-scaled": Mutant(
+        interrogation, "_cycle_powers", "return power", "power[2:] *= 0.99; return power",
+        _stacks_match_the_50_digit_reference),
+    "blocked-count-exponent-dropped": Mutant(
+        interrogation, "_cycle_powers", "** np.arange(kmax + 1)",
+        "** np.minimum(np.arange(kmax + 1), 1)", _stacks_match_the_50_digit_reference),
+    "map-read-without-transpose": Mutant(
+        interrogation, "_effective_map_cached", "res.amps.reshape(total, total).T",
+        "res.amps.reshape(total, total)", _map_is_its_column_runs),
     "nested-file-uncaught": Mutant(
         cli, "load_program", "except RecursionError:", "except MemoryError:",
         _deeply_nested_file_is_one_error_line),
@@ -121,7 +148,7 @@ def _mutated(row: Mutant):
     source = textwrap.dedent(inspect.getsource(original))
     assert source.count(row.snippet) == 1, f"{row.snippet!r} not once in {row.function}"
     code = compile(source.replace(row.snippet, row.replacement),
-                   inspect.getsourcefile(original), "exec",
+                   inspect.getsourcefile(inspect.unwrap(original)), "exec",
                    flags=__future__.annotations.compiler_flag, dont_inherit=True)
     namespace = dict(vars(row.module))
     exec(code, namespace)

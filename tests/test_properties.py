@@ -50,13 +50,13 @@ def _amplitudes(draw, size: int, logical: int):
 
 
 @st.composite
-def valid_programs(draw, rewrites: bool = True):
+def valid_programs(draw):
     """Photons and 2-4-position particles, prepared in basis, superposed
     (possibly with weight on failure levels), +/- or uniform states; every gate; qicz and qicz_multi with blocking
     sets; measurements in every basis; cx/cz on 0/1 bits, cphase on any
-    bit, and xor.  A measurement or an xor writes a fresh bit or, with
-    `rewrites`, sometimes one already written, so distinct outcome paths
-    may end in the same classical record."""
+    bit, and xor.  A measurement or an xor writes a fresh bit or
+    sometimes one already written, so distinct outcome paths may end in
+    the same classical record."""
     specs = [photon(f"p{i}") for i in range(draw(st.integers(1, 3)))]
     specs += [particle(f"b{i}", positions=d)
               for i, d in enumerate(draw(st.lists(st.integers(2, 4), max_size=3)))]
@@ -69,7 +69,7 @@ def valid_programs(draw, rewrites: bool = True):
         return math.prod(dims[s.name] for s in live)
 
     def new_bit(values):
-        if rewrites and arity and draw(st.integers(0, 2)):
+        if arity and draw(st.integers(0, 2)):
             name = draw(st.sampled_from(sorted(arity)))
         else:
             name = f"m{len(arity)}"
@@ -185,21 +185,22 @@ def _record(result) -> tuple:
             result.final_state.layout, result.final_state.amps.tobytes())
 
 
-# a sampled run finds its leaf by classical record, so each bit is written once
+# a program that writes one bit twice may end several leaves in one record,
+# so a sampled run must equal one of the leaves that share its key
 @settings(max_examples=150, deadline=None)
-@given(program=valid_programs(rewrites=False), seed=st.integers(0, 2 ** 32 - 1))
+@given(program=valid_programs(), seed=st.integers(0, 2 ** 32 - 1))
 def test_sampled_runs_are_enumerated_branches(program, seed):
     rng = np.random.default_rng(seed)
     for params in (IDEAL, FINITE):
-        branches = run_all_branches(program, params)
-        by_key = {_key(b): b for b in branches}
-        assert len(by_key) == len(branches)
+        by_key = {}
+        for b in run_all_branches(program, params):
+            by_key.setdefault(_key(b), []).append(b)
         for _ in range(4):
             sampled = run(program, params, rng)
-            leaf = by_key[_key(sampled)]
-            assert sampled.branch_weight == leaf.branch_weight
-            assert sampled.final_state.layout == leaf.final_state.layout
-            assert np.array_equal(sampled.final_state.amps, leaf.final_state.amps)
+            assert any(sampled.branch_weight == leaf.branch_weight
+                       and sampled.final_state.layout == leaf.final_state.layout
+                       and np.array_equal(sampled.final_state.amps, leaf.final_state.amps)
+                       for leaf in by_key[_key(sampled)])
     # one program object across switching params and a profile, against a
     # newly built program for every run
     schedule = [IDEAL, IDEAL, FINITE, FINITE, IDEAL, FINITE]

@@ -47,8 +47,8 @@ def _bound(n: int, k: int, lam: float) -> float:
     return blocked if k else open_lossy if lam else open_clean
 
 
-@pytest.mark.parametrize("n", sorted(BOUNDS))
-def test_power_stacks_match_the_50_digit_reference(n):
+def assert_power_stacks_match_the_50_digit_reference(n: int) -> None:
+    """Every stack of the grid at depth `n` within that depth's bounds."""
     for rule, eps, lam in product((PI_OVER_N, PI_OVER_2N), EPS, LOSS):
         params = QiParams(cycles=n, theta_rule=rule, absorb_prob=eps, cycle_loss=lam)
         got = _power_stack(params, KMAX)
@@ -57,6 +57,11 @@ def test_power_stacks_match_the_50_digit_reference(n):
             worst = max(abs(exact_decimal(got[k, i, j]) - want[k][i][j])
                         for i in range(2) for j in range(2))
             assert worst <= _bound(n, k, lam), (rule, eps, lam, k, float(worst))
+
+
+@pytest.mark.parametrize("n", sorted(BOUNDS))
+def test_power_stacks_match_the_50_digit_reference(n):
+    assert_power_stacks_match_the_50_digit_reference(n)
 
 
 # three 3-position particles with their blocking sets: k runs 0..3
