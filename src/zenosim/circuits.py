@@ -617,7 +617,8 @@ def run(program: CircuitProgram, params: QiParams | None = None,
     `_TREE_BYTES`.  Each kept measurement holds its draw table and each kept
     end its result, so a later run along a kept path is its draws (one
     uniform per charged instruction and per measurement, and one `bisect`
-    in the table) plus one copy of the end's state and record.
+    in the table) plus one copy of the end's amplitudes and record, which
+    builds no state: `StateVector.copy` does not check the norm again.
     A run whose path reaches a stretch where an action raises raises it,
     whatever its draws.  Two runs at once may both build a segment; either
     copy gives the same results."""

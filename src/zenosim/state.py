@@ -118,7 +118,14 @@ class StateVector:
         return self.layout[self.axis(name)]
 
     def copy(self) -> "StateVector":
-        return StateVector(self.layout, self.amps.copy(), self.batch)
+        """The same state over its own copy of the amplitudes.  It copies as
+        `copy.copy`, `copy.deepcopy` and `pickle` do, without running
+        `__post_init__` again: the bits were checked when this state was
+        built, and a copy of them holds the same norm.  Amplitudes that an
+        operation computes still go through the constructor."""
+        dup = object.__new__(StateVector)
+        dup.layout, dup.amps, dup.batch = self.layout, self.amps.copy(), self.batch
+        return dup
 
     def branch(self, b: int) -> "StateVector":
         """Branch `b` of a batched state, as a state of its own (a view)."""

@@ -5,9 +5,15 @@ from math import prod
 
 import numpy as np
 
-from zenosim.interrogation import QiParams, effective_map
+from zenosim.interrogation import KEEP, QiParams, effective_map
 from zenosim.oracle import DIMENSION_CAP, BranchTree, OracleLeaf
 from zenosim.state import PARTICLE_PM, PHOTON_COMPUTATIONAL, StateVector
+
+
+# the memory CNOT at N = 333 with absorb 0.9 under the keep policy: its
+# photons still hold |1V> when measured, so the walk ends in failure leaves
+# as well as kept leaves whose weights are below 1
+FAILURE_LEAVES = QiParams(cycles=333, absorb_prob=0.9, residual_v_policy=KEEP)
 
 
 def reorder(state: StateVector, names: list[str]) -> StateVector:

@@ -1,0 +1,88 @@
+"""The paired-run summary in tools/bench_pairs.py, on canned result lines of
+`bench/run.py`; no benchmark runs here."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+END_TO_END = [
+    {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.15},
+]
+
+
+def _line(correct=True, failed=0, **values) -> str:
+    """A last stdout line as `bench/run.py` prints it, after the lines
+    before it."""
+    result = {"correct": correct, "attempted": 120, "failed": failed,
+              "metrics": {k: {"value": v, "unit": "u"} for k, v in values.items()}}
+    return "record seed=0\nmetric op_p50_ms = 1 ms (samples=120)\n" + json.dumps(result)
+
+
+def _pairs():
+    parent, change = [], []
+    for i in range(10):
+        p50 = 3.0 + 0.01 * i  # median 3.045, quartiles 3.0225 and 3.0675
+        parent.append(_line(op_p50_ms=p50, ops_per_s=60.0, setup_s=0.13,
+                            peak_rss_mb=42.0 + 0.1 * i))
+        change.append(_line(op_p50_ms=p50 - 0.1,  # wins 10, gap 0.1 over an IQR of 0.045
+                            ops_per_s=60.0,  # ties: wins 0
+                            setup_s=0.10 if i < 8 else 0.2,  # wins 8 of 10
+                            peak_rss_mb=42.0 + 0.1 * i - 0.01))  # wins 10, gap inside the IQR
+    return ([bench_pairs.result_of(out) for out in parent],
+            [bench_pairs.result_of(out) for out in change])
+
+
+def test_summary_gives_medians_quartiles_wins_and_the_rule():
+    lines = bench_pairs.summary(*_pairs(), END_TO_END)
+    assert lines[0] == "pairs=10"
+    assert lines[1] == ("op_p50_ms (lower is better): parent 3.045 [3.0225, 3.0675] -> "
+                        "change 2.945 [2.9225, 2.9675]; change won 10 of 10; gain holds: yes")
+    assert lines[2] == ("ops_per_s (higher is better): parent 60 [60, 60] -> change 60 "
+                        "[60, 60]; change won 0 of 10; gain holds: no")
+    assert lines[3].endswith("change won 8 of 10; gain holds: no")
+    assert lines[4].endswith("change won 10 of 10; gain holds: no")
+    assert len(lines) == 5
+
+
+def test_a_gain_in_the_wrong_direction_never_holds():
+    parent, change = _pairs()
+    lines = bench_pairs.summary(change, parent, END_TO_END)
+    assert lines[1].endswith("change won 0 of 10; gain holds: no")
+
+
+def test_summary_needs_one_result_per_side_per_pair():
+    parent, change = _pairs()
+    with pytest.raises(ValueError, match="one parent and one change result per pair"):
+        bench_pairs.summary(parent, change[:-1], END_TO_END)
+    one = bench_pairs.summary(parent[:1], change[:1], END_TO_END)
+    assert one[1] == ("op_p50_ms (lower is better): parent 3 [3, 3] -> change 2.9 "
+                      "[2.9, 2.9]; change won 1 of 1; gain holds: yes")
+
+
+@pytest.mark.parametrize("out, message", [
+    (_line(correct=False, op_p50_ms=1.0), "correct=False failed=0 of 120"),
+    (_line(failed=2, op_p50_ms=1.0), "correct=True failed=2 of 120"),
+    ("", "printed nothing"),
+])
+def test_a_run_that_is_not_clean_stops_the_pairs(out, message):
+    with pytest.raises(ValueError, match=message):
+        bench_pairs.result_of(out)
+
+
+def test_files_leave_out_byte_code_caches(tmp_path):
+    (tmp_path / "bench" / "__pycache__").mkdir(parents=True)
+    (tmp_path / "bench" / "run.py").write_text("x = 1\n")
+    (tmp_path / "bench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(b"\0")
+    (tmp_path / "BENCHMARK.json").write_text("{}")
+    assert bench_pairs._files(tmp_path, "bench") == {"bench/run.py": b"x = 1\n"}
+    assert bench_pairs._files(tmp_path, "BENCHMARK.json") == {"BENCHMARK.json": b"{}"}

@@ -34,6 +34,7 @@ from zenosim.state import (
     PARTICLE_PM,
     PHOTON_COMPUTATIONAL,
     QUDIT_POSITION,
+    StateVector,
     SubsystemSpec,
     fidelity,
     new_state,
@@ -42,7 +43,8 @@ from zenosim.state import (
     photon,
 )
 
-from helpers import reorder
+from helpers import FAILURE_LEAVES, reorder
+from test_sampling import UNEVEN
 
 IDEAL = QiParams(cycles=None)
 
@@ -657,15 +659,87 @@ def test_params_switch_replaces_the_tree(name):
                 == _runs(DEMOS[name], schedule, 5, profile, fresh=True))
 
 
-@pytest.mark.parametrize("params", [IDEAL, FINITE], ids=["ideal", "finite"])
-def test_mutating_a_result_leaves_later_runs_alone(params):
-    for name, build in DEMOS.items():
+def _end(result) -> str:
+    """Where a run ended: a failed draw (its zeroed state), a failure
+    outcome, or the end of the program."""
+    if not result.failed:
+        return "end"
+    return "failure-outcome" if result.final_state.amps.any() else "failed-draw"
+
+
+# (params, profile, programs) per case; the profile's draws fail, and
+# `UNEVEN["failure"]`, which no params touch, ends one run in five at its
+# failure outcome
+_SPOIL_CASES = {
+    "ideal": (IDEAL, None, DEMOS),
+    "finite": (FINITE, None, DEMOS),
+    "profile": (IDEAL, LOSSY, DEMOS),
+    "failure-leaves": (FAILURE_LEAVES, LOSSY, {"cnot-memory": DEMOS["cnot-memory"],
+                                               "uneven-failure": UNEVEN["failure"]}),
+}
+
+
+def _spoiled_runs(program, params, profile):
+    """Records of 20 seeded runs on `program`, each result written over
+    (its state and its record) once recorded; and where each run ended."""
+    rng, records, ends = np.random.default_rng(1), [], set()
+    for _ in range(20):
+        # through the module, so that a mutant bound there is the one run
+        result = circuits.run(program, params, rng, profile)
+        records.append(_record(result))
+        ends.add(_end(result))
+        result.final_state.amps[...] = 0.5
+        result.classical["spoiled"] = 1
+    return records, ends
+
+
+def assert_spoiled_results_leave_later_runs_alone(case: str) -> None:
+    """The runs of `_spoiled_runs`, twice on one program: the second time
+    along kept paths only, each end written over the first time; also a
+    killer in `tests/test_mutants.py`."""
+    params, profile, builds = _SPOIL_CASES[case]
+    ends = set()
+    for name, build in builds.items():
         program = build()
-        first = run(program, params, np.random.default_rng(1))
-        expected = _record(first)
-        first.final_state.amps[...] = 0.5
-        first.classical["spoiled"] = 1
-        assert _record(run(program, params, np.random.default_rng(1))) == expected, name
+        records, reached = _spoiled_runs(program, params, profile)
+        assert _spoiled_runs(program, params, profile)[0] == records, name
+        ends |= reached
+    assert ends == {"end"} | ({"failed-draw"} if profile else set()) | (
+        {"failure-outcome"} if case == "failure-leaves" else set())
+
+
+@pytest.mark.parametrize("case", sorted(_SPOIL_CASES))
+def test_mutating_a_result_leaves_later_runs_alone(case):
+    assert_spoiled_results_leave_later_runs_alone(case)
+
+
+def test_kept_ends_build_no_state(monkeypatch):
+    # once the tree holds a run's path, the run copies its end and builds
+    # no state, unless a draw fails: then it builds its zeroed state alone
+    built = []
+    post_init = StateVector.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(StateVector, "__post_init__", counted)
+    ends = set()
+    for build, params in ((DEMOS["cnot-memory"], FAILURE_LEAVES), (UNEVEN["failure"], IDEAL)):
+        program = build()
+        for kept in (False, True):  # the first pass builds the tree
+            rng = np.random.default_rng(6)
+            for _ in range(20):
+                built.clear()
+                result = run(program, params, rng, LOSSY)
+                if not kept:
+                    continue
+                ends.add(_end(result))
+                if _end(result) == "failed-draw":
+                    assert len(built) == 1 and built[0] is result.final_state
+                else:
+                    assert built == []
+    assert ends == {"end", "failure-outcome", "failed-draw"}
 
 
 def test_failed_draw_records_the_bits_written_before_it():

@@ -24,21 +24,30 @@ import pytest
 
 from zenosim import circuits, cli, interrogation, oracle, state
 from zenosim.circuits import DEMOS
-from zenosim.interrogation import KEEP, QiParams, effective_map
+from zenosim.interrogation import effective_map
 
+from helpers import FAILURE_LEAVES
+from test_circuits import assert_spoiled_results_leave_later_runs_alone
 from test_interrogation import _MAP_LAYOUTS, _map_by_columns, _map_grid
 from test_reference_powers import assert_power_stacks_match_the_50_digit_reference
-from test_sampling import assert_sampled_leaves_follow_branch_weights
+from test_sampling import (
+    PROFILED,
+    assert_profiled_runs_follow_their_charges,
+    assert_sampled_leaves_follow_branch_weights,
+)
 from test_walk import _assert_same_walk
-
-# the memory CNOT at N = 333 with absorb 0.9 under the keep policy: its
-# photons still hold |1V> when measured, so the walk ends in failure leaves
-# as well as kept leaves whose weights are below 1
-FAILURE_LEAVES = QiParams(cycles=333, absorb_prob=0.9, residual_v_policy=KEEP)
-
 
 def _born_frequencies() -> None:
     assert_sampled_leaves_follow_branch_weights("uneven-cascade")
+
+
+def _profiled_frequencies() -> None:
+    for name in PROFILED:
+        assert_profiled_runs_follow_their_charges(name)
+
+
+def _spoiled_ends_stay_apart() -> None:
+    assert_spoiled_results_leave_later_runs_alone("failure-leaves")
 
 
 def _stacks_match_the_50_digit_reference() -> None:
@@ -108,6 +117,16 @@ MUTANTS = {
     "born-even-draw": Mutant(
         state, "sample_branch", "bisect_right(sums, rng.random() * total)",
         "int(rng.random() * (len(sums) + 1))", _born_frequencies),
+    "profile-charge-squared": Mutant(
+        circuits, "run", "getattr(profile, charge)", "getattr(profile, charge) ** 2",
+        _profiled_frequencies),
+    "profile-first-charge-only": Mutant(
+        circuits, "run", "in seg.charged:", "in seg.charged[:1]:", _profiled_frequencies),
+    "copy-shares-its-array": Mutant(
+        state, "StateVector.copy", "self.amps.copy()", "self.amps", _spoiled_ends_stay_apart),
+    "kept-end-returned-uncopied": Mutant(
+        circuits, "run", "leaf.final_state.copy()", "leaf.final_state",
+        _spoiled_ends_stay_apart),
     "failed-end-counts-its-weight": Mutant(
         circuits, "_failed", "RunResult(state, dict(record), 0.0, True, weight)",
         "RunResult(state, dict(record), weight, True, weight)",

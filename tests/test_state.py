@@ -31,6 +31,7 @@ from zenosim.state import (
     particle,
     photon,
     sample_branch,
+    stack_branches,
 )
 
 from helpers import reference_sample_branch, reorder
@@ -283,6 +284,29 @@ def test_add_subsystem_and_level_weight():
         add_subsystem(state, particle("r"), np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="already present"):
         add_subsystem(state, particle("q"), vec)
+
+
+def _stacked(rng, layout, batch):
+    return stack_branches([_random_state(rng, layout, norm=0.9) for _ in range(batch)])
+
+
+@pytest.mark.parametrize("kind", ["plain", "branch-view", "batched"])
+def test_copy_owns_its_amplitudes_and_keeps_their_bits(kind):
+    rng = np.random.default_rng(11)
+    layout = [photon("p"), particle("b", positions=3)]
+    state = {"plain": lambda: _random_state(rng, layout),
+             "branch-view": lambda: _stacked(rng, layout, 3).branch(1),
+             "batched": lambda: _stacked(rng, layout, 3)}[kind]()
+    dup = state.copy()
+    assert type(dup) is StateVector
+    assert (dup.layout, dup.batch) == (state.layout, state.batch)
+    assert dup.amps.shape == state.amps.shape
+    assert dup.amps.tobytes() == state.amps.tobytes()
+    assert dup.amps.dtype == np.complex128 and dup.amps.flags.c_contiguous
+    assert not np.shares_memory(dup.amps, state.amps)
+    op = _haar_unitary(rng, 4)
+    assert (apply_local(dup, ["p"], op).amps.tobytes()
+            == apply_local(state, ["p"], op).amps.tobytes())
 
 
 def test_fidelity_contract():

@@ -1,0 +1,137 @@
+"""Run the benchmark in alternating pairs: a parent commit against the
+working tree.
+
+    python3 tools/bench_pairs.py --workload sample-ideal --parent HEAD~1 --pairs 10 \\
+        --seed 1009 [--seconds 30]
+
+exports the parent with `git archive` into a temporary directory, and runs
+there only if the export's `bench/` and `BENCHMARK.json` equal the working
+tree's, so both sides run the same benchmark.  Each pair runs
+`python3 bench/run.py --trace 0` once on each side, the parent first in
+even pairs and the change first in odd ones.  `--seconds` defaults to
+`run_seconds` in BENCHMARK.json.  A run that exits non-zero, is not
+`correct` or has failed ops stops the command with exit code 1.
+
+For each end-to-end metric BENCHMARK.json lists, the summary prints each
+side's median and quartiles, how many pairs the change won in the metric's
+`better` direction (ties count for neither side), and whether a gain
+holds: the change wins at least 9 pairs in 10, and the medians differ in
+its favour by more than the parent's interquartile range.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SHARED = ("bench", "BENCHMARK.json")  # what both sides must hold alike
+
+
+def _files(root: Path, name: str) -> dict[str, bytes]:
+    """Relative path -> bytes of the file or tree `name` under `root`,
+    leaving out Python's byte-code caches."""
+    top = root / name
+    paths = [top] if top.is_file() else sorted(p for p in top.rglob("*") if p.is_file())
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in paths
+            if "__pycache__" not in p.parts}
+
+
+def export(ref: str, dest: Path) -> None:
+    """The tree of `ref` in the repository at ROOT, written under `dest`."""
+    tar = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT,
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest)
+
+
+def result_of(stdout: str) -> dict:
+    """The JSON object on the last line of a bench run's stdout; raises
+    ValueError when the run was not correct or had failed ops."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("the run printed nothing")
+    result = json.loads(lines[-1])
+    if not result["correct"] or result["failed"]:
+        raise ValueError(f"the run was not clean: correct={result['correct']} "
+                         f"failed={result['failed']} of {result['attempted']}")
+    return result
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summary(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> list[str]:
+    """One line per end-to-end metric over paired results: pair i is
+    (parent[i], change[i])."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need one parent and one change result per pair")
+    lines = [f"pairs={len(parent)}"]
+    for metric in end_to_end:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        old = [r["metrics"][name]["value"] for r in parent]
+        new = [r["metrics"][name]["value"] for r in change]
+        wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+        (o1, om, o3), (n1, nm, n3) = _quartiles(old), _quartiles(new)
+        holds = 10 * wins >= 9 * len(old) and sign * (nm - om) > o3 - o1
+        lines.append(f"{name} ({metric['better']} is better): parent {om:.6g} "
+                     f"[{o1:.6g}, {o3:.6g}] -> change {nm:.6g} [{n1:.6g}, {n3:.6g}]; "
+                     f"change won {wins} of {len(old)}; gain holds: "
+                     f"{'yes' if holds else 'no'}")
+    return lines
+
+
+def _bench(tree: Path, args: argparse.Namespace) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", args.workload, "--seed",
+           str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if done.returncode:
+        raise ValueError(f"exit code {done.returncode}: {done.stderr.strip()[-2000:]}")
+    return result_of(done.stdout)
+
+
+def main(argv: list[str] | None = None) -> int:
+    config = json.loads((ROOT / "BENCHMARK.json").read_text())
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--workload", required=True)
+    p.add_argument("--parent", default="HEAD", help="git ref of the parent side")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seconds", type=float, default=config["run_seconds"])
+    args = p.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        parent_tree = Path(tmp)
+        export(args.parent, parent_tree)
+        for name in SHARED:
+            if _files(parent_tree, name) != _files(ROOT, name):
+                print(f"bench_pairs: {name} differs between {args.parent} and the "
+                      "working tree", file=sys.stderr)
+                return 1
+        sides = {"parent": parent_tree, "change": ROOT}
+        results = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                try:
+                    results[side].append(_bench(sides[side], args))
+                except ValueError as exc:
+                    print(f"bench_pairs: pair {i} {side}: {exc}", file=sys.stderr)
+                    return 1
+            print(f"pair {i} done", file=sys.stderr, flush=True)
+    for line in summary(results["parent"], results["change"], config["end_to_end"]):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
