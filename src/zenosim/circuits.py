@@ -46,10 +46,10 @@ from .state import (
     PARTICLE_COMPUTATIONAL,
     PARTICLE_PM,
     PHOTON_COMPUTATIONAL,
-    PHOTON_DIM,
     QUDIT_POSITION,
     StateVector,
     SubsystemSpec,
+    _is_int,
     add_subsystem,
     basis_outcomes,
     branch_all,
@@ -73,10 +73,6 @@ BIT_NAME_BANS = frozenset(',;="\n\r')
 
 # ---------------------------------------------------------------------------
 # argument types
-
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
 
 def _is_real(v) -> bool:
     # finite, and an integer small enough to become a float
@@ -370,41 +366,34 @@ class CircuitProgram:
 
 
 def validate_program(program: CircuitProgram) -> None:
-    """Static checks: declared names only, prepare-before-use, no use after
-    measurement, classical values written before read, gate subsystems and
-    measurement bases that fit their subsystem, cx/cz only on bits that can
-    hold nothing but 0 and 1, each row's `check_args` (qicz_multi wiring,
-    prepared vectors, finite cphase phases), states within `MAX_AMPLITUDES`
-    whose prepared vectors keep their norm^2 within 1 + `ATOL`, and bit
-    names free of `BIT_NAME_BANS`.  Before any name is hashed, each
-    subsystem must be what `photon` or `particle` builds, under a non-empty
-    string name, and each bit name a string."""
+    """Static checks across subsystems, bits and instructions (each
+    `SubsystemSpec` checks its own name, kind and level count): unique
+    subsystem names of at most `MAX_SUBSYSTEM_DIM` levels, unique string
+    bit names free of `BIT_NAME_BANS`, declared names only,
+    prepare-before-use, no use after measurement, classical values written
+    before read, gate subsystems and measurement bases that fit their
+    subsystem, cx/cz only on bits that can hold nothing but 0 and 1, each
+    row's `check_args` (qicz_multi wiring, prepared vectors, finite cphase
+    phases), and states within `MAX_AMPLITUDES` whose prepared vectors keep
+    their norm^2 within 1 + `ATOL`.  An error about one subsystem or bit
+    starts `subsystems[i]:` or `bits[i]:`."""
+    specs: dict[str, SubsystemSpec] = {}
     for i, s in enumerate(program.subsystems):
-        if not isinstance(s.name, str) or not s.name:
-            raise ValueError(f"subsystems[{i}]: name must be a non-empty string, got {s.name!r}")
-        if s.kind not in ("photon", "particle"):
-            raise ValueError(f"subsystems[{i}]: unknown kind {s.kind!r}")
-        if not _is_int(s.dim) or (s.dim != PHOTON_DIM if _is_photon(s) else s.dim < 3):
-            need = (PHOTON_DIM if _is_photon(s)
-                    else "3 or more (2 positions and the exploded level)")
-            raise ValueError(f"subsystems[{i}]: {s.kind} {s.name!r} has a level count of "
-                             f"{s.dim!r}; a {s.kind} has {need}")
-    specs = {s.name: s for s in program.subsystems}
-    if len(specs) != len(program.subsystems):
-        raise ValueError("duplicate subsystem name")
-    for i, s in enumerate(program.subsystems):
+        if s.name in specs:
+            raise ValueError(f"subsystems[{i}]: duplicate subsystem name {s.name!r}")
         if s.dim > MAX_SUBSYSTEM_DIM:
             raise ValueError(f"subsystems[{i}]: {s.name!r} would have {s.dim} levels; "
                              f"the engine allows at most {MAX_SUBSYSTEM_DIM}")
+        specs[s.name] = s
+    bits: set[str] = set()
     for i, bit in enumerate(program.bits):
         if not isinstance(bit, str):
             raise ValueError(f"bits[{i}]: a bit name must be a string, got {bit!r}")
-    bits = set(program.bits)
-    if len(bits) != len(program.bits):
-        raise ValueError("duplicate bit name")
-    for i, bit in enumerate(program.bits):
+        if bit in bits:
+            raise ValueError(f"bits[{i}]: duplicate bit name {bit!r}")
         if not BIT_NAME_BANS.isdisjoint(bit):
             raise ValueError(f"bits[{i}]: {bit!r} may not hold , ; = \" or a line break")
+        bits.add(bit)
     live: set[str] = set()
     gone: set[str] = set()
     amplitudes = 1  # held by the live state

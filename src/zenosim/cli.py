@@ -25,7 +25,7 @@ from . import analysis, circuits, oracle
 from .circuits import CircuitProgram, Instruction
 from .gates import CHARGED, ImperfectionProfile
 from .interrogation import PI_OVER_2N, PI_OVER_N, QiParams
-from .state import particle, photon
+from .state import PHOTON_DIM, SubsystemSpec, particle
 
 ORACLE_TOLERANCE = 1e-10
 _CELL = "%.12g"  # every printed float: 12 significant digits
@@ -102,27 +102,14 @@ def program_from_doc(doc) -> CircuitProgram:
     for i, entry in enumerate(_doc_list(doc, "subsystems")):
         if not isinstance(entry, dict):
             raise ValueError(f"subsystems[{i}]: must be an object")
-        kind = entry.get("kind")
-        name = entry.get("name")
-        if not isinstance(name, str) or not name:
-            raise ValueError(f"subsystems[{i}]: missing name")
-        if kind not in ("photon", "particle"):
-            raise ValueError(f"subsystems[{i}]: unknown kind {kind!r}")
-        _no_other_fields(entry, _SUBSYSTEM_FIELDS[kind], f"subsystems[{i}]: {kind}")
-        if kind == "photon":
-            subsystems.append(photon(name))
-        else:
-            dim = entry.get("dim", 2)
-            if not circuits.INTEGER.check(dim):
-                raise ValueError(f"subsystems[{i}]: dim must be "
-                                 f"{circuits.INTEGER.describe}, got {dim!r}")
-            try:
-                subsystems.append(particle(name, positions=dim))
-            except ValueError as exc:
-                raise ValueError(f"subsystems[{i}]: {exc}") from None
-    bits = doc.get("bits", [])
-    if not isinstance(bits, list) or not all(isinstance(b, str) for b in bits):
-        raise ValueError("bits must be a list of strings")
+        name, kind = entry.get("name"), entry.get("kind")
+        try:  # any kind but "particle" is built as a photon; SubsystemSpec checks it
+            subsystems.append(particle(name, entry.get("dim", 2)) if kind == "particle"
+                              else SubsystemSpec(name, kind, PHOTON_DIM))
+            _no_other_fields(entry, _SUBSYSTEM_FIELDS[kind], kind)
+        except ValueError as exc:
+            raise ValueError(f"subsystems[{i}]: {exc}") from None
+    bits = _doc_list(doc, "bits")
     instructions = []
     for i, entry in enumerate(_doc_list(doc, "instructions")):
         if not isinstance(entry, dict) or "op" not in entry:

@@ -64,52 +64,48 @@ _PARTICLE_H, _PARTICLE_X, _PARTICLE_Z = (_block(3, b) for b in (_H2, _X2, _Z2))
 
 def photon_h(state: StateVector, name: str) -> StateVector:
     """Hadamard on the photon's logical block."""
-    _expect_kind(state.spec(name), "photon")
+    _expect_photon(state.spec(name))
     return apply_local(state, [name], _PHOTON_H)
 
 
 def photon_x(state: StateVector, name: str) -> StateVector:
-    _expect_kind(state.spec(name), "photon")
+    _expect_photon(state.spec(name))
     return apply_local(state, [name], _PHOTON_X)
 
 
 def photon_z(state: StateVector, name: str) -> StateVector:
-    _expect_kind(state.spec(name), "photon")
+    _expect_photon(state.spec(name))
     return apply_local(state, [name], _PHOTON_Z)
 
 
 def particle_h(state: StateVector, name: str) -> StateVector:
     """Hadamard on a 2-position particle; the position-space Fourier
     transform when there are more positions."""
-    spec = _expect_kind(state.spec(name), "particle")
+    spec = state.spec(name)
     d = spec.positions()
     op = _PARTICLE_H if d == 2 else _block(spec.dim, _fourier(d))
     return apply_local(state, [name], op)
 
 
 def particle_x(state: StateVector, name: str) -> StateVector:
-    spec = _expect_kind(state.spec(name), "particle")
-    if spec.positions() != 2:
+    if state.spec(name).positions() != 2:
         raise ValueError("particle_x is defined for 2-position particles")
     return apply_local(state, [name], _PARTICLE_X)
 
 
 def particle_z(state: StateVector, name: str) -> StateVector:
-    spec = _expect_kind(state.spec(name), "particle")
-    if spec.positions() != 2:
+    if state.spec(name).positions() != 2:
         raise ValueError("particle_z is defined for 2-position particles")
     return apply_local(state, [name], _PARTICLE_Z)
 
 
-def _expect_kind(spec: SubsystemSpec, kind: str) -> SubsystemSpec:
-    if spec.kind != kind:
-        raise ValueError(f"{spec.name!r} is not a {kind}")
-    return spec
+def _expect_photon(spec: SubsystemSpec) -> None:
+    if spec.kind != "photon":
+        raise ValueError(f"{spec.name!r} is not a photon")
 
 
 def prepare_particle_pm(spec: SubsystemSpec, sign: str) -> np.ndarray:
     """Level vector of (|blocked> +/- |open>)/sqrt(2) for a fresh particle."""
-    _expect_kind(spec, "particle")
     if spec.positions() != 2:
         raise ValueError("pm preparation needs a 2-position particle")
     if sign not in ("+", "-"):
@@ -123,7 +119,7 @@ def prepare_particle_pm(spec: SubsystemSpec, sign: str) -> np.ndarray:
 def prepare_particle_uniform(spec: SubsystemSpec) -> np.ndarray:
     """Level vector of the uniform position superposition for a fresh
     particle."""
-    d = _expect_kind(spec, "particle").positions()
+    d = spec.positions()
     vec = np.zeros(spec.dim)
     vec[:d] = 1.0 / np.sqrt(d)
     return vec
@@ -168,7 +164,7 @@ def classically_controlled_phase(state: StateVector, value, target: str,
     recorded integer outcome `value`; on a batched state, `value` holds one
     outcome per branch, and each branch gets its own phase from one stack
     of operators."""
-    _expect_kind(state.spec(target), "photon")
+    _expect_photon(state.spec(target))
     if state.batch is None:
         return apply_local(state, [target], _phase(coeff, value))
     return apply_local(state, [target], np.array([_phase(coeff, v) for v in value]))

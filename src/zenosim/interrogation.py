@@ -120,8 +120,7 @@ def wiring(specs, blocking=None) -> tuple[tuple[int, ...], ...]:
         raise ValueError("one blocking entry per particle required")
     out = []
     for i, (spec, blk) in enumerate(zip(specs, blocking)):
-        if spec.kind != "particle":
-            raise ValueError(f"{spec.name!r} is not a particle")
+        positions = spec.positions()
         if spec in specs[:i]:
             raise ValueError(f"particle {spec.name!r} listed twice")
         if isinstance(blk, (int, np.integer)):
@@ -129,7 +128,6 @@ def wiring(specs, blocking=None) -> tuple[tuple[int, ...], ...]:
         blk = tuple(sorted(int(b) for b in blk))
         if len(set(blk)) != len(blk):
             raise ValueError(f"duplicate blocking position for {spec.name!r}")
-        positions = spec.positions()
         for b in blk:
             if not 0 <= b < positions:
                 raise ValueError(
@@ -234,7 +232,8 @@ def _run_cycles(work, plan, params: QiParams):
 
 def _prepare(state: StateVector, photon: str, particles: list[str], blocking):
     # the photon's axis in the amplitudes, and per listed particle its axis
-    # among the others (a batched state's branch axis leads both)
+    # among the others (a batched state's branch axis leads both) and its
+    # exploded level
     p_axis = state.axis(photon)
     if state.layout[p_axis].kind != "photon":
         raise ValueError(f"{photon!r} is not a photon")
@@ -242,7 +241,7 @@ def _prepare(state: StateVector, photon: str, particles: list[str], blocking):
     blocks = wiring([state.layout[axis] for axis in axes], blocking)
     lead = 0 if state.batch is None else 1
     plan = [(lead + (axis - 1 if axis > p_axis else axis), blk,
-             state.layout[axis].exploded_level()) for axis, blk in zip(axes, blocks)]
+             state.layout[axis].positions()) for axis, blk in zip(axes, blocks)]
     return lead + p_axis, plan
 
 

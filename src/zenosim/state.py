@@ -57,21 +57,39 @@ PM_EXPLODED = 2
 PHOTON_FAIL = 2
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class SubsystemSpec:
+    """A named photon or particle with `dim` levels.  The one home of the
+    rules of a single subsystem: a non-empty string name, a kind of
+    "photon" or "particle", and a level count of `PHOTON_DIM` for a photon
+    or, for a particle, an integer number of positions, at least 2, plus
+    the exploded level."""
+
     name: str
     kind: str  # "photon" or "particle"
     dim: int
 
-    def positions(self) -> int:
-        """Number of particle position levels (excludes the exploded level)."""
-        if self.kind != "particle":
-            raise ValueError(f"{self.name} is not a particle")
-        return self.dim - 1
+    def __post_init__(self):
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"name must be a non-empty string, got {self.name!r}")
+        if self.kind not in ("photon", "particle"):
+            raise ValueError(f"unknown kind {self.kind!r}")
+        is_photon = self.kind == "photon"
+        if not _is_int(self.dim) or (self.dim != PHOTON_DIM if is_photon else self.dim < 3):
+            need = (f"has a level count of {self.dim!r}; a photon has {PHOTON_DIM}" if is_photon
+                    else "needs an integer number of positions, at least 2, got "
+                    f"{self.dim - 1 if _is_int(self.dim) else self.dim!r}")
+            raise ValueError(f"{self.kind} {self.name!r} {need}")
 
-    def exploded_level(self) -> int:
+    def positions(self) -> int:
+        """Number of particle position levels, which is also the index of
+        the exploded level."""
         if self.kind != "particle":
-            raise ValueError(f"{self.name} is not a particle")
+            raise ValueError(f"{self.name!r} is not a particle")
         return self.dim - 1
 
 
@@ -80,9 +98,8 @@ def photon(name: str) -> SubsystemSpec:
 
 
 def particle(name: str, positions: int = 2) -> SubsystemSpec:
-    if positions < 2:
-        raise ValueError("particle needs at least 2 positions")
-    return SubsystemSpec(name, "particle", positions + 1)
+    # a non-integer goes through as it is, for SubsystemSpec to name it
+    return SubsystemSpec(name, "particle", positions + 1 if _is_int(positions) else positions)
 
 
 @dataclass

@@ -70,27 +70,33 @@ def test_duplicate_bit_name():
         CircuitProgram((photon("p"),), ("b", "b"), ())
 
 
-@pytest.mark.parametrize("spec, ops, message", [
-    (SubsystemSpec("w", "widget", 2), ["prepare"], "unknown kind 'widget'"),
-    (SubsystemSpec("b", "particle", 1), ["prepare", "particle_h"],
-     "particle 'b' has a level count of 1; a particle has 3 or more "
-     "(2 positions and the exploded level)"),
-    (SubsystemSpec("p", "photon", 3), ["prepare"],
-     "photon 'p' has a level count of 3; a photon has 4"),
-    (SubsystemSpec("p", "photon", 4.0), ["prepare"],
-     "photon 'p' has a level count of 4.0; a photon has 4"),
+@pytest.mark.parametrize("name, kind, dim, message", [
+    ("w", "widget", 2, "unknown kind 'widget'"),
+    ("b", "particle", 1,
+     "particle 'b' needs an integer number of positions, at least 2, got 0"),
+    ("p", "photon", 3, "photon 'p' has a level count of 3; a photon has 4"),
+    ("p", "photon", 4.0, "photon 'p' has a level count of 4.0; a photon has 4"),
 ], ids=["widget", "zero-position-particle", "three-level-photon", "float-level-count"])
-def test_subsystem_that_no_constructor_builds_is_rejected(spec, ops, message):
-    instructions = tuple(_ins(op, target=spec.name) for op in ops)
-    with pytest.raises(ValueError, match=f"^{re.escape('subsystems[0]: ' + message)}$"):
-        CircuitProgram((spec,), (), instructions)
+def test_subsystem_that_no_constructor_builds_is_rejected(name, kind, dim, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SubsystemSpec(name, kind, dim)
+
+
+@pytest.mark.parametrize("positions", [1, 0, -3, 2.7, 2.0, [2], "3", None, True])
+def test_particle_positions_must_be_an_integer_of_at_least_two(positions):
+    # the value given is named as it is, never as the level count it makes
+    with pytest.raises(ValueError, match=re.escape(
+            f"particle 'b' needs an integer number of positions, at least 2, "
+            f"got {positions!r}")):
+        particle("b", positions)
 
 
 @pytest.mark.parametrize("name", [["p"], "", 3])
 def test_subsystem_name_that_is_not_a_nonempty_string_is_rejected(name):
-    with pytest.raises(ValueError, match=re.escape(
-            f"subsystems[1]: name must be a non-empty string, got {name!r}")):
-        CircuitProgram((photon("q"), SubsystemSpec(name, "photon", 4)), (), ())
+    for build in (photon, particle):
+        with pytest.raises(ValueError, match=re.escape(
+                f"name must be a non-empty string, got {name!r}")):
+            build(name)
 
 
 @pytest.mark.parametrize("bit", [3, None, ["m"]])

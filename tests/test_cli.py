@@ -1,5 +1,8 @@
-"""End-to-end command-line checks.  Most run `zenosim` in a subprocess;
-the stdout pins and the parser-reuse check call `main` in this process."""
+"""End-to-end command-line checks.  They call `main` in this process; a
+subprocess runs `python -m zenosim.cli` only where a fresh process is what
+the check is about: the entry point itself (whose calls must print what
+`main` prints here), identical bytes from two fresh processes, and a walk
+deeper than the recursion limit."""
 
 import contextlib
 import csv
@@ -39,7 +42,8 @@ _ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
     str(Path(zenosim.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
-def run_cli(*argv):
+def run_fresh(*argv):
+    """`python -m zenosim.cli` in a fresh process."""
     return subprocess.run(CLI + list(argv), capture_output=True, text=True,
                           env=_ENV, timeout=300)
 
@@ -49,10 +53,15 @@ def run_main(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(list(argv))
+            code = main([str(arg) for arg in argv])
         except SystemExit as exc:  # argparse ends a usage error this way
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def run_cli(*argv):
+    """`run_main` as a finished process: returncode, stdout, stderr."""
+    return subprocess.CompletedProcess(argv, *run_main(*argv))
 
 
 def test_census_strings():
@@ -215,12 +224,13 @@ def test_unknown_op_reports_index(tmp_path):
     assert "instructions[0]: unknown op" in proc.stderr
 
 
-@pytest.mark.parametrize("doc, message", [
+# circuit files that do not load, each with its one error line
+MALFORMED = [
     ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"}],
       "bits": [], "instructions": [{"op": "photon_h"}]},
      "instructions[0]: photon_h needs argument 'target'"),
     ({"version": "1", "subsystems": [], "bits": 5, "instructions": []},
-     "bits must be a list of strings"),
+     "bits must be a list"),
     ({"version": "1", "instructions": [{"op": ["photon_h"]}]},
      "instructions[0]: unknown op ['photon_h']"),
     ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"}],
@@ -228,9 +238,11 @@ def test_unknown_op_reports_index(tmp_path):
                        {"op": "photon_h", "target": ["p"]}]},
      "instructions[1]: photon_h argument 'target' must be a subsystem name, got ['p']"),
     ({"version": "1", "subsystems": [{"name": "b", "kind": "particle", "dim": [2]}]},
-     "subsystems[0]: dim must be an integer, got [2]"),
+     "subsystems[0]: particle 'b' needs an integer number of positions, at least 2, "
+     "got [2]"),
     ({"version": "1", "subsystems": [{"name": "b", "kind": "particle", "dim": 2.7}]},
-     "subsystems[0]: dim must be an integer, got 2.7"),
+     "subsystems[0]: particle 'b' needs an integer number of positions, at least 2, "
+     "got 2.7"),
     ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"}],
       "instructions": [{"op": "prepare", "target": "p", "state": 5}]},
      "instructions[0]: prepare argument 'state' must be a list of [re, im] pairs, got 5"),
@@ -289,14 +301,44 @@ def test_unknown_op_reports_index(tmp_path):
     ({"version": "1", "subsystems": [{"name": "b", "kind": "particle"}],
       "instructions": [{"op": "prepare", "target": "b", "level": 3}]},
      "instructions[0]: level 3 out of range for 'b'"),
-])
+    # a name used twice is named where it repeats
+    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"},
+                                     {"name": "p", "kind": "particle"}]},
+     "subsystems[1]: duplicate subsystem name 'p'"),
+    ({"version": "1", "subsystems": [], "bits": ["a", "a"]},
+     "bits[1]: duplicate bit name 'a'"),
+    # each rule of one subsystem or bit, as `SubsystemSpec` and the validator
+    # state it
+    ({"version": "1", "subsystems": [{"name": "", "kind": "photon"}]},
+     "subsystems[0]: name must be a non-empty string, got ''"),
+    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"}, {"kind": "photon"}]},
+     "subsystems[1]: name must be a non-empty string, got None"),
+    ({"version": "1", "subsystems": [{"name": 3, "kind": "particle"}]},
+     "subsystems[0]: name must be a non-empty string, got 3"),
+    ({"version": "1", "subsystems": [{"name": "w", "kind": "widget"}]},
+     "subsystems[0]: unknown kind 'widget'"),
+    ({"version": "1", "subsystems": [{"name": "b", "kind": "particle", "dim": True}]},
+     "subsystems[0]: particle 'b' needs an integer number of positions, at least 2, "
+     "got True"),
+    ({"version": "1", "bits": ["m", 3]},
+     "bits[1]: a bit name must be a string, got 3"),
+]
+
+
+def assert_file_is_one_error_line(path, text, message) -> None:
+    """A file at `path` holding `text` ends both `simulate` and
+    `oracle-check` in the one error line `message`."""
+    path.write_text(text)
+    for command in ("simulate", "oracle-check"):
+        proc = run_cli(command, str(path))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"zenosim: error: {message}\n"
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED)
 def test_malformed_file_is_one_error_line(tmp_path, doc, message):
-    path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(doc))
-    proc = run_cli("simulate", str(path))
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == f"zenosim: error: {message}\n"
+    assert_file_is_one_error_line(tmp_path / "malformed.json", json.dumps(doc), message)
 
 
 def test_prepared_norms_past_the_state_tolerance_end_at_load(tmp_path):
@@ -482,7 +524,8 @@ _UNLOADABLE = {
     "nested": ("[" * 100_000, "parse error: arrays or objects nested too deeply"),
     "dim-1": (json.dumps({"version": "1", "subsystems": [
         {"name": "b", "kind": "particle", "dim": 1}]}),
-              "subsystems[0]: particle needs at least 2 positions"),
+              "subsystems[0]: particle 'b' needs an integer number of positions, "
+              "at least 2, got 1"),
     # names no loader reads: a misspelt list would load as an empty program
     "misspelt-list": (json.dumps({"version": "1", "subsystems": [
         {"name": "p", "kind": "photon"}], "instrucions": []}),
@@ -523,7 +566,8 @@ def test_oracle_check_walks_more_measurements_than_the_recursion_limit(tmp_path)
                 "bit": f"m{i}"})]}
     path = tmp_path / "long.json"
     path.write_text(json.dumps(doc))
-    proc = run_cli("oracle-check", str(path), "--ideal")
+    # in a fresh process, whose stack depth pytest's frames do not change
+    proc = run_fresh("oracle-check", str(path), "--ideal")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].startswith("PASS")
     assert proc.stderr == ""
@@ -852,28 +896,51 @@ def test_montecarlo_stdout_is_pinned(family):
 
 
 def test_repeated_invocations_byte_identical():
-    a = run_cli("simulate", "--demo", "wstate-3", "--ideal")
-    b = run_cli("simulate", "--demo", "wstate-3", "--ideal")
+    # two fresh processes, each with its own string hashes and empty memos
+    a = run_fresh("simulate", "--demo", "wstate-3", "--ideal")
+    b = run_fresh("simulate", "--demo", "wstate-3", "--ideal")
     assert a.stdout == b.stdout
     assert a.returncode == b.returncode == 0
 
 
 
-def test_main_calls_in_one_process_match_fresh_processes():
+def test_main_calls_in_one_process_match_fresh_processes(tmp_path):
+    # one call per subcommand, a heralded failure, and one per error class:
+    # usage, load and run time
+    cnot = tmp_path / "cnot.json"
+    cnot.write_text(serialize_program(cnot_circuit("direct-cx")))
+    failing = tmp_path / "fail.json"
+    failing.write_text(json.dumps({
+        "version": "1", "subsystems": [{"name": "p", "kind": "photon"}], "bits": ["m"],
+        "instructions": [
+            {"op": "prepare", "target": "p", "level": 2},
+            {"op": "measure", "target": "p", "basis": "photon_computational", "bit": "m"},
+        ]}))
+    duplicate = tmp_path / "duplicate.json"
+    duplicate.write_text(json.dumps({"version": "1", "subsystems": [
+        {"name": "p", "kind": "photon"}, {"name": "p", "kind": "photon"}]}))
     calls = [
         ["simulate", "--demo", "bell", "--ideal"],
         ["simulate", "--demo", "bell"],
         ["simulate", "--demo", "bell", "--branches", "sample", "--seed", "3"],
         ["simulate", "--demo", "bell", "--out", "xml"],
         ["census", "--family", "memory"],
+        ["cnot", "--family", "direct-cz"],
+        ["sweep", "--what", "zeno", "--cycles", "2,10"],
+        ["montecarlo", "--family", "direct-cx", "--profile", "0.9,0.9,0.9,0.9,0.9",
+         "--trials", "1000", "--seed", "5"],
+        ["oracle-check", str(cnot), "--cycles", "333"],
+        ["simulate", str(failing), "--ideal"],
+        ["oracle-check", str(duplicate)],
+        ["sweep", "--what", "fidelity", "--cycles", "5", "--theta", "pi-over-2n"],
     ]
     codes = []
     for argv in calls:
         code, out, err = run_main(*argv)
-        fresh = run_cli(*argv)
-        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        fresh = run_fresh(*argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         codes.append(code)
-    assert codes == [0, 0, 0, 1, 0]
+    assert codes == [0, 0, 0, 1, 0, 0, 0, 0, 0, 2, 1, 1]
     assert build_parser() is build_parser()
 
 

@@ -14,20 +14,24 @@ import __future__
 import contextlib
 import inspect
 import io
+import json
 import os
 import sys
 import tempfile
 import textwrap
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import pytest
 
-from zenosim import circuits, cli, interrogation, oracle, state
+from zenosim import circuits, cli, gates, interrogation, oracle, state
 from zenosim.circuits import DEMOS
 from zenosim.interrogation import effective_map
+from zenosim.state import new_state, photon
 
 from helpers import FAILURE_LEAVES
 from test_circuits import assert_spoiled_results_leave_later_runs_alone
+from test_cli import _UNLOADABLE, MALFORMED, assert_file_is_one_error_line
 from test_interrogation import _MAP_LAYOUTS, _map_by_columns, _map_grid
 from test_reference_powers import assert_power_stacks_match_the_50_digit_reference
 from test_sampling import (
@@ -36,6 +40,7 @@ from test_sampling import (
     assert_sampled_leaves_follow_branch_weights,
 )
 from test_walk import _assert_same_walk
+
 
 def _born_frequencies() -> None:
     assert_sampled_leaves_follow_branch_weights("uneven-cascade")
@@ -102,6 +107,51 @@ def _deeply_nested_file_is_one_error_line() -> None:
                               "nested too deeply\n")
 
 
+def _escapes_as_a_failure(check: Callable[[], None]) -> None:
+    """`check`, with an exception other than an `AssertionError` that
+    escapes it failing it as one."""
+    try:
+        check()
+    except AssertionError:
+        raise
+    except Exception as exc:
+        raise AssertionError(f"{type(exc).__name__} escaped: {exc}") from exc
+
+
+def _files_are_one_error_line(cases) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for text, message in cases:
+            _escapes_as_a_failure(lambda: assert_file_is_one_error_line(
+                Path(tmp) / "malformed.json", text, message))
+
+
+def _subsystem_and_bit_files_are_one_error_line() -> None:
+    # every malformed file whose error names one subsystem or bit
+    _files_are_one_error_line([(json.dumps(doc), message) for doc, message in MALFORMED
+                               if message.startswith(("subsystems[", "bits["))])
+
+
+def _misspelt_field_files_are_one_error_line() -> None:
+    _files_are_one_error_line([(text, message) for text, message in _UNLOADABLE.values()
+                               if "takes no field" in message])
+
+
+def _particle_guard_holds() -> None:
+    # each engine step that needs a particle, handed a photon
+    spec = photon("p")
+    one_photon = new_state([spec], [0])
+    for call in (lambda: gates.prepare_particle_uniform(spec),
+                 lambda: gates.prepare_particle_pm(spec, "+"),
+                 lambda: gates.particle_h(one_photon, "p"),
+                 lambda: interrogation.wiring([spec])):
+        try:
+            call()
+        except ValueError as exc:
+            assert str(exc) == "'p' is not a particle", exc
+        else:
+            raise AssertionError("a photon passed for a particle")
+
+
 class Mutant(NamedTuple):
     module: object
     function: str
@@ -153,6 +203,29 @@ MUTANTS = {
     "map-read-without-transpose": Mutant(
         interrogation, "_effective_map_cached", "res.amps.reshape(total, total).T",
         "res.amps.reshape(total, total)", _map_is_its_column_runs),
+    "subsystem-name-unchecked": Mutant(
+        state, "SubsystemSpec.__post_init__",
+        'raise ValueError(f"name must be a non-empty string, got {self.name!r}")', "pass",
+        _subsystem_and_bit_files_are_one_error_line),
+    "subsystem-kind-unchecked": Mutant(
+        state, "SubsystemSpec.__post_init__",
+        'raise ValueError(f"unknown kind {self.kind!r}")', "pass",
+        _subsystem_and_bit_files_are_one_error_line),
+    "subsystem-level-count-unchecked": Mutant(
+        state, "SubsystemSpec.__post_init__",
+        'raise ValueError(f"{self.kind} {self.name!r} {need}")', "pass",
+        _subsystem_and_bit_files_are_one_error_line),
+    "particle-guard-dropped": Mutant(
+        state, "SubsystemSpec.positions",
+        'raise ValueError(f"{self.name!r} is not a particle")', "pass",
+        _particle_guard_holds),
+    "bit-name-type-unchecked": Mutant(
+        circuits, "validate_program",
+        'raise ValueError(f"bits[{i}]: a bit name must be a string, got {bit!r}")', "pass",
+        _subsystem_and_bit_files_are_one_error_line),
+    "other-fields-accepted": Mutant(
+        cli, "_no_other_fields", 'raise ValueError(f"{what} takes no field {key!r}")', "pass",
+        _misspelt_field_files_are_one_error_line),
     "nested-file-uncaught": Mutant(
         cli, "load_program", "except RecursionError:", "except MemoryError:",
         _deeply_nested_file_is_one_error_line),

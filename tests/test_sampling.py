@@ -5,10 +5,11 @@ draw that favours the first outcome, or that picks among the kept outcomes
 evenly, still lands on an enumerated leaf, so only counting shows it.  Each
 program here is sampled M times from a fixed seed in the exact limit, where
 every state stays normalized and a leaf's `branch_weight` from
-`run_all_branches` is its probability.  Each leaf's count must lie within
-5.5 binomial standard deviations of M times that weight, the false-alarm
-rule the benchmark applies per op.  Most demos split evenly in the exact
-limit, so the uneven programs below carry the check against an even draw.
+`run_all_branches` is its probability.  Each leaf's count must pass the
+exact two-sided binomial test at the false-alarm level of 5.5 normal
+standard deviations (about 3.8e-8), the level of the benchmark's per-op
+bound.  Most demos split evenly in the exact limit, so the uneven programs
+below carry the check against an even draw.
 Runs are made through `circuits.run`, so that a mutant of it bound in the
 module is the one the checks count.
 
@@ -47,6 +48,9 @@ from helpers import FAILURE_LEAVES
 
 IDEAL = QiParams(cycles=None)
 SIGMAS = 5.5
+# the chance that a normal variable lands SIGMAS deviations or more from
+# its mean, on either side (about 3.8e-8)
+FALSE_ALARM = math.erfc(SIGMAS / math.sqrt(2))
 RUNS = 2000  # sampled runs per program
 CLI_RUNS = 300  # in-process `simulate --branches sample` calls, one seed each
 
@@ -108,8 +112,29 @@ def _assert_cells(counts: Counter, expected: dict, runs: int) -> None:
 
 
 def _assert_binomial(count: int, p: float, runs: int, label) -> None:
-    bound = SIGMAS * math.sqrt(runs * p * (1 - p))
-    assert abs(count - runs * p) <= bound, (label, count, runs * p)
+    # the exact two-sided binomial test at the level of a normal count
+    # SIGMAS deviations out: a cell hit once where runs * p is far below 1
+    # is as likely as 1 - (1 - p)^runs, which no normal bound reflects
+    tail = _binomial_tail(count, p, runs)
+    assert tail >= FALSE_ALARM / 2, (label, count, runs * p, tail)
+
+
+def _binomial_tail(count: int, p: float, runs: int) -> float:
+    """P(X <= count) for a count below runs * p, else P(X >= count), for X
+    binomial over `runs` trials of chance `p`: the pmf summed from `count`
+    away from the mean, where its terms only shrink."""
+    if not 0 < p < 1:
+        return float(count == runs * p)
+    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(runs + 1)
+    total = 0.0
+    stop, step = (-1, -1) if count < runs * p else (runs + 1, 1)
+    for k in range(count, stop, step):
+        term = math.exp(log_n - math.lgamma(k + 1) - math.lgamma(runs - k + 1)
+                        + k * log_p + (runs - k) * log_q)
+        total += term
+        if term <= total * 1e-17:
+            break
+    return min(total, 1.0)
 
 
 def _assert_born(counts: Counter, program: CircuitProgram, runs: int) -> None:
