@@ -54,6 +54,7 @@ from .state import (
     basis_outcomes,
     branch_all,
     draw_table,
+    expect,
     initial_vector,
     norm_sq,
     particle,
@@ -92,43 +93,29 @@ def _is_list(v, item) -> bool:
 class ArgType:
     """What an instruction argument must hold, and the role of the names it
     holds: "subsystem" (in use), "prepare" (enters the state), "measure"
-    (leaves it), "basis", "read" (a bit), "control" (a bit that may hold
-    only 0 and 1) or "write" (a bit).  A subsystem in use must pass
-    `fits`, which `needs` describes."""
+    (leaves it), "read" (a bit), "control" (a bit that may hold only 0 and
+    1) or "write" (a bit).  A subsystem in use must be what `needs` names,
+    which `state.expect` checks."""
 
     describe: str
     check: Callable[[object], bool]
     role: str | None = None
     needs: str = ""
-    fits: Callable[[SubsystemSpec], bool] | None = None
 
 
-def _in_use(needs: str, fits: Callable[[SubsystemSpec], bool]) -> ArgType:
-    return ArgType("a subsystem name", _is_str, "subsystem", needs, fits)
+def _in_use(needs: str) -> ArgType:
+    return ArgType("a subsystem name", _is_str, "subsystem", needs)
 
 
-def _is_photon(spec: SubsystemSpec) -> bool:
-    return spec.kind == "photon"
-
-
-def _is_particle(spec: SubsystemSpec) -> bool:
-    return spec.kind == "particle"
-
-
-def _is_qubit_particle(spec: SubsystemSpec) -> bool:
-    return _is_particle(spec) and spec.positions() == 2
-
-
-PHOTON = _in_use("a photon", _is_photon)
-PARTICLE = _in_use("a particle", _is_particle)
+PHOTON = _in_use("a photon")
+PARTICLE = _in_use("a particle")
 PARTICLES = ArgType("a list of subsystem names", lambda v: _is_list(v, _is_str),
-                    "subsystem", "a particle", _is_particle)
-QUBIT_PARTICLE = _in_use("a 2-position particle", _is_qubit_particle)
-PHOTON_OR_QUBIT = _in_use("a photon or a 2-position particle",
-                          lambda spec: _is_photon(spec) or _is_qubit_particle(spec))
+                    "subsystem", "a particle")
+QUBIT_PARTICLE = _in_use("a 2-position particle")
+PHOTON_OR_QUBIT = _in_use("a photon or a 2-position particle")
 PREPARED = ArgType("a subsystem name", _is_str, "prepare")
 MEASURED = ArgType("a subsystem name", _is_str, "measure")
-BASIS = ArgType("a basis name", _is_str, "basis")
+BASIS = ArgType("a basis name", _is_str)
 READ = ArgType("a bit name", _is_str, "read")
 CONTROL = ArgType("a bit name", _is_str, "control")
 WRITE = ArgType("a bit name", _is_str, "write")
@@ -145,7 +132,8 @@ BLOCKING = ArgType(
     "a list of blocking positions or position lists",
     lambda v: v is None or _is_list(v, lambda b: _is_int(b) or _is_list(b, _is_int)))
 
-# measurement basis -> census class of one measurement in it
+# measurement basis -> census class of one measurement in it (which bases
+# exist, and what each fits, is `basis_outcomes`'s rule)
 MEASUREMENT_BASES = {
     PHOTON_COMPUTATIONAL: "detectors",
     PARTICLE_PM: "particle_measurements",
@@ -186,7 +174,7 @@ class OpSpec:
         # subsystems are checked before bits, each group in argument order
         self.roles = tuple(sorted(
             ((name, kind) for name, kind in self.args.items() if kind.role),
-            key=lambda item: item[1].role in ("basis", "read", "control", "write")))
+            key=lambda item: item[1].role in ("read", "control", "write")))
 
 
 def _gate(name: str):
@@ -371,8 +359,10 @@ def validate_program(program: CircuitProgram) -> None:
     subsystem names of at most `MAX_SUBSYSTEM_DIM` levels, unique string
     bit names free of `BIT_NAME_BANS`, declared names only,
     prepare-before-use, no use after measurement, classical values written
-    before read, gate subsystems and measurement bases that fit their
-    subsystem, cx/cz only on bits that can hold nothing but 0 and 1, each
+    before read, gate subsystems that fit (through `state.expect`, the
+    engine steps' own guard) and measurement bases that exist and fit
+    (through `state.basis_outcomes`, when the measured bit's values are
+    counted), cx/cz only on bits that can hold nothing but 0 and 1, each
     row's `check_args` (qicz_multi wiring, prepared vectors, finite cphase
     phases), and states within `MAX_AMPLITUDES` whose prepared vectors keep
     their norm^2 within 1 + `ATOL`.  An error about one subsystem or bit
@@ -407,16 +397,13 @@ def validate_program(program: CircuitProgram) -> None:
         for arg, kind in row.roles:
             role, value = kind.role, instr.args[arg]
             for name in [value] if isinstance(value, str) else value:
-                if role == "basis":
-                    if name not in MEASUREMENT_BASES:
-                        raise ValueError(f"{where}: unknown basis {name!r}")
-                elif role in ("read", "control", "write"):
+                if role in ("read", "control", "write"):
                     if name not in bits:
                         raise ValueError(f"{where}: undeclared bit {name!r}")
                     if role == "write":
                         try:
                             arity[name] = row.values(instr.args, program, arity)
-                        except ValueError as exc:  # a basis that does not fit
+                        except ValueError as exc:  # a basis unknown or misfit
                             raise ValueError(f"{where}: {exc}") from None
                     elif name not in arity:
                         raise ValueError(f"{where}: bit {name!r} read before write")
@@ -448,12 +435,11 @@ def validate_program(program: CircuitProgram) -> None:
                     gone.add(name)
                     amplitudes //= specs[name].dim
                     scale = 1.0
-                elif kind.fits and not kind.fits(specs[name]):
-                    spec = specs[name]
-                    what = ("a photon" if _is_photon(spec)
-                            else f"a {spec.positions()}-position particle")
-                    raise ValueError(f"{where}: {instr.op} argument {arg!r} needs "
-                                     f"{kind.needs}, but {name!r} is {what}")
+                elif kind.needs:
+                    try:
+                        expect(specs[name], kind.needs, f"{instr.op} argument {arg!r}")
+                    except ValueError as exc:
+                        raise ValueError(f"{where}: {exc}") from None
         if row.check_args:
             try:
                 scale *= row.check_args(instr.args, program, arity) or 1.0

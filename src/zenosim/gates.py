@@ -2,6 +2,12 @@
 particle preparations, classically controlled corrections, and the
 component-imperfection profile with the census classes it charges.
 
+Each gate and preparation checks what it acts on through `state.expect`,
+under its own name ("particle_x needs a 2-position particle, but 'b' is a
+3-position particle"), the one guard the program validator calls too;
+particle_h and the uniform preparation reach it through
+`SubsystemSpec.positions`.
+
 A preparation helper only builds the fresh particle's vector; the
 interpreter appends it to the state in one step with
 `state.add_subsystem`, whatever the state holds (even no weight at all).
@@ -32,6 +38,7 @@ from .state import (
     StateVector,
     SubsystemSpec,
     apply_local,
+    expect,
 )
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -64,17 +71,17 @@ _PARTICLE_H, _PARTICLE_X, _PARTICLE_Z = (_block(3, b) for b in (_H2, _X2, _Z2))
 
 def photon_h(state: StateVector, name: str) -> StateVector:
     """Hadamard on the photon's logical block."""
-    _expect_photon(state.spec(name))
+    expect(state.spec(name), "a photon", "photon_h")
     return apply_local(state, [name], _PHOTON_H)
 
 
 def photon_x(state: StateVector, name: str) -> StateVector:
-    _expect_photon(state.spec(name))
+    expect(state.spec(name), "a photon", "photon_x")
     return apply_local(state, [name], _PHOTON_X)
 
 
 def photon_z(state: StateVector, name: str) -> StateVector:
-    _expect_photon(state.spec(name))
+    expect(state.spec(name), "a photon", "photon_z")
     return apply_local(state, [name], _PHOTON_Z)
 
 
@@ -88,26 +95,18 @@ def particle_h(state: StateVector, name: str) -> StateVector:
 
 
 def particle_x(state: StateVector, name: str) -> StateVector:
-    if state.spec(name).positions() != 2:
-        raise ValueError("particle_x is defined for 2-position particles")
+    expect(state.spec(name), "a 2-position particle", "particle_x")
     return apply_local(state, [name], _PARTICLE_X)
 
 
 def particle_z(state: StateVector, name: str) -> StateVector:
-    if state.spec(name).positions() != 2:
-        raise ValueError("particle_z is defined for 2-position particles")
+    expect(state.spec(name), "a 2-position particle", "particle_z")
     return apply_local(state, [name], _PARTICLE_Z)
-
-
-def _expect_photon(spec: SubsystemSpec) -> None:
-    if spec.kind != "photon":
-        raise ValueError(f"{spec.name!r} is not a photon")
 
 
 def prepare_particle_pm(spec: SubsystemSpec, sign: str) -> np.ndarray:
     """Level vector of (|blocked> +/- |open>)/sqrt(2) for a fresh particle."""
-    if spec.positions() != 2:
-        raise ValueError("pm preparation needs a 2-position particle")
+    expect(spec, "a 2-position particle", "pm preparation")
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     vec = np.zeros(spec.dim)
@@ -132,6 +131,7 @@ def classically_controlled(state: StateVector, value, gate: str,
     whose value is 0 keep their amplitudes."""
     if gate not in ("cx", "cz"):
         raise ValueError(f"unknown controlled gate {gate!r}")
+    expect(state.spec(target), "a photon or a 2-position particle", gate)
     values = [value] if state.batch is None else value
     on = [b for b, v in enumerate(values) if v != 0]
     if not on:
@@ -164,7 +164,7 @@ def classically_controlled_phase(state: StateVector, value, target: str,
     recorded integer outcome `value`; on a batched state, `value` holds one
     outcome per branch, and each branch gets its own phase from one stack
     of operators."""
-    _expect_photon(state.spec(target))
+    expect(state.spec(target), "a photon", "cphase")
     if state.batch is None:
         return apply_local(state, [target], _phase(coeff, value))
     return apply_local(state, [target], np.array([_phase(coeff, v) for v in value]))

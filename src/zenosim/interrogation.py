@@ -47,6 +47,7 @@ from .state import (
     PH_SINK,
     BLOCKED,
     StateVector,
+    expect,
     particle as particle_spec,
     photon as photon_spec,
 )
@@ -235,8 +236,7 @@ def _prepare(state: StateVector, photon: str, particles: list[str], blocking):
     # among the others (a batched state's branch axis leads both) and its
     # exploded level
     p_axis = state.axis(photon)
-    if state.layout[p_axis].kind != "photon":
-        raise ValueError(f"{photon!r} is not a photon")
+    expect(state.layout[p_axis], "a photon", "an interrogation")
     axes = [state.axis(name) for name in particles]
     blocks = wiring([state.layout[axis] for axis in axes], blocking)
     lead = 0 if state.batch is None else 1
@@ -268,9 +268,7 @@ def qicz(state: StateVector, photon: str, particle: str,
          params: QiParams) -> StateVector:
     """Controlled-Z between a photon and a 2-position particle: the particle
     blocks at position 0, so the sign flip lands exactly on |1H> x |open>."""
-    spec = state.spec(particle)
-    if spec.kind != "particle" or spec.positions() != 2:
-        raise ValueError("qicz needs a 2-position particle")
+    expect(state.spec(particle), "a 2-position particle", "qicz")
     return qi_run(state, photon, [particle], [BLOCKED], params)
 
 

@@ -59,23 +59,18 @@ _X2 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Z2 = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
-def _photon_op(block2: np.ndarray) -> np.ndarray:
-    m = np.eye(4, dtype=np.complex128)
-    m[:2, :2] = block2
-    m.flags.writeable = False
-    return m
-
-
-def _particle_op(positions: int, block: np.ndarray) -> np.ndarray:
-    m = np.eye(positions + 1, dtype=np.complex128)
-    m[:positions, :positions] = block
+def _block_op(dim: int, block: np.ndarray) -> np.ndarray:
+    # `block` on the first levels (a photon's logical pair, a particle's
+    # positions), the identity on the rest, read-only
+    m = np.eye(dim, dtype=np.complex128)
+    m[:len(block), :len(block)] = block
     m.flags.writeable = False
     return m
 
 
 # the oracle's own fixed operators, built once at import and read-only
-_PHOTON_H, _PHOTON_X, _PHOTON_Z = (_photon_op(b) for b in (_H2, _X2, _Z2))
-_PARTICLE_H, _PARTICLE_X, _PARTICLE_Z = (_particle_op(2, b) for b in (_H2, _X2, _Z2))
+_PHOTON_H, _PHOTON_X, _PHOTON_Z = (_block_op(4, b) for b in (_H2, _X2, _Z2))
+_PARTICLE_H, _PARTICLE_X, _PARTICLE_Z = (_block_op(3, b) for b in (_H2, _X2, _Z2))
 
 
 def _dft(d: int) -> np.ndarray:
@@ -247,7 +242,7 @@ def _plan(instr, layout: tuple[str, ...], specs: dict, params: QiParams):
     if op == "particle_h":
         d = dims[target] - 1
         return _gate(layout, dims, [target],
-                     _PARTICLE_H if d == 2 else _particle_op(d, _dft(d)))
+                     _PARTICLE_H if d == 2 else _block_op(d + 1, _dft(d)))
     if op == "cphase":  # the phase has the shape of photon_z
         return _gate(layout, dims, [target], _PHOTON_Z)._replace(op=None)
     if op in ("cx", "cz"):

@@ -88,9 +88,29 @@ class SubsystemSpec:
     def positions(self) -> int:
         """Number of particle position levels, which is also the index of
         the exploded level."""
-        if self.kind != "particle":
-            raise ValueError(f"{self.name!r} is not a particle")
+        expect(self, "a particle", "a position count")
         return self.dim - 1
+
+
+# what a step may act on, by the text that names it (a 2-position particle
+# has 3 levels)
+_FITS = {
+    "a photon": lambda spec: spec.kind == "photon",
+    "a particle": lambda spec: spec.kind == "particle",
+    "a 2-position particle": lambda spec: spec.kind == "particle" and spec.dim == 3,
+    "a photon or a 2-position particle":
+        lambda spec: spec.kind == "photon" or (spec.kind == "particle" and spec.dim == 3),
+}
+
+
+def expect(spec: SubsystemSpec, needs: str, who: str) -> None:
+    """The one home of what a step may act on: raise unless `spec` is what
+    `needs` names, one of the `_FITS` texts, as "{who} needs {needs}, but
+    '{name}' is {what}".  `who` names the step, and the validator prefixes
+    the instruction."""
+    if not _FITS[needs](spec):
+        what = "a photon" if spec.kind == "photon" else f"a {spec.dim - 1}-position particle"
+        raise ValueError(f"{who} needs {needs}, but {spec.name!r} is {what}")
 
 
 def photon(name: str) -> SubsystemSpec:
@@ -234,19 +254,18 @@ _PHOTON_UNITS.flags.writeable = _PM_FACTORS.flags.writeable = False
 def basis_outcomes(spec: SubsystemSpec, basis: str) -> list[tuple[int, np.ndarray | None]]:
     """Outcome list as (outcome, factor vector); None marks the pooled photon
     failure outcome whose projection has rank 2.  The last outcome is always
-    the failure one (pooled photon failure or exploded particle).  Raises
-    ValueError when the basis does not fit the subsystem."""
+    the failure one (pooled photon failure or exploded particle).  The one
+    home of the basis rule: raises ValueError for an unknown basis, and
+    through `expect`, named by the basis, for one that does not fit the
+    subsystem."""
     if basis == PHOTON_COMPUTATIONAL:
-        if spec.kind != "photon":
-            raise ValueError(f"{spec.name} is not a photon")
+        expect(spec, "a photon", basis)
         return [(0, _PHOTON_UNITS[PH_ZERO]), (1, _PHOTON_UNITS[PH_ONE_H]), (PHOTON_FAIL, None)]
-    if spec.kind != "particle":
-        raise ValueError(f"basis {basis!r} needs a particle, got {spec.name!r}")
     if basis == PARTICLE_PM:
-        if spec.positions() != 2:
-            raise ValueError("particle_pm basis needs a 2-position particle")
+        expect(spec, "a 2-position particle", basis)
         return list(zip((PM_PLUS, PM_MINUS, PM_EXPLODED), _PM_FACTORS))
     if basis in (PARTICLE_COMPUTATIONAL, QUDIT_POSITION):
+        expect(spec, "a particle", basis)
         return list(enumerate(np.eye(spec.dim, dtype=np.complex128)))
     raise ValueError(f"unknown basis {basis!r}")
 

@@ -27,7 +27,7 @@ from zenosim.circuits import (
     w_state_generator,
 )
 from zenosim.gates import ImperfectionProfile
-from zenosim.interrogation import PI_OVER_2N, QiParams, effective_map, qicz_multi
+from zenosim.interrogation import PI_OVER_2N, QiParams, effective_map, qicz, qicz_multi
 from zenosim.state import (
     PH_ONE_H,
     PARTICLE_COMPUTATIONAL,
@@ -36,6 +36,7 @@ from zenosim.state import (
     QUDIT_POSITION,
     StateVector,
     SubsystemSpec,
+    branch_all,
     fidelity,
     new_state,
     norm_sq,
@@ -141,20 +142,28 @@ def test_unknown_basis():
         ))
 
 
-@pytest.mark.parametrize("spec,basis,message", [
-    (photon("x"), PARTICLE_PM, "basis 'particle_pm' needs a particle, got 'x'"),
+_BASIS_MISFITS = [
+    (photon("x"), PARTICLE_PM, "particle_pm needs a 2-position particle, but 'x' is a photon"),
     (photon("x"), PARTICLE_COMPUTATIONAL, "needs a particle"),
     (photon("x"), QUDIT_POSITION, "needs a particle"),
     (particle("x", positions=3), PARTICLE_PM,
-     "particle_pm basis needs a 2-position particle"),
-    (particle("x"), PHOTON_COMPUTATIONAL, "x is not a photon"),
-])
+     "particle_pm needs a 2-position particle, but 'x' is a 3-position particle"),
+    (particle("x"), PHOTON_COMPUTATIONAL,
+     "photon_computational needs a photon, but 'x' is a 2-position particle"),
+]
+
+
+def _measure_misfit(spec, basis):
+    return CircuitProgram((spec,), ("b",), (
+        _ins("prepare", target="x", level=0),
+        _ins("measure", target="x", basis=basis, bit="b"),
+    ))
+
+
+@pytest.mark.parametrize("spec,basis,message", _BASIS_MISFITS)
 def test_basis_that_does_not_fit_is_rejected_at_construction(spec, basis, message):
     with pytest.raises(ValueError, match=rf"^instructions\[1\]: .*{message}"):
-        CircuitProgram((spec,), ("b",), (
-            _ins("prepare", target="x", level=0),
-            _ins("measure", target="x", basis=basis, bit="b"),
-        ))
+        _measure_misfit(spec, basis)
 
 
 # a subsystem of each kind, every one prepared, and a 0/1 bit "m" written,
@@ -171,7 +180,7 @@ _KIND_SUBSYSTEMS = (photon("s"), photon("p"), photon("r"), particle("b"),
                     particle("q", positions=3))
 
 
-@pytest.mark.parametrize("op,args,bad,needs,what", [
+_GATE_MISFITS = [
     ("photon_h", {"target": "b"}, "target", "a photon", "a 2-position particle"),
     ("photon_x", {"target": "q"}, "target", "a photon", "a 3-position particle"),
     ("photon_z", {"target": "b"}, "target", "a photon", "a 2-position particle"),
@@ -191,7 +200,10 @@ _KIND_SUBSYSTEMS = (photon("s"), photon("p"), photon("r"), particle("b"),
      "a 3-position particle"),
     ("qicz_multi", {"photon": "p", "particles": ["b", "r"]}, "particles",
      "a particle", "a photon"),
-])
+]
+
+
+@pytest.mark.parametrize("op,args,bad,needs,what", _GATE_MISFITS)
 def test_gate_subsystem_that_does_not_fit_is_rejected_at_construction(
         op, args, bad, needs, what):
     name = args[bad][-1] if bad == "particles" else args[bad]
@@ -199,6 +211,38 @@ def test_gate_subsystem_that_does_not_fit_is_rejected_at_construction(
                rf"but '{name}' is {what}$")
     with pytest.raises(ValueError, match=message):
         CircuitProgram(_KIND_SUBSYSTEMS, ("m",), _KIND_SETUP + (_ins(op, **args),))
+
+
+# the engine call an instruction makes, for the ops that do not call the
+# gates function of their own name on their target
+_ENGINE_CALLS = {
+    "cx": lambda state, a: gates.classically_controlled(state, 1, "cx", a["target"]),
+    "cz": lambda state, a: gates.classically_controlled(state, 1, "cz", a["target"]),
+    "cphase": lambda state, a: gates.classically_controlled_phase(
+        state, 1, a["target"], a["coeff"]),
+    "qicz": lambda state, a: qicz(state, a["photon"], a["particle"], IDEAL),
+    "qicz_multi": lambda state, a: qicz_multi(state, a["photon"], a["particles"], IDEAL),
+}
+
+
+@pytest.mark.parametrize("op,args,bad,needs,what", _GATE_MISFITS)
+def test_engine_call_on_a_misfit_ends_as_the_validator_does(op, args, bad, needs, what):
+    # a library call, on a state that holds the misfit subsystem, raises
+    # the validator's "needs ..., but ... is ..." tail
+    name = args[bad][-1] if bad == "particles" else args[bad]
+    state = new_state(list(_KIND_SUBSYSTEMS), [0] * len(_KIND_SUBSYSTEMS))
+    call = _ENGINE_CALLS.get(op, lambda state, a: getattr(gates, op)(state, a["target"]))
+    with pytest.raises(ValueError, match=rf" needs {needs}, but '{name}' is {what}$"):
+        call(state, args)
+
+
+@pytest.mark.parametrize("spec,basis,message", _BASIS_MISFITS)
+def test_measurement_of_a_misfit_raises_as_the_validator_does(spec, basis, message):
+    with pytest.raises(ValueError) as loaded:
+        _measure_misfit(spec, basis)
+    with pytest.raises(ValueError, match=r" needs .+, but 'x' is .+$") as measured:
+        branch_all(new_state([spec], [0]), "x", basis)
+    assert str(loaded.value) == f"instructions[1]: {measured.value}"
 
 
 @pytest.mark.parametrize("op,args", [
@@ -269,9 +313,10 @@ _FAILED_FIRST = (
 
 @pytest.mark.parametrize("target,args,message", [
     ("b", {"pm": "x"}, "sign must be '+' or '-'"),
-    ("p", {"pm": "+"}, "'p' is not a particle"),
-    ("q", {"pm": "-"}, "pm preparation needs a 2-position particle"),
-    ("p", {"uniform": True}, "'p' is not a particle"),
+    ("p", {"pm": "+"}, "pm preparation needs a 2-position particle, but 'p' is a photon"),
+    ("q", {"pm": "-"},
+     "pm preparation needs a 2-position particle, but 'q' is a 3-position particle"),
+    ("p", {"uniform": True}, "a position count needs a particle, but 'p' is a photon"),
     ("p", {"level": 7}, "level 7 out of range for 'p'"),
     ("b", {"level": -1}, "level -1 out of range for 'b'"),
     ("p", {"state": [[0.5, 0]] * 5}, "initial vector too long for 'p'"),

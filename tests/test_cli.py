@@ -480,7 +480,8 @@ _ARGUMENT_DOCS = {
     "pm-sign": (_arguments_doc({"op": "prepare", "target": "b", "pm": "x"}),
                 "instructions[2]: sign must be '+' or '-'"),
     "uniform-photon": (_arguments_doc({"op": "prepare", "target": "p", "uniform": True}),
-                       "instructions[2]: 'p' is not a particle"),
+                       "instructions[2]: a position count needs a particle, but 'p' "
+                       "is a photon"),
     "level": (_arguments_doc({"op": "prepare", "target": "p", "level": 7}),
               "instructions[2]: level 7 out of range for 'p'"),
     "state-length": (_arguments_doc({"op": "prepare", "target": "p",

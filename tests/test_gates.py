@@ -129,17 +129,21 @@ def test_particle_gates_leave_exploded_level_alone():
 
 def test_particle_xz_require_two_positions():
     state = new_state([particle("a", positions=3)], [0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^particle_x needs a 2-position particle, "
+                                         "but 'a' is a 3-position particle$"):
         particle_x(state, "a")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^particle_z needs a 2-position particle, "
+                                         "but 'a' is a 3-position particle$"):
         particle_z(state, "a")
 
 
 def test_gate_kind_mismatch_rejected():
     state = new_state([photon("p"), particle("a")], [PH_ZERO, BLOCKED])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^photon_h needs a photon, "
+                                         "but 'a' is a 2-position particle$"):
         photon_h(state, "a")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a position count needs a particle, "
+                                         "but 'p' is a photon$"):
         particle_h(state, "p")
 
 
@@ -154,7 +158,8 @@ def test_prepare_pm_signs():
         prepare_particle_pm(particle("a"), "x")
     with pytest.raises(ValueError, match="2-position"):
         prepare_particle_pm(particle("a", positions=3), "+")
-    with pytest.raises(ValueError, match="'p' is not a particle"):
+    with pytest.raises(ValueError, match="^pm preparation needs a 2-position particle, "
+                                         "but 'p' is a photon$"):
         prepare_particle_pm(photon("p"), "+")
 
 
@@ -162,7 +167,8 @@ def test_prepare_uniform_three_positions():
     out = prepare_particle_uniform(particle("a", positions=3))
     assert np.allclose(out[:3], np.full(3, 1 / np.sqrt(3)), atol=1e-14)
     assert out[3] == 0.0
-    with pytest.raises(ValueError, match="'p' is not a particle"):
+    with pytest.raises(ValueError, match="^a position count needs a particle, "
+                                         "but 'p' is a photon$"):
         prepare_particle_uniform(photon("p"))
 
 

@@ -191,7 +191,8 @@ def test_unconditional_flip_with_no_particles():
 
 def test_qicz_requires_two_position_particle():
     state = _pair(PH_ONE_H, 0, positions=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^qicz needs a 2-position particle, "
+                                         "but 'b' is a 3-position particle$"):
         qicz(state, "p", "b", QiParams(cycles=None))
 
 

@@ -6,9 +6,10 @@ plain check that the other test files also run, or one written here.  The
 test finds the snippet in the function's source (exactly once, so a
 refactor that moves the code fails here instead of skipping the mutant),
 compiles the mutated function in the module's globals, binds it in every
-zenosim module that holds the original (a method: on its class), and
-asserts that the killer fails.  A mutant that no check catches is a blind spot of the
-suite, so a row is never entered as an expected survivor."""
+zenosim module and every test module that holds the original (a method:
+on its class), and asserts that the killer fails.  A mutant that no check
+catches is a blind spot of the suite, so a row is never entered as an
+expected survivor."""
 
 import __future__
 import contextlib
@@ -25,13 +26,20 @@ from typing import Callable, NamedTuple
 import pytest
 
 from zenosim import circuits, cli, gates, interrogation, oracle, state
-from zenosim.circuits import DEMOS
+from zenosim.circuits import DEMOS, CircuitProgram, Instruction
 from zenosim.interrogation import effective_map
 from zenosim.state import new_state, photon
 
+import test_emit
+import test_interrogation
 from helpers import FAILURE_LEAVES
-from test_circuits import assert_spoiled_results_leave_later_runs_alone
-from test_cli import _UNLOADABLE, MALFORMED, assert_file_is_one_error_line
+from test_circuits import (
+    _GATE_MISFITS,
+    _KIND_SETUP,
+    _KIND_SUBSYSTEMS,
+    assert_spoiled_results_leave_later_runs_alone,
+)
+from test_cli import _UNLOADABLE, _WRONG_KIND_DOCS, MALFORMED, assert_file_is_one_error_line
 from test_interrogation import _MAP_LAYOUTS, _map_by_columns, _map_grid
 from test_reference_powers import assert_power_stacks_match_the_50_digit_reference
 from test_sampling import (
@@ -59,6 +67,22 @@ def _stacks_match_the_50_digit_reference() -> None:
     # the oracle reads the engine's own map at finite depth, so cycle
     # mutants are checked against the 50-digit reference instead
     assert_power_stacks_match_the_50_digit_reference(10**4)
+
+
+# the test modules' own tests, called through their modules so that pytest
+# does not collect them here a second time
+
+def _open_sign_flip_after_one_cycle() -> None:
+    test_interrogation.test_open_run_is_exact_sign_flip(1)
+
+
+def _open_sign_flip_after_many_cycles() -> None:
+    test_interrogation.test_open_run_is_exact_sign_flip(10**5)
+
+
+def _finite_stdout_is_pinned() -> None:
+    for name, flags in sorted(test_emit._FINITE_SHA256):
+        test_emit.test_simulate_finite_stdout_is_pinned(name, flags)
 
 
 def _map_is_its_column_runs() -> None:
@@ -137,19 +161,36 @@ def _misspelt_field_files_are_one_error_line() -> None:
 
 
 def _particle_guard_holds() -> None:
-    # each engine step that needs a particle, handed a photon
+    # each engine step that counts a particle's positions, handed a photon
     spec = photon("p")
     one_photon = new_state([spec], [0])
     for call in (lambda: gates.prepare_particle_uniform(spec),
-                 lambda: gates.prepare_particle_pm(spec, "+"),
                  lambda: gates.particle_h(one_photon, "p"),
                  lambda: interrogation.wiring([spec])):
         try:
             call()
         except ValueError as exc:
-            assert str(exc) == "'p' is not a particle", exc
+            assert str(exc) == "a position count needs a particle, but 'p' is a photon", exc
         else:
             raise AssertionError("a photon passed for a particle")
+
+
+def _gate_misfits_are_rejected() -> None:
+    # every row of the gate-kind table at load, then the wrong-kind files
+    for op, args, bad, needs, what in _GATE_MISFITS:
+        name = args[bad][-1] if bad == "particles" else args[bad]
+        try:
+            CircuitProgram(_KIND_SUBSYSTEMS, ("m",), _KIND_SETUP + (Instruction(op, args),))
+        except ValueError as exc:
+            assert str(exc) == (f"instructions[6]: {op} argument '{bad}' needs {needs}, "
+                                f"but '{name}' is {what}"), exc
+        else:
+            raise AssertionError(f"{op} on {what} loaded")
+    _files_are_one_error_line([(json.dumps(doc), message)
+                               for doc, message in _WRONG_KIND_DOCS.values()])
+
+
+_TESTS = Path(__file__).parent
 
 
 class Mutant(NamedTuple):
@@ -197,6 +238,21 @@ MUTANTS = {
     "multiply-blocked-stacks-scaled": Mutant(
         interrogation, "_cycle_powers", "return power", "power[2:] *= 0.99; return power",
         _stacks_match_the_50_digit_reference),
+    "open-angle-squared-not-exact": Mutant(
+        interrogation, "_cycle_powers",
+        "power[0] = keep_loss ** m * np.array([[np.cos(phi), -np.sin(phi)],\n"
+        "                                          [np.sin(phi), np.cos(phi)]])", "pass",
+        _open_sign_flip_after_many_cycles),
+    "absorbed-before-rotated": Mutant(
+        interrogation, "_cycle_powers",
+        "step[:, 0, 0], step[:, 0, 1] = c, -s\n"
+        "    step[:, 1, 0], step[:, 1, 1] = s * keep_eps, c * keep_eps",
+        "step[:, 0, 0], step[:, 0, 1] = c, -s * keep_eps\n"
+        "    step[:, 1, 0], step[:, 1, 1] = s, c * keep_eps",
+        test_interrogation.test_partial_absorber_splits_vertical_weight),
+    "residual-v-kept-under-route-to-sink": Mutant(
+        interrogation, "qi_run", "work[PH_ONE_V] = 0.0", "pass",
+        _open_sign_flip_after_one_cycle),
     "blocked-count-exponent-dropped": Mutant(
         interrogation, "_cycle_powers", "** np.arange(kmax + 1)",
         "** np.minimum(np.arange(kmax + 1), 1)", _stacks_match_the_50_digit_reference),
@@ -217,8 +273,12 @@ MUTANTS = {
         _subsystem_and_bit_files_are_one_error_line),
     "particle-guard-dropped": Mutant(
         state, "SubsystemSpec.positions",
-        'raise ValueError(f"{self.name!r} is not a particle")', "pass",
+        'expect(self, "a particle", "a position count")', "pass",
         _particle_guard_holds),
+    "kind-guard-dropped": Mutant(
+        state, "expect",
+        'raise ValueError(f"{who} needs {needs}, but {spec.name!r} is {what}")', "pass",
+        _gate_misfits_are_rejected),
     "bit-name-type-unchecked": Mutant(
         circuits, "validate_program",
         'raise ValueError(f"bits[{i}]: a bit name must be a string, got {bit!r}")', "pass",
@@ -226,6 +286,9 @@ MUTANTS = {
     "other-fields-accepted": Mutant(
         cli, "_no_other_fields", 'raise ValueError(f"{what} takes no field {key!r}")', "pass",
         _misspelt_field_files_are_one_error_line),
+    "float-printed-as-repr": Mutant(
+        cli, "_float", "_CELL % (float(x) + 0.0)", "repr(float(x) + 0.0)",
+        _finite_stdout_is_pinned),
     "nested-file-uncaught": Mutant(
         cli, "load_program", "except RecursionError:", "except MemoryError:",
         _deeply_nested_file_is_one_error_line),
@@ -257,7 +320,10 @@ def test_mutant_is_killed(monkeypatch, name):
     else:
         bound = 0
         for module_name, module in list(sys.modules.items()):
-            if module_name == "zenosim" or module_name.startswith("zenosim."):
+            # a test module holds what it imported by name, as a killer calls it
+            path = getattr(module, "__file__", None)
+            if (module_name == "zenosim" or module_name.startswith("zenosim.")
+                    or (path and Path(path).parent == _TESTS)):
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, mutant)
