@@ -143,13 +143,20 @@ class YieldEstimate:
 
 
 # trials drawn per block in monte_carlo_yield.  It bounds the memory of one
-# call: a block's uniforms and padded success rows take under 0.6 MB at 15
-# draws a trial, so a block stays in cache.  The estimate does not depend
-# on it, since the blocks only cut one stream into pieces
+# call: a block's uniforms, success flags and tiled chances take under
+# 0.6 MB at 15 draws a trial, so a block stays in cache.  The estimate does
+# not depend on it, since the blocks only cut one stream into pieces
 MC_CHUNK = 1 << 12
 
-# one uint64 word of eight True bytes: a trial's padded success row is all
-# such words exactly when every one of its draws succeeds
+# the chances are tiled over just more than this many draws, so that each
+# row of the block's compare is longer than half of numpy's default ufunc
+# buffer (8,192 elements) and runs in place, not copied through the buffer
+# (at 4,096 draws or fewer it ran twice as slow); at 15 draws a trial the
+# tile takes 33 KB
+_TILE_DRAWS = 1 << 12
+
+# one uint64 word of eight True bytes: a trial's flag words, with the bytes
+# past its own flags set True, AND to it exactly when every draw succeeds
 _ALL_TRUE = np.uint64(0x0101010101010101)
 
 
@@ -180,22 +187,39 @@ def monte_carlo_yield(program: CircuitProgram, profile: ImperfectionProfile,
         return YieldEstimate(1.0, 0.0, trials, master_seed)
     rng = np.random.Generator(np.random.Philox(key=master_seed))
     rows = min(MC_CHUNK, trials)
-    u = np.empty((rows, k))
-    # success flags, each row padded with True to whole words
-    ok = np.ones((rows, -(-k // 8) * 8), dtype=bool)
-    words = ok.view(np.uint64)
-    acc = np.empty(rows, dtype=np.uint64)
+    # the block's draws, trial t's at t*k to t*k + k - 1, as the stream
+    # gives them
+    u = np.empty(rows * k)
+    stretch = min(rows, _TILE_DRAWS // k + 1)
+    tile = np.tile(probs, stretch)
+    # success flags in the draws' layout, with slack for the last trial's
+    # last word; every byte stays 0 or 1
+    ok = np.zeros(rows * k + 8, dtype=bool)
+    # word j of each trial: its flag bytes 8*j to 8*j + 7, read unaligned
+    # at stride k
+    words = [np.ndarray(rows, np.uint64, ok, 8 * j, (k,)) for j in range(-(-k // 8))]
+    # the bytes of the last word past the trial's own flags hold the next
+    # trial's, so they are set True; built from bytes, so either byte order
+    # reads it alike
+    tail = np.zeros(8 * len(words), dtype=np.uint8)
+    tail[k:] = True
+    tail = tail.view(np.uint64)[-1]
+    # a block's draws are spent once compared, so the start of their buffer
+    # collects each trial's AND of words
+    acc = u[:rows].view(np.uint64)
     successes = 0
     for done in range(0, trials, rows):
         m = min(rows, trials - done)
-        rng.random(out=u[:m])
-        np.less(u[:m], probs, out=ok[:m, :k])
-        # flags are 0 or 1 bytes, so the AND of a row's words is all True
-        # only when each word is
-        row = words[:m, 0]
-        for j in range(1, words.shape[1]):
-            row = np.bitwise_and(row, words[:m, j], out=acc[:m])
-        successes += int(np.count_nonzero(row == _ALL_TRUE))
+        rng.random(out=u[:m * k])
+        whole = m // stretch * stretch * k
+        np.less(u[:whole].reshape(-1, stretch * k), tile,
+                out=ok[:whole].reshape(-1, stretch * k))
+        np.less(u[whole:m * k], tile[:m * k - whole], out=ok[whole:m * k])
+        row = np.bitwise_or(words[-1][:m], tail, out=acc[:m])
+        for word in words[:-1]:
+            np.bitwise_and(row, word[:m], out=row)
+        # a trial fails exactly when its AND differs from all True
+        successes += m - int(np.count_nonzero(np.bitwise_xor(row, _ALL_TRUE, out=row)))
     estimate = successes / trials
     stderr = float(np.sqrt(estimate * (1.0 - estimate) / trials))
     return YieldEstimate(estimate, stderr, trials, master_seed)

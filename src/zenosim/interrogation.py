@@ -267,7 +267,9 @@ def qi_run(state: StateVector, photon: str, particles: list[str],
 def qicz(state: StateVector, photon: str, particle: str,
          params: QiParams) -> StateVector:
     """Controlled-Z between a photon and a 2-position particle: the particle
-    blocks at position 0, so the sign flip lands exactly on |1H> x |open>."""
+    blocks at position 0, so the sign flip lands exactly on |1H> x |open>.
+    The photon is checked first, as the validator checks its arguments."""
+    expect(state.spec(photon), "a photon", "qicz")
     expect(state.spec(particle), "a 2-position particle", "qicz")
     return qi_run(state, photon, [particle], [BLOCKED], params)
 

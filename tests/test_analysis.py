@@ -159,12 +159,22 @@ def _charged_chain(k):
                       *(ops[i % 3] for i in range(k))))
 
 
-@pytest.mark.parametrize("k", [1, 8, 9, 15, 17])
-@pytest.mark.parametrize("trials", [
-    1, analysis.MC_CHUNK - 1, analysis.MC_CHUNK, analysis.MC_CHUNK + 1,
-    3 * analysis.MC_CHUNK + 7])
-def test_monte_carlo_matches_literal_reference(k, trials):
-    prof = ImperfectionProfile(p=0.97, q=0.9, s=0.95)
+# draws per trial at each side of the 8-byte words a trial's flags are read
+# in, and trial counts at each side of a block
+_CHAIN_LENGTHS = [1, 7, 8, 9, 15, 16, 17, 24, 25]
+_TRIAL_COUNTS = [1, analysis.MC_CHUNK - 1, analysis.MC_CHUNK, analysis.MC_CHUNK + 1,
+                 3 * analysis.MC_CHUNK + 7]
+# at even chances failing trials sit next to each trial in the flags, so a
+# word read past a trial's own flags sees them
+_LITERAL_PROFILES = {"likely": ImperfectionProfile(p=0.97, q=0.9, s=0.95),
+                     "even": ImperfectionProfile(p=0.5, q=0.5, s=0.5)}
+
+
+@pytest.mark.parametrize("k", _CHAIN_LENGTHS)
+@pytest.mark.parametrize("trials", _TRIAL_COUNTS)
+@pytest.mark.parametrize("chances", sorted(_LITERAL_PROFILES))
+def test_monte_carlo_matches_literal_reference(k, trials, chances):
+    prof = _LITERAL_PROFILES[chances]
     program = _charged_chain(k)
     probs = _draw_probabilities(program, prof)
     assert probs.size == k

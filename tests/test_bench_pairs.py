@@ -46,18 +46,19 @@ def test_summary_gives_medians_quartiles_wins_and_the_rule():
     lines = bench_pairs.summary(*_pairs(), END_TO_END)
     assert lines[0] == "pairs=10"
     assert lines[1] == ("op_p50_ms (lower is better): parent 3.045 [3.0225, 3.0675] -> "
-                        "change 2.945 [2.9225, 2.9675]; change won 10 of 10; gain holds: yes")
+                        "change 2.945 [2.9225, 2.9675]; change won 10 of 10; gain holds: yes; "
+                        "bound 0.25: within bound")
     assert lines[2] == ("ops_per_s (higher is better): parent 60 [60, 60] -> change 60 "
-                        "[60, 60]; change won 0 of 10; gain holds: no")
-    assert lines[3].endswith("change won 8 of 10; gain holds: no")
-    assert lines[4].endswith("change won 10 of 10; gain holds: no")
+                        "[60, 60]; change won 0 of 10; gain holds: no; bound 0.25: within bound")
+    assert lines[3].endswith("change won 8 of 10; gain holds: no; bound 0.25: within bound")
+    assert lines[4].endswith("change won 10 of 10; gain holds: no; bound 0.15: within bound")
     assert len(lines) == 5
 
 
 def test_a_gain_in_the_wrong_direction_never_holds():
     parent, change = _pairs()
     lines = bench_pairs.summary(change, parent, END_TO_END)
-    assert lines[1].endswith("change won 0 of 10; gain holds: no")
+    assert lines[1].endswith("change won 0 of 10; gain holds: no; bound 0.25: within bound")
 
 
 def test_summary_needs_one_result_per_side_per_pair():
@@ -66,7 +67,27 @@ def test_summary_needs_one_result_per_side_per_pair():
         bench_pairs.summary(parent, change[:-1], END_TO_END)
     one = bench_pairs.summary(parent[:1], change[:1], END_TO_END)
     assert one[1] == ("op_p50_ms (lower is better): parent 3 [3, 3] -> change 2.9 "
-                      "[2.9, 2.9]; change won 1 of 1; gain holds: yes")
+                      "[2.9, 2.9]; change won 1 of 1; gain holds: yes; "
+                      "bound 0.25: within bound")
+
+
+def test_each_metric_gets_a_verdict_against_its_bound():
+    parent, change = [], []
+    for i in range(10):
+        parent.append(_line(op_p50_ms=3.0 + 0.01 * i,
+                            ops_per_s=40.0 + 5 * i,  # IQR 22.5 over a median of 62.5
+                            setup_s=0.1 * (i + 1),  # IQR 0.45 over a median of 0.55
+                            peak_rss_mb=42.0))
+        change.append(_line(op_p50_ms=4.0 + 0.01 * i,  # 33 % behind
+                            ops_per_s=41.0 + 5 * i,  # ahead by 1, inside the spread
+                            setup_s=0.05,  # below every parent run
+                            peak_rss_mb=48.0))  # 14 % behind
+    lines = bench_pairs.summary([bench_pairs.result_of(out) for out in parent],
+                                [bench_pairs.result_of(out) for out in change], END_TO_END)
+    assert [line.rpartition(": ")[2] for line in lines[1:]] == [
+        "worse", "unresolved", "within bound", "within bound"]
+    assert lines[1].endswith("gain holds: no; bound 0.25: worse")
+    assert lines[4].endswith("gain holds: no; bound 0.15: within bound")
 
 
 @pytest.mark.parametrize("out, message", [

@@ -198,6 +198,8 @@ _GATE_MISFITS = [
      "a 2-position particle"),
     ("qicz", {"photon": "p", "particle": "q"}, "particle", "a 2-position particle",
      "a 3-position particle"),
+    ("qicz", {"photon": "b", "particle": "q"}, "photon", "a photon",
+     "a 2-position particle"),
     ("qicz_multi", {"photon": "p", "particles": ["b", "r"]}, "particles",
      "a particle", "a photon"),
 ]

@@ -15,6 +15,7 @@ import __future__
 import contextlib
 import inspect
 import io
+import itertools
 import json
 import os
 import sys
@@ -25,11 +26,12 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from zenosim import circuits, cli, gates, interrogation, oracle, state
+from zenosim import analysis, circuits, cli, gates, interrogation, oracle, state
 from zenosim.circuits import DEMOS, CircuitProgram, Instruction
 from zenosim.interrogation import effective_map
 from zenosim.state import new_state, photon
 
+import test_analysis
 import test_emit
 import test_interrogation
 from helpers import FAILURE_LEAVES
@@ -78,6 +80,13 @@ def _open_sign_flip_after_one_cycle() -> None:
 
 def _open_sign_flip_after_many_cycles() -> None:
     test_interrogation.test_open_run_is_exact_sign_flip(10**5)
+
+
+def _yields_match_the_literal_reference() -> None:
+    for k, trials, chances in itertools.product(
+            test_analysis._CHAIN_LENGTHS, test_analysis._TRIAL_COUNTS,
+            test_analysis._LITERAL_PROFILES):
+        test_analysis.test_monte_carlo_matches_literal_reference(k, trials, chances)
 
 
 def _finite_stdout_is_pinned() -> None:
@@ -286,6 +295,12 @@ MUTANTS = {
     "other-fields-accepted": Mutant(
         cli, "_no_other_fields", 'raise ValueError(f"{what} takes no field {key!r}")', "pass",
         _misspelt_field_files_are_one_error_line),
+    "flag-word-tail-unmasked": Mutant(
+        analysis, "monte_carlo_yield", "words[-1][:m], tail,", "words[-1][:m], 0,",
+        _yields_match_the_literal_reference),
+    "flag-words-read-at-offset-zero": Mutant(
+        analysis, "monte_carlo_yield", "ok, 8 * j, (k,)", "ok, 0, (k,)",
+        _yields_match_the_literal_reference),
     "float-printed-as-repr": Mutant(
         cli, "_float", "_CELL % (float(x) + 0.0)", "repr(float(x) + 0.0)",
         _finite_stdout_is_pinned),

@@ -16,7 +16,15 @@ For each end-to-end metric BENCHMARK.json lists, the summary prints each
 side's median and quartiles, how many pairs the change won in the metric's
 `better` direction (ties count for neither side), and whether a gain
 holds: the change wins at least 9 pairs in 10, and the medians differ in
-its favour by more than the parent's interquartile range.
+its favour by more than the parent's interquartile range.  It then gives
+the metric's verdict against its `bound`, a fraction of the parent's
+median:
+
+- `worse`: the change's median is behind the parent's by more than the
+  bound;
+- `unresolved`: the parent's interquartile range is wider than the bound,
+  and not every change run beats every parent run;
+- `within bound` otherwise.
 """
 
 from __future__ import annotations
@@ -85,10 +93,17 @@ def summary(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> l
         wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
         (o1, om, o3), (n1, nm, n3) = _quartiles(old), _quartiles(new)
         holds = 10 * wins >= 9 * len(old) and sign * (nm - om) > o3 - o1
+        bound = metric["bound"] * abs(om)
+        if sign * (nm - om) < -bound:
+            verdict = "worse"
+        elif o3 - o1 > bound and min(sign * b for b in new) <= max(sign * a for a in old):
+            verdict = "unresolved"
+        else:
+            verdict = "within bound"
         lines.append(f"{name} ({metric['better']} is better): parent {om:.6g} "
                      f"[{o1:.6g}, {o3:.6g}] -> change {nm:.6g} [{n1:.6g}, {n3:.6g}]; "
                      f"change won {wins} of {len(old)}; gain holds: "
-                     f"{'yes' if holds else 'no'}")
+                     f"{'yes' if holds else 'no'}; bound {metric['bound']:g}: {verdict}")
     return lines
 
 
