@@ -143,16 +143,16 @@ class YieldEstimate:
 
 
 # trials drawn per block in monte_carlo_yield.  It bounds the memory of one
-# call: a block's uniforms, success flags and tiled chances take under
+# call: a block's raw words, success flags and tiled limits take under
 # 0.6 MB at 15 draws a trial, so a block stays in cache.  The estimate does
 # not depend on it, since the blocks only cut one stream into pieces
 MC_CHUNK = 1 << 12
 
-# the chances are tiled over just more than this many draws, so that each
+# the limits are tiled over just more than this many draws, so that each
 # row of the block's compare is longer than half of numpy's default ufunc
 # buffer (8,192 elements) and runs in place, not copied through the buffer
-# (at 4,096 draws or fewer it ran twice as slow); at 15 draws a trial the
-# tile takes 33 KB
+# (at 4,096 draws or fewer the uint64 compare ran about 1.4 times as slow);
+# at 15 draws a trial the tile takes 33 KB
 _TILE_DRAWS = 1 << 12
 
 # one uint64 word of eight True bytes: a trial's flag words, with the bytes
@@ -167,13 +167,30 @@ def _draw_probabilities(program: CircuitProgram,
                       dtype=np.float64)
 
 
+def _draw_limits(probs: np.ndarray) -> np.ndarray:
+    """The largest raw Philox word that passes each chance p > 0:
+    L = (ceil(p * 2**53) << 11) - 1, which wraps to 2**64 - 1 at p = 1."""
+    return (np.ceil(probs * 2.0 ** 53).astype(np.uint64) << np.uint64(11)) - np.uint64(1)
+
+
 def monte_carlo_yield(program: CircuitProgram, profile: ImperfectionProfile,
                       trials: int, master_seed: int) -> YieldEstimate:
     """Sampled fraction of trials in which every imperfectible instruction
     succeeds.  Trial t consumes the t-th block of draws from one
     counter-based stream keyed by the master seed, one uniform per
     imperfectible instruction in program order, so the estimate is
-    reproducible bit for bit for a given seed and trial count."""
+    reproducible bit for bit for a given seed and trial count.
+
+    A draw is the uniform u = (x >> 11) * 2**-53 that numpy's
+    `Generator.random` makes of the stream's 64-bit word x, and it succeeds
+    when u < p.  Since p * 2**53 is exact, u < p exactly when
+    (x >> 11) < ceil(p * 2**53), that is when
+
+        x <= L = (ceil(p * 2**53) << 11) - 1,
+
+    so the words are compared with the limits L (`_draw_limits`) and never
+    turned into doubles.  A chance of 0 fails every trial, so such a
+    program returns an estimate of 0 before drawing."""
     if trials < 1:
         raise ValueError("need a positive trial count")
     if not INTEGER.check(master_seed):
@@ -185,13 +202,12 @@ def monte_carlo_yield(program: CircuitProgram, profile: ImperfectionProfile,
     k = probs.size
     if k == 0:
         return YieldEstimate(1.0, 0.0, trials, master_seed)
-    rng = np.random.Generator(np.random.Philox(key=master_seed))
+    if not probs.all():
+        return YieldEstimate(0.0, 0.0, trials, master_seed)
+    bitgen = np.random.Philox(key=master_seed)
     rows = min(MC_CHUNK, trials)
-    # the block's draws, trial t's at t*k to t*k + k - 1, as the stream
-    # gives them
-    u = np.empty(rows * k)
     stretch = min(rows, _TILE_DRAWS // k + 1)
-    tile = np.tile(probs, stretch)
+    tile = np.tile(_draw_limits(probs), stretch)
     # success flags in the draws' layout, with slack for the last trial's
     # last word; every byte stays 0 or 1
     ok = np.zeros(rows * k + 8, dtype=bool)
@@ -204,22 +220,26 @@ def monte_carlo_yield(program: CircuitProgram, profile: ImperfectionProfile,
     tail = np.zeros(8 * len(words), dtype=np.uint8)
     tail[k:] = True
     tail = tail.view(np.uint64)[-1]
-    # a block's draws are spent once compared, so the start of their buffer
-    # collects each trial's AND of words
-    acc = u[:rows].view(np.uint64)
     successes = 0
     for done in range(0, trials, rows):
         m = min(rows, trials - done)
-        rng.random(out=u[:m * k])
+        # the block's raw words, trial t's at t*k to t*k + k - 1, as the
+        # stream gives them
+        x = bitgen.random_raw(m * k)
         whole = m // stretch * stretch * k
-        np.less(u[:whole].reshape(-1, stretch * k), tile,
-                out=ok[:whole].reshape(-1, stretch * k))
-        np.less(u[whole:m * k], tile[:m * k - whole], out=ok[whole:m * k])
-        row = np.bitwise_or(words[-1][:m], tail, out=acc[:m])
+        np.less_equal(x[:whole].reshape(-1, stretch * k), tile,
+                      out=ok[:whole].reshape(-1, stretch * k))
+        np.less_equal(x[whole:], tile[:m * k - whole], out=ok[whole:m * k])
+        # a block's words are spent once compared, so the start of the block
+        # collects each trial's AND of flag words
+        row = np.bitwise_or(words[-1][:m], tail, out=x[:m])
         for word in words[:-1]:
             np.bitwise_and(row, word[:m], out=row)
         # a trial fails exactly when its AND differs from all True
         successes += m - int(np.count_nonzero(np.bitwise_xor(row, _ALL_TRUE, out=row)))
+        # the spent block is dropped before the next is drawn, so one block
+        # is alive at a time
+        del x, row
     estimate = successes / trials
     stderr = float(np.sqrt(estimate * (1.0 - estimate) / trials))
     return YieldEstimate(estimate, stderr, trials, master_seed)

@@ -89,6 +89,11 @@ def _yields_match_the_literal_reference() -> None:
         test_analysis.test_monte_carlo_matches_literal_reference(k, trials, chances)
 
 
+def _draw_limits_split_the_words() -> None:
+    for p in test_analysis._LIMIT_CHANCES:
+        test_analysis.test_draw_limit_is_the_last_word_that_passes(p)
+
+
 def _finite_stdout_is_pinned() -> None:
     for name, flags in sorted(test_emit._FINITE_SHA256):
         test_emit.test_simulate_finite_stdout_is_pinned(name, flags)
@@ -301,6 +306,11 @@ MUTANTS = {
     "flag-words-read-at-offset-zero": Mutant(
         analysis, "monte_carlo_yield", "ok, 8 * j, (k,)", "ok, 0, (k,)",
         _yields_match_the_literal_reference),
+    "draw-limit-one-word-high": Mutant(
+        analysis, "_draw_limits", "<< np.uint64(11)) - np.uint64(1)", "<< np.uint64(11))",
+        _draw_limits_split_the_words),
+    "draw-limit-rounded-down": Mutant(
+        analysis, "_draw_limits", "np.ceil(", "np.floor(", _draw_limits_split_the_words),
     "float-printed-as-repr": Mutant(
         cli, "_float", "_CELL % (float(x) + 0.0)", "repr(float(x) + 0.0)",
         _finite_stdout_is_pinned),
