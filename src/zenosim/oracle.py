@@ -144,11 +144,9 @@ def _extend(vec: np.ndarray, init: np.ndarray) -> np.ndarray:
     return np.multiply.outer(vec, init).reshape(-1)
 
 
-def _init_vector(kind: str, dim: int, args: dict) -> np.ndarray:
+def _init_vector(dim: int, args: dict) -> np.ndarray:
     v = np.zeros(dim, dtype=np.complex128)
     if "pm" in args:
-        if kind != "particle" or dim != 3:
-            raise ValueError("pm preparation needs a 2-position particle")
         v[0] = _SQH
         v[1] = _SQH if args["pm"] == "+" else -_SQH
         return v
@@ -202,8 +200,6 @@ def _measure(layout: tuple[str, ...], dims: dict[str, int], target: str,
     if basis == PHOTON_COMPUTATIONAL:
         bras = [_PHOTON_BRAS[0], _PHOTON_BRAS[1], None]
     elif basis == PARTICLE_PM:
-        if d != 3:
-            raise ValueError("pm basis needs a 2-position particle")
         bras = list(_PM_BRAS)
     else:  # position bases: one outcome per level, exploded last
         bras = list(np.eye(d, dtype=np.complex128))
@@ -228,7 +224,7 @@ def _plan(instr, layout: tuple[str, ...], specs: dict, params: QiParams):
         if prod(dims.values()) * spec.dim > DIMENSION_CAP:
             raise ValueError(
                 f"preparing {spec.name!r} would exceed the {DIMENSION_CAP}-dimensional cap")
-        return _Prepare(_init_vector(spec.kind, spec.dim, a), layout + (spec.name,))
+        return _Prepare(_init_vector(spec.dim, a), layout + (spec.name,))
     if op == "measure":
         return _measure(layout, dims, a["target"], a["basis"])
     if op in ("qicz", "qicz_multi"):
@@ -253,7 +249,10 @@ def _plan(instr, layout: tuple[str, ...], specs: dict, params: QiParams):
 def brute_force_run(program: CircuitProgram,
                     params: QiParams | None = None) -> BranchTree:
     """Exhaustive branch enumeration with the full-matrix runner, depth
-    first from an explicit stack, so any number of measurements walks."""
+    first from an explicit stack, so any number of measurements walks.
+    A `CircuitProgram` is validated when it is built, so each instruction
+    fits its subsystems here (a pm preparation or basis acts on a
+    2-position particle)."""
     params = params or QiParams()
     specs = {s.name: s for s in program.subsystems}
     plans: dict = {}  # (instruction index, live layout) -> its plan

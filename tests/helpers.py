@@ -262,11 +262,9 @@ class _OracleState:
         self.vec = v3.reshape(-1)
 
 
-def _init_vector(kind: str, dim: int, args: dict) -> np.ndarray:
+def _init_vector(dim: int, args: dict) -> np.ndarray:
     v = np.zeros(dim, dtype=np.complex128)
     if "pm" in args:
-        if kind != "particle" or dim != 3:
-            raise ValueError("pm preparation needs a 2-position particle")
         v[0] = _SQH
         v[1] = _SQH if args["pm"] == "+" else -_SQH
         return v
@@ -320,8 +318,6 @@ def _measurement_outcomes(basis: str, dim: int):
     if basis == PHOTON_COMPUTATIONAL:
         return [(0, _PHOTON_BRAS[0]), (1, _PHOTON_BRAS[1]), (2, _MEASURE_FAIL)]
     if basis == PARTICLE_PM:
-        if dim != 3:
-            raise ValueError("pm basis needs a 2-position particle")
         return list(enumerate(_PM_BRAS))
     # position bases: one outcome per level, exploded last
     outcomes = []
@@ -364,7 +360,7 @@ def reference_brute_force_run(program, params=None) -> BranchTree:
             if op == "prepare":
                 spec = program.spec(a["target"])
                 state.add(spec.name, spec.kind, spec.dim,
-                          _init_vector(spec.kind, spec.dim, a))
+                          _init_vector(spec.dim, a))
             elif op == "photon_h":
                 state.apply([a["target"]], _PHOTON_H)
             elif op == "photon_x":

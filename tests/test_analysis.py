@@ -257,6 +257,20 @@ def test_monte_carlo_perfect_profile_is_exact():
     assert result.stderr == 0.0
 
 
+def test_monte_carlo_on_a_program_with_no_charged_instruction():
+    # a particle prepared and measured in particle_computational draws
+    # nothing, so every trial succeeds, whatever the profile
+    program = CircuitProgram(
+        subsystems=(particle("b"),), bits=("m",),
+        instructions=(Instruction("prepare", {"target": "b"}),
+                      Instruction("measure", {"target": "b", "bit": "m",
+                                              "basis": "particle_computational"})))
+    assert not any(instr.charge for instr in program.instructions)
+    result = monte_carlo_yield(program, ImperfectionProfile(0.5, 0.5, 0.5, 0.5, 0.5),
+                               trials=1000, master_seed=3)
+    assert (result.estimate, result.stderr, result.trials) == (1.0, 0.0, 1000)
+
+
 def test_monte_carlo_rejects_bad_trials():
     with pytest.raises(ValueError):
         monte_carlo_yield(cnot_circuit("memory"), ImperfectionProfile(),

@@ -450,6 +450,17 @@ def test_configurable_gate_accepts_numpy_integer_blocking():
     assert got == want
     assert type(got.instructions[-1].args["blocking"][0][0]) is int
 
+
+def test_spec_of_an_undeclared_name_is_a_key_error():
+    with pytest.raises(KeyError, match="undeclared subsystem 'x'"):
+        bell_generator().spec("x")
+
+
+def test_cnot_circuit_rejects_an_unknown_family():
+    with pytest.raises(ValueError, match="^unknown family 'nope'$"):
+        cnot_circuit("nope")
+
+
 def test_w_generator_needs_two_photons():
     with pytest.raises(ValueError):
         w_state_generator(1)

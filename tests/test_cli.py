@@ -18,6 +18,8 @@ import numpy as np
 import pytest
 
 import zenosim
+from zenosim import gates, state as engine_state
+from zenosim.analysis import yield_formula
 from zenosim.cli import (
     _csv_line,
     _emit_json,
@@ -35,6 +37,9 @@ from zenosim.circuits import (
     cnot_circuit,
     w_state_generator,
 )
+from zenosim.gates import ImperfectionProfile
+
+from test_oracle import _mutated_apply_local
 
 CLI = [sys.executable, "-m", "zenosim.cli"]
 # the child imports the zenosim this process imports, installed or not
@@ -322,6 +327,13 @@ MALFORMED = [
      "got True"),
     ({"version": "1", "bits": ["m", 3]},
      "bits[1]: a bit name must be a string, got 3"),
+    # a measured subsystem is gone for good
+    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"}], "bits": ["m"],
+      "instructions": [{"op": "prepare", "target": "p"},
+                       {"op": "measure", "target": "p", "basis": "photon_computational",
+                        "bit": "m"},
+                       {"op": "prepare", "target": "p"}]},
+     "instructions[2]: 'p' reused after measurement"),
 ]
 
 
@@ -553,6 +565,23 @@ def test_unloadable_file_is_one_prefixed_error_line(tmp_path, name, command):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"zenosim: error: {message}\n"
+
+
+def test_oracle_check_refuses_a_state_past_its_dimension_cap(tmp_path):
+    # six photons in (|0> + |1H>)/sqrt(2) after a pm particle: 12,288
+    # amplitudes, which the engine runs and the oracle refuses
+    half = [[0.7071067811865476, 0.0]] * 2
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "version": "1",
+        "subsystems": [{"name": "b", "kind": "particle"}]
+        + [{"name": f"p{i}", "kind": "photon"} for i in range(6)],
+        "instructions": [{"op": "prepare", "target": "b", "pm": "+"}]
+        + [{"op": "prepare", "target": f"p{i}", "state": half} for i in range(6)]}))
+    code, out, err = run_main("simulate", path, "--cycles", "333", "--out", "csv")
+    assert (code, out.count("\n"), err) == (0, 2, "")
+    assert run_main("oracle-check", path, "--cycles", "333") == (
+        1, "", "zenosim: error: preparing 'p4' would exceed the 1280-dimensional cap\n")
 
 
 def test_oracle_check_walks_more_measurements_than_the_recursion_limit(tmp_path):
@@ -787,6 +816,27 @@ def test_cnot_emit_simulate_and_oracle_check(tmp_path):
     assert lines[1].startswith("PASS max_deviation<=")
 
 
+def assert_verification_fails_on_a_broken_engine(tmp_path) -> None:
+    """With the engine's gate step undoing its axis move with the forward
+    permutation, `cnot --verify` and `oracle-check` print FAIL with the
+    largest deviation and exit 2."""
+    path = tmp_path / "direct-cx.json"
+    path.write_text(serialize_program(cnot_circuit("direct-cx")))
+    mutant = _mutated_apply_local(
+        "out.transpose(sorted(range(len(perm)), key=perm.__getitem__))", "out.transpose(perm)")
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (engine_state, gates):  # gates holds its own binding
+            patch.setattr(module, "apply_local", mutant)
+        code, out, err = run_main("cnot", "--family", "direct-cx", "--verify", "--ideal")
+        assert (code, out.splitlines()[-1], err) == (2, "FAIL max_deviation=0.75", "")
+        assert run_main("oracle-check", path, "--ideal") == (
+            2, "deviation=0.353553390593\nFAIL max_deviation=0.353553390593\n", "")
+
+
+def test_verification_of_a_broken_engine_fails(tmp_path):
+    assert_verification_fails_on_a_broken_engine(tmp_path)
+
+
 def test_cnot_verify_passes():
     proc = run_cli("cnot", "--family", "direct-cz", "--verify", "--ideal")
     assert proc.returncode == 0
@@ -821,6 +871,11 @@ def test_sweep_zeno_csv():
     assert lines[1].startswith("2,pi_over_n,1,0,")
 
 
+def test_sweep_rejects_a_cycle_count_below_one():
+    assert run_main("sweep", "--what", "zeno", "--cycles", "0,3") == (
+        1, "", "zenosim: error: cycle counts must be positive integers\n")
+
+
 def test_sweep_fidelity_csv():
     proc = run_cli("sweep", "--what", "fidelity", "--cycles", "5,50")
     assert proc.returncode == 0
@@ -848,6 +903,19 @@ def test_sweep_yield_csv():
     assert lines[0] == "family,p,q,r,s,eta,formula"
     assert len(lines) == 6
     assert lines[1].startswith("memory,0.9,0.9,0.9,0.9,0.9,")
+
+
+@pytest.mark.parametrize("family, row, formula", [
+    ("direct-cx", "direct-cx", "0.217728"),
+    ("half-memory", "half-memory-keep-control", "0.07112448"),
+])
+def test_sweep_yield_for_one_family(family, row, formula):
+    code, out, err = run_main("sweep", "--what", "yield", "--family", family,
+                              "--profile", "0.9,0.8,0.7,0.6,0.5")
+    assert (code, err) == (0, "")
+    assert out == f"family,p,q,r,s,eta,formula\n{row},0.9,0.8,0.7,0.6,0.5,{formula}\n"
+    assert float(formula) == pytest.approx(
+        yield_formula(row, ImperfectionProfile(0.9, 0.8, 0.7, 0.6, 0.5)), rel=1e-12)
 
 
 def test_montecarlo_csv():

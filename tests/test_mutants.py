@@ -41,7 +41,13 @@ from test_circuits import (
     _KIND_SUBSYSTEMS,
     assert_spoiled_results_leave_later_runs_alone,
 )
-from test_cli import _UNLOADABLE, _WRONG_KIND_DOCS, MALFORMED, assert_file_is_one_error_line
+from test_cli import (
+    _UNLOADABLE,
+    _WRONG_KIND_DOCS,
+    MALFORMED,
+    assert_file_is_one_error_line,
+    assert_verification_fails_on_a_broken_engine,
+)
 from test_interrogation import _MAP_LAYOUTS, _map_by_columns, _map_grid
 from test_reference_powers import assert_power_stacks_match_the_50_digit_reference
 from test_sampling import (
@@ -143,6 +149,11 @@ def _deeply_nested_file_is_one_error_line() -> None:
     assert (code, out.getvalue()) == (1, "")
     assert err.getvalue() == ("zenosim: error: parse error: arrays or objects "
                               "nested too deeply\n")
+
+
+def _broken_engine_fails_verification() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_verification_fails_on_a_broken_engine(Path(tmp))
 
 
 def _escapes_as_a_failure(check: Callable[[], None]) -> None:
@@ -311,9 +322,16 @@ MUTANTS = {
         _draw_limits_split_the_words),
     "draw-limit-rounded-down": Mutant(
         analysis, "_draw_limits", "np.ceil(", "np.floor(", _draw_limits_split_the_words),
+    "no-draw-program-yields-zero": Mutant(
+        analysis, "monte_carlo_yield", "return YieldEstimate(1.0, 0.0, trials, master_seed)",
+        "return YieldEstimate(0.0, 0.0, trials, master_seed)",
+        test_analysis.test_monte_carlo_on_a_program_with_no_charged_instruction),
     "float-printed-as-repr": Mutant(
         cli, "_float", "_CELL % (float(x) + 0.0)", "repr(float(x) + 0.0)",
         _finite_stdout_is_pinned),
+    "verdict-always-pass": Mutant(
+        cli, "_verdict", "if worst <= ORACLE_TOLERANCE:", "if True:",
+        _broken_engine_fails_verification),
     "nested-file-uncaught": Mutant(
         cli, "load_program", "except RecursionError:", "except MemoryError:",
         _deeply_nested_file_is_one_error_line),

@@ -140,14 +140,20 @@ def test_a_bit_written_twice_pairs_by_position():
         assert compare(program, params) <= 1e-10
 
 
-@pytest.mark.parametrize("edit, message", [
-    (lambda leaves: leaves[::-1], r"^branch 0: engine \(record, failed, layout\)"),
-    (lambda leaves: leaves[:-1], r"^branch 3: the engine has 3 branches, the brute-force run 4$"),
-    (lambda leaves: leaves + leaves[:1], r"^branch 4: the engine has 5 branches"),
-], ids=["order", "fewer", "more"])
-def test_compare_names_the_branch_that_does_not_pair(monkeypatch, edit, message):
+# edits of the engine's branch list, each with the error compare raises
+_UNPAIRED = {
+    "order": (lambda leaves: leaves[::-1], r"^branch 0: engine \(record, failed, layout\)"),
+    "fewer": (lambda leaves: leaves[:-1],
+              r"^branch 3: the engine has 3 branches, the brute-force run 4$"),
+    "more": (lambda leaves: leaves + leaves[:1], r"^branch 4: the engine has 5 branches"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNPAIRED))
+def test_compare_names_the_branch_that_does_not_pair(monkeypatch, name):
     # the coin flips of the teleportation memory end in four leaves with
     # distinct records
+    edit, message = _UNPAIRED[name]
     walk = oracle.run_all_branches
     monkeypatch.setattr(oracle, "run_all_branches", lambda *args: edit(walk(*args)))
     program = DEMOS["memory"]()

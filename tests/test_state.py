@@ -87,6 +87,18 @@ def test_contraction_never_grows_norm(seed, scale):
     assert norm_sq(out) <= norm_sq(state) + ATOL
 
 
+def test_axis_of_an_unknown_name_is_a_key_error():
+    with pytest.raises(KeyError, match="unknown subsystem 'q'"):
+        new_state([photon("p")], [0]).axis("q")
+
+
+def test_new_state_checks_one_level_per_subsystem_in_range():
+    with pytest.raises(ValueError, match="^layout/levels length mismatch$"):
+        new_state([photon("p")], [0, 1])
+    with pytest.raises(ValueError, match="^level 4 out of range for subsystem 'p'$"):
+        new_state([photon("p")], [4])
+
+
 def test_expansion_rejected():
     state = new_state([photon("p")], [0])
     with pytest.raises(ValueError):
