@@ -366,7 +366,9 @@ def validate_program(program: CircuitProgram) -> None:
     row's `check_args` (qicz_multi wiring, prepared vectors, finite cphase
     phases), and states within `MAX_AMPLITUDES` whose prepared vectors keep
     their norm^2 within 1 + `ATOL`.  An error about one subsystem or bit
-    starts `subsystems[i]:` or `bits[i]:`."""
+    starts `subsystems[i]:` or `bits[i]:`, and any error raised while an
+    instruction is checked starts `instructions[i]:`, added by the loop's
+    one handler."""
     specs: dict[str, SubsystemSpec] = {}
     for i, s in enumerate(program.subsystems):
         if s.name in specs:
@@ -392,62 +394,53 @@ def validate_program(program: CircuitProgram) -> None:
     scale = 1.0
     arity: dict[str, int] = {}  # bit -> number of values it can hold
     for pos, instr in enumerate(program.instructions):
-        where = f"instructions[{pos}]"
-        row = OPS[instr.op]
-        for arg, kind in row.roles:
-            role, value = kind.role, instr.args[arg]
-            for name in [value] if isinstance(value, str) else value:
-                if role in ("read", "control", "write"):
-                    if name not in bits:
-                        raise ValueError(f"{where}: undeclared bit {name!r}")
-                    if role == "write":
-                        try:
+        try:
+            row = OPS[instr.op]
+            for arg, kind in row.roles:
+                role, value = kind.role, instr.args[arg]
+                for name in [value] if isinstance(value, str) else value:
+                    if role in ("read", "control", "write"):
+                        if name not in bits:
+                            raise ValueError(f"undeclared bit {name!r}")
+                        if role == "write":  # a basis unknown or misfit raises here
                             arity[name] = row.values(instr.args, program, arity)
-                        except ValueError as exc:  # a basis unknown or misfit
-                            raise ValueError(f"{where}: {exc}") from None
-                    elif name not in arity:
-                        raise ValueError(f"{where}: bit {name!r} read before write")
-                    elif role == "control" and arity[name] > 2:
-                        raise ValueError(
-                            f"{where}: {instr.op} needs a 0/1 control, but bit "
-                            f"{name!r} can hold 0..{arity[name] - 1}; use cphase "
-                            "for integer outcomes")
-                elif name not in specs:
-                    raise ValueError(f"{where}: undeclared subsystem {name!r}")
-                elif role == "prepare":
-                    if name in live:
-                        raise ValueError(f"{where}: {name!r} prepared twice")
-                    if name in gone:
-                        raise ValueError(f"{where}: {name!r} reused after measurement")
-                    live.add(name)
-                    amplitudes *= specs[name].dim
-                    if amplitudes > MAX_AMPLITUDES:
-                        raise ValueError(
-                            f"{where}: preparing {name!r} makes a state of "
-                            f"{amplitudes} amplitudes; the engine allows at most "
-                            f"{MAX_AMPLITUDES}")
-                elif name in gone:
-                    raise ValueError(f"{where}: {name!r} used after measurement")
-                elif name not in live:
-                    raise ValueError(f"{where}: {name!r} used before prepare")
-                elif role == "measure":
-                    live.remove(name)
-                    gone.add(name)
-                    amplitudes //= specs[name].dim
-                    scale = 1.0
-                elif kind.needs:
-                    try:
+                        elif name not in arity:
+                            raise ValueError(f"bit {name!r} read before write")
+                        elif role == "control" and arity[name] > 2:
+                            raise ValueError(
+                                f"{instr.op} needs a 0/1 control, but bit {name!r} can "
+                                f"hold 0..{arity[name] - 1}; use cphase for integer outcomes")
+                    elif name not in specs:
+                        raise ValueError(f"undeclared subsystem {name!r}")
+                    elif role == "prepare":
+                        if name in live:
+                            raise ValueError(f"{name!r} prepared twice")
+                        if name in gone:
+                            raise ValueError(f"{name!r} reused after measurement")
+                        live.add(name)
+                        amplitudes *= specs[name].dim
+                        if amplitudes > MAX_AMPLITUDES:
+                            raise ValueError(
+                                f"preparing {name!r} makes a state of {amplitudes} "
+                                f"amplitudes; the engine allows at most {MAX_AMPLITUDES}")
+                    elif name in gone:
+                        raise ValueError(f"{name!r} used after measurement")
+                    elif name not in live:
+                        raise ValueError(f"{name!r} used before prepare")
+                    elif role == "measure":
+                        live.remove(name)
+                        gone.add(name)
+                        amplitudes //= specs[name].dim
+                        scale = 1.0
+                    elif kind.needs:
                         expect(specs[name], kind.needs, f"{instr.op} argument {arg!r}")
-                    except ValueError as exc:
-                        raise ValueError(f"{where}: {exc}") from None
-        if row.check_args:
-            try:
+            if row.check_args:
                 scale *= row.check_args(instr.args, program, arity) or 1.0
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            if scale > 1 + ATOL:  # only a prepare scales it
-                raise ValueError(f"{where}: preparing {instr.args['target']!r} makes a "
-                                 f"state of norm^2 {scale!r}, above 1 + {ATOL:g}")
+                if scale > 1 + ATOL:  # only a prepare scales it
+                    raise ValueError(f"preparing {instr.args['target']!r} makes a "
+                                     f"state of norm^2 {scale!r}, above 1 + {ATOL:g}")
+        except ValueError as exc:
+            raise ValueError(f"instructions[{pos}]: {exc}") from None
 
 
 @dataclass

@@ -324,23 +324,22 @@ def _cmd_census(args) -> int:
     return 0
 
 
+# the `SweepRow` fields each cycle sweep prints, in CSV column order; the
+# header is the field names
+_SWEEP_COLUMNS = {"zeno": ("n_cycles", "theta_rule", "absorb", "loss", "survival"),
+                  "fidelity": ("n_cycles", "absorb", "loss", "fidelity")}
+
+
 def _cmd_sweep(args) -> int:
-    if args.what == "zeno":
-        rows = analysis.zeno_sweep(_parse_cycles_list(args.cycles),
-                                   theta_rule=_THETA_FLAG[args.theta],
-                                   absorb=args.absorb, loss=args.loss)
-        print("n_cycles,theta_rule,absorb,loss,survival")
+    columns = _SWEEP_COLUMNS.get(args.what)
+    if columns:
+        # the sweep is looked up per call, so `bench/spans.py` sees it rebound
+        sweep = analysis.zeno_sweep if args.what == "zeno" else analysis.fidelity_sweep
+        rows = sweep(_parse_cycles_list(args.cycles), theta_rule=_THETA_FLAG[args.theta],
+                     absorb=args.absorb, loss=args.loss)
+        print(",".join(columns))
         for row in rows:
-            print(_csv_line([row.n_cycles, row.theta_rule, row.absorb,
-                             row.loss, row.survival]))
-        return 0
-    if args.what == "fidelity":
-        rows = analysis.fidelity_sweep(_parse_cycles_list(args.cycles),
-                                       theta_rule=_THETA_FLAG[args.theta],
-                                       absorb=args.absorb, loss=args.loss)
-        print("n_cycles,absorb,loss,fidelity")
-        for row in rows:
-            print(_csv_line([row.n_cycles, row.absorb, row.loss, row.fidelity]))
+            print(_csv_line([getattr(row, column) for column in columns]))
         return 0
     # yield: closed-form per family
     profile = _parse_profile(args.profile)

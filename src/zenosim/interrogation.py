@@ -67,7 +67,12 @@ class QiParams:
     """Interrogation parameters.
 
     cycles=None selects the exact N -> infinity limit of the pi/N wiring
-    (a pure controlled phase); finite cycles run the full dynamics.
+    (a pure controlled phase); finite cycles run the full dynamics.  The
+    limit models an absorbing particle without loss: it needs the pi/N
+    rule, absorb_prob > 0 (any such absorber freezes the photon on |1H>
+    as N grows, while a transparent one, absorb_prob = 0, lets it turn)
+    and cycle_loss = 0 (a fixed per-cycle loss empties the photon as N
+    grows).  Other settings raise.
     """
 
     cycles: int | None = 10000
@@ -81,12 +86,15 @@ class QiParams:
             raise ValueError("cycles must be >= 1")
         if self.theta_rule not in THETA_RULES:
             raise ValueError(f"unknown theta rule {self.theta_rule!r}")
-        if self.cycles is None and self.theta_rule != PI_OVER_N:
-            raise ValueError("the exact limit is defined for the pi/N rule only")
         if not 0.0 <= self.absorb_prob <= 1.0:
             raise ValueError("absorb_prob must lie in [0, 1]")
         if not 0.0 <= self.cycle_loss < 1.0:
             raise ValueError("cycle_loss must lie in [0, 1)")
+        if self.cycles is None and self.theta_rule != PI_OVER_N:
+            raise ValueError("the exact limit is defined for the pi/N rule only")
+        if self.cycles is None and (self.absorb_prob == 0.0 or self.cycle_loss > 0.0):
+            raise ValueError("the exact limit is defined for absorb_prob > 0 and "
+                             "cycle_loss = 0 only")
         if self.residual_v_policy not in (ROUTE_TO_SINK, KEEP):
             raise ValueError(f"unknown residual policy {self.residual_v_policy!r}")
 
@@ -191,7 +199,10 @@ def _limit_powers(kmax) -> np.ndarray:
     """The exact N -> infinity limit of T_k^N under the pi/N rule, for
     k = 0..kmax: diag(-1, 1) when no listed particle blocks (the open
     interferometer's sign flip on |1H>) and the identity otherwise (the
-    photon frozen on |1H>)."""
+    photon frozen on |1H>).  On |1H> this is the deep runs' limit for any
+    absorb_prob > 0 and no cycle loss, the only settings `QiParams` allows
+    with cycles=None.  The |1V> entry is 1 for every k, which deep runs
+    under the keep policy do not approach."""
     power = np.zeros((kmax + 1, 2, 2), dtype=np.longdouble)
     power[:, 0, 0] = power[:, 1, 1] = 1
     power[0, 0, 0] = -1

@@ -252,7 +252,9 @@ def brute_force_run(program: CircuitProgram,
     first from an explicit stack, so any number of measurements walks.
     A `CircuitProgram` is validated when it is built, so each instruction
     fits its subsystems here (a pm preparation or basis acts on a
-    2-position particle)."""
+    2-position particle).  An error in planning an instruction, such as a
+    state past `DIMENSION_CAP`, starts `instructions[i]:` as the
+    validator's do."""
     params = params or QiParams()
     specs = {s.name: s for s in program.subsystems}
     plans: dict = {}  # (instruction index, live layout) -> its plan
@@ -282,7 +284,10 @@ def brute_force_run(program: CircuitProgram,
                 continue
             plan = plans.get((i, layout))
             if plan is None:
-                plan = plans[i, layout] = _plan(instr, layout, specs, params)
+                try:
+                    plan = plans[i, layout] = _plan(instr, layout, specs, params)
+                except ValueError as exc:
+                    raise ValueError(f"instructions[{i}]: {exc}") from None
             if op == "prepare":
                 vec, layout = _extend(vec, plan.init), plan.layout
             elif op == "measure":

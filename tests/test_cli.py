@@ -581,7 +581,8 @@ def test_oracle_check_refuses_a_state_past_its_dimension_cap(tmp_path):
     code, out, err = run_main("simulate", path, "--cycles", "333", "--out", "csv")
     assert (code, out.count("\n"), err) == (0, 2, "")
     assert run_main("oracle-check", path, "--cycles", "333") == (
-        1, "", "zenosim: error: preparing 'p4' would exceed the 1280-dimensional cap\n")
+        1, "", "zenosim: error: instructions[5]: preparing 'p4' would exceed the "
+        "1280-dimensional cap\n")
 
 
 def test_oracle_check_walks_more_measurements_than_the_recursion_limit(tmp_path):
@@ -894,6 +895,28 @@ def test_sweep_fidelity_reads_the_theta_rule():
     assert run_main("sweep", "--what", "fidelity", "--cycles", "5,10",
                     "--theta", "pi-over-2n") == (
         1, "", "zenosim: error: the exact limit is defined for the pi/N rule only\n")
+
+
+_LIMIT_REFUSES = ("zenosim: error: the exact limit is defined for absorb_prob > 0 and "
+                  "cycle_loss = 0 only\n")
+
+
+@pytest.mark.parametrize("flags", [["--absorb", "0"], ["--loss", "0.5"]])
+def test_exact_limit_refuses_settings_it_does_not_model(flags):
+    # a transparent particle lets the photon turn and a per-cycle loss empties
+    # it as N grows, so the limit has no value to print for either
+    assert run_main("simulate", "--demo", "qicz", "--ideal", *flags) == (1, "", _LIMIT_REFUSES)
+
+
+def test_exact_limit_runs_a_partial_absorber():
+    # any absorber freezes the photon as N grows: the same branches as the
+    # ideal absorber's, under the params it was given
+    code, out, err = run_main("simulate", "--demo", "qicz", "--ideal", "--absorb", "0.5")
+    assert (code, err) == (0, "")
+    partial = json.loads(out)
+    ideal = json.loads(run_main("simulate", "--demo", "qicz", "--ideal")[1])
+    assert partial["params"]["absorb"] == 0.5
+    assert partial["branches"] == ideal["branches"]
 
 
 def test_sweep_yield_csv():

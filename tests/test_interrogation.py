@@ -89,6 +89,20 @@ def test_params_validation():
         QiParams(cycle_loss=1.0)
     with pytest.raises(ValueError):
         QiParams(residual_v_policy="discard")
+    # a transparent particle or a per-cycle loss, which the limit does not model
+    for absorb, loss in ((0.0, 0.0), (1.0, 1e-6)):
+        with pytest.raises(ValueError, match="^the exact limit is defined for absorb_prob > 0 "
+                                             "and cycle_loss = 0 only$"):
+            QiParams(cycles=None, absorb_prob=absorb, cycle_loss=loss)
+
+
+def test_exact_limit_is_the_deep_runs_limit_on_1h_for_a_partial_absorber():
+    # |1H> beside a 2-position particle, blocking and open: at N = 10^7 and
+    # absorb 0.5 the blocked photon keeps 0.999997 of its amplitude
+    columns = [PH_ONE_H * 3 + BLOCKED, PH_ONE_H * 3 + OPEN]
+    limit = effective_map(QiParams(cycles=None, absorb_prob=0.5), 1)[:, columns]
+    deep = effective_map(QiParams(cycles=10**7, absorb_prob=0.5), 1)[:, columns]
+    assert np.abs(limit - deep).max() < 1e-5
 
 
 def test_loss_factorizes_per_cycle():
@@ -232,11 +246,13 @@ _MAP_SETTINGS = [(1.0, 0.0), (0.9, 1e-3), (0.0, 1e-6)]  # (absorb, loss)
 def _map_grid():
     """Every depth under both theta rules (the limit has only pi/N), each
     paired with one (absorb, loss, residual policy) setting in turn, so
-    every setting meets both policies on every layout: 15 maps per layout."""
+    every setting meets both policies on every layout: 15 maps per layout.
+    The limit takes the ideal absorber without loss, the only setting it
+    models."""
     cells = [(n, rule) for n in _MAP_DEPTHS for rule in (PI_OVER_N, PI_OVER_2N)
              if n is not None or rule == PI_OVER_N]
     for i, (n, rule) in enumerate(cells):
-        eps, lam = _MAP_SETTINGS[i % 3]
+        eps, lam = _MAP_SETTINGS[i % 3] if n is not None else (1.0, 0.0)
         policy = (ROUTE_TO_SINK, KEEP)[i // 3 % 2]
         yield QiParams(cycles=n, theta_rule=rule, absorb_prob=eps,
                        cycle_loss=lam, residual_v_policy=policy)

@@ -32,6 +32,7 @@ from zenosim.interrogation import effective_map
 from zenosim.state import new_state, photon
 
 import test_analysis
+import test_cli
 import test_emit
 import test_interrogation
 from helpers import FAILURE_LEAVES
@@ -180,6 +181,17 @@ def _subsystem_and_bit_files_are_one_error_line() -> None:
                                if message.startswith(("subsystems[", "bits["))])
 
 
+def _instruction_files_are_one_error_line() -> None:
+    # every malformed file whose error names one instruction
+    _files_are_one_error_line([(json.dumps(doc), message) for doc, message in MALFORMED
+                               if message.startswith("instructions[")])
+
+
+def _oracle_cap_names_its_instruction() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        test_cli.test_oracle_check_refuses_a_state_past_its_dimension_cap(Path(tmp))
+
+
 def _misspelt_field_files_are_one_error_line() -> None:
     _files_are_one_error_line([(text, message) for text, message in _UNLOADABLE.values()
                                if "takes no field" in message])
@@ -308,6 +320,13 @@ MUTANTS = {
         circuits, "validate_program",
         'raise ValueError(f"bits[{i}]: a bit name must be a string, got {bit!r}")', "pass",
         _subsystem_and_bit_files_are_one_error_line),
+    "validator-error-unlocated": Mutant(
+        circuits, "validate_program",
+        'raise ValueError(f"instructions[{pos}]: {exc}") from None', "raise",
+        _instruction_files_are_one_error_line),
+    "oracle-error-unlocated": Mutant(
+        oracle, "brute_force_run", 'raise ValueError(f"instructions[{i}]: {exc}") from None',
+        "raise", _oracle_cap_names_its_instruction),
     "other-fields-accepted": Mutant(
         cli, "_no_other_fields", 'raise ValueError(f"{what} takes no field {key!r}")', "pass",
         _misspelt_field_files_are_one_error_line),

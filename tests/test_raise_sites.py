@@ -180,49 +180,41 @@ LEDGER = [
         partial(test_cli.test_bit_name_that_would_split_a_csv_row_is_one_error_line,
                 _HERE, "a,b"),
         "bits[0]: 'a,b' may not hold , ; = \" or a line break"),
-    Row(Site("circuits", "validate_program", "{}: undeclared bit {}"),
-        test_circuits.test_measure_into_undeclared_bit, "instructions[1]: undeclared bit 'b'"),
-    Row(Site("circuits", "validate_program", "{}: {}"),  # a written bit's basis
-        test_circuits.test_unknown_basis, "instructions[1]: unknown basis 'diagonal'"),
-    Row(Site("circuits", "validate_program", "{}: bit {} read before write"),
-        test_circuits.test_correction_bit_read_before_write,
-        "instructions[1]: bit 'b' read before write"),
+    Row(Site("circuits", "validate_program", "undeclared bit {}"),
+        test_circuits.test_measure_into_undeclared_bit, "undeclared bit 'b'"),
+    Row(Site("circuits", "validate_program", "bit {} read before write"),
+        test_circuits.test_correction_bit_read_before_write, "bit 'b' read before write"),
     Row(Site("circuits", "validate_program",
-             "{}: {} needs a 0/1 control, but bit {} can hold 0..{}; use cphase for "
-             "integer outcomes"),
+             "{} needs a 0/1 control, but bit {} can hold 0..{}; use cphase for integer "
+             "outcomes"),
         partial(test_circuits.test_binary_control_on_multi_valued_bit_rejected, "cx"),
-        "instructions[5]: cx needs a 0/1 control, but bit 'm' can hold 0..2; use cphase "
-        "for integer outcomes"),
-    Row(Site("circuits", "validate_program", "{}: undeclared subsystem {}"),
-        test_circuits.test_undeclared_subsystem, "instructions[0]: undeclared subsystem 'q'"),
-    Row(Site("circuits", "validate_program", "{}: {} prepared twice"),
-        test_circuits.test_prepare_twice, "instructions[1]: 'p' prepared twice"),
-    Row(Site("circuits", "validate_program", "{}: {} reused after measurement"),
+        "cx needs a 0/1 control, but bit 'm' can hold 0..2; use cphase for integer outcomes"),
+    Row(Site("circuits", "validate_program", "undeclared subsystem {}"),
+        test_circuits.test_undeclared_subsystem, "undeclared subsystem 'q'"),
+    Row(Site("circuits", "validate_program", "{} prepared twice"),
+        test_circuits.test_prepare_twice, "'p' prepared twice"),
+    Row(Site("circuits", "validate_program", "{} reused after measurement"),
         _malformed("instructions[2]: 'p' reused after measurement"),
-        "instructions[2]: 'p' reused after measurement"),
+        "'p' reused after measurement"),
     Row(Site("circuits", "validate_program",
-             "{}: preparing {} makes a state of {} amplitudes; the engine allows at most {}"),
+             "preparing {} makes a state of {} amplitudes; the engine allows at most {}"),
         _malformed("instructions[2]: preparing 'b2' makes a state of 8120601 amplitudes; "
                    "the engine allows at most 1048576"),
-        "instructions[2]: preparing 'b2' makes a state of 8120601 amplitudes; the engine "
-        "allows at most 1048576"),
-    Row(Site("circuits", "validate_program", "{}: {} used after measurement"),
-        test_circuits.test_use_after_measurement, "instructions[2]: 'p' used after measurement"),
-    Row(Site("circuits", "validate_program", "{}: {} used before prepare"),
-        test_circuits.test_use_before_prepare, "instructions[0]: 'p' used before prepare"),
-    Row(Site("circuits", "validate_program", "{}: {}"),  # what a step may act on
-        _cli_table(test_cli.test_gate_on_wrong_kind_is_one_error_line, "photon-gate"),
-        "instructions[1]: photon_h argument 'target' needs a photon, but 'b' is a "
-        "2-position particle"),
-    Row(Site("circuits", "validate_program", "{}: {}"),  # an op's own argument check
-        _cli_table(test_cli.test_qicz_multi_lists_that_do_not_fit_are_one_error_line,
-                   "listed-twice"),
-        "instructions[4]: particle 'b' listed twice"),
+        "preparing 'b2' makes a state of 8120601 amplitudes; the engine allows at most "
+        "1048576"),
+    Row(Site("circuits", "validate_program", "{} used after measurement"),
+        test_circuits.test_use_after_measurement, "'p' used after measurement"),
+    Row(Site("circuits", "validate_program", "{} used before prepare"),
+        test_circuits.test_use_before_prepare, "'p' used before prepare"),
     Row(Site("circuits", "validate_program",
-             "{}: preparing {} makes a state of norm^2 {}, above 1 + {}"),
+             "preparing {} makes a state of norm^2 {}, above 1 + {}"),
         lambda: test_cli.test_prepared_norms_past_the_state_tolerance_end_at_load(_HERE),
-        "instructions[1]: preparing 'q' makes a state of norm^2 1.0000000000017994, "
-        "above 1 + 1e-12"),
+        "preparing 'q' makes a state of norm^2 1.0000000000017994, above 1 + 1e-12"),
+    # the instruction loop's one handler, which prefixes every error above and
+    # those of the rules it calls: a written bit's basis, what a step may act
+    # on, an op's own argument check
+    Row(Site("circuits", "validate_program", "instructions[{}]: {}"),
+        test_circuits.test_unknown_basis, "instructions[1]: unknown basis 'diagonal'"),
     Row(Site("circuits", "w_state_generator", "need at least 2 photons"),
         test_circuits.test_w_generator_needs_two_photons, "need at least 2 photons"),
     Row(Site("circuits", "cnot_circuit", "unknown family {}"),
@@ -283,14 +275,18 @@ LEDGER = [
         test_interrogation.test_params_validation, "cycles must be >= 1"),
     Row(Site("interrogation", "QiParams.__post_init__", "unknown theta rule {}"),
         test_interrogation.test_theta_rules_and_explicit, "unknown theta rule 'explicit'"),
-    Row(Site("interrogation", "QiParams.__post_init__",
-             "the exact limit is defined for the pi/N rule only"),
-        test_interrogation.test_params_validation,
-        "the exact limit is defined for the pi/N rule only"),
     Row(Site("interrogation", "QiParams.__post_init__", "absorb_prob must lie in [0, 1]"),
         test_interrogation.test_params_validation, "absorb_prob must lie in [0, 1]"),
     Row(Site("interrogation", "QiParams.__post_init__", "cycle_loss must lie in [0, 1)"),
         test_interrogation.test_params_validation, "cycle_loss must lie in [0, 1)"),
+    Row(Site("interrogation", "QiParams.__post_init__",
+             "the exact limit is defined for the pi/N rule only"),
+        test_interrogation.test_params_validation,
+        "the exact limit is defined for the pi/N rule only"),
+    Row(Site("interrogation", "QiParams.__post_init__",
+             "the exact limit is defined for absorb_prob > 0 and cycle_loss = 0 only"),
+        test_interrogation.test_params_validation,
+        "the exact limit is defined for absorb_prob > 0 and cycle_loss = 0 only"),
     Row(Site("interrogation", "QiParams.__post_init__", "unknown residual policy {}"),
         test_interrogation.test_params_validation, "unknown residual policy 'discard'"),
     Row(Site("interrogation", "wiring", "one blocking entry per particle required"),
@@ -321,6 +317,9 @@ LEDGER = [
     Row(Site("oracle", "_plan", "preparing {} would exceed the {}-dimensional cap"),
         lambda: test_cli.test_oracle_check_refuses_a_state_past_its_dimension_cap(_HERE),
         "preparing 'p4' would exceed the 1280-dimensional cap"),
+    Row(Site("oracle", "brute_force_run", "instructions[{}]: {}"),
+        lambda: test_cli.test_oracle_check_refuses_a_state_past_its_dimension_cap(_HERE),
+        "instructions[5]: preparing 'p4' would exceed the 1280-dimensional cap"),
     Row(Site("oracle", "compare",
              "branch {}: engine (record, failed, layout) {} != brute force {}"),
         _unpaired("order"),
