@@ -22,8 +22,8 @@ stack is 5e-20 for the open sign flip without loss at any depth, 2.1e-15
 for the open stack with loss 1e-6 at 10^6 cycles, and for blocked stacks
 8e-19, 3.4e-16, 2.9e-14 and 4.0e-13 at 17, 10^4, 10^6 and 10^7 cycles.
 The exact N -> infinity limit of the pi/N wiring runs through the same
-gather with its own stack: diag(-1, 1), the sign flip on |1H>, for k = 0,
-and the identity for every k >= 1.
+gather with its own stack: diag(-1, -1), the full pi turn, for k = 0, and
+diag(1, 0), |1H> frozen and |1V> absorbed, for every k >= 1.
 
 Absorption (photon-sink x particle-exploded) and per-cycle loss are failure
 events, so the amplitude they take from the pair is not stored anywhere: it
@@ -197,15 +197,14 @@ def _cycle_powers(kmax, theta, eps, lam, m) -> np.ndarray:
 
 def _limit_powers(kmax) -> np.ndarray:
     """The exact N -> infinity limit of T_k^N under the pi/N rule, for
-    k = 0..kmax: diag(-1, 1) when no listed particle blocks (the open
-    interferometer's sign flip on |1H>) and the identity otherwise (the
-    photon frozen on |1H>).  On |1H> this is the deep runs' limit for any
-    absorb_prob > 0 and no cycle loss, the only settings `QiParams` allows
-    with cycles=None.  The |1V> entry is 1 for every k, which deep runs
-    under the keep policy do not approach."""
+    k = 0..kmax: diag(-1, -1) when no listed particle blocks (the open
+    interferometer's full pi turn, the sign flip on |1H>) and diag(1, 0)
+    otherwise (the photon frozen on |1H>, and |1V> absorbed).  This is the
+    deep runs' limit for any absorb_prob > 0 and no cycle loss, the only
+    settings `QiParams` allows with cycles=None."""
     power = np.zeros((kmax + 1, 2, 2), dtype=np.longdouble)
-    power[:, 0, 0] = power[:, 1, 1] = 1
-    power[0, 0, 0] = -1
+    power[:, 0, 0] = 1
+    power[0, 0, 0] = power[0, 1, 1] = -1
     return power
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -217,13 +218,42 @@ def _to_front(state: StateVector, axes: list[int]) -> tuple[np.ndarray, list[int
     return state.amps.transpose(perm), perm
 
 
+def _sigma_max(op: np.ndarray) -> float:
+    """The largest singular value of an operator, or the largest over the
+    operators of a stack."""
+    sigma = np.linalg.svd(op, compute_uv=False)  # descending, per operator
+    return float(sigma[0] if op.ndim == 2 else sigma[:, 0].max())
+
+
+# The contraction check's memo keeps operators of at most _MEMO_OP_BYTES
+# (a 16x16 operator, or a stack of sixteen 4x4 ones), _MEMO_ENTRIES of them.
+_MEMO_OP_BYTES = 4096
+_MEMO_ENTRIES = 64
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _sigma_max_of(shape: tuple, data: bytes) -> float:
+    """`_sigma_max` of the complex128 operator of `shape` whose C-ordered
+    bytes are `data`, the same float the SVD of the operator itself gives.
+
+    Keyed by the value alone, so every operator takes the same lookup,
+    whatever its origin, and one changed in place is a new key; an SVD that
+    raises is not kept, so it raises again on the next call.  It holds at
+    most 64 entries of at most 4 KiB of operator bytes each, plus about
+    0.26 KiB per entry for its key, node and result: at most 280 KiB in all.
+    """
+    return _sigma_max(np.frombuffer(data, dtype=np.complex128).reshape(shape))
+
+
 def apply_local(state: StateVector, targets: list[str], op: np.ndarray) -> StateVector:
     """Apply a dense operator on the target slots, identity elsewhere.
 
     The operator indexes the targets big-endian in list order; on a batched
     state it may also be a stack of one operator per branch.  It must be a
     contraction (largest singular value <= 1 + 1e-12); the norm may shrink
-    but never grow beyond tolerance.
+    but never grow beyond tolerance.  The largest singular value of an
+    operator of at most `_MEMO_OP_BYTES` is looked up by its shape and bytes
+    in `_sigma_max_of`'s memo; a larger one runs the same SVD unkept.
     """
     axes = [state.axis(t) for t in targets]
     if len(set(axes)) != len(axes):
@@ -232,8 +262,8 @@ def apply_local(state: StateVector, targets: list[str], op: np.ndarray) -> State
     op = np.asarray(op, dtype=np.complex128)
     if op.shape not in ((block, block), (state.batch, block, block)):
         raise ValueError(f"operator shape {op.shape} does not match target dimension {block}")
-    sigma = np.linalg.svd(op, compute_uv=False)  # descending, per operator
-    smax = float(sigma[0] if op.ndim == 2 else sigma[:, 0].max())
+    smax = (_sigma_max_of(op.shape, op.tobytes()) if op.nbytes <= _MEMO_OP_BYTES
+            else _sigma_max(op))
     if smax > 1 + ATOL:
         raise ValueError(f"operator is not a contraction (sigma_max = {smax})")
     front, perm = _to_front(state, axes)

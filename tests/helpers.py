@@ -178,9 +178,10 @@ def _dft(d: int) -> np.ndarray:
 
 def _ideal_interrogation_diag(p_dims: list[int], blocking,
                               keep_residual_v: bool) -> np.ndarray:
-    """Exact many-cycle limit: -1 on |1H> when every particle sits outside
-    its blocking set, 0 on the pruned levels (photon sink, routed |1V>,
-    particle explosions), +1 everywhere else."""
+    """Exact many-cycle limit: -1 on |1H> and on a kept |1V> when every
+    particle sits outside its blocking set (the full pi turn), 0 on the
+    pruned levels (photon sink, routed |1V>, a kept |1V> that a blocking
+    particle absorbs, particle explosions), +1 everywhere else."""
     dims = [4] + list(p_dims)
     total = prod(dims)
     diag = np.ones(total, dtype=np.complex128)
@@ -188,10 +189,10 @@ def _ideal_interrogation_diag(p_dims: list[int], blocking,
         levels = np.unravel_index(idx, dims)
         ph = levels[0]
         exploded = any(lv == d - 1 for lv, d in zip(levels[1:], p_dims))
-        if ph == 3 or exploded or (ph == 2 and not keep_residual_v):
+        clear = all(lv not in blocked for lv, blocked in zip(levels[1:], blocking))
+        if ph == 3 or exploded or (ph == 2 and not (keep_residual_v and clear)):
             diag[idx] = 0.0
-        elif ph == 1 and all(lv not in blocked
-                             for lv, blocked in zip(levels[1:], blocking)):
+        elif ph in (1, 2) and clear:
             diag[idx] = -1.0
     return np.diag(diag)
 

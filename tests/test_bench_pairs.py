@@ -3,6 +3,7 @@
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -107,3 +108,51 @@ def test_files_leave_out_byte_code_caches(tmp_path):
     (tmp_path / "BENCHMARK.json").write_text("{}")
     assert bench_pairs._files(tmp_path, "bench") == {"bench/run.py": b"x = 1\n"}
     assert bench_pairs._files(tmp_path, "BENCHMARK.json") == {"BENCHMARK.json": b"{}"}
+
+
+def _same_benchmark(ref, dest):
+    # the export of a parent whose benchmark is the working tree's
+    shutil.copytree(bench_pairs.ROOT / "bench", dest / "bench",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(bench_pairs.ROOT / "BENCHMARK.json", dest / "BENCHMARK.json")
+
+
+def test_each_workload_gets_its_own_summary(monkeypatch, capsys):
+    runs = []
+
+    def canned(tree, workload, args):
+        side = "change" if tree == bench_pairs.ROOT else "parent"
+        runs.append((len(runs) // 4, workload, side))
+        # the change is faster on sample-ideal and the same on verify-finite
+        p50 = 2.0 if side == "change" and workload == "sample-ideal" else 3.0
+        return bench_pairs.result_of(_line(setup_s=0.1, ops_per_s=1000 / p50, op_p50_ms=p50,
+                                           op_p90_ms=p50, peak_rss_mb=40.0))
+
+    monkeypatch.setattr(bench_pairs, "export", _same_benchmark)
+    monkeypatch.setattr(bench_pairs, "_bench", canned)
+    assert bench_pairs.main(["--workload", "sample-ideal,verify-finite", "--pairs", "2"]) == 0
+    assert runs == [(0, "sample-ideal", "parent"), (0, "sample-ideal", "change"),
+                    (0, "verify-finite", "parent"), (0, "verify-finite", "change"),
+                    (1, "sample-ideal", "change"), (1, "sample-ideal", "parent"),
+                    (1, "verify-finite", "change"), (1, "verify-finite", "parent")]
+    # per workload: its name, the pair count and the five metrics
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 14
+    assert lines[0:2] == ["workload=sample-ideal", "pairs=2"]
+    assert lines[7:9] == ["workload=verify-finite", "pairs=2"]
+    p50 = [line for line in lines if line.startswith("op_p50_ms")]
+    assert p50[0].startswith("op_p50_ms (lower is better): parent 3 [3, 3] -> change 2 [2, 2]; "
+                             "change won 2 of 2; gain holds: yes")
+    assert p50[1].startswith("op_p50_ms (lower is better): parent 3 [3, 3] -> change 3 [3, 3]; "
+                             "change won 0 of 2; gain holds: no")
+
+
+@pytest.mark.parametrize("workloads", ["sample-ideal,nope", "verify-finite,verify-finite",
+                                       "sample-ideal,"])
+def test_workloads_are_distinct_names_from_the_benchmark(monkeypatch, capsys, workloads):
+    monkeypatch.setattr(bench_pairs, "export", _same_benchmark)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--workload", workloads])
+    assert exc.value.code == 2
+    assert "--workload takes distinct names from verify-finite,simulate-finite,sample-ideal" \
+        in capsys.readouterr().err

@@ -15,13 +15,20 @@ table is a local that dies with the call.
 """
 
 import ast
+import gc
 import importlib
 import pkgutil
+import tracemalloc
 import types
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import zenosim
+from zenosim import state
+from zenosim.state import new_state, photon, stack_branches
 
 CACHE_DECORATORS = {"cache", "lru_cache"}  # cached_property dies with its object
 
@@ -31,6 +38,13 @@ ALLOWED = {
         "every pass and the benchmark checks its miss count",
     "cli.build_parser":
         "the argparse tree, which depends on no argument; built once per process",
+    "state._sigma_max_of":
+        "apply_local's contraction check, keyed by an operator's shape and bytes, "
+        "at most 64 operators of at most 4 KiB; bench/workloads.clear_caches does "
+        "not empty it.  A fresh `simulate --demo` call runs 1-6 distinct operators "
+        "over 2-9 apply_local calls (the qicz demo none), so a one-shot CLI call "
+        "still pays each first SVD, and only in-process callers such as the "
+        "benchmark skip them all after their first pass",
 }
 
 PER_OBJECT = {
@@ -181,3 +195,43 @@ def test_scan_sees_every_cache_form():
         "d = functools.lru_cache()(len)\n"
     )
     assert _caches("m", source) == ["m.a", "m.b", "m.c", "m:10"]
+
+
+def test_contraction_memo_keeps_operators_up_to_its_size_bound():
+    # a stack of sixteen photon operators is 4 KiB, at the bound; seventeen
+    # are past it, and are checked by the same SVD but not kept
+    one = new_state([photon("p")], [1])
+    memo = state._sigma_max_of
+    memo.cache_clear()
+    for batch, kept in ((16, 1), (17, 0)):
+        branches = stack_branches([one] * batch)
+        ops = np.tile(np.eye(4, dtype=np.complex128), (batch, 1, 1))
+        assert (ops.nbytes <= state._MEMO_OP_BYTES) == bool(kept)
+        state.apply_local(branches, ["p"], ops)
+        assert memo.cache_info().currsize == kept
+        with pytest.raises(ValueError, match=r"^operator is not a contraction "
+                                             r"\(sigma_max = 1\.5\)$"):
+            state.apply_local(branches, ["p"], 1.5 * ops)
+        assert memo.cache_info().currsize == 2 * kept
+        memo.cache_clear()
+
+
+def test_contraction_memo_retains_at_most_280_kib():
+    # the worst case its docstring states: every entry a 4 KiB operator
+    rng = np.random.default_rng(3)
+    ops = [np.ascontiguousarray(0.01 * rng.normal(size=(16, 16)), dtype=np.complex128)
+           for _ in range(2 * state._MEMO_ENTRIES)]
+    memo = state._sigma_max_of
+    memo.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for op in ops:
+            memo(op.shape, op.tobytes())
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        memo.cache_clear()
+    assert state._MEMO_ENTRIES * state._MEMO_OP_BYTES < retained <= 280 * 1024

@@ -996,6 +996,23 @@ def test_repeated_invocations_byte_identical():
 
 
 
+def assert_flags_do_not_outlive_their_call() -> None:
+    """A flag given to one `main` call is not a default of the next one,
+    which shares its parser.  The parser is rebuilt before and after, so a
+    broken `main` cannot leave its defaults behind."""
+    build_parser.cache_clear()
+    try:
+        first = run_main("simulate", "--demo", "bell", "--ideal")
+        assert run_main("simulate", "--demo", "bell", "--ideal", "--out", "csv") != first
+        assert run_main("simulate", "--demo", "bell", "--ideal") == first
+    finally:
+        build_parser.cache_clear()
+
+
+def test_flags_do_not_outlive_their_call():
+    assert_flags_do_not_outlive_their_call()
+
+
 def test_main_calls_in_one_process_match_fresh_processes(tmp_path):
     # one call per subcommand, a heralded failure, and one per error class:
     # usage, load and run time

@@ -188,6 +188,18 @@ def test_ideal_limit_matches_many_cycles():
     assert np.abs(exact.amps - finite.amps).max() < 1e-3
 
 
+@pytest.mark.parametrize("absorb", [1.0, 0.5])
+def test_limit_under_keep_matches_ten_million_cycles(absorb):
+    # the |1H> and |1V> columns: the open pair takes the full pi turn to
+    # (-|1H>, -|1V>), and a blocking particle freezes |1H> and absorbs |1V>
+    deep, limit = (effective_map(QiParams(cycles=n, absorb_prob=absorb,
+                                          residual_v_policy=KEEP), 1)
+                   for n in (10**7, None))
+    columns = [3 * ph + b for ph in (PH_ONE_H, PH_ONE_V) for b in (BLOCKED, OPEN)]
+    assert np.abs(deep[:, columns] - limit[:, columns]).max() < 1e-5
+    assert np.diag(limit)[columns].tolist() == [1, -1, 0, -1]
+
+
 def test_multi_position_blocking_sets():
     params = QiParams(cycles=None)
     for pos, should_flip in ((0, False), (1, True), (2, False)):
@@ -447,8 +459,9 @@ def _cycle_powers_reference(kmax, theta, eps, lam, m):
 
 
 def _limit_powers_reference(kmax):
-    power = np.broadcast_to(np.eye(2, dtype=np.longdouble), (kmax + 1, 2, 2)).copy()
-    power[0, 0, 0] = -1
+    power = np.broadcast_to(np.diag(np.array([1, 0], dtype=np.longdouble)),
+                            (kmax + 1, 2, 2)).copy()
+    power[0] = np.diag(np.array([-1, -1], dtype=np.longdouble))
     return power
 
 

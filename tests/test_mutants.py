@@ -35,6 +35,7 @@ import test_analysis
 import test_cli
 import test_emit
 import test_interrogation
+import test_state
 from helpers import FAILURE_LEAVES
 from test_circuits import (
     _GATE_MISFITS,
@@ -111,6 +112,23 @@ def _map_is_its_column_runs() -> None:
     for params in _map_grid():
         got = effective_map(params, len(positions), positions, blocking)
         assert got.tobytes() == _map_by_columns(params, positions, blocking).tobytes()
+
+
+def _bystanders_are_left_alone() -> None:
+    for params in (interrogation.QiParams(cycles=None),
+                   interrogation.QiParams(cycles=3, absorb_prob=0.9)):
+        test_interrogation.test_run_leaves_other_subsystems_alone(params)
+
+
+def _limit_under_keep_matches_deep_runs() -> None:
+    # the map memo is emptied before and after, so that no map built by
+    # the other side of the mutation is read
+    interrogation._effective_map_cached.cache_clear()
+    try:
+        for absorb in (1.0, 0.5):
+            test_interrogation.test_limit_under_keep_matches_ten_million_cycles(absorb)
+    finally:
+        interrogation._effective_map_cached.cache_clear()
 
 
 def _walk_with_failure_leaves() -> None:
@@ -287,15 +305,43 @@ MUTANTS = {
         "step[:, 0, 0], step[:, 0, 1] = c, -s * keep_eps\n"
         "    step[:, 1, 0], step[:, 1, 1] = s, c * keep_eps",
         test_interrogation.test_partial_absorber_splits_vertical_weight),
+    "bystander-exploded-level-pruned": Mutant(
+        interrogation, "qi_run",
+        "for rest_axis, _, exploded in plan:\n"
+        "        work[(slice(None),) * (rest_axis + 1) + (exploded,)] = 0.0",
+        "others = [spec for spec in state.layout if spec.name != photon]\n"
+        "    for i, spec in enumerate(others):\n"
+        "        if spec.kind == 'particle':\n"
+        "            work[(slice(None),) * (i + 1 + (state.batch is not None))\n"
+        "                 + (spec.dim - 1,)] = 0.0",
+        _bystanders_are_left_alone),
     "residual-v-kept-under-route-to-sink": Mutant(
         interrogation, "qi_run", "work[PH_ONE_V] = 0.0", "pass",
         _open_sign_flip_after_one_cycle),
+    "limit-open-v-unturned": Mutant(
+        interrogation, "_limit_powers", "power[0, 0, 0] = power[0, 1, 1] = -1",
+        "power[0, 0, 0] = -1", _limit_under_keep_matches_deep_runs),
+    "limit-blocked-v-kept": Mutant(
+        interrogation, "_limit_powers", "power[:, 0, 0] = 1",
+        "power[:, 0, 0] = power[:, 1, 1] = 1", _limit_under_keep_matches_deep_runs),
     "blocked-count-exponent-dropped": Mutant(
         interrogation, "_cycle_powers", "** np.arange(kmax + 1)",
         "** np.minimum(np.arange(kmax + 1), 1)", _stacks_match_the_50_digit_reference),
     "map-read-without-transpose": Mutant(
         interrogation, "_effective_map_cached", "res.amps.reshape(total, total).T",
         "res.amps.reshape(total, total)", _map_is_its_column_runs),
+    # the memo keyed by the object: the helper gets the bytes first seen for
+    # the operator's id (kept on the mutant function itself)
+    "contraction-memo-by-id": Mutant(
+        state, "apply_local", "_sigma_max_of(op.shape, op.tobytes())",
+        "_sigma_max_of(op.shape, apply_local.__dict__.setdefault(id(op), op.tobytes()))",
+        test_state.assert_operator_scaled_in_place_is_refused),
+    # the memo keyed by the bytes alone: the helper gets the shape first seen
+    # with them
+    "contraction-memo-without-shape": Mutant(
+        state, "apply_local", "_sigma_max_of(op.shape, op.tobytes())",
+        "_sigma_max_of(apply_local.__dict__.setdefault(op.tobytes(), op.shape), op.tobytes())",
+        test_state.assert_memo_tells_shapes_apart),
     "subsystem-name-unchecked": Mutant(
         state, "SubsystemSpec.__post_init__",
         'raise ValueError(f"name must be a non-empty string, got {self.name!r}")', "pass",
@@ -351,6 +397,12 @@ MUTANTS = {
     "verdict-always-pass": Mutant(
         cli, "_verdict", "if worst <= ORACLE_TOLERANCE:", "if True:",
         _broken_engine_fails_verification),
+    "parsed-values-written-back-as-defaults": Mutant(
+        cli, "main", "args = parser.parse_args(argv)",
+        "args = parser.parse_args(argv)\n"
+        "        parser._subparsers._group_actions[0].choices[args.command].set_defaults(\n"
+        "            **vars(args))",
+        test_cli.assert_flags_do_not_outlive_their_call),
     "nested-file-uncaught": Mutant(
         cli, "load_program", "except RecursionError:", "except MemoryError:",
         _deeply_nested_file_is_one_error_line),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zenosim import state as engine_state
 from zenosim.state import (
     ATOL,
     BLOCKED,
@@ -365,6 +366,77 @@ def test_apply_local_errors_keep_their_messages():
     with pytest.raises(ValueError, match=r"^operator shape \(4, 4\) does not match "
                                          r"target dimension 12$"):
         apply_local(state, ["p", "b"], np.eye(4))
+
+
+# --- the contraction check's memo -------------------------------------------
+
+def _refused(state, targets, op) -> str:
+    """The message `apply_local` refuses `op` with; AssertionError if it is
+    accepted."""
+    try:
+        apply_local(state, targets, op)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"an operator of shape {op.shape} was accepted")
+
+
+def assert_operator_scaled_in_place_is_refused() -> None:
+    """A writeable operator accepted once and then scaled in place past a
+    contraction is refused on its next call: the memo is keyed by the
+    operator's bytes, not by the object."""
+    state = new_state([photon("p"), particle("b")], [PH_ONE_H, BLOCKED])
+    op = np.eye(4, dtype=np.complex128)
+    apply_local(state, ["p"], op)
+    op *= 1.5
+    message = _refused(state, ["p"], op)
+    assert message == "operator is not a contraction (sigma_max = 1.5)", message
+
+
+def assert_memo_tells_shapes_apart() -> None:
+    """Nine 3x3 identities, stacked on a batch of nine, are a contraction;
+    the same 1,296 bytes read as one 9x9 operator on two particles (nine
+    equal rows) are not, although the stack was accepted first."""
+    stack = np.tile(np.eye(3, dtype=np.complex128), (9, 1, 1))
+    square = stack.reshape(9, 9)
+    assert square.tobytes() == stack.tobytes()
+    apply_local(stack_branches([new_state([particle("b")], [BLOCKED])] * 9), ["b"], stack)
+    pair = new_state([particle("b"), particle("c")], [BLOCKED, BLOCKED])
+    message = _refused(pair, ["b", "c"], square)
+    assert message.startswith("operator is not a contraction (sigma_max = 5.19"), message
+
+
+def test_operator_scaled_in_place_is_refused():
+    assert_operator_scaled_in_place_is_refused()
+
+
+def test_memo_tells_shapes_apart():
+    assert_memo_tells_shapes_apart()
+
+
+@given(seed=st.integers(0, 2**32 - 1), batch=st.sampled_from([None, 3]),
+       order=st.sampled_from(["C", "F"]))
+@settings(max_examples=40, deadline=None)
+def test_memo_gives_the_float_of_the_operators_own_svd(seed, batch, order):
+    # a Fortran-ordered operator is keyed by its C-ordered bytes
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 10))
+    shape = (d, d) if batch is None else (batch, d, d)
+    op = np.asarray(rng.normal(size=shape) + 1j * rng.normal(size=shape), order=order)
+    sigma = np.linalg.svd(op, compute_uv=False)
+    want = float(sigma[0] if batch is None else sigma[:, 0].max())
+    assert engine_state._sigma_max_of(op.shape, op.tobytes()) == want
+
+
+def test_an_svd_that_raises_raises_on_every_call():
+    state = new_state([photon("p")], [PH_ONE_H])
+    op = np.eye(4, dtype=np.complex128)
+    op[0, 0] = np.nan
+    before = engine_state._sigma_max_of.cache_info()
+    for _ in range(2):
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            apply_local(state, ["p"], op)
+    after = engine_state._sigma_max_of.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses + 2)
 
 
 # --- local steps against numpy's axis helpers ---------------------------------

@@ -1,18 +1,21 @@
 """Run the benchmark in alternating pairs: a parent commit against the
 working tree.
 
-    python3 tools/bench_pairs.py --workload sample-ideal --parent HEAD~1 --pairs 10 \\
-        --seed 1009 [--seconds 30]
+    python3 tools/bench_pairs.py --workload sample-ideal,verify-finite --parent HEAD~1 \\
+        --pairs 10 --seed 1009 [--seconds 30]
 
 exports the parent with `git archive` into a temporary directory, and runs
 there only if the export's `bench/` and `BENCHMARK.json` equal the working
-tree's, so both sides run the same benchmark.  Each pair runs
-`python3 bench/run.py --trace 0` once on each side, the parent first in
-even pairs and the change first in odd ones.  `--seconds` defaults to
-`run_seconds` in BENCHMARK.json.  A run that exits non-zero, is not
-`correct` or has failed ops stops the command with exit code 1.
+tree's, so both sides run the same benchmark.  `--workload` takes one
+workload that BENCHMARK.json names, or several separated by commas.  Each
+pair runs `python3 bench/run.py --trace 0` once on each side for each
+workload in turn, the parent first in even pairs and the change first in
+odd ones.  `--seconds` defaults to `run_seconds` in BENCHMARK.json.  A run
+that exits non-zero, is not `correct` or has failed ops stops the command
+with exit code 1.
 
-For each end-to-end metric BENCHMARK.json lists, the summary prints each
+Each workload gets its own summary, after a `workload=<name>` line.  For
+each end-to-end metric BENCHMARK.json lists, the summary prints each
 side's median and quartiles, how many pairs the change won in the metric's
 `better` direction (ties count for neither side), and whether a gain
 holds: the change wins at least 9 pairs in 10, and the medians differ in
@@ -107,8 +110,8 @@ def summary(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> l
     return lines
 
 
-def _bench(tree: Path, args: argparse.Namespace) -> dict:
-    cmd = [sys.executable, "bench/run.py", "--workload", args.workload, "--seed",
+def _bench(tree: Path, workload: str, args: argparse.Namespace) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed",
            str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if done.returncode:
@@ -118,13 +121,19 @@ def _bench(tree: Path, args: argparse.Namespace) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     config = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in config["workloads"]]
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True, help="one workload, or several separated "
+                   f"by commas, from {','.join(names)}")
     p.add_argument("--parent", default="HEAD", help="git ref of the parent side")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seconds", type=float, default=config["run_seconds"])
     args = p.parse_args(argv)
+    workloads = args.workload.split(",")
+    if not set(workloads) <= set(names) or len(set(workloads)) != len(workloads):
+        p.error(f"--workload takes distinct names from {','.join(names)}, "
+                f"got {args.workload!r}")
     with tempfile.TemporaryDirectory() as tmp:
         parent_tree = Path(tmp)
         export(args.parent, parent_tree)
@@ -134,17 +143,20 @@ def main(argv: list[str] | None = None) -> int:
                       "working tree", file=sys.stderr)
                 return 1
         sides = {"parent": parent_tree, "change": ROOT}
-        results = {"parent": [], "change": []}
+        results = {(side, w): [] for side in sides for w in workloads}
         for i in range(args.pairs):
-            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                try:
-                    results[side].append(_bench(sides[side], args))
-                except ValueError as exc:
-                    print(f"bench_pairs: pair {i} {side}: {exc}", file=sys.stderr)
-                    return 1
+            for w in workloads:
+                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                    try:
+                        results[side, w].append(_bench(sides[side], w, args))
+                    except ValueError as exc:
+                        print(f"bench_pairs: pair {i} {w} {side}: {exc}", file=sys.stderr)
+                        return 1
             print(f"pair {i} done", file=sys.stderr, flush=True)
-    for line in summary(results["parent"], results["change"], config["end_to_end"]):
-        print(line)
+    for w in workloads:
+        print(f"workload={w}")
+        for line in summary(results["parent", w], results["change", w], config["end_to_end"]):
+            print(line)
     return 0
 
 
