@@ -13,9 +13,13 @@ runners checks everything downstream of that map.
 One `brute_force_run` call keeps a plan table that dies with the call,
 keyed by instruction index and live layout, so a plan never serves a
 layout it was not built for.  A plan holds what its instruction needs
-whatever the branch: a gate's gather index and operator (the
-interrogation map fetched once), a prepare's level vector after its cap
-check, a measurement's axis split, outcome bras and the layout it leaves.
+whatever the branch: a gate's gather index and operator, a prepare's
+level vector after its cap check, a measurement's axis split, outcome
+bras and the layout it leaves.  The call also keeps each interrogation
+map it fetches, keyed by the particles' dims and blocking sets, so a map
+is fetched once per shape per walk.  A gather index is a pure function of
+the live shape and the gate's axes, kept read-only in a bounded
+process-wide memo (`_gather_index`).
 A branch's layout at an instruction is the same on every path that
 reaches it, since a prepare appends, a kept outcome contracts its target
 and a failure outcome ends the branch, so each plan is built once per
@@ -27,6 +31,7 @@ prepare, and an einsum and a vdot per measurement outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import prod
 from typing import NamedTuple
 
@@ -79,7 +84,7 @@ def _dft(d: int) -> np.ndarray:
                     dtype=np.complex128) / np.sqrt(d)
 
 
-def _ideal_interrogation_diag(p_dims: list[int], blocking,
+def _ideal_interrogation_diag(p_dims: tuple[int, ...], blocking,
                               keep_residual_v: bool) -> np.ndarray:
     """Exact many-cycle limit: -1 on |1H> and on a kept |1V> when every
     particle sits outside its blocking set (the full pi turn), 0 on the
@@ -129,8 +134,18 @@ def _gate(layout: tuple[str, ...], dims: dict[str, int], front: list[str],
                          f"{front!r} ({front_dim} levels)")
     axes = [layout.index(n) for n in front]
     axes += [k for k in range(len(layout)) if k not in axes]
-    shape = [dims[n] for n in layout]
-    return _Gate(np.arange(prod(shape)).reshape(shape).transpose(axes).reshape(-1), op)
+    return _Gate(_gather_index(tuple(dims[n] for n in layout), tuple(axes)), op)
+
+
+@lru_cache(maxsize=64)
+def _gather_index(shape: tuple, axes: tuple) -> np.ndarray:
+    """`np.arange` in `shape`, transposed by `axes` and flattened, read-only.
+    It holds at most 64 indices of at most 10 KiB each at `DIMENSION_CAP`,
+    plus about 0.6 KiB per entry for its key, node and array header: at
+    most 680 KiB in all."""
+    index = np.arange(prod(shape)).reshape(shape).transpose(axes).reshape(-1)
+    index.flags.writeable = False
+    return index
 
 
 def _apply(vec: np.ndarray, index: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -163,24 +178,21 @@ def _init_vector(dim: int, args: dict) -> np.ndarray:
     return v
 
 
-def _normalized_blocking(blocking, n_particles):
+def _normalized_blocking(blocking, n_particles) -> tuple[frozenset, ...]:
     if blocking is None:
-        return [frozenset({0})] * n_particles
-    out = []
-    for b in blocking:
-        out.append(frozenset({int(b)}) if isinstance(b, (int, np.integer))
-                   else frozenset(b))
-    return out
+        return (frozenset({0}),) * n_particles
+    return tuple(frozenset({int(b)}) if isinstance(b, (int, np.integer)) else frozenset(b)
+                 for b in blocking)
 
 
-def _interrogation_op(p_dims: list[int], blocking, params: QiParams) -> np.ndarray:
-    blocks = _normalized_blocking(blocking, len(p_dims))
+def _interrogation_op(p_dims: tuple[int, ...], blocks: tuple[frozenset, ...],
+                      params: QiParams) -> np.ndarray:
     if params.cycles is None:
         return _ideal_interrogation_diag(
             p_dims, blocks, keep_residual_v=params.residual_v_policy == "keep")
     return effective_map(params, len(p_dims),
                          particle_positions=[d - 1 for d in p_dims],
-                         blocking=blocking)
+                         blocking=list(blocks))
 
 
 # the photon and particle_pm bras, one row each, built once at import
@@ -216,8 +228,10 @@ _FIXED = {"photon_h": _PHOTON_H, "photon_x": _PHOTON_X, "photon_z": _PHOTON_Z,
           "particle_x": _PARTICLE_X, "particle_z": _PARTICLE_Z}
 
 
-def _plan(instr, layout: tuple[str, ...], specs: dict, params: QiParams):
-    """What `instr` needs on the live `layout` that no branch changes."""
+def _plan(instr, layout: tuple[str, ...], specs: dict, params: QiParams, maps: dict):
+    """What `instr` needs on the live `layout` that no branch changes.  An
+    interrogation's map is taken from `maps`, keyed by its particles' dims
+    and blocking sets, and fetched into it on a miss."""
     op, a = instr.op, instr.args
     dims = {n: specs[n].dim for n in layout}
     if op == "prepare":
@@ -233,8 +247,10 @@ def _plan(instr, layout: tuple[str, ...], specs: dict, params: QiParams):
             names, blocking = [a["particle"]], None
         else:
             names, blocking = list(a["particles"]), a.get("blocking")
-        m = _interrogation_op([dims[n] for n in names], blocking, params)
-        return _gate(layout, dims, [a["photon"], *names], m)
+        key = (tuple(dims[n] for n in names), _normalized_blocking(blocking, len(names)))
+        if key not in maps:
+            maps[key] = _interrogation_op(*key, params)
+        return _gate(layout, dims, [a["photon"], *names], maps[key])
     target = a["target"]
     if op == "particle_h":
         d = dims[target] - 1
@@ -259,6 +275,7 @@ def brute_force_run(program: CircuitProgram,
     params = params or QiParams()
     specs = {s.name: s for s in program.subsystems}
     plans: dict = {}  # (instruction index, live layout) -> its plan
+    maps: dict = {}  # (particle dims, blocking sets) -> interrogation map
     tree = BranchTree()
 
     def leaf(layout, vec, assignments: dict, failed: bool) -> None:
@@ -286,7 +303,7 @@ def brute_force_run(program: CircuitProgram,
             plan = plans.get((i, layout))
             if plan is None:
                 try:
-                    plan = plans[i, layout] = _plan(instr, layout, specs, params)
+                    plan = plans[i, layout] = _plan(instr, layout, specs, params, maps)
                 except ValueError as exc:
                     raise ValueError(f"instructions[{i}]: {exc}") from None
             if op == "prepare":

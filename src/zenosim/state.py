@@ -220,7 +220,10 @@ def _to_front(state: StateVector, axes: list[int]) -> tuple[np.ndarray, list[int
 
 def _sigma_max(op: np.ndarray) -> float:
     """The largest singular value of an operator, or the largest over the
-    operators of a stack."""
+    operators of a stack; NaN for an operator with a non-finite entry, whose
+    SVD gives NaN or does not converge."""
+    if not np.isfinite(op).all():
+        return math.nan
     sigma = np.linalg.svd(op, compute_uv=False)  # descending, per operator
     return float(sigma[0] if op.ndim == 2 else sigma[:, 0].max())
 
@@ -264,7 +267,7 @@ def apply_local(state: StateVector, targets: list[str], op: np.ndarray) -> State
         raise ValueError(f"operator shape {op.shape} does not match target dimension {block}")
     smax = (_sigma_max_of(op.shape, op.tobytes()) if op.nbytes <= _MEMO_OP_BYTES
             else _sigma_max(op))
-    if smax > 1 + ATOL:
+    if not smax <= 1 + ATOL:
         raise ValueError(f"operator is not a contraction (sigma_max = {smax})")
     front, perm = _to_front(state, axes)
     out = (op @ front.reshape(_lead(state) + (block, -1))).reshape(front.shape)

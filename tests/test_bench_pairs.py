@@ -1,9 +1,11 @@
 """The paired-run summary in tools/bench_pairs.py, on canned result lines of
 `bench/run.py`; no benchmark runs here."""
 
+import argparse
 import importlib.util
 import json
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -108,6 +110,29 @@ def test_files_leave_out_byte_code_caches(tmp_path):
     (tmp_path / "BENCHMARK.json").write_text("{}")
     assert bench_pairs._files(tmp_path, "bench") == {"bench/run.py": b"x = 1\n"}
     assert bench_pairs._files(tmp_path, "BENCHMARK.json") == {"BENCHMARK.json": b"{}"}
+
+
+def test_each_run_compiles_from_source(monkeypatch, tmp_path):
+    # each run writes no byte-code and reads its cache from a fresh, empty
+    # prefix: never the caller's, and gone after the run
+    prefixes = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        prefixes.append(prefix)
+        assert cmd[1:4] == ["bench/run.py", "--workload", "sample-ideal"] and cwd == tmp_path
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert prefix.is_dir() and not any(prefix.iterdir())
+        return subprocess.CompletedProcess(cmd, 0, _line(op_p50_ms=1.0), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path))
+    args = argparse.Namespace(seed=3, seconds=1.0)
+    for _ in range(2):
+        assert bench_pairs._bench(tmp_path, "sample-ideal", args)["correct"]
+    assert len({*prefixes, tmp_path}) == 3
+    assert not any(prefix.exists() for prefix in prefixes)
 
 
 def _same_benchmark(ref, dest):

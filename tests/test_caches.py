@@ -11,12 +11,13 @@ attribute a function sets on a frozen object through `object.__setattr__`
 outside `__post_init__`, where it can only be a memo.  The walks keep
 no memo of their own: `run_all_branches` sizes each batch and reads each
 failure outcome where it makes them, and `oracle.brute_force_run`'s plan
-table is a local that dies with the call.
+and map tables are locals that die with the call.
 """
 
 import ast
 import gc
 import importlib
+import itertools
 import pkgutil
 import tracemalloc
 import types
@@ -27,7 +28,8 @@ import numpy as np
 import pytest
 
 import zenosim
-from zenosim import state
+from zenosim import interrogation, oracle, state
+from zenosim.interrogation import QiParams
 from zenosim.state import new_state, photon, stack_branches
 
 CACHE_DECORATORS = {"cache", "lru_cache"}  # cached_property dies with its object
@@ -38,6 +40,13 @@ ALLOWED = {
         "every pass and the benchmark checks its miss count",
     "cli.build_parser":
         "the argparse tree, which depends on no argument; built once per process",
+    "oracle._gather_index":
+        "the oracle's gather index per live shape and front-first axes, read-only, "
+        "at most 64 indices of at most 10 KiB (`DIMENSION_CAP` levels), 680 KiB in "
+        "all; bench/workloads.clear_caches does not empty it.  A one-shot "
+        "`oracle-check` still pays each first index (about 1-2 us on the demos' "
+        "shapes), and only in-process callers such as the benchmark skip them all "
+        "after their first pass",
     "state._sigma_max_of":
         "apply_local's contraction check, keyed by an operator's shape and bytes, "
         "at most 64 operators of at most 4 KiB; bench/workloads.clear_caches does "
@@ -52,6 +61,12 @@ PER_OBJECT = {
         "the T_k^N stacks of one params object; the CLI builds its params per "
         "call, and the benchmark's workloads hold theirs across passes, so "
         "traced passes after the first reuse the stacks the first squared",
+    "interrogation.QiParams._rows":
+        "the T_k^N gathered per configuration of an interrogation's particles, per "
+        "(rank, plan) of one params object: at most 32 entries of at most 4 KiB, "
+        "144 KiB in all, the oldest dropped first, and dropped by copies and "
+        "pickles.  The CLI builds its params per call, so only the runs of one "
+        "call share them; the benchmark's workloads hold theirs across passes",
     "circuits.run._outcome_tree":
         "the outcome tree `run` keeps on its program for the last params: its "
         "segments, each kept measurement's draw table and each kept end's "
@@ -235,3 +250,52 @@ def test_contraction_memo_retains_at_most_280_kib():
         tracemalloc.stop()
         memo.cache_clear()
     assert state._MEMO_ENTRIES * state._MEMO_OP_BYTES < retained <= 280 * 1024
+
+
+def _retained(fill) -> int:
+    """The bytes that calling `fill` leaves allocated, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fill()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_gather_index_memo_retains_at_most_680_kib():
+    # the worst case its docstring states: 64 indices at DIMENSION_CAP, one
+    # per order of the axes of a 4 x 4 x 4 x 4 x 5 state, twice as many asked
+    shape = (4, 4, 4, 4, 5)
+    assert np.prod(shape) == oracle.DIMENSION_CAP
+    orders = list(itertools.permutations(range(len(shape))))[:128]
+    memo = oracle._gather_index
+    memo.cache_clear()
+    try:
+        retained = _retained(lambda: [memo(shape, axes) for axes in orders])
+        assert memo.cache_info().currsize == 64
+        assert not memo(shape, orders[-1]).flags.writeable
+    finally:
+        memo.cache_clear()
+    assert 64 * oracle.DIMENSION_CAP * 8 < retained <= 680 * 1024
+
+
+def test_rows_memo_keeps_at_most_32_plans_of_4_kib_in_144_kib():
+    # a 63-position particle has 64 levels, so its rows are 4 KiB, at the
+    # bound; each plan blocks it at another pair of positions, and the memo
+    # keeps the last 32 of 64.  A 64-position particle's rows are past the
+    # bound, and are gathered but not kept.
+    params = QiParams(cycles=17, absorb_prob=0.5)
+    work = np.zeros((4, 64), dtype=np.complex128)
+    plans = [((0, blk, 63),) for blk in itertools.combinations(range(63), 2)][:64]
+    retained = _retained(lambda: [interrogation._run_cycles(work, plan, params)
+                                  for plan in plans])
+    rows = params._rows
+    assert [plan for _, plan in rows] == plans[32:]
+    assert all(p.nbytes == interrogation._ROWS_BYTES and not p.flags.writeable
+               for p in rows.values())
+    assert 32 * interrogation._ROWS_BYTES < retained <= 144 * 1024
+    interrogation._run_cycles(np.zeros((4, 65), dtype=np.complex128), ((0, (0,), 64),), params)
+    assert len(rows) == interrogation._ROWS_ENTRIES == 32 and (1, ((0, (0,), 64),)) not in rows

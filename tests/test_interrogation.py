@@ -592,9 +592,11 @@ def test_copies_and_pickles_of_a_warm_params_give_the_same_bits():
     state = StateVector(layout, amps / np.linalg.norm(amps))
     for params in _stack_grid():
         want = qi_run(state, "p", ["b", "c"], [BLOCKED, [0, 1]], params).amps.tobytes()
+        assert params._stacks and params._rows
         for clone in (copy.copy(params), copy.deepcopy(params),
                       pickle.loads(pickle.dumps(params))):
-            assert clone == params
+            # the memos are left behind, and the clone fills its own
+            assert clone == params and vars(clone).keys().isdisjoint({"_stacks", "_rows"})
             got = qi_run(state, "p", ["b", "c"], [BLOCKED, [0, 1]], clone).amps.tobytes()
             assert got == want, params
             assert not interrogation._power_stack(clone, 2).flags.writeable

@@ -35,6 +35,7 @@ import test_analysis
 import test_cli
 import test_emit
 import test_interrogation
+import test_oracle
 import test_state
 from helpers import FAILURE_LEAVES
 from test_circuits import (
@@ -133,6 +134,11 @@ def _limit_under_keep_matches_deep_runs() -> None:
 
 def _walk_with_failure_leaves() -> None:
     _assert_same_walk(DEMOS["cnot-memory"](), FAILURE_LEAVES)
+
+
+def _oracle_leaves_match_the_per_branch_walk() -> None:
+    test_oracle.test_leaves_are_byte_equal_to_the_per_branch_walk(
+        "cnot-direct-cx", "n3", interrogation.ROUTE_TO_SINK)
 
 
 def _oracle_pairs_failure_leaves() -> None:
@@ -327,6 +333,20 @@ MUTANTS = {
     "blocked-count-exponent-dropped": Mutant(
         interrogation, "_cycle_powers", "** np.arange(kmax + 1)",
         "** np.minimum(np.arange(kmax + 1), 1)", _stacks_match_the_50_digit_reference),
+    # the rows memo keyed without the blocking sets: the W states' three
+    # interrogations, which block one particle at three different position
+    # sets, all get the first one's rows
+    "rows-key-without-blocking": Mutant(
+        interrogation, "_run_cycles", "key = (h.ndim, plan)",
+        "key = (h.ndim, tuple((axis, n) for axis, _, n in plan))", _finite_stdout_is_pinned),
+    # the gather index keyed without the axes: every gate on a live shape
+    # gets the index of the first gate on that shape (the direct CNOT gathers
+    # one 4 x 4 x 3 shape in four orders, led by three different subsystems)
+    "gather-index-key-without-axes": Mutant(
+        oracle, "_gate", "_gather_index(tuple(dims[n] for n in layout), tuple(axes))",
+        "_gather_index(tuple(dims[n] for n in layout), _gate.__dict__.setdefault(\n"
+        "        tuple(dims[n] for n in layout), tuple(axes)))",
+        _oracle_leaves_match_the_per_branch_walk),
     "map-read-without-transpose": Mutant(
         interrogation, "_effective_map_cached", "res.amps.reshape(total, total).T",
         "res.amps.reshape(total, total)", _map_is_its_column_runs),

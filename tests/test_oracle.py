@@ -444,9 +444,12 @@ def test_generated_leaves_are_byte_equal_to_the_per_branch_walk(program):
         _assert_same_leaves(program, params)
 
 
-def test_each_interrogation_fetches_its_map_once_per_walk(monkeypatch):
-    # the memory CNOT reaches its five interrogations on 1, 2, 2, 4 and 8
-    # branches; the per-branch walk fetched the map on every one of them
+@pytest.mark.parametrize("name, shapes", [("cnot-memory", 1), ("wstate-3", 3)])
+def test_each_interrogation_fetches_its_map_once_per_walk(monkeypatch, name, shapes):
+    # one fetch per map shape (particle dims and blocking sets): the memory
+    # CNOT reaches its five interrogations on 1, 2, 2, 4 and 8 branches, all
+    # on one 2-position particle blocked at 0; the W state's three block one
+    # particle at three different position sets
     calls = []
 
     def counted(*args, **kwargs):
@@ -455,10 +458,9 @@ def test_each_interrogation_fetches_its_map_once_per_walk(monkeypatch):
 
     effective_map = oracle.effective_map
     monkeypatch.setattr(oracle, "effective_map", counted)
-    program = DEMOS["cnot-memory"]()
-    interrogations = sum(i.op in ("qicz", "qicz_multi") for i in program.instructions)
+    program = DEMOS[name]()
     params = QiParams(cycles=7)
     leaves = len(brute_force_run(program, params).leaves)
-    assert leaves > 1 and len(calls) == interrogations
-    brute_force_run(program, params)  # the plans die with the call
-    assert len(calls) == 2 * interrogations
+    assert leaves > 1 and len(calls) == shapes
+    brute_force_run(program, params)  # the maps die with the call
+    assert len(calls) == 2 * shapes

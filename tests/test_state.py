@@ -427,16 +427,35 @@ def test_memo_gives_the_float_of_the_operators_own_svd(seed, batch, order):
     assert engine_state._sigma_max_of(op.shape, op.tobytes()) == want
 
 
-def test_an_svd_that_raises_raises_on_every_call():
+def test_an_svd_that_raises_raises_on_every_call(monkeypatch):
+    # an SVD that does not converge on a finite operator, stood in for by
+    # one that always raises
+    def unconverged(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", unconverged)
     state = new_state([photon("p")], [PH_ONE_H])
-    op = np.eye(4, dtype=np.complex128)
-    op[0, 0] = np.nan
+    op = 0.375 * np.eye(4, dtype=np.complex128)
     before = engine_state._sigma_max_of.cache_info()
     for _ in range(2):
         with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
             apply_local(state, ["p"], op)
     after = engine_state._sigma_max_of.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+
+
+@pytest.mark.parametrize("entry", [np.inf, np.nan])
+def test_a_non_finite_operator_is_refused_as_no_contraction(entry):
+    # an infinity gives an all-NaN SVD and a NaN one that does not
+    # converge; each is refused by the contraction check, from the memo
+    # (twice, the second a hit) and from a stack too large to be kept
+    one = new_state([photon("p")], [PH_ONE_H])
+    op = np.eye(4, dtype=np.complex128)
+    op[0, 0] = entry
+    stack = np.tile(op, (17, 1, 1))
+    assert stack.nbytes > engine_state._MEMO_OP_BYTES
+    for state, bad in ((one, op), (one, op), (stack_branches([one] * 17), stack)):
+        assert _refused(state, ["p"], bad) == "operator is not a contraction (sigma_max = nan)"
 
 
 # --- local steps against numpy's axis helpers ---------------------------------

@@ -10,9 +10,12 @@ tree's, so both sides run the same benchmark.  `--workload` takes one
 workload that BENCHMARK.json names, or several separated by commas.  Each
 pair runs `python3 bench/run.py --trace 0` once on each side for each
 workload in turn, the parent first in even pairs and the change first in
-odd ones.  `--seconds` defaults to `run_seconds` in BENCHMARK.json.  A run
-that exits non-zero, is not `correct` or has failed ops stops the command
-with exit code 1.
+odd ones.  `--seconds` defaults to `run_seconds` in BENCHMARK.json.  Every
+run compiles the package from source: it writes no byte-code
+(`PYTHONDONTWRITEBYTECODE=1`) and reads its byte-code cache from a fresh,
+empty `PYTHONPYCACHEPREFIX`, so a stray `__pycache__` in either tree skews
+neither side.  A run that exits non-zero, is not `correct` or has failed
+ops stops the command with exit code 1.
 
 Each workload gets its own summary, after a `workload=<name>` line.  For
 each end-to-end metric BENCHMARK.json lists, the summary prints each
@@ -35,6 +38,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -113,7 +117,9 @@ def summary(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> l
 def _bench(tree: Path, workload: str, args: argparse.Namespace) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed",
            str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory() as pycache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": pycache}
+        done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=env)
     if done.returncode:
         raise ValueError(f"exit code {done.returncode}: {done.stderr.strip()[-2000:]}")
     return result_of(done.stdout)
