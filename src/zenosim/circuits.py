@@ -9,12 +9,14 @@ census class (which alone fixes the imperfection field it is charged,
 through `gates.CHARGED`), its engine action, and its argument rule (the
 engine's own wiring, prepared-vector and phase checks, run at load).  The
 validator, the census, the profile draws and the interpreter all read that
-table.  A walk's classical record is a plain dict of bit name to value;
-the validator alone enforces that a bit is written before it is read.  One
-instruction loop runs a program a segment at a time, from the start or one
-measurement up to the next measurement, on a batch of branches, each with
-its own classical record: one branch is a plain state, and several are
-stacked along the state's leading branch axis (see `state`).
+table; a prepare's vector is built and checked once, at load, and the
+program keeps it for every walk.  A walk's classical record is a plain
+dict of bit name to value; the validator alone enforces that a bit is
+written before it is read.  One instruction loop runs a program a segment
+at a time, from the start or one measurement up to the next measurement,
+on a batch of branches, each with its own classical record: one branch is
+a plain state, and several are stacked along the state's leading branch
+axis (see `state`).
 `run_all_branches` walks a fresh tree in batches: the kept non-failure
 outcomes of every branch of a batch form the next batches, as large as
 `MAX_AMPLITUDES` lets their stacked states be, so each instruction runs
@@ -160,7 +162,8 @@ class OpSpec:
     basis for a measurement.  From `arity`, the value count of each bit
     written so far, `values(args, program, arity)` counts a written bit's
     values and `check_args(args, program, arity)` rejects what the action
-    would (a prepare's returns its vector's norm^2)."""
+    would (a prepare's returns its subsystem and checked vector, which the
+    program keeps for its walks)."""
 
     args: dict
     action: Callable | None
@@ -222,12 +225,14 @@ def _prepared(program: CircuitProgram, args: dict) -> tuple[SubsystemSpec, np.nd
 
 
 def _prepare(state: StateVector, args: dict, ctx: _Context) -> StateVector:
-    return add_subsystem(state, *_prepared(ctx.program, args))
+    return add_subsystem(state, *ctx.program._vectors[args["target"]])
 
 
-def _prepare_fits(a: dict, program: CircuitProgram, arity: dict) -> float:
-    vec = initial_vector(*_prepared(program, a))
-    return float(np.vdot(vec, vec).real)
+def _prepare_fits(a: dict, program: CircuitProgram, arity: dict) -> tuple:
+    spec, vec = _prepared(program, a)
+    vec = initial_vector(spec, vec)
+    vec.flags.writeable = False
+    return spec, vec
 
 
 def _xor(state: StateVector, a: dict, ctx: _Context) -> StateVector:
@@ -335,12 +340,15 @@ class CircuitProgram:
     subsystems: tuple[SubsystemSpec, ...]
     bits: tuple[str, ...]
     instructions: tuple[Instruction, ...]
+    # prepared subsystem name -> (spec, checked level vector), as validation
+    # built them; every walk's prepare reads its vector here
+    _vectors: dict = field(init=False, repr=False, compare=False)
     # the outcome tree `run` keeps for its last params
     _outcome_tree: _OutcomeTree | None = field(default=None, init=False, repr=False,
                                                compare=False)
 
     def __post_init__(self):
-        validate_program(self)
+        object.__setattr__(self, "_vectors", validate_program(self))
 
     def __getstate__(self):
         # the tree caches this process's runs; a copy or a pickle starts without
@@ -353,7 +361,7 @@ class CircuitProgram:
         raise KeyError(f"undeclared subsystem {name!r}")
 
 
-def validate_program(program: CircuitProgram) -> None:
+def validate_program(program: CircuitProgram) -> dict:
     """Static checks across subsystems, bits and instructions (each
     `SubsystemSpec` checks its own name, kind and level count): unique
     subsystem names of at most `MAX_SUBSYSTEM_DIM` levels, unique string
@@ -368,7 +376,8 @@ def validate_program(program: CircuitProgram) -> None:
     their norm^2 within 1 + `ATOL`.  An error about one subsystem or bit
     starts `subsystems[i]:` or `bits[i]:`, and any error raised while an
     instruction is checked starts `instructions[i]:`, added by the loop's
-    one handler."""
+    one handler.  Returns each prepared subsystem's name -> (spec, checked
+    level vector, read-only); a name is prepared at most once."""
     specs: dict[str, SubsystemSpec] = {}
     for i, s in enumerate(program.subsystems):
         if s.name in specs:
@@ -393,6 +402,7 @@ def validate_program(program: CircuitProgram) -> None:
     # measurement branch is renormalized, so each measurement restarts it
     scale = 1.0
     arity: dict[str, int] = {}  # bit -> number of values it can hold
+    vectors: dict[str, tuple] = {}
     for pos, instr in enumerate(program.instructions):
         try:
             row = OPS[instr.op]
@@ -434,13 +444,16 @@ def validate_program(program: CircuitProgram) -> None:
                         scale = 1.0
                     elif kind.needs:
                         expect(specs[name], kind.needs, f"{instr.op} argument {arg!r}")
-            if row.check_args:
-                scale *= row.check_args(instr.args, program, arity) or 1.0
-                if scale > 1 + ATOL:  # only a prepare scales it
-                    raise ValueError(f"preparing {instr.args['target']!r} makes a "
+            fitted = row.check_args and row.check_args(instr.args, program, arity)
+            if fitted:  # a prepare's subsystem and vector, which scale the norm^2
+                spec, vec = vectors[instr.args["target"]] = fitted
+                scale *= float(np.vdot(vec, vec).real)
+                if scale > 1 + ATOL:
+                    raise ValueError(f"preparing {spec.name!r} makes a "
                                      f"state of norm^2 {scale!r}, above 1 + {ATOL:g}")
         except ValueError as exc:
             raise ValueError(f"instructions[{pos}]: {exc}") from None
+    return vectors
 
 
 @dataclass

@@ -21,6 +21,11 @@ value, whose read-before-write rule the program validator enforces.  On a
 batched state (see `state`), every gate acts on each branch, and a
 correction takes one recorded value per branch.
 
+H, the Fourier transform and the cphase phase are products through
+`state.apply_local`.  X and Z, plain or classically controlled, move
+amplitudes by index instead (`_pauli`), with the bits of the product they
+replace; a correction on a batch moves only the branches whose value is 1.
+
 An instruction's census class alone fixes the profile field it is charged,
 through `CHARGED`.
 """
@@ -54,8 +59,6 @@ def _block(dim: int, block) -> np.ndarray:
 
 
 _H2 = np.array([[1, 1], [1, -1]], dtype=np.complex128) * _SQRT_HALF
-_X2 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_Z2 = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
 def _fourier(positions: int) -> np.ndarray:
@@ -63,10 +66,9 @@ def _fourier(positions: int) -> np.ndarray:
     return np.exp(2j * np.pi * j * k / positions) / np.sqrt(positions)
 
 
-# the fixed operators, built once at import (a 2-position particle has 3
-# levels); every call of a gate hands the same read-only matrix to apply_local
-_PHOTON_H, _PHOTON_X, _PHOTON_Z = (_block(PHOTON_DIM, b) for b in (_H2, _X2, _Z2))
-_PARTICLE_H, _PARTICLE_X, _PARTICLE_Z = (_block(3, b) for b in (_H2, _X2, _Z2))
+# the fixed Hadamards, built once at import (a 2-position particle has 3
+# levels); every call hands the same read-only matrix to apply_local
+_PHOTON_H, _PARTICLE_H = _block(PHOTON_DIM, _H2), _block(3, _H2)
 
 
 def photon_h(state: StateVector, name: str) -> StateVector:
@@ -75,14 +77,34 @@ def photon_h(state: StateVector, name: str) -> StateVector:
     return apply_local(state, [name], _PHOTON_H)
 
 
+def _pauli(state: StateVector, name: str, gate: str, rows=slice(None)) -> StateVector:
+    """X ("x") or Z ("z") on the first two levels of `name`, by index: X
+    takes the levels (1, 0, rest...) along the target's axis, and Z negates
+    level 1.  On a batched state it acts on the branches `rows` selects
+    and leaves the others' bits as they are, all in one copy of the
+    amplitudes.  Every zero of a branch it acts on is written as +0.0, so
+    the bits are those of `apply_local`'s product with the literal matrix,
+    whose exact sums of ones and zeros give +0.0 for a zero."""
+    amps = state.amps
+    lead = () if state.batch is None else (rows,)
+    at = lead + (slice(None),) * state.axis(name)
+    out = amps.copy()
+    if gate == "x":
+        out[at + (0,)], out[at + (1,)] = amps[at + (1,)], amps[at + (0,)]
+    else:
+        out[at + (1,)] = -amps[at + (1,)]
+    out[lead] += 0.0
+    return StateVector(state.layout, out, state.batch)
+
+
 def photon_x(state: StateVector, name: str) -> StateVector:
     expect(state.spec(name), "a photon", "photon_x")
-    return apply_local(state, [name], _PHOTON_X)
+    return _pauli(state, name, "x")
 
 
 def photon_z(state: StateVector, name: str) -> StateVector:
     expect(state.spec(name), "a photon", "photon_z")
-    return apply_local(state, [name], _PHOTON_Z)
+    return _pauli(state, name, "z")
 
 
 def particle_h(state: StateVector, name: str) -> StateVector:
@@ -96,12 +118,12 @@ def particle_h(state: StateVector, name: str) -> StateVector:
 
 def particle_x(state: StateVector, name: str) -> StateVector:
     expect(state.spec(name), "a 2-position particle", "particle_x")
-    return apply_local(state, [name], _PARTICLE_X)
+    return _pauli(state, name, "x")
 
 
 def particle_z(state: StateVector, name: str) -> StateVector:
     expect(state.spec(name), "a 2-position particle", "particle_z")
-    return apply_local(state, [name], _PARTICLE_Z)
+    return _pauli(state, name, "z")
 
 
 def prepare_particle_pm(spec: SubsystemSpec, sign: str) -> np.ndarray:
@@ -136,22 +158,7 @@ def classically_controlled(state: StateVector, value, gate: str,
     on = [b for b, v in enumerate(values) if v != 0]
     if not on:
         return state
-    if len(on) == len(values):
-        return _controlled_gate(state, gate, target)
-    # the gate acts on the branches whose value is 1 alone: one plain
-    # branch, or a stack of them, written into a copy of the amplitudes
-    sub = state.branch(on[0]) if len(on) == 1 else StateVector(
-        state.layout, state.amps[on], len(on))
-    amps = state.amps.copy()
-    amps[on] = _controlled_gate(sub, gate, target).amps
-    return StateVector(state.layout, amps, state.batch)
-
-
-def _controlled_gate(state: StateVector, gate: str, target: str) -> StateVector:
-    kind = state.spec(target).kind
-    if gate == "cx":
-        return photon_x(state, target) if kind == "photon" else particle_x(state, target)
-    return photon_z(state, target) if kind == "photon" else particle_z(state, target)
+    return _pauli(state, target, gate[1], slice(None) if len(on) == len(values) else on)
 
 
 def _phase(coeff: float, value: int) -> np.ndarray:

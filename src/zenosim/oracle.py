@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import prod
+from math import prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -354,9 +354,9 @@ def compare(program: CircuitProgram, params: QiParams | None = None) -> float:
         if got != want:
             raise ValueError(f"branch {i}: engine (record, failed, layout) {got!r} "
                              f"!= brute force {want!r}")
-        a = res.final_state.amps * np.sqrt(res.branch_weight)
+        a = res.final_state.amps * sqrt(res.branch_weight)
         b = leaf.vector
-        ip = complex(np.vdot(b.reshape(-1), a.reshape(-1)))
+        ip = complex(np.vdot(b, a))  # vdot flattens both
         phase = ip / abs(ip) if abs(ip) > 1e-30 else 1.0
         worst = max(worst, float(np.abs(a - phase * b).max()) if a.size else 0.0)
     if len(sim) != len(leaves):

@@ -16,7 +16,9 @@ stacked, so that one call acts on all of them.  Every operation here acts
 on such a stack branch by branch and gives each branch the bits it would
 get alone: a product is one stacked `np.matmul` over the branch axis, never
 one wider 2-D product (whose kernel edges round differently), and a weight
-is one `np.vdot` per branch.
+is one `np.vdot` per branch.  A measurement outcome whose factor is the
+unit vector on one level takes no product: its branch is that level's
+row, with every zero written as +0.0, which is what the product gives.
 """
 
 from __future__ import annotations
@@ -287,7 +289,9 @@ _PHOTON_UNITS.flags.writeable = _PM_FACTORS.flags.writeable = False
 def basis_outcomes(spec: SubsystemSpec, basis: str) -> list[tuple[int, np.ndarray | None]]:
     """Outcome list as (outcome, factor vector); None marks the pooled photon
     failure outcome whose projection has rank 2.  The last outcome is always
-    the failure one (pooled photon failure or exploded particle).  The one
+    the failure one (pooled photon failure or exploded particle).  In every
+    basis but particle_pm, a rank-1 outcome's factor is the unit vector on
+    the level its label names, which `branch_all` reads as a row.  The one
     home of the basis rule: raises ValueError for an unknown basis, and
     through `expect`, named by the basis, for one that does not fit the
     subsystem."""
@@ -316,8 +320,8 @@ def branch_all(state: StateVector, target: str, basis: str):
     pre-renormalization branch weight; post states are renormalized and, for
     rank-1 outcomes, no longer contain the measured subsystem.  A batched
     state gives one such list per branch, each the list that branch gives
-    alone: one projection per outcome serves every branch, and each weight
-    is one `np.vdot`.
+    alone: one projection per outcome serves every branch (a row for a unit
+    outcome, a product for a pm one), and each weight is one `np.vdot`.
     """
     axis = state.axis(target)
     spec = state.layout[axis]
@@ -329,13 +333,17 @@ def branch_all(state: StateVector, target: str, basis: str):
     factored_shape = lead + front.shape[len(lead) + 1:]
     out = [[] for _ in range(state.batch or 1)]
     for outcome, factor in basis_outcomes(spec, basis):
-        if factor is not None:  # rank 1: the subsystem factors out
-            layout = factored
-            amp = (factor.conj().reshape(1, -1) @ columns).reshape(factored_shape)
-        else:  # the pooled failure keeps it, since its projector has rank 2
+        if factor is None:  # the pooled failure keeps it, since its projector has rank 2
             layout = state.layout
             amp = state.amps * _POOLED_FAILURE.reshape(
                 (-1,) + (1,) * (len(state.layout) - 1 - axis))
+        else:  # rank 1: the subsystem factors out
+            layout = factored
+            if basis == PARTICLE_PM:
+                amp = factor.conj().reshape(1, -1) @ columns
+            else:  # the unit vector on level `outcome`: that row, every zero +0.0
+                amp = columns[..., outcome, :] + 0.0
+            amp = amp.reshape(factored_shape)
         for kept, row in zip(out, amp if lead else [amp]):
             w = float(np.vdot(row, row).real)
             if w > BRANCH_CUTOFF:

@@ -25,6 +25,27 @@ def reorder(state: StateVector, names: list[str]) -> StateVector:
     return StateVector(layout, np.transpose(state.amps, perm))
 
 
+def signed_zero_amps(rng, shape, zeros=0.3) -> np.ndarray:
+    """Random complex amplitudes of unit norm in which about a `zeros` share
+    of the real parts and of the imaginary parts are +0.0 or -0.0, drawn
+    apart."""
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for part in (amps.real, amps.imag):
+        hit = rng.random(shape) < zeros
+        part[hit] = np.where(rng.random(int(hit.sum())) < 0.5, 0.0, -0.0)
+    return amps / np.linalg.norm(amps)
+
+
+def assert_values_with_positive_zeros(got: np.ndarray, want: np.ndarray) -> None:
+    """`got` holds the values of `want`, and each zero part of `got` is
+    +0.0, as an exact sum of products with ones and zeros gives on any BLAS
+    kernel."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    for part in (got.real, got.imag):
+        assert not np.signbit(part[part == 0]).any()
+
+
 # textbook reference objects the tests compare against
 
 CZ_MATRIX = np.diag([1.0, 1.0, 1.0, -1.0]).astype(np.complex128)

@@ -49,10 +49,10 @@ def test_summary_gives_medians_quartiles_wins_and_the_rule():
     lines = bench_pairs.summary(*_pairs(), END_TO_END)
     assert lines[0] == "pairs=10"
     assert lines[1] == ("op_p50_ms (lower is better): parent 3.045 [3.0225, 3.0675] -> "
-                        "change 2.945 [2.9225, 2.9675]; change won 10 of 10; gain holds: yes; "
+                        "change 2.945 [2.9225, 2.9675] (-3.28%); change won 10 of 10; gain holds: yes; "
                         "bound 0.25: within bound")
     assert lines[2] == ("ops_per_s (higher is better): parent 60 [60, 60] -> change 60 "
-                        "[60, 60]; change won 0 of 10; gain holds: no; bound 0.25: within bound")
+                        "[60, 60] (+0.00%); change won 0 of 10; gain holds: no; bound 0.25: within bound")
     assert lines[3].endswith("change won 8 of 10; gain holds: no; bound 0.25: within bound")
     assert lines[4].endswith("change won 10 of 10; gain holds: no; bound 0.15: within bound")
     assert len(lines) == 5
@@ -70,7 +70,7 @@ def test_summary_needs_one_result_per_side_per_pair():
         bench_pairs.summary(parent, change[:-1], END_TO_END)
     one = bench_pairs.summary(parent[:1], change[:1], END_TO_END)
     assert one[1] == ("op_p50_ms (lower is better): parent 3 [3, 3] -> change 2.9 "
-                      "[2.9, 2.9]; change won 1 of 1; gain holds: yes; "
+                      "[2.9, 2.9] (-3.33%); change won 1 of 1; gain holds: yes; "
                       "bound 0.25: within bound")
 
 
@@ -91,6 +91,21 @@ def test_each_metric_gets_a_verdict_against_its_bound():
         "worse", "unresolved", "within bound", "within bound"]
     assert lines[1].endswith("gain holds: no; bound 0.25: worse")
     assert lines[4].endswith("gain holds: no; bound 0.15: within bound")
+
+
+@pytest.mark.parametrize("old, new, change", [
+    (40.0, 42.0, "+5.00%"), (40.0, 30.0, "-25.00%"), (3.0, 3.0, "+0.00%"),
+    (-2.0, -1.0, "+50.00%"), (0.0, 1.0, "n/a")])
+def test_median_change_is_a_signed_percentage_of_the_parent(old, new, change):
+    # signed by the values, whichever direction is better; a rise from a
+    # negative median is a rise
+    metrics = [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+               {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}]
+    parent = [bench_pairs.result_of(_line(ops_per_s=old, op_p50_ms=old))]
+    lines = bench_pairs.summary(parent, [bench_pairs.result_of(_line(ops_per_s=new,
+                                                                      op_p50_ms=new))], metrics)
+    for line in lines[1:]:
+        assert f"-> change {new:g} [{new:g}, {new:g}] ({change}); change won" in line
 
 
 @pytest.mark.parametrize("out, message", [
@@ -166,9 +181,11 @@ def test_each_workload_gets_its_own_summary(monkeypatch, capsys):
     assert lines[0:2] == ["workload=sample-ideal", "pairs=2"]
     assert lines[7:9] == ["workload=verify-finite", "pairs=2"]
     p50 = [line for line in lines if line.startswith("op_p50_ms")]
-    assert p50[0].startswith("op_p50_ms (lower is better): parent 3 [3, 3] -> change 2 [2, 2]; "
+    assert p50[0].startswith("op_p50_ms (lower is better): parent 3 [3, 3] -> change 2 [2, 2] "
+                             "(-33.33%); "
                              "change won 2 of 2; gain holds: yes")
-    assert p50[1].startswith("op_p50_ms (lower is better): parent 3 [3, 3] -> change 3 [3, 3]; "
+    assert p50[1].startswith("op_p50_ms (lower is better): parent 3 [3, 3] -> change 3 [3, 3] "
+                             "(+0.00%); "
                              "change won 0 of 2; gain holds: no")
 
 

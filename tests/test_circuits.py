@@ -958,6 +958,42 @@ def test_copies_and_pickles_leave_the_tree_behind():
     assert _record(run(copy.deepcopy(bell), IDEAL, np.random.default_rng(4))) == expected
 
 
+def test_walks_read_the_vectors_validation_built(monkeypatch):
+    # validation builds each prepare's vector once and the program keeps it;
+    # a walk of either kind, fresh or along a kept tree, builds none
+    calls, built = [], circuits._prepared
+    monkeypatch.setattr(circuits, "_prepared",
+                        lambda program, args: calls.append(args["target"]) or built(program, args))
+    for name, build in sorted(DEMOS.items()):
+        program = build()
+        prepares = [i.args for i in program.instructions if i.op == "prepare"]
+        assert calls == [args["target"] for args in prepares], name
+        assert list(program._vectors) == calls
+        for args in prepares:
+            spec, vec = program._vectors[args["target"]]
+            want_spec, want = built(program, args)
+            assert spec == want_spec and vec.tobytes() == want.astype(np.complex128).tobytes()
+            assert not vec.flags.writeable
+        calls.clear()
+        run_all_branches(program, QiParams(cycles=17))
+        for seed in range(3):
+            run(program, IDEAL, np.random.default_rng(seed))
+        assert calls == [], name
+
+
+def test_copied_and_pickled_programs_walk_to_the_same_bits():
+    params = QiParams(cycles=17)
+    for name, build in sorted(DEMOS.items()):
+        program = build()
+        want = [_record(r) for r in run_all_branches(program, params)]
+        sampled = _record(run(program, IDEAL, np.random.default_rng(4)))
+        for other in (copy.copy(program), copy.deepcopy(program),
+                      pickle.loads(pickle.dumps(program))):
+            assert list(other._vectors) == list(program._vectors), name
+            assert [_record(r) for r in run_all_branches(other, params)] == want, name
+            assert _record(run(other, IDEAL, np.random.default_rng(4))) == sampled, name
+
+
 def test_a_measurement_that_finds_no_weight_ends_the_run_failed():
     # a photon on |1H> meets a particle on its blocking position: one cycle
     # of the pi/2N rule turns it wholly to |1V>, which the absorber takes, so

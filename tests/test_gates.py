@@ -1,5 +1,6 @@
 """Single-subsystem gates, preparation, classical corrections, imperfections."""
 
+import itertools
 from dataclasses import fields
 
 import numpy as np
@@ -29,11 +30,15 @@ from zenosim.state import (
     PH_ONE_V,
     PH_SINK,
     PH_ZERO,
+    StateVector,
+    apply_local,
     new_state,
     norm_sq,
     particle,
     photon,
 )
+
+from helpers import assert_values_with_positive_zeros, signed_zero_amps
 
 
 def test_photon_h_twice_is_identity():
@@ -101,11 +106,7 @@ _X2 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Z2 = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 _OPERATORS = {
     "photon_h": (gates._PHOTON_H, _literal(4, _LOGICAL, _H2)),
-    "photon_x": (gates._PHOTON_X, _literal(4, _LOGICAL, _X2)),
-    "photon_z": (gates._PHOTON_Z, _literal(4, _LOGICAL, _Z2)),
     "particle_h": (gates._PARTICLE_H, _literal(3, _POSITIONS, _H2)),
-    "particle_x": (gates._PARTICLE_X, _literal(3, _POSITIONS, _X2)),
-    "particle_z": (gates._PARTICLE_Z, _literal(3, _POSITIONS, _Z2)),
     **{f"phase-{coeff:.3g}-{value}": (
         gates._phase(coeff, value),
         _literal(4, [PH_ONE_H], [[np.exp(1j * coeff * value)]]))
@@ -118,6 +119,69 @@ def test_operators_have_the_bytes_of_their_literal_form(name):
     got, want = _OPERATORS[name]
     assert got.tobytes() == want.tobytes()
     assert not got.flags.writeable
+
+
+# X and Z move amplitudes by index; each step's reference is `apply_local`
+# with its literal matrix
+_PAULIS = {
+    "photon_x": (photon_x, _literal(4, _LOGICAL, _X2)),
+    "photon_z": (photon_z, _literal(4, _LOGICAL, _Z2)),
+    "particle_x": (particle_x, _literal(3, _POSITIONS, _X2)),
+    "particle_z": (particle_z, _literal(3, _POSITIONS, _Z2)),
+}
+# the target kinds sit first, in the middle and last
+_PAULI_LAYOUT = (photon("p"), particle("m"), photon("q"), particle("n"))
+_PAULI_TARGETS = {"photon": ("p", "q"), "particle": ("m", "n")}
+
+
+def _state(rng, batch=None):
+    # a plain state, or a stack of `batch` of them, each of unit norm
+    shape = tuple(s.dim for s in _PAULI_LAYOUT)
+    if batch is None:
+        return StateVector(_PAULI_LAYOUT, signed_zero_amps(rng, shape))
+    return StateVector(_PAULI_LAYOUT, [signed_zero_amps(rng, shape) for _ in range(batch)],
+                       batch)
+
+
+@pytest.mark.parametrize("name", sorted(_PAULIS))
+def test_pauli_steps_have_the_values_of_the_literal_product(name):
+    gate, op = _PAULIS[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for state in [_state(rng) for _ in range(4)] + [_state(rng, batch=3)]:
+        before = state.amps.tobytes()
+        for target in _PAULI_TARGETS[name.split("_")[0]]:
+            got = gate(state, target)
+            assert got.batch == state.batch
+            assert_values_with_positive_zeros(got.amps, apply_local(state, [target], op).amps)
+        assert state.amps.tobytes() == before
+
+
+@pytest.mark.parametrize("gate", ["cx", "cz"])
+def test_corrections_act_on_every_subset_of_rows_as_the_literal_product(gate):
+    # a stack of three branches, each branch's value 0 or 1; a branch whose
+    # value is 1 gets the product's values, the others keep their bits
+    rng = np.random.default_rng(ord(gate[1]))
+    stack = _state(rng, batch=3)
+    for values in itertools.product((0, 1), repeat=3):
+        for kind, targets in _PAULI_TARGETS.items():
+            op = _PAULIS[f"{kind}_{gate[1]}"][1]
+            for target in targets:
+                got = classically_controlled(stack, list(values), gate, target)
+                for b, value in enumerate(values):
+                    branch = stack.branch(b)
+                    if value:
+                        assert_values_with_positive_zeros(
+                            got.amps[b], apply_local(branch, [target], op).amps)
+                    else:
+                        assert got.amps[b].tobytes() == branch.amps.tobytes()
+    plain = _state(rng)
+    for kind, targets in _PAULI_TARGETS.items():
+        op = _PAULIS[f"{kind}_{gate[1]}"][1]
+        for target in targets:
+            assert classically_controlled(plain, 0, gate, target) is plain
+            assert_values_with_positive_zeros(
+                classically_controlled(plain, 1, gate, target).amps,
+                apply_local(plain, [target], op).amps)
 
 
 def test_particle_gates_leave_exploded_level_alone():

@@ -34,6 +34,7 @@ from zenosim.state import new_state, photon
 import test_analysis
 import test_cli
 import test_emit
+import test_gates
 import test_interrogation
 import test_oracle
 import test_state
@@ -139,6 +140,39 @@ def _walk_with_failure_leaves() -> None:
 def _oracle_leaves_match_the_per_branch_walk() -> None:
     test_oracle.test_leaves_are_byte_equal_to_the_per_branch_walk(
         "cnot-direct-cx", "n3", interrogation.ROUTE_TO_SINK)
+
+
+def _pauli_steps_match_the_product() -> None:
+    for name in sorted(test_gates._PAULIS):
+        test_gates.test_pauli_steps_have_the_values_of_the_literal_product(name)
+
+
+def _corrections_leave_unselected_rows_alone() -> None:
+    for gate in ("cx", "cz"):
+        test_gates.test_corrections_act_on_every_subset_of_rows_as_the_literal_product(gate)
+
+
+def _photon_projections_match_tensordot() -> None:
+    # the photon's unit outcomes read levels 0 and 1, so one level higher
+    # is still a level; a particle's exploded outcome would read past the axis
+    for target in ("p", "q"):
+        test_state.test_branch_all_is_bit_identical_to_tensordot(
+            target, state.PHOTON_COMPUTATIONAL)
+
+
+def _unit_projections_match_the_product() -> None:
+    for target, basis in (("p", state.PHOTON_COMPUTATIONAL), ("x", state.QUDIT_POSITION)):
+        test_state.test_unit_projections_have_the_values_of_the_literal_product(target, basis)
+
+
+def _walk_prepares_its_own_vectors() -> None:
+    _escapes_as_a_failure(_walk_with_failure_leaves)
+
+
+def _oracle_agrees_on_the_cnot_families() -> None:
+    for family in circuits.CNOT_FAMILIES:
+        deviation = oracle.compare(DEMOS[f"cnot-{family}"](), interrogation.QiParams())
+        assert deviation <= 1e-10, family
 
 
 def _oracle_pairs_failure_leaves() -> None:
@@ -347,6 +381,40 @@ MUTANTS = {
         "_gather_index(tuple(dims[n] for n in layout), _gate.__dict__.setdefault(\n"
         "        tuple(dims[n] for n in layout), tuple(axes)))",
         _oracle_leaves_match_the_per_branch_walk),
+    # a batched X indexed as if the state had no branch axis: it swaps along
+    # the axis before the target's
+    "pauli-x-without-branch-offset": Mutant(
+        gates, "_pauli", "out[at + (0,)], out[at + (1,)] = amps[at + (1,)], amps[at + (0,)]",
+        "out[at[len(lead):] + (0,)], out[at[len(lead):] + (1,)] = "
+        "amps[at[len(lead):] + (1,)], amps[at[len(lead):] + (0,)]",
+        _pauli_steps_match_the_product),
+    "pauli-z-negates-level-0": Mutant(
+        gates, "_pauli", "out[at + (1,)] = -amps[at + (1,)]", "out[at + (0,)] = -amps[at + (0,)]",
+        _pauli_steps_match_the_product),
+    "correction-on-every-row": Mutant(
+        gates, "classically_controlled", "slice(None) if len(on) == len(values) else on",
+        "slice(None)", _corrections_leave_unselected_rows_alone),
+    # the moved amplitudes keep the signs of their zeros, which the
+    # product writes as +0.0
+    "pauli-zero-signs-kept": Mutant(
+        gates, "_pauli", "out[lead] += 0.0", "pass", _pauli_steps_match_the_product),
+    "unit-projection-zero-signs-kept": Mutant(
+        state, "branch_all", "columns[..., outcome, :] + 0.0", "columns[..., outcome, :].copy()",
+        _unit_projections_match_the_product),
+    "unit-projection-one-level-high": Mutant(
+        state, "branch_all", "columns[..., outcome, :] + 0.0",
+        "columns[..., outcome + 1, :] + 0.0", _photon_projections_match_tensordot),
+    # every prepare keeps the first prepare's vector with its own subsystem,
+    # so the walk adds that vector (the op table holds `_prepare` itself, so
+    # the row mutates where the walk's vectors are made)
+    "prepare-reads-another-vector": Mutant(
+        circuits, "validate_program", 'spec, vec = vectors[instr.args["target"]] = fitted',
+        'spec, vec = vectors[instr.args["target"]] = (\n'
+        "                    fitted[0], next(iter(vectors.values()), fitted)[1])",
+        _walk_prepares_its_own_vectors),
+    "oracle-correction-ungated": Mutant(
+        oracle, "brute_force_run", 'assignments[a["bit"]] & 1', "True",
+        _oracle_agrees_on_the_cnot_families),
     "map-read-without-transpose": Mutant(
         interrogation, "_effective_map_cached", "res.amps.reshape(total, total).T",
         "res.amps.reshape(total, total)", _map_is_its_column_runs),

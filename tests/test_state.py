@@ -35,7 +35,12 @@ from zenosim.state import (
     stack_branches,
 )
 
-from helpers import reference_sample_branch, reorder
+from helpers import (
+    assert_values_with_positive_zeros,
+    reference_sample_branch,
+    reorder,
+    signed_zero_amps,
+)
 
 BASES = [PHOTON_COMPUTATIONAL, PARTICLE_PM, QUDIT_POSITION]
 
@@ -523,3 +528,36 @@ def test_branch_all_is_bit_identical_to_tensordot(target, basis):
         assert [(o, w) for o, _, w in got] == [(o, w) for o, _, w in want]
         for (_, post, _), (_, amp, _) in zip(got, want):
             assert post.amps.tobytes() == amp.tobytes()
+
+
+@pytest.mark.parametrize("target, basis", [
+    ("p", PHOTON_COMPUTATIONAL), ("q", PHOTON_COMPUTATIONAL), ("b", PARTICLE_COMPUTATIONAL),
+    ("x", PARTICLE_COMPUTATIONAL), ("x", QUDIT_POSITION), ("c", QUDIT_POSITION)])
+def test_unit_projections_have_the_values_of_the_literal_product(target, basis):
+    # a unit outcome is read as one row of the (d, rest) columns; its
+    # reference is the (1, d) @ (d, rest) product with the unit vector, on
+    # plain states and a stack whose entries hold +0.0 and -0.0
+    rng = np.random.default_rng(sum(map(ord, target + basis)) + 1)
+    axis = next(i for i, s in enumerate(_WIDE) if s.name == target)
+    spec = _WIDE[axis]
+    outcomes = basis_outcomes(spec, basis)
+    for label, factor in outcomes:  # the rule `branch_all` reads
+        if factor is not None:
+            assert factor.tobytes() == np.eye(spec.dim, dtype=np.complex128)[label].tobytes()
+    shape = tuple(s.dim for s in _WIDE)
+    plain = [StateVector(tuple(_WIDE), signed_zero_amps(rng, shape)) for _ in range(3)]
+    stacked = stack_branches(plain)
+    by_branch = branch_all(stacked, target, basis)
+    for b, state in enumerate(plain):
+        columns = np.moveaxis(state.amps, axis, 0).reshape(spec.dim, -1)
+        want = []
+        for label, factor in outcomes:
+            if factor is not None:
+                amp = (factor.conj().reshape(1, -1) @ columns).reshape(-1)
+                w = float(np.vdot(amp, amp).real)
+                want.append((label, amp / np.sqrt(w), w))
+        for got in (branch_all(state, target, basis), by_branch[b]):
+            rank_one = [(o, post, w) for o, post, w in got if len(post.layout) < len(_WIDE)]
+            assert [(o, w) for o, _, w in rank_one] == [(o, w) for o, _, w in want]
+            for (_, post, _), (_, amp, _) in zip(rank_one, want):
+                assert_values_with_positive_zeros(post.amps.reshape(-1), amp)

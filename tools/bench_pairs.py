@@ -19,7 +19,9 @@ ops stops the command with exit code 1.
 
 Each workload gets its own summary, after a `workload=<name>` line.  For
 each end-to-end metric BENCHMARK.json lists, the summary prints each
-side's median and quartiles, how many pairs the change won in the metric's
+side's median and quartiles, the change's median against the parent's as
+a signed percentage of the parent's (`n/a` when the parent's median is
+0), how many pairs the change won in the metric's
 `better` direction (ties count for neither side), and whether a gain
 holds: the change wins at least 9 pairs in 10, and the medians differ in
 its favour by more than the parent's interquartile range.  It then gives
@@ -100,6 +102,7 @@ def summary(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> l
         wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
         (o1, om, o3), (n1, nm, n3) = _quartiles(old), _quartiles(new)
         holds = 10 * wins >= 9 * len(old) and sign * (nm - om) > o3 - o1
+        delta = f"{100 * (nm - om) / abs(om):+.2f}%" if om else "n/a"
         bound = metric["bound"] * abs(om)
         if sign * (nm - om) < -bound:
             verdict = "worse"
@@ -108,7 +111,8 @@ def summary(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> l
         else:
             verdict = "within bound"
         lines.append(f"{name} ({metric['better']} is better): parent {om:.6g} "
-                     f"[{o1:.6g}, {o3:.6g}] -> change {nm:.6g} [{n1:.6g}, {n3:.6g}]; "
+                     f"[{o1:.6g}, {o3:.6g}] -> change {nm:.6g} [{n1:.6g}, {n3:.6g}] "
+                     f"({delta}); "
                      f"change won {wins} of {len(old)}; gain holds: "
                      f"{'yes' if holds else 'no'}; bound {metric['bound']:g}: {verdict}")
     return lines
