@@ -5,18 +5,17 @@ component imperfections, and a Monte Carlo estimator for the same yields.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import (
     DIRECT_CX,
-    DIRECT_CZ,
     HALF_MEMORY_KEEP_CONTROL,
-    HALF_MEMORY_KEEP_TARGET,
     INTEGER,
-    MEMORY,
     CircuitProgram,
+    cnot_circuit,
 )
 from .gates import ImperfectionProfile
 from .interrogation import KEEP, PI_OVER_2N, PI_OVER_N, QiParams, qi_run, qicz
@@ -110,18 +109,17 @@ def discrimination_success(n: int, absorb: float,
 
 def yield_formula(family: str, profile: ImperfectionProfile) -> float:
     """Closed-form probability that every component of one CNOT attempt
-    works, per family."""
-    p, q, r, s, eta = (profile.p, profile.q, profile.r, profile.s,
-                       profile.eta)
-    if family == MEMORY:
-        return eta ** 2 * p ** 4 * q ** 5 * r ** 4
-    if family == HALF_MEMORY_KEEP_CONTROL:
-        return eta * p ** 2 * q ** 3 * r ** 3
-    if family == HALF_MEMORY_KEEP_TARGET:
-        return eta * p ** 4 * q ** 3 * r ** 2 * s ** 2
-    if family in (DIRECT_CX, DIRECT_CZ):
-        return p ** 2 * q ** 2 * r * s
-    raise ValueError(f"unknown family {family!r}")
+    works, per family: each field of `profile` to the power of the count of
+    `cnot_circuit(family)`'s instructions charged to it.  The powers are
+    multiplied in the fixed order eta, p, q, r, s, skipping a field no
+    instruction is charged: the order of the written-out formulas this
+    replaced, so the printed yields keep every digit."""
+    counts = Counter(instr.charge for instr in cnot_circuit(family).instructions)
+    product = 1.0
+    for charge in ("eta", "p", "q", "r", "s"):
+        if counts[charge]:
+            product *= getattr(profile, charge) ** counts[charge]
+    return product
 
 
 def direct_beats_half(profile: ImperfectionProfile) -> bool:

@@ -6,17 +6,20 @@ W-state generator, teleportation memory, and the CNOT families.
 Every fact about an op lives in one row of `OPS`: its argument schema, the
 subsystems (and the kind each must be) and bits its arguments name, its
 census class (which alone fixes the imperfection field it is charged,
-through `gates.CHARGED`), its engine action, and its argument rule (the
-engine's own wiring, prepared-vector and phase checks, run at load).  The
-validator, the census, the profile draws and the interpreter all read that
-table; a prepare's vector is built and checked once, at load, and the
-program keeps it for every walk.  A walk's classical record is a plain
-dict of bit name to value; the validator alone enforces that a bit is
-written before it is read.  One instruction loop runs a program a segment
-at a time, from the start or one measurement up to the next measurement,
-on a batch of branches, each with its own classical record: one branch is
-a plain state, and several are stacked along the state's leading branch
-axis (see `state`).
+through `gates.CHARGED`), its engine action, and its bind hook (the
+engine's own wiring, prepared-vector and phase checks, run at load, and
+what the walk needs of the instruction).  The validator, the census, the
+profile draws and the interpreter all read that table.  Validation binds
+each instruction once and the program keeps the results, one plan entry
+per instruction: a prepare's checked vector, a written bit's value count
+(for a measure, its failure label) and the batch size of the segment a
+measure opens, so a walk recounts none of them.  A walk's classical record
+is a plain dict of bit name to value; the validator alone enforces that a
+bit is written before it is read.  One instruction loop runs a program a
+segment at a time, from the start or one measurement up to the next
+measurement, on a batch of branches, each with its own classical record:
+one branch is a plain state, and several are stacked along the state's
+leading branch axis (see `state`).
 `run_all_branches` walks a fresh tree in batches: the kept non-failure
 outcomes of every branch of a batch form the next batches, as large as
 `MAX_AMPLITUDES` lets their stacked states be, so each instruction runs
@@ -156,21 +159,21 @@ class _Context(NamedTuple):
 @dataclass
 class OpSpec:
     """One op.  `args` and `optional` map argument names to their types.
-    `action(state, args, context)` returns the next state of a batch of
-    branches, whose classical records the context lists; a measurement
-    has none, because the walk's policy measures.  `census` is a dict per
-    basis for a measurement.  From `arity`, the value count of each bit
-    written so far, `values(args, program, arity)` counts a written bit's
-    values and `check_args(args, program, arity)` rejects what the action
-    would (a prepare's returns its subsystem and checked vector, which the
-    program keeps for its walks)."""
+    `action(state, args, bound, context)` returns the next state of a batch
+    of branches, whose classical records the context lists, from the
+    instruction's plan entry `bound`; a measurement has none, because the
+    walk's policy measures.  `census` is a dict per basis for a
+    measurement.  From `arity`, the value count of each bit written so far,
+    `bind(args, program, arity)` rejects what the action would and returns
+    the instruction's plan entry: a prepare's subsystem and checked vector,
+    or the value count of the bit the op writes (a measure's failure
+    label)."""
 
     args: dict
     action: Callable | None
     optional: dict = field(default_factory=dict)
     census: str | dict | None = None
-    values: Callable | None = None
-    check_args: Callable | None = None
+    bind: Callable | None = None
 
     def __post_init__(self):
         self.schema = {**self.args, **self.optional}
@@ -182,7 +185,7 @@ class OpSpec:
 
 def _gate(name: str):
     # look the gate up at call time, so a rebound gates.<name> takes effect
-    return lambda state, a, ctx: getattr(gates, name)(state, a["target"])
+    return lambda state, a, *_: getattr(gates, name)(state, a["target"])
 
 
 def _recorded(state: StateVector, ctx: _Context, bit: str):
@@ -192,58 +195,51 @@ def _recorded(state: StateVector, ctx: _Context, bit: str):
 
 
 def _controlled(op: str):
-    return lambda state, a, ctx: gates.classically_controlled(
+    return lambda state, a, _, ctx: gates.classically_controlled(
         state, _recorded(state, ctx, a["bit"]), op, a["target"])
 
 
-def _prepared(program: CircuitProgram, args: dict) -> tuple[SubsystemSpec, np.ndarray]:
-    # the subsystem a prepare instruction adds, and the vector its one form
-    # gives; the validator and the engine both read the forms here alone
-    forms = [form for form in ("level", "pm", "state") if form in args]
-    forms += ["uniform"] * bool(args.get("uniform"))
+def _prepared(a: dict, program: CircuitProgram, arity: dict) -> tuple:
+    # the subsystem a prepare instruction adds, and the checked, read-only
+    # vector its one form gives; the one place the forms are read
+    forms = [form for form in ("level", "pm", "state") if form in a]
+    forms += ["uniform"] * bool(a.get("uniform"))
     if len(forms) > 1:
         raise ValueError("prepare takes one of level, pm, state or a true "
                          f"uniform, got {' and '.join(forms)}")
-    spec = program.spec(args["target"])
-    if "pm" in args:
-        return spec, gates.prepare_particle_pm(spec, args["pm"])
-    if args.get("uniform"):
-        return spec, gates.prepare_particle_uniform(spec)
-    vec = np.zeros(spec.dim, dtype=np.complex128)
-    if "state" in args:
-        given = np.asarray(
-            [complex(re, im) for re, im in args["state"]], dtype=np.complex128)
-        if given.size > spec.dim:
-            raise ValueError(f"initial vector too long for {spec.name!r}")
-        vec[: given.size] = given  # a photon's pair is logical |0>, |1H>
+    spec = program.spec(a["target"])
+    if "pm" in a:
+        vec = gates.prepare_particle_pm(spec, a["pm"])
+    elif a.get("uniform"):
+        vec = gates.prepare_particle_uniform(spec)
     else:
-        level = int(args.get("level", 0))
-        if not 0 <= level < spec.dim:
-            raise ValueError(f"level {level} out of range for {spec.name!r}")
-        vec[level] = 1.0
-    return spec, vec
-
-
-def _prepare(state: StateVector, args: dict, ctx: _Context) -> StateVector:
-    return add_subsystem(state, *ctx.program._vectors[args["target"]])
-
-
-def _prepare_fits(a: dict, program: CircuitProgram, arity: dict) -> tuple:
-    spec, vec = _prepared(program, a)
+        vec = np.zeros(spec.dim, dtype=np.complex128)
+        if "state" in a:
+            given = np.asarray(
+                [complex(re, im) for re, im in a["state"]], dtype=np.complex128)
+            if given.size > spec.dim:
+                raise ValueError(f"initial vector too long for {spec.name!r}")
+            vec[: given.size] = given  # a photon's pair is logical |0>, |1H>
+        else:
+            level = int(a.get("level", 0))
+            if not 0 <= level < spec.dim:
+                raise ValueError(f"level {level} out of range for {spec.name!r}")
+            vec[level] = 1.0
     vec = initial_vector(spec, vec)
     vec.flags.writeable = False
     return spec, vec
 
 
-def _xor(state: StateVector, a: dict, ctx: _Context) -> StateVector:
+def _xor(state: StateVector, a: dict, _, ctx: _Context) -> StateVector:
     # each record is replaced, not changed, so earlier snapshots stay as taken
     for i, c in enumerate(ctx.classical):
         ctx.classical[i] = {**c, a["out"]: c[a["a"]] ^ c[a["b"]]}
     return state
 
 
-def _measured_values(a: dict, program: CircuitProgram, arity: dict) -> int:
-    # the last outcome is the failure one, which ends the run unrecorded
+def _failure_label(a: dict, program: CircuitProgram, arity: dict) -> int:
+    # outcomes are labelled 0..n-1 in basis order, the failure one last; it
+    # ends the run unrecorded, so its label counts the values the bit holds
     return len(basis_outcomes(program.spec(a["target"]), a["basis"])) - 1
 
 
@@ -264,9 +260,10 @@ def _xor_values(a: dict, program: CircuitProgram, arity: dict) -> int:
 
 
 OPS = {
-    "prepare": OpSpec({"target": PREPARED}, _prepare, optional={
-        "level": INTEGER, "pm": TEXT, "uniform": FLAG, "state": AMPLITUDES},
-        check_args=_prepare_fits),
+    "prepare": OpSpec({"target": PREPARED},
+                      lambda state, a, bound, ctx: add_subsystem(state, *bound),
+                      optional={"level": INTEGER, "pm": TEXT, "uniform": FLAG,
+                                "state": AMPLITUDES}, bind=_prepared),
     "photon_h": OpSpec({"target": PHOTON}, _gate("photon_h"), census="h_optical"),
     "photon_x": OpSpec({"target": PHOTON}, _gate("photon_x")),
     "photon_z": OpSpec({"target": PHOTON}, _gate("photon_z")),
@@ -276,25 +273,25 @@ OPS = {
     "particle_z": OpSpec({"target": QUBIT_PARTICLE}, _gate("particle_z")),
     "qicz": OpSpec(
         {"photon": PHOTON, "particle": QUBIT_PARTICLE},
-        lambda state, a, ctx: qicz(state, a["photon"], a["particle"], ctx.params),
+        lambda state, a, _, ctx: qicz(state, a["photon"], a["particle"], ctx.params),
         census="qicz"),
     "qicz_multi": OpSpec(
         {"photon": PHOTON, "particles": PARTICLES},
-        lambda state, a, ctx: qicz_multi(state, a["photon"], a["particles"],
-                                         ctx.params, blocking=a.get("blocking")),
-        optional={"blocking": BLOCKING}, census="qicz", check_args=_wiring_fits),
+        lambda state, a, _, ctx: qicz_multi(state, a["photon"], a["particles"],
+                                            ctx.params, blocking=a.get("blocking")),
+        optional={"blocking": BLOCKING}, census="qicz", bind=_wiring_fits),
     "measure": OpSpec({"target": MEASURED, "basis": BASIS, "bit": WRITE}, None,
-                      census=MEASUREMENT_BASES, values=_measured_values),
+                      census=MEASUREMENT_BASES, bind=_failure_label),
     "cx": OpSpec({"bit": CONTROL, "target": PHOTON_OR_QUBIT}, _controlled("cx"),
                  census="cc"),
     "cz": OpSpec({"bit": CONTROL, "target": PHOTON_OR_QUBIT}, _controlled("cz"),
                  census="cc"),
     "cphase": OpSpec(
         {"key": READ, "target": PHOTON, "coeff": NUMBER},
-        lambda state, a, ctx: gates.classically_controlled_phase(
+        lambda state, a, _, ctx: gates.classically_controlled_phase(
             state, _recorded(state, ctx, a["key"]), a["target"], a["coeff"]),
-        census="cc", check_args=_phase_fits),
-    "xor": OpSpec({"a": READ, "b": READ, "out": WRITE}, _xor, values=_xor_values),
+        census="cc", bind=_phase_fits),
+    "xor": OpSpec({"a": READ, "b": READ, "out": WRITE}, _xor, bind=_xor_values),
 }
 
 CENSUS_CLASSES = tuple(dict.fromkeys(
@@ -340,15 +337,15 @@ class CircuitProgram:
     subsystems: tuple[SubsystemSpec, ...]
     bits: tuple[str, ...]
     instructions: tuple[Instruction, ...]
-    # prepared subsystem name -> (spec, checked level vector), as validation
-    # built them; every walk's prepare reads its vector here
-    _vectors: dict = field(init=False, repr=False, compare=False)
+    # per instruction, what validation bound for it (see `validate_program`);
+    # every walk reads its prepare vectors, failure labels and batch sizes here
+    _plan: tuple = field(init=False, repr=False, compare=False)
     # the outcome tree `run` keeps for its last params
     _outcome_tree: _OutcomeTree | None = field(default=None, init=False, repr=False,
                                                compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_vectors", validate_program(self))
+        object.__setattr__(self, "_plan", validate_program(self))
 
     def __getstate__(self):
         # the tree caches this process's runs; a copy or a pickle starts without
@@ -361,23 +358,30 @@ class CircuitProgram:
         raise KeyError(f"undeclared subsystem {name!r}")
 
 
-def validate_program(program: CircuitProgram) -> dict:
+def validate_program(program: CircuitProgram) -> tuple:
     """Static checks across subsystems, bits and instructions (each
     `SubsystemSpec` checks its own name, kind and level count): unique
     subsystem names of at most `MAX_SUBSYSTEM_DIM` levels, unique string
     bit names free of `BIT_NAME_BANS`, declared names only,
     prepare-before-use, no use after measurement, classical values written
     before read, gate subsystems that fit (through `state.expect`, the
-    engine steps' own guard) and measurement bases that exist and fit
-    (through `state.basis_outcomes`, when the measured bit's values are
-    counted), cx/cz only on bits that can hold nothing but 0 and 1, each
-    row's `check_args` (qicz_multi wiring, prepared vectors, finite cphase
-    phases), and states within `MAX_AMPLITUDES` whose prepared vectors keep
-    their norm^2 within 1 + `ATOL`.  An error about one subsystem or bit
-    starts `subsystems[i]:` or `bits[i]:`, and any error raised while an
-    instruction is checked starts `instructions[i]:`, added by the loop's
-    one handler.  Returns each prepared subsystem's name -> (spec, checked
-    level vector, read-only); a name is prepared at most once."""
+    engine steps' own guard), cx/cz only on bits that can hold nothing but
+    0 and 1, each row's `bind` (qicz_multi wiring, prepared vectors,
+    measurement bases that exist and fit through `state.basis_outcomes`,
+    finite cphase phases), and states within `MAX_AMPLITUDES` whose
+    prepared vectors keep their norm^2 within 1 + `ATOL`.  An error about
+    one subsystem or bit starts `subsystems[i]:` or `bits[i]:`, and any
+    error raised while an instruction is checked starts `instructions[i]:`,
+    added by the loop's one handler.
+
+    Returns the program's plan, one entry per instruction: what its row's
+    `bind` returned (None for a row without one), a measure's paired with
+    the batch size of the segment it opens.  That size keeps a batch's
+    stacked state within `MAX_AMPLITUDES` at the segment's largest, where
+    the next measurement or the end finds it, since only a prepare grows
+    the state; a segment of fewer than two instructions runs one branch at
+    a time, because a stack costs a state to build and, at the end, one
+    state per branch to split it into leaves."""
     specs: dict[str, SubsystemSpec] = {}
     for i, s in enumerate(program.subsystems):
         if s.name in specs:
@@ -402,18 +406,22 @@ def validate_program(program: CircuitProgram) -> dict:
     # measurement branch is renormalized, so each measurement restarts it
     scale = 1.0
     arity: dict[str, int] = {}  # bit -> number of values it can hold
-    vectors: dict[str, tuple] = {}
+    plan: list = []
+    # (position, live amplitudes) where each segment ends: at each measure,
+    # before it shrinks the state, and at the end
+    ends: list[tuple[int, int]] = []
     for pos, instr in enumerate(program.instructions):
         try:
             row = OPS[instr.op]
+            written = None
             for arg, kind in row.roles:
                 role, value = kind.role, instr.args[arg]
                 for name in [value] if isinstance(value, str) else value:
                     if role in ("read", "control", "write"):
                         if name not in bits:
                             raise ValueError(f"undeclared bit {name!r}")
-                        if role == "write":  # a basis unknown or misfit raises here
-                            arity[name] = row.values(instr.args, program, arity)
+                        if role == "write":
+                            written = name
                         elif name not in arity:
                             raise ValueError(f"bit {name!r} read before write")
                         elif role == "control" and arity[name] > 2:
@@ -438,22 +446,30 @@ def validate_program(program: CircuitProgram) -> dict:
                     elif name not in live:
                         raise ValueError(f"{name!r} used before prepare")
                     elif role == "measure":
+                        ends.append((pos, amplitudes))
                         live.remove(name)
                         gone.add(name)
                         amplitudes //= specs[name].dim
                         scale = 1.0
                     elif kind.needs:
                         expect(specs[name], kind.needs, f"{instr.op} argument {arg!r}")
-            fitted = row.check_args and row.check_args(instr.args, program, arity)
-            if fitted:  # a prepare's subsystem and vector, which scale the norm^2
-                spec, vec = vectors[instr.args["target"]] = fitted
+            bound = row.bind and row.bind(instr.args, program, arity)
+            if written:  # a measure's basis unknown or misfit raised in its bind
+                arity[written] = bound
+            if instr.op == "prepare":  # its subsystem and vector scale the norm^2
+                spec, vec = bound
                 scale *= float(np.vdot(vec, vec).real)
                 if scale > 1 + ATOL:
                     raise ValueError(f"preparing {spec.name!r} makes a "
                                      f"state of norm^2 {scale!r}, above 1 + {ATOL:g}")
+            plan.append(bound)
         except ValueError as exc:
             raise ValueError(f"instructions[{pos}]: {exc}") from None
-    return vectors
+    ends.append((len(plan), amplitudes))
+    # each measure opens the segment that ends where the next one does
+    for (opened, _), (end, peak) in zip(ends, ends[1:]):
+        plan[opened] = (plan[opened], MAX_AMPLITUDES // peak if end - opened > 2 else 1)
+    return tuple(plan)
 
 
 @dataclass
@@ -536,6 +552,7 @@ def _segment(program: CircuitProgram, params: QiParams, classical: list,
     keeps it, so every walk that reaches this stretch raises it."""
     seg = _Segment(weight, classical=classical)
     ctx = _Context(program, params, classical)
+    plan = program._plan
     for i in range(pos, len(program.instructions)):
         instr = program.instructions[i]
         if instr.charge:
@@ -548,7 +565,7 @@ def _segment(program: CircuitProgram, params: QiParams, classical: list,
             if not any(seg.branches):  # only a one-branch run reads this end
                 seg.leaves = [_failed(_zeroed(state.layout), classical[0], weight[0])]
             break
-        state = action(state, instr.args, ctx)
+        state = action(state, instr.args, plan[i], ctx)
     else:
         views = map(state.branch, range(state.batch)) if state.batch else [state]
         seg.leaves = [RunResult(view, dict(record), w * norm_sq(view), False, w)
@@ -574,11 +591,9 @@ def _outcomes(program: CircuitProgram, seg: _Segment) -> list[list[tuple]]:
     """Per branch of `seg`, one entry per outcome of the measurement ending
     it: the record with the bit written, the branch weight times the
     outcome's probability, the post-measurement state, and whether it is
-    the failure outcome, which ends the walk.  Outcomes are labelled 0..n-1
-    with the failure one last, so its label is the count of values the bit
-    can hold."""
-    args = program.instructions[seg.measured].args
-    bit, failure = args["bit"], _measured_values(args, program, {})
+    the failure outcome, which ends the walk; validation bound its label."""
+    bit = program.instructions[seg.measured].args["bit"]
+    failure, _ = program._plan[seg.measured]
     return [[({**record, bit: outcome}, weight * prob, post, outcome == failure)
              for outcome, post, prob in found]
             for found, record, weight in zip(seg.branches, seg.classical, seg.weight)]
@@ -644,14 +659,15 @@ def run_all_branches(program: CircuitProgram,
     The walk stacks sibling branches: the kept non-failure outcomes of every
     branch of a batch at one measurement form the next batches, and the
     instructions up to the next measurement run once per batch.  A batch
-    holds as many branches as keep its stacked state within
-    `MAX_AMPLITUDES` amplitudes up to that measurement (at least one), or
-    one branch when fewer than two instructions come before that
-    measurement, and batches are walked depth first, so the walk holds a
-    few batches per measurement level, not a whole level.  A branch that
-    ends the program keeps its segment's leaf, a view of a stacked state.
-    Leaves are sorted by their path of kept-outcome indices, which is
-    depth-first order.  Each call walks a fresh tree and keeps none of it."""
+    holds the number of branches that validation bound to the measurement
+    opening it (`validate_program`): as many as keep its stacked state
+    within `MAX_AMPLITUDES` amplitudes up to the next measurement, or one
+    when fewer than two instructions come before that measurement.
+    Batches are walked depth first, so the walk holds a few batches per
+    measurement level, not a whole level.  A branch that ends the program
+    keeps its segment's leaf, a view of a stacked state.  Leaves are sorted
+    by their path of kept-outcome indices, which is depth-first order.
+    Each call walks a fresh tree and keeps none of it."""
     params = params or QiParams()
     leaves = []  # (kept-outcome indices from the root, result)
     # batches still to run, the next one last: (their (path, record, weight,
@@ -669,21 +685,8 @@ def run_all_branches(program: CircuitProgram,
                         leaves.append((path + (index,), _failed(post, record, w)))
                     else:
                         kept.append((path + (index,), record, w, post))
-            pos = seg.measured + 1
-            # one branch's largest state up to the next measurement, where
-            # only a prepare grows it, and the instructions it runs there
-            peak, steps = kept[0][3].amps.size if kept else 1, 0
-            for instr in program.instructions[pos:]:
-                if instr.op == "measure":
-                    break
-                if instr.op == "prepare":
-                    peak *= program.spec(instr.args["target"]).dim
-                steps += 1
-            # a stack costs a state to build and, at the end, one state per
-            # branch to split it into leaves, which a stretch of fewer than
-            # two instructions does not earn back
-            per_batch = max(1, MAX_AMPLITUDES // peak) if steps >= 2 else 1
-            todo += [(kept[lo:lo + per_batch], pos)
+            _, per_batch = program._plan[seg.measured]
+            todo += [(kept[lo:lo + per_batch], seg.measured + 1)
                      for lo in reversed(range(0, len(kept), per_batch))]
         if not todo:
             break

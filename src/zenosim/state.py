@@ -383,7 +383,7 @@ def initial_vector(spec: SubsystemSpec, vec) -> np.ndarray:
     e = np.asarray(vec, dtype=np.complex128)
     if e.shape != (spec.dim,):
         raise ValueError(f"initial vector must have length {spec.dim}")
-    if abs(float(np.vdot(e, e).real) - 1.0) > ATOL:
+    if not abs(float(np.vdot(e, e).real) - 1.0) <= ATOL:  # a NaN norm^2 fails too
         raise ValueError("initial vector must be normalized")
     return e
 

@@ -68,6 +68,21 @@ _BELL = {
 }
 
 
+def cnot_inputs() -> list[tuple[tuple, tuple]]:
+    """Criterion 6's (control, target) inputs: the four basis pairs, then 20
+    random product states."""
+    rng = np.random.default_rng(77)
+    inputs = [((1, 0), (1, 0)), ((1, 0), (0, 1)),
+              ((0, 1), (1, 0)), ((0, 1), (0, 1))]
+    for _ in range(20):
+        pair = []
+        for _ in range(2):
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            pair.append(tuple(v / np.linalg.norm(v)))
+        inputs.append(tuple(pair))
+    return inputs
+
+
 def bell_vector(kind: str) -> np.ndarray:
     return _BELL[kind].copy()
 

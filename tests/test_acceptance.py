@@ -47,7 +47,7 @@ from zenosim.state import (
     photon,
 )
 
-from helpers import bell_vector, reorder, w_vector
+from helpers import bell_vector, cnot_inputs, reorder, w_vector
 
 IDEAL = QiParams(cycles=None)
 N_DEFAULT = 10_000
@@ -173,15 +173,7 @@ def _census_tuple(family: str) -> tuple[int, ...]:
 
 def test_criterion_06_cnot_families():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(77)
-    inputs = [((1, 0), (1, 0)), ((1, 0), (0, 1)),
-              ((0, 1), (1, 0)), ((0, 1), (0, 1))]
-    for _ in range(20):
-        pair = []
-        for _ in range(2):
-            v = rng.normal(size=2) + 1j * rng.normal(size=2)
-            pair.append(tuple(v / np.linalg.norm(v)))
-        inputs.append(tuple(pair))
+    inputs = cnot_inputs()
     worst = 0.0
     for family in CNOT_FAMILIES:
         for control, target in inputs:

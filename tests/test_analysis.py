@@ -24,7 +24,7 @@ from zenosim.circuits import (
     cnot_circuit,
     gate_census,
 )
-from zenosim.gates import ImperfectionProfile
+from zenosim.gates import CHARGED, ImperfectionProfile
 from zenosim.interrogation import PI_OVER_2N, PI_OVER_N
 from zenosim.state import particle, photon
 
@@ -99,14 +99,29 @@ def test_yield_formula_values():
         yield_formula("nonsense", prof)
 
 
+# each family's yield exponents, written out: photon detectors (eta), optical
+# H (p), interrogation CZs (q), classically controlled corrections (r) and
+# particle H (s); keep-target's are those of the shipped (4,3,2,2,1) circuit
+_EXPONENTS = {
+    "memory": {"eta": 2, "p": 4, "q": 5, "r": 4},
+    "half-memory-keep-control": {"eta": 1, "p": 2, "q": 3, "r": 3},
+    "half-memory-keep-target": {"eta": 1, "p": 4, "q": 3, "r": 2, "s": 2},
+    "direct-cx": {"p": 2, "q": 2, "r": 1, "s": 1},
+    "direct-cz": {"p": 2, "q": 2, "r": 1, "s": 1},
+}
+
+
 @pytest.mark.parametrize("family", CNOT_FAMILIES)
 def test_yield_formula_matches_circuit_census(family):
-    # the formula's exponents are exactly the shipped circuit's gate counts
+    # the shipped circuit charges its fields the written-out exponents, and
+    # the formula is their product
     prof = ImperfectionProfile(p=0.93, q=0.87, r=0.81, s=0.75, eta=0.69)
     census = gate_census(cnot_circuit(family))
-    product = (prof.p ** census["h_optical"] * prof.q ** census["qicz"]
-               * prof.r ** census["cc"] * prof.s ** census["h_particle"]
-               * prof.eta ** census["detectors"])
+    charged = {field: census[c] for c, field in CHARGED.items() if census[c]}
+    assert charged == _EXPONENTS[family]
+    product = 1.0
+    for field, n in _EXPONENTS[family].items():
+        product *= getattr(prof, field) ** n
     assert yield_formula(family, prof) == pytest.approx(product, rel=1e-12)
 
 

@@ -8,13 +8,15 @@ does not happen; a new cache fails this test until it gets an entry.  A
 `cached_property` dies with its object, so it warms only the calls that
 share that object; each one says which objects those are.  So does each
 attribute a function sets on a frozen object through `object.__setattr__`
-outside `__post_init__`, where it can only be a memo.  A program's
-prepared vectors (`CircuitProgram._vectors`, set in `__post_init__`) are
-no memo: validation has always built them with the program, so every
-program holds them from the start, and a fresh CLI process reads them as
-the benchmark's passes do.  The walks keep no memo of their own: `run_all_branches` sizes each batch and reads each
-failure outcome where it makes them, and `oracle.brute_force_run`'s plan
-and map tables are locals that die with the call.
+outside `__post_init__`, where it can only be a memo.  A program's plan
+(`CircuitProgram._plan`, set in `__post_init__`: per instruction, its
+prepared vector, a written bit's value count, a measure's failure label
+and batch size) is no memo: validation builds it with the program, so
+every program holds it from the start, and a fresh CLI process reads it
+as the benchmark's passes do.  The walks keep no memo of their own:
+`run_all_branches` reads each batch size and failure label from the
+plan, and `oracle.brute_force_run`'s plan and map tables are locals that
+die with the call.
 """
 
 import ast

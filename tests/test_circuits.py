@@ -2,13 +2,15 @@
 
 import copy
 import hashlib
+import math
 import pickle
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from zenosim import circuits, gates, oracle
+from zenosim import circuits, gates, oracle, state as engine_state
 from zenosim.circuits import (
     CNOT_FAMILIES,
     DEMOS,
@@ -46,6 +48,7 @@ from zenosim.state import (
 
 from helpers import FAILURE_LEAVES, reorder
 from test_sampling import UNEVEN
+from test_walk import _rebind
 
 IDEAL = QiParams(cycles=None)
 
@@ -323,6 +326,7 @@ _FAILED_FIRST = (
     ("b", {"level": -1}, "level -1 out of range for 'b'"),
     ("p", {"state": [[0.5, 0]] * 5}, "initial vector too long for 'p'"),
     ("p", {"state": [[1, 0], [1, 0]]}, "initial vector must be normalized"),
+    ("p", {"state": [[1e308, 1e308]]}, "initial vector must be normalized"),
     ("b", {"state": []}, "initial vector must be normalized"),
     ("b", {"pm": "+", "level": 1},
      "prepare takes one of level, pm, state or a true uniform, got level and pm"),
@@ -958,27 +962,80 @@ def test_copies_and_pickles_leave_the_tree_behind():
     assert _record(run(copy.deepcopy(bell), IDEAL, np.random.default_rng(4))) == expected
 
 
-def test_walks_read_the_vectors_validation_built(monkeypatch):
-    # validation builds each prepare's vector once and the program keeps it;
-    # a walk of either kind, fresh or along a kept tree, builds none
-    calls, built = [], circuits._prepared
-    monkeypatch.setattr(circuits, "_prepared",
-                        lambda program, args: calls.append(args["target"]) or built(program, args))
+def test_walks_read_the_plan_validation_built(monkeypatch):
+    # validation binds each prepare's vector and each measure's failure label
+    # once and the program keeps them; a walk of either kind, fresh or along
+    # a kept tree, builds no vector and counts no outcomes, so the only
+    # `basis_outcomes` calls are branch_all's own, one per call
+    calls, prepared = Counter(), circuits._prepared
+    for name, fn in (("_prepared", prepared), ("basis_outcomes", engine_state.basis_outcomes),
+                     ("branch_all", engine_state.branch_all)):
+        _rebind(monkeypatch, name, fn, calls)
+    monkeypatch.setattr(circuits.OPS["prepare"], "bind", circuits._prepared)
+    walks = {"run_all_branches": lambda program: run_all_branches(program, QiParams(cycles=17)),
+             "run": lambda program: [run(program, IDEAL, np.random.default_rng(seed))
+                                     for seed in range(3)]}
     for name, build in sorted(DEMOS.items()):
         program = build()
-        prepares = [i.args for i in program.instructions if i.op == "prepare"]
-        assert calls == [args["target"] for args in prepares], name
-        assert list(program._vectors) == calls
-        for args in prepares:
-            spec, vec = program._vectors[args["target"]]
-            want_spec, want = built(program, args)
-            assert spec == want_spec and vec.tobytes() == want.astype(np.complex128).tobytes()
+        prepares = [(i.args, bound) for i, bound in zip(program.instructions, program._plan)
+                    if i.op == "prepare"]
+        assert calls["_prepared"] == len(prepares), name
+        for args, (spec, vec) in prepares:
+            want_spec, want = prepared(args, program, {})
+            assert spec == want_spec and vec.tobytes() == want.tobytes()
             assert not vec.flags.writeable
-        calls.clear()
-        run_all_branches(program, QiParams(cycles=17))
-        for seed in range(3):
-            run(program, IDEAL, np.random.default_rng(seed))
-        assert calls == [], name
+        for walk, go in walks.items():
+            calls.clear()
+            go(program)
+            assert calls["_prepared"] == 0, (name, walk)
+            assert calls["basis_outcomes"] == calls["branch_all"], (name, walk)
+            assert bool(calls["branch_all"]) == any(
+                i.op == "measure" for i in program.instructions), (name, walk)
+
+
+def _rescanned_batches(program: CircuitProgram) -> dict[int, int]:
+    """Each measure's batch size as `run_all_branches` once found it after
+    every measurement: one branch's state there, times the levels of every
+    subsystem prepared up to the next measurement, and the instructions
+    run there."""
+    live, batches = {}, {}
+    for pos, instr in enumerate(program.instructions):
+        target = instr.args.get("target")
+        if instr.op == "prepare":
+            live[target] = program.spec(target).dim
+        elif instr.op == "measure":
+            del live[target]
+            peak, steps = math.prod(live.values()), 0
+            for later in program.instructions[pos + 1:]:
+                if later.op == "measure":
+                    break
+                if later.op == "prepare":
+                    peak *= program.spec(later.args["target"]).dim
+                steps += 1
+            batches[pos] = max(1, circuits.MAX_AMPLITUDES // peak) if steps >= 2 else 1
+    return batches
+
+
+def assert_measures_bind_their_labels_and_batches(program: CircuitProgram) -> None:
+    """Each measure's plan entry is its basis's failure label, the last
+    outcome's, and the batch size the walk's rescan found."""
+    batches = {}
+    for pos, (instr, bound) in enumerate(zip(program.instructions, program._plan)):
+        if instr.op == "measure":
+            spec = program.spec(instr.args["target"])
+            assert bound[0] == engine_state.basis_outcomes(spec, instr.args["basis"])[-1][0]
+            batches[pos] = bound[1]
+    assert batches == _rescanned_batches(program)
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_measures_bind_their_labels_and_batches(name):
+    assert_measures_bind_their_labels_and_batches(DEMOS[name]())
+
+
+def _plan_record(program: CircuitProgram) -> list:
+    return [(bound[0], bound[1].tobytes()) if isinstance(bound, tuple)
+            and isinstance(bound[1], np.ndarray) else bound for bound in program._plan]
 
 
 def test_copied_and_pickled_programs_walk_to_the_same_bits():
@@ -989,7 +1046,7 @@ def test_copied_and_pickled_programs_walk_to_the_same_bits():
         sampled = _record(run(program, IDEAL, np.random.default_rng(4)))
         for other in (copy.copy(program), copy.deepcopy(program),
                       pickle.loads(pickle.dumps(program))):
-            assert list(other._vectors) == list(program._vectors), name
+            assert _plan_record(other) == _plan_record(program), name
             assert [_record(r) for r in run_all_branches(other, params)] == want, name
             assert _record(run(other, IDEAL, np.random.default_rng(4))) == sampled, name
 

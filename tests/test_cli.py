@@ -502,6 +502,11 @@ _ARGUMENT_DOCS = {
     "state-norm": (_arguments_doc({"op": "prepare", "target": "p",
                                    "state": [[1, 0], [1, 0]]}),
                    "instructions[2]: initial vector must be normalized"),
+    # a norm^2 that overflows: np.vdot makes it nan, which a walk would only
+    # meet as an unlocated StateVector error
+    "state-norm-overflow": (_arguments_doc({"op": "prepare", "target": "p",
+                                            "state": [[1e308, 1e308]]}, failed_first=False),
+                            "instructions[0]: initial vector must be normalized"),
     # a name no op reads, and a second form that prepare would drop
     "misspelt": (_arguments_doc({"op": "prepare", "target": "p", "levle": 1}),
                  "instructions[2]: prepare takes no argument 'levle'"),

@@ -24,6 +24,7 @@ import textwrap
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
 import pytest
 
 from zenosim import analysis, circuits, cli, gates, interrogation, oracle, state
@@ -32,6 +33,8 @@ from zenosim.interrogation import effective_map
 from zenosim.state import new_state, photon
 
 import test_analysis
+import test_circuits
+import test_claims
 import test_cli
 import test_emit
 import test_gates
@@ -59,7 +62,7 @@ from test_sampling import (
     assert_profiled_runs_follow_their_charges,
     assert_sampled_leaves_follow_branch_weights,
 )
-from test_walk import _assert_same_walk
+from test_walk import PARAMS, _assert_same_walk, register_program
 
 
 def _born_frequencies() -> None:
@@ -167,6 +170,51 @@ def _unit_projections_match_the_product() -> None:
 
 def _walk_prepares_its_own_vectors() -> None:
     _escapes_as_a_failure(_walk_with_failure_leaves)
+
+
+def _register_walk_matches_the_recursive_walk() -> None:
+    # a 15-value bit measured after 2-value ones: each failure label differs
+    # from the one before it
+    _assert_same_walk(register_program(), PARAMS["exact"])
+
+
+def _measures_bind_the_rescanned_batches() -> None:
+    for program in [build() for build in DEMOS.values()] + [register_program()]:
+        test_circuits.assert_measures_bind_their_labels_and_batches(program)
+
+
+def _multi_valued_controls_are_refused() -> None:
+    for op in ("cx", "cz"):
+        try:
+            test_circuits.test_binary_control_on_multi_valued_bit_rejected(op)
+        except pytest.fail.Exception as exc:  # a program pytest.raises saw load
+            raise AssertionError(str(exc)) from exc
+
+
+def _cnot_families_are_cnots() -> None:
+    for family in circuits.CNOT_FAMILIES:
+        test_claims.test_cnot_family_is_a_cnot_on_criterion_6_inputs(family, test_claims.IDEAL)
+
+
+def _toffoli_is_a_ccnot() -> None:
+    test_claims.test_toffoli_is_a_ccnot_on_superposed_inputs(test_claims.IDEAL)
+
+
+def _yield_exponents_are_the_written_ones() -> None:
+    for family in circuits.CNOT_FAMILIES:
+        test_analysis.test_yield_formula_matches_circuit_census(family)
+
+
+def _arrays_print_like_their_lists() -> None:
+    for shape in ((3, 0), (2, 0, 3), (1, 2, 0)):
+        test_emit.test_empty_inner_axis_prints_like_its_list(shape)
+    amps = np.arange(12.0).reshape(3, 2, 2)
+    assert cli._emit_json(amps) == test_emit.reference_emit_json(amps)
+
+
+def _oracle_agrees_on_the_w_states() -> None:
+    for m in (2, 3, 4):
+        assert oracle.compare(DEMOS[f"wstate-{m}"](), interrogation.QiParams()) <= 1e-10, m
 
 
 def _oracle_agrees_on_the_cnot_families() -> None:
@@ -404,14 +452,62 @@ MUTANTS = {
     "unit-projection-one-level-high": Mutant(
         state, "branch_all", "columns[..., outcome, :] + 0.0",
         "columns[..., outcome + 1, :] + 0.0", _photon_projections_match_tensordot),
-    # every prepare keeps the first prepare's vector with its own subsystem,
-    # so the walk adds that vector (the op table holds `_prepare` itself, so
-    # the row mutates where the walk's vectors are made)
+    # every prepare's plan entry keeps the first prepare's vector with its
+    # own subsystem, so the walk adds that vector (the op table holds the
+    # bind hooks themselves, so the bound-field rows mutate where the plan
+    # is made)
     "prepare-reads-another-vector": Mutant(
-        circuits, "validate_program", 'spec, vec = vectors[instr.args["target"]] = fitted',
-        'spec, vec = vectors[instr.args["target"]] = (\n'
-        "                    fitted[0], next(iter(vectors.values()), fitted)[1])",
+        circuits, "validate_program", "plan.append(bound)",
+        'plan.append(bound if instr.op != "prepare" else (bound[0], next(\n'
+        '                (b for i, b in zip(program.instructions, plan) if i.op == "prepare"),\n'
+        "                bound)[1]))",
         _walk_prepares_its_own_vectors),
+    "measure-binds-the-previous-failure-label": Mutant(
+        circuits, "validate_program", "bound = row.bind and row.bind(instr.args, program, arity)",
+        "bound = row.bind and row.bind(instr.args, program, arity)\n"
+        '            if instr.op == "measure" and len(ends) > 1:\n'
+        "                bound = plan[ends[-2][0]]",
+        _register_walk_matches_the_recursive_walk),
+    # each measure's batch sized by the live state where the segment before
+    # it ends, not where its own does
+    "batch-from-the-previous-segment": Mutant(
+        circuits, "validate_program", "for (opened, _), (end, peak) in zip(ends, ends[1:]):",
+        "for (opened, peak), (end, _) in zip(ends, ends[1:]):",
+        _measures_bind_the_rescanned_batches),
+    "xor-binds-two-values": Mutant(
+        circuits, "validate_program", "arity[written] = bound",
+        'arity[written] = bound if instr.op == "measure" else 2',
+        _multi_valued_controls_are_refused),
+    # CNOT (Z x I): wrong by a phase on the control, which basis inputs miss
+    "direct-cx-control-phase": Mutant(
+        circuits, "cnot_circuit",
+        '_ins("prepare", target="m", pm="+"),\n            *_cz_to_cnot("t", "m"),',
+        '_ins("prepare", target="m", pm="+"),\n            _ins("photon_z", target="c"),\n'
+        '            *_cz_to_cnot("t", "m"),',
+        _cnot_families_are_cnots),
+    "toffoli-control-phase": Mutant(
+        circuits, "toffoli", '_ins("qicz_multi", photon="t", particles=["c1", "c2"]),',
+        '_ins("qicz_multi", photon="t", particles=["c1", "c2"]),\n'
+        '            _ins("particle_z", target="c1"),',
+        _toffoli_is_a_ccnot),
+    "family-drops-a-charged-instruction": Mutant(
+        circuits, "cnot_circuit",
+        '*memory_read("m", "tp", "cm", "a"),\n            _ins("cz", bit="a", target="c"),',
+        '*memory_read("m", "tp", "cm", "a"),', _yield_exponents_are_the_written_ones),
+    "emitter-brackets-the-outer-axis": Mutant(
+        cli, "_emit_json", "for size in reversed(value.shape or (1,)):",
+        "for size in value.shape or (1,):", _arrays_print_like_their_lists),
+    # the pooled photon failure zeroes |0> and keeps |1H>, one of the two
+    # levels it drops
+    "oracle-failure-zeroes-one-level": Mutant(
+        oracle, "brute_force_run", "post[:, :2, :] = 0.0", "post[:, :1, :] = 0.0",
+        _oracle_pairs_failure_leaves),
+    "oracle-cphase-without-its-recorded-value": Mutant(
+        oracle, "brute_force_run", 'np.exp(1j * a["coeff"] * assignments[a["key"]])',
+        'np.exp(1j * a["coeff"])', _oracle_agrees_on_the_w_states),
+    "oracle-wrong-failure-flag": Mutant(
+        oracle, "_measure", "outcome == len(bras) - 1", "outcome == 0",
+        _oracle_pairs_failure_leaves),
     "oracle-correction-ungated": Mutant(
         oracle, "brute_force_run", 'assignments[a["bit"]] & 1', "True",
         _oracle_agrees_on_the_cnot_families),

@@ -65,7 +65,7 @@ def _xor(state, a, ctx):
 
 
 REFERENCE_ACTIONS = {
-    "prepare": lambda state, a, ctx: add_subsystem(state, *_prepared(ctx.program, a)),
+    "prepare": lambda state, a, ctx: add_subsystem(state, *_prepared(a, ctx.program, {})),
     **{name: _gate(name) for name in ("photon_h", "photon_x", "photon_z",
                                       "particle_h", "particle_x", "particle_z")},
     "qicz": lambda state, a, ctx: qicz(state, a["photon"], a["particle"], ctx.params),
@@ -277,6 +277,22 @@ def test_failure_outcome_and_an_emptied_branch_mid_program():
     assert len(_assert_same_walk(program, PARAMS["n3"])) == 5
 
 
+def register_program() -> CircuitProgram:
+    """A 16-level register that stays live while five photons are prepared,
+    H'd and measured in turn, and is measured at the end: its bit has 15
+    values, each photon's 2."""
+    instructions = [_ins("prepare", target="r", uniform=True)]
+    for i in range(5):
+        instructions += [_ins("prepare", target=f"p{i}", level=0),
+                         _ins("photon_h", target=f"p{i}"),
+                         _ins("measure", target=f"p{i}", basis=PHOTON_COMPUTATIONAL,
+                              bit=f"b{i}")]
+    instructions.append(_ins("measure", target="r", basis=QUDIT_POSITION, bit="r"))
+    return CircuitProgram(
+        (particle("r", positions=15),) + tuple(photon(f"p{i}") for i in range(5)),
+        tuple(f"b{i}" for i in range(5)) + ("r",), tuple(instructions))
+
+
 def test_batches_stay_within_the_amplitude_cap(monkeypatch):
     # a 16-level register stays live while five photons are prepared, H'd
     # and measured in turn, and is measured at the end: up to 16 branches of
@@ -291,20 +307,12 @@ def test_batches_stay_within_the_amplitude_cap(monkeypatch):
         return photon_h(state, name)
 
     monkeypatch.setattr(gates, "photon_h", observed)
-    instructions = [_ins("prepare", target="r", uniform=True)]
-    for i in range(5):
-        instructions += [_ins("prepare", target=f"p{i}", level=0),
-                         _ins("photon_h", target=f"p{i}"),
-                         _ins("measure", target=f"p{i}", basis=PHOTON_COMPUTATIONAL,
-                              bit=f"b{i}")]
-    instructions.append(_ins("measure", target="r", basis=QUDIT_POSITION, bit="r"))
-    program = CircuitProgram(
-        (particle("r", positions=15),) + tuple(photon(f"p{i}") for i in range(5)),
-        tuple(f"b{i}" for i in range(5)) + ("r",), tuple(instructions))
-    got = _assert_same_walk(program, PARAMS["exact"])
+    got = _assert_same_walk(register_program(), PARAMS["exact"])
     assert len(got) == 2 ** 5 * 15
-    assert max(size for _, size in seen) == 256
-    assert max(batch for batch, _ in seen) == 4
+    # one photon_h per segment: the root's on one branch, then those of 2,
+    # 4, 8 and 16 branches in batches of at most 4; the recursive walk's 31
+    # act on one branch each
+    assert Counter(seen) == {(1, 64): 1 + 31, (2, 128): 1, (4, 256): 1 + 2 + 4}
 
 
 @pytest.mark.parametrize("gate", ["cx", "cz"])
