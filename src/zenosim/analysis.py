@@ -189,6 +189,8 @@ def monte_carlo_yield(program: CircuitProgram, profile: ImperfectionProfile,
     so the words are compared with the limits L (`_draw_limits`) and never
     turned into doubles.  A chance of 0 fails every trial, so such a
     program returns an estimate of 0 before drawing."""
+    if not INTEGER.check(trials):
+        raise ValueError(f"trials must be {INTEGER.describe}, got {trials!r}")
     if trials < 1:
         raise ValueError("need a positive trial count")
     if not INTEGER.check(master_seed):

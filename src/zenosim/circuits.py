@@ -151,7 +151,6 @@ MEASUREMENT_BASES = {
 # the op table
 
 class _Context(NamedTuple):
-    program: CircuitProgram
     params: QiParams
     classical: list  # per branch of the batch: bit name -> recorded value
 
@@ -551,7 +550,7 @@ def _segment(program: CircuitProgram, params: QiParams, classical: list,
     action's exception propagates and, as with `functools.cache`, nothing
     keeps it, so every walk that reaches this stretch raises it."""
     seg = _Segment(weight, classical=classical)
-    ctx = _Context(program, params, classical)
+    ctx = _Context(params, classical)
     plan = program._plan
     for i in range(pos, len(program.instructions)):
         instr = program.instructions[i]

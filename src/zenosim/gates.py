@@ -11,6 +11,8 @@ particle_h and the uniform preparation reach it through
 A preparation helper only builds the fresh particle's vector; the
 interpreter appends it to the state in one step with
 `state.add_subsystem`, whatever the state holds (even no weight at all).
+The pm vectors are the plus and minus rows of `state._PM_FACTORS`, the
+factors the particle_pm measurement projects on.
 Photon gates act on the {|0>, |1H>} logical block and leave |1V> and the
 sink alone.  Particle gates act on the position block and leave the
 exploded level alone; for a particle with more than two positions,
@@ -21,10 +23,11 @@ value, whose read-before-write rule the program validator enforces.  On a
 batched state (see `state`), every gate acts on each branch, and a
 correction takes one recorded value per branch.
 
-H, the Fourier transform and the cphase phase are products through
-`state.apply_local`.  X and Z, plain or classically controlled, move
-amplitudes by index instead (`_pauli`), with the bits of the product they
-replace; a correction on a batch moves only the branches whose value is 1.
+H, the Fourier transform and the cphase phase are products on their one
+target through `state.apply_local`.  X and Z, plain or classically
+controlled, move amplitudes by index instead (`_pauli`), with the bits of
+the product they replace.  A correction fires on a nonzero recorded value;
+on a batch it moves only the branches whose value is nonzero.
 
 An instruction's census class alone fixes the profile field it is charged,
 through `CHARGED`.
@@ -37,16 +40,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .state import (
-    BLOCKED,
-    OPEN,
     PHOTON_DIM,
+    PM_MINUS,
+    PM_PLUS,
     StateVector,
     SubsystemSpec,
+    _PM_FACTORS,
     apply_local,
     expect,
 )
-
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
 def _block(dim: int, block) -> np.ndarray:
@@ -58,7 +60,7 @@ def _block(dim: int, block) -> np.ndarray:
     return m
 
 
-_H2 = np.array([[1, 1], [1, -1]], dtype=np.complex128) * _SQRT_HALF
+_H2 = np.array([[1, 1], [1, -1]], dtype=np.complex128) * (1.0 / np.sqrt(2.0))
 
 
 def _fourier(positions: int) -> np.ndarray:
@@ -74,7 +76,7 @@ _PHOTON_H, _PARTICLE_H = _block(PHOTON_DIM, _H2), _block(3, _H2)
 def photon_h(state: StateVector, name: str) -> StateVector:
     """Hadamard on the photon's logical block."""
     expect(state.spec(name), "a photon", "photon_h")
-    return apply_local(state, [name], _PHOTON_H)
+    return apply_local(state, name, _PHOTON_H)
 
 
 def _pauli(state: StateVector, name: str, gate: str, rows=slice(None)) -> StateVector:
@@ -113,7 +115,7 @@ def particle_h(state: StateVector, name: str) -> StateVector:
     spec = state.spec(name)
     d = spec.positions()
     op = _PARTICLE_H if d == 2 else _block(spec.dim, _fourier(d))
-    return apply_local(state, [name], op)
+    return apply_local(state, name, op)
 
 
 def particle_x(state: StateVector, name: str) -> StateVector:
@@ -127,14 +129,13 @@ def particle_z(state: StateVector, name: str) -> StateVector:
 
 
 def prepare_particle_pm(spec: SubsystemSpec, sign: str) -> np.ndarray:
-    """Level vector of (|blocked> +/- |open>)/sqrt(2) for a fresh particle."""
+    """Level vector of (|blocked> +/- |open>)/sqrt(2) for a fresh particle:
+    a float copy of the plus or minus row of the particle_pm outcome
+    factors, `state._PM_FACTORS`."""
     expect(spec, "a 2-position particle", "pm preparation")
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    vec = np.zeros(spec.dim)
-    vec[BLOCKED] = _SQRT_HALF
-    vec[OPEN] = _SQRT_HALF if sign == "+" else -_SQRT_HALF
-    return vec
+    return _PM_FACTORS[PM_PLUS if sign == "+" else PM_MINUS].real.copy()
 
 
 def prepare_particle_uniform(spec: SubsystemSpec) -> np.ndarray:
@@ -148,9 +149,10 @@ def prepare_particle_uniform(spec: SubsystemSpec) -> np.ndarray:
 
 def classically_controlled(state: StateVector, value, gate: str,
                            target: str) -> StateVector:
-    """Apply cX or cZ on the target iff the recorded bit value is 1; on a
-    batched state, `value` holds one value per branch, and the branches
-    whose value is 0 keep their amplitudes."""
+    """Apply cX or cZ on the target iff the recorded bit value is nonzero;
+    on a batched state, `value` holds one value per branch, and the
+    branches whose value is 0 keep their amplitudes.  The validator lets a
+    correction read only a bit that holds 0 or 1."""
     if gate not in ("cx", "cz"):
         raise ValueError(f"unknown controlled gate {gate!r}")
     expect(state.spec(target), "a photon or a 2-position particle", gate)
@@ -173,8 +175,8 @@ def classically_controlled_phase(state: StateVector, value, target: str,
     of operators."""
     expect(state.spec(target), "a photon", "cphase")
     if state.batch is None:
-        return apply_local(state, [target], _phase(coeff, value))
-    return apply_local(state, [target], np.array([_phase(coeff, v) for v in value]))
+        return apply_local(state, target, _phase(coeff, value))
+    return apply_local(state, target, np.array([_phase(coeff, v) for v in value]))
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,7 @@ from .state import (
     PH_SINK,
     BLOCKED,
     StateVector,
+    _is_int,
     expect,
     particle as particle_spec,
     photon as photon_spec,
@@ -68,13 +69,14 @@ _PI = np.longdouble("3.14159265358979323846264338327950288")
 class QiParams:
     """Interrogation parameters.
 
-    cycles=None selects the exact N -> infinity limit of the pi/N wiring
-    (a pure controlled phase); finite cycles run the full dynamics.  The
-    limit models an absorbing particle without loss: it needs the pi/N
-    rule, absorb_prob > 0 (any such absorber freezes the photon on |1H>
-    as N grows, while a transparent one, absorb_prob = 0, lets it turn)
-    and cycle_loss = 0 (a fixed per-cycle loss empties the photon as N
-    grows).  Other settings raise.
+    cycles is a positive integer (a bool is not one) or None.  None selects
+    the exact N -> infinity limit of the pi/N wiring (a pure controlled
+    phase); finite cycles run the full dynamics.  The limit models an
+    absorbing particle without loss: it needs the pi/N rule, absorb_prob > 0
+    (any such absorber freezes the photon on |1H> as N grows, while a
+    transparent one, absorb_prob = 0, lets it turn) and cycle_loss = 0 (a
+    fixed per-cycle loss empties the photon as N grows).  Other settings
+    raise.
     """
 
     cycles: int | None = 10000
@@ -84,6 +86,8 @@ class QiParams:
     residual_v_policy: str = ROUTE_TO_SINK
 
     def __post_init__(self):
+        if self.cycles is not None and not _is_int(self.cycles):
+            raise ValueError(f"cycles must be an integer or None, got {self.cycles!r}")
         if self.cycles is not None and self.cycles < 1:
             raise ValueError("cycles must be >= 1")
         if self.theta_rule not in THETA_RULES:

@@ -161,11 +161,9 @@ def _extend(vec: np.ndarray, init: np.ndarray) -> np.ndarray:
 
 
 def _init_vector(dim: int, args: dict) -> np.ndarray:
+    if "pm" in args:  # the plus or minus bra, read-only
+        return _PM_BRAS[0 if args["pm"] == "+" else 1]
     v = np.zeros(dim, dtype=np.complex128)
-    if "pm" in args:
-        v[0] = _SQH
-        v[1] = _SQH if args["pm"] == "+" else -_SQH
-        return v
     if args.get("uniform"):
         v[: dim - 1] = 1.0 / np.sqrt(dim - 1)
         return v

@@ -211,10 +211,10 @@ def _lead(state: StateVector) -> tuple:
     return () if state.batch is None else (state.batch,)
 
 
-def _to_front(state: StateVector, axes: list[int]) -> tuple[np.ndarray, list[int]]:
-    # the amplitudes with the subsystems at `axes` moved to the front, after
+def _to_front(state: StateVector, axis: int) -> tuple[np.ndarray, list[int]]:
+    # the amplitudes with the subsystem at `axis` moved to the front, after
     # the branch axis if any, and the permutation that moved them
-    perm = axes + [a for a in range(len(state.layout)) if a not in axes]
+    perm = [axis] + [a for a in range(len(state.layout)) if a != axis]
     if state.batch is not None:
         perm = [0] + [a + 1 for a in perm]
     return state.amps.transpose(perm), perm
@@ -250,20 +250,19 @@ def _sigma_max_of(shape: tuple, data: bytes) -> float:
     return _sigma_max(np.frombuffer(data, dtype=np.complex128).reshape(shape))
 
 
-def apply_local(state: StateVector, targets: list[str], op: np.ndarray) -> StateVector:
-    """Apply a dense operator on the target slots, identity elsewhere.
+def apply_local(state: StateVector, target: str, op: np.ndarray) -> StateVector:
+    """Apply a dense operator on the one subsystem named `target`, identity
+    elsewhere.
 
-    The operator indexes the targets big-endian in list order; on a batched
-    state it may also be a stack of one operator per branch.  It must be a
-    contraction (largest singular value <= 1 + 1e-12); the norm may shrink
-    but never grow beyond tolerance.  The largest singular value of an
-    operator of at most `_MEMO_OP_BYTES` is looked up by its shape and bytes
-    in `_sigma_max_of`'s memo; a larger one runs the same SVD unkept.
+    The operator acts on the target's levels; on a batched state it may
+    also be a stack of one operator per branch.  It must be a contraction
+    (largest singular value <= 1 + 1e-12); the norm may shrink but never
+    grow beyond tolerance.  The largest singular value of an operator of at
+    most `_MEMO_OP_BYTES` is looked up by its shape and bytes in
+    `_sigma_max_of`'s memo; a larger one runs the same SVD unkept.
     """
-    axes = [state.axis(t) for t in targets]
-    if len(set(axes)) != len(axes):
-        raise ValueError("duplicate target")
-    block = math.prod(state.layout[a].dim for a in axes)
+    axis = state.axis(target)
+    block = state.layout[axis].dim
     op = np.asarray(op, dtype=np.complex128)
     if op.shape not in ((block, block), (state.batch, block, block)):
         raise ValueError(f"operator shape {op.shape} does not match target dimension {block}")
@@ -271,7 +270,7 @@ def apply_local(state: StateVector, targets: list[str], op: np.ndarray) -> State
             else _sigma_max(op))
     if not smax <= 1 + ATOL:
         raise ValueError(f"operator is not a contraction (sigma_max = {smax})")
-    front, perm = _to_front(state, axes)
+    front, perm = _to_front(state, axis)
     out = (op @ front.reshape(_lead(state) + (block, -1))).reshape(front.shape)
     return StateVector(state.layout, out.transpose(sorted(range(len(perm)), key=perm.__getitem__)),
                        state.batch)
@@ -326,7 +325,7 @@ def branch_all(state: StateVector, target: str, basis: str):
     axis = state.axis(target)
     spec = state.layout[axis]
     lead = _lead(state)
-    front, _ = _to_front(state, [axis])
+    front, _ = _to_front(state, axis)
     # per branch, the (d, rest) operand np.tensordot would hand to np.dot
     columns = front.reshape(lead + (spec.dim, -1))
     factored = state.layout[:axis] + state.layout[axis + 1:]

@@ -287,9 +287,13 @@ def test_monte_carlo_on_a_program_with_no_charged_instruction():
 
 
 def test_monte_carlo_rejects_bad_trials():
-    with pytest.raises(ValueError):
-        monte_carlo_yield(cnot_circuit("memory"), ImperfectionProfile(),
-                          trials=0, master_seed=1)
+    program = cnot_circuit("memory")
+    with pytest.raises(ValueError, match="^need a positive trial count$"):
+        monte_carlo_yield(program, ImperfectionProfile(), trials=0, master_seed=1)
+    # a trial count is an integer, and a bool is not one
+    for trials, shown in ((1000.0, "1000.0"), (True, "True")):
+        with pytest.raises(ValueError, match=rf"^trials must be an integer, got {shown}$"):
+            monte_carlo_yield(program, ImperfectionProfile(), trials, 1)
 
 
 def test_monte_carlo_seed_range():

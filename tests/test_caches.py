@@ -227,11 +227,11 @@ def test_contraction_memo_keeps_operators_up_to_its_size_bound():
         branches = stack_branches([one] * batch)
         ops = np.tile(np.eye(4, dtype=np.complex128), (batch, 1, 1))
         assert (ops.nbytes <= state._MEMO_OP_BYTES) == bool(kept)
-        state.apply_local(branches, ["p"], ops)
+        state.apply_local(branches, "p", ops)
         assert memo.cache_info().currsize == kept
         with pytest.raises(ValueError, match=r"^operator is not a contraction "
                                              r"\(sigma_max = 1\.5\)$"):
-            state.apply_local(branches, ["p"], 1.5 * ops)
+            state.apply_local(branches, "p", 1.5 * ops)
         assert memo.cache_info().currsize == 2 * kept
         memo.cache_clear()
 

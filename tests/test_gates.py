@@ -36,6 +36,7 @@ from zenosim.state import (
     norm_sq,
     particle,
     photon,
+    stack_branches,
 )
 
 from helpers import assert_values_with_positive_zeros, signed_zero_amps
@@ -152,7 +153,7 @@ def test_pauli_steps_have_the_values_of_the_literal_product(name):
         for target in _PAULI_TARGETS[name.split("_")[0]]:
             got = gate(state, target)
             assert got.batch == state.batch
-            assert_values_with_positive_zeros(got.amps, apply_local(state, [target], op).amps)
+            assert_values_with_positive_zeros(got.amps, apply_local(state, target, op).amps)
         assert state.amps.tobytes() == before
 
 
@@ -171,7 +172,7 @@ def test_corrections_act_on_every_subset_of_rows_as_the_literal_product(gate):
                     branch = stack.branch(b)
                     if value:
                         assert_values_with_positive_zeros(
-                            got.amps[b], apply_local(branch, [target], op).amps)
+                            got.amps[b], apply_local(branch, target, op).amps)
                     else:
                         assert got.amps[b].tobytes() == branch.amps.tobytes()
     plain = _state(rng)
@@ -181,7 +182,7 @@ def test_corrections_act_on_every_subset_of_rows_as_the_literal_product(gate):
             assert classically_controlled(plain, 0, gate, target) is plain
             assert_values_with_positive_zeros(
                 classically_controlled(plain, 1, gate, target).amps,
-                apply_local(plain, [target], op).amps)
+                apply_local(plain, target, op).amps)
 
 
 def test_particle_gates_leave_exploded_level_alone():
@@ -248,6 +249,23 @@ def test_classically_controlled_applies_on_one():
     assert out.amps[PH_ZERO] == pytest.approx(1.0)
     out = classically_controlled(state, 1, "cz", "p")
     assert out.amps[PH_ONE_H] == pytest.approx(-1.0)
+
+
+def assert_corrections_fire_on_any_nonzero_value() -> None:
+    """A correction fires on a nonzero recorded value, 2 as well as 1, on a
+    plain state and on each branch of a stack.  A program never records a
+    2 for one to read: the validator lets a correction read only a bit that
+    holds 0 or 1."""
+    state = new_state([photon("p")], [PH_ONE_H])
+    stack = stack_branches([state] * 3)
+    for gate, level, fired in (("cx", PH_ZERO, 1.0), ("cz", PH_ONE_H, -1.0)):
+        assert classically_controlled(state, 2, gate, "p").amps[level] == fired
+        got = classically_controlled(stack, [2, 0, 1], gate, "p").amps[:, level]
+        assert got.tolist() == [fired, state.amps[level], fired]
+
+
+def test_corrections_fire_on_any_nonzero_value():
+    assert_corrections_fire_on_any_nonzero_value()
 
 
 def test_classically_controlled_particle_target():

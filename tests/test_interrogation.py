@@ -79,8 +79,12 @@ def test_theta_rules_and_explicit():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cycles must be >= 1$"):
         QiParams(cycles=0)
+    # a cycle count is an integer, and a bool is not one
+    for cycles, shown in ((10.0, "10.0"), (True, "True"), (2.5, "2.5")):
+        with pytest.raises(ValueError, match=rf"^cycles must be an integer or None, got {shown}$"):
+            QiParams(cycles=cycles)
     with pytest.raises(ValueError):
         QiParams(cycles=None, theta_rule=PI_OVER_2N)
     with pytest.raises(ValueError):

@@ -442,6 +442,10 @@ MUTANTS = {
     "correction-on-every-row": Mutant(
         gates, "classically_controlled", "slice(None) if len(on) == len(values) else on",
         "slice(None)", _corrections_leave_unselected_rows_alone),
+    # the oracle's rule, which agrees on every value a program can record
+    "correction-fires-on-the-low-bit": Mutant(
+        gates, "classically_controlled", "v != 0", "v & 1",
+        test_gates.assert_corrections_fire_on_any_nonzero_value),
     # the moved amplitudes keep the signs of their zeros, which the
     # product writes as +0.0
     "pauli-zero-signs-kept": Mutant(

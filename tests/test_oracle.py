@@ -313,7 +313,7 @@ def _mutated_apply_local(snippet, replacement):
 # past the first two axes, as in the Toffoli demo), and applying the adjoint
 # (wrong only for the 3-position Fourier transform of the W-state demos at
 # finite depth).  A plain transpose is not among them: every operator the
-# engine hands to apply_local (H, X, Z, the position Fourier transform, the
+# engine hands to apply_local (H, the position Fourier transform, the
 # diagonal phase) is symmetric, so it changes no program.  The adjoint is
 # taken with `.mT`, each matrix's own transpose, since the W-state phases
 # reach apply_local as a stack of one operator per branch, whose `.T` would

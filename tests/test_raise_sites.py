@@ -120,6 +120,9 @@ class Row(NamedTuple):
 
 LEDGER = [
     # analysis (yield_formula's unknown family raises in cnot_circuit, below)
+    Row(Site("analysis", "monte_carlo_yield", "trials must be {}, got {}"),
+        test_analysis.test_monte_carlo_rejects_bad_trials,
+        "trials must be an integer, got 1000.0"),
     Row(Site("analysis", "monte_carlo_yield", "need a positive trial count"),
         test_analysis.test_monte_carlo_rejects_bad_trials, "need a positive trial count"),
     Row(Site("analysis", "monte_carlo_yield", "seed must be {}, got {}"),
@@ -269,6 +272,10 @@ LEDGER = [
     Row(Site("gates", "ImperfectionProfile.__post_init__", "{} must lie in [0, 1]"),
         test_gates.test_profile_validation, "p must lie in [0, 1]"),
     # interrogation
+    Row(Site("interrogation", "QiParams.__post_init__",
+             "cycles must be an integer or None, got {}"),
+        test_interrogation.test_params_validation,
+        "cycles must be an integer or None, got 10.0"),
     Row(Site("interrogation", "QiParams.__post_init__", "cycles must be >= 1"),
         test_interrogation.test_params_validation, "cycles must be >= 1"),
     Row(Site("interrogation", "QiParams.__post_init__", "unknown theta rule {}"),
@@ -351,11 +358,9 @@ LEDGER = [
     Row(Site("state", "new_state", "level {} out of range for subsystem {}"),
         test_state.test_new_state_checks_one_level_per_subsystem_in_range,
         "level 4 out of range for subsystem 'p'"),
-    Row(Site("state", "apply_local", "duplicate target"),
-        test_state.test_apply_local_errors_keep_their_messages, "duplicate target"),
     Row(Site("state", "apply_local", "operator shape {} does not match target dimension {}"),
         test_state.test_apply_local_errors_keep_their_messages,
-        "operator shape (4, 4) does not match target dimension 12"),
+        "operator shape (4, 4) does not match target dimension 3"),
     Row(Site("state", "apply_local", "operator is not a contraction (sigma_max = {})"),
         test_state.test_apply_local_errors_keep_their_messages,
         "operator is not a contraction (sigma_max = 1.5)"),

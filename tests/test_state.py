@@ -77,7 +77,7 @@ def test_unitary_preserves_norm(seed):
     state = _random_state(rng, layout)
     target = layout[int(rng.integers(0, len(layout)))]
     u = _haar_unitary(rng, target.dim)
-    out = apply_local(state, [target.name], u)
+    out = apply_local(state, target.name, u)
     assert abs(norm_sq(out) - norm_sq(state)) < 1e-10
 
 
@@ -89,7 +89,7 @@ def test_contraction_never_grows_norm(seed, scale):
     state = _random_state(rng, layout)
     target = layout[int(rng.integers(0, len(layout)))]
     op = scale * _haar_unitary(rng, target.dim)
-    out = apply_local(state, [target.name], op)
+    out = apply_local(state, target.name, op)
     assert norm_sq(out) <= norm_sq(state) + ATOL
 
 
@@ -108,7 +108,7 @@ def test_new_state_checks_one_level_per_subsystem_in_range():
 def test_expansion_rejected():
     state = new_state([photon("p")], [0])
     with pytest.raises(ValueError):
-        apply_local(state, ["p"], 1.5 * np.eye(4))
+        apply_local(state, "p", 1.5 * np.eye(4))
 
 
 @given(seed=st.integers(0, 2**32 - 1), basis_index=st.integers(0, 2))
@@ -141,8 +141,8 @@ def test_disjoint_ops_commute(seed):
     state = _random_state(rng, layout)
     ua = _haar_unitary(rng, 4)
     ub = _haar_unitary(rng, 4)
-    one = apply_local(apply_local(state, ["a"], ua), ["b"], ub)
-    two = apply_local(apply_local(state, ["b"], ub), ["a"], ua)
+    one = apply_local(apply_local(state, "a", ua), "b", ub)
+    two = apply_local(apply_local(state, "b", ub), "a", ua)
     assert np.abs(one.amps - two.amps).max() < 1e-12
 
 
@@ -323,8 +323,8 @@ def test_copy_owns_its_amplitudes_and_keeps_their_bits(kind):
     assert dup.amps.dtype == np.complex128 and dup.amps.flags.c_contiguous
     assert not np.shares_memory(dup.amps, state.amps)
     op = _haar_unitary(rng, 4)
-    assert (apply_local(dup, ["p"], op).amps.tobytes()
-            == apply_local(state, ["p"], op).amps.tobytes())
+    assert (apply_local(dup, "p", op).amps.tobytes()
+            == apply_local(state, "p", op).amps.tobytes())
 
 
 def test_fidelity_contract():
@@ -365,21 +365,19 @@ def test_finite_amplitude_with_overflowing_norm_is_named():
 def test_apply_local_errors_keep_their_messages():
     state = new_state([photon("p"), particle("b")], [0, BLOCKED])
     with pytest.raises(ValueError, match=r"^operator is not a contraction \(sigma_max = 1\.5\)$"):
-        apply_local(state, ["p"], 1.5 * np.eye(4))
-    with pytest.raises(ValueError, match="^duplicate target$"):
-        apply_local(state, ["b", "b"], np.eye(9))
+        apply_local(state, "p", 1.5 * np.eye(4))
     with pytest.raises(ValueError, match=r"^operator shape \(4, 4\) does not match "
-                                         r"target dimension 12$"):
-        apply_local(state, ["p", "b"], np.eye(4))
+                                         r"target dimension 3$"):
+        apply_local(state, "b", np.eye(4))
 
 
 # --- the contraction check's memo -------------------------------------------
 
-def _refused(state, targets, op) -> str:
+def _refused(state, target, op) -> str:
     """The message `apply_local` refuses `op` with; AssertionError if it is
     accepted."""
     try:
-        apply_local(state, targets, op)
+        apply_local(state, target, op)
     except ValueError as exc:
         return str(exc)
     raise AssertionError(f"an operator of shape {op.shape} was accepted")
@@ -391,22 +389,23 @@ def assert_operator_scaled_in_place_is_refused() -> None:
     operator's bytes, not by the object."""
     state = new_state([photon("p"), particle("b")], [PH_ONE_H, BLOCKED])
     op = np.eye(4, dtype=np.complex128)
-    apply_local(state, ["p"], op)
+    apply_local(state, "p", op)
     op *= 1.5
-    message = _refused(state, ["p"], op)
+    message = _refused(state, "p", op)
     assert message == "operator is not a contraction (sigma_max = 1.5)", message
 
 
 def assert_memo_tells_shapes_apart() -> None:
     """Nine 3x3 identities, stacked on a batch of nine, are a contraction;
-    the same 1,296 bytes read as one 9x9 operator on two particles (nine
-    equal rows) are not, although the stack was accepted first."""
+    the same 1,296 bytes read as one 9x9 operator on an 8-position
+    particle (nine equal rows) are not, although the stack was accepted
+    first."""
     stack = np.tile(np.eye(3, dtype=np.complex128), (9, 1, 1))
     square = stack.reshape(9, 9)
     assert square.tobytes() == stack.tobytes()
-    apply_local(stack_branches([new_state([particle("b")], [BLOCKED])] * 9), ["b"], stack)
-    pair = new_state([particle("b"), particle("c")], [BLOCKED, BLOCKED])
-    message = _refused(pair, ["b", "c"], square)
+    apply_local(stack_branches([new_state([particle("b")], [BLOCKED])] * 9), "b", stack)
+    wide = new_state([particle("b", positions=8)], [BLOCKED])
+    message = _refused(wide, "b", square)
     assert message.startswith("operator is not a contraction (sigma_max = 5.19"), message
 
 
@@ -444,7 +443,7 @@ def test_an_svd_that_raises_raises_on_every_call(monkeypatch):
     before = engine_state._sigma_max_of.cache_info()
     for _ in range(2):
         with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-            apply_local(state, ["p"], op)
+            apply_local(state, "p", op)
     after = engine_state._sigma_max_of.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses + 2)
 
@@ -460,7 +459,7 @@ def test_a_non_finite_operator_is_refused_as_no_contraction(entry):
     stack = np.tile(op, (17, 1, 1))
     assert stack.nbytes > engine_state._MEMO_OP_BYTES
     for state, bad in ((one, op), (one, op), (stack_branches([one] * 17), stack)):
-        assert _refused(state, ["p"], bad) == "operator is not a contraction (sigma_max = nan)"
+        assert _refused(state, "p", bad) == "operator is not a contraction (sigma_max = nan)"
 
 
 # --- local steps against numpy's axis helpers ---------------------------------
@@ -469,26 +468,23 @@ _WIDE = [particle("x", positions=3), photon("p"), particle("b"), photon("q"),
          particle("c", positions=4)]
 
 
-def _apply_local_reference(state, targets, op):
-    """apply_local as `np.moveaxis` of the targets to the front, one 2-D
+def _apply_local_reference(state, target, op):
+    """apply_local as `np.moveaxis` of the target to the front, one 2-D
     product and `np.moveaxis` back."""
-    axes = [state.axis(t) for t in targets]
-    moved = np.moveaxis(state.amps, axes, range(len(axes)))
-    block = int(np.prod(moved.shape[:len(axes)]))
-    out = (np.asarray(op, dtype=np.complex128) @ moved.reshape(block, -1)).reshape(moved.shape)
-    return np.ascontiguousarray(np.moveaxis(out, range(len(axes)), axes))
+    axis = state.axis(target)
+    moved = np.moveaxis(state.amps, axis, 0)
+    out = (np.asarray(op, dtype=np.complex128) @ moved.reshape(moved.shape[0], -1))
+    return np.ascontiguousarray(np.moveaxis(out.reshape(moved.shape), 0, axis))
 
 
-@pytest.mark.parametrize("targets", [["p"], ["x"], ["c"], ["p", "c"], ["c", "p"],
-                                     ["b", "x"], ["q", "x", "c"], ["c", "b", "p"]])
-def test_apply_local_is_bit_identical_to_moveaxis(targets):
-    rng = np.random.default_rng(len(targets) * 100 + sum(map(ord, "".join(targets))))
+@pytest.mark.parametrize("target", ["p", "x", "c", "b", "q"])
+def test_apply_local_is_bit_identical_to_moveaxis(target):
+    rng = np.random.default_rng(100 + ord(target))
     state = _random_state(rng, _WIDE)
-    d = int(np.prod([state.spec(t).dim for t in targets]))
     for scale in (1.0, 0.6):
-        op = scale * _haar_unitary(rng, d)
-        got = apply_local(state, targets, op)
-        assert got.amps.tobytes() == _apply_local_reference(state, targets, op).tobytes()
+        op = scale * _haar_unitary(rng, state.spec(target).dim)
+        got = apply_local(state, target, op)
+        assert got.amps.tobytes() == _apply_local_reference(state, target, op).tobytes()
 
 
 def _branch_all_reference(state, target, basis):
