@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -107,18 +108,25 @@ def discrimination_success(n: int, absorb: float,
                   + level_weight(open_, "p", PH_ONE_V))
 
 
+@cache
+def _charges(family: str) -> tuple[tuple[str, int], ...]:
+    """(field, count) for each `ImperfectionProfile` field that
+    `cnot_circuit(family)` charges instructions to, in the fixed order eta,
+    p, q, r, s: the order of the written-out formulas `yield_formula`
+    replaced, so the printed yields keep every digit."""
+    counts = Counter(instr.charge for instr in cnot_circuit(family).instructions)
+    return tuple((charge, counts[charge]) for charge in ("eta", "p", "q", "r", "s")
+                 if counts[charge])
+
+
 def yield_formula(family: str, profile: ImperfectionProfile) -> float:
     """Closed-form probability that every component of one CNOT attempt
     works, per family: each field of `profile` to the power of the count of
-    `cnot_circuit(family)`'s instructions charged to it.  The powers are
-    multiplied in the fixed order eta, p, q, r, s, skipping a field no
-    instruction is charged: the order of the written-out formulas this
-    replaced, so the printed yields keep every digit."""
-    counts = Counter(instr.charge for instr in cnot_circuit(family).instructions)
+    the family's instructions charged to it, multiplied in `_charges`'
+    order."""
     product = 1.0
-    for charge in ("eta", "p", "q", "r", "s"):
-        if counts[charge]:
-            product *= getattr(profile, charge) ** counts[charge]
+    for charge, count in _charges(family):
+        product *= getattr(profile, charge) ** count
     return product
 
 

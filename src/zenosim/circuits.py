@@ -37,7 +37,6 @@ subsystems over their lifetime.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
@@ -55,6 +54,7 @@ from .state import (
     StateVector,
     SubsystemSpec,
     _is_int,
+    _is_real,
     add_subsystem,
     basis_outcomes,
     branch_all,
@@ -79,12 +79,6 @@ BIT_NAME_BANS = frozenset(',;="\n\r')
 
 # ---------------------------------------------------------------------------
 # argument types
-
-def _is_real(v) -> bool:
-    # finite, and an integer small enough to become a float
-    return (isinstance(v, (int, float, np.integer, np.floating))
-            and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
-
 
 def _is_str(v) -> bool:
     return isinstance(v, str)

@@ -3,7 +3,11 @@
 Subcommands: simulate, cnot, census, sweep, montecarlo, oracle-check.
 Programs travel as JSON circuit files (version "1"; `cnot` prints them at
 full precision); other results are JSON or CSV on stdout, every float at 12
-significant digits, never "-0".  Identical invocations print identical bytes.
+significant digits, never "-0".  `simulate` writes its one-line JSON
+document from fixed templates, keys in sorted order: the source, the
+params, the total success probability and one object per branch, with the
+branch's amplitudes as [re, im] rows.  Identical invocations print
+identical bytes.
 Exit codes: 0 success, 2 heralded failure or failed verification, 1 bad input.
 
 `main` may be called many times in one process: every call parses with
@@ -144,29 +148,39 @@ def serialize_program(program: CircuitProgram) -> str:
 # ---------------------------------------------------------------------------
 # result emitters
 
-def _emit_json(value) -> str:
-    if isinstance(value, np.ndarray):
-        # a float array: one template of _CELL slots for its shape, brackets
-        # and commas in place, filled by one `%`; + 0.0 clears negative zeros
-        # as in _float, and a 0-d array prints as a 1-element list
-        template = _CELL
-        for size in reversed(value.shape or (1,)):
-            template = "[" + ",".join([template] * size) + "]"
-        return template % tuple((value.ravel() + 0.0).tolist())
-    if isinstance(value, dict):
-        return "{" + ",".join([_quote(str(k)) + ":" + _emit_json(v)
-                               for k, v in sorted(value.items())]) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join([_emit_json(v) for v in value]) + "]"
-    if isinstance(value, str):
-        return _quote(value)
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (np.floating, float)):
-        return _float(value)
-    if isinstance(value, (np.integer, int)):
-        return str(int(value))
-    return json.dumps(value)  # None, or a TypeError for what JSON cannot hold
+def _float_array(value: np.ndarray) -> str:
+    # one template of _CELL slots for the array's shape, brackets and commas
+    # in place, filled by one `%`; + 0.0 clears negative zeros as in _float,
+    # and a 0-d array prints as a 1-element list
+    template = _CELL
+    for size in reversed(value.shape or (1,)):
+        template = "[" + ",".join([template] * size) + "]"
+    return template % tuple((value.ravel() + 0.0).tolist())
+
+
+def _simulate_json(source: str, params: QiParams, results) -> str:
+    """The JSON document `simulate` prints, from fixed templates whose keys
+    are in sorted order.  Each float slot is _CELL, filled with x + 0.0 as
+    in _float; classical values print as integers."""
+    branch = ('{"branch_weight":' + _CELL + ',"classical":{%s},"failed":%s,"state":'
+              '{"amplitudes":%s,"dims":[%s],"subsystems":[%s]},"success_probability":'
+              + _CELL + "}")
+    branches = [branch % (
+        r.branch_weight + 0.0,
+        ",".join(["%s:%d" % (_quote(k), v) for k, v in sorted(r.classical.items())]),
+        "true" if r.failed else "false",
+        # (n, 2) float64 view of the complex amplitudes: [re, im] rows
+        _float_array(r.final_state.amps.reshape(-1, 1).view(np.float64)),
+        ",".join([str(s.dim) for s in r.final_state.layout]),
+        ",".join([_quote(s.name) for s in r.final_state.layout]),
+        r.success_probability + 0.0) for r in results]
+    document = ('{"branches":[%s],"params":{"absorb":' + _CELL + ',"cycles":%s,"loss":'
+                + _CELL + ',"theta_rule":%s},"source":%s,"success_probability":' + _CELL + "}")
+    return document % (
+        ",".join(branches), params.absorb_prob + 0.0,
+        "null" if params.cycles is None else str(params.cycles), params.cycle_loss + 0.0,
+        _quote(params.theta_rule), _quote(source),
+        sum(r.success_probability for r in results) + 0.0)
 
 
 def _float(x) -> str:
@@ -182,22 +196,6 @@ def _num(x) -> str:
 
 def _csv_line(values) -> str:
     return ",".join(_num(v) for v in values)
-
-
-def _result_payload(result: circuits.RunResult) -> dict:
-    state = result.final_state
-    return {
-        "classical": dict(result.classical),
-        "failed": result.failed,
-        "branch_weight": result.branch_weight,
-        "success_probability": result.success_probability,
-        "state": {
-            "subsystems": [s.name for s in state.layout],
-            "dims": [s.dim for s in state.layout],
-            # (n, 2) float64 view of the complex amplitudes: [re, im] rows
-            "amplitudes": state.amps.reshape(-1, 1).view(np.float64),
-        },
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +280,7 @@ def _cmd_simulate(args) -> int:
             print(_csv_line([i, int(res.failed), res.branch_weight,
                              res.success_probability, classical]))
     else:
-        payload = {
-            "source": source,
-            "params": {"cycles": params.cycles, "theta_rule": params.theta_rule,
-                       "absorb": params.absorb_prob, "loss": params.cycle_loss},
-            "branches": [_result_payload(r) for r in results],
-            "success_probability": sum(r.success_probability for r in results),
-        }
-        print(_emit_json(payload))
+        print(_simulate_json(source, params, results))
     return 2 if all(r.failed for r in results) else 0
 
 

@@ -46,6 +46,7 @@ from .state import (
     StateVector,
     SubsystemSpec,
     _PM_FACTORS,
+    _is_real,
     apply_local,
     expect,
 )
@@ -184,8 +185,8 @@ class ImperfectionProfile:
     """Per-component success probabilities: p for optical H, q for the
     interrogation CZ, r for classically controlled corrections, s for the
     particle H, eta for photon detection (`CHARGED` maps each census class
-    to its field).  Particle preparation and particle measurement are taken
-    as perfect."""
+    to its field), each a real number in [0, 1] and not a bool.  Particle
+    preparation and particle measurement are taken as perfect."""
 
     p: float = 1.0
     q: float = 1.0
@@ -196,6 +197,8 @@ class ImperfectionProfile:
     def __post_init__(self):
         for field in ("p", "q", "r", "s", "eta"):
             value = getattr(self, field)
+            if not _is_real(value):
+                raise ValueError(f"{field} must be a number, got {value!r}")
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{field} must lie in [0, 1]")
 

@@ -50,6 +50,7 @@ from .state import (
     BLOCKED,
     StateVector,
     _is_int,
+    _is_real,
     expect,
     particle as particle_spec,
     photon as photon_spec,
@@ -69,14 +70,15 @@ _PI = np.longdouble("3.14159265358979323846264338327950288")
 class QiParams:
     """Interrogation parameters.
 
-    cycles is a positive integer (a bool is not one) or None.  None selects
-    the exact N -> infinity limit of the pi/N wiring (a pure controlled
-    phase); finite cycles run the full dynamics.  The limit models an
-    absorbing particle without loss: it needs the pi/N rule, absorb_prob > 0
-    (any such absorber freezes the photon on |1H> as N grows, while a
-    transparent one, absorb_prob = 0, lets it turn) and cycle_loss = 0 (a
-    fixed per-cycle loss empties the photon as N grows).  Other settings
-    raise.
+    cycles is a positive integer (a bool is not one) or None; absorb_prob
+    (in [0, 1]) and cycle_loss (in [0, 1)) are real numbers, and a bool is
+    not one either.  None selects the exact N -> infinity limit of the pi/N
+    wiring (a pure controlled phase); finite cycles run the full dynamics.
+    The limit models an absorbing particle without loss: it needs the pi/N
+    rule, absorb_prob > 0 (any such absorber freezes the photon on |1H> as
+    N grows, while a transparent one, absorb_prob = 0, lets it turn) and
+    cycle_loss = 0 (a fixed per-cycle loss empties the photon as N grows).
+    Other settings raise.
     """
 
     cycles: int | None = 10000
@@ -92,6 +94,10 @@ class QiParams:
             raise ValueError("cycles must be >= 1")
         if self.theta_rule not in THETA_RULES:
             raise ValueError(f"unknown theta rule {self.theta_rule!r}")
+        for field in ("absorb_prob", "cycle_loss"):
+            value = getattr(self, field)
+            if not _is_real(value):
+                raise ValueError(f"{field} must be a number, got {value!r}")
         if not 0.0 <= self.absorb_prob <= 1.0:
             raise ValueError("absorb_prob must lie in [0, 1]")
         if not 0.0 <= self.cycle_loss < 1.0:

@@ -24,6 +24,7 @@ row, with every zero written as +0.0, which is what the product gives.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -62,6 +63,13 @@ PHOTON_FAIL = 2
 
 def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    # finite, and an integer small enough to become a float; a bool is
+    # neither
+    return (isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)

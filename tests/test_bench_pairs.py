@@ -198,3 +198,15 @@ def test_workloads_are_distinct_names_from_the_benchmark(monkeypatch, capsys, wo
     assert exc.value.code == 2
     assert "--workload takes distinct names from verify-finite,simulate-finite,sample-ideal" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_pairs_below_one_are_refused_before_the_export(monkeypatch, capsys, pairs):
+    def no_export(ref, dest):
+        raise AssertionError("exported the parent")
+
+    monkeypatch.setattr(bench_pairs, "export", no_export)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--workload", "sample-ideal", "--pairs", pairs])
+    assert exc.value.code == 2
+    assert f"--pairs must be at least 1, got {pairs}" in capsys.readouterr().err

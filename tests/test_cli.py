@@ -22,7 +22,8 @@ from zenosim import gates, state as engine_state
 from zenosim.analysis import yield_formula
 from zenosim.cli import (
     _csv_line,
-    _emit_json,
+    _float_array,
+    _simulate_json,
     build_parser,
     load_program,
     main,
@@ -33,12 +34,16 @@ from zenosim.cli import (
 from zenosim.circuits import (
     CNOT_FAMILIES,
     DEMOS,
+    RunResult,
     bell_generator,
     cnot_circuit,
     w_state_generator,
 )
 from zenosim.gates import ImperfectionProfile
+from zenosim.interrogation import QiParams
+from zenosim.state import StateVector
 
+from test_emit import reference_emit_json
 from test_oracle import _mutated_apply_local
 
 CLI = [sys.executable, "-m", "zenosim.cli"]
@@ -765,8 +770,14 @@ def test_oracle_check_passes_a_bit_written_twice(tmp_path, flags):
 
 
 def test_emitters_never_print_negative_zero():
-    assert _emit_json({"a": -0.0, "b": [np.float64(-0.0), 0.0, -1.5]}) == \
-        '{"a":0,"b":[0,0,-1.5]}'
+    layout = (engine_state.particle("b", 2),)
+    result = RunResult(StateVector(layout, np.array([-0.0, -0.0j, -0.0 - 0.0j])),
+                       {}, -0.0, False, np.float64(-0.0))
+    assert _simulate_json("x", QiParams(absorb_prob=-0.0, cycle_loss=-0.0), [result]) == (
+        '{"branches":[{"branch_weight":0,"classical":{},"failed":false,"state":'
+        '{"amplitudes":[[0,0],[0,0],[0,0]],"dims":[3],"subsystems":["b"]},'
+        '"success_probability":0}],"params":{"absorb":0,"cycles":10000,"loss":0,'
+        '"theta_rule":"pi_over_n"},"source":"x","success_probability":0}')
     assert _csv_line([-0.0, np.float64(-0.0), 2, "x"]) == "0,0,2,x"
 
 
@@ -779,17 +790,17 @@ def test_emitters_never_print_negative_zero():
 ])
 def test_emit_json_array_matches_list(values):
     arr = np.array(values, dtype=np.float64)
-    assert _emit_json(arr) == _emit_json(arr.tolist())
+    assert _float_array(arr) == reference_emit_json(arr.tolist())
 
 
 def test_emit_json_array_never_prints_negative_zero():
-    assert _emit_json(np.array([[-0.0, -0.0], [-0.0, 0.5]])) == "[[0,0],[0,0.5]]"
+    assert _float_array(np.array([[-0.0, -0.0], [-0.0, 0.5]])) == "[[0,0],[0,0.5]]"
 
 
 def test_emit_json_complex_view_matches_pairs():
     amps = np.array([[0.5 - 0.0j, -0.0 + 1j], [1 / 3 + 0j, -0.0 - 0.0j]])
     pairs = [[a.real, a.imag] for a in amps.reshape(-1)]
-    assert _emit_json(amps.reshape(-1, 1).view(np.float64)) == _emit_json(pairs)
+    assert _float_array(amps.reshape(-1, 1).view(np.float64)) == reference_emit_json(pairs)
 
 
 def test_missing_file_reported(tmp_path):

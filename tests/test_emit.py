@@ -1,12 +1,15 @@
-"""The JSON emitter against the per-value emitter it replaced, pins of
-`simulate` stdout at finite depth, and pins of the circuit files `cnot`
-prints.
+"""The `simulate` JSON writer against the per-value emitter it replaced,
+pins of `simulate` stdout at finite depth, and pins of the circuit files
+`cnot` prints.
 
-`reference_emit_json` is the emitter as it was before arrays were filled
-through one `%` template per shape: every float formatted one at a time
-with `format(x, ".12g")` and every string quoted by `json.dumps`.  The one
-change is the `np.bool_` case, which crashed there.  The emitter in
-`zenosim.cli` must stay byte-equal to it."""
+`reference_emit_json` is the generic emitter as it was before arrays were
+filled through one `%` template per shape: a walk over dicts, lists and
+scalars, every float formatted one at a time with `format(x, ".12g")` and
+every string quoted by `json.dumps`.  The one change is the `np.bool_`
+case, which crashed there.  `zenosim.cli`'s fixed-template writer, given
+a `simulate` document's results, must stay byte-equal to it on
+`reference_payload`, the payload dict the walk was given, and its array
+formatter must stay byte-equal to it on any float array."""
 
 import contextlib
 import hashlib
@@ -18,8 +21,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from zenosim.circuits import CNOT_FAMILIES, DEMOS, run_all_branches
-from zenosim.cli import _emit_json, _params_from, _result_payload, build_parser, main
+from zenosim.circuits import CNOT_FAMILIES, DEMOS, RunResult, run_all_branches
+from zenosim.cli import _float_array, _params_from, _simulate_json, build_parser, main
+from zenosim.interrogation import PI_OVER_2N, PI_OVER_N, QiParams
+from zenosim.state import PHOTON_DIM, StateVector, SubsystemSpec
 
 
 def reference_emit_json(value) -> str:
@@ -53,8 +58,9 @@ def _reference_float(x) -> str:
 _SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
                    3.5e17, -3.5e17, 1 / 3, -2 / 3, 0.1, 1e16, 123456789012.5]
 _floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_SPECIAL_FLOATS)
-_keys = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\n\té€\u2028\U0001f600'),
-                max_size=6)
+# bit, subsystem and source names, with characters JSON must escape
+_names = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\n\té€\u2028\U0001f600'),
+                 min_size=1, max_size=6)
 
 
 @st.composite
@@ -73,39 +79,92 @@ _complex_views = arrays(
     | st.sampled_from([complex(a, b) for a in (0.0, -0.0, 1 / 3) for b in (-0.0, 3.5e17)]),
 ).map(lambda a: a.reshape(-1, 1).view(np.float64))
 
-_leaves = (
-    st.booleans() | st.builds(np.bool_, st.booleans()) | st.none()
-    | st.integers() | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
-    | _floats | _floats.map(np.float64) | _keys
-    | _float_arrays() | _complex_views
-)
-_documents = st.recursive(
-    _leaves,
-    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(_keys, inner, max_size=4),
-    max_leaves=12,
-)
+
+def reference_payload(source: str, params: QiParams, results) -> dict:
+    """The payload dict `simulate` once built and walked: keys in any order,
+    since the walk sorts them."""
+    return {
+        "source": source,
+        "params": {"cycles": params.cycles, "theta_rule": params.theta_rule,
+                   "absorb": params.absorb_prob, "loss": params.cycle_loss},
+        "branches": [{
+            "classical": dict(r.classical),
+            "failed": r.failed,
+            "branch_weight": r.branch_weight,
+            "success_probability": r.success_probability,
+            "state": {
+                "subsystems": [s.name for s in r.final_state.layout],
+                "dims": [s.dim for s in r.final_state.layout],
+                "amplitudes": r.final_state.amps.reshape(-1, 1).view(np.float64),
+            },
+        } for r in results],
+        "success_probability": sum(r.success_probability for r in results),
+    }
 
 
 @settings(max_examples=200, deadline=None)
-@given(_documents)
-@example({"a\"\\\x01é": [np.array(-0.0), np.zeros((0, 2)), np.bool_(False)]})
-def test_emit_json_matches_reference(doc):
-    assert _emit_json(doc) == reference_emit_json(doc)
+@given(st.one_of(_float_arrays(), _complex_views))
+@example(np.array(-0.0))
+@example(np.zeros((0, 2)))
+def test_float_array_matches_reference(arr):
+    assert _float_array(arr) == reference_emit_json(arr)
 
 
-@pytest.mark.parametrize("value, text", [
-    (np.bool_(True), "true"),
-    (np.bool_(False), "false"),
-    ({"ok": np.bool_(True), "n": [np.bool_(False)]}, '{"n":[false],"ok":true}'),
-])
-def test_numpy_bool_prints_as_bool(value, text):
-    assert _emit_json(value) == text
+_weights = _floats | _floats.map(np.float64)
+
+
+def _unchecked_state(layout, amps) -> StateVector:
+    # a state over any amplitudes, 1e16-scale ones too: the writer prints
+    # what it is given, so the norm check is left out, as StateVector.copy
+    # leaves it out
+    state = object.__new__(StateVector)
+    state.layout, state.amps, state.batch = layout, amps, None
+    return state
+
+
+@st.composite
+def _results(draw):
+    """A `RunResult` with names that need escaping, any finite amplitudes,
+    and an empty layout among the layouts drawn."""
+    names = draw(st.lists(_names, max_size=3, unique=True))
+    layout = tuple(SubsystemSpec(name, "photon", PHOTON_DIM) if draw(st.booleans())
+                   else SubsystemSpec(name, "particle", draw(st.integers(3, 4)))
+                   for name in names)
+    amps = draw(arrays(np.complex128, tuple(s.dim for s in layout), elements=st.builds(
+        complex, _floats, _floats)))
+    classical = draw(st.dictionaries(_names, st.integers() | st.integers(0, 7).map(np.int64),
+                                     max_size=3))
+    return RunResult(_unchecked_state(layout, amps), classical, draw(_weights),
+                     draw(st.booleans() | st.builds(np.bool_, st.booleans())),
+                     draw(_weights))
+
+
+_chances = st.sampled_from([0.0, -0.0, 1.0, 0, 1, 5e-324, 1 / 3]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _params(draw):
+    if draw(st.booleans()):
+        return QiParams(cycles=None, absorb_prob=draw(_chances.filter(lambda a: a > 0)))
+    return QiParams(cycles=draw(st.integers(1, 10**9)),
+                    theta_rule=draw(st.sampled_from([PI_OVER_N, PI_OVER_2N])),
+                    absorb_prob=draw(_chances), cycle_loss=draw(_chances.filter(lambda x: x < 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_names, _params(), st.lists(_results(), max_size=3))
+@example('"\\\x01é', QiParams(cycles=None), [
+    RunResult(_unchecked_state((), np.array(-0.0 + 0j)), {}, -0.0, np.bool_(True), 5e-324),
+    RunResult(_unchecked_state((SubsystemSpec('a"\\', "particle", 3),),
+                               np.array([1e16, -0.0j, 2.5e-310])), {"m\n": 1}, 1.0, False, 0.5)])
+def test_simulate_json_matches_reference(source, params, results):
+    assert (_simulate_json(source, params, results)
+            == reference_emit_json(reference_payload(source, params, results)))
 
 
 def test_zero_dim_array_prints_as_one_element_list():
-    assert _emit_json(np.array(-0.0)) == "[0]"
-    assert _emit_json(np.array(1 / 3)) == "[0.333333333333]"
+    assert _float_array(np.array(-0.0)) == "[0]"
+    assert _float_array(np.array(1 / 3)) == "[0.333333333333]"
 
 
 @pytest.mark.parametrize("shape", [(3, 0), (2, 0, 3), (1, 2, 0)])
@@ -114,7 +173,7 @@ def test_empty_inner_axis_prints_like_its_list(shape):
     # length and so raises on these; its list path shows the intended text
     arr = np.zeros(shape)
     text = json.dumps(arr.tolist(), separators=(",", ":"))
-    assert _emit_json(arr) == reference_emit_json(arr.tolist()) == text
+    assert _float_array(arr) == reference_emit_json(arr.tolist()) == text
 
 
 def _stdout(argv) -> tuple[int, str]:
@@ -136,14 +195,7 @@ _FINITE = {
 def test_simulate_stdout_matches_reference_rendering(name, flags):
     argv = ["simulate", "--demo", name, *_FINITE[flags]]
     params = _params_from(build_parser().parse_args(argv))
-    results = run_all_branches(DEMOS[name](), params)
-    payload = {
-        "source": name,
-        "params": {"cycles": params.cycles, "theta_rule": params.theta_rule,
-                   "absorb": params.absorb_prob, "loss": params.cycle_loss},
-        "branches": [_result_payload(r) for r in results],
-        "success_probability": sum(r.success_probability for r in results),
-    }
+    payload = reference_payload(name, params, run_all_branches(DEMOS[name](), params))
     assert _stdout(argv) == (0, reference_emit_json(payload) + "\n")
 
 

@@ -291,10 +291,15 @@ def test_cphase_rotates_h_level_by_recorded_outcome():
 
 def test_profile_validation():
     ImperfectionProfile(0.5, 0.5, 0.5, 0.5, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\]$"):
         ImperfectionProfile(p=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^eta must lie in \[0, 1\]$"):
         ImperfectionProfile(eta=-0.1)
+    # each chance is a finite real number, and a bool or a string is not one
+    for field in ("p", "q", "r", "s", "eta"):
+        for value, shown in ((True, "True"), ("1", "'1'"), (float("nan"), "nan")):
+            with pytest.raises(ValueError, match=rf"^{field} must be a number, got {shown}$"):
+                ImperfectionProfile(**{field: value})
 
 
 def test_instruction_success_mapping():

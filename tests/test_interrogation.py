@@ -87,10 +87,17 @@ def test_params_validation():
             QiParams(cycles=cycles)
     with pytest.raises(ValueError):
         QiParams(cycles=None, theta_rule=PI_OVER_2N)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^absorb_prob must lie in \[0, 1\]$"):
         QiParams(absorb_prob=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cycle_loss must lie in \[0, 1\)$"):
         QiParams(cycle_loss=1.0)
+    # a chance is a finite real number, and a bool or a string is not one
+    for field in ("absorb_prob", "cycle_loss"):
+        for value, shown in ((True, "True"), (False, "False"), ("0.5", "'0.5'"),
+                             (float("nan"), "nan"), (float("inf"), "inf")):
+            with pytest.raises(ValueError, match=rf"^{field} must be a number, got {shown}$"):
+                QiParams(cycles=5, **{field: value})
+    assert QiParams(absorb_prob=np.float64(0.5), cycle_loss=0).absorb_prob == 0.5
     with pytest.raises(ValueError):
         QiParams(residual_v_policy="discard")
     # a transparent particle or a per-cycle loss, which the limit does not model

@@ -269,6 +269,8 @@ LEDGER = [
         test_gates.test_prepare_pm_signs, "sign must be '+' or '-'"),
     Row(Site("gates", "classically_controlled", "unknown controlled gate {}"),
         test_gates.test_classically_controlled_unknown_gate, "unknown controlled gate 'ct'"),
+    Row(Site("gates", "ImperfectionProfile.__post_init__", "{} must be a number, got {}"),
+        test_gates.test_profile_validation, "p must be a number, got True"),
     Row(Site("gates", "ImperfectionProfile.__post_init__", "{} must lie in [0, 1]"),
         test_gates.test_profile_validation, "p must lie in [0, 1]"),
     # interrogation
@@ -280,6 +282,8 @@ LEDGER = [
         test_interrogation.test_params_validation, "cycles must be >= 1"),
     Row(Site("interrogation", "QiParams.__post_init__", "unknown theta rule {}"),
         test_interrogation.test_theta_rules_and_explicit, "unknown theta rule 'explicit'"),
+    Row(Site("interrogation", "QiParams.__post_init__", "{} must be a number, got {}"),
+        test_interrogation.test_params_validation, "absorb_prob must be a number, got True"),
     Row(Site("interrogation", "QiParams.__post_init__", "absorb_prob must lie in [0, 1]"),
         test_interrogation.test_params_validation, "absorb_prob must lie in [0, 1]"),
     Row(Site("interrogation", "QiParams.__post_init__", "cycle_loss must lie in [0, 1)"),

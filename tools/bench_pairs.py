@@ -7,11 +7,12 @@ working tree.
 exports the parent with `git archive` into a temporary directory, and runs
 there only if the export's `bench/` and `BENCHMARK.json` equal the working
 tree's, so both sides run the same benchmark.  `--workload` takes one
-workload that BENCHMARK.json names, or several separated by commas.  Each
-pair runs `python3 bench/run.py --trace 0` once on each side for each
-workload in turn, the parent first in even pairs and the change first in
-odd ones.  `--seconds` defaults to `run_seconds` in BENCHMARK.json.  Every
-run compiles the package from source: it writes no byte-code
+workload that BENCHMARK.json names, or several separated by commas, and
+`--pairs` a count of at least 1.  Each pair runs `python3 bench/run.py
+--trace 0` once on each side for each workload in turn, the parent first
+in even pairs and the change first in odd ones.  `--seconds` defaults to
+`run_seconds` in BENCHMARK.json.  Every run compiles the package from
+source: it writes no byte-code
 (`PYTHONDONTWRITEBYTECODE=1`) and reads its byte-code cache from a fresh,
 empty `PYTHONPYCACHEPREFIX`, so a stray `__pycache__` in either tree skews
 neither side.  A run that exits non-zero, is not `correct` or has failed
@@ -140,6 +141,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seconds", type=float, default=config["run_seconds"])
     args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error(f"--pairs must be at least 1, got {args.pairs}")
     workloads = args.workload.split(",")
     if not set(workloads) <= set(names) or len(set(workloads)) != len(workloads):
         p.error(f"--workload takes distinct names from {','.join(names)}, "
