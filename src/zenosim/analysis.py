@@ -14,7 +14,6 @@ import numpy as np
 from .circuits import (
     DIRECT_CX,
     HALF_MEMORY_KEEP_CONTROL,
-    INTEGER,
     CircuitProgram,
     cnot_circuit,
 )
@@ -32,6 +31,7 @@ from .state import (
     particle,
     photon,
     StateVector,
+    _is_int,
 )
 
 
@@ -197,13 +197,13 @@ def monte_carlo_yield(program: CircuitProgram, profile: ImperfectionProfile,
     so the words are compared with the limits L (`_draw_limits`) and never
     turned into doubles.  A chance of 0 fails every trial, so such a
     program returns an estimate of 0 before drawing."""
-    if not INTEGER.check(trials):
-        raise ValueError(f"trials must be {INTEGER.describe}, got {trials!r}")
+    if not _is_int(trials):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("need a positive trial count")
-    if not INTEGER.check(master_seed):
-        raise ValueError(f"seed must be {INTEGER.describe}, got {master_seed!r}")
-    master_seed = int(master_seed)
+    if not _is_int(master_seed):
+        raise ValueError(f"seed must be an integer, got {master_seed!r}")
+    trials, master_seed = int(trials), int(master_seed)
     if not 0 <= master_seed < 1 << 128:
         raise ValueError(f"seed must be in [0, 2**128), got {master_seed}")
     probs = _draw_probabilities(program, profile)

@@ -150,10 +150,9 @@ def serialize_program(program: CircuitProgram) -> str:
 
 def _float_array(value: np.ndarray) -> str:
     # one template of _CELL slots for the array's shape, brackets and commas
-    # in place, filled by one `%`; + 0.0 clears negative zeros as in _float,
-    # and a 0-d array prints as a 1-element list
+    # in place, filled by one `%`; + 0.0 clears negative zeros as in _float
     template = _CELL
-    for size in reversed(value.shape or (1,)):
+    for size in reversed(value.shape):
         template = "[" + ",".join([template] * size) + "]"
     return template % tuple((value.ravel() + 0.0).tolist())
 

@@ -46,7 +46,7 @@ from .state import (
     StateVector,
     SubsystemSpec,
     _PM_FACTORS,
-    _is_real,
+    _check_probability,
     apply_local,
     expect,
 )
@@ -185,8 +185,10 @@ class ImperfectionProfile:
     """Per-component success probabilities: p for optical H, q for the
     interrogation CZ, r for classically controlled corrections, s for the
     particle H, eta for photon detection (`CHARGED` maps each census class
-    to its field), each a real number in [0, 1] and not a bool.  Particle
-    preparation and particle measurement are taken as perfect."""
+    to its field), each a finite real number of any numpy width in [0, 1]
+    and not a bool (`state._check_probability`, field by field in that
+    order).  Particle preparation and particle measurement are taken as
+    perfect."""
 
     p: float = 1.0
     q: float = 1.0
@@ -196,11 +198,7 @@ class ImperfectionProfile:
 
     def __post_init__(self):
         for field in ("p", "q", "r", "s", "eta"):
-            value = getattr(self, field)
-            if not _is_real(value):
-                raise ValueError(f"{field} must be a number, got {value!r}")
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{field} must lie in [0, 1]")
+            _check_probability(field, getattr(self, field))
 
 
 # census class -> the ImperfectionProfile field an instruction of that class

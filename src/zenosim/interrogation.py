@@ -49,8 +49,8 @@ from .state import (
     PH_SINK,
     BLOCKED,
     StateVector,
+    _check_probability,
     _is_int,
-    _is_real,
     expect,
     particle as particle_spec,
     photon as photon_spec,
@@ -70,9 +70,11 @@ _PI = np.longdouble("3.14159265358979323846264338327950288")
 class QiParams:
     """Interrogation parameters.
 
-    cycles is a positive integer (a bool is not one) or None; absorb_prob
-    (in [0, 1]) and cycle_loss (in [0, 1)) are real numbers, and a bool is
-    not one either.  None selects the exact N -> infinity limit of the pi/N
+    cycles is a positive integer (a bool is not one; a numpy integer is
+    kept as the int it holds) or None; absorb_prob (in [0, 1]) and
+    cycle_loss (in [0, 1)) are finite real numbers of any numpy width, and
+    a bool is not one either (`state._check_probability`, field by field in
+    that order).  None selects the exact N -> infinity limit of the pi/N
     wiring (a pure controlled phase); finite cycles run the full dynamics.
     The limit models an absorbing particle without loss: it needs the pi/N
     rule, absorb_prob > 0 (any such absorber freezes the photon on |1H> as
@@ -88,20 +90,18 @@ class QiParams:
     residual_v_policy: str = ROUTE_TO_SINK
 
     def __post_init__(self):
-        if self.cycles is not None and not _is_int(self.cycles):
-            raise ValueError(f"cycles must be an integer or None, got {self.cycles!r}")
-        if self.cycles is not None and self.cycles < 1:
-            raise ValueError("cycles must be >= 1")
+        if self.cycles is not None:
+            if not _is_int(self.cycles):
+                raise ValueError(f"cycles must be an integer or None, got {self.cycles!r}")
+            if self.cycles < 1:
+                raise ValueError("cycles must be >= 1")
+            # a numpy integer is kept as the int it holds, so no product of
+            # the count wraps at its width
+            object.__setattr__(self, "cycles", int(self.cycles))
         if self.theta_rule not in THETA_RULES:
             raise ValueError(f"unknown theta rule {self.theta_rule!r}")
-        for field in ("absorb_prob", "cycle_loss"):
-            value = getattr(self, field)
-            if not _is_real(value):
-                raise ValueError(f"{field} must be a number, got {value!r}")
-        if not 0.0 <= self.absorb_prob <= 1.0:
-            raise ValueError("absorb_prob must lie in [0, 1]")
-        if not 0.0 <= self.cycle_loss < 1.0:
-            raise ValueError("cycle_loss must lie in [0, 1)")
+        _check_probability("absorb_prob", self.absorb_prob)
+        _check_probability("cycle_loss", self.cycle_loss, below_one=True)
         if self.cycles is None and self.theta_rule != PI_OVER_N:
             raise ValueError("the exact limit is defined for the pi/N rule only")
         if self.cycles is None and (self.absorb_prob == 0.0 or self.cycle_loss > 0.0):

@@ -66,10 +66,21 @@ def _is_int(v) -> bool:
 
 
 def _is_real(v) -> bool:
-    # finite, and an integer small enough to become a float; a bool is
-    # neither
-    return (isinstance(v, (int, float, np.integer, np.floating))
-            and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
+    """A finite real number, and never a bool: an integer of any type whose
+    size a float can hold, compared exactly, or a finite float of any
+    numpy width.  Nothing is cast to another width, so nothing warns."""
+    if isinstance(v, (int, np.integer)):
+        return not isinstance(v, bool) and abs(int(v)) <= sys.float_info.max
+    return isinstance(v, (float, np.floating)) and math.isfinite(v)
+
+
+def _check_probability(field: str, value, below_one: bool = False) -> None:
+    """The one home of a probability's rule at the library door: `value`
+    is a number (`_is_real`) in [0, 1], or in [0, 1) when `below_one`."""
+    if not _is_real(value):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    if not (0.0 <= value < 1.0 if below_one else 0.0 <= value <= 1.0):
+        raise ValueError(f"{field} must lie in {'[0, 1)' if below_one else '[0, 1]'}")
 
 
 @dataclass(frozen=True)

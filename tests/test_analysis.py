@@ -313,6 +313,16 @@ def test_monte_carlo_rejects_a_seed_that_is_not_an_integer(seed):
         monte_carlo_yield(program, prof, trials=10, master_seed=seed)
 
 
+@pytest.mark.parametrize("width", [np.int16, np.int32])
+def test_monte_carlo_numpy_integer_trials_match_int(width):
+    # a narrow trial count reads as the int it holds: 3,000 trials of 15
+    # draws each take more words than an int16 can count
+    program, prof = cnot_circuit("memory"), ImperfectionProfile(p=0.9, q=0.8)
+    got = monte_carlo_yield(program, prof, trials=width(3000), master_seed=width(7))
+    assert got == monte_carlo_yield(program, prof, trials=3000, master_seed=7)
+    assert (type(got.estimate), type(got.trials), type(got.master_seed)) == (float, int, int)
+
+
 @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(2 ** 64 - 1), np.int8(0)])
 def test_monte_carlo_numpy_integer_seed_matches_int(seed):
     program, prof = cnot_circuit("memory"), ImperfectionProfile(p=0.9, q=0.8)

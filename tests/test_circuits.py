@@ -396,6 +396,26 @@ def test_instruction_needs_its_arguments():
         Instruction("xor", {"a": "x", "b": "y"})
 
 
+@pytest.mark.parametrize("value", [np.float32("inf"), np.float32("-inf"), np.float32("nan")],
+                         ids=["inf", "-inf", "nan"])
+def test_instruction_refuses_a_float32_that_is_not_finite(value):
+    # a number is finite at every float width, so construction refuses it
+    # before any bind sees it
+    shown = re.escape(repr(value))
+    with pytest.raises(ValueError,
+                       match=rf"^cphase argument 'coeff' must be a number, got {shown}$"):
+        Instruction("cphase", {"key": "m", "target": "p", "coeff": value})
+    with pytest.raises(ValueError, match=r"^prepare argument 'state' must be a list of "
+                                         rf"\[re, im\] pairs, got \[\[{shown}, 0\]\]$"):
+        Instruction("prepare", {"target": "p", "state": [[value, 0]]})
+
+
+@pytest.mark.parametrize("width", [np.float16, np.float32])
+def test_instruction_takes_a_finite_float_of_any_width(width):
+    Instruction("cphase", {"key": "m", "target": "p", "coeff": width(0.5)})
+    Instruction("prepare", {"target": "p", "state": [[width(0.5), 0], [0, width(-0.5)]]})
+
+
 def test_instruction_takes_only_the_names_its_row_lists():
     with pytest.raises(ValueError, match=r"^prepare takes no argument 'levle'$"):
         Instruction("prepare", {"target": "p", "levle": 1})

@@ -295,11 +295,17 @@ def test_profile_validation():
         ImperfectionProfile(p=1.5)
     with pytest.raises(ValueError, match=r"^eta must lie in \[0, 1\]$"):
         ImperfectionProfile(eta=-0.1)
-    # each chance is a finite real number, and a bool or a string is not one
+    # each chance is a finite real number of any width, and a bool or a
+    # string is not one
     for field in ("p", "q", "r", "s", "eta"):
-        for value, shown in ((True, "True"), ("1", "'1'"), (float("nan"), "nan")):
+        for value, shown in ((True, "True"), ("1", "'1'"), (float("nan"), "nan"),
+                             (np.float32("inf"), r"np.float32\(inf\)"),
+                             (np.float32("-inf"), r"np.float32\(-inf\)"),
+                             (np.float32("nan"), r"np.float32\(nan\)")):
             with pytest.raises(ValueError, match=rf"^{field} must be a number, got {shown}$"):
                 ImperfectionProfile(**{field: value})
+        for width in (np.float16, np.float32):
+            assert getattr(ImperfectionProfile(**{field: width(0.5)}), field) == 0.5
 
 
 def test_instruction_success_mapping():

@@ -91,13 +91,22 @@ def test_params_validation():
         QiParams(absorb_prob=1.5)
     with pytest.raises(ValueError, match=r"^cycle_loss must lie in \[0, 1\)$"):
         QiParams(cycle_loss=1.0)
-    # a chance is a finite real number, and a bool or a string is not one
+    # a chance is a finite real number of any width, and a bool or a string
+    # is not one
     for field in ("absorb_prob", "cycle_loss"):
         for value, shown in ((True, "True"), (False, "False"), ("0.5", "'0.5'"),
-                             (float("nan"), "nan"), (float("inf"), "inf")):
+                             (float("nan"), "nan"), (float("inf"), "inf"),
+                             (np.float32("inf"), r"np.float32\(inf\)"),
+                             (np.float32("-inf"), r"np.float32\(-inf\)"),
+                             (np.float32("nan"), r"np.float32\(nan\)")):
             with pytest.raises(ValueError, match=rf"^{field} must be a number, got {shown}$"):
                 QiParams(cycles=5, **{field: value})
-    assert QiParams(absorb_prob=np.float64(0.5), cycle_loss=0).absorb_prob == 0.5
+    for width in (np.float16, np.float32, np.float64):
+        params = QiParams(absorb_prob=width(0.5), cycle_loss=width(0.25))
+        assert (params.absorb_prob, params.cycle_loss) == (0.5, 0.25)
+    # each chance is checked in full before the next
+    with pytest.raises(ValueError, match=r"^absorb_prob must lie in \[0, 1\]$"):
+        QiParams(absorb_prob=1.5, cycle_loss=float("nan"))
     with pytest.raises(ValueError):
         QiParams(residual_v_policy="discard")
     # a transparent particle or a per-cycle loss, which the limit does not model
@@ -105,6 +114,15 @@ def test_params_validation():
         with pytest.raises(ValueError, match="^the exact limit is defined for absorb_prob > 0 "
                                              "and cycle_loss = 0 only$"):
             QiParams(cycles=None, absorb_prob=absorb, cycle_loss=loss)
+
+
+@pytest.mark.parametrize("width", [np.int16, np.int32, np.int64])
+def test_numpy_cycle_count_is_kept_as_its_int(width):
+    # 2 * 20,000 does not fit an int16, and the pi/2N angle takes that product
+    params = QiParams(cycles=width(20000), theta_rule=PI_OVER_2N)
+    assert type(params.cycles) is int
+    assert params == QiParams(cycles=20000, theta_rule=PI_OVER_2N)
+    assert theta_value(params) == theta_value(QiParams(cycles=20000, theta_rule=PI_OVER_2N))
 
 
 def test_exact_limit_is_the_deep_runs_limit_on_1h_for_a_partial_absorber():

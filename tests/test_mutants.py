@@ -328,6 +328,25 @@ def _particle_guard_holds() -> None:
             raise AssertionError("a photon passed for a particle")
 
 
+def _library_numbers_are_checked() -> None:
+    # each number rule of the library door, on a value that only it refuses
+    # or converts
+    for make, message in (
+            (lambda: interrogation.QiParams(cycle_loss=1.0), "cycle_loss must lie in [0, 1)"),
+            (lambda: interrogation.QiParams(absorb_prob=np.float32("inf")),
+             "absorb_prob must be a number, got np.float32(inf)")):
+        try:
+            make()
+        except ValueError as exc:
+            assert str(exc) == message, exc
+        else:
+            raise AssertionError(f"{message!r} was not raised")
+    assert type(interrogation.QiParams(cycles=np.int32(5)).cycles) is int
+    got = analysis.monte_carlo_yield(circuits.cnot_circuit("memory"),
+                                     gates.ImperfectionProfile(p=0.9), np.int32(10), 1)
+    assert type(got.trials) is int
+
+
 def _gate_misfits_are_rejected() -> None:
     # every row of the gate-kind table at load, then the wrong-kind files
     for op, args, bad, needs, what in _GATE_MISFITS:
@@ -509,8 +528,8 @@ MUTANTS = {
         '*memory_read("m", "tp", "cm", "a"),\n            _ins("cz", bit="a", target="c"),',
         '*memory_read("m", "tp", "cm", "a"),', _yield_exponents_are_the_written_ones),
     "emitter-brackets-the-outer-axis": Mutant(
-        cli, "_float_array", "for size in reversed(value.shape or (1,)):",
-        "for size in value.shape or (1,):", _arrays_print_like_their_lists),
+        cli, "_float_array", "for size in reversed(value.shape):",
+        "for size in value.shape:", _arrays_print_like_their_lists),
     # two keys of the branch template trade places, each naming the other's value
     "branch-template-swaps-two-keys": Mutant(
         cli, "_simulate_json", '"dims":[%s],"subsystems":[%s]',
@@ -564,6 +583,18 @@ MUTANTS = {
         state, "expect",
         'raise ValueError(f"{who} needs {needs}, but {spec.name!r} is {what}")', "pass",
         _gate_misfits_are_rejected),
+    "probability-open-bound-closed": Mutant(
+        state, "_check_probability", "0.0 <= value < 1.0 if below_one",
+        "0.0 <= value <= 1.0 if below_one", _library_numbers_are_checked),
+    "real-number-not-finite": Mutant(
+        state, "_is_real", " and math.isfinite(v)", "", _library_numbers_are_checked),
+    "cycles-kept-at-their-width": Mutant(
+        interrogation, "QiParams.__post_init__",
+        'object.__setattr__(self, "cycles", int(self.cycles))', "pass",
+        _library_numbers_are_checked),
+    "trials-kept-at-their-width": Mutant(
+        analysis, "monte_carlo_yield", "trials, master_seed = int(trials), int(master_seed)",
+        "master_seed = int(master_seed)", _library_numbers_are_checked),
     "bit-name-type-unchecked": Mutant(
         circuits, "validate_program",
         'raise ValueError(f"bits[{i}]: a bit name must be a string, got {bit!r}")', "pass",

@@ -120,12 +120,12 @@ class Row(NamedTuple):
 
 LEDGER = [
     # analysis (yield_formula's unknown family raises in cnot_circuit, below)
-    Row(Site("analysis", "monte_carlo_yield", "trials must be {}, got {}"),
+    Row(Site("analysis", "monte_carlo_yield", "trials must be an integer, got {}"),
         test_analysis.test_monte_carlo_rejects_bad_trials,
         "trials must be an integer, got 1000.0"),
     Row(Site("analysis", "monte_carlo_yield", "need a positive trial count"),
         test_analysis.test_monte_carlo_rejects_bad_trials, "need a positive trial count"),
-    Row(Site("analysis", "monte_carlo_yield", "seed must be {}, got {}"),
+    Row(Site("analysis", "monte_carlo_yield", "seed must be an integer, got {}"),
         partial(test_analysis.test_monte_carlo_rejects_a_seed_that_is_not_an_integer, 1.5),
         "seed must be an integer, got 1.5"),
     Row(Site("analysis", "monte_carlo_yield", "seed must be in [0, 2**128), got {}"),
@@ -269,10 +269,6 @@ LEDGER = [
         test_gates.test_prepare_pm_signs, "sign must be '+' or '-'"),
     Row(Site("gates", "classically_controlled", "unknown controlled gate {}"),
         test_gates.test_classically_controlled_unknown_gate, "unknown controlled gate 'ct'"),
-    Row(Site("gates", "ImperfectionProfile.__post_init__", "{} must be a number, got {}"),
-        test_gates.test_profile_validation, "p must be a number, got True"),
-    Row(Site("gates", "ImperfectionProfile.__post_init__", "{} must lie in [0, 1]"),
-        test_gates.test_profile_validation, "p must lie in [0, 1]"),
     # interrogation
     Row(Site("interrogation", "QiParams.__post_init__",
              "cycles must be an integer or None, got {}"),
@@ -282,12 +278,6 @@ LEDGER = [
         test_interrogation.test_params_validation, "cycles must be >= 1"),
     Row(Site("interrogation", "QiParams.__post_init__", "unknown theta rule {}"),
         test_interrogation.test_theta_rules_and_explicit, "unknown theta rule 'explicit'"),
-    Row(Site("interrogation", "QiParams.__post_init__", "{} must be a number, got {}"),
-        test_interrogation.test_params_validation, "absorb_prob must be a number, got True"),
-    Row(Site("interrogation", "QiParams.__post_init__", "absorb_prob must lie in [0, 1]"),
-        test_interrogation.test_params_validation, "absorb_prob must lie in [0, 1]"),
-    Row(Site("interrogation", "QiParams.__post_init__", "cycle_loss must lie in [0, 1)"),
-        test_interrogation.test_params_validation, "cycle_loss must lie in [0, 1)"),
     Row(Site("interrogation", "QiParams.__post_init__",
              "the exact limit is defined for the pi/N rule only"),
         test_interrogation.test_params_validation,
@@ -338,7 +328,11 @@ LEDGER = [
              "branch {}: the engine has {} branches, the brute-force run {}"),
         _unpaired("fewer"),
         "branch 3: the engine has 3 branches, the brute-force run 4"),
-    # state
+    # state (first, the one probability rule of QiParams and ImperfectionProfile)
+    Row(Site("state", "_check_probability", "{} must be a number, got {}"),
+        test_gates.test_profile_validation, "p must be a number, got True"),
+    Row(Site("state", "_check_probability", "{} must lie in {}"),
+        test_interrogation.test_params_validation, "cycle_loss must lie in [0, 1)"),
     Row(Site("state", "SubsystemSpec.__post_init__", "name must be a non-empty string, got {}"),
         _malformed("subsystems[0]: name must be a non-empty string, got ''"),
         "name must be a non-empty string, got ''"),
