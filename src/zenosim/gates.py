@@ -185,10 +185,10 @@ class ImperfectionProfile:
     """Per-component success probabilities: p for optical H, q for the
     interrogation CZ, r for classically controlled corrections, s for the
     particle H, eta for photon detection (`CHARGED` maps each census class
-    to its field), each a finite real number of any numpy width in [0, 1]
-    and not a bool (`state._check_probability`, field by field in that
-    order).  Particle preparation and particle measurement are taken as
-    perfect."""
+    to its field), each a finite real number of any numpy width in [0, 1],
+    kept as the Python float it holds, and not a bool
+    (`state._check_probability`, field by field in that order).  Particle
+    preparation and particle measurement are taken as perfect."""
 
     p: float = 1.0
     q: float = 1.0
@@ -198,7 +198,7 @@ class ImperfectionProfile:
 
     def __post_init__(self):
         for field in ("p", "q", "r", "s", "eta"):
-            _check_probability(field, getattr(self, field))
+            object.__setattr__(self, field, _check_probability(field, getattr(self, field)))
 
 
 # census class -> the ImperfectionProfile field an instruction of that class

@@ -72,10 +72,11 @@ class QiParams:
 
     cycles is a positive integer (a bool is not one; a numpy integer is
     kept as the int it holds) or None; absorb_prob (in [0, 1]) and
-    cycle_loss (in [0, 1)) are finite real numbers of any numpy width, and
-    a bool is not one either (`state._check_probability`, field by field in
-    that order).  None selects the exact N -> infinity limit of the pi/N
-    wiring (a pure controlled phase); finite cycles run the full dynamics.
+    cycle_loss (in [0, 1)) are finite real numbers of any numpy width,
+    kept as the Python float each holds, and a bool is not one either
+    (`state._check_probability`, field by field in that order).  None
+    selects the exact N -> infinity limit of the pi/N wiring (a pure
+    controlled phase); finite cycles run the full dynamics.
     The limit models an absorbing particle without loss: it needs the pi/N
     rule, absorb_prob > 0 (any such absorber freezes the photon on |1H> as
     N grows, while a transparent one, absorb_prob = 0, lets it turn) and
@@ -100,8 +101,9 @@ class QiParams:
             object.__setattr__(self, "cycles", int(self.cycles))
         if self.theta_rule not in THETA_RULES:
             raise ValueError(f"unknown theta rule {self.theta_rule!r}")
-        _check_probability("absorb_prob", self.absorb_prob)
-        _check_probability("cycle_loss", self.cycle_loss, below_one=True)
+        for field, closed in (("absorb_prob", True), ("cycle_loss", False)):
+            value = _check_probability(field, getattr(self, field), closed)
+            object.__setattr__(self, field, value)
         if self.cycles is None and self.theta_rule != PI_OVER_N:
             raise ValueError("the exact limit is defined for the pi/N rule only")
         if self.cycles is None and (self.absorb_prob == 0.0 or self.cycle_loss > 0.0):

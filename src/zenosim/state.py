@@ -69,18 +69,21 @@ def _is_real(v) -> bool:
     """A finite real number, and never a bool: an integer of any type whose
     size a float can hold, compared exactly, or a finite float of any
     numpy width.  Nothing is cast to another width, so nothing warns."""
-    if isinstance(v, (int, np.integer)):
-        return not isinstance(v, bool) and abs(int(v)) <= sys.float_info.max
-    return isinstance(v, (float, np.floating)) and math.isfinite(v)
+    return (abs(int(v)) <= sys.float_info.max if _is_int(v)
+            else isinstance(v, (float, np.floating)) and math.isfinite(v))
 
 
-def _check_probability(field: str, value, below_one: bool = False) -> None:
+def _check_probability(field: str, value, closed: bool = True) -> float:
     """The one home of a probability's rule at the library door: `value`
-    is a number (`_is_real`) in [0, 1], or in [0, 1) when `below_one`."""
+    is a number (`_is_real`) in [0, 1], or in [0, 1) when not `closed`.
+    Returns it as a Python float, which holds a float16, float32 or
+    float64 exactly (a longdouble is rounded to the nearest double), so no
+    sum or product of it runs at a narrower width."""
     if not _is_real(value):
         raise ValueError(f"{field} must be a number, got {value!r}")
-    if not (0.0 <= value < 1.0 if below_one else 0.0 <= value <= 1.0):
-        raise ValueError(f"{field} must lie in {'[0, 1)' if below_one else '[0, 1]'}")
+    if not (0.0 <= value <= 1.0 and (closed or value < 1.0)):
+        raise ValueError(f"{field} must lie in [0, 1{']' if closed else ')'}")
+    return float(value)
 
 
 @dataclass(frozen=True)

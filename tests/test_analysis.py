@@ -111,6 +111,18 @@ _EXPONENTS = {
 }
 
 
+@pytest.mark.parametrize("family", ["direct-cx", "half-memory-keep-control"])
+def test_yield_formula_of_a_narrow_float_is_that_of_the_value_it_holds(family):
+    # a float16 chance is worked at double width, not rounded to three
+    # digits nor let underflow to 0 (compared as Python floats, since a
+    # float16 compared with a float is compared at float16 width)
+    narrow = ImperfectionProfile(p=np.float16(0.9), q=np.float16(1e-4))
+    wide = ImperfectionProfile(p=float(np.float16(0.9)), q=float(np.float16(1e-4)))
+    got = yield_formula(family, narrow)
+    assert type(got) is float
+    assert float(got) == yield_formula(family, wide) > 0.0
+
+
 @pytest.mark.parametrize("family", CNOT_FAMILIES)
 def test_yield_formula_matches_circuit_census(family):
     # the shipped circuit charges its fields the written-out exponents, and

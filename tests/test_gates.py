@@ -306,6 +306,10 @@ def test_profile_validation():
                 ImperfectionProfile(**{field: value})
         for width in (np.float16, np.float32):
             assert getattr(ImperfectionProfile(**{field: width(0.5)}), field) == 0.5
+        # an int is a chance too, kept as the float it holds
+        assert ImperfectionProfile(**{field: 1}) == ImperfectionProfile()
+        assert ImperfectionProfile(**{field: 0}) == ImperfectionProfile(**{field: 0.0})
+        assert type(getattr(ImperfectionProfile(**{field: np.float16(0.9)}), field)) is float
 
 
 def test_instruction_success_mapping():

@@ -101,9 +101,13 @@ def test_params_validation():
                              (np.float32("nan"), r"np.float32\(nan\)")):
             with pytest.raises(ValueError, match=rf"^{field} must be a number, got {shown}$"):
                 QiParams(cycles=5, **{field: value})
+    # an int or a float of any width is kept as the Python float it holds
     for width in (np.float16, np.float32, np.float64):
         params = QiParams(absorb_prob=width(0.5), cycle_loss=width(0.25))
         assert (params.absorb_prob, params.cycle_loss) == (0.5, 0.25)
+        assert (type(params.absorb_prob), type(params.cycle_loss)) == (float, float)
+    assert QiParams(absorb_prob=1, cycle_loss=0) == QiParams(absorb_prob=1.0, cycle_loss=0.0)
+    assert QiParams(absorb_prob=np.int8(0), cycle_loss=np.uint8(0)).absorb_prob == 0.0
     # each chance is checked in full before the next
     with pytest.raises(ValueError, match=r"^absorb_prob must lie in \[0, 1\]$"):
         QiParams(absorb_prob=1.5, cycle_loss=float("nan"))

@@ -342,6 +342,11 @@ def _library_numbers_are_checked() -> None:
         else:
             raise AssertionError(f"{message!r} was not raised")
     assert type(interrogation.QiParams(cycles=np.int32(5)).cycles) is int
+    # a float16 chance is worked at double width: its square, about 1e-8,
+    # does not underflow to 0
+    narrow = gates.ImperfectionProfile(eta=np.float16(1e-4))
+    assert float(analysis.yield_formula("memory", narrow)) == analysis.yield_formula(
+        "memory", gates.ImperfectionProfile(eta=float(np.float16(1e-4)))) > 0.0
     got = analysis.monte_carlo_yield(circuits.cnot_circuit("memory"),
                                      gates.ImperfectionProfile(p=0.9), np.int32(10), 1)
     assert type(got.trials) is int
@@ -584,10 +589,13 @@ MUTANTS = {
         'raise ValueError(f"{who} needs {needs}, but {spec.name!r} is {what}")', "pass",
         _gate_misfits_are_rejected),
     "probability-open-bound-closed": Mutant(
-        state, "_check_probability", "0.0 <= value < 1.0 if below_one",
-        "0.0 <= value <= 1.0 if below_one", _library_numbers_are_checked),
+        state, "_check_probability", "closed or value < 1.0", "closed or value <= 1.0",
+        _library_numbers_are_checked),
     "real-number-not-finite": Mutant(
         state, "_is_real", " and math.isfinite(v)", "", _library_numbers_are_checked),
+    "probability-kept-at-its-width": Mutant(
+        state, "_check_probability", "return float(value)", "return value",
+        _library_numbers_are_checked),
     "cycles-kept-at-their-width": Mutant(
         interrogation, "QiParams.__post_init__",
         'object.__setattr__(self, "cycles", int(self.cycles))', "pass",

@@ -331,7 +331,7 @@ LEDGER = [
     # state (first, the one probability rule of QiParams and ImperfectionProfile)
     Row(Site("state", "_check_probability", "{} must be a number, got {}"),
         test_gates.test_profile_validation, "p must be a number, got True"),
-    Row(Site("state", "_check_probability", "{} must lie in {}"),
+    Row(Site("state", "_check_probability", "{} must lie in [0, 1{}"),
         test_interrogation.test_params_validation, "cycle_loss must lie in [0, 1)"),
     Row(Site("state", "SubsystemSpec.__post_init__", "name must be a non-empty string, got {}"),
         _malformed("subsystems[0]: name must be a non-empty string, got ''"),
