@@ -53,14 +53,14 @@ def _blocked_pair(levels):
 def zeno_sweep(n_values, theta_rule: str = PI_OVER_N, absorb: float = 1.0,
                loss: float = 0.0) -> list[SweepRow]:
     """Survival probability of a horizontal photon against a blocking
-    particle, per cycle count."""
+    particle, per cycle count (each taken by `QiParams` as given)."""
     rows = []
     for n in n_values:
-        params = QiParams(cycles=int(n), theta_rule=theta_rule,
+        params = QiParams(cycles=n, theta_rule=theta_rule,
                           absorb_prob=absorb, cycle_loss=loss)
         state = _blocked_pair([PH_ONE_H, BLOCKED])
         out = qi_run(state, "p", ["b"], [BLOCKED], params)
-        rows.append(SweepRow(int(n), theta_rule, absorb, loss,
+        rows.append(SweepRow(params.cycles, theta_rule, absorb, loss,
                              survival=norm_sq(out)))
     return rows
 
@@ -79,11 +79,11 @@ def fidelity_sweep(n_values, theta_rule: str = PI_OVER_N, absorb: float = 1.0,
     ideal = StateVector(ideal.layout, ideal.amps / np.sqrt(norm_sq(ideal)))
     rows = []
     for n in n_values:
-        params = QiParams(cycles=int(n), theta_rule=theta_rule,
+        params = QiParams(cycles=n, theta_rule=theta_rule,
                           absorb_prob=absorb, cycle_loss=loss)
         out = qicz(state, "p", "b", params)
         out = StateVector(out.layout, out.amps / np.sqrt(norm_sq(out)))
-        rows.append(SweepRow(int(n), theta_rule, absorb, loss,
+        rows.append(SweepRow(params.cycles, theta_rule, absorb, loss,
                              fidelity=fidelity(ideal, out)))
     return rows
 
@@ -97,7 +97,7 @@ def discrimination_success(n: int, absorb: float,
     the transparent one.  Absorbed, lost and sunk photons give no answer
     and count against the average of the two equiprobable cases.
     """
-    params = QiParams(cycles=int(n), theta_rule=PI_OVER_2N,
+    params = QiParams(cycles=n, theta_rule=PI_OVER_2N,
                       absorb_prob=absorb, cycle_loss=loss,
                       residual_v_policy=KEEP)
     blocked = qi_run(_blocked_pair([PH_ONE_H, BLOCKED]), "p", ["b"],

@@ -779,6 +779,8 @@ def w_state_generator(m: int) -> CircuitProgram:
     """Single-excitation entangler: one m-position particle phase-marks one
     of m photons, the particle's Fourier transform erases which-one
     information, and outcome-controlled phases undo the leftover twist."""
+    if not _is_int(m):
+        raise ValueError(f"the photon count must be an integer, got {m!r}")
     if m < 2:
         raise ValueError("need at least 2 photons")
     plus = _vec_arg(np.array([1, 1]) / np.sqrt(2))

@@ -38,6 +38,7 @@ and the listed particles, with the identity on every other subsystem.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -144,19 +145,25 @@ def theta_value(params: QiParams) -> np.longdouble:
 def wiring(specs, blocking=None) -> tuple[tuple[int, ...], ...]:
     """The one wiring rule of an interrogation: each spec a particle listed
     once, with one blocking entry (default `BLOCKED`), a position or a list
-    of distinct positions short of the exploded level.  Returns them sorted."""
+    of distinct positions short of the exploded level, each an integer and
+    not a bool.  Returns them sorted."""
     if blocking is None:
         blocking = [BLOCKED] * len(specs)
     if len(blocking) != len(specs):
         raise ValueError("one blocking entry per particle required")
     out = []
-    for i, (spec, blk) in enumerate(zip(specs, blocking)):
+    for i, (spec, entry) in enumerate(zip(specs, blocking)):
         positions = spec.positions()
         if spec in specs[:i]:
             raise ValueError(f"particle {spec.name!r} listed twice")
-        if isinstance(blk, (int, np.integer)):
-            blk = (blk,)
-        blk = tuple(sorted(int(b) for b in blk))
+        if _is_int(entry):
+            blk = (int(entry),)
+        elif (isinstance(entry, Iterable) and not isinstance(entry, str)
+              and all(map(_is_int, blk := tuple(entry)))):
+            blk = tuple(sorted(map(int, blk)))
+        else:
+            raise ValueError(f"blocking entry for {spec.name!r} must be a position or a "
+                             f"list of positions, got {entry!r}")
         if len(set(blk)) != len(blk):
             raise ValueError(f"duplicate blocking position for {spec.name!r}")
         for b in blk:

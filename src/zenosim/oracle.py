@@ -10,22 +10,23 @@ exact diagonal limit or the linear map that the cycle engine gives in one
 batched run (every basis column at once), so agreement between the two
 runners checks everything downstream of that map.
 
-One `brute_force_run` call keeps a plan table that dies with the call,
-keyed by instruction index and live layout, so a plan never serves a
-layout it was not built for.  A plan holds what its instruction needs
-whatever the branch: a gate's gather index and operator, a prepare's
-level vector after its cap check, a measurement's axis split, outcome
-bras and the layout it leaves.  The call also keeps each interrogation
-map it fetches, keyed by the particles' dims and blocking sets, so a map
-is fetched once per shape per walk.  A gather index is a pure function of
-the live shape and the gate's axes, kept read-only in a bounded
-process-wide memo (`_gather_index`).
 A branch's layout at an instruction is the same on every path that
 reaches it, since a prepare appends, a kept outcome contracts its target
-and a failure outcome ends the branch, so each plan is built once per
-walk.  A branch is then a layout and a vector, and its work is
-arithmetic: a gather, product and scatter per gate, an outer product per
-prepare, and an einsum and a vdot per measurement outcome.
+and a failure outcome ends the branch.  So `brute_force_run` plans the
+whole program in one pass before it walks a branch, tracking the layout
+and its shape as the program changes them, and keeps one plan per
+instruction in a list that dies with the call.  A plan holds what its
+instruction needs whatever the branch: a gate's gather index and operator,
+a prepare's level vector after its cap check, a measurement's axis split,
+outcome bras and the layout it leaves.  The pass plans an instruction
+that no path reaches as well, as the validator checks it.  The call also
+keeps each interrogation map it fetches, keyed by the particles' dims and
+blocking sets, so a map is fetched once per shape per walk.  A gather
+index is a pure function of the live shape and the gate's axes, kept
+read-only in a bounded process-wide memo (`_gather_index`).  A branch is
+then a layout and a vector, and its work is arithmetic: a gather, product
+and scatter per gate, an outer product per prepare, and an einsum and a
+vdot per measurement outcome.
 """
 
 from __future__ import annotations
@@ -113,28 +114,30 @@ class _Gate(NamedTuple):
 class _Prepare(NamedTuple):
     init: np.ndarray
     layout: tuple[str, ...]
+    shape: tuple[int, ...]
 
 
 class _Measure(NamedTuple):
     split: tuple[int, int, int]  # (pre, d, post) around the target axis
-    outcomes: list  # (outcome, conjugated bra or None, failed), in outcome order
+    outcomes: tuple  # (outcome, conjugated bra or None, failed), in outcome order
     layout: tuple[str, ...]  # left once a bra contracts the target
+    shape: tuple[int, ...]  # that layout's
 
 
-def _gate(layout: tuple[str, ...], dims: dict[str, int], front: list[str],
+def _gate(layout: tuple[str, ...], shape: tuple[int, ...], front: list[str],
           op: np.ndarray) -> _Gate:
     """kron(op, I_rest) on the vector reordered to the front subsystems (in
     the given order) followed by the rest, as `op` times the (front, rest)
     reshape; `_apply` puts the result back in the live order.  One index
     does both moves: `np.arange(size)` in the live shape, transposed to the
     front-first order."""
-    front_dim = prod(dims[n] for n in front)
+    axes = [layout.index(n) for n in front]
+    front_dim = prod(shape[k] for k in axes)
     if op.shape != (front_dim, front_dim):
         raise ValueError(f"operator of shape {op.shape} does not act on "
                          f"{front!r} ({front_dim} levels)")
-    axes = [layout.index(n) for n in front]
     axes += [k for k in range(len(layout)) if k not in axes]
-    return _Gate(_gather_index(tuple(dims[n] for n in layout), tuple(axes)), op)
+    return _Gate(_gather_index(shape, tuple(axes)), op)
 
 
 @lru_cache(maxsize=64)
@@ -193,31 +196,37 @@ def _interrogation_op(p_dims: tuple[int, ...], blocks: tuple[frozenset, ...],
                          blocking=list(blocks))
 
 
-# the photon and particle_pm bras, one row each, built once at import
+def _outcomes(bras: np.ndarray, pooled_failure: bool = False) -> tuple:
+    """(outcome, conjugated bra or None, failed) in outcome order, the
+    failure outcome last: the photon's pooled failure after its bras (None:
+    its logical levels are zeroed and it stays live), or a particle's
+    exploded level, whose bra is the last.  The conjugated bras are
+    read-only."""
+    conj = bras.conj()
+    conj.flags.writeable = False
+    rows = [*conj, None] if pooled_failure else list(conj)
+    return tuple((outcome, bra, outcome == len(rows) - 1) for outcome, bra in enumerate(rows))
+
+
+# the photon and particle_pm bras, one row each, and their outcomes, built
+# once at import and read-only
 _PHOTON_BRAS = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.complex128)
 _PM_BRAS = np.array([[_SQH, _SQH, 0], [_SQH, -_SQH, 0], [0, 0, 1]],
                     dtype=np.complex128)
 _PHOTON_BRAS.flags.writeable = _PM_BRAS.flags.writeable = False
+_BASIS_OUTCOMES = {PHOTON_COMPUTATIONAL: _outcomes(_PHOTON_BRAS, pooled_failure=True),
+                   PARTICLE_PM: _outcomes(_PM_BRAS)}
 
 
-def _measure(layout: tuple[str, ...], dims: dict[str, int], target: str,
+def _measure(layout: tuple[str, ...], shape: tuple[int, ...], target: str,
              basis: str) -> _Measure:
-    """One bra per outcome in canonical order, the failure outcome last: the
-    photon's pooled failure (None: its logical levels are zeroed and it stays
-    live) or a particle's exploded level."""
+    """One bra per outcome in canonical order; a position basis has one
+    outcome per level, exploded last."""
     k = layout.index(target)
-    shape = [dims[n] for n in layout]
     d = shape[k]
-    if basis == PHOTON_COMPUTATIONAL:
-        bras = [_PHOTON_BRAS[0], _PHOTON_BRAS[1], None]
-    elif basis == PARTICLE_PM:
-        bras = list(_PM_BRAS)
-    else:  # position bases: one outcome per level, exploded last
-        bras = list(np.eye(d, dtype=np.complex128))
-    outcomes = [(outcome, None if bra is None else bra.conj(), outcome == len(bras) - 1)
-                for outcome, bra in enumerate(bras)]
+    outcomes = _BASIS_OUTCOMES.get(basis) or _outcomes(np.eye(d, dtype=np.complex128))
     return _Measure((prod(shape[:k]), d, prod(shape[k + 1:])), outcomes,
-                    layout[:k] + layout[k + 1:])
+                    layout[:k] + layout[k + 1:], shape[:k] + shape[k + 1:])
 
 
 # the fixed gates by op; a cx or cz flips its target with the target kind's
@@ -226,39 +235,42 @@ _FIXED = {"photon_h": _PHOTON_H, "photon_x": _PHOTON_X, "photon_z": _PHOTON_Z,
           "particle_x": _PARTICLE_X, "particle_z": _PARTICLE_Z}
 
 
-def _plan(instr, layout: tuple[str, ...], specs: dict, params: QiParams, maps: dict):
-    """What `instr` needs on the live `layout` that no branch changes.  An
-    interrogation's map is taken from `maps`, keyed by its particles' dims
-    and blocking sets, and fetched into it on a miss."""
+def _plan(instr, layout: tuple[str, ...], shape: tuple[int, ...], specs: dict,
+          params: QiParams, maps: dict):
+    """What `instr` needs on the live `layout`, of the given `shape`, that
+    no branch changes (None for an xor).  An interrogation's map is taken
+    from `maps`, keyed by its particles' dims and blocking sets, and fetched
+    into it on a miss."""
     op, a = instr.op, instr.args
-    dims = {n: specs[n].dim for n in layout}
+    if op == "xor":
+        return None
     if op == "prepare":
         spec = specs[a["target"]]
-        if prod(dims.values()) * spec.dim > DIMENSION_CAP:
+        if prod(shape) * spec.dim > DIMENSION_CAP:
             raise ValueError(
                 f"preparing {spec.name!r} would exceed the {DIMENSION_CAP}-dimensional cap")
-        return _Prepare(_init_vector(spec.dim, a), layout + (spec.name,))
+        return _Prepare(_init_vector(spec.dim, a), layout + (spec.name,), shape + (spec.dim,))
     if op == "measure":
-        return _measure(layout, dims, a["target"], a["basis"])
+        return _measure(layout, shape, a["target"], a["basis"])
     if op in ("qicz", "qicz_multi"):
         if op == "qicz":
             names, blocking = [a["particle"]], None
         else:
             names, blocking = list(a["particles"]), a.get("blocking")
-        key = (tuple(dims[n] for n in names), _normalized_blocking(blocking, len(names)))
+        key = (tuple(specs[n].dim for n in names), _normalized_blocking(blocking, len(names)))
         if key not in maps:
             maps[key] = _interrogation_op(*key, params)
-        return _gate(layout, dims, [a["photon"], *names], maps[key])
+        return _gate(layout, shape, [a["photon"], *names], maps[key])
     target = a["target"]
     if op == "particle_h":
-        d = dims[target] - 1
-        return _gate(layout, dims, [target],
+        d = specs[target].dim - 1
+        return _gate(layout, shape, [target],
                      _PARTICLE_H if d == 2 else _block_op(d + 1, _dft(d)))
     if op == "cphase":  # the phase has the shape of photon_z
-        return _gate(layout, dims, [target], _PHOTON_Z)._replace(op=None)
+        return _gate(layout, shape, [target], _PHOTON_Z)._replace(op=None)
     if op in ("cx", "cz"):
         op = f"{specs[target].kind}_{op[1]}"
-    return _gate(layout, dims, [target], _FIXED[op])
+    return _gate(layout, shape, [target], _FIXED[op])
 
 
 def brute_force_run(program: CircuitProgram,
@@ -267,45 +279,47 @@ def brute_force_run(program: CircuitProgram,
     first from an explicit stack, so any number of measurements walks.
     A `CircuitProgram` is validated when it is built, so each instruction
     fits its subsystems here (a pm preparation or basis acts on a
-    2-position particle).  An error in planning an instruction, such as a
-    state past `DIMENSION_CAP`, starts `instructions[i]:` as the
-    validator's do."""
+    2-position particle).  Every instruction is planned before the walk,
+    reached or not; an error in planning one, such as a state past
+    `DIMENSION_CAP`, starts `instructions[i]:` as the validator's do."""
     params = params or QiParams()
     specs = {s.name: s for s in program.subsystems}
-    plans: dict = {}  # (instruction index, live layout) -> its plan
+    instructions = program.instructions
     maps: dict = {}  # (particle dims, blocking sets) -> interrogation map
+    plans = []
+    layout, shape = (), ()
+    for i, instr in enumerate(instructions):
+        try:
+            plan = _plan(instr, layout, shape, specs, params, maps)
+        except ValueError as exc:
+            raise ValueError(f"instructions[{i}]: {exc}") from None
+        plans.append(plan)
+        if instr.op in ("prepare", "measure"):
+            layout, shape = plan.layout, plan.shape
     tree = BranchTree()
 
-    def leaf(layout, vec, assignments: dict, failed: bool) -> None:
-        tree.leaves.append(OracleLeaf(
-            assignments=dict(assignments), layout=layout,
-            vector=vec.reshape([specs[n].dim for n in layout]), failed=failed))
+    def leaf(layout, shape, vec, assignments: dict, failed: bool) -> None:
+        tree.leaves.append(OracleLeaf(assignments=dict(assignments), layout=layout,
+                                      vector=vec.reshape(shape), failed=failed))
 
-    # (layout, vector, assignments, next instruction or None for a failure
-    # leaf, squared norm right after the last measurement), the next one
-    # last.  That norm is the product of kept branch weights, so the
-    # per-branch cutoff below matches the engine's rule on its renormalized
-    # states.
-    todo = [((), np.ones(1, dtype=np.complex128), {}, 0, 1.0)]
+    # (layout, its shape, vector, assignments, next instruction or None for
+    # a failure leaf, squared norm right after the last measurement), the
+    # next one last.  That norm is the product of kept branch weights, so
+    # the per-branch cutoff below matches the engine's rule on its
+    # renormalized states.
+    todo = [((), (), np.ones(1, dtype=np.complex128), {}, 0, 1.0)]
     while todo:
-        layout, vec, assignments, pos, wprod = todo.pop()
+        layout, shape, vec, assignments, pos, wprod = todo.pop()
         if pos is None:
-            leaf(layout, vec, assignments, failed=True)
+            leaf(layout, shape, vec, assignments, failed=True)
             continue
-        for i in range(pos, len(program.instructions)):
-            instr = program.instructions[i]
-            op, a = instr.op, instr.args
+        for i in range(pos, len(instructions)):
+            op, a = instructions[i].op, instructions[i].args
+            plan = plans[i]
             if op == "xor":
                 assignments[a["out"]] = assignments[a["a"]] ^ assignments[a["b"]]
-                continue
-            plan = plans.get((i, layout))
-            if plan is None:
-                try:
-                    plan = plans[i, layout] = _plan(instr, layout, specs, params, maps)
-                except ValueError as exc:
-                    raise ValueError(f"instructions[{i}]: {exc}") from None
-            if op == "prepare":
-                vec, layout = _extend(vec, plan.init), plan.layout
+            elif op == "prepare":
+                vec, layout, shape = _extend(vec, plan.init), plan.layout, plan.shape
             elif op == "measure":
                 v3 = vec.reshape(plan.split)
                 children = []
@@ -313,14 +327,15 @@ def brute_force_run(program: CircuitProgram,
                     if bra is None:
                         post = v3.copy()
                         post[:, :2, :] = 0.0
-                        post, post_layout = post.reshape(-1), layout
+                        post, post_layout, post_shape = post.reshape(-1), layout, shape
                     else:
                         post = np.einsum("pdq,d->pq", v3, bra).reshape(-1)
-                        post_layout = plan.layout
+                        post_layout, post_shape = plan.layout, plan.shape
                     post_sq = float(np.vdot(post, post).real)
                     if post_sq / wprod < _CUTOFF:
                         continue
-                    children.append((post_layout, post, {**assignments, a["bit"]: outcome},
+                    children.append((post_layout, post_shape, post,
+                                     {**assignments, a["bit"]: outcome},
                                      None if failed else i + 1, post_sq))
                 todo += reversed(children)  # depth first, in outcome order
                 break
@@ -331,7 +346,7 @@ def brute_force_run(program: CircuitProgram,
             elif op not in ("cx", "cz") or assignments[a["bit"]] & 1:
                 vec = _apply(vec, plan.index, plan.op)
         else:
-            leaf(layout, vec, assignments, failed=False)
+            leaf(layout, shape, vec, assignments, failed=False)
     return tree
 
 

@@ -52,6 +52,27 @@ def test_zeno_sweep_records_settings():
     assert row.fidelity is None
 
 
+@pytest.mark.parametrize("sweep", [zeno_sweep, fidelity_sweep])
+@pytest.mark.parametrize("n", [2.5, True, "5", np.float64(3.0)], ids=repr)
+def test_sweeps_refuse_a_count_that_is_not_an_integer(sweep, n):
+    # each count reaches QiParams as given, so none is truncated or parsed
+    with pytest.raises(ValueError, match=r"^cycles must be an integer or None, got "):
+        sweep([n])
+
+
+@pytest.mark.parametrize("n", [3.5, True, "3"], ids=repr)
+def test_discrimination_refuses_a_count_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match=r"^cycles must be an integer or None, got "):
+        discrimination_success(n, 1.0)
+
+
+def test_sweeps_take_numpy_integer_counts():
+    for sweep in (zeno_sweep, fidelity_sweep):
+        got, want = sweep([np.int64(7)])[0], sweep([7])[0]
+        assert type(got.n_cycles) is int and got == want
+    assert discrimination_success(np.int64(10), 1.0) == discrimination_success(10, 1.0)
+
+
 def test_fidelity_sweep_approaches_one():
     rows = fidelity_sweep([10, 100, 1000])
     values = [row.fidelity for row in rows]

@@ -15,8 +15,9 @@ and batch size) is no memo: validation builds it with the program, so
 every program holds it from the start, and a fresh CLI process reads it
 as the benchmark's passes do.  The walks keep no memo of their own:
 `run_all_branches` reads each batch size and failure label from the
-plan, and `oracle.brute_force_run`'s plan and map tables are locals that
-die with the call.
+plan, and `oracle.brute_force_run`'s plan list (one plan per instruction,
+built in one pass before the walk) and map table are locals that die with
+the call.
 """
 
 import ast

@@ -490,6 +490,13 @@ def test_w_generator_needs_two_photons():
         w_state_generator(1)
 
 
+@pytest.mark.parametrize("m", [3.0, True, "3"], ids=repr)
+def test_w_generator_needs_an_integer_photon_count(m):
+    with pytest.raises(ValueError) as err:
+        w_state_generator(m)
+    assert str(err.value) == f"the photon count must be an integer, got {m!r}"
+
+
 # --- execution ---------------------------------------------------------------
 
 def test_bell_branches_are_orthogonal_bell_states():

@@ -595,6 +595,27 @@ def test_oracle_check_refuses_a_state_past_its_dimension_cap(tmp_path):
         "1280-dimensional cap\n")
 
 
+def test_oracle_check_refuses_a_state_past_its_cap_that_no_branch_reaches(tmp_path):
+    # the photon prepared in |1V> leaves only the failure outcome, so no
+    # branch reaches the later prepares; the oracle plans them all before
+    # its walk, as the validator checks them at load
+    path = tmp_path / "unreached.json"
+    path.write_text(json.dumps({
+        "version": "1",
+        "subsystems": [{"name": f"p{i}", "kind": "photon"} for i in range(7)],
+        "bits": ["m"],
+        "instructions": [{"op": "prepare", "target": "p0", "level": 2},
+                         {"op": "measure", "target": "p0", "basis": "photon_computational",
+                          "bit": "m"}]
+        + [{"op": "prepare", "target": f"p{i}", "level": 0} for i in range(1, 7)]}))
+    # simulate runs it to its one failed branch, which exits 2
+    code, out, err = run_main("simulate", path, "--ideal", "--out", "csv")
+    assert (code, out.count("\n"), err) == (2, 2, "")
+    assert run_main("oracle-check", path, "--ideal") == (
+        1, "", "zenosim: error: instructions[7]: preparing 'p6' would exceed the "
+        "1280-dimensional cap\n")
+
+
 def test_oracle_check_walks_more_measurements_than_the_recursion_limit(tmp_path):
     photons = 1200
     assert photons > sys.getrecursionlimit()

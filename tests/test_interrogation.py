@@ -242,6 +242,28 @@ def test_multi_position_blocking_sets():
         assert amp == pytest.approx(-1.0 if should_flip else 1.0)
 
 
+# (blocking, the entry the error names): a float position was truncated
+# and a bool counted as its integer, so [[0.7]] blocked position 0 and
+# [True] position 1
+_NOT_POSITIONS = {
+    "float-in-list": ([[0.7]], "[0.7]"),
+    "bool": ([True], "True"),
+    "float": ([0.0], "0.0"),
+    "bool-in-list": ([[np.int64(0), True]], "[np.int64(0), True]"),
+    "string": (["1"], "'1'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_POSITIONS))
+def test_blocking_entries_are_integer_positions(case):
+    blocking, shown = _NOT_POSITIONS[case]
+    state = _pair(PH_ONE_H, 1, positions=3)
+    with pytest.raises(ValueError) as err:
+        qicz_multi(state, "p", ["b"], QiParams(cycles=None), blocking=blocking)
+    assert str(err.value) == (f"blocking entry for 'b' must be a position or a list of "
+                              f"positions, got {shown}")
+
+
 def test_unconditional_flip_with_no_particles():
     state = new_state([photon("p")], [PH_ONE_H])
     out = qicz_multi(state, "p", [], QiParams(cycles=None))

@@ -234,11 +234,15 @@ def _oracle_agrees_on_the_cnot_families() -> None:
 
 
 def _oracle_pairs_failure_leaves() -> None:
-    try:
-        deviation = oracle.compare(DEMOS["cnot-memory"](), FAILURE_LEAVES)
-    except ValueError as exc:  # branches that do not pair fail the check
-        raise AssertionError(str(exc)) from exc
-    assert deviation <= 1e-10
+    # the memory CNOT measures in the photon and pm bases, whose outcomes
+    # the oracle builds at import, and the W state in a position basis,
+    # whose outcomes each walk builds
+    for name in ("cnot-memory", "wstate-3"):
+        try:
+            deviation = oracle.compare(DEMOS[name](), FAILURE_LEAVES)
+        except ValueError as exc:  # branches that do not pair fail the check
+            raise AssertionError(str(exc)) from exc
+        assert deviation <= 1e-10, name
 
 
 def _unknown_argument_is_rejected() -> None:
@@ -459,9 +463,8 @@ MUTANTS = {
     # gets the index of the first gate on that shape (the direct CNOT gathers
     # one 4 x 4 x 3 shape in four orders, led by three different subsystems)
     "gather-index-key-without-axes": Mutant(
-        oracle, "_gate", "_gather_index(tuple(dims[n] for n in layout), tuple(axes))",
-        "_gather_index(tuple(dims[n] for n in layout), _gate.__dict__.setdefault(\n"
-        "        tuple(dims[n] for n in layout), tuple(axes)))",
+        oracle, "_gate", "_gather_index(shape, tuple(axes))",
+        "_gather_index(shape, _gate.__dict__.setdefault(shape, tuple(axes)))",
         _oracle_leaves_match_the_per_branch_walk),
     # a batched X indexed as if the state had no branch axis: it swaps along
     # the axis before the target's
@@ -547,8 +550,11 @@ MUTANTS = {
     "oracle-cphase-without-its-recorded-value": Mutant(
         oracle, "brute_force_run", 'np.exp(1j * a["coeff"] * assignments[a["key"]])',
         'np.exp(1j * a["coeff"])', _oracle_agrees_on_the_w_states),
+    # the photon and pm outcomes are built at import, so the mutant reaches
+    # the position bases, whose outcomes each walk builds: the W state's
+    # first position ends its branch as a failure
     "oracle-wrong-failure-flag": Mutant(
-        oracle, "_measure", "outcome == len(bras) - 1", "outcome == 0",
+        oracle, "_outcomes", "outcome == len(rows) - 1", "outcome == 0",
         _oracle_pairs_failure_leaves),
     "oracle-correction-ungated": Mutant(
         oracle, "brute_force_run", 'assignments[a["bit"]] & 1', "True",

@@ -38,6 +38,7 @@ from helpers import (
     CCNOT_MATRIX,
     CNOT_MATRIX,
     CZ_MATRIX,
+    FAILURE_LEAVES,
     bell_vector,
     reference_brute_force_run,
     w_vector,
@@ -196,7 +197,7 @@ def _random_vector(rng, dims):
 
 
 def _gate_applied(vec, dims, front, op):
-    return _apply(vec, _gate(tuple(dims), dims, front, op).index, op)
+    return _apply(vec, _gate(tuple(dims), tuple(dims.values()), front, op).index, op)
 
 
 def _kron_reference(before, dims, front, op):
@@ -335,7 +336,7 @@ def test_oracle_catches_engine_layout_mutants(monkeypatch, snippet, replacement,
 
 def test_apply_rejects_an_operator_of_the_wrong_size():
     with pytest.raises(ValueError, match=r"\['a', 'b'\]"):
-        _gate(("a", "b"), {"a": 4, "b": 3}, ["a", "b"], np.eye(4, dtype=np.complex128))
+        _gate(("a", "b"), (4, 3), ["a", "b"], np.eye(4, dtype=np.complex128))
 
 
 def test_oracle_imports_only_its_pinned_engine_names():
@@ -464,3 +465,58 @@ def test_each_interrogation_fetches_its_map_once_per_walk(monkeypatch, name, sha
     assert leaves > 1 and len(calls) == shapes
     brute_force_run(program, params)  # the maps die with the call
     assert len(calls) == 2 * shapes
+
+
+def _unreached_tail(photons: int) -> CircuitProgram:
+    """A photon prepared in |1V>, so that only the failure outcome of its
+    measurement survives, then an interrogation and `photons` more photons,
+    none of which any branch reaches."""
+    subsystems = (photon("p"), photon("q"), particle("b"),
+                  *(photon(f"r{k}") for k in range(photons)))
+    return CircuitProgram(subsystems, ("m",), (
+        Instruction("prepare", {"target": "p", "level": 2}),
+        Instruction("measure", {"target": "p", "basis": "photon_computational", "bit": "m"}),
+        Instruction("prepare", {"target": "b", "pm": "+"}),
+        Instruction("prepare", {"target": "q", "level": 1}),
+        Instruction("qicz", {"photon": "q", "particle": "b"}),
+        *(Instruction("prepare", {"target": f"r{k}", "level": 0}) for k in range(photons)),
+    ))
+
+
+def test_instructions_no_branch_reaches_are_planned(monkeypatch):
+    # the walk ends in one failure leaf at the measurement, but the pass
+    # before it fetches the interrogation's map and, with a fourth extra
+    # photon (3 * 4^5 levels), refuses the state past the cap
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return effective_map(*args, **kwargs)
+
+    effective_map = oracle.effective_map
+    monkeypatch.setattr(oracle, "effective_map", counted)
+    params = QiParams(cycles=7)
+    leaves = brute_force_run(_unreached_tail(3), params).leaves
+    assert [(leaf.failed, leaf.layout) for leaf in leaves] == [(True, ("p",))]
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match=r"^instructions\[8\]: preparing 'r3' would "
+                                         r"exceed the 1280-dimensional cap$"):
+        brute_force_run(_unreached_tail(4), params)
+    assert len(calls) == 2
+
+
+def test_each_instruction_is_planned_once_per_walk(monkeypatch):
+    # the memory CNOT walks 18 branches under FAILURE_LEAVES
+    calls = []
+
+    def counted(instr, *args):
+        calls.append(instr)
+        return plan(instr, *args)
+
+    plan = oracle._plan
+    monkeypatch.setattr(oracle, "_plan", counted)
+    program = DEMOS["cnot-memory"]()
+    leaves = brute_force_run(program, FAILURE_LEAVES).leaves
+    assert len(leaves) > 1 and calls == list(program.instructions)
+    brute_force_run(program, FAILURE_LEAVES)  # the plans die with the call
+    assert calls == 2 * list(program.instructions)

@@ -216,6 +216,9 @@ LEDGER = [
     # on, an op's own argument check
     Row(Site("circuits", "validate_program", "instructions[{}]: {}"),
         test_circuits.test_unknown_basis, "instructions[1]: unknown basis 'diagonal'"),
+    Row(Site("circuits", "w_state_generator", "the photon count must be an integer, got {}"),
+        partial(test_circuits.test_w_generator_needs_an_integer_photon_count, 3.0),
+        "the photon count must be an integer, got 3.0"),
     Row(Site("circuits", "w_state_generator", "need at least 2 photons"),
         test_circuits.test_w_generator_needs_two_photons, "need at least 2 photons"),
     Row(Site("circuits", "cnot_circuit", "unknown family {}"),
@@ -294,6 +297,10 @@ LEDGER = [
         "one blocking entry per particle required"),
     Row(Site("interrogation", "wiring", "particle {} listed twice"),
         test_circuits.test_configurable_gate_rejects_double_wiring, "particle 'b' listed twice"),
+    Row(Site("interrogation", "wiring",
+             "blocking entry for {} must be a position or a list of positions, got {}"),
+        partial(test_interrogation.test_blocking_entries_are_integer_positions, "float-in-list"),
+        "blocking entry for 'b' must be a position or a list of positions, got [0.7]"),
     Row(Site("interrogation", "wiring", "duplicate blocking position for {}"),
         lambda: interrogation.wiring([particle("b", 3)], [[1, 1]]),
         "duplicate blocking position for 'b'"),
