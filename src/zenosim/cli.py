@@ -160,7 +160,9 @@ def _float_array(value: np.ndarray) -> str:
 def _simulate_json(source: str, params: QiParams, results) -> str:
     """The JSON document `simulate` prints, from fixed templates whose keys
     are in sorted order.  Each float slot is _CELL, filled with x + 0.0 as
-    in _float; classical values print as integers."""
+    in _float; classical values print as integers.  The total is summed
+    over Python floats, so a total past the largest double prints inf
+    without a numpy overflow warning."""
     branch = ('{"branch_weight":' + _CELL + ',"classical":{%s},"failed":%s,"state":'
               '{"amplitudes":%s,"dims":[%s],"subsystems":[%s]},"success_probability":'
               + _CELL + "}")
@@ -179,7 +181,7 @@ def _simulate_json(source: str, params: QiParams, results) -> str:
         ",".join(branches), params.absorb_prob + 0.0,
         "null" if params.cycles is None else str(params.cycles), params.cycle_loss + 0.0,
         _quote(params.theta_rule), _quote(source),
-        sum(r.success_probability for r in results) + 0.0)
+        sum([float(r.success_probability) for r in results]) + 0.0)
 
 
 def _float(x) -> str:

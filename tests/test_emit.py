@@ -98,7 +98,7 @@ def reference_payload(source: str, params: QiParams, results) -> dict:
                 "amplitudes": r.final_state.amps.reshape(-1, 1).view(np.float64),
             },
         } for r in results],
-        "success_probability": sum(r.success_probability for r in results),
+        "success_probability": sum(float(r.success_probability) for r in results),
     }
 
 
@@ -156,6 +156,10 @@ def _params(draw):
     RunResult(_unchecked_state((), np.array(-0.0 + 0j)), {}, -0.0, np.bool_(True), 5e-324),
     RunResult(_unchecked_state((SubsystemSpec('a"\\', "particle", 3),),
                                np.array([1e16, -0.0j, 2.5e-310])), {"m\n": 1}, 1.0, False, 0.5)])
+# two numpy success probabilities whose total passes the largest double: a
+# sum of numpy scalars warned of the overflow, where Python floats give inf
+@example("s", QiParams(cycles=None), [
+    RunResult(_unchecked_state((), np.array(0j)), {}, np.float64(1.7e308), False, 0.0)] * 2)
 def test_simulate_json_matches_reference(source, params, results):
     assert (_simulate_json(source, params, results)
             == reference_emit_json(reference_payload(source, params, results)))
