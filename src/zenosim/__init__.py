@@ -5,7 +5,6 @@ and yield/sweep analysis."""
 
 from .analysis import (
     YieldEstimate,
-    direct_beats_half,
     discrimination_success,
     fidelity_sweep,
     monte_carlo_yield,
@@ -53,7 +52,6 @@ __all__ = [
     "compare",
     "configurable_gate",
     "demo_programs",
-    "direct_beats_half",
     "discrimination_success",
     "effective_map",
     "fidelity_sweep",

@@ -7,16 +7,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
-from .circuits import (
-    DIRECT_CX,
-    HALF_MEMORY_KEEP_CONTROL,
-    CircuitProgram,
-    cnot_circuit,
-)
+from .circuits import CircuitProgram, cnot_circuit
 from .gates import ImperfectionProfile
 from .interrogation import KEEP, PI_OVER_2N, PI_OVER_N, QiParams, qi_run, qicz
 from .state import (
@@ -50,14 +44,23 @@ def _blocked_pair(levels):
     return new_state(layout, levels)
 
 
+def _sweep_params(n, theta_rule: str, absorb: float, loss: float) -> QiParams:
+    """The params of one sweep row.  A row is a finite cycle count, so None,
+    which `QiParams` takes as the exact limit, is refused; any other count
+    is taken by `QiParams` as given."""
+    if n is None:
+        raise ValueError("a sweep takes cycle counts, not None (the exact limit)")
+    return QiParams(cycles=n, theta_rule=theta_rule, absorb_prob=absorb, cycle_loss=loss)
+
+
 def zeno_sweep(n_values, theta_rule: str = PI_OVER_N, absorb: float = 1.0,
                loss: float = 0.0) -> list[SweepRow]:
     """Survival probability of a horizontal photon against a blocking
-    particle, per cycle count (each taken by `QiParams` as given)."""
+    particle, per cycle count: each reaches `QiParams` as given, except
+    None, the exact limit, which is refused (`_sweep_params`)."""
     rows = []
     for n in n_values:
-        params = QiParams(cycles=n, theta_rule=theta_rule,
-                          absorb_prob=absorb, cycle_loss=loss)
+        params = _sweep_params(n, theta_rule, absorb, loss)
         state = _blocked_pair([PH_ONE_H, BLOCKED])
         out = qi_run(state, "p", ["b"], [BLOCKED], params)
         rows.append(SweepRow(params.cycles, theta_rule, absorb, loss,
@@ -69,7 +72,8 @@ def fidelity_sweep(n_values, theta_rule: str = PI_OVER_N, absorb: float = 1.0,
                    loss: float = 0.0) -> list[SweepRow]:
     """Overlap of the finite-cycle interrogation CZ with its exact limit on
     the uniform two-qubit input, per cycle count.  `QiParams` defines that
-    limit for the pi/N rule only and raises for any other."""
+    limit for the pi/N rule only and raises for any other; the cycle counts
+    are taken as `zeno_sweep` takes them."""
     state = _blocked_pair([0, BLOCKED])
     amps = np.zeros_like(state.amps)
     amps[0, BLOCKED] = amps[0, OPEN] = 0.5
@@ -79,8 +83,7 @@ def fidelity_sweep(n_values, theta_rule: str = PI_OVER_N, absorb: float = 1.0,
     ideal = StateVector(ideal.layout, ideal.amps / np.sqrt(norm_sq(ideal)))
     rows = []
     for n in n_values:
-        params = QiParams(cycles=n, theta_rule=theta_rule,
-                          absorb_prob=absorb, cycle_loss=loss)
+        params = _sweep_params(n, theta_rule, absorb, loss)
         out = qicz(state, "p", "b", params)
         out = StateVector(out.layout, out.amps / np.sqrt(norm_sq(out)))
         rows.append(SweepRow(params.cycles, theta_rule, absorb, loss,
@@ -108,7 +111,6 @@ def discrimination_success(n: int, absorb: float,
                   + level_weight(open_, "p", PH_ONE_V))
 
 
-@cache
 def _charges(family: str) -> tuple[tuple[str, int], ...]:
     """(field, count) for each `ImperfectionProfile` field that
     `cnot_circuit(family)` charges instructions to, in the fixed order eta,
@@ -128,16 +130,6 @@ def yield_formula(family: str, profile: ImperfectionProfile) -> float:
     for charge, count in _charges(family):
         product *= getattr(profile, charge) ** count
     return product
-
-
-def direct_beats_half(profile: ImperfectionProfile) -> bool:
-    """True when the measurement-only realization strictly out-yields the
-    one-memory realization; ties (within numerical margin) are False."""
-    direct = yield_formula(DIRECT_CX, profile)
-    half = yield_formula(HALF_MEMORY_KEEP_CONTROL, profile)
-    if np.isclose(direct, half, rtol=1e-12, atol=1e-15):
-        return False
-    return direct > half
 
 
 @dataclass

@@ -5,6 +5,9 @@ from math import prod
 
 import numpy as np
 
+from zenosim.analysis import yield_formula
+from zenosim.circuits import DIRECT_CX, HALF_MEMORY_KEEP_CONTROL
+from zenosim.gates import ImperfectionProfile
 from zenosim.interrogation import KEEP, QiParams, effective_map
 from zenosim.oracle import DIMENSION_CAP, BranchTree, OracleLeaf
 from zenosim.state import PARTICLE_PM, PHOTON_COMPUTATIONAL, StateVector
@@ -93,6 +96,17 @@ def w_vector(m: int) -> np.ndarray:
     for i in range(m):
         v[1 << (m - 1 - i)] = 1.0
     return v / np.sqrt(m)
+
+
+def direct_beats_half(profile: ImperfectionProfile) -> bool:
+    """True when `yield_formula` gives the measurement-only realization
+    (direct-cx) a strictly higher yield than the one-memory realization
+    (half-memory-keep-control); ties (within numerical margin) are False."""
+    direct = yield_formula(DIRECT_CX, profile)
+    half = yield_formula(HALF_MEMORY_KEEP_CONTROL, profile)
+    if np.isclose(direct, half, rtol=1e-12, atol=1e-15):
+        return False
+    return direct > half
 
 
 # ---------------------------------------------------------------------------

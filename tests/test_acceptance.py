@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from zenosim.analysis import (
-    direct_beats_half,
     discrimination_success,
     fidelity_sweep,
     monte_carlo_yield,
@@ -47,7 +46,7 @@ from zenosim.state import (
     photon,
 )
 
-from helpers import bell_vector, cnot_inputs, reorder, w_vector
+from helpers import bell_vector, cnot_inputs, direct_beats_half, reorder, w_vector
 
 IDEAL = QiParams(cycles=None)
 N_DEFAULT = 10_000

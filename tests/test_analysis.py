@@ -10,7 +10,6 @@ from zenosim.analysis import (
     SweepRow,
     _draw_limits,
     _draw_probabilities,
-    direct_beats_half,
     discrimination_success,
     fidelity_sweep,
     monte_carlo_yield,
@@ -27,6 +26,8 @@ from zenosim.circuits import (
 from zenosim.gates import CHARGED, ImperfectionProfile
 from zenosim.interrogation import PI_OVER_2N, PI_OVER_N
 from zenosim.state import particle, photon
+
+from helpers import direct_beats_half
 
 
 def test_zeno_sweep_matches_closed_form():
@@ -58,6 +59,13 @@ def test_sweeps_refuse_a_count_that_is_not_an_integer(sweep, n):
     # each count reaches QiParams as given, so none is truncated or parsed
     with pytest.raises(ValueError, match=r"^cycles must be an integer or None, got "):
         sweep([n])
+
+
+@pytest.mark.parametrize("sweep", [zeno_sweep, fidelity_sweep])
+def test_sweeps_refuse_the_exact_limit(sweep):
+    # QiParams takes None as the exact limit, but a row's n_cycles is a count
+    with pytest.raises(ValueError, match=r"^a sweep takes cycle counts, not None \(the exact limit\)$"):
+        sweep([5, None])
 
 
 @pytest.mark.parametrize("n", [3.5, True, "3"], ids=repr)

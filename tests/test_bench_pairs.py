@@ -151,17 +151,19 @@ def test_each_run_compiles_from_source(monkeypatch, tmp_path):
 
 
 def _same_benchmark(ref, dest):
-    # the export of a parent whose benchmark is the working tree's
+    # the export of a parent whose benchmark is the working tree's, or the
+    # copy of that working tree
     shutil.copytree(bench_pairs.ROOT / "bench", dest / "bench",
                     ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(bench_pairs.ROOT / "BENCHMARK.json", dest / "BENCHMARK.json")
 
 
 def test_each_workload_gets_its_own_summary(monkeypatch, capsys):
-    runs = []
+    runs, trees = [], {}
 
     def canned(tree, workload, args):
-        side = "change" if tree == bench_pairs.ROOT else "parent"
+        side = tree.name
+        trees.setdefault(side, tree)
         runs.append((len(runs) // 4, workload, side))
         # the change is faster on sample-ideal and the same on verify-finite
         p50 = 2.0 if side == "change" and workload == "sample-ideal" else 3.0
@@ -169,8 +171,13 @@ def test_each_workload_gets_its_own_summary(monkeypatch, capsys):
                                            op_p90_ms=p50, peak_rss_mb=40.0))
 
     monkeypatch.setattr(bench_pairs, "export", _same_benchmark)
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", _same_benchmark)
     monkeypatch.setattr(bench_pairs, "_bench", canned)
     assert bench_pairs.main(["--workload", "sample-ideal,verify-finite", "--pairs", "2"]) == 0
+    # both sides run from copies, side by side in one directory, and never
+    # from the working tree itself
+    parent, change = trees["parent"], trees["change"]
+    assert parent.parent == change.parent and bench_pairs.ROOT not in (parent, change)
     assert runs == [(0, "sample-ideal", "parent"), (0, "sample-ideal", "change"),
                     (0, "verify-finite", "parent"), (0, "verify-finite", "change"),
                     (1, "sample-ideal", "change"), (1, "sample-ideal", "parent"),
@@ -187,6 +194,35 @@ def test_each_workload_gets_its_own_summary(monkeypatch, capsys):
     assert p50[1].startswith("op_p50_ms (lower is better): parent 3 [3, 3] -> change 3 [3, 3] "
                              "(+0.00%); "
                              "change won 0 of 2; gain holds: no")
+
+
+def test_a_benchmark_that_differs_stops_the_pairs(monkeypatch, capsys):
+    def edited(root, dest):
+        _same_benchmark(root, dest)
+        (dest / "BENCHMARK.json").write_text("{}")
+
+    monkeypatch.setattr(bench_pairs, "export", _same_benchmark)
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", edited)
+    assert bench_pairs.main(["--workload", "sample-ideal"]) == 1
+    assert "BENCHMARK.json differs between HEAD and the working tree" in capsys.readouterr().err
+
+
+def test_the_working_tree_copy_holds_what_git_sees(tmp_path):
+    root, dest = tmp_path / "repo", tmp_path / "copy"
+    (root / "src").mkdir(parents=True)
+    (root / ".gitignore").write_text("*.log\n")
+    for name in ("src/kept.py", "src/edited.py", "gone.py"):
+        (root / name).write_text("tracked\n")
+    subprocess.run(["git", "init", "-q"], cwd=root, check=True)
+    subprocess.run(["git", "add", "."], cwd=root, check=True)
+    (root / "src" / "edited.py").write_text("edited on disk\n")
+    (root / "gone.py").unlink()
+    (root / "src" / "new.py").write_text("untracked\n")
+    (root / "run.log").write_text("ignored\n")
+    bench_pairs.copy_working_tree(root, dest)
+    copied = {p.relative_to(dest).as_posix(): p.read_text() for p in dest.rglob("*") if p.is_file()}
+    assert copied == {".gitignore": "*.log\n", "src/kept.py": "tracked\n",
+                      "src/edited.py": "edited on disk\n", "src/new.py": "untracked\n"}
 
 
 @pytest.mark.parametrize("workloads", ["sample-ideal,nope", "verify-finite,verify-finite",

@@ -44,11 +44,6 @@ ALLOWED = {
     "interrogation._effective_map_cached":
         "the oracle's map memo; bench/workloads.clear_caches empties it before "
         "every pass and the benchmark checks its miss count",
-    "analysis._charges":
-        "each CNOT family's (field, count) charges, a tuple of at most five pairs per "
-        "family name; only the five families build one, since an unknown name raises. "
-        "Every call of `yield_formula` and `direct_beats_half` after a family's first "
-        "skips building and validating its circuit, in a fresh CLI process too",
     "cli.build_parser":
         "the argparse tree, which depends on no argument; built once per process",
     "oracle._gather_index":

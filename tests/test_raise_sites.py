@@ -120,6 +120,9 @@ class Row(NamedTuple):
 
 LEDGER = [
     # analysis (yield_formula's unknown family raises in cnot_circuit, below)
+    Row(Site("analysis", "_sweep_params", "a sweep takes cycle counts, not None (the exact limit)"),
+        partial(test_analysis.test_sweeps_refuse_the_exact_limit, analysis.fidelity_sweep),
+        "a sweep takes cycle counts, not None (the exact limit)"),
     Row(Site("analysis", "monte_carlo_yield", "trials must be an integer, got {}"),
         test_analysis.test_monte_carlo_rejects_bad_trials,
         "trials must be an integer, got 1000.0"),

@@ -4,9 +4,12 @@ working tree.
     python3 tools/bench_pairs.py --workload sample-ideal,verify-finite --parent HEAD~1 \\
         --pairs 10 --seed 1009 [--seconds 30]
 
-exports the parent with `git archive` into a temporary directory, and runs
-there only if the export's `bench/` and `BENCHMARK.json` equal the working
-tree's, so both sides run the same benchmark.  `--workload` takes one
+exports the parent with `git archive` and copies the working tree's
+tracked and unignored files, as they are on disk, into two sibling
+directories of one temporary directory, `parent` and `change`, so that the
+two sides differ in their files alone, not in where they lie.  It runs
+them only if both hold the same `bench/` and `BENCHMARK.json`, so both
+sides run the same benchmark.  `--workload` takes one
 workload that BENCHMARK.json names, or several separated by commas, and
 `--pairs` a count of at least 1.  Each pair runs `python3 bench/run.py
 --trace 0` once on each side for each workload in turn, the parent first
@@ -42,6 +45,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -68,6 +72,19 @@ def export(ref: str, dest: Path) -> None:
                          capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest)
+
+
+def copy_working_tree(root: Path, dest: Path) -> None:
+    """The working tree of the repository at `root`, written under `dest`:
+    each tracked file as it is on disk, and each untracked file that no
+    ignore rule excludes.  A tracked file deleted from disk is left out."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], cwd=root, capture_output=True,
+                            check=True).stdout.decode()
+    for name in sorted(set(listed.split("\0")) - {""}):
+        if (root / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
 
 
 def result_of(stdout: str) -> dict:
@@ -148,14 +165,14 @@ def main(argv: list[str] | None = None) -> int:
         p.error(f"--workload takes distinct names from {','.join(names)}, "
                 f"got {args.workload!r}")
     with tempfile.TemporaryDirectory() as tmp:
-        parent_tree = Path(tmp)
-        export(args.parent, parent_tree)
+        sides = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+        export(args.parent, sides["parent"])
+        copy_working_tree(ROOT, sides["change"])
         for name in SHARED:
-            if _files(parent_tree, name) != _files(ROOT, name):
+            if _files(sides["parent"], name) != _files(sides["change"], name):
                 print(f"bench_pairs: {name} differs between {args.parent} and the "
                       "working tree", file=sys.stderr)
                 return 1
-        sides = {"parent": parent_tree, "change": ROOT}
         results = {(side, w): [] for side in sides for w in workloads}
         for i in range(args.pairs):
             for w in workloads:
