@@ -5,13 +5,12 @@ component imperfections, and a Monte Carlo estimator for the same yields.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import CircuitProgram, cnot_circuit
-from .gates import ImperfectionProfile
+from .circuits import CircuitProgram, cnot_circuit, gate_census
+from .gates import CHARGED, ImperfectionProfile
 from .interrogation import KEEP, PI_OVER_2N, PI_OVER_N, QiParams, qi_run, qicz
 from .state import (
     BLOCKED,
@@ -58,10 +57,10 @@ def zeno_sweep(n_values, theta_rule: str = PI_OVER_N, absorb: float = 1.0,
     """Survival probability of a horizontal photon against a blocking
     particle, per cycle count: each reaches `QiParams` as given, except
     None, the exact limit, which is refused (`_sweep_params`)."""
+    state = _blocked_pair([PH_ONE_H, BLOCKED])
     rows = []
     for n in n_values:
         params = _sweep_params(n, theta_rule, absorb, loss)
-        state = _blocked_pair([PH_ONE_H, BLOCKED])
         out = qi_run(state, "p", ["b"], [BLOCKED], params)
         rows.append(SweepRow(params.cycles, theta_rule, absorb, loss,
                              survival=norm_sq(out)))
@@ -111,25 +110,22 @@ def discrimination_success(n: int, absorb: float,
                   + level_weight(open_, "p", PH_ONE_V))
 
 
-def _charges(family: str) -> tuple[tuple[str, int], ...]:
-    """(field, count) for each `ImperfectionProfile` field that
-    `cnot_circuit(family)` charges instructions to, in the fixed order eta,
-    p, q, r, s: the order of the written-out formulas `yield_formula`
-    replaced, so the printed yields keep every digit."""
-    counts = Counter(instr.charge for instr in cnot_circuit(family).instructions)
-    return tuple((charge, counts[charge]) for charge in ("eta", "p", "q", "r", "s")
-                 if counts[charge])
+def census_yield(census: dict[str, int], profile: ImperfectionProfile) -> float:
+    """Closed-form probability that every charged component counted in a
+    gate census (`circuits.gate_census`) works: each class's profile field
+    (`gates.CHARGED`) to the power of its count, multiplied in the fixed
+    order eta, p, q, r, s, since another order can move a yield's last
+    bit.  A class of count 0 multiplies by exactly 1.0."""
+    product = 1.0
+    for c in ("detectors", "h_optical", "qicz", "cc", "h_particle"):
+        product *= getattr(profile, CHARGED[c]) ** census[c]
+    return product
 
 
 def yield_formula(family: str, profile: ImperfectionProfile) -> float:
     """Closed-form probability that every component of one CNOT attempt
-    works, per family: each field of `profile` to the power of the count of
-    the family's instructions charged to it, multiplied in `_charges`'
-    order."""
-    product = 1.0
-    for charge, count in _charges(family):
-        product *= getattr(profile, charge) ** count
-    return product
+    works, per family: `census_yield` of `cnot_circuit(family)`'s census."""
+    return census_yield(gate_census(cnot_circuit(family)), profile)
 
 
 @dataclass

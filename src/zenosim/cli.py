@@ -352,7 +352,8 @@ def _cmd_montecarlo(args) -> int:
     print("family,p,q,r,s,eta,trials,seed,estimate,stderr,formula")
     print(_csv_line([family, profile.p, profile.q, profile.r, profile.s,
                      profile.eta, est.trials, est.master_seed, est.estimate,
-                     est.stderr, analysis.yield_formula(family, profile)]))
+                     est.stderr,
+                     analysis.census_yield(circuits.gate_census(program), profile)]))
     return 0
 
 

@@ -2,13 +2,14 @@
 
 from decimal import Decimal, localcontext
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
 from zenosim.analysis import yield_formula
 from zenosim.circuits import DIRECT_CX, HALF_MEMORY_KEEP_CONTROL
 from zenosim.gates import ImperfectionProfile
-from zenosim.interrogation import KEEP, QiParams, effective_map
+from zenosim.interrogation import KEEP, PI_OVER_2N, QiParams, effective_map
 from zenosim.oracle import DIMENSION_CAP, BranchTree, OracleLeaf
 from zenosim.state import PARTICLE_PM, PHOTON_COMPUTATIONAL, StateVector
 
@@ -182,6 +183,235 @@ def exact_decimal(x) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = REFERENCE_DIGITS
         return Decimal(num) / Decimal(den)
+
+
+# ---------------------------------------------------------------------------
+# a 50-digit reference walk of a whole program, in stdlib `decimal` alone.
+# Each amplitude is an (re, im) pair of `Decimal`s, kept in a dict by its
+# level tuple; a level tuple the dict does not hold is 0.  The gates come from their
+# definitions: H from a 60-digit sqrt(2), the Fourier transform and the
+# cphase phases from `_cos_sin`, each interrogation from `reference_powers`
+# gathered by blocked count.  A measurement is a projection and a
+# renormalization, walked depth first in outcome order.  The walk shares
+# nothing with the engine or the oracle but the program, so it says how far
+# a printed amplitude or weight is from the true one.
+
+_ZERO, _ONE = Decimal(0), Decimal(1)
+_WALK_CUTOFF = Decimal("1e-15")  # a kept branch weighs more than this
+
+
+def _columns_of(rows) -> dict:
+    """A square matrix of (re, im) entries as {column: [(row, entry)]},
+    zero entries and the identity's columns left out."""
+    n = len(rows)
+    cols = {}
+    for i in range(n):
+        col = [(j, rows[j][i]) for j in range(n) if rows[j][i] != (_ZERO, _ZERO)]
+        if col != [(i, (_ONE, _ZERO))]:
+            cols[i] = col
+    return cols
+
+
+with localcontext() as _ctx:
+    _ctx.prec = REFERENCE_DIGITS
+    _HALF_SQRT = _ONE / Decimal(2).sqrt()  # 1/sqrt(2) from a 60-digit sqrt(2)
+    _H_COLUMNS = _columns_of([[(_HALF_SQRT, _ZERO), (_HALF_SQRT, _ZERO)],
+                              [(_HALF_SQRT, _ZERO), (-_HALF_SQRT, _ZERO)]])
+_X_COLUMNS = {0: [(1, (_ONE, _ZERO))], 1: [(0, (_ONE, _ZERO))]}
+_Z_COLUMNS = {1: [(1, (-_ONE, _ZERO))]}
+
+
+def _fourier_columns(d: int) -> dict:
+    """The d-position Fourier transform, entry (j, k) exp(2 pi i jk/d)/sqrt(d)."""
+    scale = _ONE / Decimal(d).sqrt()
+    rows = []
+    for j in range(d):
+        row = []
+        for k in range(d):
+            c, s = _cos_sin(2 * _PI_60 * (j * k % d) / d)
+            row.append((c * scale, s * scale))
+        rows.append(row)
+    return _columns_of(rows)
+
+
+def _apply_columns(amps: dict, axis: int, cols: dict) -> dict:
+    """The operator `cols` (see `_columns_of`) on one axis, the identity on
+    the levels it leaves out."""
+    out = {}
+    for idx, (re, im) in amps.items():
+        col = cols.get(idx[axis])
+        if col is None:
+            col = [(idx[axis], (_ONE, _ZERO))]
+        for j, (mr, mi) in col:
+            key = idx[:axis] + (j,) + idx[axis + 1:]
+            r0, i0 = out.get(key, (_ZERO, _ZERO))
+            out[key] = (r0 + mr * re - mi * im, i0 + mr * im + mi * re)
+    return out
+
+
+def _prepared_vector(dim: int, args: dict) -> list:
+    vec = [(_ZERO, _ZERO)] * dim
+    if "pm" in args:
+        vec[0] = (_HALF_SQRT, _ZERO)
+        vec[1] = (_HALF_SQRT if args["pm"] == "+" else -_HALF_SQRT, _ZERO)
+    elif args.get("uniform"):
+        amp = _ONE / Decimal(dim - 1).sqrt()
+        vec[:dim - 1] = [(amp, _ZERO)] * (dim - 1)
+    elif "state" in args:  # the given doubles, exactly
+        for level, (re, im) in enumerate(args["state"]):
+            vec[level] = (Decimal(re), Decimal(im))
+    else:
+        vec[int(args.get("level", 0))] = (_ONE, _ZERO)
+    return vec
+
+
+def _interrogated(amps: dict, names: tuple, dims: tuple, a: dict, op: str,
+                  powers) -> dict:
+    """One interrogation: per configuration of the listed particles, the
+    (|1H>, |1V>) pair times T_k^N for its blocked count k (`powers(kmax)`
+    gives the stack), the sink and the listed particles' exploded levels
+    dropped."""
+    if op == "qicz":
+        particles, blocking = [a["particle"]], None
+    else:
+        particles, blocking = list(a["particles"]), a.get("blocking")
+    blocking = [0] * len(particles) if blocking is None else blocking
+    sets = [set(b) if isinstance(b, (list, tuple)) else {b} for b in blocking]
+    p = names.index(a["photon"])
+    axes = [names.index(name) for name in particles]
+    stack = powers(len(particles))
+    out = {}
+    for idx, (re, im) in amps.items():
+        ph = idx[p]
+        if ph == 3 or any(idx[ax] == dims[ax] - 1 for ax in axes):
+            continue
+        if ph == 0:
+            out[idx] = (re, im)
+            continue
+        t = stack[sum(idx[ax] in blk for ax, blk in zip(axes, sets))]
+        for row in (0, 1):
+            m = t[row][ph - 1]
+            key = idx[:p] + (row + 1,) + idx[p + 1:]
+            r0, i0 = out.get(key, (_ZERO, _ZERO))
+            out[key] = (r0 + m * re, i0 + m * im)
+    return out
+
+
+def _outcomes_of(amps: dict, axis: int, basis: str, dim: int) -> list:
+    """(outcome, projected amplitudes) per outcome of a measurement, in the
+    engine's outcome order, the failure outcome last: a rank-1 outcome
+    drops the axis, the pooled photon failure (|1V> and the sink) keeps
+    it."""
+    def rows(level):
+        return {idx[:axis] + idx[axis + 1:]: amp for idx, amp in amps.items()
+                if idx[axis] == level}
+
+    if basis == PHOTON_COMPUTATIONAL:
+        return [(0, rows(0)), (1, rows(1)),
+                (2, {idx: amp for idx, amp in amps.items() if idx[axis] >= 2})]
+    if basis == PARTICLE_PM:
+        found = []
+        for outcome, sign in ((0, _ONE), (1, -_ONE)):
+            out = {}
+            for idx, (re, im) in amps.items():
+                if idx[axis] < 2:
+                    m = _HALF_SQRT if idx[axis] == 0 else sign * _HALF_SQRT
+                    key = idx[:axis] + idx[axis + 1:]
+                    r0, i0 = out.get(key, (_ZERO, _ZERO))
+                    out[key] = (r0 + m * re, i0 + m * im)
+            found.append((outcome, out))
+        return found + [(2, rows(2))]
+    return [(level, rows(level)) for level in range(dim)]
+
+
+class ReferenceLeaf(NamedTuple):
+    names: tuple  # the live subsystems, in the engine's layout order
+    dims: tuple
+    amps: dict  # level tuple -> (re, im); a tuple it does not hold is 0
+    classical: dict
+    weight: Decimal  # the product of the kept branch weights
+    failed: bool
+
+
+def reference_walk(program, params: QiParams) -> list[ReferenceLeaf]:
+    """Every leaf of `program` under `params`, depth first in outcome order,
+    at `REFERENCE_DIGITS` digits.  A measurement outcome that weighs no
+    more than 1e-15 of its renormalized branch is dropped, and the last
+    outcome of each basis ends its branch failed."""
+    leaves = []
+    stacks = {}
+
+    def powers(kmax):
+        if kmax not in stacks:
+            if params.cycles is None:  # the pi/N wiring's exact limit
+                stacks[kmax] = [[[-_ONE, _ZERO], [_ZERO, -_ONE]]] + [
+                    [[_ONE, _ZERO], [_ZERO, _ZERO]]] * kmax
+            else:
+                stacks[kmax] = reference_powers(
+                    params.cycles, params.theta_rule == PI_OVER_2N,
+                    params.absorb_prob, params.cycle_loss, kmax)
+        return stacks[kmax]
+
+    def walk(pos, names, dims, amps, classical, weight):
+        for i in range(pos, len(program.instructions)):
+            instr = program.instructions[i]
+            op, a = instr.op, instr.args
+            if op == "prepare":
+                spec = program.spec(a["target"])
+                vec = _prepared_vector(spec.dim, a)
+                amps = {idx + (lv,): (re * vr - im * vi, re * vi + im * vr)
+                        for idx, (re, im) in amps.items()
+                        for lv, (vr, vi) in enumerate(vec) if vr or vi}
+                names, dims = names + (spec.name,), dims + (spec.dim,)
+            elif op in ("photon_h", "particle_h"):
+                d = dims[names.index(a["target"])] - 1
+                cols = _H_COLUMNS if op == "photon_h" or d == 2 else _fourier_columns(d)
+                amps = _apply_columns(amps, names.index(a["target"]), cols)
+            elif op in ("photon_x", "particle_x", "photon_z", "particle_z"):
+                cols = _X_COLUMNS if op.endswith("x") else _Z_COLUMNS
+                amps = _apply_columns(amps, names.index(a["target"]), cols)
+            elif op in ("cx", "cz"):
+                if classical[a["bit"]]:
+                    cols = _X_COLUMNS if op == "cx" else _Z_COLUMNS
+                    amps = _apply_columns(amps, names.index(a["target"]), cols)
+            elif op == "cphase":
+                angle = Decimal(a["coeff"]) * classical[a["key"]]
+                c, s = _cos_sin(abs(angle))  # of either sign
+                phase = (c, s if angle >= 0 else -s)
+                amps = _apply_columns(amps, names.index(a["target"]), {1: [(1, phase)]})
+            elif op in ("qicz", "qicz_multi"):
+                amps = _interrogated(amps, names, dims, a, op, powers)
+                if params.residual_v_policy != KEEP:  # the residual |1V> is dropped
+                    p = names.index(a["photon"])
+                    amps = {idx: amp for idx, amp in amps.items() if idx[p] != 2}
+            elif op == "xor":
+                classical = {**classical, a["out"]: classical[a["a"]] ^ classical[a["b"]]}
+            elif op == "measure":
+                axis = names.index(a["target"])
+                found = _outcomes_of(amps, axis, a["basis"], dims[axis])
+                rest = names[:axis] + names[axis + 1:], dims[:axis] + dims[axis + 1:]
+                for outcome, post in found:
+                    w = sum(re * re + im * im for re, im in post.values())
+                    if not w > _WALK_CUTOFF:
+                        continue
+                    norm = w.sqrt()
+                    post = {idx: (re / norm, im / norm) for idx, (re, im) in post.items()}
+                    record = {**classical, a["bit"]: outcome}
+                    if outcome != found[-1][0]:
+                        walk(i + 1, *rest, post, record, weight * w)
+                    else:  # the failure outcome; the pooled photon one keeps its axis
+                        pooled = a["basis"] == PHOTON_COMPUTATIONAL
+                        leaves.append(ReferenceLeaf(*((names, dims) if pooled else rest),
+                                                    post, record, weight * w, True))
+                return
+            else:
+                raise ValueError(f"the reference walk has no op {op!r}")
+        leaves.append(ReferenceLeaf(names, dims, amps, classical, weight, False))
+
+    with localcontext() as ctx:
+        ctx.prec = REFERENCE_DIGITS
+        walk(0, (), (), {(): (_ONE, _ZERO)}, {}, _ONE)
+    return leaves
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,33 @@ def test_yield_formula_matches_circuit_census(family):
     assert yield_formula(family, prof) == pytest.approx(product, rel=1e-12)
 
 
+# a profile at which the memory family's product moves in its last bit
+# when two later factors trade places (q and r, or p and r), which `%.12g`
+# would hide; about a third of random profiles do
+_ORDER_PROFILE = ImperfectionProfile(p=0.9, q=0.8, r=0.7, s=0.6, eta=0.5)
+
+
+def _product_in_order(fields, profile, exponents) -> float:
+    product = 1.0
+    for field in fields:
+        product *= getattr(profile, field) ** exponents.get(field, 0)
+    return product
+
+
+def test_the_order_profile_tells_the_orders_apart():
+    written = _product_in_order("eta p q r s".split(), _ORDER_PROFILE, _EXPONENTS["memory"])
+    for swapped in ("eta p r q s", "eta r q p s"):
+        assert _product_in_order(swapped.split(), _ORDER_PROFILE,
+                                 _EXPONENTS["memory"]) != written, swapped
+
+
+@pytest.mark.parametrize("family", CNOT_FAMILIES)
+def test_yield_formula_is_the_written_product_to_the_bit(family):
+    # exact equality: the yields multiply eta, p, q, r, s in that order
+    assert yield_formula(family, _ORDER_PROFILE) == _product_in_order(
+        "eta p q r s".split(), _ORDER_PROFILE, _EXPONENTS[family])
+
+
 def test_direct_beats_half_strict_and_tie():
     # direct wins iff s > eta * q * r**2
     assert direct_beats_half(ImperfectionProfile(q=0.9, r=0.9, s=0.99, eta=0.9))

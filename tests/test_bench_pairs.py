@@ -49,19 +49,25 @@ def test_summary_gives_medians_quartiles_wins_and_the_rule():
     lines = bench_pairs.summary(*_pairs(), END_TO_END)
     assert lines[0] == "pairs=10"
     assert lines[1] == ("op_p50_ms (lower is better): parent 3.045 [3.0225, 3.0675] -> "
-                        "change 2.945 [2.9225, 2.9675] (-3.28%); change won 10 of 10; gain holds: yes; "
+                        "change 2.945 [2.9225, 2.9675] (-3.28%); change won 10 of 10, sign test "
+                        "p=0.000977; median pair gain +3.28%; gain holds: yes; "
                         "bound 0.25: within bound")
     assert lines[2] == ("ops_per_s (higher is better): parent 60 [60, 60] -> change 60 "
-                        "[60, 60] (+0.00%); change won 0 of 10; gain holds: no; bound 0.25: within bound")
-    assert lines[3].endswith("change won 8 of 10; gain holds: no; bound 0.25: within bound")
-    assert lines[4].endswith("change won 10 of 10; gain holds: no; bound 0.15: within bound")
+                        "[60, 60] (+0.00%); change won 0 of 10, sign test p=1; median pair gain "
+                        "+0.00%; gain holds: no; bound 0.25: within bound")
+    # 8 wins of +23.08 % and 2 losses of -53.85 %
+    assert lines[3].endswith("change won 8 of 10, sign test p=0.0547; median pair gain +23.08%; "
+                             "gain holds: no; bound 0.25: within bound")
+    assert lines[4].endswith("change won 10 of 10, sign test p=0.000977; median pair gain "
+                             "+0.02%; gain holds: no; bound 0.15: within bound")
     assert len(lines) == 5
 
 
 def test_a_gain_in_the_wrong_direction_never_holds():
     parent, change = _pairs()
     lines = bench_pairs.summary(change, parent, END_TO_END)
-    assert lines[1].endswith("change won 0 of 10; gain holds: no; bound 0.25: within bound")
+    assert lines[1].endswith("change won 0 of 10, sign test p=1; median pair gain -3.40%; "
+                             "gain holds: no; bound 0.25: within bound")
 
 
 def test_summary_needs_one_result_per_side_per_pair():
@@ -70,8 +76,8 @@ def test_summary_needs_one_result_per_side_per_pair():
         bench_pairs.summary(parent, change[:-1], END_TO_END)
     one = bench_pairs.summary(parent[:1], change[:1], END_TO_END)
     assert one[1] == ("op_p50_ms (lower is better): parent 3 [3, 3] -> change 2.9 "
-                      "[2.9, 2.9] (-3.33%); change won 1 of 1; gain holds: yes; "
-                      "bound 0.25: within bound")
+                      "[2.9, 2.9] (-3.33%); change won 1 of 1, sign test p=0.5; median pair "
+                      "gain +3.33%; gain holds: yes; bound 0.25: within bound")
 
 
 def test_each_metric_gets_a_verdict_against_its_bound():
@@ -93,6 +99,34 @@ def test_each_metric_gets_a_verdict_against_its_bound():
     assert lines[4].endswith("gain holds: no; bound 0.15: within bound")
 
 
+@pytest.mark.parametrize("wins, losses, p", [
+    (10, 0, 1 / 1024), (9, 1, 11 / 1024), (8, 2, 56 / 1024), (5, 5, 638 / 1024),
+    (0, 10, 1.0), (0, 0, 1.0), (3, 0, 1 / 8)])
+def test_sign_test_p_is_the_binomial_tail(wins, losses, p):
+    assert bench_pairs.sign_test_p(wins, losses) == p
+
+
+def test_pair_gains_are_signed_and_their_median_is_taken():
+    # per pair, +10 %, +5 %, -20 %, +2 % and 0 % better for a
+    # lower-is-better metric, and a parent value of 0 left out: median
+    # +2 %; the 0 % pair is a tie, left out of the sign test, so 3 wins
+    # against 2 losses give p = 16/32
+    metrics = [{"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}]
+    old = [2.0, 4.0, 5.0, 10.0, 0.0, 3.0]
+    new = [1.8, 3.8, 6.0, 9.8, 0.5, 3.0]
+
+    def line():
+        return bench_pairs.summary([bench_pairs.result_of(_line(op_p50_ms=v)) for v in old],
+                                   [bench_pairs.result_of(_line(op_p50_ms=v)) for v in new],
+                                   metrics)[1]
+
+    assert "change won 3 of 6, sign test p=0.5; median pair gain +2.00%; " in line()
+    # read as higher-is-better, every sign flips: 2 wins against 3 losses
+    # give p = 26/32
+    metrics[0]["better"] = "higher"
+    assert "change won 2 of 6, sign test p=0.812; median pair gain -2.00%; " in line()
+
+
 @pytest.mark.parametrize("old, new, change", [
     (40.0, 42.0, "+5.00%"), (40.0, 30.0, "-25.00%"), (3.0, 3.0, "+0.00%"),
     (-2.0, -1.0, "+50.00%"), (0.0, 1.0, "n/a")])
@@ -106,6 +140,8 @@ def test_median_change_is_a_signed_percentage_of_the_parent(old, new, change):
                                                                       op_p50_ms=new))], metrics)
     for line in lines[1:]:
         assert f"-> change {new:g} [{new:g}, {new:g}] ({change}); change won" in line
+        if not old:
+            assert "median pair gain n/a; " in line
 
 
 @pytest.mark.parametrize("out, message", [
@@ -190,10 +226,12 @@ def test_each_workload_gets_its_own_summary(monkeypatch, capsys):
     p50 = [line for line in lines if line.startswith("op_p50_ms")]
     assert p50[0].startswith("op_p50_ms (lower is better): parent 3 [3, 3] -> change 2 [2, 2] "
                              "(-33.33%); "
-                             "change won 2 of 2; gain holds: yes")
+                             "change won 2 of 2, sign test p=0.25; median pair gain +33.33%; "
+                             "gain holds: yes")
     assert p50[1].startswith("op_p50_ms (lower is better): parent 3 [3, 3] -> change 3 [3, 3] "
                              "(+0.00%); "
-                             "change won 0 of 2; gain holds: no")
+                             "change won 0 of 2, sign test p=1; median pair gain +0.00%; "
+                             "gain holds: no")
 
 
 def test_a_benchmark_that_differs_stops_the_pairs(monkeypatch, capsys):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import zenosim
-from zenosim import gates, state as engine_state
+from zenosim import circuits, gates, state as engine_state
 from zenosim.analysis import yield_formula
 from zenosim.cli import (
     _csv_line,
@@ -992,6 +992,18 @@ def test_montecarlo_csv():
     estimate = float(fields[8])
     formula = float(fields[10])
     assert abs(estimate - formula) < 0.02
+
+
+def test_montecarlo_builds_and_validates_one_circuit(monkeypatch):
+    # the formula column reads the census of the circuit the estimate ran
+    programs = []
+    validate = circuits.validate_program
+    monkeypatch.setattr(circuits, "validate_program",
+                        lambda program: programs.append(program) or validate(program))
+    code, _, err = run_main("montecarlo", "--family", "memory",
+                            "--profile", "0.9,0.9,0.9,0.9,0.9", "--trials", "10")
+    assert (code, err) == (0, "")
+    assert len(programs) == 1
 
 
 def test_montecarlo_seed_out_of_range_is_one_error_line():

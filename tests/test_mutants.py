@@ -40,6 +40,7 @@ import test_emit
 import test_gates
 import test_interrogation
 import test_oracle
+import test_reference_walk
 import test_state
 from helpers import FAILURE_LEAVES
 from test_circuits import (
@@ -82,6 +83,16 @@ def _stacks_match_the_50_digit_reference() -> None:
     # the oracle reads the engine's own map at finite depth, so cycle
     # mutants are checked against the 50-digit reference instead
     assert_power_stacks_match_the_50_digit_reference(10**4)
+
+
+def _cnot_leaves_match_the_50_digit_walk() -> None:
+    # each case builds its own params, so no stack that an unmutated run
+    # kept on them is read
+    test_reference_walk.assert_demo_matches_the_walk("cnot-direct-cz", 333)
+
+
+def _bell_leaves_match_the_50_digit_walk_in_the_limit() -> None:
+    test_reference_walk.assert_demo_matches_the_walk("bell", None)
 
 
 # the test modules' own tests, called through their modules so that pytest
@@ -212,6 +223,11 @@ def _toffoli_is_a_ccnot() -> None:
 def _yield_exponents_are_the_written_ones() -> None:
     for family in circuits.CNOT_FAMILIES:
         test_analysis.test_yield_formula_matches_circuit_census(family)
+
+
+def _yields_multiply_in_the_written_order() -> None:
+    for family in circuits.CNOT_FAMILIES:
+        test_analysis.test_yield_formula_is_the_written_product_to_the_bit(family)
 
 
 def _arrays_print_like_their_lists() -> None:
@@ -428,6 +444,9 @@ MUTANTS = {
     "multiply-blocked-stacks-scaled-against-the-law": Mutant(
         interrogation, "_cycle_powers", "return power", "power[2:] *= 0.99; return power",
         _toffoli_failure_follows_the_law),
+    "blocked-stacks-scaled-against-the-walk": Mutant(
+        interrogation, "_cycle_powers", "return power", "power[1:] *= 0.99; return power",
+        _cnot_leaves_match_the_50_digit_walk),
     "open-angle-squared-not-exact": Mutant(
         interrogation, "_cycle_powers",
         "power[0] = keep_loss ** m * np.array([[np.cos(phi), -np.sin(phi)],\n"
@@ -482,6 +501,13 @@ MUTANTS = {
         "out[at[len(lead):] + (0,)], out[at[len(lead):] + (1,)] = "
         "amps[at[len(lead):] + (1,)], amps[at[len(lead):] + (0,)]",
         _pauli_steps_match_the_product),
+    # H's 1/sqrt(2) in single precision, about 1e-8 low: still a
+    # contraction, so only a check of the values sees it (H without its
+    # 1/sqrt(2) is no contraction, and `apply_local` refuses it first)
+    "photon-h-in-single-precision": Mutant(
+        gates, "photon_h", "apply_local(state, name, _PHOTON_H)",
+        "apply_local(state, name, _PHOTON_H.astype(np.complex64))",
+        _bell_leaves_match_the_50_digit_walk_in_the_limit),
     "pauli-z-negates-level-0": Mutant(
         gates, "_pauli", "out[at + (1,)] = -amps[at + (1,)]", "out[at + (0,)] = -amps[at + (0,)]",
         _pauli_steps_match_the_product),
@@ -544,6 +570,11 @@ MUTANTS = {
         circuits, "cnot_circuit",
         '*memory_read("m", "tp", "cm", "a"),\n            _ins("cz", bit="a", target="c"),',
         '*memory_read("m", "tp", "cm", "a"),', _yield_exponents_are_the_written_ones),
+    # q and r trade places in the product: every yield's value is the same
+    # but for rounding, so only an exact check sees it
+    "yield-factors-reordered": Mutant(
+        analysis, "census_yield", '"qicz", "cc"', '"cc", "qicz"',
+        _yields_multiply_in_the_written_order),
     "emitter-brackets-the-outer-axis": Mutant(
         cli, "_float_array", "for size in reversed(value.shape):",
         "for size in value.shape:", _arrays_print_like_their_lists),

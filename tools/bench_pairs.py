@@ -22,15 +22,25 @@ neither side.  A run that exits non-zero, is not `correct` or has failed
 ops stops the command with exit code 1.
 
 Each workload gets its own summary, after a `workload=<name>` line.  For
-each end-to-end metric BENCHMARK.json lists, the summary prints each
-side's median and quartiles, the change's median against the parent's as
-a signed percentage of the parent's (`n/a` when the parent's median is
-0), how many pairs the change won in the metric's
-`better` direction (ties count for neither side), and whether a gain
-holds: the change wins at least 9 pairs in 10, and the medians differ in
-its favour by more than the parent's interquartile range.  It then gives
-the metric's verdict against its `bound`, a fraction of the parent's
-median:
+each end-to-end metric BENCHMARK.json lists, the summary prints:
+
+- each side's median and quartiles, and the change's median against the
+  parent's as a signed percentage of the parent's (`n/a` when the
+  parent's median is 0);
+- how many pairs the change won in the metric's `better` direction (ties
+  count for neither side), and the one-sided sign-test p-value of those
+  wins (`sign_test_p`, ties left out: 9 wins in 10 give 0.0107, 8 give
+  0.0547);
+- the median pair gain: the median of the per-pair relative differences
+  d_i = (change_i - parent_i) / |parent_i|, signed so that positive is
+  better, over the pairs whose parent value is not 0 (`n/a` when none
+  is);
+- whether a gain holds: the change wins at least 9 pairs in 10, and the
+  medians differ in its favour by more than the parent's interquartile
+  range.
+
+It then gives the metric's verdict against its `bound`, a fraction of the
+parent's median:
 
 - `worse`: the change's median is behind the parent's by more than the
   bound;
@@ -44,6 +54,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import shutil
 import statistics
@@ -107,6 +118,14 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def sign_test_p(wins: int, losses: int) -> float:
+    """The one-sided sign-test p-value of `wins` against `losses`, ties
+    left out: the chance of at least `wins` heads in `wins + losses` fair
+    tosses (1.0 when no pair is decided)."""
+    n = wins + losses
+    return sum(math.comb(n, k) for k in range(wins, n + 1)) / 2 ** n
+
+
 def summary(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> list[str]:
     """One line per end-to-end metric over paired results: pair i is
     (parent[i], change[i])."""
@@ -118,6 +137,9 @@ def summary(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> l
         old = [r["metrics"][name]["value"] for r in parent]
         new = [r["metrics"][name]["value"] for r in change]
         wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+        losses = sum(sign * (b - a) < 0 for a, b in zip(old, new))
+        rel = [sign * (b - a) / abs(a) for a, b in zip(old, new) if a]
+        gain = f"{100 * statistics.median(rel) + 0.0:+.2f}%" if rel else "n/a"
         (o1, om, o3), (n1, nm, n3) = _quartiles(old), _quartiles(new)
         holds = 10 * wins >= 9 * len(old) and sign * (nm - om) > o3 - o1
         delta = f"{100 * (nm - om) / abs(om):+.2f}%" if om else "n/a"
@@ -131,7 +153,8 @@ def summary(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> l
         lines.append(f"{name} ({metric['better']} is better): parent {om:.6g} "
                      f"[{o1:.6g}, {o3:.6g}] -> change {nm:.6g} [{n1:.6g}, {n3:.6g}] "
                      f"({delta}); "
-                     f"change won {wins} of {len(old)}; gain holds: "
+                     f"change won {wins} of {len(old)}, sign test "
+                     f"p={sign_test_p(wins, losses):.3g}; median pair gain {gain}; gain holds: "
                      f"{'yes' if holds else 'no'}; bound {metric['bound']:g}: {verdict}")
     return lines
 
