@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuits import CircuitProgram, run_all_branches
-from .interrogation import QiParams, effective_map
+from .interrogation import KEEP, QiParams, effective_map
 from .state import PARTICLE_PM, PHOTON_COMPUTATIONAL
 
 DIMENSION_CAP = 1280
@@ -190,7 +190,7 @@ def _interrogation_op(p_dims: tuple[int, ...], blocks: tuple[frozenset, ...],
                       params: QiParams) -> np.ndarray:
     if params.cycles is None:
         return _ideal_interrogation_diag(
-            p_dims, blocks, keep_residual_v=params.residual_v_policy == "keep")
+            p_dims, blocks, keep_residual_v=params.residual_v_policy == KEEP)
     return effective_map(params, len(p_dims),
                          particle_positions=[d - 1 for d in p_dims],
                          blocking=list(blocks))

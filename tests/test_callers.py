@@ -12,6 +12,10 @@ callers outside `src/`; a test never counts.  `ALLOWED` lists the names
 kept on purpose without a caller; the test also fails on an entry that has
 gained one, so the list shrinks with the code.  The scan parses the eight
 modules and `bench/` once, in about 0.1 s of Tier-1.
+
+The same scan holds `tests/helpers.py` to the tests: each of its
+module-level definitions is named by a `tests/test_*.py` module, or by
+`helpers.py` outside the definition itself.
 """
 
 import ast
@@ -97,6 +101,17 @@ def test_every_definition_has_a_caller_in_src():
     found = unreferenced(sources, set(zenosim.__all__), _outside_src())
     assert found - ALLOWED == set(), f"named only by their definitions: {sorted(found - ALLOWED)}"
     assert ALLOWED - found == set(), f"allowed, but now named in src: {sorted(ALLOWED - found)}"
+
+
+def test_every_helper_has_a_caller_in_the_tests():
+    # a test-side helper that no test module names, and that `helpers.py`
+    # names only in its own definition, is left over from code that went
+    text = (_ROOT / "tests" / "helpers.py").read_text(encoding="utf-8")
+    tests = sum((_named(ast.parse(path.read_text(encoding="utf-8")))
+                 for path in sorted((_ROOT / "tests").glob("test_*.py"))), Counter())
+    defined = {name for name, _ in _defined(ast.parse(text))}
+    found = unreferenced({"helpers": text}, defined, tests)
+    assert found == set(), f"named by no test and only by their definitions: {sorted(found)}"
 
 
 def test_the_scan_sees_a_definition_named_only_by_itself_or_a_test():

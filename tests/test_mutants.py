@@ -160,7 +160,7 @@ def _walk_with_failure_leaves() -> None:
     _assert_same_walk(DEMOS["cnot-memory"](), FAILURE_LEAVES)
 
 
-def _oracle_leaves_match_the_per_branch_walk() -> None:
+def _oracle_leaves_match_the_50_digit_walk() -> None:
     test_oracle.test_leaves_are_byte_equal_to_the_per_branch_walk(
         "cnot-direct-cx", "n3", interrogation.ROUTE_TO_SINK)
 
@@ -493,7 +493,7 @@ MUTANTS = {
     "gather-index-key-without-axes": Mutant(
         oracle, "_gate", "_gather_index(shape, tuple(axes))",
         "_gather_index(shape, _gate.__dict__.setdefault(shape, tuple(axes)))",
-        _oracle_leaves_match_the_per_branch_walk),
+        _oracle_leaves_match_the_50_digit_walk),
     # a batched X indexed as if the state had no branch axis: it swaps along
     # the axis before the target's
     "pauli-x-without-branch-offset": Mutant(

@@ -40,10 +40,10 @@ from helpers import (
     CZ_MATRIX,
     FAILURE_LEAVES,
     bell_vector,
-    reference_brute_force_run,
     w_vector,
 )
 from test_properties import valid_programs
+from test_reference_walk import oracle_deviation
 
 IDEAL = QiParams(cycles=None)
 
@@ -361,7 +361,7 @@ def test_oracle_imports_only_its_pinned_engine_names():
                     imported.setdefault(module or "zenosim", set()).add("*")
     assert imported == {
         "circuits": {"CircuitProgram", "run_all_branches"},
-        "interrogation": {"QiParams", "effective_map"},
+        "interrogation": {"KEEP", "QiParams", "effective_map"},
         "state": {"PARTICLE_PM", "PHOTON_COMPUTATIONAL"},
     }
 
@@ -407,19 +407,15 @@ def test_add_has_the_bits_of_np_kron(sizes):
 
 
 # ---------------------------------------------------------------------------
-# the walk that prices each instruction once against the per-branch walk
+# the oracle against the 50-digit walk: every leaf pairs with the walk's
+# (layout, record, failure flag), and no part of an unnormalized oracle
+# amplitude lies further than the bound from the walk's amplitude times the
+# square root of its branch weight.  The worst measured on x86-64 Linux
+# (OpenBLAS): 3.6e-16 over the grid below (family-direct-cx at N = 333,
+# absorb 0.9, loss 1e-3, keep), and 8.1e-16 over 5,800 generated programs.
 
-
-def _leaf_records(tree):
-    return [(leaf.vector.tobytes(), leaf.vector.shape, leaf.layout,
-             list(leaf.assignments.items()), leaf.failed) for leaf in tree.leaves]
-
-
-def _assert_same_leaves(program, params):
-    got = _leaf_records(brute_force_run(program, params))
-    assert got == _leaf_records(reference_brute_force_run(program, params))
-    return got
-
+ORACLE_GRID_BOUND = 7.2e-16
+ORACLE_GENERATED_BOUND = 1.6e-15
 
 _PROGRAMS = {**DEMOS, **{f"family-{f}": partial(cnot_circuit, f) for f in CNOT_FAMILIES}}
 _DEPTHS = {
@@ -434,15 +430,18 @@ _DEPTHS = {
 @pytest.mark.parametrize("depth", list(_DEPTHS))
 @pytest.mark.parametrize("name", sorted(_PROGRAMS))
 def test_leaves_are_byte_equal_to_the_per_branch_walk(name, depth, policy):
+    # the name is kept from the byte pin against a frozen copy of the
+    # oracle that this check replaced, so that the test ids stay stable
     params = QiParams(**_DEPTHS[depth], residual_v_policy=policy)
-    assert _assert_same_leaves(_PROGRAMS[name](), params)
+    assert oracle_deviation(_PROGRAMS[name](), params) <= ORACLE_GRID_BOUND
 
 
 @settings(max_examples=60, deadline=None)
 @given(program=valid_programs())
 def test_generated_leaves_are_byte_equal_to_the_per_branch_walk(program):
+    # named as the grid test above
     for params in (IDEAL, QiParams(cycles=3, absorb_prob=0.8, cycle_loss=1e-3)):
-        _assert_same_leaves(program, params)
+        assert oracle_deviation(program, params) <= ORACLE_GENERATED_BOUND
 
 
 @pytest.mark.parametrize("name, shapes", [("cnot-memory", 1), ("wstate-3", 3)])

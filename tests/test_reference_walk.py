@@ -1,4 +1,5 @@
-"""Every leaf of `run_all_branches` against a 50-digit reference walk.
+"""Every leaf of `run_all_branches`, and of the oracle, against a 50-digit
+reference walk.
 
 `helpers.reference_walk` walks a program in stdlib `decimal` at 60 digits
 and shares nothing with the engine or the oracle but the program, so it
@@ -7,6 +8,13 @@ branch weight the engine gives is from the true value.  (At finite depth
 the oracle reads the engine's own interrogation map.)  Leaves pair by
 position: both walks go depth first in outcome order, and each pair must
 have the same layout, classical record and failure flag.
+
+The walk checks the oracle too: `oracle_deviation` pairs the leaves of
+`oracle.brute_force_run` with it, and `tests/test_oracle.py` bounds the
+deviation of an unnormalized oracle amplitude from the walk's amplitude
+times the square root of its branch weight by 7.2e-16 over the shipped
+programs and by 1.6e-15 over generated ones.  Engine runs of generated
+programs are bounded here the same way, unnormalized, at four depths.
 
 The grid is the 12 shipped demos at the exact limit, and at N in
 {17, 333, 10^4} x absorb {1, 0.9} x loss {0, 1e-3}, under the pi/N rule
@@ -42,13 +50,17 @@ engine's absolute error by one over the square root of its weight.
 """
 
 from decimal import Decimal
+from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from helpers import reference_walk
+from test_properties import valid_programs
 from zenosim.circuits import DEMOS, run_all_branches
-from zenosim.interrogation import QiParams
+from zenosim.interrogation import KEEP, PI_OVER_2N, QiParams
+from zenosim.oracle import brute_force_run
 
 DEPTHS = (None, 17, 333, 10**4)
 ABSORB = (1.0, 0.9)
@@ -77,26 +89,63 @@ BOUNDS = {
 }
 
 
-def deviations(program, params: QiParams) -> tuple[Decimal, Decimal]:
-    """The largest deviation from the walk of a real or imaginary part of a
-    `run_all_branches` leaf amplitude, and of a branch weight, once the
-    leaves are checked to pair: as many, and each pair with the same
-    layout, record and failure flag."""
-    want = reference_walk(program, params)
-    got = run_all_branches(program, params)
+def _amplitude_deviation(got: list, want: list, unnormalized: bool) -> Decimal:
+    """The largest deviation of a real or imaginary part of an amplitude in
+    `got`, one (layout, record, failed, amplitudes) per leaf, from the walk
+    leaf it pairs with, once the leaves are checked to pair: as many, and
+    each pair with the same layout, shape, record and failure flag.  With
+    `unnormalized`, each walk amplitude is scaled by the square root of its
+    branch weight first."""
     assert len(got) == len(want), (len(got), len(want))
-    amp = weight = Decimal(0)
+    worst = Decimal(0)
     zero = (Decimal(0), Decimal(0))
-    for leaf, ref in zip(got, want):
-        assert tuple(s.name for s in leaf.final_state.layout) == ref.names
-        assert (leaf.classical, leaf.failed) == (ref.classical, ref.failed)
-        amps = leaf.final_state.amps
+    for (layout, record, failed, amps), ref in zip(got, want):
+        assert (layout, amps.shape) == (ref.names, ref.dims)
+        assert (record, failed) == (ref.classical, ref.failed)
+        scale = ref.weight.sqrt() if unnormalized else Decimal(1)
         for idx in np.ndindex(amps.shape):
             re, im = ref.amps.get(idx, zero)
             value = amps[idx]
-            amp = max(amp, abs(Decimal(value.real) - re), abs(Decimal(value.imag) - im))
+            worst = max(worst, abs(Decimal(value.real) - re * scale),
+                        abs(Decimal(value.imag) - im * scale))
+    return worst
+
+
+def deviations(program, params: QiParams,
+               unnormalized: bool = False) -> tuple[Decimal, Decimal, Decimal]:
+    """The largest deviation from the walk of a real or imaginary part of a
+    `run_all_branches` leaf amplitude (times the square root of its branch
+    weight, with `unnormalized`), of a branch weight, and of a success
+    probability, once the leaves pair (see `_amplitude_deviation`).  A
+    failed leaf's success probability must be 0; a kept leaf's is compared
+    with the walk's branch weight times its norm squared."""
+    want = reference_walk(program, params)
+    got = run_all_branches(program, params)
+    amp = _amplitude_deviation(
+        [(tuple(s.name for s in leaf.final_state.layout), leaf.classical, leaf.failed,
+          leaf.final_state.amps * sqrt(leaf.branch_weight) if unnormalized
+          else leaf.final_state.amps) for leaf in got], want, unnormalized)
+    weight = success = Decimal(0)
+    for leaf, ref in zip(got, want):
         weight = max(weight, abs(Decimal(leaf.branch_weight) - ref.weight))
-    return amp, weight
+        if leaf.failed:
+            assert leaf.success_probability == 0.0
+        else:
+            norm_sq = sum(re * re + im * im for re, im in ref.amps.values())
+            success = max(success, abs(Decimal(leaf.success_probability)
+                                       - ref.weight * norm_sq))
+    return amp, weight, success
+
+
+def oracle_deviation(program, params: QiParams) -> Decimal:
+    """The largest deviation of a real or imaginary part of a
+    `brute_force_run` leaf amplitude, which is unnormalized, from the walk
+    leaf's amplitude times the square root of its branch weight, once the
+    leaves pair (see `_amplitude_deviation`)."""
+    leaves = brute_force_run(program, params).leaves
+    return _amplitude_deviation(
+        [(leaf.layout, leaf.assignments, leaf.failed, leaf.vector) for leaf in leaves],
+        reference_walk(program, params), unnormalized=True)
 
 
 def assert_demo_matches_the_walk(name: str, depth) -> None:
@@ -108,7 +157,7 @@ def assert_demo_matches_the_walk(name: str, depth) -> None:
              else [(absorb, loss) for absorb in ABSORB for loss in LOSS])
     for absorb, loss in cases:
         params = QiParams(cycles=depth, absorb_prob=absorb, cycle_loss=loss)
-        amp, weight = deviations(DEMOS[name](), params)
+        amp, weight, _ = deviations(DEMOS[name](), params)
         assert amp <= amp_bound and weight <= weight_bound, (
             absorb, loss, float(amp), float(weight))
 
@@ -122,3 +171,24 @@ def test_leaves_match_the_50_digit_walk(name, depth):
 def test_bounds_cover_every_demo():
     assert sorted(BOUNDS) == sorted(DEMOS)
     assert all(len(row) == len(DEPTHS) for row in BOUNDS.values())
+
+
+# generated programs at the exact limit, at N = 3 with absorb 0.8 and loss
+# 1e-3, at N = 333 under the pi/2N rule keeping the residual |1V>, and at
+# N = 10^4 with absorb 0.9; the bounds on an unnormalized amplitude part, a
+# branch weight and a success probability are about twice the worst
+# measured over 6,100 programs on x86-64 Linux: 1.8e-15, 1.0e-15 and 1.2e-15
+GENERATED = (QiParams(cycles=None),
+             QiParams(cycles=3, absorb_prob=0.8, cycle_loss=1e-3),
+             QiParams(cycles=333, theta_rule=PI_OVER_2N, residual_v_policy=KEEP),
+             QiParams(cycles=10**4, absorb_prob=0.9))
+GENERATED_BOUNDS = (3.6e-15, 2.0e-15, 2.5e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(program=valid_programs())
+def test_generated_leaves_match_the_50_digit_walk(program):
+    for params in GENERATED:
+        found = deviations(program, params, unnormalized=True)
+        assert all(d <= bound for d, bound in zip(found, GENERATED_BOUNDS)), (
+            params, [float(d) for d in found])
