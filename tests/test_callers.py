@@ -15,7 +15,10 @@ modules and `bench/` once, in about 0.1 s of Tier-1.
 
 The same scan holds `tests/helpers.py` to the tests: each of its
 module-level definitions is named by a `tests/test_*.py` module, or by
-`helpers.py` outside the definition itself.
+`helpers.py` outside the definition itself.  Each `_`-prefixed
+module-level definition of a `tests/test_*.py` module is named by a test
+module outside the definition itself, so that no part of a retired
+reference stays behind.
 """
 
 import ast
@@ -103,15 +106,28 @@ def test_every_definition_has_a_caller_in_src():
     assert ALLOWED - found == set(), f"allowed, but now named in src: {sorted(ALLOWED - found)}"
 
 
+def _test_modules() -> dict[str, str]:
+    return {path.stem: path.read_text(encoding="utf-8")
+            for path in sorted((_ROOT / "tests").glob("test_*.py"))}
+
+
 def test_every_helper_has_a_caller_in_the_tests():
     # a test-side helper that no test module names, and that `helpers.py`
     # names only in its own definition, is left over from code that went
     text = (_ROOT / "tests" / "helpers.py").read_text(encoding="utf-8")
-    tests = sum((_named(ast.parse(path.read_text(encoding="utf-8")))
-                 for path in sorted((_ROOT / "tests").glob("test_*.py"))), Counter())
+    tests = sum((_named(ast.parse(source)) for source in _test_modules().values()), Counter())
     defined = {name for name, _ in _defined(ast.parse(text))}
     found = unreferenced({"helpers": text}, defined, tests)
     assert found == set(), f"named by no test and only by their definitions: {sorted(found)}"
+
+
+def test_every_private_test_definition_has_a_caller():
+    # pytest calls a test module's public functions; a private one that no
+    # test module names outside its own definition is left over from code
+    # that went
+    found = {name for name in unreferenced(_test_modules(), set(), Counter())
+             if name.partition(".")[2].startswith("_")}
+    assert found == set(), f"named only by their definitions: {sorted(found)}"
 
 
 def test_the_scan_sees_a_definition_named_only_by_itself_or_a_test():

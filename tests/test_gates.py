@@ -33,7 +33,6 @@ from zenosim.state import (
     StateVector,
     apply_local,
     new_state,
-    norm_sq,
     particle,
     photon,
     stack_branches,

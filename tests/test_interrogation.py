@@ -474,51 +474,7 @@ def test_engine_matches_literal_cycle_loop(config, n):
                         (eps, lam, rule, policy)
 
 
-# --- the engine's axis moves and power stacks against numpy's helpers ------
-
-def _acceptance_grid():
-    """Every depth x theta rule x absorb x loss x residual policy, plus the
-    exact limit."""
-    yield QiParams(cycles=None)
-    for n, rule, eps, lam, policy in product(
-            (1, 2, 3, 17, 333, 10**4, 10**7), (PI_OVER_N, PI_OVER_2N),
-            (0.0, 0.5, 0.9, 1.0), (0.0, 1e-3), (ROUTE_TO_SINK, KEEP)):
-        yield QiParams(cycles=n, theta_rule=rule, absorb_prob=eps, cycle_loss=lam,
-                       residual_v_policy=policy)
-
-
-def _cycle_powers_reference(kmax, theta, eps, lam, m):
-    """T_k^m stacked, squared from a `broadcast_to(eye)` identity start."""
-    one = np.longdouble(1)
-    c, s = np.cos(theta), np.sin(theta)
-    keep_eps = np.sqrt(one - np.longdouble(eps)) ** np.arange(kmax + 1)
-    keep_loss = np.sqrt(one - np.longdouble(lam))
-    step = np.empty((kmax + 1, 2, 2), dtype=np.longdouble)
-    step[:, 0, 0], step[:, 0, 1] = c, -s
-    step[:, 1, 0], step[:, 1, 1] = s * keep_eps, c * keep_eps
-    step *= keep_loss
-    power = np.broadcast_to(np.eye(2, dtype=np.longdouble), step.shape).copy()
-    e = m
-    while e:
-        if e & 1:
-            power = power @ step
-        e >>= 1
-        if e:
-            step = step @ step
-    phi = m * theta
-    power[0] = keep_loss ** m * np.array([[np.cos(phi), -np.sin(phi)],
-                                          [np.sin(phi), np.cos(phi)]])
-    if eps == 0.0:
-        power[1:] = power[0]
-    return power
-
-
-def _limit_powers_reference(kmax):
-    power = np.broadcast_to(np.diag(np.array([1, 0], dtype=np.longdouble)),
-                            (kmax + 1, 2, 2)).copy()
-    power[0] = np.diag(np.array([-1, -1], dtype=np.longdouble))
-    return power
-
+# --- the T_k^N stacks at their literal values ------------------------------
 
 def _same_longdouble(got, want):
     # a longdouble's padding bytes are uninitialized, so equal values can
@@ -528,53 +484,20 @@ def _same_longdouble(got, want):
 
 
 @pytest.mark.parametrize("kmax", [0, 1, 3])
-def test_power_stacks_match_broadcast_eye_start(kmax):
-    for params in _acceptance_grid():
-        if params.cycles is None:
-            got, want = interrogation._limit_powers(kmax), _limit_powers_reference(kmax)
-        else:
-            args = (kmax, theta_value(params), params.absorb_prob, params.cycle_loss,
-                    params.cycles)
-            got = interrogation._cycle_powers(*args)
-            want = _cycle_powers_reference(*args)
-        assert _same_longdouble(got, want), params
-
-
-def _qi_run_reference(state, photon_name, particles, blocking, params):
-    """qi_run with `np.moveaxis` to the photon and the reference power stacks."""
-    p_axis, plan = interrogation._prepare(state, photon_name, particles, blocking)
-    amps = state.amps.copy()
-    work = np.moveaxis(amps, p_axis, 0)
-    interrogation._run_cycles(work, plan, params)
-    if params.residual_v_policy == ROUTE_TO_SINK:
-        work[PH_ONE_V] = 0.0
-    work[PH_SINK] = 0.0
-    for rest_axis, _, exploded in plan:
-        work[(slice(None),) * (rest_axis + 1) + (exploded,)] = 0.0
-    return amps
-
-
-def test_qi_run_is_bit_identical_to_moveaxis_reference(monkeypatch):
-    rng = np.random.default_rng(14)
-    layout = (particle("x", 3), photon("p"), particle("b"), particle("c", 3))
-    dims = [s.dim for s in layout]
-    amps = rng.normal(size=dims) + 1j * rng.normal(size=dims)
-    state = StateVector(layout, amps / np.linalg.norm(amps))
-    wirings = [(["c", "b"], [[0, 2], 1]), (["x"], None), ([], None)]
-    # each side gets its own params objects, so the checked side cannot be
-    # served the stacks the patched reference side memoized
-    with monkeypatch.context() as patched:
-        patched.setattr(interrogation, "_cycle_powers", _cycle_powers_reference)
-        patched.setattr(interrogation, "_limit_powers", _limit_powers_reference)
-        grid = list(_acceptance_grid())
-        want = [_qi_run_reference(state, "p", names, blocking, params)
-                for names, blocking in wirings for params in grid]
-    grid = list(_acceptance_grid())
-    got = [qi_run(state, "p", names, blocking, params).amps
-           for names, blocking in wirings for params in grid]
-    assert len(got) == 3 * 225
-    for i, (g, w) in enumerate(zip(got, want)):
-        assert g.tobytes() == w.tobytes(), (wirings[i // 225], grid[i % 225])
+def test_one_cycle_and_limit_stacks_are_their_literal_values(kmax):
+    # one cycle at theta = pi with a full absorber: T_0 is the rotation, and
+    # every blocked T_k keeps its first row over a |1V> row of +0.0, though
+    # the step's own |1V> row holds cos(theta) * 0 = -0.0
+    params = QiParams(cycles=1, absorb_prob=1.0)
+    theta = theta_value(params)
+    c, s = np.cos(theta), np.sin(theta)
+    zero, one = type(theta)(0), type(theta)(1)
+    want = np.array([[[c, -s], [s, c]]] + [[[c, -s], [zero, zero]]] * kmax)
+    assert _same_longdouble(interrogation._power_stack(params, kmax), want)
+    # the exact limit: the open interferometer's sign flip, and the photon
+    # frozen on |1H> with |1V> absorbed wherever a particle blocks
+    want = np.array([[[-one, zero], [zero, -one]]] + [[[one, zero], [zero, zero]]] * kmax)
+    assert _same_longdouble(interrogation._power_stack(QiParams(cycles=None), kmax), want)
 
 
 # --- the T_k^N stacks memoized on each params object ------------------------

@@ -1,166 +1,46 @@
-"""The batched walk of `run_all_branches` against the recursive walk it
-replaced, and the module attributes the bench tracer rebinds.
+"""The batched walk of `run_all_branches` against the same walk taken one
+branch at a time, and the module attributes the bench tracer rebinds.
 
-`reference_run_all_branches` is the walk as it was before sibling branches
-shared one stacked state per instruction: one recursion per branch, each
-branch's segment run alone on its own plain state.  It is kept literally,
-except that it reads its own copy of the op table's actions as they were
-(a plain classical dict per branch, one recorded value per correction) and
-drops the charged-instruction bookkeeping that only sampled runs read.
-The walk in `zenosim.circuits` must give byte-equal results in the same
-order."""
+`_one_branch_at_a_time` copies a program with every measure's plan entry
+binding batches of one branch, so `run_all_branches` runs each segment on
+the plain state of one branch, as `run` does.  The batched walk, in which
+sibling branches share one stacked state per instruction, must give
+byte-equal results in the same order.  What both walks compute is checked
+against the 50-digit walk in `tests/test_reference_walk.py`."""
 
+import copy
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from helpers import FAILURE_LEAVES
 from zenosim import circuits, gates, interrogation, state as engine_state
-from zenosim.circuits import (
-    DEMOS,
-    CircuitProgram,
-    Instruction,
-    RunResult,
-    _prepared,
-    run,
-    run_all_branches,
-)
-from zenosim.interrogation import KEEP, PI_OVER_2N, QiParams, qicz, qicz_multi
+from zenosim.circuits import DEMOS, CircuitProgram, Instruction, run, run_all_branches
+from zenosim.interrogation import KEEP, PI_OVER_2N, QiParams
 from zenosim.state import (
     BRANCH_CUTOFF,
     PARTICLE_PM,
     PHOTON_COMPUTATIONAL,
     QUDIT_POSITION,
     StateVector,
-    add_subsystem,
-    basis_outcomes,
-    branch_all,
-    norm_sq,
     particle,
     photon,
 )
 
 from test_properties import valid_programs
 
-# ---------------------------------------------------------------------------
-# the recursive walk, as it was
 
-
-def _gate(name):
-    return lambda state, a, ctx: getattr(gates, name)(state, a["target"])
-
-
-def _controlled(op):
-    return lambda state, a, ctx: gates.classically_controlled(
-        state, ctx.classical[a["bit"]], op, a["target"])
-
-
-def _xor(state, a, ctx):
-    ctx.classical[a["out"]] = ctx.classical[a["a"]] ^ ctx.classical[a["b"]]
-    return state
-
-
-REFERENCE_ACTIONS = {
-    "prepare": lambda state, a, ctx: add_subsystem(state, *_prepared(a, ctx.program, {})),
-    **{name: _gate(name) for name in ("photon_h", "photon_x", "photon_z",
-                                      "particle_h", "particle_x", "particle_z")},
-    "qicz": lambda state, a, ctx: qicz(state, a["photon"], a["particle"], ctx.params),
-    "qicz_multi": lambda state, a, ctx: qicz_multi(state, a["photon"], a["particles"],
-                                                   ctx.params, blocking=a.get("blocking")),
-    "measure": None,
-    "cx": _controlled("cx"),
-    "cz": _controlled("cz"),
-    "cphase": lambda state, a, ctx: gates.classically_controlled_phase(
-        state, ctx.classical[a["key"]], a["target"], a["coeff"]),
-    "xor": _xor,
-}
-
-
-@dataclass
-class _Context:
-    program: CircuitProgram
-    params: QiParams
-    classical: dict
-
-
-@dataclass(eq=False)
-class _Segment:
-    weight: float
-    state: StateVector | None = None
-    classical: dict = field(default_factory=dict)
-    failed: bool = False
-    error: tuple | None = None
-    measured: int | None = None
-    branches: list = field(default_factory=list)
-
-    def result(self) -> RunResult:
-        if self.error is not None:
-            exc, tb = self.error
-            raise exc.with_traceback(tb)
-        return RunResult(
-            final_state=self.state, classical=dict(self.classical),
-            success_probability=0.0 if self.failed else self.weight * norm_sq(self.state),
-            failed=self.failed, branch_weight=self.weight)
-
-
-def _zeroed(layout):
-    return StateVector(layout, np.zeros(tuple(s.dim for s in layout), dtype=np.complex128))
-
-
-def _segment(program, params, classical, weight, state, pos):
-    seg = _Segment(weight, classical=classical)
-    ctx = _Context(program, params, classical)
-    try:
-        for i in range(pos, len(program.instructions)):
-            instr = program.instructions[i]
-            action = REFERENCE_ACTIONS[instr.op]
-            if action is None:
-                seg.branches = branch_all(state, instr.args["target"], instr.args["basis"])
-                seg.measured = i
-                if not seg.branches:
-                    seg.state, seg.failed = _zeroed(state.layout), True
-                break
-            state = action(state, instr.args, ctx)
-        else:
-            seg.state = state
-    except Exception as exc:
-        seg.error = (exc, exc.__traceback__)
-    return seg
-
-
-def _child(program, params, seg, index):
-    outcome, post, prob = seg.branches[index]
-    instr = program.instructions[seg.measured]
-    classical = {**seg.classical, instr.args["bit"]: outcome}
-    spec = program.spec(instr.args["target"])
-    if outcome == basis_outcomes(spec, instr.args["basis"])[-1][0]:
-        return _Segment(seg.weight * prob, post, classical, failed=True)
-    return _segment(program, params, classical, seg.weight * prob, post,
-                    seg.measured + 1)
-
-
-def reference_run_all_branches(program, params=None):
-    params = params or QiParams()
-    results = []
-
-    def leaves(seg):
-        if seg.measured is None:
-            results.append(seg.result())
-            return
-        for index in range(len(seg.branches)):
-            leaves(_child(program, params, seg, index))
-
-    leaves(_segment(program, params, {}, 1.0,
-                    StateVector((), np.ones((), dtype=np.complex128)), 0))
-    return results
-
-
-# ---------------------------------------------------------------------------
-# byte equality
+def _one_branch_at_a_time(program: CircuitProgram) -> CircuitProgram:
+    """`program` with every measure binding batches of one branch."""
+    plan = [(entry[0], 1) if instr.op == "measure" else entry
+            for instr, entry in zip(program.instructions, program._plan)]
+    single = copy.copy(program)
+    object.__setattr__(single, "_plan", tuple(plan))
+    return single
 
 
 def _record(result):
@@ -172,7 +52,7 @@ def _record(result):
 
 def _assert_same_walk(program, params):
     got = [_record(r) for r in run_all_branches(program, params)]
-    assert got == [_record(r) for r in reference_run_all_branches(program, params)]
+    assert got == [_record(r) for r in run_all_branches(_one_branch_at_a_time(program), params)]
     return got
 
 
@@ -183,13 +63,39 @@ PARAMS = {
     "n333-lossy": QiParams(cycles=333, absorb_prob=0.9, cycle_loss=1e-3),
     "n10000": QiParams(cycles=10_000),
     "keep-residual": QiParams(cycles=17, absorb_prob=0.9, residual_v_policy=KEEP),
+    "failure-leaves": FAILURE_LEAVES,
 }
 
 
+def _ins(op, **args):
+    return Instruction(op, args)
+
+
+def register_program() -> CircuitProgram:
+    """A 16-level register that stays live while five photons are prepared,
+    H'd and measured in turn, and is measured at the end: its bit has 15
+    values, each photon's 2."""
+    instructions = [_ins("prepare", target="r", uniform=True)]
+    for i in range(5):
+        instructions += [_ins("prepare", target=f"p{i}", level=0),
+                         _ins("photon_h", target=f"p{i}"),
+                         _ins("measure", target=f"p{i}", basis=PHOTON_COMPUTATIONAL,
+                              bit=f"b{i}")]
+    instructions.append(_ins("measure", target="r", basis=QUDIT_POSITION, bit="r"))
+    return CircuitProgram(
+        (particle("r", positions=15),) + tuple(photon(f"p{i}") for i in range(5)),
+        tuple(f"b{i}" for i in range(5)) + ("r",), tuple(instructions))
+
+
+PROGRAMS = {**DEMOS, "register": register_program}
+
+
 @pytest.mark.parametrize("params", list(PARAMS.values()), ids=list(PARAMS))
-@pytest.mark.parametrize("name", sorted(DEMOS))
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_demo_walk_is_byte_equal_to_the_recursive_walk(name, params):
-    _assert_same_walk(DEMOS[name](), params)
+    # the name is kept from the comparison with a frozen copy of the
+    # recursive walk that this one replaced, so that the test ids stay stable
+    _assert_same_walk(PROGRAMS[name](), params)
 
 
 def test_keep_residual_reaches_failure_leaves_between_measurements():
@@ -203,12 +109,9 @@ def test_keep_residual_reaches_failure_leaves_between_measurements():
 @settings(max_examples=60, deadline=None)
 @given(program=valid_programs())
 def test_generated_walks_are_byte_equal_to_the_recursive_walk(program):
+    # named as the demo test above
     for params in (PARAMS["exact"], QiParams(cycles=3, absorb_prob=0.8, cycle_loss=1e-3)):
         _assert_same_walk(program, params)
-
-
-def _ins(op, **args):
-    return Instruction(op, args)
 
 
 def test_branch_below_the_cutoff_is_dropped_the_same_way():
@@ -277,22 +180,6 @@ def test_failure_outcome_and_an_emptied_branch_mid_program():
     assert len(_assert_same_walk(program, PARAMS["n3"])) == 5
 
 
-def register_program() -> CircuitProgram:
-    """A 16-level register that stays live while five photons are prepared,
-    H'd and measured in turn, and is measured at the end: its bit has 15
-    values, each photon's 2."""
-    instructions = [_ins("prepare", target="r", uniform=True)]
-    for i in range(5):
-        instructions += [_ins("prepare", target=f"p{i}", level=0),
-                         _ins("photon_h", target=f"p{i}"),
-                         _ins("measure", target=f"p{i}", basis=PHOTON_COMPUTATIONAL,
-                              bit=f"b{i}")]
-    instructions.append(_ins("measure", target="r", basis=QUDIT_POSITION, bit="r"))
-    return CircuitProgram(
-        (particle("r", positions=15),) + tuple(photon(f"p{i}") for i in range(5)),
-        tuple(f"b{i}" for i in range(5)) + ("r",), tuple(instructions))
-
-
 def test_batches_stay_within_the_amplitude_cap(monkeypatch):
     # a 16-level register stays live while five photons are prepared, H'd
     # and measured in turn, and is measured at the end: up to 16 branches of
@@ -310,8 +197,8 @@ def test_batches_stay_within_the_amplitude_cap(monkeypatch):
     got = _assert_same_walk(register_program(), PARAMS["exact"])
     assert len(got) == 2 ** 5 * 15
     # one photon_h per segment: the root's on one branch, then those of 2,
-    # 4, 8 and 16 branches in batches of at most 4; the recursive walk's 31
-    # act on one branch each
+    # 4, 8 and 16 branches in batches of at most 4; the one-branch walk's
+    # 31 act on one branch each
     assert Counter(seen) == {(1, 64): 1 + 31, (2, 128): 1, (4, 256): 1 + 2 + 4}
 
 
