@@ -1,32 +1,39 @@
 """Brute-force cross-check of circuit execution.
 
-This module re-runs a program with its own machinery: the vector is
-permuted by index arithmetic so that a gate's subsystems come first, the
-oracle's own gate matrix multiplies that vector reshaped to (front, rest),
-which holds the only nonzero blocks of operator kron identity, the result
-is permuted back to the live subsystem order, and measurements contract
-with explicit projector rows.  The interrogation step uses either its
-exact diagonal limit or the linear map that the cycle engine gives in one
+This module re-runs a program with its own machinery.  A branch's vector
+stays in the order of subsystems that its last gate left it in (its
+physical order), which need not be the live layout: a gate gathers the
+vector by index arithmetic so that the gate's subsystems come first and
+the rest keep their order, and the oracle's own gate matrix multiplies
+that vector reshaped to (front, rest), which holds the only nonzero blocks
+of operator kron identity.  The product is the branch's new vector, in that
+front-first order.  A measurement contracts the target with explicit
+projector rows, every outcome's in one einsum, and a leaf is reordered
+once, into the live layout.  The interrogation step uses either its exact
+diagonal limit or the linear map that the cycle engine gives in one
 batched run (every basis column at once), so agreement between the two
 runners checks everything downstream of that map.
 
 A branch's layout at an instruction is the same on every path that
 reaches it, since a prepare appends, a kept outcome contracts its target
-and a failure outcome ends the branch.  So `brute_force_run` plans the
-whole program in one pass before it walks a branch, tracking the layout
+and a failure outcome ends the branch.  So is its physical order, since
+every branch gathers at every gate: a cx or cz whose bit is 0 gathers and
+skips only the product.  So `brute_force_run` plans the whole program in
+one pass before it walks a branch, tracking the layout, the physical order
 and its shape as the program changes them, and keeps one plan per
 instruction in a list that dies with the call.  A plan holds what its
 instruction needs whatever the branch: a gate's gather index and operator,
 a prepare's level vector after its cap check, a measurement's axis split,
-outcome bras and the layout it leaves.  The pass plans an instruction
-that no path reaches as well, as the validator checks it.  The call also
-keeps each interrogation map it fetches, keyed by the particles' dims and
-blocking sets, so a map is fetched once per shape per walk.  A gather
-index is a pure function of the live shape and the gate's axes, kept
-read-only in a bounded process-wide memo (`_gather_index`).  A branch is
-then a layout and a vector, and its work is arithmetic: a gather, product
-and scatter per gate, an outer product per prepare, and an einsum and a
-vdot per measurement outcome.
+stacked outcome bras and where its failure outcome ends a branch.  The
+pass plans an instruction that no path reaches as well, as the validator
+checks it.  The call also keeps each interrogation map it fetches, keyed
+by the particles' dims and blocking sets, so a map is fetched once per
+shape per walk.  A gather index, a gate's or a leaf's, is a pure function
+of the physical shape and the axes it brings forward, kept read-only in a
+bounded process-wide memo (`_gather_index`).  A branch is then a vector,
+and its work is arithmetic: a gather and a product per gate, an outer
+product per prepare, an einsum and a vecdot per measurement, and a gather
+per leaf.
 """
 
 from __future__ import annotations
@@ -91,70 +98,85 @@ def _ideal_interrogation_diag(p_dims: tuple[int, ...], blocking,
     particle sits outside its blocking set (the full pi turn), 0 on the
     pruned levels (photon sink, routed |1V>, a kept |1V> that a blocking
     particle absorbs, particle explosions), +1 everywhere else."""
-    dims = [4] + list(p_dims)
-    total = prod(dims)
-    diag = np.ones(total, dtype=np.complex128)
-    for idx in range(total):
-        levels = np.unravel_index(idx, dims)
-        ph = levels[0]
-        exploded = any(lv == d - 1 for lv, d in zip(levels[1:], p_dims))
-        clear = all(lv not in blocked for lv, blocked in zip(levels[1:], blocking))
-        if ph == 3 or exploded or (ph == 2 and not (keep_residual_v and clear)):
-            diag[idx] = 0.0
-        elif ph in (1, 2) and clear:
-            diag[idx] = -1.0
-    return np.diag(diag)
+    ph, *levels = np.indices((4, *p_dims)).reshape(len(p_dims) + 1, -1)
+    exploded = np.zeros(ph.size, dtype=bool)
+    clear = np.ones(ph.size, dtype=bool)
+    for lv, d, blocked in zip(levels, p_dims, blocking):
+        exploded |= lv == d - 1
+        clear &= ~np.isin(lv, list(blocked))
+    pruned = (ph == 3) | exploded | ((ph == 2) & ~(clear & keep_residual_v))
+    return np.diag(np.where(pruned, 0.0, np.where((ph != 0) & clear, -1.0, 1.0))
+                   .astype(np.complex128))
 
 
 class _Gate(NamedTuple):
-    index: np.ndarray  # entry j of the front-first vector is entry index[j] of the live one
+    index: np.ndarray  # the gather to the front-first order, shaped (gate levels, rest)
     op: np.ndarray | None  # None for cphase, whose phase is the branch's recorded value
+    order: tuple[str, ...]  # the physical order it leaves: the gate's subsystems, then the rest
+    shape: tuple[int, ...]  # that order's
 
 
 class _Prepare(NamedTuple):
     init: np.ndarray
     layout: tuple[str, ...]
+    order: tuple[str, ...]
     shape: tuple[int, ...]
 
 
 class _Measure(NamedTuple):
-    split: tuple[int, int, int]  # (pre, d, post) around the target axis
-    outcomes: tuple  # (outcome, conjugated bra or None, failed), in outcome order
+    split: tuple[int, int, int]  # (pre, d, post) around the target axis, in the physical order
+    bras: np.ndarray  # conjugated bras, one row each, read-only (see `_outcomes`)
+    outcomes: tuple  # (outcome, failed, contracts) in outcome order
     layout: tuple[str, ...]  # left once a bra contracts the target
-    shape: tuple[int, ...]  # that layout's
+    order: tuple[str, ...]  # that layout's physical order
+    shape: tuple[int, ...]  # that order's
+    failure: tuple  # `_leaf`'s (order, shape, layout) for the failure outcome, always the last
 
 
-def _gate(layout: tuple[str, ...], shape: tuple[int, ...], front: list[str],
+class _Leaf(NamedTuple):
+    index: np.ndarray  # the gather to the live layout, in its shape
+    layout: tuple[str, ...]
+
+
+def _gate(order: tuple[str, ...], shape: tuple[int, ...], front: list[str],
           op: np.ndarray) -> _Gate:
     """kron(op, I_rest) on the vector reordered to the front subsystems (in
-    the given order) followed by the rest, as `op` times the (front, rest)
-    reshape; `_apply` puts the result back in the live order.  One index
-    does both moves: `np.arange(size)` in the live shape, transposed to the
-    front-first order."""
-    axes = [layout.index(n) for n in front]
-    front_dim = prod(shape[k] for k in axes)
+    the given order) followed by the rest in their physical `order`, of the
+    given `shape`, as `op` times the (front, rest) reshape, which `_apply`
+    leaves in that front-first order.  The index is `np.arange(size)` in
+    the physical shape, transposed to the front-first order."""
+    axes = [order.index(n) for n in front]
+    front_dim = prod([shape[k] for k in axes])
     if op.shape != (front_dim, front_dim):
         raise ValueError(f"operator of shape {op.shape} does not act on "
                          f"{front!r} ({front_dim} levels)")
-    axes += [k for k in range(len(layout)) if k not in axes]
-    return _Gate(_gather_index(shape, tuple(axes)), op)
+    axes += [k for k in range(len(order)) if k not in axes]
+    index = _gather_index(shape, tuple(axes))
+    return _Gate(index.reshape(front_dim, -1), op, tuple([order[k] for k in axes]), index.shape)
+
+
+def _leaf(order: tuple[str, ...], shape: tuple[int, ...],
+          layout: tuple[str, ...]) -> _Leaf:
+    """The reorder of a vector in the physical `order`, of the given
+    `shape`, into the live `layout`."""
+    return _Leaf(_gather_index(shape, tuple([order.index(n) for n in layout])), layout)
 
 
 @lru_cache(maxsize=64)
 def _gather_index(shape: tuple, axes: tuple) -> np.ndarray:
-    """`np.arange` in `shape`, transposed by `axes` and flattened, read-only.
-    It holds at most 64 indices of at most 10 KiB each at `DIMENSION_CAP`,
-    plus about 0.6 KiB per entry for its key, node and array header: at
-    most 680 KiB in all."""
-    index = np.arange(prod(shape)).reshape(shape).transpose(axes).reshape(-1)
+    """`np.arange` in `shape`, transposed by `axes`, C-contiguous and
+    read-only: a flat vector in `shape` indexed by it is the vector in the
+    transposed order, in the transposed shape.  It holds at most 64 indices
+    of at most 10 KiB each at `DIMENSION_CAP`, plus about 0.6 KiB per entry
+    for its key, node and array header: at most 680 KiB in all."""
+    index = np.arange(prod(shape)).reshape(shape).transpose(axes).copy()
     index.flags.writeable = False
     return index
 
 
 def _apply(vec: np.ndarray, index: np.ndarray, op: np.ndarray) -> np.ndarray:
-    out = np.empty_like(vec)
-    out[index] = (op @ vec[index].reshape(op.shape[0], -1)).reshape(-1)
-    return out
+    """`op` times the (gate levels, rest) gather of the flat `vec`, flat."""
+    return op.dot(vec[index]).reshape(-1)
 
 
 def _extend(vec: np.ndarray, init: np.ndarray) -> np.ndarray:
@@ -197,15 +219,20 @@ def _interrogation_op(p_dims: tuple[int, ...], blocks: tuple[frozenset, ...],
 
 
 def _outcomes(bras: np.ndarray, pooled_failure: bool = False) -> tuple:
-    """(outcome, conjugated bra or None, failed) in outcome order, the
-    failure outcome last: the photon's pooled failure after its bras (None:
-    its logical levels are zeroed and it stays live), or a particle's
-    exploded level, whose bra is the last.  The conjugated bras are
-    read-only."""
+    """The conjugated bras, read-only, and (outcome, failed, contracts) in
+    outcome order, the failure outcome last.  Outcome k < len(bras)
+    contracts the target with bra k and weighs what that keeps; a
+    particle's failure is its exploded level, whose bra is the last.  The
+    photon's pooled failure comes after its bras: it keeps the photon live
+    with its logical levels zeroed, and weighs what the unit bras of its
+    other levels keep, which are appended to the bras for it."""
+    n = len(bras)
+    count = n + pooled_failure
+    if pooled_failure:
+        bras = np.vstack([bras, np.eye(bras.shape[1], dtype=bras.dtype)[n:]])
     conj = bras.conj()
     conj.flags.writeable = False
-    rows = [*conj, None] if pooled_failure else list(conj)
-    return tuple((outcome, bra, outcome == len(rows) - 1) for outcome, bra in enumerate(rows))
+    return conj, tuple((outcome, outcome == count - 1, outcome < n) for outcome in range(count))
 
 
 # the photon and particle_pm bras, one row each, and their outcomes, built
@@ -218,15 +245,22 @@ _BASIS_OUTCOMES = {PHOTON_COMPUTATIONAL: _outcomes(_PHOTON_BRAS, pooled_failure=
                    PARTICLE_PM: _outcomes(_PM_BRAS)}
 
 
-def _measure(layout: tuple[str, ...], shape: tuple[int, ...], target: str,
-             basis: str) -> _Measure:
+def _measure(layout: tuple[str, ...], order: tuple[str, ...], shape: tuple[int, ...],
+             target: str, basis: str) -> _Measure:
     """One bra per outcome in canonical order; a position basis has one
-    outcome per level, exploded last."""
-    k = layout.index(target)
+    outcome per level, exploded last.  `shape` is the physical `order`'s."""
+    k, j = order.index(target), layout.index(target)
     d = shape[k]
-    outcomes = _BASIS_OUTCOMES.get(basis) or _outcomes(np.eye(d, dtype=np.complex128))
-    return _Measure((prod(shape[:k]), d, prod(shape[k + 1:])), outcomes,
-                    layout[:k] + layout[k + 1:], shape[:k] + shape[k + 1:])
+    bras, outcomes = (_BASIS_OUTCOMES.get(basis)
+                      or _outcomes(np.eye(d, dtype=np.complex128)))
+    kept_layout = layout[:j] + layout[j + 1:]
+    kept_order, kept_shape = order[:k] + order[k + 1:], shape[:k] + shape[k + 1:]
+    # the failure outcome contracts its target, save the photon's pooled
+    # failure, which keeps it live
+    failure = ((kept_order, kept_shape, kept_layout) if outcomes[-1][2]
+               else (order, shape, layout))
+    return _Measure((prod(shape[:k]), d, prod(shape[k + 1:])), bras, outcomes,
+                    kept_layout, kept_order, kept_shape, failure)
 
 
 # the fixed gates by op; a cx or cz flips its target with the target kind's
@@ -235,12 +269,12 @@ _FIXED = {"photon_h": _PHOTON_H, "photon_x": _PHOTON_X, "photon_z": _PHOTON_Z,
           "particle_x": _PARTICLE_X, "particle_z": _PARTICLE_Z}
 
 
-def _plan(instr, layout: tuple[str, ...], shape: tuple[int, ...], specs: dict,
-          params: QiParams, maps: dict):
-    """What `instr` needs on the live `layout`, of the given `shape`, that
-    no branch changes (None for an xor).  An interrogation's map is taken
-    from `maps`, keyed by its particles' dims and blocking sets, and fetched
-    into it on a miss."""
+def _plan(instr, layout: tuple[str, ...], order: tuple[str, ...], shape: tuple[int, ...],
+          specs: dict, params: QiParams, maps: dict):
+    """What `instr` needs on the live `layout`, whose vectors are in the
+    physical `order` of the given `shape`, that no branch changes (None for
+    an xor).  An interrogation's map is taken from `maps`, keyed by its
+    particles' dims and blocking sets, and fetched into it on a miss."""
     op, a = instr.op, instr.args
     if op == "xor":
         return None
@@ -249,9 +283,10 @@ def _plan(instr, layout: tuple[str, ...], shape: tuple[int, ...], specs: dict,
         if prod(shape) * spec.dim > DIMENSION_CAP:
             raise ValueError(
                 f"preparing {spec.name!r} would exceed the {DIMENSION_CAP}-dimensional cap")
-        return _Prepare(_init_vector(spec.dim, a), layout + (spec.name,), shape + (spec.dim,))
+        return _Prepare(_init_vector(spec.dim, a), layout + (spec.name,),
+                        order + (spec.name,), shape + (spec.dim,))
     if op == "measure":
-        return _measure(layout, shape, a["target"], a["basis"])
+        return _measure(layout, order, shape, a["target"], a["basis"])
     if op in ("qicz", "qicz_multi"):
         if op == "qicz":
             names, blocking = [a["particle"]], None
@@ -260,17 +295,17 @@ def _plan(instr, layout: tuple[str, ...], shape: tuple[int, ...], specs: dict,
         key = (tuple(specs[n].dim for n in names), _normalized_blocking(blocking, len(names)))
         if key not in maps:
             maps[key] = _interrogation_op(*key, params)
-        return _gate(layout, shape, [a["photon"], *names], maps[key])
+        return _gate(order, shape, [a["photon"], *names], maps[key])
     target = a["target"]
     if op == "particle_h":
         d = specs[target].dim - 1
-        return _gate(layout, shape, [target],
+        return _gate(order, shape, [target],
                      _PARTICLE_H if d == 2 else _block_op(d + 1, _dft(d)))
     if op == "cphase":  # the phase has the shape of photon_z
-        return _gate(layout, shape, [target], _PHOTON_Z)._replace(op=None)
+        return _gate(order, shape, [target], _PHOTON_Z)._replace(op=None)
     if op in ("cx", "cz"):
         op = f"{specs[target].kind}_{op[1]}"
-    return _gate(layout, shape, [target], _FIXED[op])
+    return _gate(order, shape, [target], _FIXED[op])
 
 
 def brute_force_run(program: CircuitProgram,
@@ -284,69 +319,75 @@ def brute_force_run(program: CircuitProgram,
     `DIMENSION_CAP`, starts `instructions[i]:` as the validator's do."""
     params = params or QiParams()
     specs = {s.name: s for s in program.subsystems}
-    instructions = program.instructions
     maps: dict = {}  # (particle dims, blocking sets) -> interrogation map
-    plans = []
-    layout, shape = (), ()
-    for i, instr in enumerate(instructions):
+    steps = []  # (op, args, plan) per instruction
+    layout, order, shape = (), (), ()  # the live layout, its physical order and shape
+    for i, instr in enumerate(program.instructions):
         try:
-            plan = _plan(instr, layout, shape, specs, params, maps)
+            plan = _plan(instr, layout, order, shape, specs, params, maps)
         except ValueError as exc:
             raise ValueError(f"instructions[{i}]: {exc}") from None
-        plans.append(plan)
+        steps.append((instr.op, instr.args, plan))
         if instr.op in ("prepare", "measure"):
-            layout, shape = plan.layout, plan.shape
+            layout = plan.layout
+        if plan is not None:
+            order, shape = plan.order, plan.shape
+    end = _leaf(order, shape, layout)
     tree = BranchTree()
 
-    def leaf(layout, shape, vec, assignments: dict, failed: bool) -> None:
-        tree.leaves.append(OracleLeaf(assignments=dict(assignments), layout=layout,
-                                      vector=vec.reshape(shape), failed=failed))
+    def leaf(plan: _Leaf, vec, assignments: dict, failed: bool) -> None:
+        # a 0-d index would gather a numpy scalar, not a 0-d array
+        vector = vec[plan.index] if plan.layout else vec.reshape(())
+        tree.leaves.append(OracleLeaf(assignments=dict(assignments), layout=plan.layout,
+                                      vector=vector, failed=failed))
 
-    # (layout, its shape, vector, assignments, next instruction or None for
-    # a failure leaf, squared norm right after the last measurement), the
-    # next one last.  That norm is the product of kept branch weights, so
-    # the per-branch cutoff below matches the engine's rule on its
-    # renormalized states.
-    todo = [((), (), np.ones(1, dtype=np.complex128), {}, 0, 1.0)]
+    # (flat vector in the physical order, assignments, next
+    # instruction or, for a failure outcome, its measurement's `failure`,
+    # squared norm right after the last measurement), the next one last.
+    # That norm is the product of kept branch weights, so the per-branch
+    # cutoff below matches the engine's rule on its renormalized states.
+    todo = [(np.ones(1, dtype=np.complex128), {}, 0, 1.0)]
     while todo:
-        layout, shape, vec, assignments, pos, wprod = todo.pop()
-        if pos is None:
-            leaf(layout, shape, vec, assignments, failed=True)
+        vec, assignments, pos, wprod = todo.pop()
+        if not isinstance(pos, int):
+            leaf(_leaf(*pos), vec, assignments, failed=True)
             continue
-        for i in range(pos, len(instructions)):
-            op, a = instructions[i].op, instructions[i].args
-            plan = plans[i]
-            if op == "xor":
-                assignments[a["out"]] = assignments[a["a"]] ^ assignments[a["b"]]
-            elif op == "prepare":
-                vec, layout, shape = _extend(vec, plan.init), plan.layout, plan.shape
-            elif op == "measure":
+        for i in range(pos, len(steps)):
+            op, a, plan = steps[i]
+            if op == "measure":
                 v3 = vec.reshape(plan.split)
+                posts = np.einsum("pdq,od->opq", v3, plan.bras).reshape(len(plan.bras), -1)
+                weights = np.vecdot(posts, posts).real.tolist()
                 children = []
-                for outcome, bra, failed in plan.outcomes:
-                    if bra is None:
-                        post = v3.copy()
-                        post[:, :2, :] = 0.0
-                        post, post_layout, post_shape = post.reshape(-1), layout, shape
-                    else:
-                        post = np.einsum("pdq,d->pq", v3, bra).reshape(-1)
-                        post_layout, post_shape = plan.layout, plan.shape
-                    post_sq = float(np.vdot(post, post).real)
+                for outcome, failed, contracts in plan.outcomes:
+                    post_sq = sum(weights[outcome:]) if failed else weights[outcome]
                     if post_sq / wprod < _CUTOFF:
                         continue
-                    children.append((post_layout, post_shape, post,
-                                     {**assignments, a["bit"]: outcome},
-                                     None if failed else i + 1, post_sq))
+                    if contracts:
+                        post = posts[outcome]
+                    else:  # the photon's pooled failure
+                        post = v3.copy()
+                        post[:, :2, :] = 0.0
+                        post = post.reshape(-1)
+                    children.append((post, {**assignments, a["bit"]: outcome},
+                                     plan.failure if failed else i + 1, post_sq))
                 todo += reversed(children)  # depth first, in outcome order
                 break
+            if op == "prepare":
+                vec = _extend(vec, plan.init)
+            elif op == "xor":
+                assignments[a["out"]] = assignments[a["a"]] ^ assignments[a["b"]]
             elif op == "cphase":
                 phase = np.eye(4, dtype=np.complex128)
                 phase[1, 1] = np.exp(1j * a["coeff"] * assignments[a["key"]])
                 vec = _apply(vec, plan.index, phase)
-            elif op not in ("cx", "cz") or assignments[a["bit"]] & 1:
+            elif op in ("cx", "cz") and not assignments[a["bit"]] & 1:
+                # no product, but the order every branch has here
+                vec = vec[plan.index].reshape(-1)
+            else:
                 vec = _apply(vec, plan.index, plan.op)
         else:
-            leaf(layout, shape, vec, assignments, failed=False)
+            leaf(end, vec, assignments, failed=False)
     return tree
 
 

@@ -171,8 +171,15 @@ def _walk_with_failure_leaves() -> None:
 
 
 def _oracle_leaves_match_the_50_digit_walk() -> None:
-    test_oracle.test_leaves_match_the_50_digit_walk(
-        "cnot-direct-cx", "n3", interrogation.ROUTE_TO_SINK)
+    try:
+        test_oracle.test_leaves_match_the_50_digit_walk(
+            "cnot-direct-cx", "n3", interrogation.ROUTE_TO_SINK)
+    except ValueError as exc:  # a gather whose shape does not fit the plan fails the check
+        raise AssertionError(str(exc)) from exc
+
+
+def _kept_limit_diagonal_follows_its_rule() -> None:
+    test_oracle.test_limit_diagonal_follows_the_per_entry_rule(True)
 
 
 def _pauli_steps_match_the_product() -> None:
@@ -504,9 +511,9 @@ MUTANTS = {
     "rows-key-without-blocking": Mutant(
         interrogation, "_run_cycles", "key = (h.ndim, plan)",
         "key = (h.ndim, tuple((axis, n) for axis, _, n in plan))", _finite_stdout_is_pinned),
-    # the gather index keyed without the axes: every gate on a live shape
-    # gets the index of the first gate on that shape (the direct CNOT gathers
-    # one 4 x 4 x 3 shape in four orders, led by three different subsystems)
+    # the gather index keyed without the axes: every gate on a physical
+    # shape gets the index of the first gate on that shape (the direct CNOT
+    # gathers its 4 x 4 x 3 and its 4 x 3 x 4 shapes in two orders each)
     "gather-index-key-without-axes": Mutant(
         oracle, "_gate", "_gather_index(shape, tuple(axes))",
         "_gather_index(shape, _gate.__dict__.setdefault(shape, tuple(axes)))",
@@ -611,11 +618,30 @@ MUTANTS = {
     # the position bases, whose outcomes each walk builds: the W state's
     # first position ends its branch as a failure
     "oracle-wrong-failure-flag": Mutant(
-        oracle, "_outcomes", "outcome == len(rows) - 1", "outcome == 0",
+        oracle, "_outcomes", "outcome == count - 1", "outcome == 0",
         _oracle_pairs_failure_leaves),
     "oracle-correction-ungated": Mutant(
         oracle, "brute_force_run", 'assignments[a["bit"]] & 1', "True",
         _oracle_agrees_on_the_cnot_families),
+    # the oracle's exact limit keeps |1V> beside a blocking particle too
+    "oracle-limit-keeps-blocked-residual": Mutant(
+        oracle, "_ideal_interrogation_diag", "~(clear & keep_residual_v)", "~keep_residual_v",
+        _kept_limit_diagonal_follows_its_rule),
+    # a correction whose bit is 0 leaves the vector in the order it found,
+    # so the branch's later gathers read the wrong axes
+    "oracle-correction-skips-its-gather": Mutant(
+        oracle, "brute_force_run", "vec = vec[plan.index].reshape(-1)", "pass",
+        _oracle_agrees_on_the_cnot_families),
+    # the direct CNOT's leaves end in the order of their last gate, whose
+    # target leads
+    "oracle-leaf-left-in-its-physical-order": Mutant(
+        oracle, "_leaf", "tuple([order.index(n) for n in layout])", "tuple(range(len(order)))",
+        _oracle_leaves_match_the_50_digit_walk),
+    # the pooled photon failure weighed by |1V> alone: a photon whose
+    # failure weight lies on its sink loses its failure leaf to the cutoff
+    "oracle-pooled-failure-weighs-one-level": Mutant(
+        oracle, "brute_force_run", "sum(weights[outcome:]) if failed else weights[outcome]",
+        "weights[outcome]", test_oracle.test_pooled_failure_weighs_both_failure_levels),
     "map-read-without-transpose": Mutant(
         interrogation, "_effective_map_cached", "res.amps.reshape(total, total).T",
         "res.amps.reshape(total, total)", _map_is_its_column_runs),

@@ -31,6 +31,7 @@ from zenosim.oracle import (
     _apply,
     _extend,
     _gate,
+    _leaf,
 )
 from zenosim.state import photon, particle
 
@@ -181,6 +182,28 @@ def test_brute_force_failure_leaf():
     assert compare(program, IDEAL) < 1e-12
 
 
+def test_pooled_failure_weighs_both_failure_levels():
+    # half the photon's weight on its sink level: the pooled failure outcome
+    # weighs |1V> and the sink together, and keeps the photon live
+    h = 2 ** -0.5
+    program = CircuitProgram(
+        subsystems=(photon("p"),),
+        bits=("m",),
+        instructions=(
+            Instruction("prepare", {"target": "p", "state": [[h, 0], [0, 0], [0, 0], [h, 0]]}),
+            Instruction("measure", {"target": "p",
+                                    "basis": "photon_computational", "bit": "m"}),
+        ),
+    )
+    leaves = brute_force_run(program, IDEAL).leaves
+    assert [(leaf.assignments, leaf.failed, leaf.layout) for leaf in leaves] == [
+        ({"m": 0}, False, ()), ({"m": 2}, True, ("p",))]
+    assert leaves[1].vector.tolist() == [0, 0, 0, h]
+    # the kept leaf has no live subsystem: a 0-d array, as the engine's state
+    assert type(leaves[0].vector) is np.ndarray and leaves[0].vector.shape == ()
+    assert compare(program, IDEAL) < 1e-12
+
+
 _SMALL = {"a": 4, "b": 3, "c": 4}
 # four photons and a 4-position particle: 4^4 * 5 == DIMENSION_CAP levels
 _AT_CAP = {"p": 4, "q": 4, "r": 4, "s": 4, "b": 5}
@@ -197,7 +220,10 @@ def _random_vector(rng, dims):
 
 
 def _gate_applied(vec, dims, front, op):
-    return _apply(vec, _gate(tuple(dims), tuple(dims.values()), front, op).index, op)
+    """The oracle's gate on `vec` in the `dims` order, which the product
+    leaves front-first, reordered back into the `dims` order as a leaf is."""
+    gate = _gate(tuple(dims), tuple(dims.values()), front, op)
+    return _apply(vec, gate.index, op)[_leaf(gate.order, gate.shape, tuple(dims)).index].reshape(-1)
 
 
 def _kron_reference(before, dims, front, op):
@@ -298,6 +324,54 @@ def test_oracle_catches_engine_layout_mutants(monkeypatch, snippet, replacement,
     for module in (engine_state, gates):  # gates holds its own binding
         monkeypatch.setattr(module, "apply_local", mutant)
     assert compare(program, params) > 1e-10
+
+
+def _interrogation_shapes() -> set:
+    """(particle dims, blocking sets) of every demo's interrogations."""
+    shapes = set()
+    for program in DEMOS.values():
+        program = program()
+        for instr in program.instructions:
+            a = instr.args
+            if instr.op == "qicz":
+                names, blocking = [a["particle"]], None
+            elif instr.op == "qicz_multi":
+                names, blocking = a["particles"], a.get("blocking")
+            else:
+                continue
+            shapes.add((tuple(program.spec(n).dim for n in names),
+                        oracle._normalized_blocking(blocking, len(names))))
+    return shapes
+
+
+def _limit_diag_by_entry(p_dims, blocking, keep_residual_v):
+    """The exact limit's rule, one basis entry at a time in C order: 0 on the
+    photon sink, on an exploded particle and on |1V> unless it is kept with
+    every particle clear of its blocking set; else -1 on |1H> and |1V> with
+    every particle clear, +1 otherwise."""
+    diag = []
+    for ph, *levels in itertools.product(range(4), *(range(d) for d in p_dims)):
+        exploded = any(lv == d - 1 for lv, d in zip(levels, p_dims))
+        clear = all(lv not in blocked for lv, blocked in zip(levels, blocking))
+        if ph == 3 or exploded or (ph == 2 and not (keep_residual_v and clear)):
+            diag.append(0.0)
+        elif ph in (1, 2) and clear:
+            diag.append(-1.0)
+        else:
+            diag.append(1.0)
+    return np.diag(np.array(diag, dtype=np.complex128))
+
+
+@pytest.mark.parametrize("keep_residual_v", [False, True], ids=["route", "keep"])
+def test_limit_diagonal_follows_the_per_entry_rule(keep_residual_v):
+    # the Toffoli's two 2-position particles, the W states' 3- and
+    # 4-position particles blocked at several position sets, and the rest
+    shapes = _interrogation_shapes()
+    assert {dims for dims, _ in shapes} >= {(3,), (3, 3), (4,), (5,)}
+    for p_dims, blocking in sorted(shapes, key=repr):
+        got = oracle._ideal_interrogation_diag(p_dims, blocking, keep_residual_v)
+        want = _limit_diag_by_entry(p_dims, blocking, keep_residual_v)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (p_dims, blocking)
 
 
 def test_apply_rejects_an_operator_of_the_wrong_size():

@@ -108,8 +108,7 @@ def test_keep_residual_reaches_failure_leaves_between_measurements():
 
 @settings(max_examples=60, deadline=None)
 @given(program=valid_programs())
-def test_generated_walks_are_byte_equal_to_the_recursive_walk(program):
-    # named as the demo test above
+def test_generated_walks_are_byte_equal_to_the_one_branch_walk(program):
     for params in (PARAMS["exact"], QiParams(cycles=3, absorb_prob=0.8, cycle_loss=1e-3)):
         _assert_same_walk(program, params)
 
