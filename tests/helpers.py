@@ -412,6 +412,58 @@ def reference_walk(program, params: QiParams) -> list[ReferenceLeaf]:
     return leaves
 
 
+UNIT_ROUNDOFF = 2.0 ** -53  # u: round to nearest moves a double by at most u relative
+
+
+class RoundingBounds(NamedTuple):
+    amplitude: float  # an unnormalized leaf amplitude's modulus or part, from the walk's
+    weight: float  # a branch weight or a success probability, from the walk's
+    compare: float  # `oracle.compare` between the engine and the oracle
+
+
+def rounding_bounds(program) -> RoundingBounds:
+    """How far a float64 run of `program` may lie from the exact one by
+    rounding alone, to first order in u = 2^-53, for a program of I
+    instructions (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., SIAM 2002, ch. 2-3).
+
+    Amplitudes, 2uI.  An instruction maps a branch's unnormalized vector
+    psi, of norm at most 1, through an operator of 2-norm at most 1: a
+    unitary (H, a Fourier transform, a phase), a contraction (T_k^N), a
+    projection (an outcome), an isometry (a prepare) or a move by index.
+    The standard model, |fl(x) - x| <= u|x|, charged once where the
+    operator's entries are formed (1/sqrt(2), a cosine, a stack entry, a
+    renormalization) and once where the product is stored, gives
+    A psi + e with ||e|| <= 2u.  Later instructions are contractions too,
+    so the errors add: the vector lies within 2uI of the exact one in the
+    2-norm, which bounds each amplitude's modulus and parts.  Renormalizing
+    a vector of norm sqrt(w) drops its error's real part along psi and
+    divides the rest by sqrt(w): a normalized amplitude lies within
+    `amplitude` / sqrt(w).
+
+    Weights, 2u(2I + 1).  A branch weight, or a kept leaf's success
+    probability, is a squared norm; it moves by 2 Re<psi, e>, at most twice
+    `amplitude`, and forming it rounds twice more: the sum of squares and
+    the product with the weights before.
+
+    Compare, 8uI.  `oracle.compare` takes the largest |a - phase b| over
+    the runners' vectors a and b, each within `amplitude` of the exact v,
+    with phase = <b, a> / |<b, a>|.  The phase turns from 1 by at most
+    |Im <b, a>| / ||v||^2 <= 2 `amplitude` / ||v||, so moves an entry of b
+    by at most 2 `amplitude`: with a - b, 4 `amplitude`.
+
+    The constants count roundings; no run's deviation sets them.  They
+    have no term in N and no dtype: a power stack must hold T_k^N to u,
+    and one that loses N u (a cosine one ulp off, raised to the N-th power)
+    fails by design.  Charging an n-term sum one rounding is the standard
+    model at the scale of an instruction; its worst case, every rounding
+    pointing the same way (gamma_n, Higham 3.1), is up to n + 1 times
+    higher, n <= 8 here (a part of a 4-position Fourier transform's sum).
+    Moves by index round nothing and are charged the same."""
+    amplitude = 2 * UNIT_ROUNDOFF * len(program.instructions)
+    return RoundingBounds(amplitude, 2 * amplitude + 2 * UNIT_ROUNDOFF, 4 * amplitude)
+
+
 def reference_sample_branch(branches: list, rng) -> int:
     """The Born-rule draw as a summing loop over a `branch_all` list: one
     uniform times the total weight, then the first entry whose running sum

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from helpers import rounding_bounds
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 ROOT = BENCH.parent
 
@@ -91,7 +93,8 @@ def test_tracer_records_every_metric_and_expected_span():
     tracer.install()
     try:
         for demo in ("cnot-direct-cz", "memory"):
-            assert oracle.compare(circuits.DEMOS[demo](), params) <= 1e-10
+            program = circuits.DEMOS[demo]()
+            assert oracle.compare(program, params) <= rounding_bounds(program).compare
         circuits.run(circuits.DEMOS["cnot-memory"](), params, np.random.default_rng(5),
                      profile)
         analysis.monte_carlo_yield(circuits.DEMOS["cnot-direct-cx"](), profile, 1000, 7)

@@ -292,10 +292,11 @@ def test_gather_index_memo_retains_at_most_680_kib():
 
 
 def test_rows_memo_keeps_at_most_32_plans_of_4_kib_in_144_kib():
-    # a 63-position particle has 64 levels, so its rows are 4 KiB, at the
-    # bound; each plan blocks it at another pair of positions, and the memo
-    # keeps the last 32 of 64.  A 64-position particle's rows are past the
-    # bound, and are gathered but not kept.
+    # a 63-position particle has 64 levels, so its rows are 64 2x2s: 4 KiB
+    # of 16-byte entries, at the bound; each plan blocks it at another pair
+    # of positions, and the memo keeps the last 32 of 64.  A particle with
+    # one level more than the bound holds at the rows' own entry size is
+    # gathered but not kept.
     params = QiParams(cycles=17, absorb_prob=0.5)
     work = np.zeros((4, 64), dtype=np.complex128)
     plans = [((0, blk, 63),) for blk in itertools.combinations(range(63), 2)][:64]
@@ -303,8 +304,12 @@ def test_rows_memo_keeps_at_most_32_plans_of_4_kib_in_144_kib():
                                   for plan in plans])
     rows = params._rows
     assert [plan for _, plan in rows] == plans[32:]
-    assert all(p.nbytes == interrogation._ROWS_BYTES and not p.flags.writeable
-               for p in rows.values())
-    assert 32 * interrogation._ROWS_BYTES < retained <= 144 * 1024
-    interrogation._run_cycles(np.zeros((4, 65), dtype=np.complex128), ((0, (0,), 64),), params)
-    assert len(rows) == interrogation._ROWS_ENTRIES == 32 and (1, ((0, (0,), 64),)) not in rows
+    size = 64 * 4 * next(iter(rows.values())).itemsize
+    assert size <= interrogation._ROWS_BYTES
+    assert all(p.nbytes == size and not p.flags.writeable for p in rows.values())
+    assert 32 * size < retained <= 144 * 1024
+    over = interrogation._ROWS_BYTES * 64 // size + 1
+    interrogation._run_cycles(np.zeros((4, over), dtype=np.complex128),
+                              ((0, (0,), over - 1),), params)
+    assert len(rows) == interrogation._ROWS_ENTRIES == 32
+    assert (1, ((0, (0,), over - 1),)) not in rows

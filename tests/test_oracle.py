@@ -41,6 +41,7 @@ from helpers import (
     CZ_MATRIX,
     FAILURE_LEAVES,
     bell_vector,
+    rounding_bounds,
     w_vector,
 )
 from test_properties import valid_programs
@@ -101,21 +102,19 @@ def test_brute_force_bell_states():
 
 def test_compare_all_demos_ideal():
     for name, program in demo_programs().items():
-        deviation = compare(program, IDEAL)
-        assert deviation < 1e-10, name
+        assert compare(program, IDEAL) <= rounding_bounds(program).compare, name
 
 
 def test_compare_all_demos_small_cycle_count():
     params = QiParams(cycles=40)
     for name, program in demo_programs().items():
-        deviation = compare(program, params)
-        assert deviation < 1e-10, name
+        assert compare(program, params) <= rounding_bounds(program).compare, name
 
 
 def test_compare_with_losses_and_weak_absorber():
     params = QiParams(cycles=25, absorb_prob=0.6, cycle_loss=1e-3)
-    deviation = compare(bell_generator(), params)
-    assert deviation < 1e-10
+    program = bell_generator()
+    assert compare(program, params) <= rounding_bounds(program).compare
 
 
 def test_a_bit_written_twice_pairs_by_position():
@@ -139,7 +138,7 @@ def test_a_bit_written_twice_pairs_by_position():
     for params in (IDEAL, QiParams(cycles=333, absorb_prob=0.9)):
         assert [leaf.assignments for leaf in brute_force_run(program, params).leaves] == [
             {"m": 0}, {"m": 1}, {"m": 0}, {"m": 1}]
-        assert compare(program, params) <= 1e-10
+        assert compare(program, params) <= rounding_bounds(program).compare
 
 
 # edits of the engine's branch list, each with the error compare raises
@@ -179,7 +178,7 @@ def test_brute_force_failure_leaf():
     failed = [leaf for leaf in tree.leaves if leaf.failed]
     assert len(failed) == 1
     assert failed[0].assignments["m"] == 2
-    assert compare(program, IDEAL) < 1e-12
+    assert compare(program, IDEAL) <= rounding_bounds(program).compare
 
 
 def test_pooled_failure_weighs_both_failure_levels():
@@ -201,7 +200,7 @@ def test_pooled_failure_weighs_both_failure_levels():
     assert leaves[1].vector.tolist() == [0, 0, 0, h]
     # the kept leaf has no live subsystem: a 0-d array, as the engine's state
     assert type(leaves[0].vector) is np.ndarray and leaves[0].vector.shape == ()
-    assert compare(program, IDEAL) < 1e-12
+    assert compare(program, IDEAL) <= rounding_bounds(program).compare
 
 
 _SMALL = {"a": 4, "b": 3, "c": 4}
@@ -319,7 +318,7 @@ def _mutated_apply_local(snippet, replacement):
 def test_oracle_catches_engine_layout_mutants(monkeypatch, snippet, replacement, demo):
     program = demo_programs()[demo]
     params = QiParams(cycles=7)
-    assert compare(program, params) <= 1e-10
+    assert compare(program, params) <= rounding_bounds(program).compare
     mutant = _mutated_apply_local(snippet, replacement)
     for module in (engine_state, gates):  # gates holds its own binding
         monkeypatch.setattr(module, "apply_local", mutant)
@@ -426,10 +425,11 @@ def _multi_blocking_program(blocking):
 @pytest.mark.parametrize("params", [IDEAL, QiParams(cycles=7)],
                          ids=["ideal", "n7"])
 def test_compare_takes_numpy_integer_blocking_entries(params):
-    plain = compare(_multi_blocking_program([1, 0]), params)
+    program = _multi_blocking_program([1, 0])
+    plain = compare(program, params)
     numpy_ints = compare(_multi_blocking_program([np.int64(1), 0]), params)
     assert numpy_ints == plain
-    assert plain <= 1e-10
+    assert plain <= rounding_bounds(program).compare
 
 
 @pytest.mark.parametrize("sizes", [(48, 3), (256, 5), (7, 1), (1, 4)])
@@ -449,13 +449,8 @@ def test_add_has_the_bits_of_np_kron(sizes):
 # ---------------------------------------------------------------------------
 # the oracle against the 50-digit walk: every leaf pairs with the walk's
 # (layout, record, failure flag), and no part of an unnormalized oracle
-# amplitude lies further than the bound from the walk's amplitude times the
-# square root of its branch weight.  The worst measured on x86-64 Linux
-# (OpenBLAS): 3.6e-16 over the grid below (family-direct-cx at N = 333,
-# absorb 0.9, loss 1e-3, keep), and 8.1e-16 over 5,800 generated programs.
-
-ORACLE_GRID_BOUND = 7.2e-16
-ORACLE_GENERATED_BOUND = 1.6e-15
+# amplitude lies further than `rounding_bounds(program).amplitude` from the
+# walk's amplitude times the square root of its branch weight
 
 _PROGRAMS = {**DEMOS, **{f"family-{f}": partial(cnot_circuit, f) for f in CNOT_FAMILIES}}
 _DEPTHS = {
@@ -470,15 +465,16 @@ _DEPTHS = {
 @pytest.mark.parametrize("depth", list(_DEPTHS))
 @pytest.mark.parametrize("name", sorted(_PROGRAMS))
 def test_leaves_match_the_50_digit_walk(name, depth, policy):
+    program = _PROGRAMS[name]()
     params = QiParams(**_DEPTHS[depth], residual_v_policy=policy)
-    assert oracle_deviation(_PROGRAMS[name](), params) <= ORACLE_GRID_BOUND
+    assert oracle_deviation(program, params) <= rounding_bounds(program).amplitude
 
 
 @settings(max_examples=60, deadline=None)
 @given(program=valid_programs())
 def test_generated_leaves_match_the_50_digit_walk(program):
     for params in (IDEAL, QiParams(cycles=3, absorb_prob=0.8, cycle_loss=1e-3)):
-        assert oracle_deviation(program, params) <= ORACLE_GENERATED_BOUND
+        assert oracle_deviation(program, params) <= rounding_bounds(program).amplitude
 
 
 @pytest.mark.parametrize("name, shapes", [("cnot-memory", 1), ("wstate-3", 3)])

@@ -25,6 +25,8 @@ from zenosim.state import (
     photon,
 )
 
+from helpers import rounding_bounds
+
 IDEAL = QiParams(cycles=None)
 FINITE = QiParams(cycles=3, absorb_prob=0.8, cycle_loss=1e-3)
 PROFILE = ImperfectionProfile(p=0.9, q=0.85, r=0.9, s=0.8, eta=0.9)
@@ -215,7 +217,7 @@ def test_sampled_runs_are_enumerated_branches(program, seed):
 @given(program=valid_programs())
 def test_engine_matches_oracle(program):
     for params in (IDEAL, FINITE):
-        assert oracle.compare(program, params) <= 1e-10
+        assert oracle.compare(program, params) <= rounding_bounds(program).compare
 
 
 # ---------------------------------------------------------------------------
