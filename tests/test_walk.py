@@ -92,9 +92,7 @@ PROGRAMS = {**DEMOS, "register": register_program}
 
 @pytest.mark.parametrize("params", list(PARAMS.values()), ids=list(PARAMS))
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
-def test_demo_walk_is_byte_equal_to_the_recursive_walk(name, params):
-    # the name is kept from the comparison with a frozen copy of the
-    # recursive walk that this one replaced, so that the test ids stay stable
+def test_demo_walk_is_byte_equal_to_the_one_branch_walk(name, params):
     _assert_same_walk(PROGRAMS[name](), params)
 
 
