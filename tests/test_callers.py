@@ -15,10 +15,10 @@ modules and `bench/` once, in about 0.1 s of Tier-1.
 
 The same scan holds `tests/helpers.py` to the tests: each of its
 module-level definitions is named by a `tests/test_*.py` module, or by
-`helpers.py` outside the definition itself.  Each `_`-prefixed
-module-level definition of a `tests/test_*.py` module is named by a test
-module outside the definition itself, so that no part of a retired
-reference stays behind.
+`helpers.py` outside the definition itself.  Each module-level definition
+of a `tests/test_*.py` module whose name does not start with `test_` is
+named by a test module outside the definition itself, so that no part of a
+retired reference, and no table whose tests went, stays behind.
 """
 
 import ast
@@ -121,12 +121,12 @@ def test_every_helper_has_a_caller_in_the_tests():
     assert found == set(), f"named by no test and only by their definitions: {sorted(found)}"
 
 
-def test_every_private_test_definition_has_a_caller():
-    # pytest calls a test module's public functions; a private one that no
-    # test module names outside its own definition is left over from code
-    # that went
+def test_every_test_module_definition_has_a_caller():
+    # pytest calls a test module's `test_*` functions; any other definition
+    # (a table, a helper, an `assert_*` check) that no test module names
+    # outside its own definition is left over from code that went
     found = {name for name in unreferenced(_test_modules(), set(), Counter())
-             if name.partition(".")[2].startswith("_")}
+             if not name.partition(".")[2].startswith("test_")}
     assert found == set(), f"named only by their definitions: {sorted(found)}"
 
 

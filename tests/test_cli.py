@@ -6,7 +6,6 @@ deeper than the recursion limit."""
 
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import os
@@ -22,7 +21,6 @@ from zenosim import circuits, gates, state as engine_state
 from zenosim.analysis import yield_formula
 from zenosim.cli import (
     _csv_line,
-    _float_array,
     _simulate_json,
     build_parser,
     load_program,
@@ -32,7 +30,6 @@ from zenosim.cli import (
     serialize_program,
 )
 from zenosim.circuits import (
-    CNOT_FAMILIES,
     DEMOS,
     RunResult,
     bell_generator,
@@ -43,7 +40,7 @@ from zenosim.gates import ImperfectionProfile
 from zenosim.interrogation import QiParams
 from zenosim.state import StateVector
 
-from test_emit import reference_emit_json
+from test_circuits import _GATE_MISFITS, _QICZ_MULTI_MISFITS
 from test_oracle import _mutated_apply_local
 
 CLI = [sys.executable, "-m", "zenosim.cli"]
@@ -162,15 +159,6 @@ def _bell_with_bit(tmp_path, bit):
     return path
 
 
-@pytest.mark.parametrize("bit", ["m,x;y=1", "a,b", "a;b", "a=b", 'a"b', "a\nb", "a\rb"])
-def test_bit_name_that_would_split_a_csv_row_is_one_error_line(tmp_path, bit):
-    code, stdout, stderr = run_main("simulate", str(_bell_with_bit(tmp_path, bit)),
-                                    "--ideal", "--out", "csv")
-    assert (code, stdout) == (1, "")
-    assert stderr == (f"zenosim: error: bits[0]: {bit!r} may not hold , ; = \" "
-                      "or a line break\n")
-
-
 @pytest.mark.parametrize("bit", ["m x", "m-é", "m'"])
 def test_csv_row_keeps_five_fields_for_any_allowed_bit_name(tmp_path, bit):
     code, stdout, _ = run_main("simulate", str(_bell_with_bit(tmp_path, bit)),
@@ -215,366 +203,307 @@ def test_simulate_unknown_demo():
     assert "unknown demo" in proc.stderr
 
 
-def test_parse_error_reports_position(tmp_path):
-    path = tmp_path / "broken.json"
-    with open(path, "w") as fh:
-        fh.write('{"version": "1",\n  "subsystems": [}\n')
-    proc = run_cli("simulate", path)
-    assert proc.returncode == 1
-    assert "parse error at line 2 column" in proc.stderr
+def _op(op, **args) -> dict:
+    return {"op": op, **args}
 
 
-def test_unknown_op_reports_index(tmp_path):
-    path = tmp_path / "badop.json"
-    with open(path, "w") as fh:
-        json.dump({"version": "1", "subsystems": [], "bits": [],
-                   "instructions": [{"op": "warp"}]}, fh)
-    proc = run_cli("simulate", path)
-    assert proc.returncode == 1
-    assert "instructions[0]: unknown op" in proc.stderr
+def _doc(**fields) -> str:
+    """The text of a version-1 circuit file holding `fields`."""
+    return json.dumps({"version": "1", **fields})
 
 
-# circuit files that do not load, each with its one error line
-MALFORMED = [
-    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"}],
-      "bits": [], "instructions": [{"op": "photon_h"}]},
-     "instructions[0]: photon_h needs argument 'target'"),
-    ({"version": "1", "subsystems": [], "bits": 5, "instructions": []},
-     "bits must be a list"),
-    ({"version": "1", "instructions": [{"op": ["photon_h"]}]},
-     "instructions[0]: unknown op ['photon_h']"),
-    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"}],
-      "instructions": [{"op": "prepare", "target": "p"},
-                       {"op": "photon_h", "target": ["p"]}]},
-     "instructions[1]: photon_h argument 'target' must be a subsystem name, got ['p']"),
-    ({"version": "1", "subsystems": [{"name": "b", "kind": "particle", "dim": [2]}]},
-     "subsystems[0]: particle 'b' needs an integer number of positions, at least 2, "
-     "got [2]"),
-    ({"version": "1", "subsystems": [{"name": "b", "kind": "particle", "dim": 2.7}]},
-     "subsystems[0]: particle 'b' needs an integer number of positions, at least 2, "
-     "got 2.7"),
-    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"}],
-      "instructions": [{"op": "prepare", "target": "p", "state": 5}]},
-     "instructions[0]: prepare argument 'state' must be a list of [re, im] pairs, got 5"),
-    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"}],
-      "instructions": [{"op": "prepare", "target": "p", "level": [1]}]},
-     "instructions[0]: prepare argument 'level' must be an integer, got [1]"),
-    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"}], "bits": ["m"],
-      "instructions": [{"op": "prepare", "target": "p"},
-                       {"op": "measure", "target": "p", "basis": ["x"], "bit": "m"}]},
-     "instructions[1]: measure argument 'basis' must be a basis name, got ['x']"),
-    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"},
-                                     {"name": "b", "kind": "particle"}],
-      "instructions": [{"op": "prepare", "target": "p"},
-                       {"op": "prepare", "target": "b"},
-                       {"op": "qicz_multi", "photon": "p", "particles": ["b"],
-                        "blocking": 5}]},
-     "instructions[2]: qicz_multi argument 'blocking' must be a list of blocking "
-     "positions or position lists, got 5"),
-    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"},
-                                     {"name": "b", "kind": "particle"}],
-      "instructions": [{"op": "prepare", "target": "p"},
-                       {"op": "prepare", "target": "b"},
-                       {"op": "qicz_multi", "photon": "p", "particles": "b"}]},
-     "instructions[2]: qicz_multi argument 'particles' must be a list of subsystem "
-     "names, got 'b'"),
-    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"},
-                                     {"name": "q", "kind": "particle", "dim": 3}],
-      "bits": ["k"],
-      "instructions": [{"op": "prepare", "target": "q", "uniform": True},
-                       {"op": "measure", "target": "q", "basis": "qudit_position",
-                        "bit": "k"},
-                       {"op": "prepare", "target": "p"},
-                       {"op": "cphase", "key": "k", "target": "p", "coeff": "x"}]},
-     "instructions[3]: cphase argument 'coeff' must be a number, got 'x'"),
-    # sizes and numbers the engine cannot hold end before anything is allocated
-    ({"version": "1", "subsystems": [{"name": "b", "kind": "particle", "dim": 10 ** 9}],
-      "instructions": [{"op": "prepare", "target": "b"}]},
-     "subsystems[0]: 'b' would have 1000000001 levels; the engine allows at most 1024"),
-    ({"version": "1",
-      "subsystems": [{"name": f"b{i}", "kind": "particle", "dim": 200} for i in range(3)],
-      "instructions": [{"op": "prepare", "target": f"b{i}"} for i in range(3)]},
-     "instructions[2]: preparing 'b2' makes a state of 8120601 amplitudes; the engine "
-     "allows at most 1048576"),
-    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"}],
-      "instructions": [{"op": "prepare", "target": "p", "state": [[10 ** 400, 0]]}]},
-     f"instructions[0]: prepare argument 'state' must be a list of [re, im] pairs, "
-     f"got [[{10 ** 400}, 0]]"),
-    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"}],
-      "instructions": [{"op": "prepare", "target": "p"},
-                       {"op": "cphase", "key": "k", "target": "p", "coeff": 10 ** 400}]},
-     f"instructions[1]: cphase argument 'coeff' must be a number, got {10 ** 400}"),
-    # a level outside 0..dim-1 is an engine error, never an index from the end
-    ({"version": "1", "subsystems": [{"name": "b", "kind": "particle"}],
-      "instructions": [{"op": "prepare", "target": "b", "level": -1}]},
-     "instructions[0]: level -1 out of range for 'b'"),
-    ({"version": "1", "subsystems": [{"name": "b", "kind": "particle"}],
-      "instructions": [{"op": "prepare", "target": "b", "level": 3}]},
-     "instructions[0]: level 3 out of range for 'b'"),
-    # a name used twice is named where it repeats
-    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"},
-                                     {"name": "p", "kind": "particle"}]},
-     "subsystems[1]: duplicate subsystem name 'p'"),
-    ({"version": "1", "subsystems": [], "bits": ["a", "a"]},
-     "bits[1]: duplicate bit name 'a'"),
-    # each rule of one subsystem or bit, as `SubsystemSpec` and the validator
-    # state it
-    ({"version": "1", "subsystems": [{"name": "", "kind": "photon"}]},
-     "subsystems[0]: name must be a non-empty string, got ''"),
-    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"}, {"kind": "photon"}]},
-     "subsystems[1]: name must be a non-empty string, got None"),
-    ({"version": "1", "subsystems": [{"name": 3, "kind": "particle"}]},
-     "subsystems[0]: name must be a non-empty string, got 3"),
-    ({"version": "1", "subsystems": [{"name": "w", "kind": "widget"}]},
-     "subsystems[0]: unknown kind 'widget'"),
-    ({"version": "1", "subsystems": [{"name": "b", "kind": "particle", "dim": True}]},
-     "subsystems[0]: particle 'b' needs an integer number of positions, at least 2, "
-     "got True"),
-    ({"version": "1", "bits": ["m", 3]},
-     "bits[1]: a bit name must be a string, got 3"),
-    # a measured subsystem is gone for good
-    ({"version": "1", "subsystems": [{"name": "p", "kind": "photon"}], "bits": ["m"],
-      "instructions": [{"op": "prepare", "target": "p"},
-                       {"op": "measure", "target": "p", "basis": "photon_computational",
-                        "bit": "m"},
-                       {"op": "prepare", "target": "p"}]},
-     "instructions[2]: 'p' reused after measurement"),
-]
+# Photons s, p and r, a 2-position particle b and a 3-position particle q.
+# The photon s is prepared on |1V> and measured into m, where only the
+# failure outcome has weight, so no walk reaches what follows; the
+# validator checks it all the same.  _SET_UP prepares every other one.
+_SUBSYSTEMS = [{"name": name, "kind": "photon"} for name in "spr"] + [
+    {"name": "b", "kind": "particle"}, {"name": "q", "kind": "particle", "dim": 3}]
+_FAILED_FIRST = [_op("prepare", target="s", level=2),
+                 _op("measure", target="s", basis="photon_computational", bit="m")]
+_SET_UP = _FAILED_FIRST + [_op("prepare", target=name, level=0) for name in "prbq"]
+# q measured into the bit k, which reads 0, 1 or 2, then p prepared
+_QUDIT_BIT = [_op("prepare", target="q", uniform=True),
+              _op("measure", target="q", basis="qudit_position", bit="k"),
+              _op("prepare", target="p", level=1)]
 
 
-def assert_file_is_one_error_line(path, text, message) -> None:
-    """A file at `path` holding `text` ends both `simulate` and
-    `oracle-check` in the one error line `message`."""
-    path.write_text(text)
-    for command in ("simulate", "oracle-check"):
-        proc = run_cli(command, str(path))
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr == f"zenosim: error: {message}\n"
+def _after(head, *instructions) -> str:
+    """A file over `_SUBSYSTEMS` and the bits m, k and z: `head`, then
+    `instructions`."""
+    return _doc(subsystems=_SUBSYSTEMS, bits=["m", "k", "z"],
+                instructions=[*head, *instructions])
 
 
-@pytest.mark.parametrize("doc, message", MALFORMED)
-def test_malformed_file_is_one_error_line(tmp_path, doc, message):
-    assert_file_is_one_error_line(tmp_path / "malformed.json", json.dumps(doc), message)
+def _prepare(target, **args) -> str:
+    return _after(_FAILED_FIRST, _op("prepare", target=target, **args))
 
 
-def test_prepared_norms_past_the_state_tolerance_end_at_load(tmp_path):
-    # each vector is within 1e-12 of unit norm^2, but together they make a
-    # state of norm^2 1 + 1.8e-12, which the engine would reject mid-run
-    slack = [[1.0000000000004499, 0.0]]
-    path = tmp_path / "slack.json"
-    path.write_text(json.dumps({
-        "version": "1",
-        "subsystems": [{"name": "p", "kind": "photon"}, {"name": "q", "kind": "photon"}],
-        "instructions": [{"op": "prepare", "target": "p", "state": slack},
-                         {"op": "prepare", "target": "q", "state": slack}]}))
-    for argv in (["simulate", "--ideal"], ["simulate", "--branches", "sample"],
-                 ["oracle-check", "--cycles", "3"]):
-        code, out, err = run_main(argv[0], str(path), *argv[1:])
-        assert (code, out) == (1, "")
-        assert err.startswith("zenosim: error: instructions[1]: preparing 'q' makes a "
-                              "state of norm^2 1.00000000000179")
-        assert err.count("\n") == 1
+def _particle(dim) -> tuple[str, str]:
+    return (_doc(subsystems=[{"name": "b", "kind": "particle", "dim": dim}]),
+            f"subsystems[0]: particle 'b' needs an integer number of positions, at least 2, "
+            f"got {dim!r}")
 
 
-def test_cx_on_qudit_outcome_rejected_before_oracle_check(tmp_path):
-    path = tmp_path / "qudit_cx.json"
-    path.write_text(json.dumps({
-        "version": "1",
-        "subsystems": [{"name": "q", "kind": "particle", "dim": 3},
-                       {"name": "p", "kind": "photon"}],
-        "bits": ["m"],
-        "instructions": [
-            {"op": "prepare", "target": "q", "uniform": True},
-            {"op": "measure", "target": "q", "basis": "qudit_position", "bit": "m"},
-            {"op": "prepare", "target": "p", "level": 0},
-            {"op": "cx", "bit": "m", "target": "p"},
-        ]}))
-    proc = run_cli("oracle-check", str(path), "--ideal")
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("zenosim: error: instructions[3]: cx needs a 0/1 control")
+def _named(kind, name) -> tuple[str, str]:
+    return (_doc(subsystems=[{"name": name, "kind": kind}]),
+            f"subsystems[0]: name must be a non-empty string, got {name!r}")
 
 
-# a gate on a subsystem of the wrong kind, once where no branch reaches it
-_WRONG_KIND_DOCS = {
-    "unreachable": ({
-        "version": "1",
-        "subsystems": [{"name": "p", "kind": "photon"},
-                       {"name": "b", "kind": "particle", "dim": 3}],
-        "bits": ["m"],
-        "instructions": [
-            {"op": "prepare", "target": "p", "level": 2},
-            {"op": "measure", "target": "p", "basis": "photon_computational",
-             "bit": "m"},
-            {"op": "prepare", "target": "b"},
-            {"op": "particle_x", "target": "b"},
-        ]},
-        "instructions[3]: particle_x argument 'target' needs a 2-position "
-        "particle, but 'b' is a 3-position particle"),
-    "photon-gate": ({
-        "version": "1",
-        "subsystems": [{"name": "b", "kind": "particle"}],
-        "bits": [],
-        "instructions": [{"op": "prepare", "target": "b"},
-                         {"op": "photon_h", "target": "b"}]},
-        "instructions[1]: photon_h argument 'target' needs a photon, but 'b' "
-        "is a 2-position particle"),
-}
+def _bit(bit) -> tuple[str, str]:
+    return _doc(bits=["m", bit]), f"bits[1]: a bit name must be a string, got {bit!r}"
 
 
-@pytest.mark.parametrize("command", ["simulate", "oracle-check"])
-@pytest.mark.parametrize("name", sorted(_WRONG_KIND_DOCS))
-def test_gate_on_wrong_kind_is_one_error_line(tmp_path, name, command):
-    doc, message = _WRONG_KIND_DOCS[name]
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(doc))
-    proc = run_cli(command, str(path), "--ideal")
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == f"zenosim: error: {message}\n"
+def _csv_bit(bit) -> tuple[str, str]:
+    return _doc(bits=[bit]), f"bits[0]: {bit!r} may not hold , ; = \" or a line break"
 
 
-# qicz_multi lists that do not fit, after a measurement that always fails
-_QICZ_MULTI_PREFIX = {
-    "version": "1",
-    "subsystems": [{"name": "s", "kind": "photon"}, {"name": "p", "kind": "photon"},
-                   {"name": "b", "kind": "particle"}],
-    "bits": ["m"],
-    "instructions": [
-        {"op": "prepare", "target": "s", "level": 2},
-        {"op": "measure", "target": "s", "basis": "photon_computational", "bit": "m"},
-        {"op": "prepare", "target": "p", "level": 1},
-        {"op": "prepare", "target": "b"},
-    ]}
-_QICZ_MULTI_LISTS = {
-    "listed-twice": ({"particles": ["b", "b"]},
-                     "instructions[4]: particle 'b' listed twice"),
-    "blocking-length": ({"particles": ["b"], "blocking": [0, 1]},
-                        "instructions[4]: one blocking entry per particle required"),
-    "blocking-position": ({"particles": ["b"], "blocking": [5]},
-                          "instructions[4]: blocking position 5 invalid for 'b' "
-                          "(positions 0..1; the exploded level cannot block)"),
-}
+def _phase(coeff, head=_FAILED_FIRST) -> tuple[str, str]:
+    # 2 * coeff, on the bit k that can read 2, is not finite
+    return (_after(head, *_QUDIT_BIT, _op("cphase", key="k", target="p", coeff=coeff)),
+            f"instructions[{len(head) + 3}]: cphase coeff {coeff!r} times 2, the largest "
+            f"value of bit 'k', is not finite")
 
 
-@pytest.mark.parametrize("command", ["simulate", "oracle-check"])
-@pytest.mark.parametrize("name", sorted(_QICZ_MULTI_LISTS))
-def test_qicz_multi_lists_that_do_not_fit_are_one_error_line(tmp_path, name, command):
-    args, message = _QICZ_MULTI_LISTS[name]
-    doc = json.loads(json.dumps(_QICZ_MULTI_PREFIX))
-    doc["instructions"].append({"op": "qicz_multi", "photon": "p", **args})
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(doc))
-    proc = run_cli(command, str(path), "--ideal")
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == f"zenosim: error: {message}\n"
+_SLACK = [[1.0000000000004499, 0.0]]  # norm^2 1 + 0.9e-12, within the prepare tolerance
+_TWO_PHOTONS = [{"name": "p", "kind": "photon"}, {"name": "q", "kind": "photon"}]
 
-
-def _arguments_doc(*instructions, failed_first=True):
-    """A program that ends in `instructions`; with `failed_first`, after a
-    photon measurement that only the failure outcome survives, so that no
-    walk reaches them."""
-    head = [{"op": "prepare", "target": "s", "level": 2},
-            {"op": "measure", "target": "s", "basis": "photon_computational",
-             "bit": "m"}] if failed_first else []
-    return {"version": "1",
-            "subsystems": [{"name": "s", "kind": "photon"},
-                           {"name": "p", "kind": "photon"},
-                           {"name": "b", "kind": "particle"},
-                           {"name": "q", "kind": "particle", "dim": 3}],
-            "bits": ["m", "k"], "instructions": head + list(instructions)}
-
-
-# a cphase on a bit that can read 2, where 2 * coeff overflows
-_KEYED_PHASE = [{"op": "prepare", "target": "q", "uniform": True},
-                {"op": "measure", "target": "q", "basis": "qudit_position", "bit": "k"},
-                {"op": "prepare", "target": "p", "level": 1},
-                {"op": "cphase", "key": "k", "target": "p", "coeff": 1e308}]
-_PHASE_MESSAGE = "cphase coeff 1e+308 times 2, the largest value of bit 'k', is not finite"
-_ARGUMENT_DOCS = {
-    "pm-sign": (_arguments_doc({"op": "prepare", "target": "b", "pm": "x"}),
-                "instructions[2]: sign must be '+' or '-'"),
-    "uniform-photon": (_arguments_doc({"op": "prepare", "target": "p", "uniform": True}),
-                       "instructions[2]: a position count needs a particle, but 'p' "
-                       "is a photon"),
-    "level": (_arguments_doc({"op": "prepare", "target": "p", "level": 7}),
-              "instructions[2]: level 7 out of range for 'p'"),
-    "state-length": (_arguments_doc({"op": "prepare", "target": "p",
-                                     "state": [[0.5, 0]] * 5}),
-                     "instructions[2]: initial vector too long for 'p'"),
-    "state-norm": (_arguments_doc({"op": "prepare", "target": "p",
-                                   "state": [[1, 0], [1, 0]]}),
-                   "instructions[2]: initial vector must be normalized"),
-    # a norm^2 that overflows: np.vdot makes it nan, which a walk would only
-    # meet as an unlocated StateVector error
-    "state-norm-overflow": (_arguments_doc({"op": "prepare", "target": "p",
-                                            "state": [[1e308, 1e308]]}, failed_first=False),
-                            "instructions[0]: initial vector must be normalized"),
-    # a name no op reads, and a second form that prepare would drop
-    "misspelt": (_arguments_doc({"op": "prepare", "target": "p", "levle": 1}),
-                 "instructions[2]: prepare takes no argument 'levle'"),
-    "pm-and-level": (_arguments_doc({"op": "prepare", "target": "b", "pm": "+",
-                                     "level": 1}),
-                     "instructions[2]: prepare takes one of level, pm, state or a "
-                     "true uniform, got level and pm"),
-    "uniform-and-state": (_arguments_doc({"op": "prepare", "target": "q",
-                                          "uniform": True, "state": [[1, 0]]}),
-                          "instructions[2]: prepare takes one of level, pm, state or "
-                          "a true uniform, got state and uniform"),
-    "phase-unreached": (_arguments_doc(*_KEYED_PHASE),
-                        f"instructions[5]: {_PHASE_MESSAGE}"),
-    "phase-reached": (_arguments_doc(*_KEYED_PHASE, failed_first=False),
-                      f"instructions[3]: {_PHASE_MESSAGE}"),
-}
-
-
-@pytest.mark.parametrize("command", ["simulate", "oracle-check"])
-@pytest.mark.parametrize("name", sorted(_ARGUMENT_DOCS))
-def test_arguments_the_engine_would_reject_are_one_error_line(tmp_path, name, command):
-    doc, message = _ARGUMENT_DOCS[name]
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(doc))
-    proc = run_cli(command, str(path), "--ideal")
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == f"zenosim: error: {message}\n"
-
-
-_UNLOADABLE = {
+# Every rejection a circuit file can reach: the file's text and the one
+# message it ends in, at load and through `simulate` and `oracle-check`
+REJECTED = {
+    # the text and its top level
+    "parse-error": ('{"version": "1",\n  "subsystems": [}\n', "parse error at line 2 column 18"),
     # json.load recurses once per nesting level
     "nested": ("[" * 100_000, "parse error: arrays or objects nested too deeply"),
-    "dim-1": (json.dumps({"version": "1", "subsystems": [
-        {"name": "b", "kind": "particle", "dim": 1}]}),
-              "subsystems[0]: particle 'b' needs an integer number of positions, "
-              "at least 2, got 1"),
-    # names no loader reads: a misspelt list would load as an empty program
-    "misspelt-list": (json.dumps({"version": "1", "subsystems": [
-        {"name": "p", "kind": "photon"}], "instrucions": []}),
+    "top-level-list": ("[]", "top level must be an object"),
+    "version-number": ('{"version": 1}', "unsupported version 1"),
+    # a name no loader reads: a misspelt list would load as an empty program
+    "misspelt-list": (_doc(subsystems=_SUBSYSTEMS, instrucions=[]),
                       "top level takes no field 'instrucions'"),
-    "photon-dim": (json.dumps({"version": "1", "subsystems": [
-        {"name": "p", "kind": "photon", "dimm": 3}]}),
-                   "subsystems[0]: photon takes no field 'dimm'"),
-    "photon-with-dim": (json.dumps({"version": "1", "subsystems": [
-        {"name": "p", "kind": "photon"}, {"name": "q", "kind": "photon", "dim": 3}]}),
-                        "subsystems[1]: photon takes no field 'dim'"),
-    "particle-misspelt": (json.dumps({"version": "1", "subsystems": [
-        {"name": "b", "kind": "particle", "dims": 3}]}),
-                          "subsystems[0]: particle takes no field 'dims'"),
+    "bits-not-a-list": (_doc(subsystems=[], bits=5, instructions=[]), "bits must be a list"),
+    # subsystems, each rule as SubsystemSpec and the validator state it
+    "subsystem-not-an-object": (_doc(subsystems=["p"]), "subsystems[0]: must be an object"),
+    "photon-name-empty": _named("photon", ""),
+    "particle-name-empty": _named("particle", ""),
+    "photon-name-list": _named("photon", ["p"]),
+    "particle-name-list": _named("particle", ["p"]),
+    "photon-name-number": _named("photon", 3),
+    "particle-name-number": _named("particle", 3),
+    "photon-name-missing": (_doc(subsystems=[_SUBSYSTEMS[0], {"kind": "photon"}]),
+                            "subsystems[1]: name must be a non-empty string, got None"),
+    "kind-widget": (_doc(subsystems=[{"name": "w", "kind": "widget"}]),
+                    "subsystems[0]: unknown kind 'widget'"),
+    # the value given is named as it is, never as the level count it makes
+    "particle-dim-1": _particle(1),
+    "particle-dim-0": _particle(0),
+    "particle-dim-negative": _particle(-3),
+    "particle-dim-2.7": _particle(2.7),
+    "particle-dim-2.0": _particle(2.0),
+    "particle-dim-list": _particle([2]),
+    "particle-dim-string": _particle("3"),
+    "particle-dim-null": _particle(None),
+    "particle-dim-true": _particle(True),
+    "photon-dimm": (_doc(subsystems=[{"name": "p", "kind": "photon", "dimm": 3}]),
+                    "subsystems[0]: photon takes no field 'dimm'"),
+    "photon-dim": (_doc(subsystems=[_TWO_PHOTONS[0], {"name": "q", "kind": "photon", "dim": 3}]),
+                   "subsystems[1]: photon takes no field 'dim'"),
+    "particle-dims": (_doc(subsystems=[{"name": "b", "kind": "particle", "dims": 3}]),
+                      "subsystems[0]: particle takes no field 'dims'"),
+    "duplicate-subsystem": (_doc(subsystems=[_TWO_PHOTONS[0], {"name": "p", "kind": "particle"}]),
+                            "subsystems[1]: duplicate subsystem name 'p'"),
+    # sizes the engine cannot hold end before anything is allocated
+    "particle-past-the-level-cap": (
+        _doc(subsystems=[{"name": "b", "kind": "particle", "dim": 10 ** 9}],
+             instructions=[_op("prepare", target="b")]),
+        "subsystems[0]: 'b' would have 1000000001 levels; the engine allows at most 1024"),
+    "second-subsystem-past-the-level-cap": (
+        _doc(subsystems=[_TWO_PHOTONS[0], {"name": "b", "kind": "particle", "dim": 1999}]),
+        "subsystems[1]: 'b' would have 2000 levels; the engine allows at most 1024"),
+    "state-past-the-amplitude-cap": (
+        _doc(subsystems=[{"name": f"b{i}", "kind": "particle", "dim": 200} for i in range(3)],
+             instructions=[_op("prepare", target=f"b{i}") for i in range(3)]),
+        "instructions[2]: preparing 'b2' makes a state of 8120601 amplitudes; the engine "
+        "allows at most 1048576"),
+    # bits
+    "bit-number": _bit(3),
+    "bit-null": _bit(None),
+    "bit-list": _bit(["m"]),
+    "duplicate-bit": (_doc(subsystems=[], bits=["a", "a"]), "bits[1]: duplicate bit name 'a'"),
+    # names that would split a CSV row
+    "bit-comma-semicolon-equals": _csv_bit("m,x;y=1"),
+    "bit-comma": _csv_bit("a,b"),
+    "bit-semicolon": _csv_bit("a;b"),
+    "bit-equals": _csv_bit("a=b"),
+    "bit-quote": _csv_bit('a"b'),
+    "bit-newline": _csv_bit("a\nb"),
+    "bit-carriage-return": _csv_bit("a\rb"),
+    # an instruction's op and argument names and types
+    "missing-op": (_doc(instructions=[{"target": "p"}]), "instructions[0]: missing op"),
+    "unknown-op": (_doc(subsystems=[], bits=[], instructions=[_op("warp")]),
+                   "instructions[0]: unknown op 'warp'"),
+    "op-not-a-name": (_doc(instructions=[_op(["photon_h"])]),
+                      "instructions[0]: unknown op ['photon_h']"),
+    "missing-argument": (_after(_FAILED_FIRST, _op("photon_h")),
+                         "instructions[2]: photon_h needs argument 'target'"),
+    # a name no op reads, and a second form that prepare would drop
+    "misspelt-argument": (_prepare("p", levle=1),
+                          "instructions[2]: prepare takes no argument 'levle'"),
+    "pm-and-level": (_prepare("b", pm="+", level=1),
+                     "instructions[2]: prepare takes one of level, pm, state or a true "
+                     "uniform, got level and pm"),
+    "uniform-and-level": (_prepare("q", uniform=True, level=0),
+                          "instructions[2]: prepare takes one of level, pm, state or a true "
+                          "uniform, got level and uniform"),
+    "uniform-and-state": (_prepare("q", uniform=True, state=[[1, 0]]),
+                          "instructions[2]: prepare takes one of level, pm, state or a true "
+                          "uniform, got state and uniform"),
+    "target-not-a-name": (_after(_FAILED_FIRST, _op("photon_h", target=["p"])),
+                          "instructions[2]: photon_h argument 'target' must be a subsystem "
+                          "name, got ['p']"),
+    "state-not-a-list": (_prepare("p", state=5),
+                         "instructions[2]: prepare argument 'state' must be a list of [re, im] "
+                         "pairs, got 5"),
+    "level-not-an-integer": (_prepare("p", level=[1]),
+                             "instructions[2]: prepare argument 'level' must be an integer, "
+                             "got [1]"),
+    "basis-not-a-name": (_after(_FAILED_FIRST, _op("measure", target="p", basis=["x"], bit="m")),
+                         "instructions[2]: measure argument 'basis' must be a basis name, "
+                         "got ['x']"),
+    "blocking-not-a-list": (
+        _after(_SET_UP, _op("qicz_multi", photon="p", particles=["b"], blocking=5)),
+        "instructions[6]: qicz_multi argument 'blocking' must be a list of blocking positions "
+        "or position lists, got 5"),
+    "particles-not-a-list": (_after(_SET_UP, _op("qicz_multi", photon="p", particles="b")),
+                             "instructions[6]: qicz_multi argument 'particles' must be a list "
+                             "of subsystem names, got 'b'"),
+    "coeff-not-a-number": (_after(_SET_UP, _op("cphase", key="m", target="p", coeff="x")),
+                           "instructions[6]: cphase argument 'coeff' must be a number, got 'x'"),
+    # numbers past the largest double
+    "state-overflow": (_prepare("p", state=[[10 ** 400, 0]]),
+                       f"instructions[2]: prepare argument 'state' must be a list of [re, im] "
+                       f"pairs, got [[{10 ** 400}, 0]]"),
+    "coeff-overflow": (_after(_SET_UP, _op("cphase", key="m", target="p", coeff=10 ** 400)),
+                       f"instructions[6]: cphase argument 'coeff' must be a number, "
+                       f"got {10 ** 400}"),
+    # what each instruction may act on and read
+    "undeclared-subsystem": (_after(_FAILED_FIRST, _op("photon_h", target="x")),
+                             "instructions[2]: undeclared subsystem 'x'"),
+    "used-before-prepare": (_after(_FAILED_FIRST, _op("photon_h", target="p")),
+                            "instructions[2]: 'p' used before prepare"),
+    "prepared-twice": (_after(_SET_UP, _op("prepare", target="p", level=0)),
+                       "instructions[6]: 'p' prepared twice"),
+    # a measured subsystem is gone for good
+    "used-after-measurement": (_after(_FAILED_FIRST, _op("photon_h", target="s")),
+                               "instructions[2]: 's' used after measurement"),
+    "reused-after-measurement": (_prepare("s"), "instructions[2]: 's' reused after measurement"),
+    "unknown-basis": (_after(_SET_UP, _op("measure", target="p", basis="diagonal", bit="k")),
+                      "instructions[6]: unknown basis 'diagonal'"),
+    "undeclared-bit": (_after(_SET_UP, _op("measure", target="p", basis="photon_computational",
+                                           bit="y")),
+                       "instructions[6]: undeclared bit 'y'"),
+    "read-before-write": (_after(_SET_UP, _op("cx", bit="k", target="p")),
+                          "instructions[6]: bit 'k' read before write"),
+    "xor-read-before-write": (_after((), _op("xor", a="k", b="m", out="z")),
+                              "instructions[0]: bit 'k' read before write"),
+    # the engine fires a correction on any nonzero value, the oracle on value & 1
+    "cx-on-a-3-valued-bit": (_after(_FAILED_FIRST, *_QUDIT_BIT, _op("cx", bit="k", target="p")),
+                             "instructions[5]: cx needs a 0/1 control, but bit 'k' can hold "
+                             "0..2; use cphase for integer outcomes"),
+    "cz-on-a-3-valued-bit": (_after(_FAILED_FIRST, *_QUDIT_BIT, _op("cz", bit="k", target="p")),
+                             "instructions[5]: cz needs a 0/1 control, but bit 'k' can hold "
+                             "0..2; use cphase for integer outcomes"),
+    "cx-on-a-4-valued-xor": (_after(_FAILED_FIRST, *_QUDIT_BIT, _op("xor", a="m", b="k", out="z"),
+                                    _op("cx", bit="z", target="p")),
+                             "instructions[6]: cx needs a 0/1 control, but bit 'z' can hold "
+                             "0..3; use cphase for integer outcomes"),
+    "cz-on-a-4-valued-xor": (_after(_FAILED_FIRST, *_QUDIT_BIT, _op("xor", a="m", b="k", out="z"),
+                                    _op("cz", bit="z", target="p")),
+                             "instructions[6]: cz needs a 0/1 control, but bit 'z' can hold "
+                             "0..3; use cphase for integer outcomes"),
+    # prepared vectors, each a rule of the engine's own prepare
+    "pm-sign": (_prepare("b", pm="x"), "instructions[2]: sign must be '+' or '-'"),
+    "pm-on-photon": (_prepare("p", pm="+"), "instructions[2]: pm preparation needs a 2-position "
+                                            "particle, but 'p' is a photon"),
+    "pm-on-qudit": (_prepare("q", pm="-"), "instructions[2]: pm preparation needs a 2-position "
+                                           "particle, but 'q' is a 3-position particle"),
+    "uniform-on-photon": (_prepare("p", uniform=True), "instructions[2]: a position count needs "
+                                                       "a particle, but 'p' is a photon"),
+    # a level outside 0..dim-1 is an engine error, never an index from the end
+    "level-7": (_prepare("p", level=7), "instructions[2]: level 7 out of range for 'p'"),
+    "level-3": (_prepare("b", level=3), "instructions[2]: level 3 out of range for 'b'"),
+    "level-negative": (_prepare("b", level=-1), "instructions[2]: level -1 out of range for 'b'"),
+    "state-too-long": (_prepare("p", state=[[0.5, 0]] * 5),
+                       "instructions[2]: initial vector too long for 'p'"),
+    "state-unnormalized": (_prepare("p", state=[[1, 0], [1, 0]]),
+                           "instructions[2]: initial vector must be normalized"),
+    "state-empty": (_prepare("b", state=[]), "instructions[2]: initial vector must be normalized"),
+    # a norm^2 that overflows: np.vdot makes it nan, which a walk would only
+    # meet as an unlocated StateVector error
+    "state-norm-overflow": (_prepare("p", state=[[1e308, 1e308]]),
+                            "instructions[2]: initial vector must be normalized"),
+    "state-norm-overflow-reached": (
+        _after((), _op("prepare", target="p", state=[[1e308, 1e308]])),
+        "instructions[0]: initial vector must be normalized"),
+    # each vector is within the tolerance, but together they make a state of
+    # norm^2 1 + 1.8e-12, which the engine would reject mid-run
+    "norm-product": (_doc(subsystems=_TWO_PHOTONS, instructions=[
+        _op("prepare", target=name, state=_SLACK) for name in "pq"]),
+        "instructions[1]: preparing 'q' makes a state of norm^2 1.0000000000017994, above "
+        "1 + 1e-12"),
+    "phase-overflow": _phase(1e308),
+    "phase-overflow-reached": _phase(1e308, head=()),
+    "phase-overflow-negative": _phase(-1e308),
+    "phase-overflow-integer": _phase(10 ** 308),
+    "phase-overflow-1.7e308": _phase(1.7e308),
+    # a measurement in a basis whose outcomes the subsystem does not have
+    "pm-basis-on-photon": (
+        _after(_SET_UP, _op("measure", target="p", basis="particle_pm", bit="k")),
+        "instructions[6]: particle_pm needs a 2-position particle, but 'p' is a photon"),
+    "particle-basis-on-photon": (
+        _after(_SET_UP, _op("measure", target="p", basis="particle_computational", bit="k")),
+        "instructions[6]: particle_computational needs a particle, but 'p' is a photon"),
+    "position-basis-on-photon": (
+        _after(_SET_UP, _op("measure", target="p", basis="qudit_position", bit="k")),
+        "instructions[6]: qudit_position needs a particle, but 'p' is a photon"),
+    "pm-basis-on-qudit": (
+        _after(_SET_UP, _op("measure", target="q", basis="particle_pm", bit="k")),
+        "instructions[6]: particle_pm needs a 2-position particle, but 'q' is a 3-position "
+        "particle"),
+    "photon-basis-on-particle": (
+        _after(_SET_UP, _op("measure", target="b", basis="photon_computational", bit="k")),
+        "instructions[6]: photon_computational needs a photon, but 'b' is a 2-position particle"),
+    # a gate on a subsystem of the wrong kind: each misfit of test_circuits'
+    # table, whose engine calls end the same way, and one that a walk reaches
+    **{"-".join([op, *(value for value in args.values() if isinstance(value, str))]): (
+        _after(_SET_UP, _op(op, **args)),
+        f"instructions[6]: {op} argument '{bad}' needs {needs}, but "
+        f"'{args[bad][-1] if bad == 'particles' else args[bad]}' is {what}")
+       for op, args, bad, needs, what in _GATE_MISFITS},
+    "photon_h-b-reached": (_doc(subsystems=[{"name": "b", "kind": "particle"}], instructions=[
+        _op("prepare", target="b"), _op("photon_h", target="b")]),
+        "instructions[1]: photon_h argument 'target' needs a photon, but 'b' is a 2-position "
+        "particle"),
+    # qicz_multi lists that do not fit, each as the engine's own rule states it
+    **{f"qicz_multi-{name}": (_after(_SET_UP, _op("qicz_multi", photon="p", **args)),
+                              f"instructions[6]: {message}")
+       for name, (args, message) in _QICZ_MULTI_MISFITS.items()},
 }
 
 
-@pytest.mark.parametrize("command", ["simulate", "oracle-check"])
-@pytest.mark.parametrize("name", sorted(_UNLOADABLE))
-def test_unloadable_file_is_one_prefixed_error_line(tmp_path, name, command):
-    text, message = _UNLOADABLE[name]
-    path = tmp_path / f"{name}.json"
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_rejected_file_is_one_error_line(tmp_path, name):
+    # the library door raises the message, and each command prints it as
+    # its one error line
+    text, message = REJECTED[name]
+    path = tmp_path / "rejected.json"
     path.write_text(text)
-    proc = run_cli(command, str(path))
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == f"zenosim: error: {message}\n"
+    try:
+        load_program(str(path))
+    except ValueError as exc:
+        assert str(exc) == message
+    else:
+        raise AssertionError(f"{name} loaded")
+    for command in ("simulate", "oracle-check"):
+        assert run_main(command, path) == (1, "", f"zenosim: error: {message}\n")
 
 
 def test_oracle_check_refuses_a_state_past_its_dimension_cap(tmp_path):
@@ -802,32 +731,10 @@ def test_emitters_never_print_negative_zero():
     assert _csv_line([-0.0, np.float64(-0.0), 2, "x"]) == "0,0,2,x"
 
 
-@pytest.mark.parametrize("values", [
-    [0.25, -0.0, 1e-300, -3.5e17, 1 / 3],
-    [[0.5, -0.0], [0.0, 0.1], [-1e-13, 2.0]],
-    [[0.7071067811865476, -0.0]],
-    [[-0.0, -0.0], [-0.0, 0.0]],
-    [],
-])
-def test_emit_json_array_matches_list(values):
-    arr = np.array(values, dtype=np.float64)
-    assert _float_array(arr) == reference_emit_json(arr.tolist())
-
-
-def test_emit_json_array_never_prints_negative_zero():
-    assert _float_array(np.array([[-0.0, -0.0], [-0.0, 0.5]])) == "[[0,0],[0,0.5]]"
-
-
-def test_emit_json_complex_view_matches_pairs():
-    amps = np.array([[0.5 - 0.0j, -0.0 + 1j], [1 / 3 + 0j, -0.0 - 0.0j]])
-    pairs = [[a.real, a.imag] for a in amps.reshape(-1)]
-    assert _float_array(amps.reshape(-1, 1).view(np.float64)) == reference_emit_json(pairs)
-
-
 def test_missing_file_reported(tmp_path):
-    proc = run_cli("simulate", str(tmp_path / "no_such_file.json"))
-    assert proc.returncode == 1
-    assert "cannot read" in proc.stderr
+    path = tmp_path / "no_such_file.json"
+    assert run_main("simulate", path) == (
+        1, "", f"zenosim: error: cannot read {path}: No such file or directory\n")
 
 
 def test_unknown_family_and_bad_profile():
@@ -1014,28 +921,6 @@ def test_montecarlo_seed_out_of_range_is_one_error_line():
     assert proc.stderr == "zenosim: error: seed must be in [0, 2**128), got -1\n"
 
 
-# sha256 of `montecarlo --family <name>` stdout at one profile, trial count
-# and seed; the estimate is a fixed function of the seeded stream
-_MONTECARLO_SHA256 = {
-    "memory": "a82732902002c0ad9058b6dbb09eb47642b3bdcac4794a0ce2eabb2281aa3926",
-    "half-memory-keep-control":
-        "e023ff554006a3703e7cdd94e67b6045dff129d2b507615306c8b5ea08358999",
-    "half-memory-keep-target":
-        "c646a5e0bfeddb7d7b09500092d708e4f7171935ff30270f38d4f17c1554cc8e",
-    "direct-cx": "06cea1dad24cde1b61fab9bdd161a478aac78cfa6773a41c785afc7ad9af8b95",
-    "direct-cz": "84cfffda0c11207bbb908039f6b498cebbd953178ab3273e516750e98341c7dd",
-}
-
-
-@pytest.mark.parametrize("family", CNOT_FAMILIES)
-def test_montecarlo_stdout_is_pinned(family):
-    code, stdout, _ = run_main("montecarlo", "--family", family,
-                               "--profile", "0.97,0.93,0.9,0.88,0.92",
-                               "--trials", "100000", "--seed", "2026")
-    assert code == 0
-    assert hashlib.sha256(stdout.encode()).hexdigest() == _MONTECARLO_SHA256[family]
-
-
 def test_repeated_invocations_byte_identical():
     # two fresh processes, each with its own string hashes and empty memos
     a = run_fresh("simulate", "--demo", "wstate-3", "--ideal")
@@ -1100,53 +985,6 @@ def test_main_calls_in_one_process_match_fresh_processes(tmp_path):
         codes.append(code)
     assert codes == [0, 0, 0, 1, 0, 0, 0, 0, 0, 2, 1, 1]
     assert build_parser() is build_parser()
-
-
-# sha256 of `simulate --demo <name> --ideal` stdout, as JSON and as CSV
-_STDOUT_SHA256 = {
-    "bell": ("94a300e5025cc16d16e475d04cbdb6914f2a23281e6626540c8d41d47c3d6f5b",
-             "b12a201c4758657b0bd22868697e3615d49de22e76c0b1dd3116026a0b9346a4"),
-    "cnot-direct-cx": (
-        "ddcf22e20e2f8218f39ee67ea609e9843e39dc4237e07e270238a218d45da658",
-        "e5849e018e96970fb6e4735165d18f62bb257b482542a58d085fef2b1f872927"),
-    "cnot-direct-cz": (
-        "e40c2eb11951701481e548093425fca7fbffa74ff78e3431d221725f17a32534",
-        "e5849e018e96970fb6e4735165d18f62bb257b482542a58d085fef2b1f872927"),
-    "cnot-half-memory-keep-control": (
-        "6b0865b0104a32a7164152b342f88d7c1a38229842b49bd8609753d1e805ef88",
-        "9bcfb15827dc8cc90efa98e3db9eef6d94d1f68e285300ecc6675bc23db8d461"),
-    "cnot-half-memory-keep-target": (
-        "e75fdcdd6198e1aab562d5a6eaab198edc3f1a9e131efd6e67147ee3777083ae",
-        "9bcfb15827dc8cc90efa98e3db9eef6d94d1f68e285300ecc6675bc23db8d461"),
-    "cnot-memory": (
-        "0325b4bca382ac5ad3d03cad578c40d2c3ac3dfdb13616bbce87a297791e6f3f",
-        "f124694e225ea3d8e27e5210e4495aa10868ebc2cc71fbc39c9c20992a5ab570"),
-    "memory": ("5d5724b7b5dbfebf3ba098ff807bc20797a9acf724e1a8140e9079f4eb3e3c0e",
-               "a67bb237cff1f0cda2b423929c85f4a169146ad80357d23c4dc08efd487ed82c"),
-    "qicz": ("3b90955311f45566b23ce1e7ce10854b91daa8e6b2ae256e41c0425c9c040a4b",
-             "8d6fc590a6e635020f98217d194d54581efafbf5556f8474dc51834baa47df43"),
-    "toffoli": ("c838ceb8a1230b4aeba49c97a451339be90aca0742f6f518b6ba3d1d8f9c6f61",
-                "8d6fc590a6e635020f98217d194d54581efafbf5556f8474dc51834baa47df43"),
-    "wstate-2": ("ae111ab101dd0bc20a36013466693a49fb83f60a219783ca712102eb92e184b7",
-                 "a6983140ccafd161085081017e1636cae384f1f05f177f5d93b01b28f2aec4e5"),
-    "wstate-3": ("da7323466448167220fb326cd150e0d8fd598f0152d819aaf213f07822a4ac63",
-                 "03f09435fabd2ebacd5e4205ea3bd934f3913979f9d2a79659c89ebe05226cdc"),
-    "wstate-4": ("166d87d172ad641c4609dd22b6ccc8b31e143c06ceddfb9399c4a65f2eb07eb4",
-                 "e366fe6782eb5f1fda0c3a42e99bff64ba5b6ea25081c0dc69d20d62ea765614"),
-}
-
-
-def test_stdout_pins_cover_every_demo():
-    assert sorted(_STDOUT_SHA256) == sorted(DEMOS)
-
-
-@pytest.mark.parametrize("out", ["json", "csv"])
-@pytest.mark.parametrize("name", sorted(_STDOUT_SHA256))
-def test_simulate_ideal_stdout_is_pinned(name, out):
-    code, stdout, _ = run_main("simulate", "--demo", name, "--ideal", "--out", out)
-    assert code == 0
-    digest = hashlib.sha256(stdout.encode()).hexdigest()
-    assert digest == _STDOUT_SHA256[name][out == "csv"]
 
 
 @pytest.mark.parametrize("name", sorted(DEMOS))

@@ -12,12 +12,8 @@ catches is a blind spot of the suite, so a row is never entered as an
 expected survivor."""
 
 import __future__
-import contextlib
 import inspect
-import io
 import itertools
-import json
-import os
 import sys
 import tempfile
 import textwrap
@@ -28,7 +24,7 @@ import numpy as np
 import pytest
 
 from zenosim import analysis, circuits, cli, gates, interrogation, oracle, state
-from zenosim.circuits import DEMOS, CircuitProgram, Instruction
+from zenosim.circuits import DEMOS
 from zenosim.interrogation import effective_map
 from zenosim.state import new_state, photon
 
@@ -43,19 +39,8 @@ import test_oracle
 import test_reference_walk
 import test_state
 from helpers import FAILURE_LEAVES, rounding_bounds
-from test_circuits import (
-    _GATE_MISFITS,
-    _KIND_SETUP,
-    _KIND_SUBSYSTEMS,
-    assert_spoiled_results_leave_later_runs_alone,
-)
-from test_cli import (
-    _UNLOADABLE,
-    _WRONG_KIND_DOCS,
-    MALFORMED,
-    assert_file_is_one_error_line,
-    assert_verification_fails_on_a_broken_engine,
-)
+from test_circuits import assert_spoiled_results_leave_later_runs_alone
+from test_cli import REJECTED, assert_verification_fails_on_a_broken_engine
 from test_interrogation import _MAP_LAYOUTS, _map_by_columns, _map_grid
 from test_reference_powers import assert_power_stacks_match_the_50_digit_reference
 from test_sampling import (
@@ -132,8 +117,9 @@ def _draw_limits_split_the_words() -> None:
 
 
 def _finite_stdout_is_pinned() -> None:
-    for name, flags in sorted(test_emit._FINITE_SHA256):
-        test_emit.test_simulate_finite_stdout_is_pinned(name, flags)
+    for argv in sorted(test_emit.STDOUT_SHA256):
+        if "--cycles" in argv:
+            test_emit.test_stdout_is_pinned(argv)
 
 
 def _map_is_its_column_runs() -> None:
@@ -222,11 +208,7 @@ def _measures_bind_the_rescanned_batches() -> None:
 
 
 def _multi_valued_controls_are_refused() -> None:
-    for op in ("cx", "cz"):
-        try:
-            test_circuits.test_binary_control_on_multi_valued_bit_rejected(op)
-        except pytest.fail.Exception as exc:  # a program pytest.raises saw load
-            raise AssertionError(str(exc)) from exc
+    _files_are_one_error_line(lambda message: "needs a 0/1 control" in message)
 
 
 def _cnot_families_are_cnots() -> None:
@@ -287,30 +269,11 @@ def _oracle_pairs_failure_leaves() -> None:
 
 
 def _unknown_argument_is_rejected() -> None:
-    doc = {"version": "1", "subsystems": [{"name": "p", "kind": "photon"}], "bits": [],
-           "instructions": [{"op": "prepare", "target": "p", "levle": 1}]}
-    try:
-        cli.program_from_doc(doc)
-    except ValueError as exc:
-        assert str(exc) == "instructions[0]: prepare takes no argument 'levle'"
-    else:
-        raise AssertionError("a misspelt argument loaded")
+    _files_are_one_error_line(lambda message: "takes no argument" in message)
 
 
 def _deeply_nested_file_is_one_error_line() -> None:
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "nested.json")
-        with open(path, "w") as fh:
-            fh.write("[" * 100_000)
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(["simulate", path])
-        except Exception as exc:  # an exception that escapes main fails the check
-            raise AssertionError(f"{type(exc).__name__} escaped main") from exc
-    assert (code, out.getvalue()) == (1, "")
-    assert err.getvalue() == ("zenosim: error: parse error: arrays or objects "
-                              "nested too deeply\n")
+    _files_are_one_error_line(lambda message: "nested too deeply" in message)
 
 
 def _broken_engine_fails_verification() -> None:
@@ -329,23 +292,25 @@ def _escapes_as_a_failure(check: Callable[[], None]) -> None:
         raise AssertionError(f"{type(exc).__name__} escaped: {exc}") from exc
 
 
-def _files_are_one_error_line(cases) -> None:
+def _files_are_one_error_line(selects: Callable[[str], bool]) -> None:
+    """`test_cli.test_rejected_file_is_one_error_line` on each entry of
+    `REJECTED` whose message `selects` picks."""
+    names = [name for name, (_, message) in sorted(REJECTED.items()) if selects(message)]
+    assert names
     with tempfile.TemporaryDirectory() as tmp:
-        for text, message in cases:
-            _escapes_as_a_failure(lambda: assert_file_is_one_error_line(
-                Path(tmp) / "malformed.json", text, message))
+        for name in names:
+            _escapes_as_a_failure(
+                lambda: test_cli.test_rejected_file_is_one_error_line(Path(tmp), name))
 
 
 def _subsystem_and_bit_files_are_one_error_line() -> None:
-    # every malformed file whose error names one subsystem or bit
-    _files_are_one_error_line([(json.dumps(doc), message) for doc, message in MALFORMED
-                               if message.startswith(("subsystems[", "bits["))])
+    # every rejected file whose error names one subsystem or bit
+    _files_are_one_error_line(lambda message: message.startswith(("subsystems[", "bits[")))
 
 
 def _instruction_files_are_one_error_line() -> None:
-    # every malformed file whose error names one instruction
-    _files_are_one_error_line([(json.dumps(doc), message) for doc, message in MALFORMED
-                               if message.startswith("instructions[")])
+    # every rejected file whose error names one instruction
+    _files_are_one_error_line(lambda message: message.startswith("instructions["))
 
 
 def _oracle_cap_names_its_instruction() -> None:
@@ -354,8 +319,7 @@ def _oracle_cap_names_its_instruction() -> None:
 
 
 def _misspelt_field_files_are_one_error_line() -> None:
-    _files_are_one_error_line([(text, message) for text, message in _UNLOADABLE.values()
-                               if "takes no field" in message])
+    _files_are_one_error_line(lambda message: "takes no field" in message)
 
 
 def _particle_guard_holds() -> None:
@@ -398,18 +362,8 @@ def _library_numbers_are_checked() -> None:
 
 
 def _gate_misfits_are_rejected() -> None:
-    # every row of the gate-kind table at load, then the wrong-kind files
-    for op, args, bad, needs, what in _GATE_MISFITS:
-        name = args[bad][-1] if bad == "particles" else args[bad]
-        try:
-            CircuitProgram(_KIND_SUBSYSTEMS, ("m",), _KIND_SETUP + (Instruction(op, args),))
-        except ValueError as exc:
-            assert str(exc) == (f"instructions[6]: {op} argument '{bad}' needs {needs}, "
-                                f"but '{name}' is {what}"), exc
-        else:
-            raise AssertionError(f"{op} on {what} loaded")
-    _files_are_one_error_line([(json.dumps(doc), message)
-                               for doc, message in _WRONG_KIND_DOCS.values()])
+    # every rejected file whose error is a kind guard's
+    _files_are_one_error_line(lambda message: ", but '" in message)
 
 
 _TESTS = Path(__file__).parent

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import pytest
 
 import zenosim
-from zenosim import analysis, cli, interrogation
+from zenosim import analysis, interrogation
 from zenosim.circuits import DEMOS
 from zenosim.gates import ImperfectionProfile
 from zenosim.state import particle
@@ -89,19 +89,9 @@ def raise_sites() -> dict[Site, list[tuple[str, int]]]:
 _HERE = Path(".")
 
 
-def _malformed(message: str) -> Callable[[], None]:
-    # the circuit-file test of test_cli.MALFORMED whose error line is `message`
-    (doc,) = [doc for doc, line in test_cli.MALFORMED if line == message]
-    return lambda: test_cli.test_malformed_file_is_one_error_line(_HERE, doc, message)
-
-
-def _cli_table(test, name: str) -> Callable[[], None]:
-    # a test_cli table test, on one of its named documents, under `simulate`
-    return lambda: test(_HERE, name, "simulate")
-
-
-def _loads(doc) -> Callable[[], None]:
-    return partial(cli.program_from_doc, doc)
+def _rejected(name: str) -> Callable[[], None]:
+    # the entry `name` of test_cli.REJECTED, loaded and run by both commands
+    return lambda: test_cli.test_rejected_file_is_one_error_line(_HERE, name)
 
 
 def _unpaired(name: str) -> Callable[[], None]:
@@ -136,22 +126,18 @@ LEDGER = [
     # circuits: prepared vectors and instruction arguments
     Row(Site("circuits", "_prepared",
              "prepare takes one of level, pm, state or a true uniform, got {}"),
-        _cli_table(test_cli.test_arguments_the_engine_would_reject_are_one_error_line,
-                   "pm-and-level"),
+        _rejected("pm-and-level"),
         "prepare takes one of level, pm, state or a true uniform, got level and pm"),
     Row(Site("circuits", "_prepared", "initial vector too long for {}"),
-        _cli_table(test_cli.test_arguments_the_engine_would_reject_are_one_error_line,
-                   "state-length"),
+        _rejected("state-too-long"),
         "initial vector too long for 'p'"),
     Row(Site("circuits", "_prepared", "level {} out of range for {}"),
-        _cli_table(test_cli.test_arguments_the_engine_would_reject_are_one_error_line,
-                   "level"),
+        _rejected("level-7"),
         "level 7 out of range for 'p'"),
     Row(Site("circuits", "_phase_fits",
              "cphase coeff {} times {}, the largest value of bit {}, is not finite"),
-        _cli_table(test_cli.test_arguments_the_engine_would_reject_are_one_error_line,
-                   "phase-reached"),
-        test_cli._PHASE_MESSAGE),
+        _rejected("phase-overflow-reached"),
+        "cphase coeff 1e+308 times 2, the largest value of bit 'k', is not finite"),
     Row(Site("circuits", "Instruction.__post_init__", "unknown op {}"),
         test_circuits.test_unknown_op_rejected, "unknown op 'teleport'"),
     Row(Site("circuits", "Instruction.__post_init__", "{} takes no argument {}"),
@@ -160,65 +146,61 @@ LEDGER = [
     Row(Site("circuits", "Instruction.__post_init__", "{} needs argument {}"),
         test_circuits.test_instruction_needs_its_arguments, "photon_h needs argument 'target'"),
     Row(Site("circuits", "Instruction.__post_init__", "{} argument {} must be {}, got {}"),
-        _malformed("instructions[0]: prepare argument 'level' must be an integer, got [1]"),
+        _rejected("level-not-an-integer"),
         "prepare argument 'level' must be an integer, got [1]"),
     Row(Site("circuits", "CircuitProgram.spec", "undeclared subsystem {}"),
         test_circuits.test_spec_of_an_undeclared_name_is_a_key_error,
         "undeclared subsystem 'x'"),
     # circuits: the validator, in source order
     Row(Site("circuits", "validate_program", "subsystems[{}]: duplicate subsystem name {}"),
-        _malformed("subsystems[1]: duplicate subsystem name 'p'"),
+        _rejected("duplicate-subsystem"),
         "subsystems[1]: duplicate subsystem name 'p'"),
     Row(Site("circuits", "validate_program",
              "subsystems[{}]: {} would have {} levels; the engine allows at most {}"),
-        _malformed("subsystems[0]: 'b' would have 1000000001 levels; the engine allows "
-                   "at most 1024"),
+        _rejected("particle-past-the-level-cap"),
         "subsystems[0]: 'b' would have 1000000001 levels; the engine allows at most 1024"),
     Row(Site("circuits", "validate_program", "bits[{}]: a bit name must be a string, got {}"),
-        _malformed("bits[1]: a bit name must be a string, got 3"),
+        _rejected("bit-number"),
         "bits[1]: a bit name must be a string, got 3"),
     Row(Site("circuits", "validate_program", "bits[{}]: duplicate bit name {}"),
-        test_circuits.test_duplicate_bit_name, "bits[1]: duplicate bit name 'b'"),
+        _rejected("duplicate-bit"), "bits[1]: duplicate bit name 'a'"),
     Row(Site("circuits", "validate_program",
              'bits[{}]: {} may not hold , ; = " or a line break'),
-        partial(test_cli.test_bit_name_that_would_split_a_csv_row_is_one_error_line,
-                _HERE, "a,b"),
+        _rejected("bit-comma"),
         "bits[0]: 'a,b' may not hold , ; = \" or a line break"),
     Row(Site("circuits", "validate_program", "undeclared bit {}"),
-        test_circuits.test_measure_into_undeclared_bit, "undeclared bit 'b'"),
+        _rejected("undeclared-bit"), "undeclared bit 'y'"),
     Row(Site("circuits", "validate_program", "bit {} read before write"),
-        test_circuits.test_correction_bit_read_before_write, "bit 'b' read before write"),
+        _rejected("read-before-write"), "bit 'k' read before write"),
     Row(Site("circuits", "validate_program",
              "{} needs a 0/1 control, but bit {} can hold 0..{}; use cphase for integer "
              "outcomes"),
-        partial(test_circuits.test_binary_control_on_multi_valued_bit_rejected, "cx"),
-        "cx needs a 0/1 control, but bit 'm' can hold 0..2; use cphase for integer outcomes"),
+        _rejected("cx-on-a-3-valued-bit"),
+        "cx needs a 0/1 control, but bit 'k' can hold 0..2; use cphase for integer outcomes"),
     Row(Site("circuits", "validate_program", "undeclared subsystem {}"),
-        test_circuits.test_undeclared_subsystem, "undeclared subsystem 'q'"),
+        _rejected("undeclared-subsystem"), "undeclared subsystem 'x'"),
     Row(Site("circuits", "validate_program", "{} prepared twice"),
-        test_circuits.test_prepare_twice, "'p' prepared twice"),
+        _rejected("prepared-twice"), "'p' prepared twice"),
     Row(Site("circuits", "validate_program", "{} reused after measurement"),
-        _malformed("instructions[2]: 'p' reused after measurement"),
-        "'p' reused after measurement"),
+        _rejected("reused-after-measurement"), "'s' reused after measurement"),
     Row(Site("circuits", "validate_program",
              "preparing {} makes a state of {} amplitudes; the engine allows at most {}"),
-        _malformed("instructions[2]: preparing 'b2' makes a state of 8120601 amplitudes; "
-                   "the engine allows at most 1048576"),
+        _rejected("state-past-the-amplitude-cap"),
         "preparing 'b2' makes a state of 8120601 amplitudes; the engine allows at most "
         "1048576"),
     Row(Site("circuits", "validate_program", "{} used after measurement"),
-        test_circuits.test_use_after_measurement, "'p' used after measurement"),
+        _rejected("used-after-measurement"), "'s' used after measurement"),
     Row(Site("circuits", "validate_program", "{} used before prepare"),
-        test_circuits.test_use_before_prepare, "'p' used before prepare"),
+        _rejected("used-before-prepare"), "'p' used before prepare"),
     Row(Site("circuits", "validate_program",
              "preparing {} makes a state of norm^2 {}, above 1 + {}"),
-        lambda: test_cli.test_prepared_norms_past_the_state_tolerance_end_at_load(_HERE),
+        _rejected("norm-product"),
         "preparing 'q' makes a state of norm^2 1.0000000000017994, above 1 + 1e-12"),
     # the instruction loop's one handler, which prefixes every error above and
     # those of the rules it calls: a written bit's basis, what a step may act
     # on, an op's own argument check
     Row(Site("circuits", "validate_program", "instructions[{}]: {}"),
-        test_circuits.test_unknown_basis, "instructions[1]: unknown basis 'diagonal'"),
+        _rejected("unknown-basis"), "instructions[6]: unknown basis 'diagonal'"),
     Row(Site("circuits", "w_state_generator", "the photon count must be an integer, got {}"),
         partial(test_circuits.test_w_generator_needs_an_integer_photon_count, 3.0),
         "the photon count must be an integer, got 3.0"),
@@ -228,33 +210,31 @@ LEDGER = [
         lambda: analysis.yield_formula("nope", ImperfectionProfile()), "unknown family 'nope'"),
     # cli
     Row(Site("cli", "_doc_list", "{} must be a list"),
-        _malformed("bits must be a list"), "bits must be a list"),
+        _rejected("bits-not-a-list"), "bits must be a list"),
     Row(Site("cli", "_no_other_fields", "{} takes no field {}"),
-        _cli_table(test_cli.test_unloadable_file_is_one_prefixed_error_line, "misspelt-list"),
+        _rejected("misspelt-list"),
         "top level takes no field 'instrucions'"),
     Row(Site("cli", "program_from_doc", "top level must be an object"),
-        _loads([]), "top level must be an object"),
+        _rejected("top-level-list"), "top level must be an object"),
     Row(Site("cli", "program_from_doc", "unsupported version {}"),
-        _loads({"version": 1}), "unsupported version 1"),
+        _rejected("version-number"), "unsupported version 1"),
     Row(Site("cli", "program_from_doc", "subsystems[{}]: must be an object"),
-        _loads({"version": "1", "subsystems": ["p"]}), "subsystems[0]: must be an object"),
+        _rejected("subsystem-not-an-object"), "subsystems[0]: must be an object"),
     Row(Site("cli", "program_from_doc", "subsystems[{}]: {}"),
-        _malformed("subsystems[0]: unknown kind 'widget'"),
-        "subsystems[0]: unknown kind 'widget'"),
+        _rejected("kind-widget"), "subsystems[0]: unknown kind 'widget'"),
     Row(Site("cli", "program_from_doc", "instructions[{}]: missing op"),
-        _loads({"version": "1", "instructions": [{"target": "p"}]}),
-        "instructions[0]: missing op"),
+        _rejected("missing-op"), "instructions[0]: missing op"),
     Row(Site("cli", "program_from_doc", "instructions[{}]: {}"),
-        lambda: test_cli.test_unknown_op_reports_index(_HERE),
+        _rejected("unknown-op"),
         "instructions[0]: unknown op 'warp'"),
     Row(Site("cli", "load_program", "cannot read {}: {}"),
         lambda: test_cli.test_missing_file_reported(_HERE),
         "cannot read no_such_file.json: No such file or directory"),
     Row(Site("cli", "load_program", "parse error at line {} column {}"),
-        lambda: test_cli.test_parse_error_reports_position(_HERE),
+        _rejected("parse-error"),
         "parse error at line 2 column 18"),
     Row(Site("cli", "load_program", "parse error: arrays or objects nested too deeply"),
-        _cli_table(test_cli.test_unloadable_file_is_one_prefixed_error_line, "nested"),
+        _rejected("nested"),
         "parse error: arrays or objects nested too deeply"),
     Row(Site("cli", "_parse_profile", "profile needs five comma-separated values: p,q,r,s,eta"),
         test_cli.test_unknown_family_and_bad_profile,
@@ -295,8 +275,7 @@ LEDGER = [
     Row(Site("interrogation", "QiParams.__post_init__", "unknown residual policy {}"),
         test_interrogation.test_params_validation, "unknown residual policy 'discard'"),
     Row(Site("interrogation", "wiring", "one blocking entry per particle required"),
-        _cli_table(test_cli.test_qicz_multi_lists_that_do_not_fit_are_one_error_line,
-                   "blocking-length"),
+        _rejected("qicz_multi-two-blocking-entries-for-one"),
         "one blocking entry per particle required"),
     Row(Site("interrogation", "wiring", "particle {} listed twice"),
         test_circuits.test_configurable_gate_rejects_double_wiring, "particle 'b' listed twice"),
@@ -310,8 +289,7 @@ LEDGER = [
     Row(Site("interrogation", "wiring",
              "blocking position {} invalid for {} (positions 0..{}; the exploded level "
              "cannot block)"),
-        _cli_table(test_cli.test_qicz_multi_lists_that_do_not_fit_are_one_error_line,
-                   "blocking-position"),
+        _rejected("qicz_multi-blocking-position-5"),
         "blocking position 5 invalid for 'b' (positions 0..1; the exploded level cannot "
         "block)"),
     Row(Site("interrogation", "effective_map",
@@ -344,12 +322,12 @@ LEDGER = [
     Row(Site("state", "_check_probability", "{} must lie in [0, 1{}"),
         test_interrogation.test_params_validation, "cycle_loss must lie in [0, 1)"),
     Row(Site("state", "SubsystemSpec.__post_init__", "name must be a non-empty string, got {}"),
-        _malformed("subsystems[0]: name must be a non-empty string, got ''"),
+        _rejected("photon-name-empty"),
         "name must be a non-empty string, got ''"),
     Row(Site("state", "SubsystemSpec.__post_init__", "unknown kind {}"),
-        _malformed("subsystems[0]: unknown kind 'widget'"), "unknown kind 'widget'"),
+        _rejected("kind-widget"), "unknown kind 'widget'"),
     Row(Site("state", "SubsystemSpec.__post_init__", "{} {} {}"),
-        _cli_table(test_cli.test_unloadable_file_is_one_prefixed_error_line, "dim-1"),
+        _rejected("particle-dim-1"),
         "particle 'b' needs an integer number of positions, at least 2, got 1"),
     Row(Site("state", "expect", "{} needs {}, but {} is {}"),
         test_gates.test_gate_kind_mismatch_rejected,
@@ -373,7 +351,7 @@ LEDGER = [
         test_state.test_apply_local_errors_keep_their_messages,
         "operator is not a contraction (sigma_max = 1.5)"),
     Row(Site("state", "basis_outcomes", "unknown basis {}"),
-        test_circuits.test_unknown_basis, "unknown basis 'diagonal'"),
+        _rejected("unknown-basis"), "unknown basis 'diagonal'"),
     Row(Site("state", "fidelity", "layout mismatch"),
         test_state.test_fidelity_contract, "layout mismatch"),
     Row(Site("state", "fidelity", "{} state is not renormalized"),
