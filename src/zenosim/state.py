@@ -27,7 +27,6 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -242,56 +241,20 @@ def _to_front(state: StateVector, axis: int) -> tuple[np.ndarray, list[int]]:
     return state.amps.transpose(perm), perm
 
 
-def _sigma_max(op: np.ndarray) -> float:
-    """The largest singular value of an operator, or the largest over the
-    operators of a stack; NaN for an operator with a non-finite entry, whose
-    SVD gives NaN or does not converge."""
-    if not np.isfinite(op).all():
-        return math.nan
-    sigma = np.linalg.svd(op, compute_uv=False)  # descending, per operator
-    return float(sigma[0] if op.ndim == 2 else sigma[:, 0].max())
-
-
-# The contraction check's memo keeps operators of at most _MEMO_OP_BYTES
-# (a 16x16 operator, or a stack of sixteen 4x4 ones), _MEMO_ENTRIES of them.
-_MEMO_OP_BYTES = 4096
-_MEMO_ENTRIES = 64
-
-
-@lru_cache(maxsize=_MEMO_ENTRIES)
-def _sigma_max_of(shape: tuple, data: bytes) -> float:
-    """`_sigma_max` of the complex128 operator of `shape` whose C-ordered
-    bytes are `data`, the same float the SVD of the operator itself gives.
-
-    Keyed by the value alone, so every operator takes the same lookup,
-    whatever its origin, and one changed in place is a new key; an SVD that
-    raises is not kept, so it raises again on the next call.  It holds at
-    most 64 entries of at most 4 KiB of operator bytes each, plus about
-    0.26 KiB per entry for its key, node and result: at most 280 KiB in all.
-    """
-    return _sigma_max(np.frombuffer(data, dtype=np.complex128).reshape(shape))
-
-
 def apply_local(state: StateVector, target: str, op: np.ndarray) -> StateVector:
     """Apply a dense operator on the one subsystem named `target`, identity
     elsewhere.
 
     The operator acts on the target's levels; on a batched state it may
-    also be a stack of one operator per branch.  It must be a contraction
-    (largest singular value <= 1 + 1e-12); the norm may shrink but never
-    grow beyond tolerance.  The largest singular value of an operator of at
-    most `_MEMO_OP_BYTES` is looked up by its shape and bytes in
-    `_sigma_max_of`'s memo; a larger one runs the same SVD unkept.
+    also be a stack of one operator per branch.  Only its shape is
+    checked: a product that adds probability is refused by the norm check
+    of the state it builds.
     """
     axis = state.axis(target)
     block = state.layout[axis].dim
     op = np.asarray(op, dtype=np.complex128)
     if op.shape not in ((block, block), (state.batch, block, block)):
         raise ValueError(f"operator shape {op.shape} does not match target dimension {block}")
-    smax = (_sigma_max_of(op.shape, op.tobytes()) if op.nbytes <= _MEMO_OP_BYTES
-            else _sigma_max(op))
-    if not smax <= 1 + ATOL:
-        raise ValueError(f"operator is not a contraction (sigma_max = {smax})")
     front, perm = _to_front(state, axis)
     out = (op @ front.reshape(_lead(state) + (block, -1))).reshape(front.shape)
     return StateVector(state.layout, out.transpose(sorted(range(len(perm)), key=perm.__getitem__)),

@@ -78,8 +78,9 @@ def test_subsystem_that_no_constructor_builds_is_rejected(name, kind, dim, messa
 
 _BASIS_MISFITS = [
     (photon("x"), PARTICLE_PM, "particle_pm needs a 2-position particle, but 'x' is a photon"),
-    (photon("x"), PARTICLE_COMPUTATIONAL, "needs a particle"),
-    (photon("x"), QUDIT_POSITION, "needs a particle"),
+    (photon("x"), PARTICLE_COMPUTATIONAL,
+     "particle_computational needs a particle, but 'x' is a photon"),
+    (photon("x"), QUDIT_POSITION, "qudit_position needs a particle, but 'x' is a photon"),
     (particle("x", positions=3), PARTICLE_PM,
      "particle_pm needs a 2-position particle, but 'x' is a 3-position particle"),
     (particle("x"), PHOTON_COMPUTATIONAL,
@@ -160,9 +161,10 @@ def test_engine_call_on_a_misfit_ends_as_the_validator_does(op, args, bad, needs
 def test_measurement_of_a_misfit_raises_as_the_validator_does(spec, basis, message):
     with pytest.raises(ValueError) as loaded:
         _measure_misfit(spec, basis)
-    with pytest.raises(ValueError, match=r" needs .+, but 'x' is .+$") as measured:
+    with pytest.raises(ValueError) as measured:
         branch_all(new_state([spec], [0]), "x", basis)
-    assert str(loaded.value) == f"instructions[1]: {measured.value}"
+    assert str(measured.value) == message
+    assert str(loaded.value) == f"instructions[1]: {message}"
 
 
 @pytest.mark.parametrize("op,args", [

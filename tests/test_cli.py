@@ -190,17 +190,14 @@ def test_simulate_heralded_failure_exits_two(tmp_path):
 
 
 def test_simulate_requires_one_source(tmp_path):
-    both = run_cli("simulate", _empty_program(tmp_path), "--demo", "bell")
-    neither = run_cli("simulate")
-    for proc in (both, neither):
-        assert proc.returncode == 1
-        assert "error" in proc.stderr
+    for argv in (("simulate", _empty_program(tmp_path), "--demo", "bell"), ("simulate",)):
+        assert run_main(*argv) == (
+            1, "", "zenosim: error: pass exactly one of a circuit file or --demo\n")
 
 
 def test_simulate_unknown_demo():
-    proc = run_cli("simulate", "--demo", "nope")
-    assert proc.returncode == 1
-    assert "unknown demo" in proc.stderr
+    assert run_main("simulate", "--demo", "nope") == (
+        1, "", f"zenosim: error: unknown demo 'nope'; available: {', '.join(sorted(DEMOS))}\n")
 
 
 def _op(op, **args) -> dict:
@@ -738,12 +735,10 @@ def test_missing_file_reported(tmp_path):
 
 
 def test_unknown_family_and_bad_profile():
-    proc = run_cli("census", "--family", "quantum")
-    assert proc.returncode == 1
-    assert "unknown family" in proc.stderr
-    proc = run_cli("montecarlo", "--family", "memory", "--profile", "1,1,1")
-    assert proc.returncode == 1
-    assert "five comma-separated" in proc.stderr
+    assert run_main("census", "--family", "quantum") == (
+        1, "", "zenosim: error: unknown family 'quantum'\n")
+    assert run_main("montecarlo", "--family", "memory", "--profile", "1,1,1") == (
+        1, "", "zenosim: error: profile needs five comma-separated values: p,q,r,s,eta\n")
 
 
 def test_cnot_emit_simulate_and_oracle_check(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from zenosim import gates
-from zenosim.circuits import CENSUS_CLASSES, Instruction
+from zenosim.circuits import CENSUS_CLASSES, DEMOS, MAX_SUBSYSTEM_DIM, Instruction, _phase_fits
 from zenosim.gates import (
     CHARGED,
     _fourier,
@@ -24,6 +24,7 @@ from zenosim.gates import (
     prepare_particle_uniform,
 )
 from zenosim.state import (
+    ATOL,
     BLOCKED,
     OPEN,
     PH_ONE_H,
@@ -119,6 +120,49 @@ def test_operators_have_the_bytes_of_their_literal_form(name):
     got, want = _OPERATORS[name]
     assert got.tobytes() == want.tobytes()
     assert not got.flags.writeable
+
+
+# `apply_local` checks only an operator's shape, and the new state's norm
+# check is the one runtime guard against added probability; so every
+# operator the gates hand it is shown here, once, to be a contraction
+
+def _assert_contraction(op) -> None:
+    sigma_max = np.linalg.svd(op, compute_uv=False)[0]
+    assert sigma_max <= 1 + ATOL, sigma_max
+
+
+@pytest.mark.parametrize("op", [gates._PHOTON_H, gates._PARTICLE_H], ids=["photon", "particle"])
+def test_hadamards_are_contractions(op):
+    _assert_contraction(op)
+
+
+# every position count up to 64, then 255 and the most a subsystem may
+# have (1,023 positions), where rounding takes sigma_max closest to the
+# bound; that SVD takes about 0.6 s
+@pytest.mark.parametrize("d", [*range(3, 65), 255, MAX_SUBSYSTEM_DIM - 1])
+def test_fourier_transforms_are_contractions(d):
+    _assert_contraction(gates._block(d + 1, _fourier(d)))
+
+
+@pytest.mark.parametrize("demo", ["wstate-2", "wstate-3", "wstate-4"])
+def test_wstate_phases_are_contractions(demo):
+    # each cphase coefficient of the demo at every value its position bit takes
+    program = DEMOS[demo]()
+    values = range(program.spec("q").dim)
+    for ins in program.instructions:
+        if ins.op == "cphase":
+            for value in values:
+                _assert_contraction(gates._phase(ins.args["coeff"], value))
+
+
+@pytest.mark.parametrize("coeff", [1e308, -1e308])
+def test_widest_phases_are_contractions(coeff):
+    # the largest recorded value the validator lets this coefficient read
+    largest = int(np.finfo(float).max // abs(coeff))
+    _phase_fits({"coeff": coeff, "key": "k"}, None, {"k": largest + 1})
+    with pytest.raises(ValueError, match="is not finite$"):
+        _phase_fits({"coeff": coeff, "key": "k"}, None, {"k": largest + 2})
+    _assert_contraction(gates._phase(coeff, largest))
 
 
 # X and Z move amplitudes by index; each step's reference is `apply_local`

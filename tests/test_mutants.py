@@ -26,7 +26,7 @@ import pytest
 from zenosim import analysis, circuits, cli, gates, interrogation, oracle, state
 from zenosim.circuits import DEMOS
 from zenosim.interrogation import effective_map
-from zenosim.state import new_state, photon
+from zenosim.state import PHOTON_DIM, new_state, photon
 
 import test_analysis
 import test_circuits
@@ -120,6 +120,15 @@ def _finite_stdout_is_pinned() -> None:
     for argv in sorted(test_emit.STDOUT_SHA256):
         if "--cycles" in argv:
             test_emit.test_stdout_is_pinned(argv)
+
+
+def _photon_h_is_accepted_on_every_level() -> None:
+    # a refusal by the norm check (ValueError) is reported as a failure
+    for level in range(PHOTON_DIM):
+        try:
+            gates.photon_h(new_state([photon("p")], [level]), "p")
+        except ValueError as exc:
+            raise AssertionError(f"photon_h refused level {level}: {exc}") from exc
 
 
 def _map_is_its_column_runs() -> None:
@@ -483,9 +492,15 @@ MUTANTS = {
         "out[at[len(lead):] + (0,)], out[at[len(lead):] + (1,)] = "
         "amps[at[len(lead):] + (1,)], amps[at[len(lead):] + (0,)]",
         _pauli_steps_match_the_product),
-    # H's 1/sqrt(2) in single precision, about 1e-8 low: still a
-    # contraction, so only a check of the values sees it (H without its
-    # 1/sqrt(2) is no contraction, and `apply_local` refuses it first)
+    # H without its 1/sqrt(2) doubles a logical state's norm^2, and the
+    # state's norm check refuses the product: the one runtime guard against
+    # added probability catches a gate that expands
+    "photon-h-without-its-half-root": Mutant(
+        gates, "photon_h", "apply_local(state, name, _PHOTON_H)",
+        "apply_local(state, name, _PHOTON_H * np.sqrt(2))", _photon_h_is_accepted_on_every_level),
+    # H's 1/sqrt(2) in single precision, about 1e-8 low: it adds no
+    # probability, so the norm check lets it through and only a check of
+    # the values sees it
     "photon-h-in-single-precision": Mutant(
         gates, "photon_h", "apply_local(state, name, _PHOTON_H)",
         "apply_local(state, name, _PHOTON_H.astype(np.complex64))",
@@ -609,18 +624,6 @@ MUTANTS = {
     "map-read-without-transpose": Mutant(
         interrogation, "_effective_map_cached", "res.amps.reshape(total, total).T",
         "res.amps.reshape(total, total)", _map_is_its_column_runs),
-    # the memo keyed by the object: the helper gets the bytes first seen for
-    # the operator's id (kept on the mutant function itself)
-    "contraction-memo-by-id": Mutant(
-        state, "apply_local", "_sigma_max_of(op.shape, op.tobytes())",
-        "_sigma_max_of(op.shape, apply_local.__dict__.setdefault(id(op), op.tobytes()))",
-        test_state.assert_operator_scaled_in_place_is_refused),
-    # the memo keyed by the bytes alone: the helper gets the shape first seen
-    # with them
-    "contraction-memo-without-shape": Mutant(
-        state, "apply_local", "_sigma_max_of(op.shape, op.tobytes())",
-        "_sigma_max_of(apply_local.__dict__.setdefault(op.tobytes(), op.shape), op.tobytes())",
-        test_state.assert_memo_tells_shapes_apart),
     "subsystem-name-unchecked": Mutant(
         state, "SubsystemSpec.__post_init__",
         'raise ValueError(f"name must be a non-empty string, got {self.name!r}")', "pass",

@@ -347,9 +347,6 @@ LEDGER = [
     Row(Site("state", "apply_local", "operator shape {} does not match target dimension {}"),
         test_state.test_apply_local_errors_keep_their_messages,
         "operator shape (4, 4) does not match target dimension 3"),
-    Row(Site("state", "apply_local", "operator is not a contraction (sigma_max = {})"),
-        test_state.test_apply_local_errors_keep_their_messages,
-        "operator is not a contraction (sigma_max = 1.5)"),
     Row(Site("state", "basis_outcomes", "unknown basis {}"),
         _rejected("unknown-basis"), "unknown basis 'diagonal'"),
     Row(Site("state", "fidelity", "layout mismatch"),
