@@ -60,7 +60,6 @@ from .state import (
     branch_all,
     draw_table,
     expect,
-    initial_vector,
     norm_sq,
     particle,
     photon,
@@ -218,7 +217,9 @@ def _prepared(a: dict, program: CircuitProgram, arity: dict) -> tuple:
             if not 0 <= level < spec.dim:
                 raise ValueError(f"level {level} out of range for {spec.name!r}")
             vec[level] = 1.0
-    vec = initial_vector(spec, vec)
+    vec = np.asarray(vec, dtype=np.complex128)  # the pm and uniform vectors are real
+    if not abs(float(np.vdot(vec, vec).real) - 1.0) <= ATOL:  # a NaN norm^2 fails too
+        raise ValueError("initial vector must be normalized")
     vec.flags.writeable = False
     return spec, vec
 

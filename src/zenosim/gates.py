@@ -154,8 +154,6 @@ def classically_controlled(state: StateVector, value, gate: str,
     on a batched state, `value` holds one value per branch, and the
     branches whose value is 0 keep their amplitudes.  The validator lets a
     correction read only a bit that holds 0 or 1."""
-    if gate not in ("cx", "cz"):
-        raise ValueError(f"unknown controlled gate {gate!r}")
     expect(state.spec(target), "a photon or a 2-position particle", gate)
     values = [value] if state.batch is None else value
     on = [b for b, v in enumerate(values) if v != 0]

@@ -362,19 +362,8 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
-def initial_vector(spec: SubsystemSpec, vec) -> np.ndarray:
-    """`vec` as complex128, checked to have one entry per level and unit norm."""
-    e = np.asarray(vec, dtype=np.complex128)
-    if e.shape != (spec.dim,):
-        raise ValueError(f"initial vector must have length {spec.dim}")
-    if not abs(float(np.vdot(e, e).real) - 1.0) <= ATOL:  # a NaN norm^2 fails too
-        raise ValueError("initial vector must be normalized")
-    return e
-
-
 def add_subsystem(state: StateVector, spec: SubsystemSpec, vec) -> StateVector:
-    """Append a fresh subsystem in the given normalized amplitude vector."""
-    if any(s.name == spec.name for s in state.layout):
-        raise ValueError(f"subsystem {spec.name!r} already present")
-    amps = np.multiply.outer(state.amps, initial_vector(spec, vec))
-    return StateVector(state.layout + (spec,), amps, state.batch)
+    """Append a fresh subsystem in the level vector `vec`.  The validator
+    checked the program's vectors and names when it built the program, so
+    a walk only appends; the new state's norm check is its one guard."""
+    return StateVector(state.layout + (spec,), np.multiply.outer(state.amps, vec), state.batch)

@@ -18,14 +18,12 @@ from zenosim.circuits import (
     Instruction,
     bell_generator,
     cnot_circuit,
-    cnot_output_names,
     configurable_gate,
     demo_programs,
     gate_census,
     memory_roundtrip,
     run,
     run_all_branches,
-    toffoli,
     w_state_generator,
 )
 from zenosim.gates import ImperfectionProfile
@@ -381,22 +379,6 @@ def test_bell_single_photon_is_maximally_mixed():
     assert eig[1] == pytest.approx(0.5, abs=1e-10)
 
 
-@pytest.mark.parametrize("c1,c2,flips", [
-    ((1, 0, 0), (1, 0, 0), False),
-    ((1, 0, 0), (0, 1, 0), False),
-    ((0, 1, 0), (1, 0, 0), False),
-    ((0, 1, 0), (0, 1, 0), True),
-])
-def test_toffoli_truth_table(c1, c2, flips):
-    results = run_all_branches(toffoli(c1, c2, target=(1, 0)), IDEAL)
-    assert len(results) == 1
-    out = results[0].final_state
-    expect = 0.0 if flips else 1.0
-    idx_photon = out.axis("t")
-    vac = np.take(out.amps, 0, axis=idx_photon)
-    assert float(np.vdot(vac, vac).real) == pytest.approx(expect, abs=1e-12)
-
-
 def test_memory_roundtrip_identity_and_bitflip():
     psi = np.array([0.6, 0.8j])
     for sign, expected in (("+", psi), ("-", psi[::-1])):
@@ -430,24 +412,6 @@ def test_w_state_is_permutation_invariant():
     state = reorder(results[0].final_state, ["w0", "w1", "w2"])
     swapped = reorder(results[0].final_state, ["w1", "w0", "w2"])
     assert np.allclose(state.amps, swapped.amps, atol=1e-12)
-
-
-@pytest.mark.parametrize("family", CNOT_FAMILIES)
-@pytest.mark.parametrize("c,t", [(0, 0), (0, 1), (1, 0), (1, 1)])
-def test_cnot_families_on_basis_inputs(family, c, t):
-    levels = {0: (1, 0), 1: (0, 1)}
-    program = cnot_circuit(family, control=levels[c], target=levels[t])
-    results = run_all_branches(program, IDEAL)
-    assert results
-    cn, tn = cnot_output_names(family)
-    target = new_state([photon(cn), photon(tn)], [c, t ^ c])
-    total = 0.0
-    for r in results:
-        assert not r.failed
-        out = reorder(r.final_state, [cn, tn])
-        assert fidelity(out, target) == pytest.approx(1.0, abs=1e-12)
-        total += r.branch_weight
-    assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gate_census_counts():
@@ -873,6 +837,23 @@ def test_walks_read_the_plan_validation_built(monkeypatch):
             assert calls["basis_outcomes"] == calls["branch_all"], (name, walk)
             assert bool(calls["branch_all"]) == any(
                 i.op == "measure" for i in program.instructions), (name, walk)
+        if any(i.op == "measure" for i in program.instructions):
+            continue
+        # the walk appends the plan's vector as it is: a vector halved after
+        # validation halves every leaf of a program that measures nothing,
+        # and nothing raises
+        halved = build()
+        calls.clear()
+        first = next(k for k, i in enumerate(halved.instructions) if i.op == "prepare")
+        spec, vec = halved._plan[first]
+        object.__setattr__(halved, "_plan", halved._plan[:first] + (
+            (spec, vec * 0.5),) + halved._plan[first + 1:])
+        for walk, go in walks.items():
+            got, want = go(halved), go(program)
+            assert len(got) == len(want), (name, walk)
+            for leaf, whole in zip(got, want):
+                assert leaf.final_state.amps.tobytes() == (
+                    whole.final_state.amps * 0.5).tobytes(), (name, walk)
 
 
 def _rescanned_batches(program: CircuitProgram) -> dict[int, int]:

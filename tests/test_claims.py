@@ -79,7 +79,8 @@ def _worst(program, names: list[str], want: np.ndarray, params: QiParams) -> flo
     results = run_all_branches(program, params)
     kept = [r for r in results if not r.failed]
     assert kept
-    if params.cycles is None:
+    if params.cycles is None:  # no branch fails, and the kept ones hold every weight
+        assert not any(r.failed for r in results)
         assert sum(r.success_probability for r in results) == pytest.approx(1.0, abs=1e-12)
     return max(abs(_infidelity(r, names, want)) for r in kept)
 

@@ -317,12 +317,6 @@ def test_classically_controlled_particle_target():
     assert out.amps[OPEN] == pytest.approx(1.0)
 
 
-def test_classically_controlled_unknown_gate():
-    state = new_state([photon("p")], [PH_ZERO])
-    with pytest.raises(ValueError):
-        classically_controlled(state, 1, "ct", "p")
-
-
 def test_cphase_rotates_h_level_by_recorded_outcome():
     coeff = -2 * np.pi / 3
     state = new_state([photon("p")], [PH_ONE_H])

@@ -6,10 +6,10 @@ plain check that the other test files also run, or one written here.  The
 test finds the snippet in the function's source (exactly once, so a
 refactor that moves the code fails here instead of skipping the mutant),
 compiles the mutated function in the module's globals, binds it in every
-zenosim module and every test module that holds the original (a method:
-on its class), and asserts that the killer fails.  A mutant that no check
-catches is a blind spot of the suite, so a row is never entered as an
-expected survivor."""
+zenosim module and every test module that holds the original, and in each
+op row whose bind hook it is (a method: on its class), and asserts that
+the killer fails.  A mutant that no check catches is a blind spot of the
+suite, so a row is never entered as an expected survivor."""
 
 import __future__
 import inspect
@@ -532,15 +532,18 @@ MUTANTS = {
         state, "branch_all", "columns[..., outcome, :] + 0.0",
         "columns[..., outcome + 1, :] + 0.0", _photon_projections_match_tensordot),
     # every prepare's plan entry keeps the first prepare's vector with its
-    # own subsystem, so the walk adds that vector (the op table holds the
-    # bind hooks themselves, so the bound-field rows mutate where the plan
-    # is made)
+    # own subsystem, so the walk adds that vector
     "prepare-reads-another-vector": Mutant(
         circuits, "validate_program", "plan.append(bound)",
         'plan.append(bound if instr.op != "prepare" else (bound[0], next(\n'
         '                (b for i, b in zip(program.instructions, plan) if i.op == "prepare"),\n'
         "                bound)[1]))",
         _walk_prepares_its_own_vectors),
+    # a prepared vector of any norm loads: an unnormalized one ends in the
+    # norm-product message instead of its own, and an empty one loads
+    "prepared-vector-norm-unchecked": Mutant(
+        circuits, "_prepared", 'raise ValueError("initial vector must be normalized")', "pass",
+        _instruction_files_are_one_error_line),
     "measure-binds-the-previous-failure-label": Mutant(
         circuits, "validate_program", "bound = row.bind and row.bind(instr.args, program, arity)",
         "bound = row.bind and row.bind(instr.args, program, arity)\n"
@@ -739,6 +742,10 @@ def test_mutant_is_killed(monkeypatch, name):
                     if value is original:
                         monkeypatch.setattr(module, attr, mutant)
                         bound += 1
+        for op in circuits.OPS.values():  # the op table holds its bind hooks themselves
+            if op.bind is original:
+                monkeypatch.setattr(op, "bind", mutant)
+                bound += 1
         assert bound
     with pytest.raises(AssertionError):
         row.killer()

@@ -1,6 +1,8 @@
 """Properties over generated inputs: random valid programs, run by the
 engine against its own branch enumeration, its memoized runs and the
-brute-force oracle; and arbitrary circuit documents sent through the CLI."""
+brute-force oracle, and by both runners against themselves under a change
+that must not matter (metamorphic relations); and arbitrary circuit
+documents sent through the CLI."""
 
 import contextlib
 import io
@@ -10,6 +12,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from zenosim import cli, oracle
@@ -218,6 +221,42 @@ def test_sampled_runs_are_enumerated_branches(program, seed):
 def test_engine_matches_oracle(program):
     for params in (IDEAL, FINITE):
         assert oracle.compare(program, params) <= rounding_bounds(program).compare
+
+
+# ---------------------------------------------------------------------------
+# relations that hold whichever runner is right
+
+# the finite depth of the stdout pins: absorption and loss both leave weight
+DEEP = QiParams(cycles=333, absorb_prob=0.9, cycle_loss=1e-3)
+
+
+def _oracle_record(leaf) -> tuple:
+    return (tuple(sorted(leaf.assignments.items())), leaf.failed, leaf.layout,
+            leaf.vector.shape, leaf.vector.tobytes())
+
+
+def assert_declaration_order_is_immaterial(program: CircuitProgram, params: QiParams) -> None:
+    """Reversing a program's `subsystems` and `bits` leaves every leaf of
+    `run_all_branches` and of `oracle.brute_force_run` byte-identical: a
+    layout follows the order of the prepares, never of the declarations."""
+    flipped = CircuitProgram(program.subsystems[::-1], program.bits[::-1], program.instructions)
+    for leaves, record in ((run_all_branches, _record),
+                           (lambda *a: oracle.brute_force_run(*a).leaves, _oracle_record)):
+        assert ([record(leaf) for leaf in leaves(flipped, params)]
+                == [record(leaf) for leaf in leaves(program, params)])
+
+
+@pytest.mark.parametrize("params", [IDEAL, DEEP], ids=["exact", "n333"])
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_demo_leaves_ignore_declaration_order(name, params):
+    assert_declaration_order_is_immaterial(DEMOS[name](), params)
+
+
+@settings(max_examples=100, deadline=None)
+@given(program=valid_programs())
+def test_leaves_ignore_declaration_order(program):
+    for params in (IDEAL, FINITE):
+        assert_declaration_order_is_immaterial(program, params)
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,8 @@ LEDGER = [
     Row(Site("circuits", "_prepared", "level {} out of range for {}"),
         _rejected("level-7"),
         "level 7 out of range for 'p'"),
+    Row(Site("circuits", "_prepared", "initial vector must be normalized"),
+        _rejected("state-unnormalized"), "initial vector must be normalized"),
     Row(Site("circuits", "_phase_fits",
              "cphase coeff {} times {}, the largest value of bit {}, is not finite"),
         _rejected("phase-overflow-reached"),
@@ -253,8 +255,6 @@ LEDGER = [
     # gates
     Row(Site("gates", "prepare_particle_pm", "sign must be '+' or '-'"),
         test_gates.test_prepare_pm_signs, "sign must be '+' or '-'"),
-    Row(Site("gates", "classically_controlled", "unknown controlled gate {}"),
-        test_gates.test_classically_controlled_unknown_gate, "unknown controlled gate 'ct'"),
     # interrogation
     Row(Site("interrogation", "QiParams.__post_init__",
              "cycles must be an integer or None, got {}"),
@@ -353,12 +353,6 @@ LEDGER = [
         test_state.test_fidelity_contract, "layout mismatch"),
     Row(Site("state", "fidelity", "{} state is not renormalized"),
         test_state.test_fidelity_contract, "second state is not renormalized"),
-    Row(Site("state", "initial_vector", "initial vector must have length {}"),
-        test_state.test_add_subsystem_and_level_weight, "initial vector must have length 3"),
-    Row(Site("state", "initial_vector", "initial vector must be normalized"),
-        test_state.test_add_subsystem_and_level_weight, "initial vector must be normalized"),
-    Row(Site("state", "add_subsystem", "subsystem {} already present"),
-        test_state.test_add_subsystem_and_level_weight, "subsystem 'q' already present"),
 ]
 
 

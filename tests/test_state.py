@@ -295,12 +295,6 @@ def test_add_subsystem_and_level_weight():
     vec = np.array([0.6, 0.8, 0.0], dtype=np.complex128)
     state = add_subsystem(state, particle("q"), vec)
     assert level_weight(state, "q", 0) == pytest.approx(0.36)
-    with pytest.raises(ValueError, match="normalized"):
-        add_subsystem(state, particle("r"), np.array([1.0, 1.0, 0.0]))
-    with pytest.raises(ValueError, match="length 3"):
-        add_subsystem(state, particle("r"), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError, match="already present"):
-        add_subsystem(state, particle("q"), vec)
 
 
 def _stacked(rng, layout, batch):
