@@ -41,10 +41,12 @@ import numpy as np
 
 from .state import (
     PHOTON_DIM,
+    PH_ONE_H,
     PM_MINUS,
     PM_PLUS,
     StateVector,
     SubsystemSpec,
+    _PHOTON_UNITS,
     _PM_FACTORS,
     _check_probability,
     apply_local,
@@ -162,8 +164,13 @@ def classically_controlled(state: StateVector, value, gate: str,
     return _pauli(state, target, gate[1], slice(None) if len(on) == len(values) else on)
 
 
-def _phase(coeff: float, value: int) -> np.ndarray:
-    return _block(PHOTON_DIM, [[1, 0], [0, np.exp(1j * coeff * value)]])
+def _phases(coeff: float, values) -> np.ndarray:
+    # one read-only photon operator per recorded value, built in one step:
+    # the identity with exp(i * coeff * value) on the |1H> level
+    ops = np.tile(_PHOTON_UNITS, (len(values), 1, 1))
+    ops[:, PH_ONE_H, PH_ONE_H] = np.exp(1j * coeff * np.asarray(values))
+    ops.flags.writeable = False
+    return ops
 
 
 def classically_controlled_phase(state: StateVector, value, target: str,
@@ -171,11 +178,11 @@ def classically_controlled_phase(state: StateVector, value, target: str,
     """Phase exp(i * coeff * value) on the photon's |1H> level, for a
     recorded integer outcome `value`; on a batched state, `value` holds one
     outcome per branch, and each branch gets its own phase from one stack
-    of operators."""
+    of operators.  A plain state takes the one operator of a stack of one."""
     expect(state.spec(target), "a photon", "cphase")
     if state.batch is None:
-        return apply_local(state, target, _phase(coeff, value))
-    return apply_local(state, target, np.array([_phase(coeff, v) for v in value]))
+        return apply_local(state, target, _phases(coeff, [value])[0])
+    return apply_local(state, target, _phases(coeff, value))
 
 
 @dataclass(frozen=True)

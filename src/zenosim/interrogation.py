@@ -17,12 +17,13 @@ QiParams object squares its stack at most once per largest count kmax and
 keeps it read-only, and keeps the gathered rows per shape of a run (the
 rank of the gather and the run's plan), so every later run of that shape
 under the same params only reads them; both memos die with the params
-object.  That arithmetic runs in
-extended precision; amplitudes are stored back as complex128.  Against a
-50-digit reference (x86-64 long double), the largest entry error of a
-stack is 5e-20 for the open sign flip without loss at any depth, 2.1e-15
-for the open stack with loss 1e-6 at 10^6 cycles, and for blocked stacks
-8e-19, 3.4e-16, 2.9e-14 and 4.0e-13 at 17, 10^4, 10^6 and 10^7 cycles.
+object.  The stack is squared in extended precision and rounded once to
+float64, so the rows are float64 and their products with the amplitudes
+are complex128.  Against a 50-digit reference (x86-64 long double), the
+largest entry error of a stack before that rounding is 5e-20 for the open
+sign flip without loss at any depth, 2.1e-15 for the open stack with loss
+1e-6 at 10^6 cycles, and for blocked stacks 8e-19, 3.4e-16, 2.9e-14 and
+4.0e-13 at 17, 10^4, 10^6 and 10^7 cycles.
 The exact N -> infinity limit of the pi/N wiring runs through the same
 gather with its own stack: diag(-1, -1), the full pi turn, for k = 0, and
 diag(1, 0), |1H> frozen and |1V> absorbed, for every k >= 1.
@@ -121,9 +122,9 @@ class QiParams:
 
     @cached_property
     def _rows(self) -> dict[tuple, np.ndarray]:
-        """The read-only T_k^N gathered per configuration of an
-        interrogation's listed particles, keyed by the rank of the gather
-        and the run's plan (filled by `_run_cycles`)."""
+        """The read-only T_k^N, rounded to float64, gathered per
+        configuration of an interrogation's listed particles, keyed by the
+        rank of the gather and the run's plan (filled by `_run_cycles`)."""
         return {}
 
     def __getstate__(self):
@@ -256,9 +257,10 @@ def _power_stack(params: QiParams, kmax: int) -> np.ndarray:
 
 # Each params object keeps the gathered rows of at most _ROWS_ENTRIES plans
 # (every shipped demo's runs and maps under one params take 23), dropping
-# its oldest when full, and only rows of at most _ROWS_BYTES (64
-# configurations of the listed particles): with about 0.3 KiB per entry for
-# its key and array header, at most 144 KiB per params object.
+# its oldest when full, and only rows of at most _ROWS_BYTES (128
+# configurations of the listed particles, at 32 bytes of float64 each):
+# with about 0.3 KiB per entry for its key and array header, at most
+# 144 KiB per params object.
 _ROWS_ENTRIES = 32
 _ROWS_BYTES = 4096
 
@@ -267,28 +269,31 @@ def _run_cycles(work, plan: tuple, params: QiParams):
     """Run the interrogation in place on the photon-fronted view `work`: one
     gathered 2x2 per configuration of the listed particles, picked by its
     blocked count k from the params' memoized stack of T_k^N (squared once
-    per params object and kmax, O(log N)), or of the exact limit's when
-    cycles is None, and broadcast over every other subsystem.  The gathered
-    rows depend only on the rank of `work`'s rest and on `plan`, so each
-    params object keeps them per (rank, plan) and a later run with the same
-    shape only reads them.  Only the (|1H>, |1V>) pair changes; what
-    absorption and loss take from it is dropped."""
-    h = work[PH_ONE_H].astype(np.clongdouble)
-    v = work[PH_ONE_V].astype(np.clongdouble)
+    per params object and kmax in extended precision, O(log N)), or of the
+    exact limit's when cycles is None, and broadcast over every other
+    subsystem.  The stack is rounded once to float64 before the gather, and
+    the new pair is p00 h + p01 v and p10 h + p11 v in complex128, with h a
+    copy of the old |1H> slice.  The gathered rows depend only on the rank
+    of `work`'s rest and on `plan`, so each params object keeps them per
+    (rank, plan) and a later run with the same shape only reads them.  Only
+    the (|1H>, |1V>) pair changes; what absorption and loss take from it is
+    dropped."""
+    h = work[PH_ONE_H].copy()
+    v = work[PH_ONE_V]
     rows = params._rows
     key = (h.ndim, plan)
     p = rows.get(key)
     if p is None:
         # k never exceeds the number of listed particles, and each k's slice
         # has the same bits whatever kmax asked for it
-        p = _power_stack(params, len(plan))[_blocked_counts(h.shape, plan)]
+        p = _power_stack(params, len(plan)).astype(np.float64)[_blocked_counts(h.shape, plan)]
         if p.nbytes <= _ROWS_BYTES:
             if len(rows) >= _ROWS_ENTRIES:
                 del rows[next(iter(rows))]
             p.flags.writeable = False
             rows[key] = p
-    work[PH_ONE_H] = (p[..., 0, 0] * h + p[..., 0, 1] * v).astype(np.complex128)
-    work[PH_ONE_V] = (p[..., 1, 0] * h + p[..., 1, 1] * v).astype(np.complex128)
+    work[PH_ONE_H] = p[..., 0, 0] * h + p[..., 0, 1] * v
+    work[PH_ONE_V] = p[..., 1, 0] * h + p[..., 1, 1] * v
 
 
 def _prepare(state: StateVector, photon: str, particles: list[str], blocking):

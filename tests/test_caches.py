@@ -62,9 +62,10 @@ PER_OBJECT = {
         "call, and the benchmark's workloads hold theirs across passes, so "
         "traced passes after the first reuse the stacks the first squared",
     "interrogation.QiParams._rows":
-        "the T_k^N gathered per configuration of an interrogation's particles, per "
-        "(rank, plan) of one params object: at most 32 entries of at most 4 KiB, "
-        "144 KiB in all, the oldest dropped first, and dropped by copies and "
+        "the T_k^N, rounded to float64, gathered per configuration of an "
+        "interrogation's particles, per (rank, plan) of one params object: at most "
+        "32 entries of at most 4 KiB (128 configurations of 32 bytes), 144 KiB in "
+        "all, the oldest dropped first, and dropped by copies and "
         "pickles.  The CLI builds its params per call, so only the runs of one "
         "call share them; the benchmark's workloads hold theirs across passes",
     "circuits.run._outcome_tree":
@@ -243,23 +244,23 @@ def test_gather_index_memo_retains_at_most_680_kib():
 
 
 def test_rows_memo_keeps_at_most_32_plans_of_4_kib_in_144_kib():
-    # a 63-position particle has 64 levels, so its rows are 64 2x2s: 4 KiB
-    # of 16-byte entries, at the bound; each plan blocks it at another pair
+    # a 127-position particle has 128 levels, so its rows are 128 2x2s: 4 KiB
+    # of 8-byte entries, at the bound; each plan blocks it at another pair
     # of positions, and the memo keeps the last 32 of 64.  A particle with
     # one level more than the bound holds at the rows' own entry size is
     # gathered but not kept.
     params = QiParams(cycles=17, absorb_prob=0.5)
-    work = np.zeros((4, 64), dtype=np.complex128)
-    plans = [((0, blk, 63),) for blk in itertools.combinations(range(63), 2)][:64]
+    work = np.zeros((4, 128), dtype=np.complex128)
+    plans = [((0, blk, 127),) for blk in itertools.combinations(range(127), 2)][:64]
     retained = _retained(lambda: [interrogation._run_cycles(work, plan, params)
                                   for plan in plans])
     rows = params._rows
     assert [plan for _, plan in rows] == plans[32:]
-    size = 64 * 4 * next(iter(rows.values())).itemsize
-    assert size <= interrogation._ROWS_BYTES
+    size = 128 * 4 * next(iter(rows.values())).itemsize
+    assert size == interrogation._ROWS_BYTES
     assert all(p.nbytes == size and not p.flags.writeable for p in rows.values())
     assert 32 * size < retained <= 144 * 1024
-    over = interrogation._ROWS_BYTES * 64 // size + 1
+    over = interrogation._ROWS_BYTES * 128 // size + 1
     interrogation._run_cycles(np.zeros((4, over), dtype=np.complex128),
                               ((0, (0,), over - 1),), params)
     assert len(rows) == interrogation._ROWS_ENTRIES == 32

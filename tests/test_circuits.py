@@ -539,7 +539,7 @@ def test_memoized_runs_equal_fresh_runs(name, params, profile):
 # it, recorded with the summing-loop draw `helpers.reference_sample_branch`
 # keeps; it pins the sampled results themselves, which the comparison of kept
 # and fresh runs above cannot, since both sides run the same draw
-SAMPLED_DIGEST = "85066149788d591bc51aac826fe417803365714ed4b2022cb78088b65a3fa175"
+SAMPLED_DIGEST = "8c16ee6b87f77c8ae20ca09bc50c9e7887c0995303913264e103ff7ffbcd0134"
 
 
 def test_sampled_runs_are_pinned():

@@ -305,7 +305,7 @@ STDOUT_SHA256 = {
     "simulate --demo cnot-half-memory-keep-control --cycles 17 --theta pi-over-2n --branches sample --seed 3":
         "60833b2067dd3178fdeb19db5c4889d4aa884395e9db6ecd03bee0d2d3ae5b6f",
     "simulate --demo cnot-half-memory-keep-control --cycles 333 --absorb 0.9 --loss 1e-3":
-        "ce4b2f3083f9dfde74047e284bbf84428ff1cfca36500323a1b43335614c2542",
+        "c14757f04bf22f520bc0e12585038346deaa86d1fdf9284b5b0dff45f191ae45",
     "simulate --demo cnot-half-memory-keep-control --cycles 333 --absorb 0.9 --loss 1e-3 --out csv":
         "c0776ad050181b75d7edae4c2086043312a4328b3b482b6ec4708bd9d32422a1",
     "simulate --demo cnot-half-memory-keep-control --cycles 333 --absorb 0.9 --loss 1e-3 --branches sample --seed 3":
@@ -389,19 +389,19 @@ STDOUT_SHA256 = {
     "simulate --demo wstate-3 --cycles 17 --theta pi-over-2n --branches sample --seed 3":
         "4cffac247d7acae86bbd36f2677ffa3c81dd609bf2ce57872b2823d415a704bb",
     "simulate --demo wstate-3 --cycles 333 --absorb 0.9 --loss 1e-3":
-        "5abb35ca0eab359dc4ab4d9b05937b3181b2d0ee5da8afd24db94cd0b41a9241",
+        "c6b4b9a0541dfa9c6b0c562d7f51e2cb9d3ac92a34024a88befa0d879dbd8e55",
     "simulate --demo wstate-3 --cycles 333 --absorb 0.9 --loss 1e-3 --out csv":
         "42949609fb329dccd356fc6c41b015aeb3e4154af0c2f907636556541325c868",
     "simulate --demo wstate-3 --cycles 333 --absorb 0.9 --loss 1e-3 --branches sample --seed 3":
         "c84e3a61533944cd6dbd8c4b23d06f19fcd06cde1ddcb765723a844230c86eee",
     "simulate --demo wstate-4 --cycles 17 --theta pi-over-2n":
-        "a0a3e93d918ae4d7f311cf7dac38f3df831673f2e1ea67643f06b39b89919a42",
+        "d01bf4a552011412300c285b43bfb46798b6716e782b68d01f7155e60f727ecc",
     "simulate --demo wstate-4 --cycles 17 --theta pi-over-2n --out csv":
         "aff09990b71846bdf45b587928689896d7817ddb7e60d3265896873bcb722eca",
     "simulate --demo wstate-4 --cycles 17 --theta pi-over-2n --branches sample --seed 3":
         "6194d660515a1345818aceb0dec39ad3d6ecb4aa8bf70b39a038aaf45c279080",
     "simulate --demo wstate-4 --cycles 333 --absorb 0.9 --loss 1e-3":
-        "dd9c037a1e9612df186342d48b744c47caa6ba840b2f0ce274889c4849a2b8d3",
+        "1d14bf8ece8a90497ce49f37ca8c64e5f734f4df6465dfc9ac48d34001cd0504",
     "simulate --demo wstate-4 --cycles 333 --absorb 0.9 --loss 1e-3 --out csv":
         "55da950dfb454be75c74bebfa985d992e956034f70c5b28cae48ae2941cbbba4",
     "simulate --demo wstate-4 --cycles 333 --absorb 0.9 --loss 1e-3 --branches sample --seed 3":

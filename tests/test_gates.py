@@ -105,13 +105,24 @@ _LOGICAL, _POSITIONS = (PH_ZERO, PH_ONE_H), (BLOCKED, OPEN)
 _H2 = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
 _X2 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Z2 = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+
+
+def _literal_phases(coeff, values):
+    # one literal phase operator per value, stacked
+    return np.array([_literal(4, [PH_ONE_H], [[np.exp(1j * coeff * value)]])
+                     for value in values])
+
+
+# a cphase stack of one value (the operator a plain state takes is its row
+# 0), and one stack of several values, each row its own value's literal form
 _OPERATORS = {
     "photon_h": (gates._PHOTON_H, _literal(4, _LOGICAL, _H2)),
     "particle_h": (gates._PARTICLE_H, _literal(3, _POSITIONS, _H2)),
-    **{f"phase-{coeff:.3g}-{value}": (
-        gates._phase(coeff, value),
-        _literal(4, [PH_ONE_H], [[np.exp(1j * coeff * value)]]))
+    **{f"phase-{coeff:.3g}-{value}": (gates._phases(coeff, [value]),
+                                      _literal_phases(coeff, [value]))
        for coeff, value in [(0.7, 0), (0.7, 3), (-2.0 * np.pi / 3, 2), (np.pi, 1)]},
+    "phase-stack--1.57-0123": (gates._phases(-2.0 * np.pi / 4, range(4)),
+                               _literal_phases(-2.0 * np.pi / 4, range(4))),
 }
 
 
@@ -127,8 +138,9 @@ def test_operators_have_the_bytes_of_their_literal_form(name):
 # operator the gates hand it is shown here, once, to be a contraction
 
 def _assert_contraction(op) -> None:
-    sigma_max = np.linalg.svd(op, compute_uv=False)[0]
-    assert sigma_max <= 1 + ATOL, sigma_max
+    # an operator, or each of a stack of them
+    sigma_max = np.linalg.svd(op, compute_uv=False)[..., 0]
+    assert (sigma_max <= 1 + ATOL).all(), sigma_max
 
 
 @pytest.mark.parametrize("op", [gates._PHOTON_H, gates._PARTICLE_H], ids=["photon", "particle"])
@@ -151,8 +163,7 @@ def test_wstate_phases_are_contractions(demo):
     values = range(program.spec("q").dim)
     for ins in program.instructions:
         if ins.op == "cphase":
-            for value in values:
-                _assert_contraction(gates._phase(ins.args["coeff"], value))
+            _assert_contraction(gates._phases(ins.args["coeff"], values))
 
 
 @pytest.mark.parametrize("coeff", [1e308, -1e308])
@@ -162,7 +173,7 @@ def test_widest_phases_are_contractions(coeff):
     _phase_fits({"coeff": coeff, "key": "k"}, None, {"k": largest + 1})
     with pytest.raises(ValueError, match="is not finite$"):
         _phase_fits({"coeff": coeff, "key": "k"}, None, {"k": largest + 2})
-    _assert_contraction(gates._phase(coeff, largest))
+    _assert_contraction(gates._phases(coeff, [largest]))
 
 
 # X and Z move amplitudes by index; each step's reference is `apply_local`

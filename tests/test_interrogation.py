@@ -1,18 +1,22 @@
 """Cycle-level interrogation behavior: survival laws, the sign shift,
 loss accounting, the run as one linear map local to its photon and
 particles, the extracted effective map, and a differential check of the
-closed-form cycle engine against a literal per-cycle loop."""
+closed-form cycle engine against a literal per-cycle loop, and a run's
+memory at the amplitude cap."""
 
+import ast
 import copy
 import pickle
+import tracemalloc
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zenosim import interrogation
-from zenosim.circuits import MEMORY, cnot_circuit, run_all_branches
+from zenosim.circuits import MAX_AMPLITUDES, MEMORY, cnot_circuit, run_all_branches
 from zenosim.interrogation import (
     KEEP,
     PI_OVER_2N,
@@ -578,3 +582,40 @@ def test_copies_and_pickles_of_a_warm_params_give_the_same_bits():
             got = qi_run(state, "p", ["b", "c"], [BLOCKED, [0, 1]], clone).amps.tobytes()
             assert got == want, params
             assert not interrogation._power_stack(clone, 2).flags.writeable
+
+
+def test_run_at_the_amplitude_cap_peaks_below_twice_its_state():
+    # a photon, one listed 3-position particle and two 255-position
+    # bystanders: 2^20 amplitudes, 16 MiB.  The run's own copy of the state
+    # is one state's bytes; the |1H> copy and the products of one slice
+    # each take a quarter of it, and the gathered rows almost nothing
+    layout = (photon("p"), particle("c", positions=3), particle("a", positions=255),
+              particle("b", positions=255))
+    state = StateVector(layout, np.full(MAX_AMPLITUDES, 2.0 ** -10, dtype=np.complex128))
+    params = QiParams(cycles=333, absorb_prob=0.9, cycle_loss=1e-3)
+    tracemalloc.start()
+    try:
+        qi_run(state, "p", ["c"], None, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * state.amps.nbytes, peak
+
+
+# numpy's names for the complex long double
+_COMPLEX_LONG_DOUBLE = {"clongdouble", "complex256", "longcomplex", "clongfloat"}
+
+
+def test_no_complex_long_double_in_the_package():
+    # only the 2x2 power stacks are extended precision: every product with
+    # the amplitudes is complex128, so no name or string of the package
+    # spells the complex long double
+    found = []
+    for path in sorted(Path(interrogation.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            word = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.value if isinstance(node, ast.Constant) else None)
+            if word in _COMPLEX_LONG_DOUBLE:
+                found.append(f"{path.name}:{node.lineno} {word}")
+    assert not found

@@ -36,6 +36,7 @@ import test_emit
 import test_gates
 import test_interrogation
 import test_oracle
+import test_properties
 import test_reference_walk
 import test_state
 from helpers import FAILURE_LEAVES, rounding_bounds
@@ -163,6 +164,12 @@ def _walk_with_failure_leaves() -> None:
     program = DEMOS["cnot-memory"]()
     _, _, success = test_reference_walk.deviations(program, FAILURE_LEAVES)
     assert success <= rounding_bounds(program).weight, success
+
+
+def _leaves_ignore_declaration_order() -> None:
+    # the W states prepare their particle first, though they declare it last
+    for name in sorted(DEMOS):
+        test_properties.test_demo_leaves_ignore_declaration_order(name, test_properties.IDEAL)
 
 
 def _oracle_leaves_match_the_50_digit_walk() -> None:
@@ -478,6 +485,11 @@ MUTANTS = {
     "rows-key-without-blocking": Mutant(
         interrogation, "_run_cycles", "key = (h.ndim, plan)",
         "key = (h.ndim, tuple((axis, n) for axis, _, n in plan))", _finite_stdout_is_pinned),
+    # |1V> formed from the |1H> slice the same run just wrote: under the keep
+    # policy the memory CNOT's heralded failures carry the wrong residual
+    "v-from-the-updated-h": Mutant(
+        interrogation, "_run_cycles", "h = work[PH_ONE_H].copy()", "h = work[PH_ONE_H]",
+        _walk_with_failure_leaves),
     # the gather index keyed without the axes: every gate on a physical
     # shape gets the index of the first gate on that shape (the direct CNOT
     # gathers its 4 x 4 x 3 and its 4 x 3 x 4 shapes in two orders each)
@@ -619,6 +631,13 @@ MUTANTS = {
     "oracle-leaf-left-in-its-physical-order": Mutant(
         oracle, "_leaf", "tuple([order.index(n) for n in layout])", "tuple(range(len(order)))",
         _oracle_leaves_match_the_50_digit_walk),
+    # each oracle leaf's layout, and its vector's axes, follow the declared
+    # subsystems, not the prepares: no other killer compares layouts across
+    # declaration orders
+    "oracle-layout-in-declaration-order": Mutant(
+        oracle, "_plan", "layout + (spec.name,)",
+        "tuple(n for n in specs if n in layout or n == spec.name)",
+        _leaves_ignore_declaration_order),
     # the pooled photon failure weighed by |1V> alone: a photon whose
     # failure weight lies on its sink loses its failure leaf to the cutoff
     "oracle-pooled-failure-weighs-one-level": Mutant(
