@@ -149,20 +149,30 @@ def serialize_program(program: CircuitProgram) -> str:
 # result emitters
 
 def _float_array(value: np.ndarray) -> str:
-    # one template of _CELL slots for the array's shape, brackets and commas
-    # in place, filled by one `%`; + 0.0 clears negative zeros as in _float
-    template = _CELL
+    # one template of %s slots for the array's shape, brackets and commas in
+    # place, filled by one `%`.  A zero cell, +0.0 or -0.0, is the "0" that
+    # _CELL prints for it; the nonzero cells are formatted by one `%` of
+    # _CELL slots, which prints no comma, so splitting at commas parts them
+    template = "%s"
     for size in reversed(value.shape):
         template = "[" + ",".join([template] * size) + "]"
-    return template % tuple((value.ravel() + 0.0).tolist())
+    flat = value.ravel()
+    nonzero = flat.nonzero()[0]
+    formatted = (",".join([_CELL] * nonzero.size) % tuple(flat[nonzero].tolist())).split(",")
+    cells = ["0"] * flat.size
+    for i, cell in zip(nonzero.tolist(), formatted):
+        cells[i] = cell
+    return template % tuple(cells)
 
 
 def _simulate_json(source: str, params: QiParams, results) -> str:
     """The JSON document `simulate` prints, from fixed templates whose keys
-    are in sorted order.  Each float slot is _CELL, filled with x + 0.0 as
-    in _float; classical values print as integers.  The total is summed
-    over Python floats, so a total past the largest double prints inf
-    without a numpy overflow warning."""
+    are in sorted order.  Each scalar float slot is _CELL, filled with
+    x + 0.0 as in _float; each amplitude array is written by _float_array,
+    which writes a zero cell as "0" and formats only the nonzero ones.
+    Classical values print as integers.  The total is summed over Python
+    floats, so a total past the largest double prints inf without a numpy
+    overflow warning."""
     branch = ('{"branch_weight":' + _CELL + ',"classical":{%s},"failed":%s,"state":'
               '{"amplitudes":%s,"dims":[%s],"subsystems":[%s]},"success_probability":'
               + _CELL + "}")

@@ -4,6 +4,7 @@
 import argparse
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 from pathlib import Path
@@ -164,16 +165,14 @@ def test_files_leave_out_byte_code_caches(tmp_path):
 
 
 def test_each_run_compiles_from_source(monkeypatch, tmp_path):
-    # each run writes no byte-code and reads its cache from a fresh, empty
-    # prefix: never the caller's, and gone after the run
-    prefixes = []
+    # each run writes no byte-code and is given no byte-code cache prefix,
+    # not even the caller's, so the package compiles from its source while
+    # numpy and the standard library load their installed byte-code
+    envs = []
 
     def fake_run(cmd, cwd, env, **kwargs):
-        prefix = Path(env["PYTHONPYCACHEPREFIX"])
-        prefixes.append(prefix)
+        envs.append(env)
         assert cmd[1:4] == ["bench/run.py", "--workload", "sample-ideal"] and cwd == tmp_path
-        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
-        assert prefix.is_dir() and not any(prefix.iterdir())
         return subprocess.CompletedProcess(cmd, 0, _line(op_p50_ms=1.0), "")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
@@ -182,8 +181,11 @@ def test_each_run_compiles_from_source(monkeypatch, tmp_path):
     args = argparse.Namespace(seed=3, seconds=1.0)
     for _ in range(2):
         assert bench_pairs._bench(tmp_path, "sample-ideal", args)["correct"]
-    assert len({*prefixes, tmp_path}) == 3
-    assert not any(prefix.exists() for prefix in prefixes)
+    assert len(envs) == 2
+    for env in envs:
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert "PYTHONPYCACHEPREFIX" not in env
+    assert os.environ["PYTHONPYCACHEPREFIX"] == str(tmp_path)  # the caller's is left alone
 
 
 def _same_benchmark(ref, dest):

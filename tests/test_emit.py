@@ -101,8 +101,21 @@ def reference_payload(source: str, params: QiParams, results) -> dict:
     }
 
 
+def _w_branch() -> np.ndarray:
+    """A (256, 2) view of 256 amplitudes, 32 of its 512 cells nonzero, as in
+    a wstate-4 branch at finite depth."""
+    amps = np.zeros(256, dtype=complex)
+    amps[[0, 2, 8, 10, 32, 34, 40, 42, 128, 130, 136, 138, 160, 162, 168, 170]] = (
+        np.linspace(-0.5, 0.5, 16) + 1j * np.linspace(0.3, -0.2, 16) + 1e-3j)
+    return amps.reshape(-1, 1).view(np.float64)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_float_arrays(), _complex_views))
+@example(_w_branch())
+@example(np.zeros((7, 2)))
+@example(np.array([[-0.0, -0.25], [-1e-13, -0.0], [-0.0, -0.0], [-3.5e17, 0.0]]))
+@example(np.array([[5e-324, -0.0], [0.0, -2.5e-310], [-5e-324, 2.5e-310]]))
 @example(np.zeros((0, 2)))
 @example(np.array([]))
 @example(np.array([0.25, -0.0, 1e-300, -3.5e17, 1 / 3]))

@@ -249,7 +249,7 @@ def _yields_multiply_in_the_written_order() -> None:
 def _arrays_print_like_their_lists() -> None:
     for shape in ((3, 0), (2, 0, 3), (1, 2, 0)):
         test_emit.test_empty_inner_axis_prints_like_its_list(shape)
-    amps = np.arange(12.0).reshape(3, 2, 2)
+    amps = (np.arange(12.0) - 6.0).reshape(3, 2, 2)  # negative, zero and positive cells
     assert cli._float_array(amps) == test_emit.reference_emit_json(amps)
 
 
@@ -596,6 +596,10 @@ MUTANTS = {
     "emitter-brackets-the-outer-axis": Mutant(
         cli, "_float_array", "for size in reversed(value.shape):",
         "for size in value.shape:", _arrays_print_like_their_lists),
+    # the zero test one-sided: every negative cell prints "0"
+    "emitter-writes-negative-cells-as-zero": Mutant(
+        cli, "_float_array", "flat.nonzero()", "(flat > 0).nonzero()",
+        _arrays_print_like_their_lists),
     # two keys of the branch template trade places, each naming the other's value
     "branch-template-swaps-two-keys": Mutant(
         cli, "_simulate_json", '"dims":[%s],"subsystems":[%s]',

@@ -259,6 +259,62 @@ def test_leaves_ignore_declaration_order(program):
         assert_declaration_order_is_immaterial(program, params)
 
 
+def _with_identities(program: CircuitProgram) -> CircuitProgram:
+    """`program` with a `photon_h` pair after each photon prepare and a
+    `particle_x` pair after each 2-position particle prepare: H H and X X
+    are the identity."""
+    pairs = {s.name: "photon_h" if s.kind == "photon" else "particle_x"
+             for s in program.subsystems if s.kind == "photon" or s.positions() == 2}
+    instructions = []
+    for instr in program.instructions:
+        instructions.append(instr)
+        target = instr.args["target"] if instr.op == "prepare" else None
+        if target in pairs:
+            instructions += [Instruction(pairs[target], {"target": target})] * 2
+    return CircuitProgram(program.subsystems, program.bits, tuple(instructions))
+
+
+def assert_identities_are_immaterial(program: CircuitProgram, params: QiParams) -> None:
+    """The leaves of `run_all_branches` and of `oracle.brute_force_run` on
+    `_with_identities(program)`, paired by position with those on
+    `program`, have the same records, failure flags and layouts, and each
+    part of an unnormalized amplitude moves by at most the two programs'
+    `rounding_bounds(...).amplitude` summed."""
+    padded = _with_identities(program)
+    bound = rounding_bounds(program).amplitude + rounding_bounds(padded).amplitude
+
+    def engine(p):
+        return [(_key(leaf), leaf.final_state.layout,
+                 leaf.final_state.amps * math.sqrt(leaf.branch_weight))
+                for leaf in run_all_branches(p, params)]
+
+    def brute_force(p):
+        return [((tuple(sorted(leaf.assignments.items())), leaf.failed), leaf.layout,
+                 leaf.vector) for leaf in oracle.brute_force_run(p, params).leaves]
+
+    for leaves in (engine, brute_force):
+        got, want = leaves(padded), leaves(program)
+        assert [leaf[:2] for leaf in got] == [leaf[:2] for leaf in want]
+        for (_, _, a), (_, _, b) in zip(got, want):
+            assert a.shape == b.shape
+            diff = a - b
+            assert max(np.abs(diff.real).max(initial=0.0),
+                       np.abs(diff.imag).max(initial=0.0)) <= bound
+
+
+@pytest.mark.parametrize("params", [IDEAL, FINITE], ids=["exact", "n3"])
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_demo_leaves_ignore_identity_pairs(name, params):
+    assert_identities_are_immaterial(DEMOS[name](), params)
+
+
+@settings(max_examples=100, deadline=None)
+@given(program=valid_programs())
+def test_leaves_ignore_identity_pairs(program):
+    for params in (IDEAL, FINITE):
+        assert_identities_are_immaterial(program, params)
+
+
 # ---------------------------------------------------------------------------
 # arbitrary circuit documents through the CLI
 
